@@ -114,13 +114,20 @@ def _finish_stats(args: argparse.Namespace, registry, stats=None, spec=None) -> 
         return
     print(coverage_from_registry(registry, spec).render())
     snap = registry.snapshot()
-    rounds = snap["counters"].get("parallel.rounds", 0)
+    counters = snap["counters"]
+    rounds = counters.get("parallel.rounds", 0)
     if rounds:
-        batch_bytes = snap["counters"].get("parallel.batch_bytes", 0)
-        wire_sent = snap["counters"].get("dist.wire.bytes_sent", 0)
-        wire_received = snap["counters"].get("dist.wire.bytes_received", 0)
+        batch_bytes = counters.get("parallel.batch_bytes", 0)
+        wire_sent = counters.get("dist.wire.bytes_sent", 0)
+        wire_received = counters.get("dist.wire.bytes_received", 0)
         wait = snap["histograms"].get("parallel.round_wait_ms")
-        line = f"exchange: {rounds} rounds, {batch_bytes} batch bytes routed"
+        states = sum(snap["counts"].get("parallel.shard_states", {}).values())
+        line = (
+            f"exchange: {rounds} rounds, {counters.get('parallel.claims', 0)} claims,"
+            f" {counters.get('parallel.rebalanced_states', 0)} states rebalanced,"
+            f" {batch_bytes} state bytes routed"
+            f" ({batch_bytes / max(states, 1):.1f} B/state)"
+        )
         if wire_sent or wire_received:
             line += f", wire {wire_sent}B out / {wire_received}B in"
         if wait and wait.get("count"):

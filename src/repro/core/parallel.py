@@ -1,28 +1,45 @@
-"""Sharded parallel BFS: N engine workers over a partitioned frontier.
+"""Sharded parallel BFS: N engine workers over a partitioned fingerprint set.
 
 The scalability story of TLC-style stateful exploration is a visited-
-fingerprint set partitioned across workers.  This module provides that
-layer for the pure-Python kernel: breadth-first search driven by a
-master and ``N`` shard workers, with the fingerprint space partitioned
-by ``fp % N`` ("owner computes").  It exists because
+fingerprint set shared by the workers, not states moving between them.
+This module provides that layer for the pure-Python kernel: breadth-first
+search driven by a master and ``N`` shard workers, with the *fingerprint
+space* partitioned by ``fp % N``.  It exists because
 :func:`repro.core.state.fingerprint` is canonical — a blake2b digest of
-the canonical state codec — so every process assigns every state to the
-same owner without any coordination.
+the canonical state codec — so every process assigns every fingerprint
+to the same owner without any coordination.
 
-The search is level-synchronous; each round covers one BFS depth in two
-phases:
+A worker plays two roles.  As an **owner** it holds the visited set (and
+the parent edges) of the fingerprints with ``fp % N == wid``.  As a
+**generator** it holds a slice of the frontier as live states — whichever
+states it generated itself, whoever owns their fingerprints.  States
+stay with the worker that generated them; only fingerprints cross the
+barrier.  The search is level-synchronous; each round covers one BFS
+depth in up to four phases:
 
-1. **expand** — every worker pops its slice of the current frontier,
-   enumerates successors, checks transition invariants, and fingerprints
-   each (canonicalized) child.  Children owned by the worker itself are
-   deduplicated against its local :class:`~repro.core.engine.CompactStore`
-   on the spot; foreign children are batched per owner as
-   ``(codec bytes, fingerprint, parent fingerprint, action, depth)``.
-2. **absorb** — the master routes the batches and each owner merges
-   them: duplicates are dropped, new states are recorded with their
-   parent edge, state invariants are checked once per distinct state
-   (the same per-state/per-edge check counts as the serial engine), and
-   survivors join the owner's next frontier.
+1. **expand** — every worker pops its frontier slice, enumerates
+   successors, checks transition invariants, and fingerprints each
+   (canonicalized) child.  A child whose fingerprint the worker owns is
+   deduplicated against its local store on the spot; a foreign child is
+   parked in a per-owner *pending* list and a claim
+   ``(child fp, parent fp, action)`` is shipped to the master.
+2. **claim** — the master routes the claims and each owner dedupes them
+   against its store in ``(claimer wid, sequence)`` order, records the
+   edge of every new fingerprint, and answers with the accepted indices.
+3. **settle** — each claimer checks the state invariants of its accepted
+   children — with the incremental ``changed`` set it still holds, so a
+   foreign child costs the same per-state check as a local one and as
+   the serial engine — and pushes them onto its own next frontier.  The
+   rest of the pending list is dropped.
+4. **rebalance** — a single root would otherwise pin the whole search to
+   one worker, so when the largest frontier exceeds the mean by more
+   than :data:`REBALANCE_SLACK` (plus one state) the master levels the
+   frontiers: donors ``donate`` their surplus as codec bytes and the
+   smallest frontiers ``adopt`` it.  Besides the seeds these are the
+   only state bytes that travel (``parallel.batch_bytes``).
+
+Every merge order is fixed by worker id, never by arrival, so frontiers,
+edges and counterexamples are byte-identical across runs and transports.
 
 The master aggregates per-round deltas into the unified
 :class:`~repro.core.engine.SearchStats`, decides the
@@ -30,9 +47,10 @@ The master aggregates per-round deltas into the unified
 ``max_depth``, time budget, exhaustion), and — because rounds are
 level-synchronous — the first violating round still yields a
 minimal-depth counterexample.  Counterexample traces are rebuilt by
-merging every worker's parent edges (``StateStore.edges()``) into one
+merging every owner's parent edges (``StateStore.edges()``) into one
 store and re-executing from the initial state, exactly like the serial
-explorer.
+explorer.  A round cut short by the time budget still runs its claim
+and settle phases, so no edge is ever recorded for a state nobody holds.
 
 **Transports.**  The master never talks to a process or a socket
 directly: all exchange goes through a :class:`WorkerTransport` —
@@ -50,9 +68,11 @@ both.
 connect to a spare agent), drains stale in-flight replies with a
 ping/pong barrier, and rolls the whole fleet back to the last committed
 generation-addressed checkpoint (or re-seeds from the initial states
-when none was written yet).  Checkpoints are taken at round boundaries
-the uninterrupted run also passes through, so the recovered run is
-census- and trace-identical to an undisturbed one.
+when none was written yet); ``restore`` rebuilds each worker's store and
+frontier and drops its pending list, whichever phase the round died in.
+Checkpoints are taken at round boundaries the uninterrupted run also
+passes through, so the recovered run is census- and trace-identical to
+an undisturbed one.
 
 On platforms without ``fork`` (or with ``workers <= 1``)
 :func:`parallel_bfs` falls back to the serial
@@ -61,12 +81,10 @@ and a ``parallel.fallback_serial`` counter, so the degradation is never
 silent.
 
 ``fast=True`` switches every worker to the traceless
-:class:`~repro.core.engine.FingerprintOnlyStore` and drops the parent
-fingerprint and action name from routed batches — foreign children
-travel as ``(codec bytes, fingerprint, depth)`` triples, since no owner
-keeps edges.  A violation is then reported with a
-:class:`~repro.core.trace.PendingTrace` and (with ``research=True``)
-immediately resolved by a serial bounded re-search
+:class:`~repro.core.engine.FingerprintOnlyStore`; the claim shape stays
+the same and owners simply keep no edge.  A violation is then reported
+with a :class:`~repro.core.trace.PendingTrace` and (with
+``research=True``) immediately resolved by a serial bounded re-search
 (:func:`repro.core.explorer.research_violation`).  ``por=True`` makes
 every worker compile its spec with partial-order reduction; pruning is
 deterministic, so all workers agree on the reduced successor relation.
@@ -81,13 +99,16 @@ import time
 import traceback
 import warnings
 from collections import defaultdict, deque
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.metrics import (
     ACTION_FIRES,
     BATCH_BYTES,
+    CLAIMS,
     CODEC_CHUNKS,
     FALLBACK_SERIAL,
+    REBALANCED_STATES,
     ROUND_WAIT_MS,
     SIZE_BOUNDS,
     WAIT_BOUNDS_MS,
@@ -121,7 +142,12 @@ __all__ = [
 #: Violation once the workers' parent edges are merged.
 _ViolationDesc = Tuple[str, str, int, int, str, tuple, str, Optional[bytes]]
 
-_ROOT_ACTION = "<init>"
+#: The master levels the frontiers when the largest exceeds the mean by
+#: more than this fraction (plus one state, so tiny frontiers never
+#: ping-pong).  Rounds are level-synchronous, so the largest frontier
+#: sets the round time: the slack bounds what a round can lose to
+#: imbalance, and below it moving states costs more than it saves.
+REBALANCE_SLACK = 0.10
 
 
 class WorkerDied(RuntimeError):
@@ -147,16 +173,51 @@ def _make_reducer(spec: Spec, symmetry: bool) -> Optional[SymmetryReducer]:
     return SymmetryReducer(spec.symmetry_sets(), key=fingerprint)
 
 
+def rebalance_plan(sizes: Dict[int, int]) -> Dict[int, List[Tuple[int, int]]]:
+    """``donor -> [(recipient, count), ...]`` levelling ``sizes``, or ``{}``.
+
+    Empty while the largest frontier is within :data:`REBALANCE_SLACK`
+    (plus one state) of the mean; otherwise every frontier is brought to
+    within one state of it.  A pure function of ``sizes``, so every run
+    moves the same states.
+    """
+    n = len(sizes)
+    total = sum(sizes.values())
+    if max(sizes.values()) * n <= total * (1.0 + REBALANCE_SLACK) + n:
+        return {}
+    base, extra = divmod(total, n)
+    spare = {wid: sizes[wid] - base - (wid < extra) for wid in sorted(sizes)}
+    takers = [[wid, -count] for wid, count in spare.items() if count < 0]
+    plan: Dict[int, List[Tuple[int, int]]] = {}
+    for donor, count in spare.items():
+        while count > 0:
+            taker = takers[-1]
+            moved = min(count, taker[1])
+            plan.setdefault(donor, []).append((taker[0], moved))
+            count -= moved
+            taker[1] -= moved
+            if not taker[1]:
+                takers.pop()
+    return plan
+
+
 class ShardWorker:
     """One shard's protocol logic, independent of how messages arrive.
 
-    Owns the fingerprints with ``fp % workers == wid``: a local store, a
-    local frontier, and the expand/absorb/edges/checkpoint/restore op
-    handlers.  The fork worker loop (:func:`_worker_main`) and the TCP
-    worker agent (:class:`repro.dist.agent.WorkerAgent`) both drive one
-    instance through :meth:`handle`, which keeps the two transports
-    behaviorally identical by construction.
+    Owns the fingerprints with ``fp % workers == wid`` (a local store of
+    fingerprints and parent edges) and holds the frontier states it
+    generated itself, whoever owns them.  The fork worker loop
+    (:func:`_worker_main`) and the TCP worker agent
+    (:class:`repro.dist.agent.WorkerAgent`) both drive one instance
+    through :meth:`handle`, which keeps the two transports behaviorally
+    identical by construction.
     """
+
+    #: the ops a master may send: each names its handler method, and the
+    #: rest of the message is that method's arguments
+    OPS = frozenset(
+        "absorb expand claim settle donate adopt edges checkpoint restore ping".split()
+    )
 
     def __init__(
         self,
@@ -187,6 +248,9 @@ class ShardWorker:
         self._canon = reducer.canonical if reducer is not None else None
         self.store = FingerprintOnlyStore() if fast else CompactStore()
         self.frontier: deque = deque()
+        #: owner -> foreign children claimed this round and not yet
+        #: settled: (state, fp, depth, changed keys or None, action)
+        self._pending: Dict[int, list] = {}
         self._constraint = spec.state_constraint
         self._successors = spec.successors
         self._check_state = spec.check_state
@@ -199,69 +263,35 @@ class ShardWorker:
         self._changed_of = changed_keys if incremental else None
         self._skip_state_invs = incremental and stop_on_violation
 
-    # -- op dispatch ---------------------------------------------------------
-
     def handle(self, msg: tuple) -> tuple:
         """Process one master op; returns the reply message."""
         op = msg[0]
-        if op == "absorb":
-            return self.absorb(msg[1])
-        if op == "expand":
-            return self.expand(msg[1])
-        if op == "edges":
-            return self.edges_reply()
-        if op == "checkpoint":
-            if len(msg) > 1 and msg[1] is not None:
-                return self.checkpoint(msg[1])
-            return self.checkpoint_payload()
-        if op == "restore":
-            return self.restore(msg[1] if len(msg) > 1 else None)
-        if op == "ping":
-            return ("pong", self.wid)
-        raise RuntimeError(f"unknown parallel-BFS op {op!r}")
+        if op not in self.OPS:
+            raise RuntimeError(f"unknown parallel-BFS op {op!r}")
+        return getattr(self, op)(*msg[1:])
 
     # -- ops -----------------------------------------------------------------
 
-    def absorb(self, items: list) -> tuple:
-        store = self.store
-        frontier = self.frontier
-        check_state = self._check_state
-        added = 0
+    def absorb(self, seeds: list) -> tuple:
+        """Seed the search: record and check the initial states owned here."""
         violations: List[_ViolationDesc] = []
-        if self.fast:
-            # Traceless batches carry no parent edge or action —
-            # just (codec bytes, fingerprint, depth).
-            for enc, fp, depth in items:
-                if store.seen(fp):
-                    continue
-                state = decode(enc)
-                store.record(fp, None, "")
-                added += 1
-                bad = check_state(state)
-                if bad is not None:
-                    violations.append(("state", bad, depth, fp, "", (), "", None))
-                frontier.append((state, fp, depth))
-        else:
-            for enc, fp, parent_fp, action, depth in items:
-                if store.seen(fp):
-                    continue
-                state = decode(enc)
-                if parent_fp is None:
-                    store.record_init(fp, state)
-                else:
-                    store.record(fp, parent_fp, action)
-                added += 1
-                bad = check_state(state)
-                if bad is not None:
-                    violations.append(("state", bad, depth, fp, action, (), "", None))
-                frontier.append((state, fp, depth))
-        return ("absorbed", self.wid, added, violations, len(frontier))
+        added = 0
+        for enc, fp in seeds:
+            if self.store.seen(fp):
+                continue
+            state = decode(enc)
+            self.store.record_init(fp, state)
+            added += 1
+            bad = self._check_state(state)
+            if bad is not None:
+                violations.append(("state", bad, 0, fp, "", (), "", None))
+            self.frontier.append((state, fp, 0))
+        return ("absorbed", self.wid, added, violations, len(self.frontier))
 
     def expand(self, deadline: Optional[float]) -> tuple:
         wid = self.wid
         n_workers = self.workers
         store = self.store
-        fast = self.fast
         stop_on_violation = self.stop_on_violation
         canon = self._canon
         constraint = self._constraint
@@ -277,7 +307,12 @@ class ShardWorker:
         frontier = self.frontier
         transitions = pruned = added = 0
         truncated = stopping = False
-        batches: Dict[int, list] = defaultdict(list)
+        claims: Dict[int, list] = defaultdict(list)
+        pending: Dict[int, list] = defaultdict(list)
+        self._pending = pending
+        #: foreign fingerprints already claimed this round: the owner
+        #: would refuse a second claim anyway, so neither ship nor hold it
+        claimed: set = set()
         violations: List[_ViolationDesc] = []
         # Per-round observability deltas, shipped to the master
         # with the "expanded" reply and merged there.
@@ -295,9 +330,9 @@ class ShardWorker:
             fanout_base = transitions
             for transition in successors(state):
                 transitions += 1
+                action = transition.action
                 if fires is not None:
-                    name = transition.action
-                    fires[name] = fires.get(name, 0) + 1
+                    fires[action] = fires.get(action, 0) + 1
                 changed = (
                     changed_of(transition.target, state)
                     if changed_of is not None
@@ -311,7 +346,7 @@ class ShardWorker:
                             bad,
                             depth + 1,
                             fp,
-                            transition.action,
+                            action,
                             tuple(transition.args),
                             transition.branch,
                             encode(transition.target),
@@ -323,43 +358,30 @@ class ShardWorker:
                 target = transition.target
                 child = canon(target) if canon is not None else target
                 child_fp = fingerprint(child)
-                if child_fp % n_workers == wid:
-                    if store.seen(child_fp):
-                        continue
-                    store.record(child_fp, fp, transition.action)
-                    added += 1
-                    bad = check_state(child, changed if skip_state_invs else None)
-                    if bad is not None:
-                        violations.append(
-                            (
-                                "state",
-                                bad,
-                                depth + 1,
-                                child_fp,
-                                transition.action,
-                                (),
-                                "",
-                                None,
-                            )
+                if not skip_state_invs:
+                    changed = None
+                owner = child_fp % n_workers
+                if owner != wid:
+                    if child_fp not in claimed:
+                        claimed.add(child_fp)
+                        claims[owner].append((child_fp, fp, action))
+                        pending[owner].append(
+                            (child, child_fp, depth + 1, changed, action)
                         )
-                        if stop_on_violation:
-                            stopping = True
-                            break
-                    frontier.append((child, child_fp, depth + 1))
-                elif fast:
-                    batches[child_fp % n_workers].append(
-                        (encode(child), child_fp, depth + 1)
+                    continue
+                if store.seen(child_fp):
+                    continue
+                store.record(child_fp, fp, action)
+                added += 1
+                bad = check_state(child, changed)
+                if bad is not None:
+                    violations.append(
+                        ("state", bad, depth + 1, child_fp, action, (), "", None)
                     )
-                else:
-                    batches[child_fp % n_workers].append(
-                        (
-                            encode(child),
-                            child_fp,
-                            fp,
-                            transition.action,
-                            depth + 1,
-                        )
-                    )
+                    if stop_on_violation:
+                        stopping = True
+                        break
+                frontier.append((child, child_fp, depth + 1))
             if fanout is not None:
                 fanout.observe(transitions - fanout_base)
         if metrics_on:
@@ -378,14 +400,68 @@ class ShardWorker:
             transitions,
             pruned,
             added,
-            dict(batches),
+            dict(claims),
             violations,
             len(frontier),
             truncated,
             obs,
         )
 
-    def edges_reply(self) -> tuple:
+    def claim(self, batches: list) -> tuple:
+        """Dedupe foreign claims on fingerprints owned here.
+
+        ``batches`` is ``[(claimer, [(fp, parent fp, action), ...]), ...]``
+        in claimer order; the first claim on a new fingerprint wins and
+        its edge is recorded.  Replies with the accepted indices per
+        claimer.
+        """
+        seen = self.store.seen
+        record = self.store.record
+        accepted: Dict[int, List[int]] = {}
+        added = 0
+        for claimer, claims in batches:
+            taken = accepted[claimer] = []
+            for index, (fp, parent_fp, action) in enumerate(claims):
+                if not seen(fp):
+                    record(fp, parent_fp, action)
+                    taken.append(index)
+            added += len(taken)
+        return ("claimed", self.wid, added, accepted)
+
+    def settle(self, accepted: Dict[int, List[int]]) -> tuple:
+        """Check and enqueue the pending children the owners accepted."""
+        check_state = self._check_state
+        frontier = self.frontier
+        pending, self._pending = self._pending, {}
+        violations: List[_ViolationDesc] = []
+        for owner in sorted(accepted):
+            children = pending[owner]
+            for index in accepted[owner]:
+                child, fp, depth, changed, action = children[index]
+                bad = check_state(child, changed)
+                if bad is not None:
+                    violations.append(("state", bad, depth, fp, action, (), "", None))
+                frontier.append((child, fp, depth))
+        return ("settled", self.wid, violations, len(frontier))
+
+    def donate(self, plan: list) -> tuple:
+        """Give away frontier states as ``recipient -> [(bytes, fp, depth)]``."""
+        pop = self.frontier.pop
+        parcels = {
+            recipient: [
+                (encode(state), fp, depth)
+                for state, fp, depth in (pop() for _ in range(count))
+            ]
+            for recipient, count in plan
+        }
+        return ("donated", self.wid, parcels, len(self.frontier))
+
+    def adopt(self, items: list) -> tuple:
+        """Take over donated states: already recorded and checked elsewhere."""
+        self.frontier.extend((decode(enc), fp, depth) for enc, fp, depth in items)
+        return ("adopted", self.wid, len(self.frontier))
+
+    def edges(self) -> tuple:
         store = self.store
         return (
             "edges",
@@ -394,31 +470,34 @@ class ShardWorker:
             [(fp, encode(state)) for fp, state in store.roots()],
         )
 
-    def checkpoint(self, path: Any) -> tuple:
+    def checkpoint(self, path: Any = None) -> tuple:
+        """Dump store and frontier to ``path`` — or, without one, reply
+        with the container bytes: socket workers share no filesystem with
+        the master, which then writes the generation-addressed file itself.
+        """
         # Local import: persist depends on core, never the reverse.
-        from ..persist.checkpoint import write_worker_checkpoint
+        from ..persist.checkpoint import (
+            worker_checkpoint_bytes,
+            write_worker_checkpoint,
+        )
 
+        if path is None:
+            return (
+                "checkpointed",
+                self.wid,
+                worker_checkpoint_bytes(self.store, self.frontier),
+            )
         write_worker_checkpoint(path, self.store, self.frontier)
         return ("checkpointed", self.wid)
 
-    def checkpoint_payload(self) -> tuple:
-        """Checkpoint as container bytes — the master writes the file.
-
-        Socket workers have no shared filesystem with the master; the
-        generation-addressed files (and hence resume and reassignment)
-        stay a master-side concern.
-        """
-        from ..persist.checkpoint import worker_checkpoint_bytes
-
-        return ("checkpointed", self.wid, worker_checkpoint_bytes(self.store, self.frontier))
-
-    def restore(self, source: Any) -> tuple:
+    def restore(self, source: Any = None) -> tuple:
         """Reset to a checkpoint (path or bytes), or to empty (``None``).
 
-        Always rebuilds a *fresh* store: for a newly forked/connected
-        worker this is a no-op, and for a surviving worker rolled back
-        after a peer's death it discards everything recorded past the
-        committed generation.
+        Always rebuilds a *fresh* store and drops the pending list: for
+        a newly forked/connected worker this is a no-op, and for a
+        surviving worker rolled back after a peer's death it discards
+        everything recorded or claimed past the committed generation —
+        whichever phase the aborted round was in.
         """
         from ..persist.checkpoint import (
             load_worker_checkpoint,
@@ -426,6 +505,7 @@ class ShardWorker:
         )
 
         self.store = FingerprintOnlyStore() if self.fast else CompactStore()
+        self._pending = {}
         if source is None:
             self.frontier = deque()
         elif isinstance(source, (bytes, bytearray)):
@@ -435,6 +515,9 @@ class ShardWorker:
         else:
             self.frontier = deque(load_worker_checkpoint(source, self.store))
         return ("restored", self.wid, len(self.frontier))
+
+    def ping(self) -> tuple:
+        return ("pong", self.wid)
 
 
 def _worker_main(
@@ -469,7 +552,12 @@ def _worker_main(
                 return
             if msg[0] == "die":
                 # Test-only fault injection: vanish without a reply, as a
-                # crashed or OOM-killed worker would.
+                # crashed or OOM-killed worker would — but at the message
+                # boundary: the feeder thread holds the reply queue's
+                # cross-process write lock while it sends, and dying
+                # inside that window would wedge every other worker.
+                out_q.close()
+                out_q.join_thread()
                 os._exit(1)
             out_q.put(worker.handle(msg))
     except BaseException:
@@ -662,101 +750,152 @@ class ParallelBFS:
         finally:
             transport.close()
 
+    def _instruments(self) -> SimpleNamespace:
+        """The master's hot-path instruments, bound once per registry state.
+
+        Taken again after every ``metrics.restore`` — restore replaces
+        the labeled-count dicts wholesale, so stale references would
+        otherwise keep feeding dead objects.
+        """
+        metrics = self.metrics
+        fires = metrics.counts(ACTION_FIRES)
+        for action in self.spec.actions():
+            fires.setdefault(action.name, 0)
+        return SimpleNamespace(
+            fires=fires,
+            fanout=metrics.histogram("engine.fanout", SIZE_BOUNDS),
+            batch_sizes=metrics.histogram("parallel.batch_sizes", SIZE_BOUNDS),
+            wait=metrics.histogram(ROUND_WAIT_MS, WAIT_BOUNDS_MS),
+            rounds=metrics.counter("parallel.rounds"),
+            claims=metrics.counter(CLAIMS),
+            rebalanced=metrics.counter(REBALANCED_STATES),
+            batch_bytes=metrics.counter(BATCH_BYTES),
+            shard_states=metrics.counts("parallel.shard_states"),
+            chunks=metrics.counts(CODEC_CHUNKS),
+            queue_depth=metrics.gauge("engine.queue_depth"),
+            rate=metrics.gauge("engine.states_per_sec"),
+        )
+
     def _drive(self, transport: Any) -> SearchResult:
         resume = self.resume
         checkpointer = self.checkpointer
-        stats = self.stats = SearchStats() if resume is None else resume.stats
         monotonic = time.monotonic
-        # Backdated on resume, so the time budget stays cumulative.
-        started = monotonic() - stats.elapsed
-        deadline = (
-            started + self.time_budget if self.time_budget is not None else None
-        )
         n = self.workers
+        everyone = range(n)
+        exchange = self._exchange
         stop_on_violation = self.stop_on_violation
         reducer = _make_reducer(self.spec, self.symmetry)
-        depth = 0
         reassigned = 0
         #: membership events (deaths + reassignments), carried into every
         #: checkpoint manifest from now on and exposed to callers (the
         #: durable runner records them in the run manifest).
         membership: List[Dict[str, Any]] = []
         self.membership = membership
-
-        metrics = self.metrics
-        fires_table: Any = None
-        fanout_hist = batch_hist = wait_hist = None
-        rounds_counter = batch_bytes = None
-        shard_states: Any = None
-        chunk_counts: Any = None
-        queue_gauge = rate_gauge = None
-
-        def hoist_instruments() -> None:
-            # Bind the hot-path instrument objects to locals.  Called
-            # again after every ``metrics.restore`` — restore replaces
-            # the labeled-count dicts wholesale, so stale hoists would
-            # otherwise keep feeding dead objects.
-            nonlocal fires_table, fanout_hist, batch_hist, wait_hist
-            nonlocal rounds_counter, batch_bytes, shard_states, chunk_counts
-            nonlocal queue_gauge, rate_gauge
-            fires_table = metrics.counts(ACTION_FIRES)
-            for action in self.spec.actions():
-                fires_table.setdefault(action.name, 0)
-            fanout_hist = metrics.histogram("engine.fanout", SIZE_BOUNDS)
-            batch_hist = metrics.histogram("parallel.batch_sizes", SIZE_BOUNDS)
-            wait_hist = metrics.histogram(ROUND_WAIT_MS, WAIT_BOUNDS_MS)
-            rounds_counter = metrics.counter("parallel.rounds")
-            batch_bytes = metrics.counter(BATCH_BYTES)
-            shard_states = metrics.counts("parallel.shard_states")
-            chunk_counts = metrics.counts(CODEC_CHUNKS)
-            queue_gauge = metrics.gauge("engine.queue_depth")
-            rate_gauge = metrics.gauge("engine.states_per_sec")
-
-        baseline_snapshot: Optional[Dict[str, Any]] = None
-        if metrics is not None:
-            if resume is not None:
-                snapshot = getattr(resume, "metrics", None)
-                if snapshot:
-                    # Discard anything a killed run counted past its last
-                    # committed checkpoint; the rounds re-run from here.
-                    metrics.restore(snapshot)
-            hoist_instruments()
-            # For a rollback with no committed checkpoint yet: the
-            # registry exactly as it was before any exploration counted.
-            baseline_snapshot = metrics.snapshot()
-
+        #: wid -> frontier length as of that worker's last reply
+        sizes: Dict[int, int] = {}
+        self.frontier_sizes = sizes
+        # Set by rewind(), which every start, resume and rollback goes through.
+        stats = self.stats
+        depth = 0
         violations: List[_ViolationDesc] = []
-        frontier_sizes: Dict[int, int] = {}
+        started = monotonic()
+        deadline: Optional[float] = None
+
+        def count_states(owner: int, added: int) -> None:
+            stats.distinct_states += added
+            if inst is not None and added:
+                key = str(owner)
+                inst.shard_states[key] = inst.shard_states.get(key, 0) + added
 
         def route_seed() -> None:
-            # Seed: route deduplicated initial states to their owners.
-            seed_batches: Dict[int, list] = defaultdict(list)
-            seeded = set()
+            # Seed: initial states go to the owners of their fingerprints,
+            # which dedupe, record and check them.
+            seeds: Dict[int, list] = defaultdict(list)
             for init in self.spec.init_states():
                 canon = reducer.canonical(init) if reducer is not None else init
                 fp = fingerprint(canon)
-                if fp in seeded:
-                    continue
-                seeded.add(fp)
-                if self.fast:
-                    seed_batches[fp % n].append((encode(canon), fp, 0))
-                else:
-                    seed_batches[fp % n].append(
-                        (encode(canon), fp, None, _ROOT_ACTION, 0)
-                    )
-            targets = sorted(seed_batches)
-            for wid in targets:
-                if metrics is not None:
-                    batch_bytes.inc(sum(len(item[0]) for item in seed_batches[wid]))
-                transport.send(wid, ("absorb", seed_batches[wid]))
-            for _, wid, added, viols, size in self._gather("absorbed", len(targets)):
-                stats.distinct_states += added
+                seeds[fp % n].append((encode(canon), fp))
+            if inst is not None:
+                inst.batch_bytes.inc(
+                    sum(len(enc) for items in seeds.values() for enc, _ in items)
+                )
+            for _, wid, added, viols, size in exchange(
+                {wid: ("absorb", items) for wid, items in seeds.items()}, "absorbed"
+            ):
+                count_states(wid, added)
                 violations.extend(viols)
-                frontier_sizes[wid] = size
-                if metrics is not None and added:
-                    key = str(wid)
-                    shard_states[key] = shard_states.get(key, 0) + added
+                sizes[wid] = size
 
+        def rewind(point: Optional[Any]) -> None:
+            """Put master and fleet at the committed checkpoint ``point``,
+            or (``None``) at the initial states."""
+            nonlocal stats, depth, violations, started, deadline
+            sizes.clear()
+            if point is None:
+                stats, depth, violations = SearchStats(), 0, []
+                sizes.update(dict.fromkeys(everyone, 0))
+            else:
+                stats, depth = point.stats, point.depth
+                violations = list(point.violations)
+                sizes.update(point.frontier_sizes)
+            self.stats = stats
+            paths = [None] * n if point is None else point.worker_files
+            exchange(
+                {wid: ("restore", path and str(path)) for wid, path in enumerate(paths)},
+                "restored",
+            )
+            # Backdated, so the time budget stays cumulative across
+            # resume and rollback.
+            started = monotonic() - stats.elapsed
+            deadline = (
+                started + self.time_budget if self.time_budget is not None else None
+            )
+            if point is None:
+                route_seed()
+
+        def rebalance() -> None:
+            # States stay where they were generated, so frontiers drift
+            # apart (a single root starts entirely on one worker): level
+            # them when the largest — which sets the next round's time —
+            # is too far above the mean.
+            plan = rebalance_plan(sizes)
+            if not plan:
+                return
+            parcels_for: Dict[int, list] = defaultdict(list)
+            for _, donor, parcels, size in exchange(
+                {donor: ("donate", moves) for donor, moves in plan.items()}, "donated"
+            ):
+                sizes[donor] = size
+                for recipient, items in parcels.items():
+                    parcels_for[recipient].extend(items)
+            for _, wid, size in exchange(
+                {wid: ("adopt", items) for wid, items in parcels_for.items()}, "adopted"
+            ):
+                sizes[wid] = size
+            if inst is not None:
+                moved = [len(item[0]) for items in parcels_for.values() for item in items]
+                inst.rebalanced.inc(len(moved))
+                inst.batch_bytes.inc(sum(moved))
+
+        def refresh_gauges() -> None:
+            inst.queue_depth.set(sum(sizes.values()))
+            inst.rate.set(
+                stats.distinct_states / stats.elapsed if stats.elapsed > 0 else 0.0
+            )
+
+        def finish(reason: StopReason) -> SearchResult:
+            stats.elapsed = monotonic() - started
+            if inst is not None:
+                refresh_gauges()
+            violation = self._build_violation(violations, reducer)
+            exhausted = reason is StopReason.EXHAUSTED and (
+                violation is None or not stop_on_violation
+            )
+            return SearchResult(stats, violation, exhausted, reason)
+
+        metrics = self.metrics
+        inst: Optional[SimpleNamespace] = None
+        baseline_snapshot: Optional[Dict[str, Any]] = None
         if resume is not None:
             # Shard ownership is fp % n: a checkpoint only makes sense to
             # the worker count that wrote it.
@@ -765,34 +904,20 @@ class ParallelBFS:
                     f"checkpoint was written by {resume.workers} workers;"
                     f" resume with --workers {resume.workers} (got {n})"
                 )
-            violations.extend(resume.violations)
-            frontier_sizes.update(resume.frontier_sizes)
             membership.extend(getattr(resume, "reassignments", ()) or ())
-            for wid in range(n):
-                transport.send(wid, ("restore", str(resume.worker_files[wid])))
-            self._gather("restored", n)
-            depth = resume.depth
-        else:
-            frontier_sizes.update({wid: 0 for wid in range(n)})
-            route_seed()
+        if metrics is not None:
+            snapshot = getattr(resume, "metrics", None)
+            if snapshot:
+                # Discard anything a killed run counted past its last
+                # committed checkpoint; the rounds re-run from here.
+                metrics.restore(snapshot)
+            inst = self._instruments()
+            # For a rollback with no committed checkpoint yet: the
+            # registry exactly as it was before any exploration counted.
+            baseline_snapshot = metrics.snapshot()
+        rewind(resume)
 
         # -- level-synchronous rounds ---------------------------------------
-        def refresh_gauges() -> None:
-            queue_gauge.set(sum(frontier_sizes.values()))
-            rate_gauge.set(
-                stats.distinct_states / stats.elapsed if stats.elapsed > 0 else 0.0
-            )
-
-        def finish(reason: StopReason) -> SearchResult:
-            stats.elapsed = monotonic() - started
-            if metrics is not None:
-                refresh_gauges()
-            violation = self._build_violation(transport, violations, reducer)
-            exhausted = reason is StopReason.EXHAUSTED and (
-                violation is None or not stop_on_violation
-            )
-            return SearchResult(stats, violation, exhausted, reason)
-
         while True:
             try:
                 if violations and stop_on_violation:
@@ -804,51 +929,55 @@ class ParallelBFS:
                     and stats.distinct_states >= self.max_states
                 ):
                     return finish(StopReason.MAX_STATES)
-                if not any(frontier_sizes.values()):
+                if not any(sizes.values()):
                     return finish(StopReason.EXHAUSTED)
                 if self.max_depth is not None and depth >= self.max_depth:
                     # BFS semantics: states at the depth bound are not expanded.
                     stats.max_depth = self.max_depth
                     return finish(StopReason.EXHAUSTED)
 
-                # Round boundary: every recorded state is consistent with
-                # the pending per-shard frontiers, so checkpoint here if
-                # due — each worker dumps its shard, then the master
-                # manifest commit publishes the fleet-wide snapshot
-                # atomically.
+                # Round boundary: every recorded state is on exactly one
+                # frontier or already expanded and no claim is pending, so
+                # checkpoint here if due — each worker dumps its store
+                # shard and its frontier, then the master manifest commit
+                # publishes the fleet-wide snapshot atomically.
                 if checkpointer is not None and checkpointer.due(stats):
                     stats.elapsed = monotonic() - started
-                    for wid in range(n):
-                        transport.send(
-                            wid, ("checkpoint", str(checkpointer.worker_path(wid)))
-                        )
-                    self._gather("checkpointed", n)
+                    exchange(
+                        {
+                            wid: ("checkpoint", str(checkpointer.worker_path(wid)))
+                            for wid in everyone
+                        },
+                        "checkpointed",
+                    )
                     checkpointer.commit(
                         workers=n,
                         depth=depth,
                         stats=stats,
-                        frontier_sizes=dict(frontier_sizes),
+                        frontier_sizes=dict(sizes),
                         violations=violations,
                         metrics=metrics.snapshot() if metrics is not None else None,
                         reassignments=membership,
                     )
 
-                # expand: every worker pops its slice of the current level
-                for wid in range(n):
-                    transport.send(wid, ("expand", deadline))
-                round_batches: Dict[int, list] = defaultdict(list)
-                truncated = False
+                # expand: every worker pops its frontier slice, keeps its
+                # foreign children pending and reports their claims
                 wait_start = monotonic()
-                replies = self._gather("expanded", n)
-                if metrics is not None:
-                    wait_hist.observe((monotonic() - wait_start) * 1000.0)
+                replies = exchange(
+                    {wid: ("expand", deadline) for wid in everyone}, "expanded"
+                )
+                if inst is not None:
+                    inst.wait.observe((monotonic() - wait_start) * 1000.0)
+                truncated = False
+                #: owner -> [(claimer, claims)], claimers in wid order
+                claims_for: Dict[int, list] = defaultdict(list)
                 for (
                     _,
                     wid,
                     transitions,
                     pruned,
                     added,
-                    batches,
+                    claims,
                     viols,
                     size,
                     was_truncated,
@@ -856,49 +985,53 @@ class ParallelBFS:
                 ) in replies:
                     stats.transitions += transitions
                     stats.pruned += pruned
-                    stats.distinct_states += added
+                    count_states(wid, added)
                     violations.extend(viols)
-                    frontier_sizes[wid] = size
+                    sizes[wid] = size
                     truncated = truncated or was_truncated
-                    for owner, items in batches.items():
-                        round_batches[owner].extend(items)
-                    if metrics is not None and obs is not None:
+                    for owner, batch in claims.items():
+                        claims_for[owner].append((wid, batch))
+                    if inst is not None and obs is not None:
                         round_fires, fanout_state, codec_delta = obs
                         for name, count in round_fires.items():
-                            fires_table[name] = fires_table.get(name, 0) + count
-                        fanout_hist.merge(fanout_state)
+                            inst.fires[name] = inst.fires.get(name, 0) + count
+                        inst.fanout.merge(fanout_state)
                         for key, count in codec_delta.items():
-                            chunk_counts[key] = chunk_counts.get(key, 0) + count
-                        if added:
-                            key = str(wid)
-                            shard_states[key] = shard_states.get(key, 0) + added
+                            inst.chunks[key] = inst.chunks.get(key, 0) + count
                 stats.max_depth = max(stats.max_depth, depth)
 
-                # absorb: owners dedupe and enqueue the routed children
-                targets = sorted(round_batches)
-                for wid in targets:
-                    transport.send(wid, ("absorb", round_batches[wid]))
-                    if metrics is not None:
-                        batch_hist.observe(len(round_batches[wid]))
-                        batch_bytes.inc(
-                            sum(len(item[0]) for item in round_batches[wid])
-                        )
-                for _, wid, added, viols, size in self._gather(
-                    "absorbed", len(targets)
+                # claim: owners dedupe, record the new edges and grant
+                #: claimer -> {owner: accepted indices}
+                granted: Dict[int, dict] = defaultdict(dict)
+                for _, owner, added, accepted in exchange(
+                    {owner: ("claim", batches) for owner, batches in claims_for.items()},
+                    "claimed",
                 ):
-                    stats.distinct_states += added
+                    count_states(owner, added)
+                    for claimer, indices in accepted.items():
+                        granted[claimer][owner] = indices
+                    if inst is not None:
+                        shipped = sum(len(batch) for _, batch in claims_for[owner])
+                        inst.batch_sizes.observe(shipped)
+                        inst.claims.inc(shipped)
+
+                # settle: claimers check and enqueue what they were granted
+                # — also after a truncated expand, so no recorded edge is
+                # left pointing at a state nobody holds
+                for _, wid, viols, size in exchange(
+                    {wid: ("settle", grants) for wid, grants in granted.items()},
+                    "settled",
+                ):
                     violations.extend(viols)
-                    frontier_sizes[wid] = size
-                    if metrics is not None and added:
-                        key = str(wid)
-                        shard_states[key] = shard_states.get(key, 0) + added
+                    sizes[wid] = size
+                rebalance()
 
                 depth += 1
-                if metrics is not None:
-                    rounds_counter.inc()
+                if inst is not None:
+                    inst.rounds.inc()
                 if self.progress is not None:
                     stats.elapsed = monotonic() - started
-                    if metrics is not None:
+                    if inst is not None:
                         refresh_gauges()
                     self.progress(stats)
                 if truncated:
@@ -937,56 +1070,30 @@ class ParallelBFS:
                         # still be in flight.
                         self._drain(transport)
 
-                        presume = None
+                        point = None
                         if checkpointer is not None and checkpointer.has_commit():
                             from ..persist.checkpoint import load_parallel_resume
 
-                            presume = load_parallel_resume(checkpointer.run_dir)
-                        if presume is not None:
-                            stats = self.stats = presume.stats
-                            depth = presume.depth
-                            violations = list(presume.violations)
-                            frontier_sizes = dict(presume.frontier_sizes)
-                            if metrics is not None:
-                                if presume.metrics:
-                                    metrics.restore(presume.metrics)
-                                else:
-                                    metrics.restore(baseline_snapshot)
-                                hoist_instruments()
-                            for wid in range(n):
-                                transport.send(
-                                    wid, ("restore", str(presume.worker_files[wid]))
-                                )
-                            self._gather("restored", n)
-                        else:
-                            # No committed checkpoint yet: restart the
-                            # exploration from the initial states.
-                            for wid in range(n):
-                                transport.send(wid, ("restore", None))
-                            self._gather("restored", n)
-                            stats = self.stats = SearchStats()
-                            depth = 0
-                            violations = []
-                            frontier_sizes = {wid: 0 for wid in range(n)}
-                            if metrics is not None:
-                                metrics.restore(baseline_snapshot)
-                                hoist_instruments()
-                            route_seed()
+                            point = load_parallel_resume(checkpointer.run_dir)
+                        if metrics is not None:
+                            metrics.restore(
+                                (point is not None and point.metrics)
+                                or baseline_snapshot
+                            )
+                            inst = self._instruments()
+                        # No committed checkpoint yet restarts the
+                        # exploration from the initial states.
+                        rewind(point)
                         membership.append(
                             {
                                 "wid": pending.wid,
                                 "reason": pending.reason,
-                                "recovered": "checkpoint" if presume else "seed",
+                                "recovered": "checkpoint" if point else "seed",
                                 "depth": depth,
                             }
                         )
                         if metrics is not None:
                             metrics.inc("parallel.reassignments")
-                        # Keep the cumulative time budget honest across
-                        # the rollback.
-                        started = monotonic() - stats.elapsed
-                        if self.time_budget is not None:
-                            deadline = started + self.time_budget
                         pending = None
                     except WorkerDied as again:
                         pending = again
@@ -994,8 +1101,8 @@ class ParallelBFS:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _gather(self, kind: str, count: int) -> List[tuple]:
-        """Collect ``count`` messages of ``kind``, watching worker health.
+    def _exchange(self, messages: Dict[int, tuple], kind: str) -> List[tuple]:
+        """Send ``messages`` (``wid -> op``) and collect one ``kind`` reply each.
 
         Replies are sorted by worker id before they are returned, so the
         master merges them in a deterministic order regardless of which
@@ -1003,16 +1110,19 @@ class ParallelBFS:
         merged parent edges, and therefore reconstructed counterexample
         traces, byte-identical across runs and transports.
         """
-        messages: List[tuple] = []
-        while len(messages) < count:
-            msg = self._transport.recv(timeout=1.0)
+        transport = self._transport
+        for wid in sorted(messages):
+            transport.send(wid, messages[wid])
+        replies: List[tuple] = []
+        while len(replies) < len(messages):
+            msg = transport.recv(timeout=1.0)
             if msg is None:
                 continue
             if msg[0] != kind:  # pragma: no cover - protocol error
                 raise RuntimeError(f"unexpected {msg[0]!r} (awaiting {kind!r})")
-            messages.append(msg)
-        messages.sort(key=lambda m: m[1])
-        return messages
+            replies.append(msg)
+        replies.sort(key=lambda m: m[1])
+        return replies
 
     def _drain(self, transport: Any) -> None:
         """Ping/pong barrier: discard stale replies from an aborted round."""
@@ -1030,7 +1140,6 @@ class ParallelBFS:
 
     def _build_violation(
         self,
-        transport: Any,
         violations: List[_ViolationDesc],
         reducer: Optional[SymmetryReducer],
     ) -> Optional[Violation]:
@@ -1059,10 +1168,9 @@ class ParallelBFS:
                 compiled=self.compiled,
             )
         merged = CompactStore()
-        n = self.workers
-        for wid in range(n):
-            transport.send(wid, ("edges",))
-        for _, _, edges, roots in self._gather("edges", n):
+        for _, _, edges, roots in self._exchange(
+            {wid: ("edges",) for wid in range(self.workers)}, "edges"
+        ):
             for edge_fp, parent_fp, edge_action in edges:
                 if parent_fp is not None:
                     merged.record(edge_fp, parent_fp, edge_action)

@@ -18,7 +18,8 @@ filesystem.
 
 ``die_after_ops`` is fault injection for the kill-and-resume tests: the
 agent drops the connection without a goodbye after that many post-
-handshake ops, exactly like a crashed worker host.
+handshake ops, exactly like a crashed worker host.  The ``("die",)`` op
+(the fork worker's test hook) does the same on demand.
 """
 
 from __future__ import annotations
@@ -145,7 +146,9 @@ class WorkerAgent:
                     )
                     msg = ("expand", deadline)
                 ops += 1
-                if self.die_after_ops is not None and ops > self.die_after_ops:
+                if op == "die" or (
+                    self.die_after_ops is not None and ops > self.die_after_ops
+                ):
                     # Fault injection: vanish mid-run without a goodbye.
                     self._say(f"fault injection: dying after {ops - 1} ops")
                     self.shutdown()

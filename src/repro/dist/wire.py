@@ -58,11 +58,12 @@ __all__ = [
     "check_handshake",
 ]
 
-#: Bumped on any incompatible change to the frame or message layout.
-PROTOCOL_VERSION = 1
+#: Bumped on any incompatible change to the frame or message layout, or
+#: to the op set the two sides exchange (2: the claim→settle exchange).
+PROTOCOL_VERSION = 2
 
 #: Hard bound on one frame's payload: large enough for any realistic
-#: absorb batch or checkpoint container, small enough that a corrupt
+#: claim batch or checkpoint container, small enough that a corrupt
 #: length prefix fails immediately instead of waiting on gigabytes.
 MAX_FRAME = 1 << 28  # 256 MiB
 

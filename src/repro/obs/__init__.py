@@ -22,11 +22,13 @@ without cycles, and the engines keep seeing it only through an
 from .metrics import (
     ACTION_FIRES,
     BATCH_BYTES,
+    CLAIMS,
     Counter,
     FALLBACK_SERIAL,
     Gauge,
     Histogram,
     MetricsRegistry,
+    REBALANCED_STATES,
     ROUND_WAIT_MS,
     SIZE_BOUNDS,
     TIME_BOUNDS,
@@ -48,6 +50,7 @@ __all__ = [
     "ACTION_FIRES",
     "ActionCoverage",
     "BATCH_BYTES",
+    "CLAIMS",
     "Counter",
     "FALLBACK_SERIAL",
     "Gauge",
@@ -56,6 +59,7 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSink",
     "ProgressReporter",
+    "REBALANCED_STATES",
     "ROUND_WAIT_MS",
     "SIZE_BOUNDS",
     "TIME_BOUNDS",

@@ -36,6 +36,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "ACTION_FIRES",
     "BATCH_BYTES",
+    "CLAIMS",
+    "REBALANCED_STATES",
     "CODEC_CHUNKS",
     "Counter",
     "FALLBACK_SERIAL",
@@ -74,10 +76,19 @@ CODEC_CHUNKS = "codec.chunk_cache"
 #: rendered in progress lines and ``metrics.jsonl``.
 STORE_BYTES = "store.bytes_per_state"
 
-#: Counter: canonical codec bytes routed in absorb batches — the
-#: exchange-layer payload volume, counted at the master so it is
-#: identical whichever transport (fork pipes or TCP sockets) moved it.
+#: Counter: canonical codec state bytes routed by the master — the
+#: seeds plus the frontier states moved by rebalancing; counted at the
+#: master so it is identical whichever transport (fork pipes or TCP
+#: sockets) moved it.
 BATCH_BYTES = "parallel.batch_bytes"
+
+#: Counter: fingerprint claims routed from generators to owners — the
+#: foreign children of every round, deduplicated per claimer and round.
+CLAIMS = "parallel.claims"
+
+#: Counter: frontier states the master moved between workers to level
+#: the per-round load (their bytes are part of ``parallel.batch_bytes``).
+REBALANCED_STATES = "parallel.rebalanced_states"
 
 #: Histogram: per-round master wait for the slowest worker, in
 #: milliseconds — the level-synchronous straggler cost.  Bucket counts

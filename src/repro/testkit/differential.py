@@ -179,7 +179,7 @@ def build_matrix(
             census.append(
                 MatrixConfig("census/workers-2-symmetry", "census", workers=2, symmetry=True)
             )
-        # Socket-distributed cells: the same owner-computes exchange
+        # Socket-distributed cells: the same claim→settle exchange
         # over repro.dist worker agents (in-process threads here), and a
         # kill-one-agent cell where a warm spare adopts the dead shard.
         census.append(
@@ -493,10 +493,11 @@ def _run_config(
     )
 
 
-#: Ops into a session before the fault-injected agent vanishes: late
-#: enough that real exchange (and, durably, a checkpoint commit) has
-#: happened, early enough that recovery still has work left to redo.
-_DIST_KILL_AFTER_OPS = 6
+#: Ops into a session before the fault-injected agent vanishes (a round
+#: is expand, claim, settle and at times donate or adopt): late enough
+#: that real exchange (and, durably, a checkpoint commit) has happened,
+#: early enough that recovery still has work left to redo.
+_DIST_KILL_AFTER_OPS = 9
 
 
 def _run_socket_config(

@@ -6,7 +6,9 @@ explorer's distinct-state count, transition count, stop reason, and
 minimal-depth counterexamples.
 """
 
+import json
 import multiprocessing
+from collections import Counter, deque
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.core import (
     Action,
     CompactStore,
     DictStore,
+    Invariant,
     Rec,
     ShardedStateStore,
     Spec,
@@ -23,8 +26,18 @@ from repro.core import (
     parallel_bfs,
 )
 from repro.core.engine import ExplorationEngine, FIFOFrontier, StepChecker
-from repro.core.state import fingerprint
-from repro.persist import DiskStore
+from repro.core.parallel import (
+    REBALANCE_SLACK,
+    ForkTransport,
+    ParallelBFS,
+    ShardWorker,
+    WorkerDied,
+    rebalance_plan,
+)
+from repro.core.state import encode, fingerprint
+from repro.obs.metrics import BATCH_BYTES, CLAIMS, REBALANCED_STATES, MetricsRegistry
+from repro.persist import DiskStore, run_check
+from repro.specs.raft import PySyncObjSpec, RaftConfig
 
 from toy_specs import CounterSpec, TokenRingSpec
 
@@ -259,3 +272,336 @@ class TestStores:
         assert edges[fingerprint(root)][0] is None
         roots = list(store.roots())
         assert roots == [(fingerprint(root), root)]
+
+
+# -- the claim→settle exchange -----------------------------------------------
+
+
+_WORKER_FLAGS = ("symmetry", "stop_on_violation", "metrics_on", "compiled", "fast", "por")
+
+
+class InlineTransport:
+    """The shard workers in this process, answered synchronously.
+
+    Deterministic and fast, and a test can look inside every worker.
+    ``die=(op, nth)`` loses the worker about to receive the run's nth
+    ``op`` (``send`` raises :class:`WorkerDied`, like a broken pipe);
+    ``cut=(wid, nth)`` hands worker ``wid`` an already expired deadline
+    with its nth ``expand``.
+    """
+
+    def __init__(self, die=None, cut=None):
+        self.die = die
+        self.cut = cut
+        self.sent = Counter()
+        self.replies = deque()
+
+    def start(self, config):
+        self.config = config
+        self.workers = [self.spawn(wid) for wid in range(config["workers"])]
+
+    def spawn(self, wid):
+        config = self.config
+        return ShardWorker(
+            config["spec"],
+            wid,
+            config["workers"],
+            **{flag: config[flag] for flag in _WORKER_FLAGS},
+        )
+
+    def send(self, wid, msg):
+        op = msg[0]
+        self.sent[op] += 1
+        self.sent[op, wid] += 1
+        if self.die == (op, self.sent[op]):
+            raise WorkerDied(wid, "injected")
+        if op == "expand" and self.cut == (wid, self.sent[op, wid]):
+            msg = ("expand", 0.0)
+        self.replies.append(self.workers[wid].handle(msg))
+
+    def recv(self, timeout=1.0):
+        return self.replies.popleft()
+
+    def replace(self, wid):
+        self.workers[wid] = self.spawn(wid)
+        return True
+
+    def close(self):
+        pass
+
+
+class Tap:
+    """Wrap a real transport; keep the ``edges`` replies the master merges."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.edges = []
+
+    def recv(self, timeout=1.0):
+        msg = self.inner.recv(timeout)
+        if msg is not None and msg[0] == "edges":
+            self.edges.append(msg)
+        return msg
+
+    def merged_edges(self):
+        """The per-shard edge lists in worker order, as one JSON string."""
+        return json.dumps(
+            [
+                (wid, edges, [(fp, bytes(enc).hex()) for fp, enc in roots])
+                for _, wid, edges, roots in sorted(self.edges, key=lambda m: m[1])
+            ]
+        )
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class DieAt:
+    """Wrap a real transport: the worker about to receive the run's nth
+    ``op`` is sent the test-only ``("die",)`` op in its place."""
+
+    def __init__(self, inner, op, nth):
+        self.inner = inner
+        self.op = op
+        self.nth = nth
+        self.seen = 0
+        self.victim = None
+
+    def send(self, wid, msg):
+        if msg[0] == self.op:
+            self.seen += 1
+            if self.seen == self.nth:
+                self.victim = wid
+                msg = ("die",)
+        self.inner.send(wid, msg)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def census(result):
+    stats = result.stats
+    return (stats.distinct_states, stats.transitions, stats.max_depth, stats.pruned)
+
+
+def trace_json(result):
+    return json.dumps(result.violation.trace.to_dict(), sort_keys=True)
+
+
+def merged_depths(workers):
+    """fp -> BFS depth, from the parent edges of every worker's store."""
+    parents = {fp: parent for w in workers for fp, parent, _ in w.store.edges()}
+    depths = {}
+
+    def depth_of(fp):
+        if fp not in depths:
+            parent = parents[fp]
+            depths[fp] = 0 if parent is None else depth_of(parent) + 1
+        return depths[fp]
+
+    for fp in parents:
+        depth_of(fp)
+    return depths
+
+
+class TestRebalancePlan:
+    def test_quiet_within_slack(self):
+        assert rebalance_plan({0: 110, 1: 90}) == {}
+        assert rebalance_plan({0: 1, 1: 0}) == {}
+        assert rebalance_plan({0: 0, 1: 0, 2: 0}) == {}
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [{0: 5, 1: 0}, {0: 0, 1: 7, 2: 0}, {0: 120, 1: 80}, {0: 9, 1: 40, 2: 3, 3: 12}],
+    )
+    def test_levels_to_within_one_state(self, sizes):
+        plan = rebalance_plan(sizes)
+        assert plan
+        after = dict(sizes)
+        for donor, moves in plan.items():
+            for recipient, count in moves:
+                assert count > 0 and recipient != donor
+                after[donor] -= count
+                after[recipient] += count
+        assert sum(after.values()) == sum(sizes.values())
+        assert max(after.values()) - min(after.values()) <= 1
+        assert rebalance_plan(after) == {}
+
+
+class TestClaimSettle:
+    def test_restore_drops_pending_children(self):
+        workers = [ShardWorker(CounterSpec(3, 3), wid, 2) for wid in range(2)]
+        root = next(iter(CounterSpec(3, 3).init_states()))
+        owner = workers[fingerprint(root) % 2]
+        owner.absorb([(encode(root), fingerprint(root))])
+        reply = owner.expand(None)
+        assert reply[5], "the root must have foreign children for this test"
+        assert owner._pending
+        assert owner.restore(None) == ("restored", owner.wid, 0)
+        assert owner._pending == {} and len(owner.store) == 0
+
+    @pytest.mark.parametrize("op", ["claim", "settle", "donate", "adopt"])
+    def test_round_aborted_mid_exchange_recovers_exactly(self, op):
+        # Dying between claim and settle leaves edges recorded by the
+        # owners for children whose claimer is gone; the rollback must
+        # drop both sides or the re-run would see them as duplicates.
+        serial = bfs_explore(CounterSpec(3, 4))
+        transport = InlineTransport(die=(op, 3))
+        with pytest.warns(RuntimeWarning, match="died"):
+            par = parallel_bfs(CounterSpec(3, 4), workers=2, transport=transport)
+        assert_equivalent(serial, par)
+        assert sum(len(w.store) for w in transport.workers) == serial.stats.distinct_states
+
+    def test_truncated_expand_still_settles_its_round(self):
+        # Worker 1 runs out of time at once in round 3; worker 0's claims
+        # on worker 1's shard are still recorded there, so they must
+        # still be settled: every state recorded in the cut round is on
+        # exactly one frontier.
+        transport = InlineTransport(cut=(1, 3))
+        par = parallel_bfs(
+            CounterSpec(3, 4), workers=2, transport=transport, time_budget=3600
+        )
+        assert par.stop_reason is StopReason.TIME_BUDGET
+        workers = transport.workers
+        assert all(not w._pending for w in workers)
+        held = [fp for w in workers for _, fp, _ in w.frontier]
+        depths = merged_depths(workers)
+        newest = {fp for fp, depth in depths.items() if depth == max(depths.values())}
+        assert newest and sorted(held) == sorted(newest)
+        assert len(depths) == par.stats.distinct_states
+
+
+class TestBalance:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_single_root_frontiers_stay_level(self, workers):
+        spec = CounterSpec(4, 4)
+        assert len(list(spec.init_states())) == 1
+        registry = MetricsRegistry()
+        bfs = ParallelBFS(
+            spec, workers=workers, transport=InlineTransport(), metrics=registry
+        )
+        rounds = []
+        bfs.progress = lambda stats: rounds.append(dict(bfs.frontier_sizes))
+        result = bfs.run()
+        assert_equivalent(bfs_explore(CounterSpec(4, 4)), result)
+        assert len(rounds) == registry.counter("parallel.rounds").value > 10
+        for sizes in rounds:
+            mean = sum(sizes.values()) / workers
+            assert max(sizes.values()) <= mean * (1 + REBALANCE_SLACK) + 1, sizes
+        # the second round already has work on every worker
+        assert all(rounds[1].values())
+        assert registry.counter(REBALANCED_STATES).value > 0
+        shards = registry.counts("parallel.shard_states")
+        assert sum(shards.values()) == result.stats.distinct_states
+
+
+class CountingRaft(PySyncObjSpec):
+    """Small PySyncObj whose state invariants count their evaluations."""
+
+    calls = 0
+
+    def __init__(self):
+        super().__init__(
+            RaftConfig(
+                nodes=("n1", "n2", "n3"),
+                values=("v1",),
+                max_timeouts=2,
+                max_requests=1,
+                max_crashes=0,
+                max_restarts=0,
+                max_partitions=0,
+                max_drops=0,
+                max_dups=0,
+                max_buffer=3,
+                max_term=2,
+            )
+        )
+
+    def invariants(self):
+        def counted(inv):
+            def fn(state):
+                self.calls += 1
+                return inv.fn(state)
+
+            return Invariant(inv.name, fn, inv.reads)
+
+        return tuple(counted(inv) for inv in super().invariants())
+
+
+class TestExchangeVolume:
+    def test_small_pysyncobj_routes_fingerprints_not_states(self):
+        serial_spec = CountingRaft()
+        serial = bfs_explore(serial_spec, max_depth=8)
+        spec = CountingRaft()
+        registry = MetricsRegistry()
+        par = parallel_bfs(
+            spec, workers=2, max_depth=8, transport=InlineTransport(), metrics=registry
+        )
+        assert_equivalent(serial, par)
+        states = par.stats.distinct_states
+        counters = registry.snapshot()["counters"]
+        assert 0 < counters[BATCH_BYTES] < 100 * states
+        assert counters[CLAIMS] > states // 4
+        # Foreign children are checked by their generator with the
+        # incremental ``changed`` set, like local ones and like the
+        # serial engine: far below one full check per foreign state
+        # (which alone would be ~2 calls per state here).
+        full = states * len(spec.invariants())
+        assert spec.calls < full // 2
+        assert spec.calls <= serial_spec.calls * 1.25
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_repeated_runs_are_byte_identical(self, workers):
+        runs = set()
+        for _ in range(5):
+            tap = Tap(ForkTransport())
+            result = parallel_bfs(
+                CounterSpec(4, 4, bound=9), workers=workers, transport=tap
+            )
+            runs.add((tap.merged_edges(), trace_json(result), census(result)))
+        assert len(runs) == 1
+
+
+class TestWorkerDeathAtEveryBoundary:
+    """ROADMAP 5c: a worker killed at each message boundary of a round."""
+
+    OPS = ["expand", "claim", "settle", "donate", "adopt"]
+
+    @staticmethod
+    def spec():
+        # single root: rebalancing (donate/adopt) happens from round one
+        return CounterSpec(4, 4, bound=9)
+
+    @pytest.fixture(scope="class")
+    def undisturbed(self):
+        result = parallel_bfs(self.spec(), workers=2)
+        assert result.stop_reason is StopReason.VIOLATION
+        return census(result), result.stop_reason, trace_json(result)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_recovers_from_the_seeds(self, op, undisturbed):
+        transport = DieAt(ForkTransport(), op, nth=3)
+        bfs = ParallelBFS(self.spec(), workers=2, transport=transport)
+        with pytest.warns(RuntimeWarning, match="died"):
+            result = bfs.run()
+        assert transport.victim is not None
+        assert [event["recovered"] for event in bfs.membership] == ["seed"]
+        assert (census(result), result.stop_reason, trace_json(result)) == undisturbed
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_recovers_from_a_committed_checkpoint(self, op, undisturbed, tmp_path):
+        transport = DieAt(ForkTransport(), op, nth=3)
+        with pytest.warns(RuntimeWarning, match="died"):
+            result = run_check(
+                self.spec(),
+                tmp_path / "run",
+                workers=2,
+                transport=transport,
+                checkpoint_states=1,
+            )
+        assert transport.victim is not None
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert [e["recovered"] for e in manifest["reassignments"]] == ["checkpoint"]
+        assert (census(result), result.stop_reason, trace_json(result)) == undisturbed

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.core.explorer import BFSExplorer, bfs_explore
-from repro.core.parallel import WorkerDied, parallel_bfs
+from repro.core.parallel import ForkTransport, WorkerDied, parallel_bfs
 from repro.dist.agent import WorkerAgent
 from repro.dist.specref import resolve_spec, system_ref
 from repro.dist.specref import testkit_ref as make_testkit_ref  # noqa: N813
@@ -21,6 +21,8 @@ from repro.obs.metrics import (
 )
 from repro.persist.runner import run_check
 from repro.testkit.genspec import GenParams, generate_spec
+
+from test_core_parallel import DieAt, Tap, trace_json
 
 
 def start_agents(n, **kwargs):
@@ -103,6 +105,35 @@ class TestSocketEquivalence:
         assert json.dumps(dist.violation.trace.to_dict(), sort_keys=True) == json.dumps(
             fork.violation.trace.to_dict(), sort_keys=True
         )
+
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="fork transport unavailable",
+    )
+    def test_merged_edges_match_fork_parallel(self, gen):
+        # Byte-identical, not merely equivalent: every owner recorded
+        # the same edges in the same order whichever transport carried
+        # the claims.
+        fork_tap = Tap(ForkTransport())
+        fork = parallel_bfs(gen.spec(invariants=True), workers=2, transport=fork_tap)
+        agents = start_agents(2)
+        try:
+            socket_tap = Tap(
+                SocketTransport(
+                    [a.address for a in agents],
+                    make_testkit_ref(gen.seed, gen.params, invariants=True),
+                )
+            )
+            dist = parallel_bfs(
+                gen.spec(invariants=True), workers=2, transport=socket_tap
+            )
+        finally:
+            for agent in agents:
+                agent.close()
+        assert fork.violation is not None
+        assert socket_tap.merged_edges() == fork_tap.merged_edges()
+        assert trace_json(dist) == trace_json(fork)
+        assert census(dist) == census(fork)
 
     def test_wire_byte_counters_accumulate(self, gen):
         registry = MetricsRegistry()
@@ -233,6 +264,39 @@ class TestElasticMembership:
         reassignments = manifest.get("reassignments", [])
         assert reassignments, "the membership event must be recorded"
         assert reassignments[0]["wid"] == 1
+
+    def test_killed_between_claim_and_settle_recovers_exactly(self, gen):
+        # The fork suite kills a worker at every message boundary; over
+        # sockets one boundary suffices to show the agent's ("die",) hook
+        # and the rollback behave the same: the victim's peers have
+        # recorded edges for claims it will never settle.
+        ref = make_testkit_ref(gen.seed, gen.params, invariants=True)
+        agents = start_agents(2)
+        try:
+            calm = parallel_bfs(
+                gen.spec(invariants=True),
+                workers=2,
+                transport=SocketTransport([a.address for a in agents], ref),
+            )
+        finally:
+            for agent in agents:
+                agent.close()
+        agents = start_agents(3)
+        try:
+            transport = DieAt(
+                SocketTransport([a.address for a in agents], ref), "settle", nth=3
+            )
+            with pytest.warns(RuntimeWarning, match="died"):
+                hurt = parallel_bfs(
+                    gen.spec(invariants=True), workers=2, transport=transport
+                )
+        finally:
+            for agent in agents:
+                agent.close()
+        assert transport.victim is not None
+        assert census(hurt) == census(calm)
+        assert hurt.stop_reason == calm.stop_reason
+        assert trace_json(hurt) == trace_json(calm)
 
     def test_no_spare_left_raises(self, gen):
         agents = start_agents(1) + start_agents(1, die_after_ops=4)

@@ -55,6 +55,16 @@ class TestMessageRoundtrip:
         assert out[0][0][0] == b"aa"
         assert out[2][0][0] == b"bb"
 
+    def test_claim_and_settle_shapes_survive(self):
+        # The claim→settle exchange: full 64-bit fingerprints, claimer-
+        # ordered batches, and int-keyed accepted-index dicts.
+        fp = 2**64 - 1
+        batches = [[0, [[fp, 17, "act"], [fp - 1, fp, "other"]]], [2, []]]
+        assert roundtrip(("claim", batches)) == ("claim", batches)
+        grants = {1: [0, 5, 9], 2: []}
+        assert roundtrip(("settle", grants)) == ("settle", grants)
+        assert roundtrip(("claimed", 1, 3, grants)) == ("claimed", 1, 3, grants)
+
     def test_dollar_string_keys_survive(self):
         op, out = roundtrip(("x", {"$b": "not-a-blob", "plain": 1}))
         assert out == {"$b": "not-a-blob", "plain": 1}

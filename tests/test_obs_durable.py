@@ -195,6 +195,26 @@ class TestParallelDurableMetrics:
         )
         assert fires_of(resumed) == fires_of(baseline)
         assert resumed.counter("parallel.rounds").value > 0
+        # The exchange counters are exact across the kill, too: equal to
+        # an undisturbed parallel run's, not merely non-zero.
+        calm = MetricsRegistry()
+        run_check(
+            CounterSpec(3, 3),
+            tmp_path / "calm",
+            workers=2,
+            checkpoint_states=10,
+            metrics=calm,
+        )
+        for name in (
+            "parallel.rounds",
+            "parallel.claims",
+            "parallel.rebalanced_states",
+            "parallel.batch_bytes",
+        ):
+            assert resumed.counter(name).value == calm.counter(name).value > 0, name
+        assert resumed.counts("parallel.shard_states") == calm.counts(
+            "parallel.shard_states"
+        )
 
 
 class TestCoverageCommandOnRunDir:
