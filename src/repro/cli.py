@@ -58,6 +58,7 @@ from .obs import (
     coverage_from_sink,
     resolve_sink_path,
 )
+from .obs.metrics import CODEC_CHUNKS
 from .persist import RunDirError, load_violation, save_violation
 from .systems import SYSTEMS
 from .temporal import PROPERTY_NAMES
@@ -134,6 +135,16 @@ def _finish_stats(args: argparse.Namespace, registry, stats=None, spec=None) -> 
             mean = wait["total"] / wait["count"]
             line += f", master wait mean {mean:.1f} ms max {wait['max']:.1f} ms"
         print(line)
+    chunks = snap["counts"].get(CODEC_CHUNKS)
+    if chunks:
+        hits = chunks.get("pair_memo_hits", 0)
+        lookups = hits + chunks.get("pair_memo_misses", 0)
+        print(
+            f"codec: fp_delta_hits {chunks.get('fp_delta_hits', 0)},"
+            f" fp_full {chunks.get('fp_full', 0)},"
+            f" pair memo {hits}/{lookups} hits ({hits / max(lookups, 1):.1%}),"
+            f" {chunks.get('pair_memo_clears', 0)} clears"
+        )
     if getattr(args, "stats_out", None):
         sink = MetricsSink(args.stats_out, registry, meta={"command": args.command})
         sink.close(stats=stats)

@@ -22,6 +22,16 @@ runs — the property the sharded parallel explorer
 state store rely on.  Fingerprints and encodings are cached on
 :class:`Rec`, so functional updates that share substructure encode mostly
 from cache.
+
+The codec is finer than Python equality in one place: it tags ``True``,
+``1`` and ``1.0`` (and ``0.0`` / ``-0.0``) differently, while ``==``,
+dict keys, frozenset members and :meth:`Rec.__eq__` do not.  The rule
+that reconciles them is **type stability**: state identity is Python
+equality, and one position of a state must hold one type — as in TLC,
+where comparing a boolean with an integer is an error.  Record keys of
+type ``bool`` or ``float`` are rejected at construction; for values the
+pair-digest memo behind :func:`fingerprint` samples its hits and raises
+:class:`~repro.core.spec.SpecError` when a spec breaks the rule.
 """
 
 from __future__ import annotations
@@ -95,6 +105,8 @@ class Rec(Mapping):
             base = dict(mapping)
         base.update(kwargs)
         for key, value in base.items():
+            if key.__class__ is not str:
+                _check_key(key)
             _check_frozen(value, key)
         self._dict = base
         self._hash = None
@@ -131,7 +143,7 @@ class Rec(Mapping):
         return self._hash
 
     def __eq__(self, other: Any) -> bool:
-        if isinstance(other, Rec):
+        if other.__class__ is Rec or isinstance(other, Rec):
             return self._dict == other._dict
         if isinstance(other, Mapping):
             return self._dict == dict(other)
@@ -186,6 +198,8 @@ class Rec(Mapping):
         if len(new) == len(src):
             rec._base = self
             rec._touched = (key,)
+        else:
+            _check_key(key)
         return rec
 
     def update(self, mapping: Any = (), **kwargs: Any) -> "Rec":
@@ -212,6 +226,9 @@ class Rec(Mapping):
         if len(new) == len(src):
             rec._base = self
             rec._touched = tuple(touched)
+        else:
+            for key in touched:
+                _check_key(key)
         return rec
 
     def apply(self, key: Any, fn: Callable[[Any], Any]) -> "Rec":
@@ -264,10 +281,37 @@ _SORTED_KEYS: dict = {}
 #: identity short-circuit of :meth:`Rec.set`.
 _MISSING = object()
 
+#: The exact frozen classes, tested before the ``isinstance`` fallback:
+#: ``Rec`` is a ``Mapping`` subclass, so ``isinstance`` against it goes
+#: through ``ABCMeta.__instancecheck__``.
+_FROZEN_CLASSES = frozenset(_FROZEN_SCALARS) | {tuple, frozenset, Rec}
+
+
+def _check_key(key: Any) -> None:
+    """Reject record keys that Python equality conflates across types.
+
+    ``True == 1 == 1.0`` hash alike, so a dict cannot hold them apart
+    and the layouts interned per key tuple (``_LAYOUT``, ``_SORTED_KEYS``)
+    would serve one record's key encoding to the other: the bytes of
+    ``Rec({True: x})`` would depend on whether ``Rec({1: x})`` was
+    encoded first.  Integer keys stay; ``bool`` and ``float`` keys —
+    also inside tuple or frozenset keys — are a ``TypeError``.
+    """
+    if isinstance(key, (bool, float)):
+        raise TypeError(
+            f"record key {key!r} is a {type(key).__name__}: bool and float keys"
+            " compare equal to ints and cannot be told apart; use int or str"
+        )
+    if isinstance(key, (tuple, frozenset)):
+        for part in key:
+            _check_key(part)
+
 
 def _check_frozen(value: Any, key: Any) -> None:
-    if isinstance(value, _FROZEN_SCALARS) or isinstance(value, (tuple, frozenset, Rec)):
+    if value.__class__ in _FROZEN_CLASSES:
         return
+    if isinstance(value, _FROZEN_SCALARS) or isinstance(value, (tuple, frozenset, Rec)):
+        return  # subclass of a frozen type (e.g. IntEnum)
     raise TypeError(
         f"state value for key {key!r} is not frozen: {type(value).__name__};"
         " use freeze() or a Rec/tuple/frozenset"
@@ -468,7 +512,10 @@ def _layout_for(keys: Tuple[Any, ...]) -> Tuple[Tuple[Tuple[bytes, Any], ...], d
 # [3] fp_delta_hits — fingerprints assembled by patching a parent's
 #                     per-pair digest table
 # [4] fp_full       — fingerprints computed from a full encoding
-_CODEC_COUNTS = [0, 0, 0, 0, 0]
+# [5] pair_memo_hits   — touched pairs whose digest came from the memo
+# [6] pair_memo_misses — touched pairs encoded and hashed
+# [7] pair_memo_clears — times the full memo was emptied
+_CODEC_COUNTS = [0, 0, 0, 0, 0, 0, 0, 0]
 
 #: Delta (spliced) encoding on/off.  Off reproduces the pre-compile
 #: behaviour: every record encodes from scratch.  The output bytes are
@@ -497,6 +544,9 @@ def codec_stats() -> dict:
         "full_encodes": _CODEC_COUNTS[2],
         "fp_delta_hits": _CODEC_COUNTS[3],
         "fp_full": _CODEC_COUNTS[4],
+        "pair_memo_hits": _CODEC_COUNTS[5],
+        "pair_memo_misses": _CODEC_COUNTS[6],
+        "pair_memo_clears": _CODEC_COUNTS[7],
     }
 
 
@@ -726,6 +776,11 @@ def _decode_at(data: bytes, i: int) -> Tuple[Any, int]:
         contents = {}
         for _ in range(count):
             key, i = _decode_at(data, i)
+            if key.__class__ is not str:
+                try:
+                    _check_key(key)
+                except TypeError as exc:
+                    raise ValueError(f"{exc} (at offset {start})") from None
             value, i = _decode_at(data, i)
             contents[key] = value
         rec = Rec._make(contents)
@@ -776,6 +831,59 @@ def decode(data: bytes) -> Any:
 # ---------------------------------------------------------------------------
 
 
+#: The pair-digest memo: ``(variable, value) -> 8-byte pair digest``.
+#: A run re-digests the same few thousand top-level pairs hundreds of
+#: thousands of times, so the delta path of :func:`_pair_digests` looks
+#: a touched pair up here and encodes + hashes it only on a miss.  The
+#: digest stored is the one the miss computed, so fingerprints do not
+#: depend on the memo's contents.  Lookup is by Python equality — the
+#: same identity ``Rec.__eq__``, frozenset members and record keys
+#: already use — so a variable must not hold both ``True`` and ``1``
+#: (or ``1`` and ``1.0``, ``0.0`` and ``-0.0``) at one position: a spec
+#: typing error, which a re-encode of every ``_PAIR_VERIFY_EVERY``-th
+#: hit turns into a :class:`~repro.core.spec.SpecError`.  Cleared when
+#: it reaches ``_PAIR_MEMO_CAP`` entries; the cap bounds the values the
+#: memo keeps alive.
+_PAIR_MEMO: dict = {}
+_PAIR_MEMO_CAP = 1024
+_PAIR_VERIFY_EVERY = 64
+
+
+def _digest_pair(key_enc: bytes, value: Any) -> bytes:
+    buf = bytearray(key_enc)
+    _encode_into(buf, value)
+    return blake2b(buf, digest_size=8).digest()
+
+
+def _detach_touched(rec: Rec) -> None:
+    """Drop the delta links of ``rec`` and of the records it rebound.
+
+    Encoding a nested record collapses its functional-update chain; a
+    memo hit skips the encode, so it detaches along the touched path
+    instead — otherwise each nested record would retain its whole
+    ancestry.
+    """
+    contents = rec._dict
+    touched = rec._touched
+    rec._base = None
+    rec._touched = None
+    for key in touched:
+        value = contents[key]
+        if value.__class__ is Rec and value._touched is not None:
+            _detach_touched(value)
+
+
+def _raise_type_unstable(key: Any, value: Any) -> None:
+    from .spec import SpecError  # spec.py imports this module
+
+    raise SpecError(
+        f"state variable {key!r} is not type-stable: its value {value!r}"
+        " equals an earlier value of that variable but encodes differently"
+        " (True/1/1.0 or 0.0/-0.0 at one position); state identity is"
+        " Python equality, so give each position one type"
+    )
+
+
 def _pair_digests(rec: Rec) -> bytes:
     """The per-pair digest table of a record: ``8 * len(rec)`` bytes.
 
@@ -783,8 +891,10 @@ def _pair_digests(rec: Rec) -> bytes:
     bytes (key encoding + value encoding, in layout order).  The table
     is what :func:`fingerprint` hashes, and it is what makes
     fingerprinting incremental: a successor copies its parent's table
-    and re-digests only the touched pairs, never assembling (or
-    hashing) the full state encoding.
+    and replaces only the touched pairs' entries — from ``_PAIR_MEMO``
+    when that (variable, value) pair was digested before, else by
+    encoding and hashing it — never assembling (or hashing) the full
+    state encoding.
 
     The table is identical whichever way it is produced — patched from
     a parent, sliced out of a cached encoding via the pair offsets, or
@@ -816,14 +926,31 @@ def _pair_digests(rec: Rec) -> bytes:
         if cursor is not None and len(touched) < n:
             pairs, key_index = layout
             table = bytearray(cursor._pairfps)
-            buf = bytearray()
+            memo = _PAIR_MEMO
+            counts = _CODEC_COUNTS
             for key in touched:
+                value = contents[key]
                 i = key_index[key]
-                del buf[:]
-                buf += pairs[i][0]
-                _encode_into(buf, contents[key])
+                digest = memo.get((key, value))
+                if digest is None:
+                    digest = _digest_pair(pairs[i][0], value)
+                    if len(memo) >= _PAIR_MEMO_CAP:
+                        memo.clear()
+                        counts[7] += 1
+                    memo[(key, value)] = digest
+                    counts[6] += 1
+                else:
+                    counts[5] += 1
+                    # A hit never encodes the value, so nothing else
+                    # would collapse its functional-update chain.
+                    if value.__class__ is Rec and value._touched is not None:
+                        _detach_touched(value)
+                    if not counts[5] % _PAIR_VERIFY_EVERY and digest != _digest_pair(
+                        pairs[i][0], value
+                    ):
+                        _raise_type_unstable(key, value)
                 j = i * 8
-                table[j : j + 8] = blake2b(bytes(buf), digest_size=8).digest()
+                table[j : j + 8] = digest
             pf = bytes(table)
             rec._pairfps = pf
             # Collapse the chain to one hop so a later delta *encode*
@@ -870,7 +997,7 @@ def fingerprint(state: Any) -> int:
     fields fingerprints in ``O(k)`` instead of ``O(n)``.  Non-record
     values hash their canonical encoding directly.
     """
-    if isinstance(state, Rec):
+    if state.__class__ is Rec or isinstance(state, Rec):
         fp = state._fp
         if fp is None:
             fp = int.from_bytes(

@@ -66,8 +66,11 @@ ACTION_FIRES = "engine.action_fires"
 #: ``delta_hits`` (successor encodings assembled by splicing the parent's
 #: bytes), ``delta_misses`` (delta attempted but the chain was unusable),
 #: ``full_encodes`` (from-scratch canonical encodings), ``fp_delta_hits``
-#: (fingerprints patched from a parent's pair-digest table), and
-#: ``fp_full`` (fingerprints computed from a full encoding).
+#: (fingerprints patched from a parent's pair-digest table),
+#: ``fp_full`` (fingerprints computed from a full encoding), and the
+#: pair-digest memo's ``pair_memo_hits`` / ``pair_memo_misses`` (touched
+#: pairs whose digest was looked up / encoded and hashed) and
+#: ``pair_memo_clears`` (times the full memo was emptied).
 CODEC_CHUNKS = "codec.chunk_cache"
 
 #: Gauge: estimated resident store bytes divided by states known — the

@@ -4,8 +4,9 @@ For each generated spec the harness runs two phases:
 
 * **census** — the spec *without* its planted invariant, explored
   exhaustively by every configuration in the matrix: serial BFS over
-  each state store (in-memory, compact, sharded, disk), symmetry
-  reduction on, sharded parallel BFS with 2 and 3 workers (with and
+  each state store (in-memory, compact, sharded, disk), a serial cell
+  whose pair-digest memo holds two entries (so it is emptied
+  constantly), symmetry reduction on, sharded parallel BFS with 2 and 3 workers (with and
   without symmetry), a durable run that is killed at a checkpoint
   and resumed, and *interpreted* counterparts of the serial, symmetry,
   worker, and kill-and-resume cells (``compiled=False``, i.e. the
@@ -55,7 +56,9 @@ import tempfile
 import threading
 import warnings
 from typing import Any, Callable, Dict, List, Optional, Tuple
+from unittest import mock
 
+from ..core import state as state_module
 from ..core.compile import por_prune_set
 from ..core.engine import CompactStore, SearchResult, ShardedStateStore, StopReason
 from ..core.explorer import BFSExplorer, bfs_explore
@@ -106,6 +109,7 @@ class MatrixConfig:
     exhaustive: bool = False  # violation-phase spec, stop_on_violation=False
     transport: str = "fork"  # "fork" | "socket" (repro.dist worker agents)
     dist_kill: bool = False  # kill one socket agent mid-run; spare adopts
+    memo_cap: Optional[int] = None  # pair-digest memo capacity for this cell
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -135,6 +139,9 @@ def build_matrix(
     census: List[MatrixConfig] = [
         MatrixConfig("census/serial-memory", "census"),
         MatrixConfig("census/serial-interpreted", "census", compiled=False),
+        # A two-entry pair-digest memo empties itself every third distinct
+        # pair: the census must not depend on what the memo holds.
+        MatrixConfig("census/serial-memo-cap-2", "census", memo_cap=2),
         MatrixConfig("census/serial-compact", "census", store="compact"),
         MatrixConfig("census/serial-sharded", "census", store="sharded"),
         MatrixConfig("census/serial-disk", "census", store="disk"),
@@ -388,6 +395,9 @@ def _run_config(
     census cells must partition the oracle's transition count by action
     exactly, in every engine configuration.
     """
+    if config.memo_cap is not None:
+        with mock.patch.object(state_module, "_PAIR_MEMO_CAP", config.memo_cap):
+            return _run_config(generated, dataclasses.replace(config, memo_cap=None))
     spec = generated.spec(invariants=config.phase == "violation")
     stop = config.phase == "violation" and not config.exhaustive
     registry = MetricsRegistry()

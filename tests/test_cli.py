@@ -1,5 +1,7 @@
 """Tests for the ``sandtable`` command line."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -389,6 +391,8 @@ class TestStatsAndCoverage:
         out = capsys.readouterr().out
         assert "action coverage" in out
         assert "ElectionTimeout" in out
+        # the pair-digest memo's hit ratio, beside fp_delta_hits
+        assert re.search(r"codec: fp_delta_hits \d+, .*pair memo \d+/\d+ hits", out)
 
     def test_check_stats_out_round_trips_through_coverage(self, tmp_path, capsys):
         sink = tmp_path / "metrics.jsonl"

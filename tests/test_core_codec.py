@@ -6,6 +6,7 @@ must produce byte-identical encodings and therefore identical 64-bit
 fingerprints for equal states.
 """
 
+import math
 import os
 import random
 import subprocess
@@ -14,8 +15,10 @@ from collections import deque
 from hashlib import blake2b
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import repro.core.state as state_module
+from repro.core.spec import Action, Spec, SpecError
 from repro.core.state import (
     Rec,
     changed_keys,
@@ -26,6 +29,7 @@ from repro.core.state import (
     reset_codec_stats,
     set_delta_codec,
     strong_fingerprint,
+    substitute,
     thaw,
 )
 
@@ -53,6 +57,23 @@ def frozen_values():
         ),
         max_leaves=12,
     )
+
+
+def typed_equal(a, b):
+    """Equal *and* of the same type at every position (floats: same
+    sign of zero) — the codec's notion of identity, which is finer than
+    ``==`` exactly on ``True``/``1``/``1.0`` and ``0.0``/``-0.0``."""
+    if type(a) is not type(b) or a != b:
+        return False
+    if isinstance(a, float):
+        return math.copysign(1.0, a) == math.copysign(1.0, b)
+    if isinstance(a, tuple):
+        return all(typed_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, frozenset):
+        return all(any(typed_equal(x, y) for y in b) for x in a)
+    if isinstance(a, Rec):  # equal keys are same-typed: bool/float keys are rejected
+        return all(typed_equal(value, b[key]) for key, value in a.items())
+    return True
 
 
 class TestRoundTrip:
@@ -107,6 +128,7 @@ class TestRoundTrip:
         assert encode(1) != encode(True)
         assert encode(0) != encode(False)
         assert encode(1) != encode(1.0)
+        assert encode(0.0) != encode(-0.0)
         assert encode("1") != encode(1)
         assert encode(b"x") != encode("x")
         assert encode(()) != encode(frozenset())
@@ -135,8 +157,18 @@ class TestFingerprintStability:
         assert rec._fp is not None
 
     @given(frozen_values(), frozen_values())
-    def test_equal_iff_encoding_equal(self, a, b):
-        assert (encode(a) == encode(b)) == (a == b)
+    @example(False, 0)
+    @example(True, 1)
+    @example(1, 1.0)
+    @example(0.0, -0.0)
+    @example((True, Rec(x=0.0)), (1, Rec(x=-0.0)))
+    def test_encoding_refines_equality(self, a, b):
+        """The codec is finer than ``==`` only on the pinned conflation
+        pairs: equal encodings imply equal values, and values equal with
+        the same types throughout encode equally."""
+        if encode(a) == encode(b):
+            assert a == b
+        assert (encode(a) == encode(b)) == typed_equal(a, b)
 
     def test_strong_fingerprint_is_128_bit(self):
         digest = strong_fingerprint(Rec(x=1))
@@ -169,6 +201,96 @@ class TestFingerprintStability:
         assert out[1] == strong_fingerprint(state).hex()
 
 
+_KEY_HISTORY_PROGRAM = """
+import sys
+from repro.core.state import Rec, encode
+
+def attempt(key):
+    try:
+        print(encode(Rec({key: 'x'})).hex())
+    except TypeError:
+        print('rejected')
+
+for name in sys.argv[1:]:
+    attempt({'int': 1, 'bool': True, 'float': 1.0}[name])
+"""
+
+
+class TestRecordKeyTypes:
+    """``True == 1 == 1.0`` as dict keys and as interned-layout keys, so
+    records cannot hold them apart: bool and float keys are rejected."""
+
+    @pytest.mark.parametrize(
+        "key", [True, False, 1.0, (True, "a"), ("a", (0.5,)), frozenset({False})]
+    )
+    def test_bool_and_float_keys_rejected(self, key):
+        with pytest.raises(TypeError, match="record key"):
+            Rec({key: "x"})
+        with pytest.raises(TypeError, match="record key"):
+            Rec(a=1).set(key, "x")
+        with pytest.raises(TypeError, match="record key"):
+            Rec(a=1).update({key: "x"})
+
+    def test_int_str_and_tuple_keys_stay(self):
+        rec = Rec({1: "x", "a": 2, ("n1", 2): 3}).set(0, "y")
+        assert decode(encode(rec)) == rec
+
+    def test_decode_rejects_bool_key(self):
+        with pytest.raises(ValueError, match="record key"):
+            decode(b"R\x01T" + encode("x"))
+
+    @pytest.mark.parametrize(
+        "order", [("int",), ("bool", "int"), ("float", "bool", "int")]
+    )
+    def test_int_key_bytes_do_not_depend_on_process_history(self, order):
+        """``_LAYOUT`` is keyed by the key tuple and ``(True,) == (1,)``:
+        a bool-keyed record encoded first used to leave its ``T`` key
+        bytes behind for the int-keyed one."""
+        out = subprocess.run(
+            [sys.executable, "-c", _KEY_HISTORY_PROGRAM, *order],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        assert out == ["rejected"] * (len(order) - 1) + [b"R\x01i\x02s\x01x".hex()]
+
+
+def _generated_specs(n_specs=20):
+    """The generated testkit specs of the codec sweep, as (index, spec)."""
+    from repro.testkit.genspec import generate_spec, sample_params
+
+    rng = random.Random("codec-sweep-params")
+    for index in range(n_specs):
+        generated = generate_spec(f"codec-sweep:{index}", sample_params(rng))
+        yield index, generated.spec(invariants=False)
+
+
+def _bfs_fingerprinted(spec, max_states):
+    """BFS ``spec`` the way the engine does — fingerprint every initial
+    state and successor, keep the new ones — yielding each
+    ``(state, fingerprint, is_new)``."""
+    seen = set()
+    queue = deque()
+
+    def visit(state):
+        fp = fingerprint(state)
+        new = fp not in seen
+        if new:
+            seen.add(fp)
+            queue.append(state)
+        return state, fp, new
+
+    for state in spec.init_states():
+        yield visit(state)
+    while queue and len(seen) < max_states:
+        state = queue.popleft()
+        if not spec.state_constraint(state):
+            continue
+        for transition in spec.successors(state):
+            yield visit(transition.target)
+
+
 def _sweep_states(n_specs=20, max_states=250):
     """BFS every generated testkit spec; yield each (spec index, state).
 
@@ -176,31 +298,10 @@ def _sweep_states(n_specs=20, max_states=250):
     chains and their encodings and fingerprints go through the
     incremental paths under test.
     """
-    from repro.testkit.genspec import generate_spec, sample_params
-
-    rng = random.Random("codec-sweep-params")
-    for index in range(n_specs):
-        params = sample_params(rng)
-        generated = generate_spec(f"codec-sweep:{index}", params)
-        spec = generated.spec(invariants=False)
-        seen = set()
-        queue = deque()
-        for state in spec.init_states():
-            fp = fingerprint(state)
-            if fp not in seen:
-                seen.add(fp)
-                queue.append(state)
+    for index, spec in _generated_specs(n_specs):
+        for state, _, new in _bfs_fingerprinted(spec, max_states):
+            if new:
                 yield index, state
-        while queue and len(seen) < max_states:
-            state = queue.popleft()
-            if not spec.state_constraint(state):
-                continue
-            for transition in spec.successors(state):
-                fp = fingerprint(transition.target)
-                if fp not in seen:
-                    seen.add(fp)
-                    queue.append(transition.target)
-                    yield index, transition.target
 
 
 _SWEEP_PROGRAM = """
@@ -293,6 +394,132 @@ class TestDeltaCodecProperty:
         assert out == TestDeltaCodecProperty._local_digest
 
 
+def _reference_fingerprint(state):
+    """The two-level digest worked out by hand from a from-scratch
+    ``encode()``: blake2b over the blake2b-8 digests of the pairs'
+    canonical bytes, in key-encoding order."""
+    # substitute(x, {}) is a structural copy out of new records: no cached
+    # encodings, digest tables or delta chains, and ``state`` is not touched
+    fresh = decode(encode(substitute(state, {})))
+    assert fresh == state
+    pairs = sorted(encode(key) + encode(value) for key, value in fresh.items())
+    table = b"".join(blake2b(pair, digest_size=8).digest() for pair in pairs)
+    return int.from_bytes(blake2b(table, digest_size=8).digest(), "big")
+
+
+def _memo_sweep_specs():
+    """The 8 real specs (3 nodes) and the 20 generated sweep specs."""
+    from repro.dist.specref import SPEC_CLASSES, make_spec
+
+    for system in sorted(SPEC_CLASSES):
+        yield system, make_spec(system, 3, (), None)
+    yield from _generated_specs()
+
+
+def _longest_chain(value):
+    """Longest ``_base`` chain hanging off any record inside ``value``."""
+    longest = 0
+    if isinstance(value, Rec):
+        cursor = value._base
+        while cursor is not None:
+            longest += 1
+            cursor = cursor._base
+        children = list(value.keys()) + list(value.values())
+    elif isinstance(value, (tuple, frozenset)):
+        children = value
+    else:
+        return 0
+    return max([longest] + [_longest_chain(child) for child in children])
+
+
+class _TrueThenOneSpec(Spec):
+    """Breaks type stability: ``flag`` holds ``True`` on one path and
+    ``1`` on another, which ``==`` cannot tell apart and the codec can."""
+
+    name = "true-then-one"
+
+    def init_states(self):
+        # ``fixed`` is never rebound, so successors take the delta path
+        yield Rec(flag=False, step=0, fixed="x")
+
+    def actions(self):
+        return [Action("SetBool", self._set(True)), Action("SetInt", self._set(1))]
+
+    @staticmethod
+    def _set(value):
+        def fn(state):
+            if state["step"] < 3:
+                yield (), state.update(flag=value, step=state["step"] + 1)
+
+        return fn
+
+
+class TestPairDigestMemo:
+    """The pair-digest memo must be invisible in every fingerprint, at
+    any capacity, and must not make records retain their ancestry."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(state_module, "_PAIR_MEMO", {})
+        previous = set_delta_codec(True)
+        yield
+        set_delta_codec(previous)
+
+    # cap 2: the memo is emptied on every third distinct pair, so every
+    # clear boundary is crossed
+    @pytest.mark.parametrize("cap", [state_module._PAIR_MEMO_CAP, 2])
+    def test_fingerprints_equal_from_scratch_digest(self, monkeypatch, cap):
+        monkeypatch.setattr(state_module, "_PAIR_MEMO_CAP", cap)
+        reset_codec_stats()
+        checked = 0
+        for name, spec in _memo_sweep_specs():
+            for state, fp, _ in _bfs_fingerprinted(spec, max_states=400):
+                assert fp == _reference_fingerprint(state), name
+                checked += 1
+        stats = codec_stats()
+        assert checked > 10000
+        assert stats["pair_memo_hits"] > 0 and stats["pair_memo_misses"] > 0
+        if cap == 2:
+            assert stats["pair_memo_clears"] > 1000
+        else:
+            assert stats["pair_memo_hits"] > stats["pair_memo_misses"]
+
+    def test_random_walk_retains_no_nested_ancestry(self):
+        from repro.specs.raft import PySyncObjSpec, RaftConfig
+
+        spec = PySyncObjSpec(RaftConfig(nodes=("n1", "n2", "n3")))
+        rng = random.Random("memo-walk")
+        inits = list(spec.init_states())
+        state = rng.choice(inits)
+        fingerprint(state)
+        for _ in range(2000):
+            choices = (
+                list(spec.successors(state)) if spec.state_constraint(state) else []
+            )
+            if not choices:
+                state = rng.choice(inits)
+                continue
+            state = rng.choice(choices).target
+            fingerprint(state)
+            assert _longest_chain(state) <= 1
+        assert codec_stats()["pair_memo_hits"] > 0
+
+    def test_type_unstable_variable_raises(self, monkeypatch):
+        from repro.core import bfs_explore
+
+        monkeypatch.setattr(state_module, "_PAIR_VERIFY_EVERY", 1)
+        with pytest.raises(SpecError, match="'flag' is not type-stable"):
+            bfs_explore(_TrueThenOneSpec())
+
+    def test_type_stable_spec_is_sampled_quietly(self, monkeypatch):
+        from repro.core import bfs_explore
+        from toy_specs import CounterSpec
+
+        monkeypatch.setattr(state_module, "_PAIR_VERIFY_EVERY", 1)
+        result = bfs_explore(CounterSpec(n_nodes=3, maximum=3))
+        assert result.stats.distinct_states == 4**3
+
+
 class TestChangedKeysAndStats:
     def test_set_records_touched_key(self):
         base = Rec(a=1, b=2)
@@ -318,6 +545,9 @@ class TestChangedKeysAndStats:
             "full_encodes",
             "fp_delta_hits",
             "fp_full",
+            "pair_memo_hits",
+            "pair_memo_misses",
+            "pair_memo_clears",
         }
         assert all(n == 0 for n in stats.values())
 
@@ -334,6 +564,41 @@ class TestChangedKeysAndStats:
             set_delta_codec(previous)
         assert stats["fp_full"] == 1  # the root had no parent
         assert stats["fp_delta_hits"] == 1  # the child patched one pair
+
+    def test_pair_memo_counters_move(self, monkeypatch):
+        monkeypatch.setattr(state_module, "_PAIR_MEMO", {})
+        monkeypatch.setattr(state_module, "_PAIR_MEMO_CAP", 2)
+        previous = set_delta_codec(True)
+        try:
+            reset_codec_stats()
+            base = Rec(a=0, b="x")
+            fingerprint(base)
+            for value in (1, 2, 1, 3):
+                fingerprint(base.set("a", value))
+            stats = codec_stats()
+        finally:
+            set_delta_codec(previous)
+        # 1 and 2 miss and fill the memo, the second 1 hits, 3 misses
+        # into a full memo and empties it first
+        assert stats["pair_memo_misses"] == 3
+        assert stats["pair_memo_hits"] == 1
+        assert stats["pair_memo_clears"] == 1
+        assert len(state_module._PAIR_MEMO) == 1
+
+    def test_no_delta_bypasses_pair_memo(self, monkeypatch):
+        monkeypatch.setattr(state_module, "_PAIR_MEMO", {})
+        previous = set_delta_codec(False)
+        try:
+            reset_codec_stats()
+            base = Rec(a=0, b="x")
+            fingerprint(base)
+            fingerprint(base.set("a", 1))
+            stats = codec_stats()
+        finally:
+            set_delta_codec(previous)
+        assert stats["fp_full"] == 2
+        assert stats["pair_memo_hits"] == stats["pair_memo_misses"] == 0
+        assert not state_module._PAIR_MEMO
 
     def test_delta_fp_equals_full_fp(self):
         previous = set_delta_codec(True)

@@ -268,8 +268,13 @@ class TestEngineEquivalence:
             "full_encodes",
             "fp_delta_hits",
             "fp_full",
+            "pair_memo_hits",
+            "pair_memo_misses",
+            "pair_memo_clears",
         }
         assert chunks.get("fp_delta_hits", 0) > 0
+        assert chunks.get("pair_memo_hits", 0) > 0
+        assert chunks.get("pair_memo_misses", 0) > 0
 
 
 class TestCachedActions:

@@ -143,6 +143,7 @@ def test_matrix_covers_required_cells():
     names = {config.name for config in build_matrix(generated, parallel=True)}
     assert {
         "census/serial-memory",
+        "census/serial-memo-cap-2",
         "census/serial-compact",
         "census/serial-sharded",
         "census/serial-disk",
