@@ -52,7 +52,14 @@ from typing import (
 
 from ..obs.metrics import ACTION_FIRES, CODEC_CHUNKS, SIZE_BOUNDS, STORE_BYTES
 from .spec import Spec, Transition
-from .state import Rec, changed_keys, codec_stats, detach, fingerprint
+from .state import (
+    Rec,
+    changed_keys,
+    codec_stats,
+    detach,
+    fingerprint,
+    scope_pair_memo,
+)
 from .trace import PendingTrace, Trace, TraceStep
 from .violation import Violation
 
@@ -722,6 +729,7 @@ def find_matching_step(
     actions can reach the same orbit).
     """
     fallback: Optional[TraceStep] = None
+    scope_pair_memo(spec)
     for transition in spec.successors(state):
         canon = canonical(transition.target) if canonical else transition.target
         if fp_fn(canon) != target_fp:
@@ -1152,6 +1160,7 @@ class ExplorationEngine:
         checker.tracer = strategy.trace_to
         store = self.store
         spec = self.spec
+        scope_pair_memo(spec)
 
         # Hot-loop locals: every name below is read once per transition.
         monotonic = time.monotonic

@@ -124,7 +124,14 @@ from .engine import (
     reconstruct_trace,
 )
 from .spec import Spec
-from .state import changed_keys, codec_stats, decode, encode, fingerprint
+from .state import (
+    changed_keys,
+    codec_stats,
+    decode,
+    encode,
+    fingerprint,
+    scope_pair_memo,
+)
 from .symmetry import SymmetryReducer
 from .trace import PendingTrace, TraceStep
 from .violation import Violation
@@ -238,6 +245,7 @@ class ShardWorker:
         # pruning is a pure function of the spec's ActionMeta, so every
         # worker derives the same reduced successor relation.
         spec = maybe_compile(spec, compiled, por=por)
+        scope_pair_memo(spec)
         self.spec = spec
         self.wid = wid
         self.workers = workers

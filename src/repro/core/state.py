@@ -143,7 +143,7 @@ class Rec(Mapping):
         return self._hash
 
     def __eq__(self, other: Any) -> bool:
-        if other.__class__ is Rec or isinstance(other, Rec):
+        if isinstance(other, Rec):
             return self._dict == other._dict
         if isinstance(other, Mapping):
             return self._dict == dict(other)
@@ -843,10 +843,33 @@ def decode(data: bytes) -> Any:
 #: typing error, which a re-encode of every ``_PAIR_VERIFY_EVERY``-th
 #: hit turns into a :class:`~repro.core.spec.SpecError`.  Cleared when
 #: it reaches ``_PAIR_MEMO_CAP`` entries; the cap bounds the values the
-#: memo keeps alive.
+#: memo keeps alive.  The rule is per spec, so the memo is too: it holds
+#: the pairs of one spec at a time (:func:`scope_pair_memo`).
 _PAIR_MEMO: dict = {}
 _PAIR_MEMO_CAP = 1024
 _PAIR_VERIFY_EVERY = 64
+#: The spec whose pairs the memo holds.
+_PAIR_MEMO_OWNER: Any = None
+#: Hits since the last verified one; not a stat, so ``reset_codec_stats``
+#: leaves it alone.
+_PAIR_UNVERIFIED = [0]
+
+
+def scope_pair_memo(spec: Any) -> None:
+    """Empty the pair-digest memo unless it already holds ``spec``'s pairs.
+
+    Everything that generates and fingerprints successors of a spec
+    (the engine, shard workers, graph materialization, trace replay)
+    calls this first, so a variable that is a ``bool`` in one spec and
+    an ``int`` in the next one explored by the same process never meets
+    the other's digests.  A compiled spec is scoped by the spec it
+    wraps: recompiling keeps the memo.
+    """
+    global _PAIR_MEMO_OWNER
+    owner = getattr(spec, "_source", spec)
+    if owner is not _PAIR_MEMO_OWNER:
+        _PAIR_MEMO.clear()
+        _PAIR_MEMO_OWNER = owner
 
 
 def _digest_pair(key_enc: bytes, value: Any) -> bytes:
@@ -927,6 +950,7 @@ def _pair_digests(rec: Rec) -> bytes:
             pairs, key_index = layout
             table = bytearray(cursor._pairfps)
             memo = _PAIR_MEMO
+            unverified = _PAIR_UNVERIFIED
             counts = _CODEC_COUNTS
             for key in touched:
                 value = contents[key]
@@ -945,10 +969,11 @@ def _pair_digests(rec: Rec) -> bytes:
                     # would collapse its functional-update chain.
                     if value.__class__ is Rec and value._touched is not None:
                         _detach_touched(value)
-                    if not counts[5] % _PAIR_VERIFY_EVERY and digest != _digest_pair(
-                        pairs[i][0], value
-                    ):
-                        _raise_type_unstable(key, value)
+                    unverified[0] += 1
+                    if unverified[0] >= _PAIR_VERIFY_EVERY:
+                        unverified[0] = 0
+                        if digest != _digest_pair(pairs[i][0], value):
+                            _raise_type_unstable(key, value)
                 j = i * 8
                 table[j : j + 8] = digest
             pf = bytes(table)

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import StateStore, TracelessStoreError
 from repro.core.spec import Spec, WeakFairness
-from repro.core.state import Rec, fingerprint
+from repro.core.state import Rec, fingerprint, scope_pair_memo
 from repro.core.symmetry import SymmetryReducer
 
 __all__ = ["STUTTER_ACTION", "TemporalGraph", "materialize_graph"]
@@ -109,6 +109,7 @@ def materialize_graph(
     setting the store was explored under, or the recomputed fingerprints
     will not line up with the stored ones.
     """
+    scope_pair_memo(spec)
     stores = _as_stores(store)
     for st in stores:
         if st.traceless:

@@ -27,6 +27,7 @@ from repro.core.state import (
     encode,
     fingerprint,
     reset_codec_stats,
+    scope_pair_memo,
     set_delta_codec,
     strong_fingerprint,
     substitute,
@@ -34,6 +35,7 @@ from repro.core.state import (
 )
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
 
 
 def frozen_values():
@@ -270,6 +272,7 @@ def _bfs_fingerprinted(spec, max_states):
     """BFS ``spec`` the way the engine does — fingerprint every initial
     state and successor, keep the new ones — yielding each
     ``(state, fingerprint, is_new)``."""
+    scope_pair_memo(spec)
     seen = set()
     queue = deque()
 
@@ -432,6 +435,13 @@ def _longest_chain(value):
     return max([longest] + [_longest_chain(child) for child in children])
 
 
+def _empty_memo(monkeypatch):
+    """An empty, unowned memo for one test; the real one comes back after."""
+    monkeypatch.setattr(state_module, "_PAIR_MEMO", {})
+    monkeypatch.setattr(state_module, "_PAIR_MEMO_OWNER", None)
+    monkeypatch.setattr(state_module, "_PAIR_UNVERIFIED", [0])
+
+
 class _TrueThenOneSpec(Spec):
     """Breaks type stability: ``flag`` holds ``True`` on one path and
     ``1`` on another, which ``==`` cannot tell apart and the codec can."""
@@ -454,13 +464,120 @@ class _TrueThenOneSpec(Spec):
         return fn
 
 
+_FLAG_HISTORY_PROGRAM = """
+import sys
+from repro.core import bfs_explore
+from repro.core.engine import InMemoryStateStore
+from toy_specs import FlagSpec
+
+for typing in sys.argv[1:]:
+    store = InMemoryStateStore()
+    result = bfs_explore(FlagSpec(typing), store=store)
+print(result.stats.distinct_states, *sorted(fp for fp, _, _ in store.edges()))
+"""
+
+
+class TestPairMemoScope:
+    """The memo holds one spec's pairs at a time: what an earlier spec in
+    the process put in ``flag`` cannot reach a later spec's fingerprints."""
+
+    @pytest.fixture(autouse=True)
+    def _delta_on(self):
+        previous = set_delta_codec(True)
+        yield
+        set_delta_codec(previous)
+
+    @pytest.mark.parametrize(
+        "history", [("int",), ("bool", "int"), ("float", "bool", "int")]
+    )
+    def test_census_and_fingerprints_do_not_depend_on_process_history(self, history):
+        from toy_specs import FlagSpec
+
+        out = subprocess.run(
+            [sys.executable, "-c", _FLAG_HISTORY_PROGRAM, *history],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS])),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        expected = sorted(fingerprint(state) for state in FlagSpec("int").reachable())
+        assert [int(word) for word in out] == [len(expected)] + expected
+
+    def test_serial_exploration_rescopes(self):
+        from repro.core import bfs_explore
+        from repro.core.engine import InMemoryStateStore
+        from toy_specs import FlagSpec
+
+        for typing in ("bool", "int", "float", "int"):
+            spec = FlagSpec(typing)
+            store = InMemoryStateStore()
+            bfs_explore(spec, store=store)
+            assert {fp for fp, _, _ in store.edges()} == {
+                _reference_fingerprint(state) for state in spec.reachable()
+            }, typing
+
+    def test_every_successor_walker_rescopes(self):
+        from repro.core import bfs_explore
+        from repro.core.engine import InMemoryStateStore, find_matching_step
+        from repro.core.parallel import ShardWorker
+        from repro.temporal.graph import materialize_graph
+        from toy_specs import FlagSpec
+
+        ints = FlagSpec("int")
+        (init,) = ints.init_states()
+        first = _reference_fingerprint(init.update(flag=1, n=1))
+        store = InMemoryStateStore()
+        bfs_explore(ints, store=store)
+
+        def pollute():
+            bfs_explore(FlagSpec("bool"))
+            assert state_module._PAIR_MEMO_OWNER is not ints
+
+        pollute()
+        assert find_matching_step(ints, init, first, "Flip") is not None
+        pollute()
+        graph = materialize_graph(ints, store)
+        assert sorted(graph.states) == sorted(fp for fp, _, _ in store.edges())
+        pollute()
+        ShardWorker(ints, 0, 1)
+        assert state_module._PAIR_MEMO_OWNER is ints and not state_module._PAIR_MEMO
+
+    def test_recompiling_keeps_the_memo(self):
+        from repro.core.compile import compile_spec
+        from toy_specs import FlagSpec
+
+        spec = FlagSpec("int")
+        scope_pair_memo(compile_spec(spec))
+        state_module._PAIR_MEMO[("n", 1)] = b"12345678"
+        scope_pair_memo(compile_spec(spec))
+        scope_pair_memo(spec)
+        assert state_module._PAIR_MEMO
+        scope_pair_memo(FlagSpec("int"))
+        assert not state_module._PAIR_MEMO
+
+    def test_sampling_survives_reset_codec_stats(self, monkeypatch):
+        """The 1-in-N check counts its own hits, not the stats counter:
+        zeroing the stats between hits must not keep it from firing."""
+        _empty_memo(monkeypatch)
+        monkeypatch.setattr(state_module, "_PAIR_VERIFY_EVERY", 4)
+        base = Rec(flag=False, n=0, fixed="x")
+        fingerprint(base)
+        fingerprint(base.set("flag", True))  # the miss that fills the memo
+        for _ in range(3):
+            reset_codec_stats()
+            fingerprint(base.set("flag", True))
+        reset_codec_stats()
+        with pytest.raises(SpecError, match="'flag' is not type-stable"):
+            fingerprint(base.set("flag", 1))  # the fourth hit
+
+
 class TestPairDigestMemo:
     """The pair-digest memo must be invisible in every fingerprint, at
     any capacity, and must not make records retain their ancestry."""
 
     @pytest.fixture(autouse=True)
     def _fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(state_module, "_PAIR_MEMO", {})
+        _empty_memo(monkeypatch)
         previous = set_delta_codec(True)
         yield
         set_delta_codec(previous)
@@ -566,7 +683,7 @@ class TestChangedKeysAndStats:
         assert stats["fp_delta_hits"] == 1  # the child patched one pair
 
     def test_pair_memo_counters_move(self, monkeypatch):
-        monkeypatch.setattr(state_module, "_PAIR_MEMO", {})
+        _empty_memo(monkeypatch)
         monkeypatch.setattr(state_module, "_PAIR_MEMO_CAP", 2)
         previous = set_delta_codec(True)
         try:
@@ -586,7 +703,7 @@ class TestChangedKeysAndStats:
         assert len(state_module._PAIR_MEMO) == 1
 
     def test_no_delta_bypasses_pair_memo(self, monkeypatch):
-        monkeypatch.setattr(state_module, "_PAIR_MEMO", {})
+        _empty_memo(monkeypatch)
         previous = set_delta_codec(False)
         try:
             reset_codec_stats()

@@ -116,3 +116,42 @@ class TokenRingSpec(Spec):
 
     def state_constraint(self, state: Rec) -> bool:
         return state["steps"] < self.max_steps
+
+
+class FlagSpec(Spec):
+    """``flag`` flips between ``off`` and ``on`` while ``n`` counts to ``LIMIT``.
+
+    Type-stable whatever the two values are; instances built with
+    ``False/True``, ``0/1`` and ``0.0/1.0`` use the same variable names
+    for values that are ``==`` and encode differently.  ``2 * LIMIT + 1``
+    reachable states.
+    """
+
+    name = "flag"
+    LIMIT = 40
+    TYPINGS = {"bool": (False, True), "int": (0, 1), "float": (0.0, 1.0)}
+
+    def __init__(self, typing: str = "int"):
+        self.off, self.on = self.TYPINGS[typing]
+
+    def init_states(self):
+        # ``fixed`` is never rebound, so successors take the delta path
+        yield Rec(flag=self.off, n=0, fixed="x")
+
+    def actions(self):
+        return [Action("Flip", self._flip), Action("Hold", self._hold)]
+
+    def _flip(self, state: Rec):
+        if state["n"] < self.LIMIT:
+            flag = self.on if state["flag"] == self.off else self.off
+            yield (), state.update(flag=flag, n=state["n"] + 1)
+
+    def _hold(self, state: Rec):
+        if state["n"] < self.LIMIT:
+            yield (), state.set("n", state["n"] + 1)
+
+    def reachable(self):
+        yield Rec(flag=self.off, n=0, fixed="x")
+        for n in range(1, self.LIMIT + 1):
+            yield Rec(flag=self.off, n=n, fixed="x")
+            yield Rec(flag=self.on, n=n, fixed="x")
