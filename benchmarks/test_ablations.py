@@ -81,26 +81,6 @@ def test_stateful_vs_stateless(benchmark, emit):
     assert steps > unique  # the stateless proxy revisits states
 
 
-def test_fingerprint_choice(benchmark, emit):
-    def run():
-        fast = bfs_explore(PySyncObjSpec(SMALL))
-        strong = bfs_explore(PySyncObjSpec(SMALL), strong_fingerprints=True)
-        return fast, strong
-
-    fast, strong = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert fast.stats.distinct_states == strong.stats.distinct_states
-    emit(
-        "ablation_fingerprints",
-        [
-            f"64-bit hash: {fast.stats.distinct_states} states,"
-            f" {fast.stats.states_per_second:.0f}/s",
-            f"blake2b-128: {strong.stats.distinct_states} states,"
-            f" {strong.stats.states_per_second:.0f}/s",
-            f"speed ratio: {fast.stats.states_per_second / strong.stats.states_per_second:.2f}x",
-        ],
-    )
-
-
 def test_conformance_granularity(benchmark, emit):
     """Per-event comparison costs more but localizes discrepancies; the
     paper compares after each action (§A.4)."""

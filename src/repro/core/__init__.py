@@ -22,7 +22,6 @@ Public surface:
 from .compile import por_prune_set
 from .engine import (
     CompactStore,
-    DictStore,
     ExplorationEngine,
     FIFOFrontier,
     FingerprintOnlyStore,
@@ -33,7 +32,6 @@ from .engine import (
     ScenarioFrontier,
     SearchResult,
     SearchStats,
-    ShardedStateStore,
     StateStore,
     StepChecker,
     StopReason,
@@ -54,7 +52,7 @@ from .parallel import (
 from .ranking import ConstraintScore, RankedConstraints, rank_constraints
 from .simulation import SimulationResult, WalkResult, random_walk, simulate
 from .spec import Action, Invariant, Spec, SpecError, Transition, TransitionInvariant
-from .state import Rec, decode, encode, fingerprint, freeze, strong_fingerprint, thaw
+from .state import Rec, decode, encode, fingerprint, freeze, thaw
 from .symmetry import SymmetryReducer, canonicalize
 from .trace import PendingTrace, Trace, TraceStep
 from .violation import Violation
@@ -62,7 +60,6 @@ from .violation import Violation
 __all__ = [
     "Action",
     "CompactStore",
-    "DictStore",
     "ExplorationEngine",
     "FIFOFrontier",
     "FingerprintOnlyStore",
@@ -73,7 +70,6 @@ __all__ = [
     "ScenarioFrontier",
     "SearchResult",
     "SearchStats",
-    "ShardedStateStore",
     "StateStore",
     "StepChecker",
     "StopReason",
@@ -123,6 +119,5 @@ __all__ = [
     "rank_constraints",
     "research_violation",
     "simulate",
-    "strong_fingerprint",
     "thaw",
 ]

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import sys
-import threading
 import time
 from array import array
 from bisect import bisect_left
@@ -69,9 +68,7 @@ __all__ = [
     "SearchResult",
     "StateStore",
     "InMemoryStateStore",
-    "DictStore",
     "CompactStore",
-    "ShardedStateStore",
     "FingerprintOnlyStore",
     "TracelessStoreError",
     "NullStateStore",
@@ -313,10 +310,6 @@ class InMemoryStateStore(StateStore):
         return len(self._parents)
 
 
-#: Historical name for the dict-backed store, matching TLC's naming.
-DictStore = InMemoryStateStore
-
-
 class CompactStore(StateStore):
     """Fingerprints and parent edges only — no state retention past roots.
 
@@ -324,8 +317,7 @@ class CompactStore(StateStore):
     tuple object per state, this store keeps two int-to-int dict entries
     with action names interned to small ids: no per-state tuple
     allocation, and the per-state cost is independent of action-name
-    length.  The per-shard building block of :class:`ShardedStateStore`
-    and the worker-local store of :mod:`repro.core.parallel`.
+    length.  The worker-local store of :mod:`repro.core.parallel`.
     """
 
     __slots__ = ("_parents", "_action_of", "_action_ids", "_action_names", "_inits")
@@ -392,95 +384,6 @@ class CompactStore(StateStore):
         return len(self._parents)
 
 
-class ShardedStateStore(StateStore):
-    """A store partitioned by fingerprint bits with per-shard locks.
-
-    Fingerprints are canonical 64-bit ints (:func:`repro.core.state.fingerprint`),
-    so a fixed bit-slice partitions states uniformly and *identically in
-    every process*.  Each shard is an independent :class:`CompactStore`
-    guarded by its own lock: concurrent expanders contend only when they
-    touch the same shard, the same partitioning TLC uses for its
-    fingerprint-set workers.  ``shards`` is rounded up to a power of two.
-    """
-
-    __slots__ = ("_shards", "_locks", "_mask")
-
-    def __init__(self, shards: int = 16) -> None:
-        n = 1
-        while n < max(1, shards):
-            n <<= 1
-        self._mask = n - 1
-        self._shards = [CompactStore() for _ in range(n)]
-        self._locks = [threading.Lock() for _ in range(n)]
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    def shard_of(self, fp: Any) -> int:
-        """The shard index owning ``fp`` (stable across processes)."""
-        if isinstance(fp, int):
-            return fp & self._mask
-        if isinstance(fp, bytes):
-            return int.from_bytes(fp[:8], "big") & self._mask
-        return hash(fp) & self._mask
-
-    def seen(self, fp: Any) -> bool:
-        index = self.shard_of(fp)
-        with self._locks[index]:
-            return self._shards[index].seen(fp)
-
-    def record(self, fp: Any, parent_fp: Any, action: str) -> None:
-        index = self.shard_of(fp)
-        with self._locks[index]:
-            self._shards[index].record(fp, parent_fp, action)
-
-    def record_init(self, fp: Any, state: Rec) -> None:
-        index = self.shard_of(fp)
-        with self._locks[index]:
-            self._shards[index].record_init(fp, state)
-
-    def init_state(self, fp: Any) -> Rec:
-        index = self.shard_of(fp)
-        with self._locks[index]:
-            return self._shards[index].init_state(fp)
-
-    def chain(self, fp: Any) -> List[Tuple[Any, str]]:
-        # Walks edges across shards, locking one hop at a time.
-        chain: List[Tuple[Any, str]] = []
-        cursor: Optional[Any] = fp
-        while cursor is not None:
-            index = self.shard_of(cursor)
-            with self._locks[index]:
-                shard = self._shards[index]
-                chain.append((cursor, shard._action_name(cursor)))
-                cursor = shard._parents[cursor]
-        chain.reverse()
-        return chain
-
-    def edges(self) -> Iterator[Tuple[Any, Optional[Any], str]]:
-        for index, shard in enumerate(self._shards):
-            with self._locks[index]:
-                snapshot = list(shard.edges())
-            yield from snapshot
-
-    def roots(self) -> Iterator[Tuple[Any, Rec]]:
-        for index, shard in enumerate(self._shards):
-            with self._locks[index]:
-                snapshot = list(shard.roots())
-            yield from snapshot
-
-    def estimated_bytes(self) -> Optional[int]:
-        total = 0
-        for index, shard in enumerate(self._shards):
-            with self._locks[index]:
-                total += shard.estimated_bytes()
-        return total
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-
 class FingerprintOnlyStore(StateStore):
     """A flat 64-bit fingerprint set: membership only, no parent edges.
 
@@ -498,8 +401,8 @@ class FingerprintOnlyStore(StateStore):
     * ``chain``/``init_state`` raise :class:`TracelessStoreError` —
       counterexample traces come from bounded re-search instead;
     * fingerprints must be 64-bit non-negative ints (the canonical
-      :func:`repro.core.state.fingerprint`); 128-bit strong
-      fingerprints are rejected;
+      :func:`repro.core.state.fingerprint`); anything else a custom
+      ``fingerprint_fn`` returns is rejected;
     * callers must not re-record a fingerprint that is already ``seen``
       (the engine and checkpoint restore both honor this), so ``len``
       is exact without a second membership pass.
@@ -537,9 +440,7 @@ class FingerprintOnlyStore(StateStore):
     def _add(self, fp: Any) -> None:
         if not isinstance(fp, int) or fp < 0 or fp >> 64:
             raise TypeError(
-                "FingerprintOnlyStore needs canonical 64-bit int fingerprints,"
-                f" got {fp!r}; strong (128-bit) fingerprints keep their bytes"
-                " form and are not supported in fast mode"
+                f"FingerprintOnlyStore needs 64-bit int fingerprints, got {fp!r}"
             )
         recent = self._recent
         recent.add(fp)
@@ -827,6 +728,13 @@ class FrontierStrategy:
     stop_on_bound = False
     tracks_steps = False
     check_constraint = True
+    #: ``defer(child, child_fp, depth, parent_fp, transition, changed)``,
+    #: asked about every child the store has just recorded.  A true
+    #: answer takes the child over: the engine neither counts, checks
+    #: nor pushes it (a shard worker parks the children another worker
+    #: owns this way until the owner has answered).  ``None`` costs the
+    #: loop one pointer test per recorded child.
+    defer: Optional[Callable[..., bool]] = None
 
     frontier: Any
     engine: "ExplorationEngine"
@@ -1189,6 +1097,7 @@ class ExplorationEngine:
         check_state = checker.check_state
         frontier = strategy.frontier
         push = frontier.append
+        defer = strategy.defer
         # Incremental invariant checking (compiled specs only): compute
         # each successor's touched-key set from its functional-update
         # chain, before fingerprinting consumes the chain.  Skipping
@@ -1282,6 +1191,10 @@ class ExplorationEngine:
             # pending frontier, so this is the one safe checkpoint point.
             if checkpointer is not None:
                 checkpointer.maybe_checkpoint(self, monotonic() - started)
+            # Once per state, before the pop: a frontier of pruned,
+            # depth-bounded or successor-less states reads the clock too.
+            if time_budget is not None and monotonic() - started > time_budget:
+                return finish(StopReason.TIME_BUDGET)
             state, fp, depth = frontier.popleft()
             if depth > stats.max_depth:
                 stats.max_depth = depth
@@ -1315,13 +1228,17 @@ class ExplorationEngine:
                     child = canon_fn(target) if canon_fn is not None else target
                     child_fp = fp_fn(child)
                     if store_seen(child_fp):
-                        if (
-                            time_budget is not None
-                            and monotonic() - started > time_budget
-                        ):
-                            return finish(StopReason.TIME_BUDGET)
                         continue
                     store_record(child_fp, fp, transition.action)
+                    if defer is not None and defer(
+                        child,
+                        child_fp,
+                        depth + 1,
+                        fp,
+                        transition,
+                        changed if skip_state_invs else None,
+                    ):
+                        continue
                 else:
                     child = detach(target)
                     child_fp = None
@@ -1344,8 +1261,6 @@ class ExplorationEngine:
                     if metrics is not None:
                         refresh_gauges()
                     progress(stats)
-                if time_budget is not None and monotonic() - started > time_budget:
-                    return finish(StopReason.TIME_BUDGET)
             if fanout_observe is not None:
                 fanout_observe(stats.transitions - fanout_base)
 

@@ -34,7 +34,7 @@ from .engine import (
     reconstruct_trace,
 )
 from .spec import Spec
-from .state import Rec, fingerprint, strong_fingerprint
+from .state import Rec, fingerprint
 from .symmetry import SymmetryReducer
 from .trace import Trace, TraceStep
 from .violation import Violation
@@ -81,7 +81,6 @@ class BFSExplorer:
         max_depth: Optional[int] = None,
         time_budget: Optional[float] = None,
         stop_on_violation: bool = True,
-        strong_fingerprints: bool = False,
         progress: Optional[Callable[[BFSStats], None]] = None,
         progress_interval: int = 50_000,
         store: Optional[StateStore] = None,
@@ -108,19 +107,13 @@ class BFSExplorer:
         self.fast = fast
         self.research = research
         self._symmetry = symmetry
-        if fast and strong_fingerprints:
-            raise ValueError(
-                "fast mode stores fingerprints as flat 64-bit ints;"
-                " strong (128-bit) fingerprints are not supported with --fast"
-            )
         if fast and store is not None and not getattr(store, "traceless", False):
             raise ValueError(
                 "fast mode needs a traceless store (FingerprintOnlyStore or a"
                 f" traceless DiskStore), got {type(store).__name__}"
             )
-        self._fp = strong_fingerprint if strong_fingerprints else fingerprint
         self.reducer = (
-            SymmetryReducer(spec.symmetry_sets(), key=self._fp) if symmetry else None
+            SymmetryReducer(spec.symmetry_sets(), key=fingerprint) if symmetry else None
         )
         if store is None:
             store = FingerprintOnlyStore() if fast else InMemoryStateStore()
@@ -137,7 +130,7 @@ class BFSExplorer:
             time_budget=time_budget,
             stop_on_violation=stop_on_violation,
             reducer=self.reducer,
-            fingerprint_fn=self._fp,
+            fingerprint_fn=fingerprint,  # this module's name: tests patch it
             progress=progress,
             progress_interval=progress_interval,
             checkpointer=checkpointer,
@@ -174,14 +167,14 @@ class BFSExplorer:
     def _trace_to(self, fp: Any, concrete: Optional[Rec] = None) -> Trace:
         """Reconstruct a trace from an initial state to ``fp``."""
         canonical = self.reducer.canonical if self.reducer is not None else None
-        return reconstruct_trace(self.spec, self.store, fp, canonical, self._fp)
+        return reconstruct_trace(self.spec, self.store, fp, canonical, fingerprint)
 
     def _find_step(
         self, state: Rec, target_fp: Any, action_name: str
     ) -> Optional[TraceStep]:
         canonical = self.reducer.canonical if self.reducer is not None else None
         return find_matching_step(
-            self.spec, state, target_fp, action_name, canonical, self._fp
+            self.spec, state, target_fp, action_name, canonical, fingerprint
         )
 
 

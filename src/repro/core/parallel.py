@@ -17,19 +17,23 @@ stay with the worker that generated them; only fingerprints cross the
 barrier.  The search is level-synchronous; each round covers one BFS
 depth in up to four phases:
 
-1. **expand** — every worker pops its frontier slice, enumerates
-   successors, checks transition invariants, and fingerprints each
-   (canonicalized) child.  A child whose fingerprint the worker owns is
-   deduplicated against its local store on the spot; a foreign child is
-   parked in a per-owner *pending* list and a claim
-   ``(child fp, parent fp, action)`` is shipped to the master.
+1. **expand** — every worker runs the serial explorer's loop, the
+   shared :class:`~repro.core.engine.ExplorationEngine`, over its
+   frontier slice: one ``run()`` whose frontier ends at the level
+   boundary and whose store is the worker's view of the partitioned
+   set.  A child whose fingerprint the worker owns is deduplicated
+   against its local store, checked and queued on the spot; a foreign
+   child leaves the loop through the strategy's ``defer`` hook for a
+   per-owner *pending* list, and a claim ``(child fp, parent fp,
+   action)`` is shipped to the master.
 2. **claim** — the master routes the claims and each owner dedupes them
    against its store in ``(claimer wid, sequence)`` order, records the
    edge of every new fingerprint, and answers with the accepted indices.
 3. **settle** — each claimer checks the state invariants of its accepted
-   children — with the incremental ``changed`` set it still holds, so a
-   foreign child costs the same per-state check as a local one and as
-   the serial engine — and pushes them onto its own next frontier.  The
+   children through the same :class:`~repro.core.engine.StepChecker` —
+   with the incremental ``changed`` set it still holds, so a foreign
+   child costs the same per-state check as a local one and as the
+   serial engine — and pushes them onto its own next frontier.  The
    rest of the pending list is dropped.
 4. **rebalance** — a single root would otherwise pin the whole search to
    one worker, so when the largest frontier exceeds the mean by more
@@ -100,7 +104,7 @@ import traceback
 import warnings
 from collections import defaultdict, deque
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..obs.metrics import (
     ACTION_FIRES,
@@ -112,26 +116,22 @@ from ..obs.metrics import (
     ROUND_WAIT_MS,
     SIZE_BOUNDS,
     WAIT_BOUNDS_MS,
-    Histogram,
+    MetricsRegistry,
 )
 from .compile import compile_disabled, maybe_compile
 from .engine import (
     CompactStore,
+    ExplorationEngine,
     FingerprintOnlyStore,
+    FrontierStrategy,
     SearchResult,
     SearchStats,
+    StateStore,
     StopReason,
     reconstruct_trace,
 )
 from .spec import Spec
-from .state import (
-    changed_keys,
-    codec_stats,
-    decode,
-    encode,
-    fingerprint,
-    scope_pair_memo,
-)
+from .state import Rec, decode, encode, fingerprint
 from .symmetry import SymmetryReducer
 from .trace import PendingTrace, TraceStep
 from .violation import Violation
@@ -142,6 +142,8 @@ __all__ = [
     "ShardWorker",
     "ForkTransport",
     "WorkerDied",
+    "WORKER_OPTIONS",
+    "worker_options",
 ]
 
 #: violation descriptor: (kind, invariant, depth, fp, action, args, branch,
@@ -155,6 +157,27 @@ _ViolationDesc = Tuple[str, str, int, int, str, tuple, str, Optional[bytes]]
 #: sets the round time: the slack bounds what a round can lose to
 #: imbalance, and below it moving states costs more than it saves.
 REBALANCE_SLACK = 0.10
+
+
+#: The options a master hands every shard worker, name -> default, spelled
+#: out here only: :class:`ShardWorker` takes them as keywords, transports
+#: pass them on as one dict, a handshake header carries them by name.
+WORKER_OPTIONS: Dict[str, bool] = {
+    "symmetry": False,
+    "stop_on_violation": True,
+    "metrics_on": False,
+    "compiled": True,
+    "fast": False,
+    "por": False,
+}
+
+
+def worker_options(given: Mapping[str, Any]) -> Dict[str, bool]:
+    """Every worker option, taken from ``given`` or its default, as a bool."""
+    unknown = sorted(set(given) - set(WORKER_OPTIONS))
+    if unknown:
+        raise TypeError(f"unknown shard-worker option(s): {', '.join(unknown)}")
+    return {name: bool(value) for name, value in {**WORKER_OPTIONS, **given}.items()}
 
 
 class WorkerDied(RuntimeError):
@@ -208,6 +231,86 @@ def rebalance_plan(sizes: Dict[int, int]) -> Dict[int, List[Tuple[int, int]]]:
     return plan
 
 
+class _Found(PendingTrace):
+    """A worker's stand-in for a counterexample trace: where the shared
+    :class:`~repro.core.engine.StepChecker` found a violation — the
+    fingerprint the step starts from, the step (``None`` at a seed) and
+    the depth.  The trace is the master's to rebuild, from merged edges.
+    """
+
+    def __init__(self, fp: int, step: Optional[TraceStep], depth: int):
+        super().__init__(depth)
+        self.fp = fp
+        self.step = step
+
+
+class _Level:
+    """The frontier a worker shows the engine: pops drain the level being
+    expanded, pushes fill the next one."""
+
+    def __init__(self, current: deque, following: deque):
+        self._current = current
+        self.popleft = current.popleft
+        self.append = following.append
+
+    def __len__(self) -> int:
+        return len(self._current)
+
+
+class _ClaimStore(StateStore):
+    """The partitioned fingerprint set as one worker sees it for a round.
+
+    A fingerprint owned here is answered by the worker's own store.  A
+    foreign one is for its owner to judge: it counts as new until this
+    worker has claimed it this round (the owner would refuse a second
+    claim anyway), and recording it only remembers that.
+    """
+
+    def __init__(self, local: StateStore, wid: int, workers: int):
+        self._local = local
+        self._wid = wid
+        self._workers = workers
+        self._claimed: set = set()
+
+    def seen(self, fp: int) -> bool:
+        if fp % self._workers == self._wid:
+            return self._local.seen(fp)
+        return fp in self._claimed
+
+    def record(self, fp: int, parent_fp: int, action: str) -> None:
+        if fp % self._workers == self._wid:
+            self._local.record(fp, parent_fp, action)
+        else:
+            self._claimed.add(fp)
+
+    def __len__(self) -> int:
+        return len(self._local)
+
+
+class _ShardStrategy(FrontierStrategy):
+    """How a :class:`ShardWorker` runs the shared engine: one level per
+    ``run()``, no seeding, foreign children parked until ``settle``."""
+
+    def __init__(self, worker: "ShardWorker"):
+        self._worker = worker
+        #: BFS depth of the level in hand: a round's states all share it
+        self.depth = 0
+
+    def initial_states(self, spec: Spec) -> tuple:
+        return ()  # seeds arrive through ``absorb``
+
+    def defer(self, child: Rec, child_fp: int, *rest: Any) -> bool:
+        worker = self._worker
+        owner = child_fp % worker.workers
+        if owner == worker.wid:
+            return False
+        worker._pending[owner].append((child, child_fp, *rest))
+        return True
+
+    def trace_to(self, fp: int, step: Optional[TraceStep] = None) -> _Found:
+        return _Found(fp, step, self.depth + (step is not None))
+
+
 class ShardWorker:
     """One shard's protocol logic, independent of how messages arrive.
 
@@ -217,7 +320,10 @@ class ShardWorker:
     (:func:`_worker_main`) and the TCP worker agent
     (:class:`repro.dist.agent.WorkerAgent`) both drive one instance
     through :meth:`handle`, which keeps the two transports behaviorally
-    identical by construction.
+    identical by construction.  ``options`` are the
+    :data:`WORKER_OPTIONS`.  Expansion and every invariant check are the
+    serial explorer's: one :class:`~repro.core.engine.ExplorationEngine`
+    and its :class:`~repro.core.engine.StepChecker`.
     """
 
     #: the ops a master may send: each names its handler method, and the
@@ -226,50 +332,34 @@ class ShardWorker:
         "absorb expand claim settle donate adopt edges checkpoint restore ping".split()
     )
 
-    def __init__(
-        self,
-        spec: Spec,
-        wid: int,
-        workers: int,
-        *,
-        symmetry: bool = False,
-        stop_on_violation: bool = True,
-        metrics_on: bool = False,
-        compiled: bool = True,
-        fast: bool = False,
-        por: bool = False,
-    ):
+    def __init__(self, spec: Spec, wid: int, workers: int, **options: bool):
+        options = worker_options(options)
         # Workers receive the *source* spec and compile locally:
         # compilation is cheap, per-process, and this keeps the fork
         # payload identical whether or not the run is compiled.  POR
         # pruning is a pure function of the spec's ActionMeta, so every
         # worker derives the same reduced successor relation.
-        spec = maybe_compile(spec, compiled, por=por)
-        scope_pair_memo(spec)
+        spec = maybe_compile(spec, options["compiled"], por=options["por"])
         self.spec = spec
         self.wid = wid
         self.workers = workers
-        self.fast = bool(fast)
-        self.stop_on_violation = stop_on_violation
-        self.metrics_on = metrics_on
-        reducer = _make_reducer(spec, symmetry)
-        self._canon = reducer.canonical if reducer is not None else None
-        self.store = FingerprintOnlyStore() if fast else CompactStore()
+        self.fast = options["fast"]
+        self.metrics_on = options["metrics_on"]
+        self.store = FingerprintOnlyStore() if self.fast else CompactStore()
+        #: the states to expand next round: ``(state, fp, depth)``
         self.frontier: deque = deque()
-        #: owner -> foreign children claimed this round and not yet
-        #: settled: (state, fp, depth, changed keys or None, action)
+        #: owner -> foreign children parked this round until ``settle``:
+        #: (state, fp, depth, parent fp, transition, changed keys or None)
         self._pending: Dict[int, list] = {}
-        self._constraint = spec.state_constraint
-        self._successors = spec.successors
-        self._check_state = spec.check_state
-        self._check_transition = spec.check_transition
-        # Incremental invariant checking, mirroring the serial engine:
-        # touched keys are read off the functional-update chain before
-        # fingerprinting consumes it; state-invariant skipping requires
-        # clean parents, which stop_on_violation guarantees.
-        incremental = getattr(spec, "incremental", False)
-        self._changed_of = changed_keys if incremental else None
-        self._skip_state_invs = incremental and stop_on_violation
+        self._strategy = _ShardStrategy(self)
+        self._engine = ExplorationEngine(
+            spec,
+            self._strategy,
+            stop_on_violation=options["stop_on_violation"],
+            reducer=_make_reducer(spec, options["symmetry"]),
+        )
+        # absorb checks before the first run has wired the tracer
+        self._engine.checker.tracer = self._strategy.trace_to
 
     def handle(self, msg: tuple) -> tuple:
         """Process one master op; returns the reply message."""
@@ -278,11 +368,32 @@ class ShardWorker:
             raise RuntimeError(f"unknown parallel-BFS op {op!r}")
         return getattr(self, op)(*msg[1:])
 
+    def _found(self) -> List[_ViolationDesc]:
+        """Every violation since the last reply, as wire descriptors."""
+        engine = self._engine
+        found, engine.checker.violations = engine.checker.violations, []
+        canon = engine.reducer.canonical if engine.reducer is not None else None
+        descs: List[_ViolationDesc] = []
+        for violation in found:
+            at, step = violation.trace, violation.trace.step
+            if violation.kind == "transition":
+                # named by where the step starts, plus the whole step
+                args, target = tuple(step.args), encode(step.state)
+                rest = (at.fp, step.action, args, step.branch, target)
+            elif step is None:
+                rest = (at.fp, "", (), "", None)
+            else:
+                # a violating state is named by its own fingerprint
+                child = canon(step.state) if canon is not None else step.state
+                rest = (engine.fingerprint(child), step.action, (), "", None)
+            descs.append((violation.kind, violation.invariant, at.depth) + rest)
+        return descs
+
     # -- ops -----------------------------------------------------------------
 
     def absorb(self, seeds: list) -> tuple:
         """Seed the search: record and check the initial states owned here."""
-        violations: List[_ViolationDesc] = []
+        self._strategy.depth = 0
         added = 0
         for enc, fp in seeds:
             if self.store.seen(fp):
@@ -290,128 +401,49 @@ class ShardWorker:
             state = decode(enc)
             self.store.record_init(fp, state)
             added += 1
-            bad = self._check_state(state)
-            if bad is not None:
-                violations.append(("state", bad, 0, fp, "", (), "", None))
+            self._engine.checker.check_state(state, fp, None)
             self.frontier.append((state, fp, 0))
-        return ("absorbed", self.wid, added, violations, len(self.frontier))
+        return ("absorbed", self.wid, added, self._found(), len(self.frontier))
 
     def expand(self, deadline: Optional[float]) -> tuple:
-        wid = self.wid
-        n_workers = self.workers
-        store = self.store
-        stop_on_violation = self.stop_on_violation
-        canon = self._canon
-        constraint = self._constraint
-        successors = self._successors
-        check_state = self._check_state
-        check_transition = self._check_transition
-        changed_of = self._changed_of
-        skip_state_invs = self._skip_state_invs
-        metrics_on = self.metrics_on
-        monotonic = time.monotonic
+        """Expand this worker's level: one run of the shared engine.
 
+        Local children are deduplicated, checked and queued by the
+        engine; foreign ones come back as claims.  A run cut short (the
+        deadline, a violation) drops what is left of the level — the
+        search is over — but keeps the children it did generate.
+        """
+        engine, strategy = self._engine, self._strategy
         current, self.frontier = self.frontier, deque()
-        frontier = self.frontier
-        transitions = pruned = added = 0
-        truncated = stopping = False
-        claims: Dict[int, list] = defaultdict(list)
-        pending: Dict[int, list] = defaultdict(list)
-        self._pending = pending
-        #: foreign fingerprints already claimed this round: the owner
-        #: would refuse a second claim anyway, so neither ship nor hold it
-        claimed: set = set()
-        violations: List[_ViolationDesc] = []
-        # Per-round observability deltas, shipped to the master
-        # with the "expanded" reply and merged there.
-        fires: Optional[Dict[str, int]] = {} if metrics_on else None
-        fanout = Histogram("engine.fanout", SIZE_BOUNDS) if metrics_on else None
-        codec_base = codec_stats() if metrics_on else None
-        while current and not stopping:
-            state, fp, depth = current.popleft()
-            if deadline is not None and monotonic() > deadline:
-                truncated = True
-                break
-            if not constraint(state):
-                pruned += 1
-                continue
-            fanout_base = transitions
-            for transition in successors(state):
-                transitions += 1
-                action = transition.action
-                if fires is not None:
-                    fires[action] = fires.get(action, 0) + 1
-                changed = (
-                    changed_of(transition.target, state)
-                    if changed_of is not None
-                    else None
-                )
-                bad = check_transition(state, transition, changed)
-                if bad is not None:
-                    violations.append(
-                        (
-                            "transition",
-                            bad,
-                            depth + 1,
-                            fp,
-                            action,
-                            tuple(transition.args),
-                            transition.branch,
-                            encode(transition.target),
-                        )
-                    )
-                    if stop_on_violation:
-                        stopping = True
-                        break
-                target = transition.target
-                child = canon(target) if canon is not None else target
-                child_fp = fingerprint(child)
-                if not skip_state_invs:
-                    changed = None
-                owner = child_fp % n_workers
-                if owner != wid:
-                    if child_fp not in claimed:
-                        claimed.add(child_fp)
-                        claims[owner].append((child_fp, fp, action))
-                        pending[owner].append(
-                            (child, child_fp, depth + 1, changed, action)
-                        )
-                    continue
-                if store.seen(child_fp):
-                    continue
-                store.record(child_fp, fp, action)
-                added += 1
-                bad = check_state(child, changed)
-                if bad is not None:
-                    violations.append(
-                        ("state", bad, depth + 1, child_fp, action, (), "", None)
-                    )
-                    if stop_on_violation:
-                        stopping = True
-                        break
-                frontier.append((child, child_fp, depth + 1))
-            if fanout is not None:
-                fanout.observe(transitions - fanout_base)
-        if metrics_on:
-            codec_now = codec_stats()
-            codec_delta = {
-                key: codec_now[key] - codec_base[key]
-                for key in codec_now
-                if codec_now[key] != codec_base[key]
-            }
-            obs = (fires, fanout.to_dict(), codec_delta)
-        else:
-            obs = None
+        pending = self._pending = defaultdict(list)
+        strategy.frontier = _Level(current, self.frontier)
+        strategy.depth = current[0][2] if current else 0
+        engine.store = _ClaimStore(self.store, self.wid, self.workers)
+        # Per-round observability deltas, shipped to the master with the
+        # "expanded" reply and merged there.
+        registry = engine.metrics = MetricsRegistry() if self.metrics_on else None
+        engine.time_budget = None if deadline is None else deadline - time.monotonic()
+        result = engine.run()
+        stats = result.stats
+        claims = {
+            owner: [(fp, parent_fp, tr.action) for _, fp, _, parent_fp, tr, _ in parked]
+            for owner, parked in pending.items()
+        }
+        obs = None if registry is None else (
+            {name: n for name, n in registry.counts(ACTION_FIRES).items() if n},
+            registry.histogram("engine.fanout", SIZE_BOUNDS).to_dict(),
+            registry.counts(CODEC_CHUNKS),
+        )
         return (
             "expanded",
-            wid,
-            transitions,
-            pruned,
-            added,
-            dict(claims),
-            violations,
-            len(frontier),
-            truncated,
+            self.wid,
+            stats.transitions,
+            stats.pruned,
+            stats.distinct_states,
+            claims,
+            self._found(),
+            len(self.frontier),
+            result.stop_reason is StopReason.TIME_BUDGET,
             obs,
         )
 
@@ -438,19 +470,16 @@ class ShardWorker:
 
     def settle(self, accepted: Dict[int, List[int]]) -> tuple:
         """Check and enqueue the pending children the owners accepted."""
-        check_state = self._check_state
+        check_state = self._engine.checker.check_state
         frontier = self.frontier
         pending, self._pending = self._pending, {}
-        violations: List[_ViolationDesc] = []
         for owner in sorted(accepted):
             children = pending[owner]
             for index in accepted[owner]:
-                child, fp, depth, changed, action = children[index]
-                bad = check_state(child, changed)
-                if bad is not None:
-                    violations.append(("state", bad, depth, fp, action, (), "", None))
+                child, fp, depth, parent_fp, transition, changed = children[index]
+                check_state(child, parent_fp, transition, changed)
                 frontier.append((child, fp, depth))
-        return ("settled", self.wid, violations, len(frontier))
+        return ("settled", self.wid, self._found(), len(frontier))
 
     def donate(self, plan: list) -> tuple:
         """Give away frontier states as ``recipient -> [(bytes, fp, depth)]``."""
@@ -532,28 +561,13 @@ def _worker_main(
     wid: int,
     n_workers: int,
     spec: Spec,
-    symmetry: bool,
-    stop_on_violation: bool,
-    metrics_on: bool,
-    compiled: bool,
-    fast: bool,
-    por: bool,
+    options: Dict[str, bool],
     in_q: Any,
     out_q: Any,
 ) -> None:
     """Fork-worker loop: drive one :class:`ShardWorker` over mp queues."""
     try:
-        worker = ShardWorker(
-            spec,
-            wid,
-            n_workers,
-            symmetry=symmetry,
-            stop_on_violation=stop_on_violation,
-            metrics_on=metrics_on,
-            compiled=compiled,
-            fast=fast,
-            por=por,
-        )
+        worker = ShardWorker(spec, wid, n_workers, **options)
         while True:
             msg = in_q.get()
             if msg[0] == "stop":
@@ -602,19 +616,7 @@ class ForkTransport:
         config = self._config
         return self._ctx.Process(
             target=_worker_main,
-            args=(
-                wid,
-                self.n,
-                config["spec"],
-                config["symmetry"],
-                config["stop_on_violation"],
-                config["metrics_on"],
-                config["compiled"],
-                config["fast"],
-                config["por"],
-                in_q,
-                self._out_q,
-            ),
+            args=(wid, self.n, config["spec"], config["options"], in_q, self._out_q),
             daemon=True,
             name=f"sandtable-bfs-{wid}",
         )
@@ -735,6 +737,11 @@ class ParallelBFS:
         self.max_reassignments = max_reassignments
         self.stats = SearchStats()
 
+    @property
+    def metrics_on(self) -> bool:
+        """The worker option: keep per-round deltas for the master's registry."""
+        return self.metrics is not None
+
     # -- the search ----------------------------------------------------------
 
     def run(self) -> SearchResult:
@@ -743,12 +750,7 @@ class ParallelBFS:
             {
                 "workers": self.workers,
                 "spec": self.spec,
-                "symmetry": self.symmetry,
-                "stop_on_violation": self.stop_on_violation,
-                "metrics_on": self.metrics is not None,
-                "compiled": self.compiled,
-                "fast": self.fast,
-                "por": self.por,
+                "options": {opt: bool(getattr(self, opt)) for opt in WORKER_OPTIONS},
                 "metrics": self.metrics,
             }
         )
@@ -770,7 +772,6 @@ class ParallelBFS:
         for action in self.spec.actions():
             fires.setdefault(action.name, 0)
         return SimpleNamespace(
-            fires=fires,
             fanout=metrics.histogram("engine.fanout", SIZE_BOUNDS),
             batch_sizes=metrics.histogram("parallel.batch_sizes", SIZE_BOUNDS),
             wait=metrics.histogram(ROUND_WAIT_MS, WAIT_BOUNDS_MS),
@@ -779,7 +780,6 @@ class ParallelBFS:
             rebalanced=metrics.counter(REBALANCED_STATES),
             batch_bytes=metrics.counter(BATCH_BYTES),
             shard_states=metrics.counts("parallel.shard_states"),
-            chunks=metrics.counts(CODEC_CHUNKS),
             queue_depth=metrics.gauge("engine.queue_depth"),
             rate=metrics.gauge("engine.states_per_sec"),
         )
@@ -1001,11 +1001,9 @@ class ParallelBFS:
                         claims_for[owner].append((wid, batch))
                     if inst is not None and obs is not None:
                         round_fires, fanout_state, codec_delta = obs
-                        for name, count in round_fires.items():
-                            inst.fires[name] = inst.fires.get(name, 0) + count
+                        metrics.merge_counts(ACTION_FIRES, round_fires)
                         inst.fanout.merge(fanout_state)
-                        for key, count in codec_delta.items():
-                            inst.chunks[key] = inst.chunks.get(key, 0) + count
+                        metrics.merge_counts(CODEC_CHUNKS, codec_delta)
                 stats.max_depth = max(stats.max_depth, depth)
 
                 # claim: owners dedupe, record the new edges and grant

@@ -50,7 +50,6 @@ __all__ = [
     "encode",
     "decode",
     "fingerprint",
-    "strong_fingerprint",
     "substitute",
     "changed_keys",
     "detach",
@@ -1031,17 +1030,6 @@ def fingerprint(state: Any) -> int:
             state._fp = fp
         return fp
     return int.from_bytes(blake2b(encode(state), digest_size=8).digest(), "big")
-
-
-def strong_fingerprint(state: Any) -> bytes:
-    """128-bit collision-resistant fingerprint, stable across runs.
-
-    A wider digest of the same canonical encoding as :func:`fingerprint`,
-    for callers that want effectively-zero collision probability (e.g.
-    cross-run comparisons in tests) at the cost of bytes objects instead
-    of machine ints.
-    """
-    return blake2b(encode(state), digest_size=16).digest()
 
 
 _EMPTY_KEYSET: FrozenSet[Any] = frozenset()

@@ -30,7 +30,7 @@ import time
 import traceback
 from typing import Any, Optional
 
-from ..core.parallel import ShardWorker
+from ..core.parallel import WORKER_OPTIONS, ShardWorker
 from .specref import resolve_spec, spec_fingerprint
 from .wire import (
     ConnectionClosed,
@@ -197,17 +197,9 @@ class WorkerAgent:
             self._say(f"refusing session: {reason}")
             reply(("refuse", reason))
             return None
-        worker = ShardWorker(
-            spec,
-            int(header["wid"]),
-            int(header["workers"]),
-            symmetry=bool(header.get("symmetry", False)),
-            stop_on_violation=bool(header.get("stop_on_violation", True)),
-            metrics_on=bool(header.get("metrics_on", False)),
-            compiled=bool(header.get("compiled", True)),
-            fast=bool(header.get("fast", False)),
-            por=bool(header.get("por", False)),
-        )
+        # ShardWorker coerces every option it is given and defaults the rest.
+        options = {name: header[name] for name in WORKER_OPTIONS if name in header}
+        worker = ShardWorker(spec, int(header["wid"]), int(header["workers"]), **options)
         reply(
             (
                 "ready",

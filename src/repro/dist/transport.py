@@ -238,7 +238,6 @@ class SocketTransport:
 
     def _connect(self, wid: int, addr_index: int) -> None:
         host, port = self.addresses[addr_index]
-        config = self._config
         try:
             sock = socket.create_connection((host, port), timeout=self.connect_timeout)
         except OSError as exc:
@@ -248,15 +247,7 @@ class SocketTransport:
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             hello = make_handshake(
-                self.spec_ref,
-                wid=wid,
-                workers=self.n,
-                symmetry=config.get("symmetry", False),
-                stop_on_violation=config.get("stop_on_violation", True),
-                metrics_on=config.get("metrics_on", False),
-                compiled=config.get("compiled", True),
-                fast=config.get("fast", False),
-                por=config.get("por", False),
+                self.spec_ref, wid=wid, workers=self.n, **self._config.get("options", {})
             )
             frame = encode_frame(encode_message(("hello", hello)))
             sock.sendall(frame)

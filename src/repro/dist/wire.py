@@ -40,6 +40,7 @@ import json
 import struct
 from typing import Any, Dict, List, Optional
 
+from ..core.parallel import worker_options
 from ..core.state import CODEC_VERSION
 from .specref import spec_fingerprint
 
@@ -251,18 +252,11 @@ def decode_message(payload: bytes) -> tuple:
 
 
 def make_handshake(
-    spec_ref: Dict[str, Any],
-    *,
-    wid: int,
-    workers: int,
-    symmetry: bool = False,
-    stop_on_violation: bool = True,
-    metrics_on: bool = False,
-    compiled: bool = True,
-    fast: bool = False,
-    por: bool = False,
+    spec_ref: Dict[str, Any], *, wid: int, workers: int, **options: bool
 ) -> Dict[str, Any]:
-    """The versioned hello header the master opens every session with."""
+    """The versioned hello header the master opens every session with;
+    ``options`` (:data:`~repro.core.parallel.WORKER_OPTIONS`) travel by name.
+    """
     return {
         "proto": PROTOCOL_VERSION,
         "codec_version": CODEC_VERSION,
@@ -270,12 +264,7 @@ def make_handshake(
         "spec_fingerprint": spec_fingerprint(spec_ref),
         "wid": int(wid),
         "workers": int(workers),
-        "symmetry": bool(symmetry),
-        "stop_on_violation": bool(stop_on_violation),
-        "metrics_on": bool(metrics_on),
-        "compiled": bool(compiled),
-        "fast": bool(fast),
-        "por": bool(por),
+        **worker_options(options),
     }
 
 

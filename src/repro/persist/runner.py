@@ -69,7 +69,6 @@ def run_check(
     max_depth: Optional[int] = None,
     time_budget: Optional[float] = None,
     stop_on_violation: bool = True,
-    strong_fingerprints: bool = False,
     memory_budget: int = 1_000_000,
     progress: Optional[Callable[[Any], None]] = None,
     progress_interval: int = 50_000,
@@ -101,12 +100,6 @@ def run_check(
     into the run-dir manifest (the job service records its job metadata
     this way).
     """
-    if strong_fingerprints:
-        raise ValueError(
-            "durable runs do not support strong_fingerprints: the disk"
-            " store and checkpoint files hold 64-bit integer fingerprints"
-            " only (drop run_dir to explore with strong fingerprints)"
-        )
     if checkpoint_every is None and checkpoint_states is None:
         checkpoint_every = 60.0
     parallel = transport is not None or (

@@ -4,7 +4,7 @@ For each generated spec the harness runs two phases:
 
 * **census** — the spec *without* its planted invariant, explored
   exhaustively by every configuration in the matrix: serial BFS over
-  each state store (in-memory, compact, sharded, disk), a serial cell
+  each state store (in-memory, compact, disk), a serial cell
   whose pair-digest memo holds two entries (so it is emptied
   constantly), symmetry reduction on, sharded parallel BFS with 2 and 3 workers (with and
   without symmetry), a durable run that is killed at a checkpoint
@@ -60,7 +60,7 @@ from unittest import mock
 
 from ..core import state as state_module
 from ..core.compile import por_prune_set
-from ..core.engine import CompactStore, SearchResult, ShardedStateStore, StopReason
+from ..core.engine import CompactStore, SearchResult, StopReason
 from ..core.explorer import BFSExplorer, bfs_explore
 from ..core.state import CODEC_VERSION
 from ..obs.metrics import ACTION_FIRES, MetricsRegistry
@@ -100,7 +100,7 @@ class MatrixConfig:
     name: str
     phase: str  # "census" | "violation"
     workers: int = 1
-    store: str = "memory"  # "memory" | "compact" | "sharded" | "disk"
+    store: str = "memory"  # "memory" | "compact" | "disk"
     symmetry: bool = False
     durable: bool = False  # kill at a checkpoint, then resume
     compiled: bool = True  # False = interpreted Spec.successors pipeline
@@ -143,7 +143,6 @@ def build_matrix(
         # pair: the census must not depend on what the memo holds.
         MatrixConfig("census/serial-memo-cap-2", "census", memo_cap=2),
         MatrixConfig("census/serial-compact", "census", store="compact"),
-        MatrixConfig("census/serial-sharded", "census", store="sharded"),
         MatrixConfig("census/serial-disk", "census", store="disk"),
         MatrixConfig("census/durable-resume", "census", store="disk", durable=True),
         MatrixConfig(
@@ -289,8 +288,8 @@ def build_matrix(
         forced: List[MatrixConfig] = []
         seen = set()
         for cfg in matrix:
-            if fast and cfg.store in ("compact", "sharded"):
-                continue  # no traceless variant of these stores
+            if fast and cfg.store == "compact":
+                continue  # no traceless variant of this store
             if por and not cfg.compiled:
                 continue  # POR needs the compiled pipeline
             cfg = dataclasses.replace(cfg, fast=cfg.fast or fast, por=cfg.por or por)
@@ -483,11 +482,7 @@ def _run_config(
                 )
             finally:
                 store.close()
-    store = {
-        "memory": lambda: None,
-        "compact": CompactStore,
-        "sharded": lambda: ShardedStateStore(8),
-    }[config.store]()
+    store = CompactStore() if config.store == "compact" else None
     return (
         BFSExplorer(
             spec,

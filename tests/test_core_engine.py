@@ -6,12 +6,17 @@ path), the unified termination-reason enum across all four exploration
 modes, and the StateStore / StepChecker seams.
 """
 
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import Action, Rec, Spec, bfs_explore, run_scenario, simulate
+from repro.core import engine as engine_module
 from repro.core.engine import (
+    ExplorationEngine,
+    FIFOFrontier,
     InMemoryStateStore,
     NullStateStore,
     SearchStats,
@@ -172,6 +177,83 @@ class TestUnifiedStopReasons:
         assert StopReason.DEADLOCK in ("deadlock", "constraint")
         assert f"{StopReason.TIME_BUDGET}" == "time_budget"
         assert {StopReason.EXHAUSTED: 1}["exhausted"] == 1
+
+
+class BarrenSpec(Spec):
+    """Forty initial states and no transition out of any of them."""
+
+    name = "barren"
+    nodes = ("n1",)
+
+    def __init__(self, constrained=False):
+        self.constrained = constrained
+
+    def init_states(self):
+        return [Rec(x=i) for i in range(40)]
+
+    def actions(self):
+        return [Action("Never", lambda state: iter(()))]
+
+    def state_constraint(self, state):
+        return not self.constrained
+
+
+class TestTimeBudget:
+    @pytest.mark.parametrize(
+        "spec, bounds",
+        [
+            pytest.param(BarrenSpec(constrained=True), {}, id="pruned"),
+            pytest.param(BarrenSpec(), {"max_depth": 0}, id="at-max-depth"),
+            pytest.param(BarrenSpec(), {}, id="no-successors"),
+        ],
+    )
+    def test_expires_on_a_frontier_that_generates_no_child(
+        self, spec, bounds, monkeypatch
+    ):
+        # The clock advances a second per reading, so the budget runs out
+        # a few states into a frontier that never produces a transition.
+        ticks = itertools.count()
+        clock = SimpleNamespace(monotonic=lambda: float(next(ticks)))
+        monkeypatch.setattr(engine_module, "time", clock)
+        result = bfs_explore(spec, time_budget=10.0, **bounds)
+        assert result.stop_reason is StopReason.TIME_BUDGET
+        assert not result.exhausted
+        assert result.stats.distinct_states == 40 and result.stats.transitions == 0
+        assert result.stats.pruned < 40
+
+
+class TestDeferSeam:
+    def test_deferred_children_are_recorded_but_not_counted_checked_or_pushed(self):
+        deferred = {}
+        checked = []
+
+        class DeferOdd(FIFOFrontier):
+            def defer(self, child, child_fp, depth, parent_fp, transition, changed):
+                if child_fp % 2 == 0:
+                    return False
+                assert child_fp not in deferred, "a recorded child is never asked twice"
+                deferred[child_fp] = (parent_fp, transition.action)
+                return True
+
+        class Recording(StepChecker):
+            def check_state(self, state, pre_fp, transition, changed=None):
+                checked.append(fingerprint(state))
+                return super().check_state(state, pre_fp, transition, changed)
+
+        spec = CounterSpec(3, 3)
+        store = InMemoryStateStore()
+        engine = ExplorationEngine(spec, DeferOdd(), store=store, checker=Recording(spec))
+        result = engine.run()
+
+        edges = {fp: (parent, action) for fp, parent, action in store.edges()}
+        assert deferred and len(deferred) < len(edges)
+        # recorded, edge and all ...
+        assert all(edges[fp] == edge for fp, edge in deferred.items())
+        # ... but not counted, not checked, and never expanded
+        assert result.stats.distinct_states == len(edges) - len(deferred)
+        assert not set(checked) & set(deferred)
+        assert not {parent for parent, _ in edges.values()} & set(deferred)
+        assert sorted(checked) == sorted(set(edges) - set(deferred))
 
 
 class TestStateStore:

@@ -6,25 +6,28 @@ explorer's distinct-state count, transition count, stop reason, and
 minimal-depth counterexamples.
 """
 
+import itertools
 import json
 import multiprocessing
 from collections import Counter, deque
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import (
     Action,
     CompactStore,
-    DictStore,
+    InMemoryStateStore,
     Invariant,
     Rec,
-    ShardedStateStore,
     Spec,
     StopReason,
     TransitionInvariant,
     bfs_explore,
     parallel_bfs,
 )
+from repro.core import engine as engine_module
+from repro.core import parallel as parallel_module
 from repro.core.engine import ExplorationEngine, FIFOFrontier, StepChecker
 from repro.core.parallel import (
     REBALANCE_SLACK,
@@ -187,9 +190,8 @@ class TestViolations:
 #: a deliberately tiny memory budget so every run exercises segment
 #: spills and merge compaction, not just the in-memory fast path.
 STORE_FACTORIES = [
-    pytest.param(lambda tmp: DictStore(), id="dict"),
+    pytest.param(lambda tmp: InMemoryStateStore(), id="dict"),
     pytest.param(lambda tmp: CompactStore(), id="compact"),
-    pytest.param(lambda tmp: ShardedStateStore(), id="sharded"),
     pytest.param(
         lambda tmp: DiskStore(tmp / "store", memory_budget=8, max_segments=3),
         id="disk",
@@ -198,7 +200,7 @@ STORE_FACTORIES = [
 
 
 class TestStoreEquivalence:
-    """Dict/Compact/Sharded/Disk stores yield identical BFS results."""
+    """Dict/Compact/Disk stores yield identical BFS results."""
 
     @pytest.mark.parametrize("spec_fn", [lambda: CounterSpec(2, 3), lambda: TokenRingSpec(3)])
     @pytest.mark.parametrize("store_factory", STORE_FACTORIES)
@@ -245,23 +247,6 @@ class TestStores:
             store.record(fp, None if fp == 0 else fp - 1, "Tick")
         assert len(store._action_names) == 1
 
-    def test_sharded_store_partitions(self):
-        store = ShardedStateStore(shards=4)
-        for fp in range(32):
-            store.record(fp, None, "Tick")
-        assert all(store.seen(fp) for fp in range(32))
-        assert not store.seen(99)
-        sizes = [len(shard._parents) for shard in store._shards]
-        assert sum(sizes) == 32
-        assert all(size == 8 for size in sizes)
-
-    def test_sharded_store_bytes_fingerprints(self):
-        store = ShardedStateStore(shards=4)
-        fp = b"\x00" * 7 + b"\x05"
-        store.record(fp, None, "Tick")
-        assert store.seen(fp)
-        assert store.shard_of(fp) == 5 % 4
-
     def test_edges_and_roots_merge_seam(self):
         store = CompactStore()
         root = Rec(x=0)
@@ -277,22 +262,26 @@ class TestStores:
 # -- the claim→settle exchange -----------------------------------------------
 
 
-_WORKER_FLAGS = ("symmetry", "stop_on_violation", "metrics_on", "compiled", "fast", "por")
-
-
 class InlineTransport:
     """The shard workers in this process, answered synchronously.
 
     Deterministic and fast, and a test can look inside every worker.
     ``die=(op, nth)`` loses the worker about to receive the run's nth
     ``op`` (``send`` raises :class:`WorkerDied`, like a broken pipe);
-    ``cut=(wid, nth)`` hands worker ``wid`` an already expired deadline
-    with its nth ``expand``.
+    ``cut=(wid, nth)`` hands worker ``wid`` the deadline ``cut_deadline()``
+    — by default one already expired — with its nth ``expand``.
     """
 
-    def __init__(self, die=None, cut=None):
+    #: where in each reply the violation descriptors sit
+    VIOLATIONS_AT = {"absorbed": 3, "expanded": 6, "settled": 2}
+
+    def __init__(self, die=None, cut=None, cut_deadline=lambda: 0.0):
         self.die = die
         self.cut = cut
+        self.cut_deadline = cut_deadline
+        self.cut_reply = None
+        #: the kind of every reply that carried a violation
+        self.found_in = []
         self.sent = Counter()
         self.replies = deque()
 
@@ -302,12 +291,7 @@ class InlineTransport:
 
     def spawn(self, wid):
         config = self.config
-        return ShardWorker(
-            config["spec"],
-            wid,
-            config["workers"],
-            **{flag: config[flag] for flag in _WORKER_FLAGS},
-        )
+        return ShardWorker(config["spec"], wid, config["workers"], **config["options"])
 
     def send(self, wid, msg):
         op = msg[0]
@@ -315,9 +299,15 @@ class InlineTransport:
         self.sent[op, wid] += 1
         if self.die == (op, self.sent[op]):
             raise WorkerDied(wid, "injected")
-        if op == "expand" and self.cut == (wid, self.sent[op, wid]):
-            msg = ("expand", 0.0)
-        self.replies.append(self.workers[wid].handle(msg))
+        cutting = op == "expand" and self.cut == (wid, self.sent[op, wid])
+        if cutting:
+            msg = ("expand", self.cut_deadline())
+        reply = self.workers[wid].handle(msg)
+        if cutting:
+            self.cut_reply = reply
+        if reply[0] in self.VIOLATIONS_AT and reply[self.VIOLATIONS_AT[reply[0]]]:
+            self.found_in.append(reply[0])
+        self.replies.append(reply)
 
     def recv(self, timeout=1.0):
         return self.replies.popleft()
@@ -469,6 +459,86 @@ class TestClaimSettle:
         newest = {fp for fp, depth in depths.items() if depth == max(depths.values())}
         assert newest and sorted(held) == sorted(newest)
         assert len(depths) == par.stats.distinct_states
+
+
+    def test_deadline_expiring_mid_level_still_settles_its_round(self, monkeypatch):
+        # One clock for master, workers and engine, a second per reading:
+        # worker 0's fourth expand gets a deadline a few states away.
+        ticks = itertools.count()
+        clock = SimpleNamespace(monotonic=lambda: float(next(ticks)))
+        monkeypatch.setattr(engine_module, "time", clock)
+        monkeypatch.setattr(parallel_module, "time", clock)
+        transport = InlineTransport(
+            cut=(0, 4), cut_deadline=lambda: clock.monotonic() + 6
+        )
+        par = parallel_bfs(
+            CounterSpec(3, 4), workers=2, transport=transport, time_budget=10**6
+        )
+        assert par.stop_reason is StopReason.TIME_BUDGET
+        _, _, transitions, _, _, claims, _, _, truncated, _ = transport.cut_reply
+        assert truncated and transitions and claims, "cut before or after the level"
+        workers = transport.workers
+        assert all(not w._pending for w in workers)
+        held = [fp for w in workers for _, fp, _ in w.frontier]
+        depths = merged_depths(workers)
+        newest = {fp for fp, depth in depths.items() if depth == max(depths.values())}
+        assert newest and sorted(held) == sorted(newest)
+        assert len(depths) == par.stats.distinct_states
+
+
+class ChainSpec(Spec):
+    """``x`` counts up from 0; the invariant forbids ``x == bad``."""
+
+    name = "chain"
+    nodes = ("n1",)
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def init_states(self):
+        yield Rec(x=0)
+
+    def actions(self):
+        return [Action("Inc", self._inc)]
+
+    def _inc(self, state):
+        if state["x"] <= self.bad:
+            yield (), state.set("x", state["x"] + 1)
+
+    def invariants(self):
+        return (Invariant("NeverBad", lambda state: state["x"] != self.bad),)
+
+
+class TestViolationFoundInSettle:
+    def test_same_violation_whether_the_child_is_foreign_or_local(self):
+        # A chain never rebalances: every state stays with the owner of
+        # the root, so x == bad is a foreign child exactly when its
+        # fingerprint belongs to another shard than the root's.
+        def home(x, workers):
+            return fingerprint(Rec(x=x)) % workers
+
+        bad = next(
+            x
+            for x in range(1, 200)
+            if home(x, 2) != home(0, 2) and home(x, 3) == home(0, 3)
+        )
+        spec = ChainSpec(bad)
+        serial = bfs_explore(spec)
+        assert serial.violation.depth == bad
+        for workers, phase in ((2, "settled"), (3, "expanded")):
+            transport = InlineTransport()
+            par = parallel_bfs(ChainSpec(bad), workers=workers, transport=transport)
+            assert transport.found_in == [phase]
+            assert par.stop_reason is StopReason.VIOLATION
+            assert par.violation.invariant == "NeverBad"
+            assert par.violation.kind == "state"
+            assert par.violation.depth == bad
+            assert par.violation.trace == serial.violation.trace
+            state = par.violation.trace.initial
+            for step in par.violation.trace:
+                assert step.state in [tr.target for tr in spec.successors(state)]
+                state = step.state
+            assert state["x"] == bad
 
 
 class TestBalance:

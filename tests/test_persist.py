@@ -636,15 +636,6 @@ class TestRunCheck:
         )
         assert result.stats.distinct_states == 16
 
-    def test_run_dir_rejects_strong_fingerprints_clearly(self, tmp_path):
-        with pytest.raises(ValueError, match="strong_fingerprints"):
-            bfs_explore(
-                CounterSpec(2, 3),
-                run_dir=tmp_path / "run",
-                strong_fingerprints=True,
-            )
-        assert not (tmp_path / "run").exists(), "rejected before creating the dir"
-
 
 # ---------------------------------------------------------------------------
 # replayable artifacts

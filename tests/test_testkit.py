@@ -145,7 +145,6 @@ def test_matrix_covers_required_cells():
         "census/serial-memory",
         "census/serial-memo-cap-2",
         "census/serial-compact",
-        "census/serial-sharded",
         "census/serial-disk",
         "census/durable-resume",
     } <= names
