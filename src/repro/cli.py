@@ -58,7 +58,7 @@ from .obs import (
     coverage_from_sink,
     resolve_sink_path,
 )
-from .obs.metrics import CODEC_CHUNKS
+from .obs.metrics import CODEC_CHUNKS, SYMMETRY, SYMMETRY_GROUP_SIZE
 from .persist import RunDirError, load_violation, save_violation
 from .systems import SYSTEMS
 from .temporal import PROPERTY_NAMES
@@ -144,6 +144,17 @@ def _finish_stats(args: argparse.Namespace, registry, stats=None, spec=None) -> 
             f" fp_full {chunks.get('fp_full', 0)},"
             f" pair memo {hits}/{lookups} hits ({hits / max(lookups, 1):.1%}),"
             f" {chunks.get('pair_memo_clears', 0)} clears"
+        )
+    sym = snap["counts"].get(SYMMETRY)
+    if sym:
+        hits = sym.get("orbit_memo_hits", 0)
+        lookups = hits + sym.get("orbit_memo_misses", 0)
+        print(
+            f"symmetry: |G| {snap['gauges'].get(SYMMETRY_GROUP_SIZE, 1):.0f},"
+            f" {sym.get('canonical_calls', 0)} calls,"
+            f" {sym.get('identity_wins', 0)} identity,"
+            f" memo {hits}/{lookups} hits ({hits / max(lookups, 1):.1%}),"
+            f" {sym.get('orbit_memo_clears', 0)} clears"
         )
     if getattr(args, "stats_out", None):
         sink = MetricsSink(args.stats_out, registry, meta={"command": args.command})

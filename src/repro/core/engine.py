@@ -49,7 +49,14 @@ from typing import (
     Tuple,
 )
 
-from ..obs.metrics import ACTION_FIRES, CODEC_CHUNKS, SIZE_BOUNDS, STORE_BYTES
+from ..obs.metrics import (
+    ACTION_FIRES,
+    CODEC_CHUNKS,
+    SIZE_BOUNDS,
+    STORE_BYTES,
+    SYMMETRY,
+    SYMMETRY_GROUP_SIZE,
+)
 from .spec import Spec, Transition
 from .state import (
     Rec,
@@ -1130,6 +1137,9 @@ class ExplorationEngine:
             rate_gauge = metrics.gauge("engine.states_per_sec")
             bytes_gauge = metrics.gauge(STORE_BYTES)
             codec_base = codec_stats()
+            if reducer is not None:
+                metrics.gauge(SYMMETRY_GROUP_SIZE).set(reducer.group_size)
+                reducer_base = reducer.stats()
         else:
             fires = None
             fanout_observe = None
@@ -1158,6 +1168,14 @@ class ExplorationEngine:
                     delta = count - codec_base[key]
                     if delta:
                         chunk_counts[key] = chunk_counts.get(key, 0) + delta
+                if reducer is not None:
+                    metrics.merge_counts(
+                        SYMMETRY,
+                        {
+                            key: count - reducer_base[key]
+                            for key, count in reducer.stats().items()
+                        },
+                    )
             if violation is None:
                 violation = checker.first_violation
             return SearchResult(stats, violation, exhausted, reason)

@@ -110,11 +110,11 @@ from ..obs.metrics import (
     ACTION_FIRES,
     BATCH_BYTES,
     CLAIMS,
-    CODEC_CHUNKS,
     FALLBACK_SERIAL,
     REBALANCED_STATES,
     ROUND_WAIT_MS,
     SIZE_BOUNDS,
+    SYMMETRY_GROUP_SIZE,
     WAIT_BOUNDS_MS,
     MetricsRegistry,
 )
@@ -429,10 +429,14 @@ class ShardWorker:
             owner: [(fp, parent_fp, tr.action) for _, fp, _, parent_fp, tr, _ in parked]
             for owner, parked in pending.items()
         }
+        # the fan-out histogram and every count family the run filled
+        # (action fires, codec chunks, symmetry), zero labels dropped
         obs = None if registry is None else (
-            {name: n for name, n in registry.counts(ACTION_FIRES).items() if n},
             registry.histogram("engine.fanout", SIZE_BOUNDS).to_dict(),
-            registry.counts(CODEC_CHUNKS),
+            {
+                family: {label: n for label, n in table.items() if n}
+                for family, table in registry.snapshot()["counts"].items()
+            },
         )
         return (
             "expanded",
@@ -920,6 +924,8 @@ class ParallelBFS:
                 # committed checkpoint; the rounds re-run from here.
                 metrics.restore(snapshot)
             inst = self._instruments()
+            if reducer is not None:
+                metrics.gauge(SYMMETRY_GROUP_SIZE).set(reducer.group_size)
             # For a rollback with no committed checkpoint yet: the
             # registry exactly as it was before any exploration counted.
             baseline_snapshot = metrics.snapshot()
@@ -1000,10 +1006,10 @@ class ParallelBFS:
                     for owner, batch in claims.items():
                         claims_for[owner].append((wid, batch))
                     if inst is not None and obs is not None:
-                        round_fires, fanout_state, codec_delta = obs
-                        metrics.merge_counts(ACTION_FIRES, round_fires)
+                        fanout_state, families = obs
                         inst.fanout.merge(fanout_state)
-                        metrics.merge_counts(CODEC_CHUNKS, codec_delta)
+                        for family, delta in families.items():
+                            metrics.merge_counts(family, delta)
                 stats.max_depth = max(stats.max_depth, depth)
 
                 # claim: owners dedupe, record the new edges and grant

@@ -871,7 +871,8 @@ def scope_pair_memo(spec: Any) -> None:
         _PAIR_MEMO_OWNER = owner
 
 
-def _digest_pair(key_enc: bytes, value: Any) -> bytes:
+def pair_digest(key_enc: bytes, value: Any) -> bytes:
+    """One digest-table entry: the pair's canonical bytes, hashed to 8."""
     buf = bytearray(key_enc)
     _encode_into(buf, value)
     return blake2b(buf, digest_size=8).digest()
@@ -895,7 +896,7 @@ def _detach_touched(rec: Rec) -> None:
             _detach_touched(value)
 
 
-def _raise_type_unstable(key: Any, value: Any) -> None:
+def raise_type_unstable(key: Any, value: Any) -> None:
     from .spec import SpecError  # spec.py imports this module
 
     raise SpecError(
@@ -956,7 +957,7 @@ def _pair_digests(rec: Rec) -> bytes:
                 i = key_index[key]
                 digest = memo.get((key, value))
                 if digest is None:
-                    digest = _digest_pair(pairs[i][0], value)
+                    digest = pair_digest(pairs[i][0], value)
                     if len(memo) >= _PAIR_MEMO_CAP:
                         memo.clear()
                         counts[7] += 1
@@ -971,8 +972,8 @@ def _pair_digests(rec: Rec) -> bytes:
                     unverified[0] += 1
                     if unverified[0] >= _PAIR_VERIFY_EVERY:
                         unverified[0] = 0
-                        if digest != _digest_pair(pairs[i][0], value):
-                            _raise_type_unstable(key, value)
+                        if digest != pair_digest(pairs[i][0], value):
+                            raise_type_unstable(key, value)
                 j = i * 8
                 table[j : j + 8] = digest
             pf = bytes(table)
@@ -1030,6 +1031,41 @@ def fingerprint(state: Any) -> int:
             state._fp = fp
         return fp
     return int.from_bytes(blake2b(encode(state), digest_size=8).digest(), "big")
+
+
+# -- the two-level fingerprint, for repro.core.symmetry ----------------------
+#
+# Package-internal (not in ``__all__``).  With :func:`pair_digest` and
+# :func:`raise_type_unstable` above, these let the symmetry reducer
+# fingerprint a permuted state from per-pair digests, and build only the
+# one it keeps, without knowing how a record caches its layout or table.
+
+
+def pair_layout(rec: Rec) -> Tuple[Tuple[bytes, Any], ...]:
+    """``(key encoding, key)`` per pair of ``rec``, in digest-table order."""
+    keys = tuple(rec._dict)
+    layout = _LAYOUT.get(keys)
+    if layout is None:
+        layout = _layout_for(keys)
+    return layout[0]
+
+
+def table_fingerprint(table: bytes) -> int:
+    """The :func:`fingerprint` of the record whose pair-digest table this is."""
+    return int.from_bytes(blake2b(table, digest_size=8).digest(), "big")
+
+
+def rec_from_table(contents: dict, table: bytes, fp: int) -> Rec:
+    """Wrap frozen ``contents`` whose digest table and fingerprint are known.
+
+    ``table`` must be ``contents``' pairs digested in :func:`pair_layout`
+    order and ``fp`` its :func:`table_fingerprint`; ``fingerprint()`` of
+    the result is then a cache read.
+    """
+    rec = Rec._make(contents)
+    rec._pairfps = table
+    rec._fp = fp
+    return rec
 
 
 _EMPTY_KEYSET: FrozenSet[Any] = frozenset()

@@ -10,16 +10,45 @@ A spec declares its symmetry sets via :meth:`Spec.symmetry_sets`.  The
 canonical form of a state is the permuted variant with the smallest
 fingerprint under the supplied key function; the permutation group is the
 direct product of the permutations of each symmetry set.
+
+:func:`canonicalize` is that definition, executed literally: build every
+permuted state, keep the smallest.  :meth:`SymmetryReducer.canonical`
+returns the same state without building the orbit.  A state's
+fingerprint is a digest over one 8-byte digest per ``(variable, value)``
+pair, and a pair's digest under a permutation depends on nothing but the
+pair, so the reducer memoises, per pair, its digest and image under every
+permutation, fingerprints each permuted state from memoised digests
+alone, and assembles only the winner.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .state import Rec, fingerprint, substitute
+from .state import (
+    Rec,
+    encode,
+    fingerprint,
+    pair_digest,
+    pair_layout,
+    raise_type_unstable,
+    rec_from_table,
+    substitute,
+    table_fingerprint,
+)
 
 __all__ = ["permutations_of_sets", "canonicalize", "SymmetryReducer"]
+
+#: Entries each of a reducer's two memos may hold; a full memo is emptied,
+#: like the pair-digest memo behind ``fingerprint()``.
+_ORBIT_MEMO_CAP = 1024
+#: Every this-many-th orbit-memo hit is re-derived with plain
+#: ``substitute`` (DESIGN.md, "State identity and type stability").
+_ORBIT_VERIFY_EVERY = 64
+
+#: Memoised form of "no map moves anything inside this record".
+_FIXED: Tuple[Any, ...] = ()
 
 
 def permutations_of_sets(sets: Sequence[Tuple[Any, ...]]) -> Iterator[Dict[Any, Any]]:
@@ -35,17 +64,36 @@ def permutations_of_sets(sets: Sequence[Tuple[Any, ...]]) -> Iterator[Dict[Any, 
         yield mapping
 
 
+def _nonidentity_maps(sets: Sequence[Tuple[Any, ...]]) -> List[Dict[Any, Any]]:
+    return [
+        mapping
+        for mapping in permutations_of_sets(sets)
+        if any(k != v for k, v in mapping.items())
+    ]
+
+
+def _rec_of_flat(flat: list) -> Rec:
+    return Rec(zip(flat[::2], flat[1::2]))
+
+
 def canonicalize(
     state: Rec,
     sets: Sequence[Tuple[Any, ...]],
     key: Callable[[Rec], Any] = fingerprint,
+    maps: Optional[Sequence[Dict[Any, Any]]] = None,
 ) -> Rec:
-    """Return the canonical representative of ``state``'s symmetry orbit."""
+    """Return the canonical representative of ``state``'s symmetry orbit.
+
+    The brute-force reference: every permuted state is built and keyed,
+    and the first with the smallest key wins (the identity goes first).
+    ``maps`` is the non-identity maps of ``sets`` for a caller that keeps
+    them, as :class:`SymmetryReducer` does.
+    """
+    if maps is None:
+        maps = _nonidentity_maps(sets)
     best = state
     best_fp = key(state)
-    for mapping in permutations_of_sets(sets):
-        if all(k == v for k, v in mapping.items()):
-            continue
+    for mapping in maps:
         candidate = substitute(state, mapping)
         fp = key(candidate)
         if fp < best_fp:
@@ -54,7 +102,17 @@ def canonicalize(
 
 
 class SymmetryReducer:
-    """Caches the permutation maps for a spec's symmetry sets."""
+    """Canonical representatives for one spec's symmetry sets.
+
+    Holds the permutation maps and two bounded memos, so one reducer
+    serves one spec in one process.  ``(variable, value) -> (digests,
+    images)`` is the orbit memo: the pair's digest-table entry and its
+    image under each non-identity map.  ``(variable, record) -> images``
+    shares the images of records nested inside a variable's values.
+    Both are looked up by Python equality and both are keyed by the
+    top-level variable, never across variables: ``alive == {n: True}``
+    equals ``currentTerm == {n: 1}`` and encodes differently.
+    """
 
     def __init__(
         self,
@@ -63,27 +121,141 @@ class SymmetryReducer:
     ):
         self.sets = [tuple(members) for members in sets]
         self.key = key
-        self._maps: List[Dict[Any, Any]] = [
-            mapping
-            for mapping in permutations_of_sets(self.sets)
-            if any(k != v for k, v in mapping.items())
-        ]
+        self._maps = _nonidentity_maps(self.sets)
+        #: symmetry-set member -> what each map sends it to
+        self._atom_images = {
+            atom: tuple(mapping[atom] for mapping in self._maps)
+            for members in self.sets
+            for atom in members
+        }
+        self._orbits: Dict[Tuple[Any, Any], Tuple[tuple, tuple]] = {}
+        self._nested: Dict[Tuple[Any, Rec], tuple] = {}
+        self._unverified = 0
+        self._stats = {
+            "canonical_calls": 0,
+            "identity_wins": 0,
+            "orbit_memo_hits": 0,
+            "orbit_memo_misses": 0,
+            "orbit_memo_clears": 0,
+        }
 
     @property
     def group_size(self) -> int:
         return len(self._maps) + 1
 
+    def stats(self) -> Dict[str, int]:
+        """Cumulative counters: calls, calls the input won, memo traffic."""
+        return dict(self._stats)
+
     def canonical(self, state: Rec) -> Rec:
-        if not self._maps:
-            return state
-        best = state
-        best_fp = self.key(state)
-        for mapping in self._maps:
-            candidate = substitute(state, mapping)
-            fp = self.key(candidate)
-            if fp < best_fp:
-                best, best_fp = candidate, fp
+        """The orbit member with the smallest key; ``state`` itself if it wins."""
+        stats = self._stats
+        stats["canonical_calls"] += 1
+        best = self._canonical(state)
+        if best is state:
+            stats["identity_wins"] += 1
         return best
+
+    def _canonical(self, state: Rec) -> Rec:
+        maps = self._maps
+        if not maps:
+            return state
+        if self.key is not fingerprint or state.__class__ is not Rec:
+            return canonicalize(state, self.sets, self.key, maps)
+        best_fp = fingerprint(state)
+        orbits = self._orbits
+        stats = self._stats
+        entries = {}  # variable -> (digests, images), in digest-table order
+        for key_enc, variable in pair_layout(state):
+            value = state[variable]
+            entry = orbits.get((variable, value))
+            if entry is None:
+                entry = self._orbit_of(variable, key_enc, value)
+                if entry is None:  # a map renames the variable itself
+                    return canonicalize(state, self.sets, self.key, maps)
+            else:
+                stats["orbit_memo_hits"] += 1
+                self._unverified += 1
+                if self._unverified >= _ORBIT_VERIFY_EVERY:
+                    self._unverified = 0
+                    self._verify(variable, value, entry[1])
+            entries[variable] = entry
+        # fingerprint(map . state) is the digest of that map's column
+        best = None
+        for j, column in enumerate(zip(*[digests for digests, _ in entries.values()])):
+            table = b"".join(column)
+            fp = table_fingerprint(table)
+            if fp < best_fp:
+                best, best_fp, best_table = j, fp, table
+        if best is None:
+            return state
+        contents = {variable: entries[variable][1][best] for variable in state}
+        return rec_from_table(contents, best_table, best_fp)
+
+    def _orbit_of(self, variable: Any, key_enc: bytes, value: Any) -> Optional[tuple]:
+        """Compute and memoise one pair's orbit; ``None`` if its key moves."""
+        if self._images(variable, variable) is not None:
+            return None
+        images = self._derive(variable, value) or (value,) * len(self._maps)
+        digests = tuple(pair_digest(key_enc, image) for image in images)
+        if len(self._orbits) >= _ORBIT_MEMO_CAP:
+            self._orbits.clear()
+            self._nested.clear()
+            self._stats["orbit_memo_clears"] += 1
+        entry = self._orbits[(variable, value)] = (digests, images)
+        self._stats["orbit_memo_misses"] += 1
+        return entry
+
+    def _images(self, variable: Any, value: Any) -> Optional[tuple]:
+        """``value``'s image under each map, or ``None`` if none moves it.
+
+        Records below the top level go through the nested memo.
+        """
+        if not isinstance(value, Rec):
+            return self._derive(variable, value)
+        nested = self._nested
+        images = nested.get((variable, value))
+        if images is None:
+            images = self._derive(variable, value) or _FIXED
+            if len(nested) >= _ORBIT_MEMO_CAP:
+                nested.clear()
+            nested[(variable, value)] = images
+        return images or None
+
+    def _derive(self, variable: Any, value: Any) -> Optional[tuple]:
+        """One level of :meth:`_images`: ``substitute``, all maps at once.
+
+        An image is built in the order ``substitute`` builds it, and *is*
+        the original wherever the map changes nothing beneath it, so
+        whatever the original has cached (encoding, hash) is reused.
+        """
+        if isinstance(value, Rec):
+            # key, value, key, value, ...: keys are substituted too
+            items: Sequence[Any] = [part for pair in value.items() for part in pair]
+            rebuild: Callable[[list], Any] = _rec_of_flat
+        elif isinstance(value, tuple):
+            items, rebuild = value, tuple
+        elif isinstance(value, frozenset):
+            items, rebuild = tuple(value), frozenset
+        else:
+            return self._atom_images.get(value)
+        moved = [self._images(variable, item) for item in items]
+        if not any(moved):
+            return None
+        images = []
+        for j in range(len(self._maps)):
+            picked = [
+                item if part is None else part[j] for item, part in zip(items, moved)
+            ]
+            shared = all(new is old for new, old in zip(picked, items))
+            images.append(value if shared else rebuild(picked))
+        return tuple(images)
+
+    def _verify(self, variable: Any, value: Any, images: tuple) -> None:
+        """The sampled type-stability check of an orbit-memo hit."""
+        for mapping, image in zip(self._maps, images):
+            if encode(substitute(value, mapping)) != encode(image):
+                raise_type_unstable(variable, value)
 
     def orbit(self, state: Rec) -> List[Rec]:
         """All distinct states in the symmetry orbit of ``state``."""

@@ -60,8 +60,11 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible change to the frame or message layout, or
-#: to the op set the two sides exchange (2: the claim→settle exchange).
-PROTOCOL_VERSION = 2
+#: to the op set the two sides exchange (2: the claim→settle exchange;
+#: 3: the ``expanded`` reply's observability deltas are the fan-out
+#: histogram and a ``{family: counts}`` map, the symmetry reducer's
+#: counts among them).
+PROTOCOL_VERSION = 3
 
 #: Hard bound on one frame's payload: large enough for any realistic
 #: claim batch or checkpoint container, small enough that a corrupt

@@ -47,6 +47,8 @@ __all__ = [
     "ROUND_WAIT_MS",
     "SIZE_BOUNDS",
     "STORE_BYTES",
+    "SYMMETRY",
+    "SYMMETRY_GROUP_SIZE",
     "TEMPORAL_CYCLE_LEN",
     "TEMPORAL_SCC_COUNT",
     "TIME_BOUNDS",
@@ -72,6 +74,20 @@ ACTION_FIRES = "engine.action_fires"
 #: pairs whose digest was looked up / encoded and hashed) and
 #: ``pair_memo_clears`` (times the full memo was emptied).
 CODEC_CHUNKS = "codec.chunk_cache"
+
+#: The labeled-count family of a run's symmetry reducer
+#: (:class:`~repro.core.symmetry.SymmetryReducer.stats`):
+#: ``canonical_calls``, ``identity_wins`` (calls whose input was already
+#: the representative) and the orbit memo's ``orbit_memo_hits`` /
+#: ``orbit_memo_misses`` (top-level pairs whose permuted digests were
+#: looked up / derived) and ``orbit_memo_clears``.  Like the codec
+#: family it is merged when an engine run ends, so it counts the current
+#: session of a resumed run; the memo counts depend on what the memo
+#: held, the first two do not.
+SYMMETRY = "symmetry"
+
+#: Gauge: the order of the symmetry group, identity included.
+SYMMETRY_GROUP_SIZE = "symmetry.group_size"
 
 #: Gauge: estimated resident store bytes divided by states known — the
 #: continuously-measured form of the fast mode ≤16 bytes/state claim.

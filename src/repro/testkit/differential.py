@@ -59,6 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from unittest import mock
 
 from ..core import state as state_module
+from ..core import symmetry as symmetry_module
 from ..core.compile import por_prune_set
 from ..core.engine import CompactStore, SearchResult, StopReason
 from ..core.explorer import BFSExplorer, bfs_explore
@@ -109,7 +110,7 @@ class MatrixConfig:
     exhaustive: bool = False  # violation-phase spec, stop_on_violation=False
     transport: str = "fork"  # "fork" | "socket" (repro.dist worker agents)
     dist_kill: bool = False  # kill one socket agent mid-run; spare adopts
-    memo_cap: Optional[int] = None  # pair-digest memo capacity for this cell
+    memo_cap: Optional[int] = None  # pair-digest and orbit memo capacity for this cell
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -169,6 +170,13 @@ def build_matrix(
         )
         census.append(
             MatrixConfig("census/fast-symmetry", "census", symmetry=True, fast=True)
+        )
+        # The orbit memo's clear path: at two entries the reducer forgets
+        # nearly every pair between lookups, and the quotient must not move.
+        census.append(
+            MatrixConfig(
+                "census/serial-symmetry-memo-cap-2", "census", symmetry=True, memo_cap=2
+            )
         )
     if parallel and _fork_available():
         census.append(MatrixConfig("census/workers-2", "census", workers=2))
@@ -395,7 +403,9 @@ def _run_config(
     exactly, in every engine configuration.
     """
     if config.memo_cap is not None:
-        with mock.patch.object(state_module, "_PAIR_MEMO_CAP", config.memo_cap):
+        with mock.patch.object(
+            state_module, "_PAIR_MEMO_CAP", config.memo_cap
+        ), mock.patch.object(symmetry_module, "_ORBIT_MEMO_CAP", config.memo_cap):
             return _run_config(generated, dataclasses.replace(config, memo_cap=None))
     spec = generated.spec(invariants=config.phase == "violation")
     stop = config.phase == "violation" and not config.exhaustive

@@ -394,6 +394,19 @@ class TestStatsAndCoverage:
         # the pair-digest memo's hit ratio, beside fp_delta_hits
         assert re.search(r"codec: fp_delta_hits \d+, .*pair memo \d+/\d+ hits", out)
 
+    def test_check_stats_prints_the_symmetry_line(self, capsys):
+        args = ["check", "--system", "raftos", "--max-states", "400", "--stats"]
+        assert main(args) == 0
+        assert "symmetry:" not in capsys.readouterr().out
+        assert main(args + ["--symmetry"]) == 0
+        line = re.search(
+            r"symmetry: \|G\| 6, (\d+) calls, (\d+) identity,"
+            r" memo (\d+)/(\d+) hits \([\d.]+%\), \d+ clears",
+            capsys.readouterr().out,
+        )
+        calls, identity, hits, lookups = map(int, line.groups())
+        assert 0 < identity < calls and hits > 0.8 * lookups
+
     def test_check_stats_out_round_trips_through_coverage(self, tmp_path, capsys):
         sink = tmp_path / "metrics.jsonl"
         code = main(

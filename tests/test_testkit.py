@@ -150,6 +150,7 @@ def test_matrix_covers_required_cells():
     } <= names
     if generated.symmetric:
         assert "census/serial-symmetry" in names
+        assert "census/serial-symmetry-memo-cap-2" in names
     if generated.planted is not None:
         assert "violation/serial-memory" in names
         assert "violation/durable-resume" in names
