@@ -42,8 +42,6 @@ import time
 from typing import Optional, Sequence
 
 from .bugs import BUGS, detect
-from .core.compile import compile_disabled
-from .core.state import set_delta_codec
 from .conformance import BugReplayer, ConformanceChecker, mapping_for
 from .core import bfs_explore, simulate
 
@@ -172,15 +170,6 @@ def cmd_bugs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compiled(args: argparse.Namespace) -> bool:
-    """Resolve ``--no-compile``: also turns off the delta codec, so the
-    escape hatch restores the interpreted pipeline end to end."""
-    if getattr(args, "no_compile", False):
-        set_delta_codec(False)
-        return False
-    return True
-
-
 def _validate_reducers(args: argparse.Namespace) -> Optional[str]:
     """Reject flag combinations fast/POR cannot honor, before any work."""
     if getattr(args, "fast", False) and getattr(args, "out", None):
@@ -190,14 +179,6 @@ def _validate_reducers(args: argparse.Namespace) -> Optional[str]:
             " automatic bounded re-search and printed, but --out artifacts"
             " require a full-store run — drop --out (and replay from the"
             " printed trace) or drop --fast"
-        )
-    if getattr(args, "por", False) and (
-        getattr(args, "no_compile", False) or compile_disabled()
-    ):
-        return (
-            "--por needs the compiled pipeline's ActionMeta read/write sets"
-            " to prove actions independent; drop --no-compile and unset"
-            " SANDTABLE_NO_COMPILE"
         )
     if getattr(args, "temporal", None):
         if getattr(args, "fast", False):
@@ -299,7 +280,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             transport=transport,
             metrics=registry,
             progress=reporter,
-            compiled=_compiled(args),
             fast=args.fast,
             por=args.por,
             **durable,
@@ -440,7 +420,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         stop_on_violation=True,
         time_budget=args.time_budget,
         metrics=registry,
-        compiled=_compiled(args),
     )
     print(
         f"{result.n_walks} walks, mean depth {result.mean_depth:.1f},"
@@ -509,7 +488,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         seed=args.seed,
         metrics=registry,
         progress=reporter,
-        compiled=_compiled(args),
     )
     row = result.as_row()
     print(
@@ -566,7 +544,6 @@ def cmd_validate_trace(args: argparse.Namespace) -> int:
         log,
         stutter_depth=args.stutter,
         max_frontier=args.max_frontier,
-        compiled=_compiled(args),
         metrics=registry,
     )
     print(report.describe())
@@ -598,13 +575,6 @@ def cmd_validate_trace(args: argparse.Namespace) -> int:
 def cmd_selftest(args: argparse.Namespace) -> int:
     from .testkit import replay_artifact, run_differential
 
-    if args.por and compile_disabled():
-        print(
-            "--por needs the compiled pipeline's ActionMeta read/write sets;"
-            " unset SANDTABLE_NO_COMPILE",
-            file=sys.stderr,
-        )
-        return 2
     if args.tracecheck:
         from .testkit import run_log_fuzz
 
@@ -711,9 +681,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print("replay needs a bug_id (or --trace FILE)", file=sys.stderr)
         return 2
     bug = BUGS[args.bug_id]
-    result = detect(
-        bug, time_budget=args.time_budget, seed=args.seed, compiled=_compiled(args)
-    )
+    result = detect(bug, time_budget=args.time_budget, seed=args.seed)
     if not result.found:
         print(f"{bug.bug_id}: not found at the specification level")
         return 1
@@ -865,15 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--invariant", help="check only this invariant")
         p.add_argument("--time-budget", type=float, default=60.0)
         p.add_argument("--seed", type=int, default=0)
-        no_compile(p)
-
-    def no_compile(p):
-        p.add_argument(
-            "--no-compile",
-            action="store_true",
-            help="run the interpreted pipeline (no compiled spec closures, "
-            "no delta codec); same as SANDTABLE_NO_COMPILE=1",
-        )
 
     def stats_args(p):
         p.add_argument(
@@ -901,8 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--por",
         action="store_true",
         help="partial-order reduction: statically prune actions proven"
-        " independent by their declared read/write sets (needs the compiled"
-        " pipeline)",
+        " independent by their declared read/write sets",
     )
     check.add_argument(
         "--workers",
@@ -978,7 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="property to check (repeatable; default: all of"
         f" {', '.join(PROPERTY_NAMES)})",
     )
-    no_compile(liveness)
     stats_args(liveness)
     liveness.set_defaults(fn=cmd_check_liveness)
 
@@ -1043,12 +1000,10 @@ def build_parser() -> argparse.ArgumentParser:
         " as artifacts/validation.json",
     )
     vt.add_argument("--out", help="save the validation report as JSON")
-    no_compile(vt)
     stats_args(vt)
     vt.set_defaults(fn=cmd_validate_trace)
 
     det = sub.add_parser("detect", help="run one registry bug detection")
-    no_compile(det)
     det.add_argument("bug_id", choices=sorted(BUGS))
     det.add_argument("--time-budget", type=float, default=120.0)
     det.add_argument("--seed", type=int, default=0)
@@ -1074,7 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     cov.set_defaults(fn=cmd_coverage)
 
     rep = sub.add_parser("replay", help="detect and confirm at the impl level")
-    no_compile(rep)
     rep.add_argument("bug_id", nargs="?", choices=sorted(BUGS))
     rep.add_argument(
         "--trace",

@@ -2,10 +2,9 @@
 
 Interpreted exploration pays generic-Python prices on every transition:
 ``Spec.successors`` walks the action list through per-action generator
-wrappers, every invariant runs on every state/edge, and every successor
-is re-encoded from scratch for fingerprinting.  :func:`compile_spec`
-builds a :class:`CompiledSpec` once per run that removes those costs
-without changing a single observable result:
+wrappers and every invariant runs on every state/edge.
+:func:`compile_spec` builds a :class:`CompiledSpec` once per run that
+removes those costs without changing a single observable result:
 
 * **action snapshot** — the action list is materialized once, with
   per-action metadata (name, kind, declared-or-inferred top-level
@@ -23,26 +22,24 @@ without changing a single observable result:
   parent state was itself checked (the engine only passes ``changed``
   in configurations where that holds); for transition invariants the
   declaration carries the stutter-safety contract documented on
-  :class:`repro.core.spec.TransitionInvariant`;
-* **delta fingerprinting** — compiled runs lean on the codec's spliced
-  encoding (:mod:`repro.core.state`), which assembles a successor's
-  canonical bytes from the parent's cached bytes plus the re-encoded
-  touched fields.  The bytes are bit-identical to a from-scratch
-  encode, so fingerprints, stores, checkpoints, and ``fp % N`` shard
-  routing are all unaffected.
+  :class:`repro.core.spec.TransitionInvariant`.
+
+Fingerprinting is incremental with or without compilation: a successor
+built by ``Rec.set``/``Rec.update`` patches its parent's pair-digest
+table (:mod:`repro.core.state`).
 
 A :class:`CompiledSpec` exposes the same ``successors`` /
 ``state_constraint`` / ``invariants`` surface as the spec it wraps (and
 delegates unknown attributes to it), so every consumer is a one-line
-change.  The ``SANDTABLE_NO_COMPILE`` environment variable (or the
-``--no-compile`` CLI flag) disables compilation everywhere, restoring
-the interpreted pipeline byte for byte.
+change.  Callers that pass ``compiled=False`` get the interpreted
+pipeline, byte for byte the same results: the testkit's reference cells
+and the benchmarks use it; no command-line flag or environment variable
+selects it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Any, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .spec import Action, Invariant, Spec, SpecError, Transition, TransitionInvariant
@@ -54,14 +51,8 @@ __all__ = [
     "CompiledSpec",
     "compile_spec",
     "maybe_compile",
-    "compile_disabled",
     "por_prune_set",
 ]
-
-
-def compile_disabled() -> bool:
-    """True when the ``SANDTABLE_NO_COMPILE`` escape hatch is set."""
-    return bool(os.environ.get("SANDTABLE_NO_COMPILE"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -370,20 +361,20 @@ def por_prune_set(spec: Spec) -> FrozenSet[Any]:
 
 
 def maybe_compile(spec: Spec, compiled: bool = True, por: bool = False) -> Spec:
-    """Compile ``spec`` unless disabled by flag or environment.
+    """Compile ``spec`` unless the caller passed ``compiled=False``.
 
     Partial-order reduction exists only in the compiled pipeline — its
     independence oracle is the compiled ``ActionMeta`` read/write sets —
-    so requesting ``por`` while compilation is disabled is an error, not
-    a silent fallback.
+    so requesting ``por`` with ``compiled=False`` is an error, not a
+    silent fallback.
     """
-    if por and (not compiled or compile_disabled()):
-        raise SpecError(
-            "partial-order reduction needs the compiled pipeline (the"
-            " ActionMeta read/write sets are its independence oracle);"
-            " drop --no-compile / unset SANDTABLE_NO_COMPILE to use --por"
-        )
-    if not compiled or compile_disabled():
+    if not compiled:
+        if por:
+            raise SpecError(
+                "partial-order reduction needs the compiled pipeline (the"
+                " ActionMeta read/write sets are its independence oracle);"
+                " compiled=False cannot be combined with por=True"
+            )
         return spec
     if isinstance(spec, CompiledSpec) and spec.por == bool(por):
         return spec

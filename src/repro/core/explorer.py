@@ -93,9 +93,9 @@ class BFSExplorer:
     ):
         # The compiled spec is behaviourally identical (same transitions,
         # same invariant verdicts, same fingerprints) — ``compiled=False``
-        # or SANDTABLE_NO_COMPILE falls back to the interpreted pipeline.
-        # With ``por`` the compile additionally prunes statically-safe
-        # actions (and raises if compilation is disabled).
+        # falls back to the interpreted pipeline.  With ``por`` the
+        # compile additionally prunes statically-safe actions (and raises
+        # if compilation is disabled).
         spec = maybe_compile(spec, compiled, por=por)
         self.spec = spec
         self.max_states = max_states

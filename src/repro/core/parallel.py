@@ -118,7 +118,7 @@ from ..obs.metrics import (
     WAIT_BOUNDS_MS,
     MetricsRegistry,
 )
-from .compile import compile_disabled, maybe_compile
+from .compile import maybe_compile
 from .engine import (
     CompactStore,
     ExplorationEngine,
@@ -718,7 +718,7 @@ class ParallelBFS:
         transport: Optional[Any] = None,
         max_reassignments: int = 3,
     ):
-        if por and (not compiled or compile_disabled()):
+        if por and not compiled:
             # Fail in the master, before forking: maybe_compile raises
             # the canonical SpecError for this misconfiguration.
             maybe_compile(spec, compiled, por=True)

@@ -18,10 +18,12 @@ back (``decode(encode(x)) == x``).  :func:`fingerprint` is a 64-bit
 blake2b digest of that encoding: unlike Python's ``hash`` it does not
 depend on ``PYTHONHASHSEED``, so fingerprints agree across processes and
 runs — the property the sharded parallel explorer
-(:mod:`repro.core.parallel`) and any future disk-backed or distributed
-state store rely on.  Fingerprints and encodings are cached on
-:class:`Rec`, so functional updates that share substructure encode mostly
-from cache.
+(:mod:`repro.core.parallel`) and the disk-backed and distributed state
+stores rely on.  There is one encoder: a record is always serialized
+from scratch, reusing only the cached encodings of the records nested
+in it.  Fingerprints are incremental instead — a record built by
+:meth:`Rec.set` / :meth:`Rec.update` patches its parent's per-pair
+digest table (:func:`fingerprint`) and never assembles bytes.
 
 The codec is finer than Python equality in one place: it tags ``True``,
 ``1`` and ``1.0`` (and ``0.0`` / ``-0.0``) differently, while ``==``,
@@ -36,7 +38,6 @@ pair-digest memo behind :func:`fingerprint` samples its hits and raises
 
 from __future__ import annotations
 
-import os
 import struct
 from collections.abc import Mapping
 from hashlib import blake2b
@@ -56,7 +57,6 @@ __all__ = [
     "codec_stats",
     "reset_codec_stats",
     "set_delta_codec",
-    "delta_codec_enabled",
 ]
 
 #: Version of the canonical codec *and* the fingerprint construction.
@@ -93,7 +93,6 @@ class Rec(Mapping):
         "_fp",
         "_base",
         "_touched",
-        "_offsets",
         "_pairfps",
     )
 
@@ -113,7 +112,6 @@ class Rec(Mapping):
         self._fp = None
         self._base = None
         self._touched = None
-        self._offsets = None
         self._pairfps = None
 
     # -- Mapping interface -------------------------------------------------
@@ -169,7 +167,6 @@ class Rec(Mapping):
         rec._fp = None
         rec._base = None
         rec._touched = None
-        rec._offsets = None
         rec._pairfps = None
         return rec
 
@@ -177,9 +174,9 @@ class Rec(Mapping):
         """Return a new record with ``key`` bound to ``value``.
 
         When ``key`` was already present the new record remembers its
-        parent and the touched key, so the codec can later assemble the
-        child's canonical encoding by splicing the parent's — see
-        ``changed_keys`` and the delta path in ``_encode_rec``.
+        parent and the touched key, so ``changed_keys`` can report the
+        difference and ``fingerprint`` can patch the parent's pair-digest
+        table instead of digesting every pair.
 
         Rebinding a key to the identical object is a no-op and returns
         ``self`` — records are immutable, so the "copy" would be
@@ -205,21 +202,21 @@ class Rec(Mapping):
         """Return a new record with several keys rebound.
 
         Like :meth:`set`, records the parent and the touched keys when
-        the key set is unchanged, enabling delta encoding.  Keys rebound
-        to the identical object are not counted as touched, and an update
-        that changes nothing returns ``self``.
+        the key set is unchanged, enabling incremental fingerprints.  As
+        with ``dict.update`` a keyword wins over the mapping; keys whose
+        final binding is the identical object are not counted as
+        touched, and an update that changes nothing returns ``self``.
         """
         src = self._dict
         new = dict(src)
         touched = []
-        for source in (dict(mapping), kwargs):
-            for key, value in source.items():
-                if src.get(key, _MISSING) is value:
-                    continue
-                _check_frozen(value, key)
-                new[key] = value
-                touched.append(key)
-        if not touched and len(new) == len(src):
+        for key, value in dict(mapping, **kwargs).items():
+            if src.get(key, _MISSING) is value:
+                continue
+            _check_frozen(value, key)
+            new[key] = value
+            touched.append(key)
+        if not touched:
             return self
         rec = Rec._make(new)
         if len(new) == len(src):
@@ -394,7 +391,8 @@ def _thaw_key_part(part: Any) -> str:
 # The code is uniquely decodable from the front, hence prefix-free, so
 # sorting concatenated encodings gives a canonical container order that
 # is identical in every process.  Rec caches its encoding, so encoding a
-# functionally-updated state only re-serializes the changed subtree.
+# functionally-updated state copies the cached bytes of every nested
+# record it shares with its parent.
 
 _T_NONE = 0x4E  # 'N'
 _T_TRUE = 0x54  # 'T'
@@ -495,8 +493,8 @@ def _encode_key(key: Any) -> bytes:
 def _layout_for(keys: Tuple[Any, ...]) -> Tuple[Tuple[Tuple[bytes, Any], ...], dict]:
     # Keys are unique and the code is prefix-free, so sorting by the key
     # encoding alone fixes a canonical pair order.  The layout is the
-    # sorted pair list plus a key -> pair-position map (the delta encoder
-    # iterates touched keys only, so it needs random access by key).
+    # sorted pair list plus a key -> pair-position map: patching a digest
+    # table visits touched keys only, so it needs random access by key.
     pairs = tuple(sorted((_encode_key(key), key) for key in keys))
     layout = (pairs, {key: i for i, (_, key) in enumerate(pairs)})
     _LAYOUT[keys] = layout
@@ -505,34 +503,30 @@ def _layout_for(keys: Tuple[Any, ...]) -> Tuple[Tuple[Tuple[bytes, Any], ...], d
 
 # -- codec chunk-cache counters ---------------------------------------------
 #
-# [0] delta_hits    — encodings assembled by splicing a parent's bytes
-# [1] delta_misses  — delta attempted but chain broken / fully touched
-# [2] full_encodes  — records encoded from scratch (includes nested recs)
-# [3] fp_delta_hits — fingerprints assembled by patching a parent's
-#                     per-pair digest table
-# [4] fp_full       — fingerprints computed from a full encoding
+# [0] delta_hits    — always 0 (there is one encoder); the benchmark
+# [1] delta_misses    suite indexes both names, so they stay until it
+#                     drops them (ROADMAP item 2b)
+# [2] full_encodes  — records encoded (includes nested recs)
+# [3] fp_delta_hits — digest tables assembled by patching a parent's
+# [4] fp_full       — digest tables built by digesting every pair
 # [5] pair_memo_hits   — touched pairs whose digest came from the memo
 # [6] pair_memo_misses — touched pairs encoded and hashed
 # [7] pair_memo_clears — times the full memo was emptied
 _CODEC_COUNTS = [0, 0, 0, 0, 0, 0, 0, 0]
 
-#: Delta (spliced) encoding on/off.  Off reproduces the pre-compile
-#: behaviour: every record encodes from scratch.  The output bytes are
-#: identical either way — this is a performance switch, not a format
-#: switch, so ``CODEC_VERSION`` is unaffected.
-_DELTA_ENABLED = not os.environ.get("SANDTABLE_NO_COMPILE")
+#: Digest-table patching on/off, read by :func:`_pair_digests` only.
+#: Off is the reference the tests and benchmarks compare against: every
+#: record digests every pair.  The fingerprints are identical either
+#: way — a performance switch, so ``CODEC_VERSION`` is unaffected.
+_DELTA_ENABLED = True
 
 
 def set_delta_codec(enabled: bool) -> bool:
-    """Enable/disable delta encoding; returns the previous setting."""
+    """Enable/disable digest-table patching; returns the previous setting."""
     global _DELTA_ENABLED
     previous = _DELTA_ENABLED
     _DELTA_ENABLED = bool(enabled)
     return previous
-
-
-def delta_codec_enabled() -> bool:
-    return _DELTA_ENABLED
 
 
 def codec_stats() -> dict:
@@ -562,19 +556,9 @@ def _encode_rec(rec: Rec) -> bytes:
     layout = _LAYOUT.get(keys)
     if layout is None:
         layout = _layout_for(keys)
-    base = rec._base
-    if base is not None:
-        if _DELTA_ENABLED:
-            enc = _encode_rec_delta(rec, contents, layout, base)
-            if enc is not None:
-                return enc
-        else:
-            rec._base = None
-            rec._touched = None
     out = bytearray()
     out.append(_T_REC)
     _write_uvarint(out, len(contents))
-    offsets = [len(out)]
     for key_enc, key in layout[0]:
         out += key_enc
         value = contents[key]
@@ -583,153 +567,12 @@ def _encode_rec(rec: Rec) -> bytes:
             out += enc if enc is not None else _encode_rec(value)
         else:
             _encode_into(out, value)
-        offsets.append(len(out))
     enc = bytes(out)
     rec._enc = enc
-    rec._offsets = tuple(offsets)
-    _CODEC_COUNTS[2] += 1
-    return enc
-
-
-def _encode_rec_delta(rec: Rec, contents: dict, layout, cursor: Rec) -> Optional[bytes]:
-    """Assemble ``rec``'s encoding by splicing an encoded ancestor's.
-
-    Walks the parent chain accumulating touched keys until it reaches a
-    record with a cached encoding, then copies the untouched pair byte
-    ranges verbatim and re-encodes only the touched pairs.  The result
-    is bit-identical to a from-scratch encode (untouched pairs reuse the
-    exact canonical bytes; touched pairs go through the same
-    ``_encode_into``).  Returns ``None`` — falling back to the full
-    path — when the chain is broken or every key was touched.
-    """
-    n = len(contents)
-    touched = set(rec._touched)
-    while cursor._enc is None:
-        nxt = cursor._base
-        if nxt is None or len(touched) >= n:
-            rec._base = None
-            rec._touched = None
-            _CODEC_COUNTS[1] += 1
-            return None
-        touched.update(cursor._touched)
-        cursor = nxt
-    if len(touched) >= n:
-        rec._base = None
-        rec._touched = None
-        _CODEC_COUNTS[1] += 1
-        return None
-    base_enc = cursor._enc
-    offsets = cursor._offsets
-    if offsets is None:
-        offsets = _scan_offsets(base_enc, n)
-        cursor._offsets = offsets
-    # Splice: iterate *touched* pairs only (via the layout's key -> index
-    # map), copying the untouched byte ranges between them in single
-    # slices.  ``offsets[i]`` is the start of pair ``i``; ``offsets[i+1]``
-    # its end.  ``shifts`` records the cumulative byte drift after each
-    # touched pair so the new offsets table can be patched afterwards —
-    # when every re-encoded pair keeps its length (the common case:
-    # a counter bump with the same varint width) the base's offsets
-    # tuple is reused as-is.
-    pairs, key_index = layout
-    out = bytearray()
-    if len(touched) == 1:
-        # Single-touch fast path: one re-encoded pair between two
-        # verbatim slices; the base offsets are reused when the new
-        # pair keeps its length (a counter bump with the same varint
-        # width — the common case).
-        (key,) = touched
-        i = key_index[key]
-        start = offsets[i]
-        end = offsets[i + 1]
-        out += base_enc[:start]
-        out += pairs[i][0]
-        _encode_into(out, contents[key])
-        shift = len(out) - end
-        out += base_enc[end:]
-        if shift == 0:
-            new_offsets = offsets
-        else:
-            new_offsets = offsets[: i + 1] + tuple(
-                x + shift for x in offsets[i + 1 :]
-            )
-    else:
-        run_from = 0
-        shifts = []
-        for i in sorted(key_index[key] for key in touched):
-            start = offsets[i]
-            if run_from < start:
-                out += base_enc[run_from:start]
-            key_enc, key = pairs[i]
-            out += key_enc
-            _encode_into(out, contents[key])
-            end = offsets[i + 1]
-            run_from = end
-            shifts.append((i, len(out) - end))
-        if run_from < len(base_enc):
-            out += base_enc[run_from:]
-        if shifts[-1][1] == 0 and all(s == 0 for _, s in shifts):
-            new_offsets = offsets
-        else:
-            patched = list(offsets)
-            for k, (i, s) in enumerate(shifts):
-                if s:
-                    upto = shifts[k + 1][0] if k + 1 < len(shifts) else n
-                    for j in range(i + 1, upto + 1):
-                        patched[j] = offsets[j] + s
-            new_offsets = tuple(patched)
-    enc = bytes(out)
-    rec._enc = enc
-    rec._offsets = new_offsets
     rec._base = None
     rec._touched = None
-    _CODEC_COUNTS[0] += 1
+    _CODEC_COUNTS[2] += 1
     return enc
-
-
-def _skip_at(data: bytes, i: int) -> int:
-    """Advance past the value starting at offset ``i`` (codec skip)."""
-    tag = data[i]
-    i += 1
-    if tag == _T_STR or tag == _T_BYTES:
-        length, i = _read_uvarint(data, i)
-        return i + length
-    if tag == _T_INT:
-        while data[i] & 0x80:
-            i += 1
-        return i + 1
-    if tag == _T_TUPLE or tag == _T_SET:
-        count, i = _read_uvarint(data, i)
-        for _ in range(count):
-            i = _skip_at(data, i)
-        return i
-    if tag == _T_REC:
-        count, i = _read_uvarint(data, i)
-        for _ in range(2 * count):
-            i = _skip_at(data, i)
-        return i
-    if tag == _T_NONE or tag == _T_TRUE or tag == _T_FALSE:
-        return i
-    if tag == _T_FLOAT:
-        return i + 8
-    raise ValueError(f"invalid codec tag {tag:#x} at offset {i - 1}")
-
-
-def _scan_offsets(data: bytes, count: int) -> Tuple[int, ...]:
-    """Pair boundaries of an encoded record: ``[pairs_start, end_0, ...]``.
-
-    Used when a record that only has bytes (e.g. decoded from a store or
-    checkpoint) becomes the base of a delta encode.
-    """
-    n, i = _read_uvarint(data, 1)
-    if n != count:
-        raise ValueError(f"encoded record has {n} pairs, expected {count}")
-    offsets = [i]
-    for _ in range(count):
-        i = _skip_at(data, i)  # key
-        i = _skip_at(data, i)  # value
-        offsets.append(i)
-    return tuple(offsets)
 
 
 def encode(value: Any) -> bytes:
@@ -782,9 +625,7 @@ def _decode_at(data: bytes, i: int) -> Tuple[Any, int]:
                     raise ValueError(f"{exc} (at offset {start})") from None
             value, i = _decode_at(data, i)
             contents[key] = value
-        rec = Rec._make(contents)
-        rec._enc = bytes(data[start:i])
-        return rec, i
+        return Rec._make(contents), i
     if tag == _T_TUPLE:
         count, i = _read_uvarint(data, i)
         items = []
@@ -816,12 +657,22 @@ def _decode_at(data: bytes, i: int) -> Tuple[Any, int]:
 def decode(data: bytes) -> Any:
     """Deserialize a canonical encoding back into the frozen value.
 
-    The inverse of :func:`encode`: ``decode(encode(x)) == x`` for every
-    frozen value.  Raises :class:`ValueError` on malformed input.
+    The exact inverse of :func:`encode`: returns the ``v`` with
+    ``encode(v) == data`` or raises :class:`ValueError`.  Truncated
+    input is malformed, and so is input that parses but is not what
+    :func:`encode` writes (a duplicate or misplaced record key, unsorted
+    set items, a padded varint): re-encoding what was decoded finds all
+    of them, so a decoded state carries the same bytes and fingerprint
+    as an equal state built natively.
     """
-    value, end = _decode_at(data, 0)
+    try:
+        value, end = _decode_at(data, 0)
+    except (IndexError, struct.error, RecursionError) as exc:
+        raise ValueError(f"truncated or over-nested encoding: {exc!r}") from None
     if end != len(data):
         raise ValueError(f"trailing bytes after offset {end}")
+    if encode(value) != data:
+        raise ValueError("not a canonical encoding: encode(decoded value) differs")
     return value
 
 
@@ -920,9 +771,9 @@ def _pair_digests(rec: Rec) -> bytes:
     state encoding.
 
     The table is identical whichever way it is produced — patched from
-    a parent, sliced out of a cached encoding via the pair offsets, or
-    computed from a from-scratch encode — because the underlying pair
-    bytes are identical (the delta codec's bit-identical guarantee).
+    a parent or built pair by pair — because both hash the same
+    canonical pair bytes (:func:`pair_digest`).  Either way the record
+    then drops its link to its parent.
     """
     pf = rec._pairfps
     if pf is not None:
@@ -934,7 +785,7 @@ def _pair_digests(rec: Rec) -> bytes:
     if layout is None:
         layout = _layout_for(keys)
     base = rec._base
-    if base is not None and _DELTA_ENABLED and rec._enc is None:
+    if base is not None and _DELTA_ENABLED:
         # Walk the functional-update chain to the nearest ancestor with
         # a digest table, accumulating touched keys along the way.
         touched = set(rec._touched)
@@ -977,32 +828,16 @@ def _pair_digests(rec: Rec) -> bytes:
                 j = i * 8
                 table[j : j + 8] = digest
             pf = bytes(table)
-            rec._pairfps = pf
-            # Collapse the chain to one hop so a later delta *encode*
-            # can still splice (the ancestor has the bytes), without
-            # retaining the whole ancestry.
-            if cursor._enc is not None:
-                rec._base = cursor
-                rec._touched = tuple(touched)
-            else:
-                rec._base = None
-                rec._touched = None
-            _CODEC_COUNTS[3] += 1
-            return pf
-    # Full path: digest the pair byte ranges of the canonical encoding.
-    enc = rec._enc
-    if enc is None:
-        enc = _encode_rec(rec)
-    offsets = rec._offsets
-    if offsets is None:
-        offsets = _scan_offsets(enc, n)
-        rec._offsets = offsets
-    pf = b"".join(
-        blake2b(enc[offsets[i] : offsets[i + 1]], digest_size=8).digest()
-        for i in range(n)
-    )
+            counts[3] += 1
+    if pf is None:
+        # Full path: digest every pair, in layout order.
+        pf = b"".join(
+            pair_digest(key_enc, contents[key]) for key_enc, key in layout[0]
+        )
+        _CODEC_COUNTS[4] += 1
     rec._pairfps = pf
-    _CODEC_COUNTS[4] += 1
+    rec._base = None
+    rec._touched = None
     return pf
 
 
@@ -1108,9 +943,9 @@ def detach(rec: Any) -> Any:
     """Drop a record's delta-tracking link to its parent.
 
     Long random walks keep only the latest state alive; without this the
-    parent chain recorded for delta encoding would retain every state on
-    the walk.  Encoding a record detaches it automatically — this is for
-    states that are kept without being encoded.
+    parent chain recorded for incremental fingerprints would retain every
+    state on the walk.  Encoding or fingerprinting a record detaches it
+    automatically — this is for states that are kept without either.
     """
     if isinstance(rec, Rec):
         rec._base = None

@@ -64,15 +64,15 @@ __all__ = [
 #: testkit oracle cross-check, and the coverage report.
 ACTION_FIRES = "engine.action_fires"
 
-#: The labeled-count family for the incremental codec's chunk cache:
-#: ``delta_hits`` (successor encodings assembled by splicing the parent's
-#: bytes), ``delta_misses`` (delta attempted but the chain was unusable),
-#: ``full_encodes`` (from-scratch canonical encodings), ``fp_delta_hits``
-#: (fingerprints patched from a parent's pair-digest table),
-#: ``fp_full`` (fingerprints computed from a full encoding), and the
+#: The labeled-count family of :func:`repro.core.state.codec_stats`:
+#: ``full_encodes`` (records serialized, nested ones included),
+#: ``fp_delta_hits`` (fingerprints patched from a parent's pair-digest
+#: table), ``fp_full`` (fingerprints that digested every pair), and the
 #: pair-digest memo's ``pair_memo_hits`` / ``pair_memo_misses`` (touched
 #: pairs whose digest was looked up / encoded and hashed) and
-#: ``pair_memo_clears`` (times the full memo was emptied).
+#: ``pair_memo_clears`` (times the full memo was emptied).  Only
+#: non-zero counts are merged, so ``delta_hits`` / ``delta_misses`` —
+#: always 0 since the spliced encoder was deleted — never appear.
 CODEC_CHUNKS = "codec.chunk_cache"
 
 #: The labeled-count family of a run's symmetry reducer

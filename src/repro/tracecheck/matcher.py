@@ -305,8 +305,8 @@ def validate_log(
 
     ``log`` is a parsed :class:`~repro.tracecheck.logfmt.TraceLog` or a
     bare event sequence.  The search runs over the compiled spec unless
-    ``compiled`` is false (the ``--no-compile`` escape hatch); verdicts
-    are identical either way.
+    ``compiled`` is false (the reference path of the tests and
+    benchmarks); verdicts are identical either way.
     """
     if isinstance(log, TraceLog):
         events = log.events

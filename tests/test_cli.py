@@ -108,12 +108,12 @@ class TestReducerFlags:
         err = capsys.readouterr().err
         assert "re-search" in err and "--out" in err
 
-    def test_por_rejects_no_compile(self, capsys):
-        code = main(
-            ["check", "--system", "pysyncobj", "--nodes", "2", "--por", "--no-compile"]
-        )
-        assert code == 2
-        assert "ActionMeta" in capsys.readouterr().err
+    def test_no_compile_is_a_usage_error(self, capsys):
+        """The interpreted pipeline has no command-line switch any more."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--system", "pysyncobj", "--nodes", "2", "--no-compile"])
+        assert exit_info.value.code == 2
+        assert "--no-compile" in capsys.readouterr().err
 
     def test_selftest_forced_reducers(self, capsys):
         code = main(

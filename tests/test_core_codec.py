@@ -6,6 +6,7 @@ must produce byte-identical encodings and therefore identical 64-bit
 fingerprints for equal states.
 """
 
+import gc
 import math
 import os
 import random
@@ -145,6 +146,88 @@ class TestRoundTrip:
     def test_unencodable_rejected(self):
         with pytest.raises(TypeError):
             encode(object())
+
+
+class TestDecodeIsStrict:
+    """``decode(b)`` returns the ``v`` with ``encode(v) == b`` or raises
+    ``ValueError``: bytes that parse but are not what ``encode`` writes
+    would otherwise give a decoded state a different fingerprint from an
+    equal state built natively."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"",
+            b"R",
+            b"i\x80",
+            b"f\x00",
+            b"s\x05ab",
+            b"R\x02" + encode("a") + encode(2) + encode("a") + encode(1),
+            b"R\x02" + encode("b") + encode(1) + encode("a") + encode(2),
+            b"R\x01" + encode("a") + encode(1) + encode("b") + encode(2),
+            b"S\x02" + encode(2) + encode(1),
+            b"S\x02" + encode(1) + encode(1),
+            b"i\x80\x00",
+            b"t\x81\x00N",
+            b"t\x01" * 100_000 + b"N",
+        ],
+        ids=[
+            "empty",
+            "record-no-count",
+            "varint-cut",
+            "float-cut",
+            "str-cut",
+            "duplicate-key",
+            "misordered-keys",
+            "undercounted-pairs",
+            "unsorted-set",
+            "duplicate-set-item",
+            "padded-int",
+            "padded-count",
+            "nested-too-deep",
+        ],
+    )
+    def test_malformed_bytes_raise_value_error(self, data):
+        with pytest.raises(ValueError):
+            decode(data)
+
+    @given(
+        st.dictionaries(st.text(max_size=4), frozen_values(), min_size=2, max_size=4),
+        st.sampled_from(["truncate", "swap", "duplicate", "pad"]),
+        st.data(),
+    )
+    def test_mutated_record_encodings_are_rejected(self, contents, mutation, data):
+        count = len(contents)
+        pairs = sorted(encode(key) + encode(value) for key, value in contents.items())
+        valid = b"R" + bytes([count]) + b"".join(pairs)
+        assert encode(Rec(contents)) == valid
+        index = st.integers(min_value=0, max_value=count - 1)
+        if mutation == "truncate":
+            mutant = valid[: data.draw(st.integers(0, len(valid) - 1))]
+        elif mutation == "swap":
+            i = data.draw(index)
+            j = data.draw(index.filter(lambda j: j != i))
+            pairs[i], pairs[j] = pairs[j], pairs[i]
+            mutant = b"R" + bytes([count]) + b"".join(pairs)
+        elif mutation == "duplicate":
+            i = data.draw(index)
+            pairs.insert(i, pairs[i])
+            mutant = b"R" + bytes([count + 1]) + b"".join(pairs)
+        else:
+            mutant = b"R" + bytes([count | 0x80, 0]) + b"".join(pairs)
+        if data.draw(st.booleans()):  # also when nested in a valid value
+            mutant = b"t\x02" + mutant + encode(None)
+        with pytest.raises(ValueError):
+            decode(mutant)
+
+    @given(st.binary(max_size=24))
+    def test_whatever_decodes_reencodes_to_the_input(self, data):
+        try:
+            value = decode(data)
+        except ValueError:
+            return
+        assert encode(value) == data
+        assert encode(substitute(value, {})) == data  # not just the cached bytes
 
 
 class TestFingerprintStability:
@@ -291,9 +374,9 @@ def _bfs_fingerprinted(spec, max_states):
 def _sweep_states(n_specs=20, max_states=250):
     """BFS every generated testkit spec; yield each (spec index, state).
 
-    The delta codec is on, so successor records carry parent/touched
-    chains and their encodings and fingerprints go through the
-    incremental paths under test.
+    Successor records carry parent/touched chains, so with
+    ``set_delta_codec(True)`` their fingerprints go through the
+    table-patching path under test.
     """
     for index, spec in _generated_specs(n_specs):
         for state, _, new in _bfs_fingerprinted(spec, max_states):
@@ -338,29 +421,34 @@ print(digest.hexdigest())
 
 
 class TestDeltaCodecProperty:
-    """The delta paths must be invisible: byte-identical encodings,
+    """Table patching must be invisible: byte-identical encodings,
     identical fingerprints, in every process."""
 
     def test_delta_encodings_byte_identical_across_testkit_specs(self):
-        previous = set_delta_codec(True)
-        reset_codec_stats()
-        try:
-            states = 0
-            for _, state in _sweep_states():
-                states += 1
-                delta_bytes = encode(state)
-                fresh = decode(delta_bytes)
-                # From-scratch canonical encode of a cache-free rebuild
-                # must reproduce the delta-assembled bytes exactly.
-                assert encode(fresh) == delta_bytes
-                assert fingerprint(fresh) == fingerprint(state)
-            stats = codec_stats()
-        finally:
-            set_delta_codec(previous)
-        assert states > 300  # the sweep actually explored
-        # ... and the incremental paths actually ran (the point of the test).
-        assert stats["delta_hits"] > 0
-        assert stats["fp_delta_hits"] > 0
+        for delta in (True, False):
+            previous = set_delta_codec(delta)
+            reset_codec_stats()
+            try:
+                states = 0
+                for _, state in _sweep_states():
+                    states += 1
+                    # A cache-free rebuild, encoded and digested pair by
+                    # pair, must reproduce the bytes of a state that
+                    # reuses nested encodings and the fingerprint of one
+                    # that patched its parent's table.
+                    fresh = substitute(state, {})
+                    assert encode(fresh) == encode(state)
+                    assert decode(encode(state)) == state
+                    assert fingerprint(fresh) == fingerprint(state)
+                stats = codec_stats()
+            finally:
+                set_delta_codec(previous)
+            assert states > 300  # the sweep actually explored
+            # ... and the incremental path ran exactly when switched on
+            assert (stats["fp_delta_hits"] > 0) == delta
+            assert stats["fp_full"] > 0
+            # there is one encoder: nothing is ever spliced
+            assert stats["delta_hits"] == stats["delta_misses"] == 0
 
     @pytest.mark.parametrize("hashseed", ["0", "7", "31337"])
     def test_sweep_fingerprints_stable_across_hash_seeds(self, hashseed):
@@ -646,6 +734,40 @@ class TestChangedKeysAndStats:
         base = Rec(a=1, b=2, c=3)
         child = base.update(a=base["a"], b=9)
         assert changed_keys(child, base) == frozenset({"b"})
+
+    def test_update_keyword_wins_over_mapping(self):
+        """As in ``dict.update``; the identity shortcut used to compare
+        the keyword with the source record and keep the mapping's value."""
+        base = Rec(a=1, b=5)
+        assert base.update({"a": 2}, a=base["a"]) is base
+        child = base.update({"a": 2, "b": 6}, a=base["a"])
+        assert child == Rec(a=1, b=6)
+        assert changed_keys(child, base) == frozenset({"b"})
+        assert base.update({"a": 2}, a=3)._touched == ("a",)  # once, not twice
+
+    def test_fingerprinted_child_does_not_retain_its_parent(self):
+        parent = Rec(a=(1, 2), b="x", c=Rec(d=1))
+        encode(parent)
+        fingerprint(parent)
+        child = parent.set("b", "y")
+        previous = set_delta_codec(True)
+        try:
+            reset_codec_stats()
+            fingerprint(child)
+            assert codec_stats()["fp_delta_hits"] == 1
+        finally:
+            set_delta_codec(previous)
+        # Rec has no __weakref__ slot, so walk what the child refers to
+        # (values, not types and the modules behind them).
+        seen = set()
+        stack = [child]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, type):
+                continue
+            seen.add(id(obj))
+            assert obj is not parent
+            stack.extend(gc.get_referents(obj))
 
     def test_counter_names(self):
         reset_codec_stats()

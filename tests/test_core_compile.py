@@ -11,7 +11,6 @@ from repro.core import Action, Invariant, Rec, Spec, SpecError, TransitionInvari
 from repro.core.compile import (
     ActionMeta,
     CompiledSpec,
-    compile_disabled,
     compile_spec,
     maybe_compile,
 )
@@ -99,12 +98,6 @@ class TestCompileSpec:
         spec = CounterSpec()
         assert maybe_compile(spec, compiled=False) is spec
         assert isinstance(maybe_compile(spec), CompiledSpec)
-
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("SANDTABLE_NO_COMPILE", "1")
-        assert compile_disabled()
-        spec = CounterSpec()
-        assert maybe_compile(spec) is spec
 
     def test_delegates_spec_attributes(self):
         spec = small_raft()
