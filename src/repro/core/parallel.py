@@ -59,21 +59,24 @@ and settle phases, so no edge is ever recorded for a state nobody holds.
 **Transports.**  The master never talks to a process or a socket
 directly: all exchange goes through a :class:`WorkerTransport` —
 ``send(wid, msg)`` / ``recv(timeout)`` / ``replace(wid)`` / ``close()``.
-The default :class:`ForkTransport` forks local workers and moves
-messages over multiprocessing queues (specs need not be picklable; all
-cross-process state travels as canonical codec bytes).  The socket
-transport in :mod:`repro.dist.transport` speaks the same protocol to
-``sandtable worker`` agents over TCP, so exploration spans hosts.  The
-per-shard protocol logic itself lives in :class:`ShardWorker`, shared by
-both.
+The default :class:`ForkTransport` forks local workers, each on a
+private duplex pipe (specs need not be picklable; all cross-process
+state travels as canonical codec bytes).  The socket transport in
+:mod:`repro.dist.transport` speaks the same protocol to ``sandtable
+worker`` agents over TCP, so exploration spans hosts.  Both are one
+channel per worker under the same :class:`Multiplexer`, and at the other
+end of each the same :func:`serve_worker` loop drives a
+:class:`ShardWorker`, which holds the per-shard protocol logic.
 
-**Elastic membership.**  A transport reports a lost worker by raising
-:class:`WorkerDied`.  The master then replaces the worker (respawn, or
-connect to a spare agent), drains stale in-flight replies with a
-ping/pong barrier, and rolls the whole fleet back to the last committed
-generation-addressed checkpoint (or re-seeds from the initial states
-when none was written yet); ``restore`` rebuilds each worker's store and
-frontier and drops its pending list, whichever phase the round died in.
+**Elastic membership.**  A transport reports a lost worker — end of
+file or an error on its channel, a SIGKILLed fork worker like a dropped
+socket — by raising :class:`WorkerDied`.  The master then replaces the
+worker (respawn, or connect to a spare agent), drains stale in-flight
+replies with a ping/pong barrier, and rolls the whole fleet back to the
+last committed generation-addressed checkpoint (or re-seeds from the
+initial states when none was written yet); ``restore`` rebuilds each
+worker's store and frontier and drops its pending list, whichever phase
+the round died in.
 Checkpoints are taken at round boundaries the uninterrupted run also
 passes through, so the recovered run is census- and trace-identical to
 an undisturbed one.
@@ -96,9 +99,9 @@ deterministic, so all workers agree on the reduced successor relation.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
-import queue as queue_mod
 import time
 import traceback
 import warnings
@@ -140,6 +143,8 @@ __all__ = [
     "parallel_bfs",
     "ParallelBFS",
     "ShardWorker",
+    "serve_worker",
+    "Multiplexer",
     "ForkTransport",
     "WorkerDied",
     "WORKER_OPTIONS",
@@ -316,11 +321,11 @@ class ShardWorker:
 
     Owns the fingerprints with ``fp % workers == wid`` (a local store of
     fingerprints and parent edges) and holds the frontier states it
-    generated itself, whoever owns them.  The fork worker loop
+    generated itself, whoever owns them.  A forked worker
     (:func:`_worker_main`) and the TCP worker agent
     (:class:`repro.dist.agent.WorkerAgent`) both drive one instance
-    through :meth:`handle`, which keeps the two transports behaviorally
-    identical by construction.  ``options`` are the
+    through :func:`serve_worker`, which keeps the two transports
+    behaviorally identical by construction.  ``options`` are the
     :data:`WORKER_OPTIONS`.  Expansion and every invariant check are the
     serial explorer's: one :class:`~repro.core.engine.ExplorationEngine`
     and its :class:`~repro.core.engine.StepChecker`.
@@ -405,13 +410,14 @@ class ShardWorker:
             self.frontier.append((state, fp, 0))
         return ("absorbed", self.wid, added, self._found(), len(self.frontier))
 
-    def expand(self, deadline: Optional[float]) -> tuple:
+    def expand(self, budget: Optional[float]) -> tuple:
         """Expand this worker's level: one run of the shared engine.
 
         Local children are deduplicated, checked and queued by the
-        engine; foreign ones come back as claims.  A run cut short (the
-        deadline, a violation) drops what is left of the level — the
-        search is over — but keeps the children it did generate.
+        engine; foreign ones come back as claims.  A run cut short
+        (``budget``, the seconds the search has left, or a violation)
+        drops what is left of the level — the search is over — but
+        keeps the children it did generate.
         """
         engine, strategy = self._engine, self._strategy
         current, self.frontier = self.frontier, deque()
@@ -422,7 +428,7 @@ class ShardWorker:
         # Per-round observability deltas, shipped to the master with the
         # "expanded" reply and merged there.
         registry = engine.metrics = MetricsRegistry() if self.metrics_on else None
-        engine.time_budget = None if deadline is None else deadline - time.monotonic()
+        engine.time_budget = budget
         result = engine.run()
         stats = result.stats
         claims = {
@@ -561,125 +567,178 @@ class ShardWorker:
         return ("pong", self.wid)
 
 
+def serve_worker(
+    worker: ShardWorker,
+    read: Callable[[], tuple],
+    reply: Callable[[tuple], None],
+) -> bool:
+    """The worker end of a channel, pipe or socket: strict request/reply
+    until ``stop``.  ``True`` means it was told to ``die`` — test-only
+    fault injection: the caller is to vanish without a reply, as a
+    crashed or OOM-killed worker would.  An error in worker code is the
+    last reply; a failing ``read`` or ``reply`` (the master is gone) is
+    the caller's to catch.
+    """
+    while True:
+        msg = read()
+        if msg[0] == "stop":
+            return False
+        if msg[0] == "die":
+            return True
+        try:
+            answer = worker.handle(msg)
+        except Exception:
+            reply(("error", worker.wid, traceback.format_exc()))
+            return False
+        reply(answer)
+
+
 def _worker_main(
-    wid: int,
-    n_workers: int,
-    spec: Spec,
-    options: Dict[str, bool],
-    in_q: Any,
-    out_q: Any,
+    wid: int, config: Dict[str, Any], channel: Any, inherited: list
 ) -> None:
-    """Fork-worker loop: drive one :class:`ShardWorker` over mp queues."""
+    """Fork-worker entry: one :class:`ShardWorker` served over its pipe."""
+    # The master's pipe ends came along with the fork.  Held open here
+    # they would outlive the master; closed, end of file on a pipe means
+    # exactly that the process at its other end is gone.
+    for end in inherited:
+        end.close()
     try:
-        worker = ShardWorker(spec, wid, n_workers, **options)
-        while True:
-            msg = in_q.get()
-            if msg[0] == "stop":
-                return
-            if msg[0] == "die":
-                # Test-only fault injection: vanish without a reply, as a
-                # crashed or OOM-killed worker would — but at the message
-                # boundary: the feeder thread holds the reply queue's
-                # cross-process write lock while it sends, and dying
-                # inside that window would wedge every other worker.
-                out_q.close()
-                out_q.join_thread()
-                os._exit(1)
-            out_q.put(worker.handle(msg))
-    except BaseException:
-        out_q.put(("error", wid, traceback.format_exc()))
+        worker = ShardWorker(
+            config["spec"], wid, config["workers"], **config["options"]
+        )
+    except Exception:
+        channel.send(("error", wid, traceback.format_exc()))
+        return
+    with contextlib.suppress(EOFError, OSError, KeyboardInterrupt):  # master gone; ^C
+        if serve_worker(worker, channel.recv, channel.send):
+            os._exit(1)
 
 
-class ForkTransport:
-    """The default transport: forked local workers over mp queues.
+class Multiplexer:
+    """The master's end of one channel per worker: the only receive path.
 
-    One queue into each worker, one shared queue back; FIFO order per
-    worker is guaranteed by the queue semantics, which the master's
-    ping/pong drain relies on after a replacement.
+    A transport subclasses this and supplies how a channel is opened
+    (registering it in ``_channels``), ``_write(channel, msg)`` and
+    ``_read(channel)`` — the complete messages a readable channel holds.
+    A channel is anything :func:`multiprocessing.connection.wait` accepts
+    that has ``close()``, and keeps its messages in order, which the
+    master's ping/pong drain relies on after a replacement.
     """
 
+    #: what a read or a write raises when the peer is gone
+    lost: Tuple[type, ...] = (EOFError, OSError)
+
     def __init__(self) -> None:
-        self.n = 0
-        self._ctx: Any = None
-        self._config: Dict[str, Any] = {}
-        self._procs: List[Any] = []
-        self._in_qs: List[Any] = []
-        self._out_q: Any = None
+        #: wid -> live channel
+        self._channels: Dict[int, Any] = {}
+        self._inbox: deque = deque()
 
-    def start(self, config: Dict[str, Any]) -> None:
-        self._config = dict(config)
-        self.n = int(config["workers"])
-        ctx = self._ctx = multiprocessing.get_context("fork")
-        self._out_q = ctx.Queue()
-        self._in_qs = [ctx.Queue() for _ in range(self.n)]
-        self._procs = [self._spawn(wid, self._in_qs[wid]) for wid in range(self.n)]
-        for proc in self._procs:
-            proc.start()
-
-    def _spawn(self, wid: int, in_q: Any) -> Any:
-        config = self._config
-        return self._ctx.Process(
-            target=_worker_main,
-            args=(wid, self.n, config["spec"], config["options"], in_q, self._out_q),
-            daemon=True,
-            name=f"sandtable-bfs-{wid}",
-        )
-
-    def send(self, wid: int, msg: tuple) -> None:
-        self._in_qs[wid].put(msg)
+    def send(self, wid: int, msg: Any) -> None:
+        channel = self._channels.get(wid)
+        if channel is None:
+            raise WorkerDied(wid, "channel already lost")
+        try:
+            self._write(channel, msg)
+        except self.lost as exc:
+            self._drop(wid)
+            raise WorkerDied(wid, f"send failed: {exc}") from exc
 
     def recv(self, timeout: float = 1.0) -> Optional[tuple]:
         """One worker reply, ``None`` on timeout; raises on lost workers."""
-        try:
-            msg = self._out_q.get(timeout=timeout)
-        except queue_mod.Empty:
-            for wid, proc in enumerate(self._procs):
-                if not proc.is_alive():
-                    raise WorkerDied(
-                        wid, f"{proc.name} exited with code {proc.exitcode}"
-                    ) from None
-            return None
+        from multiprocessing.connection import wait  # local: 7 ms no serial run owes
+
+        while not self._inbox:
+            if not self._channels:
+                raise RuntimeError("no live worker channel to receive from")
+            wid_of = {channel: wid for wid, channel in self._channels.items()}
+            ready = wait(list(wid_of), timeout)
+            if not ready:
+                return None
+            # Deterministic service order under simultaneous readiness.
+            for wid in sorted(wid_of[channel] for channel in ready):
+                try:
+                    self._inbox.extend(self._read(self._channels[wid]))
+                except self.lost as exc:
+                    self._drop(wid)
+                    reason = str(exc) or "end of file"
+                    raise WorkerDied(wid, f"recv failed: {reason}") from exc
+        msg = self._inbox.popleft()
         if msg[0] == "error":
             raise RuntimeError(f"parallel BFS worker {msg[1]} failed:\n{msg[2]}")
         return msg
 
+    def close(self) -> None:
+        for wid in list(self._channels):
+            with contextlib.suppress(WorkerDied):
+                self.send(wid, ("stop",))
+            self._drop(wid)
+        self._inbox.clear()
+
+    def _drop(self, wid: int) -> None:
+        channel = self._channels.pop(wid, None)
+        if channel is not None:
+            with contextlib.suppress(OSError):
+                channel.close()
+
+
+class ForkTransport(Multiplexer):
+    """The default transport: forked local workers, a duplex pipe each.
+
+    A pipe is created immediately before its worker's fork and the
+    child's end closed here right after, so no other process ever holds
+    it: a worker that dies, at whatever instant, reads as end of file on
+    its own pipe and disturbs no other.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._config: Dict[str, Any] = {}
+        self._procs: Dict[int, Any] = {}
+
+    def start(self, config: Dict[str, Any]) -> None:
+        self._config = dict(config)
+        for wid in range(config["workers"]):
+            self._spawn(wid)
+
+    def _spawn(self, wid: int) -> None:
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        inherited = [*self._channels.values(), ours]
+        proc = ctx.Process(
+            target=_worker_main,
+            args=(wid, self._config, theirs, inherited),
+            daemon=True,
+            name=f"sandtable-bfs-{wid}",
+        )
+        proc.start()
+        theirs.close()
+        self._procs[wid], self._channels[wid] = proc, ours
+
+    def _write(self, channel: Any, msg: tuple) -> None:
+        channel.send(msg)
+
+    def _read(self, channel: Any) -> List[tuple]:
+        return [channel.recv()]
+
     def replace(self, wid: int) -> bool:
-        """Respawn the worker behind shard ``wid`` with a fresh queue."""
+        """Respawn the worker behind shard ``wid`` on a fresh pipe."""
+        self._drop(wid)
         old_proc = self._procs[wid]
         if old_proc.is_alive():  # pragma: no cover - defensive
             old_proc.terminate()
         old_proc.join(timeout=5)
-        old_q = self._in_qs[wid]
-        in_q = self._ctx.Queue()
-        self._in_qs[wid] = in_q
-        proc = self._spawn(wid, in_q)
-        self._procs[wid] = proc
-        proc.start()
-        try:
-            old_q.close()
-            old_q.cancel_join_thread()
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
+        self._spawn(wid)
         return True
 
     def close(self) -> None:
-        for in_q in self._in_qs:
-            try:
-                in_q.put(("stop",))
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-        for proc in self._procs:
+        super().close()
+        for proc in self._procs.values():
             proc.join(timeout=5)
-        for proc in self._procs:
+        for proc in self._procs.values():
             if proc.is_alive():  # pragma: no cover - hard shutdown
                 proc.terminate()
                 proc.join(timeout=5)
-        queues = list(self._in_qs)
-        if self._out_q is not None:
-            queues.append(self._out_q)
-        for q in queues:
-            q.close()
-            q.cancel_join_thread()
+        self._procs.clear()  # and with them their sentinel descriptors
 
 
 class ParallelBFS:
@@ -740,6 +799,13 @@ class ParallelBFS:
         self.transport = transport
         self.max_reassignments = max_reassignments
         self.stats = SearchStats()
+        #: membership events (deaths + reassignments), carried into every
+        #: checkpoint manifest and exposed to callers (the durable runner
+        #: records them in the run manifest)
+        self.membership: List[Dict[str, Any]] = []
+        #: wid -> frontier length as of that worker's last reply
+        self.frontier_sizes: Dict[int, int] = {}
+        self._deaths = 0
 
     @property
     def metrics_on(self) -> bool:
@@ -750,17 +816,19 @@ class ParallelBFS:
 
     def run(self) -> SearchResult:
         transport = self.transport if self.transport is not None else ForkTransport()
-        transport.start(
-            {
-                "workers": self.workers,
-                "spec": self.spec,
-                "options": {opt: bool(getattr(self, opt)) for opt in WORKER_OPTIONS},
-                "metrics": self.metrics,
-            }
-        )
         self._transport = transport
+        # start() is inside: a fleet that came up only in part (the second
+        # agent refused, say) is stopped and closed like a whole one.
         try:
-            return self._drive(transport)
+            transport.start(
+                {
+                    "workers": self.workers,
+                    "spec": self.spec,
+                    "options": {opt: bool(getattr(self, opt)) for opt in WORKER_OPTIONS},
+                    "metrics": self.metrics,
+                }
+            )
+            return self._drive()
         finally:
             transport.close()
 
@@ -788,374 +856,359 @@ class ParallelBFS:
             rate=metrics.gauge("engine.states_per_sec"),
         )
 
-    def _drive(self, transport: Any) -> SearchResult:
-        resume = self.resume
-        checkpointer = self.checkpointer
-        monotonic = time.monotonic
-        n = self.workers
-        everyone = range(n)
-        exchange = self._exchange
-        stop_on_violation = self.stop_on_violation
-        reducer = _make_reducer(self.spec, self.symmetry)
-        reassigned = 0
-        #: membership events (deaths + reassignments), carried into every
-        #: checkpoint manifest from now on and exposed to callers (the
-        #: durable runner records them in the run manifest).
-        membership: List[Dict[str, Any]] = []
-        self.membership = membership
-        #: wid -> frontier length as of that worker's last reply
-        sizes: Dict[int, int] = {}
-        self.frontier_sizes = sizes
-        # Set by rewind(), which every start, resume and rollback goes through.
-        stats = self.stats
-        depth = 0
-        violations: List[_ViolationDesc] = []
-        started = monotonic()
-        deadline: Optional[float] = None
-
-        def count_states(owner: int, added: int) -> None:
-            stats.distinct_states += added
-            if inst is not None and added:
-                key = str(owner)
-                inst.shard_states[key] = inst.shard_states.get(key, 0) + added
-
-        def route_seed() -> None:
-            # Seed: initial states go to the owners of their fingerprints,
-            # which dedupe, record and check them.
-            seeds: Dict[int, list] = defaultdict(list)
-            for init in self.spec.init_states():
-                canon = reducer.canonical(init) if reducer is not None else init
-                fp = fingerprint(canon)
-                seeds[fp % n].append((encode(canon), fp))
-            if inst is not None:
-                inst.batch_bytes.inc(
-                    sum(len(enc) for items in seeds.values() for enc, _ in items)
-                )
-            for _, wid, added, viols, size in exchange(
-                {wid: ("absorb", items) for wid, items in seeds.items()}, "absorbed"
-            ):
-                count_states(wid, added)
-                violations.extend(viols)
-                sizes[wid] = size
-
-        def rewind(point: Optional[Any]) -> None:
-            """Put master and fleet at the committed checkpoint ``point``,
-            or (``None``) at the initial states."""
-            nonlocal stats, depth, violations, started, deadline
-            sizes.clear()
-            if point is None:
-                stats, depth, violations = SearchStats(), 0, []
-                sizes.update(dict.fromkeys(everyone, 0))
-            else:
-                stats, depth = point.stats, point.depth
-                violations = list(point.violations)
-                sizes.update(point.frontier_sizes)
-            self.stats = stats
-            paths = [None] * n if point is None else point.worker_files
-            exchange(
-                {wid: ("restore", path and str(path)) for wid, path in enumerate(paths)},
-                "restored",
-            )
-            # Backdated, so the time budget stays cumulative across
-            # resume and rollback.
-            started = monotonic() - stats.elapsed
-            deadline = (
-                started + self.time_budget if self.time_budget is not None else None
-            )
-            if point is None:
-                route_seed()
-
-        def rebalance() -> None:
-            # States stay where they were generated, so frontiers drift
-            # apart (a single root starts entirely on one worker): level
-            # them when the largest — which sets the next round's time —
-            # is too far above the mean.
-            plan = rebalance_plan(sizes)
-            if not plan:
-                return
-            parcels_for: Dict[int, list] = defaultdict(list)
-            for _, donor, parcels, size in exchange(
-                {donor: ("donate", moves) for donor, moves in plan.items()}, "donated"
-            ):
-                sizes[donor] = size
-                for recipient, items in parcels.items():
-                    parcels_for[recipient].extend(items)
-            for _, wid, size in exchange(
-                {wid: ("adopt", items) for wid, items in parcels_for.items()}, "adopted"
-            ):
-                sizes[wid] = size
-            if inst is not None:
-                moved = [len(item[0]) for items in parcels_for.values() for item in items]
-                inst.rebalanced.inc(len(moved))
-                inst.batch_bytes.inc(sum(moved))
-
-        def refresh_gauges() -> None:
-            inst.queue_depth.set(sum(sizes.values()))
-            inst.rate.set(
-                stats.distinct_states / stats.elapsed if stats.elapsed > 0 else 0.0
-            )
-
-        def finish(reason: StopReason) -> SearchResult:
-            stats.elapsed = monotonic() - started
-            if inst is not None:
-                refresh_gauges()
-            violation = self._build_violation(violations, reducer)
-            exhausted = reason is StopReason.EXHAUSTED and (
-                violation is None or not stop_on_violation
-            )
-            return SearchResult(stats, violation, exhausted, reason)
-
-        metrics = self.metrics
-        inst: Optional[SimpleNamespace] = None
-        baseline_snapshot: Optional[Dict[str, Any]] = None
+    def _drive(self) -> SearchResult:
+        """Rewind to where the run starts, then rounds until a reason to
+        stop.  A worker lost on the way — in the rewind, a round, the
+        result's edge merge, a recovery — is recovered from before the next."""
+        resume, metrics = self.resume, self.metrics
+        self._reducer = _make_reducer(self.spec, self.symmetry)
+        self._inst: Optional[SimpleNamespace] = None
+        self._baseline: Optional[Dict[str, Any]] = None
         if resume is not None:
             # Shard ownership is fp % n: a checkpoint only makes sense to
             # the worker count that wrote it.
-            if resume.workers != n:
+            if resume.workers != self.workers:
                 raise ValueError(
                     f"checkpoint was written by {resume.workers} workers;"
-                    f" resume with --workers {resume.workers} (got {n})"
+                    f" resume with --workers {resume.workers} (got {self.workers})"
                 )
-            membership.extend(getattr(resume, "reassignments", ()) or ())
+            self.membership.extend(getattr(resume, "reassignments", ()) or ())
         if metrics is not None:
             snapshot = getattr(resume, "metrics", None)
             if snapshot:
                 # Discard anything a killed run counted past its last
                 # committed checkpoint; the rounds re-run from here.
                 metrics.restore(snapshot)
-            inst = self._instruments()
-            if reducer is not None:
-                metrics.gauge(SYMMETRY_GROUP_SIZE).set(reducer.group_size)
+            self._inst = self._instruments()
+            if self._reducer is not None:
+                metrics.gauge(SYMMETRY_GROUP_SIZE).set(self._reducer.group_size)
             # For a rollback with no committed checkpoint yet: the
             # registry exactly as it was before any exploration counted.
-            baseline_snapshot = metrics.snapshot()
-        rewind(resume)
-
-        # -- level-synchronous rounds ---------------------------------------
+            self._baseline = metrics.snapshot()
+        lost: Optional[WorkerDied] = None
+        rewound = False
         while True:
             try:
-                if violations and stop_on_violation:
-                    return finish(StopReason.VIOLATION)
-                if deadline is not None and monotonic() > deadline:
-                    return finish(StopReason.TIME_BUDGET)
-                if (
-                    self.max_states is not None
-                    and stats.distinct_states >= self.max_states
-                ):
-                    return finish(StopReason.MAX_STATES)
-                if not any(sizes.values()):
-                    return finish(StopReason.EXHAUSTED)
-                if self.max_depth is not None and depth >= self.max_depth:
-                    # BFS semantics: states at the depth bound are not expanded.
-                    stats.max_depth = self.max_depth
-                    return finish(StopReason.EXHAUSTED)
-
-                # Round boundary: every recorded state is on exactly one
-                # frontier or already expanded and no claim is pending, so
-                # checkpoint here if due — each worker dumps its store
-                # shard and its frontier, then the master manifest commit
-                # publishes the fleet-wide snapshot atomically.
-                if checkpointer is not None and checkpointer.due(stats):
-                    stats.elapsed = monotonic() - started
-                    exchange(
-                        {
-                            wid: ("checkpoint", str(checkpointer.worker_path(wid)))
-                            for wid in everyone
-                        },
-                        "checkpointed",
-                    )
-                    checkpointer.commit(
-                        workers=n,
-                        depth=depth,
-                        stats=stats,
-                        frontier_sizes=dict(sizes),
-                        violations=violations,
-                        metrics=metrics.snapshot() if metrics is not None else None,
-                        reassignments=membership,
-                    )
-
-                # expand: every worker pops its frontier slice, keeps its
-                # foreign children pending and reports their claims
-                wait_start = monotonic()
-                replies = exchange(
-                    {wid: ("expand", deadline) for wid in everyone}, "expanded"
-                )
-                if inst is not None:
-                    inst.wait.observe((monotonic() - wait_start) * 1000.0)
-                truncated = False
-                #: owner -> [(claimer, claims)], claimers in wid order
-                claims_for: Dict[int, list] = defaultdict(list)
-                for (
-                    _,
-                    wid,
-                    transitions,
-                    pruned,
-                    added,
-                    claims,
-                    viols,
-                    size,
-                    was_truncated,
-                    obs,
-                ) in replies:
-                    stats.transitions += transitions
-                    stats.pruned += pruned
-                    count_states(wid, added)
-                    violations.extend(viols)
-                    sizes[wid] = size
-                    truncated = truncated or was_truncated
-                    for owner, batch in claims.items():
-                        claims_for[owner].append((wid, batch))
-                    if inst is not None and obs is not None:
-                        fanout_state, families = obs
-                        inst.fanout.merge(fanout_state)
-                        for family, delta in families.items():
-                            metrics.merge_counts(family, delta)
-                stats.max_depth = max(stats.max_depth, depth)
-
-                # claim: owners dedupe, record the new edges and grant
-                #: claimer -> {owner: accepted indices}
-                granted: Dict[int, dict] = defaultdict(dict)
-                for _, owner, added, accepted in exchange(
-                    {owner: ("claim", batches) for owner, batches in claims_for.items()},
-                    "claimed",
-                ):
-                    count_states(owner, added)
-                    for claimer, indices in accepted.items():
-                        granted[claimer][owner] = indices
-                    if inst is not None:
-                        shipped = sum(len(batch) for _, batch in claims_for[owner])
-                        inst.batch_sizes.observe(shipped)
-                        inst.claims.inc(shipped)
-
-                # settle: claimers check and enqueue what they were granted
-                # — also after a truncated expand, so no recorded edge is
-                # left pointing at a state nobody holds
-                for _, wid, viols, size in exchange(
-                    {wid: ("settle", grants) for wid, grants in granted.items()},
-                    "settled",
-                ):
-                    violations.extend(viols)
-                    sizes[wid] = size
-                rebalance()
-
-                depth += 1
-                if inst is not None:
-                    inst.rounds.inc()
-                if self.progress is not None:
-                    stats.elapsed = monotonic() - started
-                    if inst is not None:
-                        refresh_gauges()
-                    self.progress(stats)
-                if truncated:
-                    return finish(StopReason.TIME_BUDGET)
-
+                if lost is not None:
+                    self._recover(lost)
+                elif not rewound:
+                    self._rewind(resume)
+                lost, rewound = None, True
+                reason = self._stop_reason() or self._round()
+                if reason is not None:
+                    return self._finish(reason)
             except WorkerDied as death:
-                # -- elastic membership: replace, drain, roll back ----------
-                pending: Optional[WorkerDied] = death
-                while pending is not None:
-                    reassigned += 1
-                    if metrics is not None:
-                        metrics.inc("parallel.worker_deaths")
-                    if reassigned > self.max_reassignments:
-                        raise RuntimeError(
-                            f"parallel BFS giving up after"
-                            f" {self.max_reassignments} worker reassignments"
-                            f" (last: {pending})"
-                        ) from pending
-                    if not transport.replace(pending.wid):
-                        raise RuntimeError(
-                            f"parallel BFS worker {pending.wid} died and no"
-                            f" replacement worker is available"
-                            f" ({pending.reason or 'no spare agents'})"
-                        ) from pending
-                    warnings.warn(
-                        f"parallel BFS worker {pending.wid} died"
-                        f" ({pending.reason or 'no reason recorded'});"
-                        f" reassigned its shard and rolling back to the last"
-                        f" committed checkpoint",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    try:
-                        # FIFO per-worker channels: once every worker
-                        # answers a ping, no stale pre-death reply can
-                        # still be in flight.
-                        self._drain(transport)
+                lost = death
 
-                        point = None
-                        if checkpointer is not None and checkpointer.has_commit():
-                            from ..persist.checkpoint import load_parallel_resume
+    def _count_states(self, owner: int, added: int) -> None:
+        self.stats.distinct_states += added
+        if self._inst is not None and added:
+            shard_states = self._inst.shard_states
+            shard_states[str(owner)] = shard_states.get(str(owner), 0) + added
 
-                            point = load_parallel_resume(checkpointer.run_dir)
-                        if metrics is not None:
-                            metrics.restore(
-                                (point is not None and point.metrics)
-                                or baseline_snapshot
-                            )
-                            inst = self._instruments()
-                        # No committed checkpoint yet restarts the
-                        # exploration from the initial states.
-                        rewind(point)
-                        membership.append(
-                            {
-                                "wid": pending.wid,
-                                "reason": pending.reason,
-                                "recovered": "checkpoint" if point else "seed",
-                                "depth": depth,
-                            }
-                        )
-                        if metrics is not None:
-                            metrics.inc("parallel.reassignments")
-                        pending = None
-                    except WorkerDied as again:
-                        pending = again
-                continue
+    def _seed(self) -> None:
+        """Route the initial states to the owners of their fingerprints,
+        which dedupe, record and check them."""
+        reducer = self._reducer
+        seeds: Dict[int, list] = defaultdict(list)
+        for init in self.spec.init_states():
+            canon = reducer.canonical(init) if reducer is not None else init
+            fp = fingerprint(canon)
+            seeds[fp % self.workers].append((encode(canon), fp))
+        if self._inst is not None:
+            self._inst.batch_bytes.inc(
+                sum(len(enc) for items in seeds.values() for enc, _ in items)
+            )
+        for _, wid, added, viols, size in self._exchange(
+            {wid: ("absorb", items) for wid, items in seeds.items()}, "absorbed"
+        ):
+            self._count_states(wid, added)
+            self._violations.extend(viols)
+            self.frontier_sizes[wid] = size
+
+    def _rewind(self, point: Optional[Any]) -> None:
+        """Put master and fleet at the committed checkpoint ``point``, or
+        (``None``) at the initial states.  Every start, resume and
+        rollback goes through here."""
+        if point is None:
+            self.stats, self._depth, self._violations = SearchStats(), 0, []
+            self.frontier_sizes = dict.fromkeys(range(self.workers), 0)
+            paths = [None] * self.workers
+        else:
+            self.stats, self._depth = point.stats, point.depth
+            self._violations = list(point.violations)
+            self.frontier_sizes = dict(point.frontier_sizes)
+            paths = point.worker_files
+        self._exchange(
+            {wid: ("restore", path and str(path)) for wid, path in enumerate(paths)},
+            "restored",
+        )
+        # Backdated, so the time budget stays cumulative across resume
+        # and rollback.
+        self._started = time.monotonic() - self.stats.elapsed
+        self._deadline = (
+            self._started + self.time_budget if self.time_budget is not None else None
+        )
+        if point is None:
+            self._seed()
+
+    def _stop_reason(self) -> Optional[StopReason]:
+        """Why the search ends at this round boundary, if it does."""
+        stats = self.stats
+        if self._violations and self.stop_on_violation:
+            return StopReason.VIOLATION
+        if self._deadline is not None and time.monotonic() > self._deadline:
+            return StopReason.TIME_BUDGET
+        if self.max_states is not None and stats.distinct_states >= self.max_states:
+            return StopReason.MAX_STATES
+        if not any(self.frontier_sizes.values()):
+            return StopReason.EXHAUSTED
+        if self.max_depth is not None and self._depth >= self.max_depth:
+            # BFS semantics: states at the depth bound are not expanded.
+            stats.max_depth = self.max_depth
+            return StopReason.EXHAUSTED
+        return None
+
+    def _checkpoint(self) -> None:
+        """Round boundary: every recorded state is on exactly one frontier
+        or already expanded and no claim is pending, so checkpoint here if
+        due — each worker dumps its store shard and its frontier, then the
+        master manifest commit publishes the fleet-wide snapshot atomically.
+        """
+        checkpointer, stats, metrics = self.checkpointer, self.stats, self.metrics
+        if checkpointer is None or not checkpointer.due(stats):
+            return
+        stats.elapsed = time.monotonic() - self._started
+        self._exchange(
+            {
+                wid: ("checkpoint", str(checkpointer.worker_path(wid)))
+                for wid in range(self.workers)
+            },
+            "checkpointed",
+        )
+        checkpointer.commit(
+            workers=self.workers,
+            depth=self._depth,
+            stats=stats,
+            frontier_sizes=dict(self.frontier_sizes),
+            violations=self._violations,
+            metrics=metrics.snapshot() if metrics is not None else None,
+            reassignments=self.membership,
+        )
+
+    def _round(self) -> Optional[StopReason]:
+        """One BFS level: expand, claim, settle, rebalance.  Returns
+        ``TIME_BUDGET`` when the budget cut the level short, else ``None``."""
+        self._checkpoint()
+        stats, sizes, inst = self.stats, self.frontier_sizes, self._inst
+        exchange, violations = self._exchange, self._violations
+
+        # expand: every worker pops its frontier slice, keeps its
+        # foreign children pending and reports their claims
+        wait_start = time.monotonic()
+        budget = None if self._deadline is None else self._deadline - wait_start
+        replies = exchange(
+            {wid: ("expand", budget) for wid in range(self.workers)}, "expanded"
+        )
+        if inst is not None:
+            inst.wait.observe((time.monotonic() - wait_start) * 1000.0)
+        truncated = False
+        #: owner -> [(claimer, claims)], claimers in wid order
+        claims_for: Dict[int, list] = defaultdict(list)
+        for (
+            _,
+            wid,
+            transitions,
+            pruned,
+            added,
+            claims,
+            viols,
+            size,
+            was_truncated,
+            obs,
+        ) in replies:
+            stats.transitions += transitions
+            stats.pruned += pruned
+            self._count_states(wid, added)
+            violations.extend(viols)
+            sizes[wid] = size
+            truncated = truncated or was_truncated
+            for owner, batch in claims.items():
+                claims_for[owner].append((wid, batch))
+            if inst is not None and obs is not None:
+                fanout_state, families = obs
+                inst.fanout.merge(fanout_state)
+                for family, delta in families.items():
+                    self.metrics.merge_counts(family, delta)
+        stats.max_depth = max(stats.max_depth, self._depth)
+
+        # claim: owners dedupe, record the new edges and grant
+        #: claimer -> {owner: accepted indices}
+        granted: Dict[int, dict] = defaultdict(dict)
+        for _, owner, added, accepted in exchange(
+            {owner: ("claim", batches) for owner, batches in claims_for.items()},
+            "claimed",
+        ):
+            self._count_states(owner, added)
+            for claimer, indices in accepted.items():
+                granted[claimer][owner] = indices
+            if inst is not None:
+                shipped = sum(len(batch) for _, batch in claims_for[owner])
+                inst.batch_sizes.observe(shipped)
+                inst.claims.inc(shipped)
+
+        # settle: claimers check and enqueue what they were granted
+        # — also after a truncated expand, so no recorded edge is
+        # left pointing at a state nobody holds
+        for _, wid, viols, size in exchange(
+            {wid: ("settle", grants) for wid, grants in granted.items()},
+            "settled",
+        ):
+            violations.extend(viols)
+            sizes[wid] = size
+        self._rebalance()
+
+        self._depth += 1
+        if inst is not None:
+            inst.rounds.inc()
+        if self.progress is not None:
+            stats.elapsed = time.monotonic() - self._started
+            if inst is not None:
+                self._refresh_gauges()
+            self.progress(stats)
+        return StopReason.TIME_BUDGET if truncated else None
+
+    def _rebalance(self) -> None:
+        """States stay where they were generated, so frontiers drift
+        apart (a single root starts entirely on one worker): level them
+        when the largest — which sets the next round's time — is too far
+        above the mean."""
+        sizes, inst = self.frontier_sizes, self._inst
+        plan = rebalance_plan(sizes)
+        if not plan:
+            return
+        parcels_for: Dict[int, list] = defaultdict(list)
+        for _, donor, parcels, size in self._exchange(
+            {donor: ("donate", moves) for donor, moves in plan.items()}, "donated"
+        ):
+            sizes[donor] = size
+            for recipient, items in parcels.items():
+                parcels_for[recipient].extend(items)
+        for _, wid, size in self._exchange(
+            {wid: ("adopt", items) for wid, items in parcels_for.items()}, "adopted"
+        ):
+            sizes[wid] = size
+        if inst is not None:
+            moved = [len(item[0]) for items in parcels_for.values() for item in items]
+            inst.rebalanced.inc(len(moved))
+            inst.batch_bytes.inc(sum(moved))
+
+    def _recover(self, death: WorkerDied) -> None:
+        """Elastic membership: replace the lost worker, drain what the
+        aborted round left in flight, roll master and fleet back to the last
+        committed checkpoint (to the initial states when there is none yet)."""
+        metrics, checkpointer = self.metrics, self.checkpointer
+        self._deaths += 1
+        if metrics is not None:
+            metrics.inc("parallel.worker_deaths")
+        if self._deaths > self.max_reassignments:
+            raise RuntimeError(
+                f"parallel BFS giving up after"
+                f" {self.max_reassignments} worker reassignments"
+                f" (last: {death})"
+            ) from death
+        if not self._transport.replace(death.wid):
+            raise RuntimeError(
+                f"parallel BFS worker {death.wid} died and no"
+                f" replacement worker is available"
+                f" ({death.reason or 'no spare agents'})"
+            ) from death
+        warnings.warn(
+            f"parallel BFS worker {death.wid} died"
+            f" ({death.reason or 'no reason recorded'});"
+            f" reassigned its shard and rolling back to the last"
+            f" committed checkpoint",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        # Per-worker channels keep their order: once every worker answers
+        # a ping, no stale pre-death reply can still be in flight.
+        self._exchange(
+            {wid: ("ping",) for wid in range(self.workers)}, "pong", stale_ok=True
+        )
+        point = None
+        if checkpointer is not None and checkpointer.has_commit():
+            from ..persist.checkpoint import load_parallel_resume
+
+            point = load_parallel_resume(checkpointer.run_dir)
+        if metrics is not None:
+            metrics.restore((point is not None and point.metrics) or self._baseline)
+            self._inst = self._instruments()
+        self._rewind(point)
+        self.membership.append(
+            {
+                "wid": death.wid,
+                "reason": death.reason,
+                "recovered": "checkpoint" if point else "seed",
+                "depth": self._depth,
+            }
+        )
+        if metrics is not None:
+            metrics.inc("parallel.reassignments")
+
+    def _refresh_gauges(self) -> None:
+        stats, inst = self.stats, self._inst
+        inst.queue_depth.set(sum(self.frontier_sizes.values()))
+        inst.rate.set(
+            stats.distinct_states / stats.elapsed if stats.elapsed > 0 else 0.0
+        )
+
+    def _finish(self, reason: StopReason) -> SearchResult:
+        stats = self.stats
+        stats.elapsed = time.monotonic() - self._started
+        if self._inst is not None:
+            self._refresh_gauges()
+        violation = self._build_violation()
+        exhausted = reason is StopReason.EXHAUSTED and (
+            violation is None or not self.stop_on_violation
+        )
+        return SearchResult(stats, violation, exhausted, reason)
 
     # -- plumbing -------------------------------------------------------------
 
-    def _exchange(self, messages: Dict[int, tuple], kind: str) -> List[tuple]:
+    def _exchange(
+        self, messages: Dict[int, tuple], kind: str, stale_ok: bool = False
+    ) -> List[tuple]:
         """Send ``messages`` (``wid -> op``) and collect one ``kind`` reply each.
 
         Replies are sorted by worker id before they are returned, so the
         master merges them in a deterministic order regardless of which
         worker (or transport) answered first — this is what makes the
         merged parent edges, and therefore reconstructed counterexample
-        traces, byte-identical across runs and transports.
+        traces, byte-identical across runs and transports.  ``stale_ok``
+        is the recovery's ping/pong barrier: a reply of any other kind is
+        what an aborted round left in flight, and is discarded.
         """
         transport = self._transport
         for wid in sorted(messages):
             transport.send(wid, messages[wid])
+        awaited = set(messages)
         replies: List[tuple] = []
-        while len(replies) < len(messages):
+        while awaited:
             msg = transport.recv(timeout=1.0)
             if msg is None:
                 continue
-            if msg[0] != kind:  # pragma: no cover - protocol error
+            if msg[0] == kind:
+                awaited.discard(msg[1])
+                replies.append(msg)
+            elif not stale_ok:  # pragma: no cover - protocol error
                 raise RuntimeError(f"unexpected {msg[0]!r} (awaiting {kind!r})")
-            replies.append(msg)
         replies.sort(key=lambda m: m[1])
         return replies
 
-    def _drain(self, transport: Any) -> None:
-        """Ping/pong barrier: discard stale replies from an aborted round."""
-        n = self.workers
-        for wid in range(n):
-            transport.send(wid, ("ping",))
-        pending = set(range(n))
-        while pending:
-            msg = transport.recv(timeout=1.0)
-            if msg is None:
-                continue
-            if msg[0] == "pong":
-                pending.discard(msg[1])
-            # anything else is a stale reply from before the death; drop it
-
-    def _build_violation(
-        self,
-        violations: List[_ViolationDesc],
-        reducer: Optional[SymmetryReducer],
-    ) -> Optional[Violation]:
+    def _build_violation(self) -> Optional[Violation]:
         """Reconstruct the minimal-depth violation from merged worker edges."""
+        violations, reducer = self._violations, self._reducer
         if not violations:
             return None
         # Level synchrony guarantees all candidates from the stopping round

@@ -4,7 +4,8 @@ One agent owns one listening socket and serves *sessions* sequentially:
 a master connects, sends the versioned handshake, and — if the agent can
 resolve the spec reference to the identical spec (fingerprint-checked) —
 gets a fresh :class:`~repro.core.parallel.ShardWorker` for the assigned
-shard, driven by a strict request/reply loop until ``stop`` or
+shard, driven by the loop a forked worker runs
+(:func:`~repro.core.parallel.serve_worker`) until ``stop`` or
 disconnect.  When the session ends the agent loops back to ``accept``,
 so one long-running agent serves any number of rounds, runs, and masters
 over its lifetime — and a just-started agent can adopt a dead worker's
@@ -17,23 +18,21 @@ generation-addressed files, so elastic membership needs no shared
 filesystem.
 
 ``die_after_ops`` is fault injection for the kill-and-resume tests: the
-agent drops the connection without a goodbye after that many post-
-handshake ops, exactly like a crashed worker host.  The ``("die",)`` op
-(the fork worker's test hook) does the same on demand.
+agent reads the op after that many post-handshake ones as ``("die",)``
+— the test hook a master can also send on demand — and drops the
+connection without a goodbye, exactly like a crashed worker host.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import socket
-import time
-import traceback
 from typing import Any, Optional
 
-from ..core.parallel import WORKER_OPTIONS, ShardWorker
+from ..core.parallel import WORKER_OPTIONS, ShardWorker, serve_worker
 from .specref import resolve_spec, spec_fingerprint
 from .wire import (
-    ConnectionClosed,
     WireError,
     check_handshake,
     decode_message,
@@ -124,49 +123,21 @@ class WorkerAgent:
             write_frame(writer, encode_message(msg))
             writer.flush()
 
+        ops = itertools.count()
+
+        def read() -> tuple:
+            msg = decode_message(read_frame(reader))
+            spent = self.die_after_ops is not None and next(ops) >= self.die_after_ops
+            return ("die",) if spent and msg[0] != "stop" else msg
+
         try:
             worker = self._handshake(reader, reply)
-            if worker is None:
-                return
-            ops = 0
-            while True:
-                try:
-                    msg = decode_message(read_frame(reader))
-                except (ConnectionClosed, WireError):
-                    return  # master went away; next master gets a fresh session
-                op = msg[0]
-                if op == "stop":
-                    return
-                if op == "expand":
-                    # The wire carries *remaining* seconds (clocks are not
-                    # comparable across hosts); re-anchor locally.
-                    remaining = msg[1]
-                    deadline = (
-                        None if remaining is None else time.monotonic() + remaining
-                    )
-                    msg = ("expand", deadline)
-                ops += 1
-                if op == "die" or (
-                    self.die_after_ops is not None and ops > self.die_after_ops
-                ):
-                    # Fault injection: vanish mid-run without a goodbye.
-                    self._say(f"fault injection: dying after {ops - 1} ops")
-                    self.shutdown()
-                    return
-                try:
-                    reply(worker.handle(tuple(msg)))
-                except (BrokenPipeError, ConnectionResetError):
-                    return
-                except WireError:
-                    raise
-                except Exception:
-                    try:
-                        reply(("error", worker.wid, traceback.format_exc()))
-                    except OSError:  # pragma: no cover - peer also gone
-                        pass
-                    return
-        except (ConnectionClosed, WireError, OSError):
-            return
+            if worker is not None and serve_worker(worker, read, reply):
+                # Fault injection: vanish mid-run without a goodbye.
+                self._say("fault injection: dying")
+                self.shutdown()
+        except (WireError, OSError):
+            return  # master went away; next master gets a fresh session
 
     def _handshake(self, reader: Any, reply: Any) -> Optional[ShardWorker]:
         msg = decode_message(read_frame(reader))

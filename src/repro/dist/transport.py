@@ -3,38 +3,34 @@
 Speaks the exact master↔worker protocol of
 :mod:`repro.core.parallel` — the same ops, the same reply tuples — so
 :class:`~repro.core.parallel.ParallelBFS` cannot tell it from the fork
-transport.  Three ops are translated because the agents share no
-filesystem or clock with the master:
+transport.  Two ops are translated because the agents share no
+filesystem with the master:
 
 * ``("checkpoint", path)`` — the path stays master-side; the worker is
   asked for its checkpoint *bytes* and the master writes the
   generation-addressed file itself (atomic rename), which is what keeps
   resume and shard reassignment working with remote workers;
-* ``("restore", path)`` — the master reads the file and ships the bytes;
-* ``("expand", deadline)`` — the absolute ``time.monotonic`` deadline is
-  meaningless on another host, so the *remaining seconds* travel and the
-  agent re-anchors them locally.
+* ``("restore", path)`` — the master reads the file and ships the bytes.
 
-A lost connection (EOF, send failure, torn frame) raises
-:class:`~repro.core.parallel.WorkerDied`; the master's elastic-membership
-recovery then calls :meth:`SocketTransport.replace`, which connects the
-dead worker's shard to the next unassigned spare address.  Pass more
-addresses than ``workers`` to have warm spares standing by.
+This module supplies the connection — the handshake, frames in and out;
+the receive path over the connections is the fork transport's too
+(:class:`~repro.core.parallel.Multiplexer`).  A lost connection (EOF,
+send failure, torn frame) raises :class:`~repro.core.parallel.WorkerDied`;
+the master's elastic-membership recovery then calls
+:meth:`SocketTransport.replace`, which connects the dead worker's shard
+to the next unassigned spare address.  Pass more addresses than
+``workers`` to have warm spares standing by.
 """
 
 from __future__ import annotations
 
 import pathlib
-import select
 import socket
-import time
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.parallel import WorkerDied
+from ..core.parallel import Multiplexer
 from ..obs.metrics import WIRE_BYTES_RECEIVED, WIRE_BYTES_SENT
 from .wire import (
-    ConnectionClosed,
     FrameBuffer,
     WireError,
     decode_message,
@@ -74,15 +70,20 @@ def parse_address(address: str) -> Tuple[str, int]:
 class _Conn:
     """One live agent connection and its frame-reassembly state."""
 
-    __slots__ = ("sock", "buffer", "addr_index")
+    __slots__ = ("sock", "buffer")
 
-    def __init__(self, sock: socket.socket, addr_index: int):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
         self.buffer = FrameBuffer()
-        self.addr_index = addr_index
+
+    def fileno(self) -> int:
+        return self.sock.fileno()
+
+    def close(self) -> None:
+        self.sock.close()
 
 
-class SocketTransport:
+class SocketTransport(Multiplexer):
     """A :class:`~repro.core.parallel.ForkTransport`-shaped TCP transport.
 
     ``addresses`` lists the agents to use, ``HOST:PORT`` each; the first
@@ -93,6 +94,8 @@ class SocketTransport:
     agents refuse mismatches.
     """
 
+    lost = (EOFError, OSError, WireError)
+
     def __init__(
         self,
         addresses: Sequence[str],
@@ -101,6 +104,7 @@ class SocketTransport:
         connect_timeout: float = 10.0,
         metrics: Optional[Any] = None,
     ):
+        super().__init__()
         if not addresses:
             raise TransportError("socket transport needs at least one worker address")
         self.addresses = [parse_address(a) for a in addresses]
@@ -109,12 +113,8 @@ class SocketTransport:
         self.metrics = metrics
         self.n = 0
         self._config: Dict[str, Any] = {}
-        self._conns: Dict[int, _Conn] = {}
         self._assigned: Dict[int, int] = {}  # wid -> address index (sticky)
         self._pending_ckpt: Dict[int, str] = {}
-        self._inbox: Deque[Tuple[int, tuple]] = deque()
-
-    # -- lifecycle -----------------------------------------------------------
 
     def start(self, config: Dict[str, Any]) -> None:
         self._config = dict(config)
@@ -129,25 +129,7 @@ class SocketTransport:
         for wid in range(self.n):
             self._connect(wid, wid)
 
-    def close(self) -> None:
-        for conn in self._conns.values():
-            try:
-                conn.sock.sendall(encode_frame(encode_message(("stop",))))
-            except OSError:
-                pass
-            try:
-                conn.sock.close()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._conns.clear()
-        self._inbox.clear()
-
-    # -- exchange ------------------------------------------------------------
-
     def send(self, wid: int, msg: tuple) -> None:
-        conn = self._conns.get(wid)
-        if conn is None:
-            raise WorkerDied(wid, "connection already lost")
         op = msg[0]
         if op == "checkpoint":
             # Remember where the master wants the file; ask the agent
@@ -159,63 +141,7 @@ class SocketTransport:
             if source is not None and not isinstance(source, (bytes, bytearray)):
                 source = pathlib.Path(source).read_bytes()
             msg = ("restore", source)
-        elif op == "expand":
-            deadline = msg[1]
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            msg = ("expand", remaining)
-        frame = encode_frame(encode_message(msg))
-        try:
-            conn.sock.sendall(frame)
-        except OSError as exc:
-            self._drop(wid)
-            raise WorkerDied(wid, f"send failed: {exc}") from exc
-        self._count(WIRE_BYTES_SENT, len(frame))
-
-    def recv(self, timeout: float = 1.0) -> Optional[tuple]:
-        """One worker reply, ``None`` on timeout; raises on lost workers."""
-        deadline = time.monotonic() + timeout
-        while True:
-            if self._inbox:
-                wid, msg = self._inbox.popleft()
-                return self._translate(wid, msg)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            by_sock = {conn.sock: wid for wid, conn in self._conns.items()}
-            if not by_sock:
-                raise WorkerDied(-1, "all worker connections lost")
-            readable, _, _ = select.select(list(by_sock), [], [], remaining)
-            if not readable:
-                return None
-            # Deterministic service order under simultaneous readiness.
-            for sock in sorted(readable, key=lambda s: by_sock[s]):
-                wid = by_sock[sock]
-                try:
-                    data = sock.recv(_RECV_CHUNK)
-                except OSError as exc:
-                    self._drop(wid)
-                    raise WorkerDied(wid, f"recv failed: {exc}") from exc
-                if not data:
-                    torn = self._conns[wid].buffer.pending
-                    self._drop(wid)
-                    reason = "connection closed"
-                    if torn:
-                        reason += f" mid-frame ({torn} bytes buffered)"
-                    raise WorkerDied(wid, reason)
-                self._count(WIRE_BYTES_RECEIVED, len(data))
-                buffer = self._conns[wid].buffer
-                try:
-                    buffer.feed(data)
-                    while True:
-                        payload = buffer.pop()
-                        if payload is None:
-                            break
-                        self._inbox.append((wid, decode_message(payload)))
-                except WireError as exc:
-                    self._drop(wid)
-                    raise WorkerDied(wid, f"wire error: {exc}") from exc
+        super().send(wid, encode_frame(encode_message(msg)))
 
     def replace(self, wid: int) -> bool:
         """Connect shard ``wid`` to the next unassigned spare agent."""
@@ -227,14 +153,14 @@ class SocketTransport:
             try:
                 self._connect(wid, index)
                 return True
-            except (OSError, TransportError, WireError):
+            except (OSError, TransportError):
                 # A spare that is down or refuses stays burned (recorded
                 # in _assigned by _connect only on success), so just try
                 # the next one.
                 continue
         return False
 
-    # -- internals -----------------------------------------------------------
+    # -- the connection ------------------------------------------------------
 
     def _connect(self, wid: int, addr_index: int) -> None:
         host, port = self.addresses[addr_index]
@@ -244,15 +170,22 @@ class SocketTransport:
             raise TransportError(
                 f"cannot reach worker {wid} at {host}:{port}: {exc}"
             ) from exc
+        conn = _Conn(sock)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             hello = make_handshake(
                 self.spec_ref, wid=wid, workers=self.n, **self._config.get("options", {})
             )
-            frame = encode_frame(encode_message(("hello", hello)))
-            sock.sendall(frame)
-            self._count(WIRE_BYTES_SENT, len(frame))
-            reply = self._read_one_blocking(sock)
+            self._write(conn, encode_frame(encode_message(("hello", hello))))
+            replies: List[tuple] = []
+            try:
+                while not replies:  # the connect timeout is still on the socket
+                    replies = self._read(conn)
+            except self.lost as exc:
+                raise TransportError(
+                    f"no handshake from worker {wid} at {host}:{port}: {exc!r}"
+                ) from exc
+            reply = replies[0]
             if reply[0] == "refuse":
                 raise TransportError(
                     f"worker {wid} at {host}:{port} refused the handshake:"
@@ -267,29 +200,31 @@ class SocketTransport:
             sock.close()
             raise
         sock.settimeout(None)
-        self._conns[wid] = _Conn(sock, addr_index)
+        self._channels[wid] = conn
         self._assigned[wid] = addr_index
 
-    def _read_one_blocking(self, sock: socket.socket) -> tuple:
-        """One message during the handshake, before select-driven mode."""
-        buffer = FrameBuffer()
-        sock.settimeout(self.connect_timeout)
-        while True:
-            payload = buffer.pop()
-            if payload is not None:
-                return decode_message(payload)
-            try:
-                data = sock.recv(_RECV_CHUNK)
-            except socket.timeout as exc:
-                raise TransportError("handshake timed out") from exc
-            if not data:
-                raise ConnectionClosed("connection closed during handshake")
-            self._count(WIRE_BYTES_RECEIVED, len(data))
-            buffer.feed(data)
+    def _write(self, conn: _Conn, frame: bytes) -> None:
+        conn.sock.sendall(frame)
+        self._count(WIRE_BYTES_SENT, len(frame))
 
-    def _translate(self, wid: int, msg: tuple) -> tuple:
-        op = msg[0]
-        if op == "checkpointed" and len(msg) > 2:
+    def _read(self, conn: _Conn) -> List[tuple]:
+        """Every message completed by what the socket holds right now."""
+        data = conn.sock.recv(_RECV_CHUNK)
+        if not data:
+            torn = conn.buffer.pending
+            raise EOFError(
+                "connection closed"
+                + (f" mid-frame ({torn} bytes buffered)" if torn else "")
+            )
+        self._count(WIRE_BYTES_RECEIVED, len(data))
+        conn.buffer.feed(data)
+        return [
+            self._translate(decode_message(payload))
+            for payload in iter(conn.buffer.pop, None)
+        ]
+
+    def _translate(self, msg: tuple) -> tuple:
+        if msg[0] == "checkpointed" and len(msg) > 2:
             # The agent shipped checkpoint bytes; commit them to the
             # generation-addressed path the master chose.
             path = self._pending_ckpt.pop(msg[1], None)
@@ -298,22 +233,7 @@ class SocketTransport:
 
                 atomic_write_bytes(pathlib.Path(path), msg[2])
             return ("checkpointed", msg[1])
-        if op == "error":
-            raise RuntimeError(f"parallel BFS worker {msg[1]} failed:\n{msg[2]}")
         return msg
-
-    def _drop(self, wid: int) -> None:
-        conn = self._conns.pop(wid, None)
-        if conn is not None:
-            try:
-                conn.sock.close()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        # Stale queued replies from this worker would confuse the next
-        # assignment of the same wid; recovery re-pings anyway, but drop
-        # them eagerly.
-        if self._inbox:
-            self._inbox = deque(item for item in self._inbox if item[0] != wid)
 
     def _count(self, name: str, amount: int) -> None:
         if self.metrics is not None:

@@ -27,11 +27,11 @@ shard assignment, and the flags that change exploration semantics
 moves (:func:`check_handshake`).
 
 Blocking helpers (:func:`read_frame`/:func:`write_frame`) serve the
-agent's strict request/reply loop; the master's non-blocking,
-``select``-driven side feeds raw socket reads through a
-:class:`FrameBuffer` instead — deliberately *not* ``sock.makefile`` plus
-``select``, whose hidden buffering can strand a complete frame
-invisibly.
+agent's strict request/reply loop; the master, which waits on all its
+connections at once, feeds raw socket reads through a
+:class:`FrameBuffer` instead — deliberately *not* ``sock.makefile``
+under a readiness wait, whose hidden buffering can strand a complete
+frame invisibly.
 """
 
 from __future__ import annotations

@@ -9,7 +9,38 @@ answer as a fresh clone.  It is loaded by default;
 the local database.
 """
 
+import dataclasses
+
+import pytest
 from hypothesis import settings
+
+from repro.bugs import detect
 
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+
+
+@pytest.fixture(scope="session")
+def detected():
+    """``detected(bug, **kwargs)`` is :func:`repro.bugs.detect`, run once a
+    session per distinct detection: the key is everything the run is a
+    function of — the seeded spec, the method and the budgets — so two
+    tests asking for the same exploration (or two bugs seeded jointly,
+    like WRaft#1 and WRaft#2) share it.
+    """
+    memo = {}
+
+    def run(bug, **kwargs):
+        key = (
+            bug.spec_factory,
+            bug.config,
+            bug.seed_flags or (bug.flag,),
+            bug.invariant,
+            bug.method,
+            tuple(sorted(kwargs.items())),
+        )
+        if key not in memo:
+            memo[key] = detect(bug, **kwargs)
+        return dataclasses.replace(memo[key], bug=bug)
+
+    return run

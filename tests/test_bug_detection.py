@@ -4,6 +4,8 @@ Each test runs the registry-recorded detection (BFS for shallow bugs,
 random-walk simulation for the deep ones) and checks that the right
 invariant is violated, that no violation exists when the bug flag is
 off, and that the counterexample trace is a genuine path of the spec.
+Detections go through the session's ``detected`` memo (``conftest.py``),
+so an exploration two tests ask for is run once.
 """
 
 import pytest
@@ -34,18 +36,18 @@ def assert_trace_is_valid(spec, violation):
 
 
 @pytest.mark.parametrize("bug_id", FAST_BFS)
-def test_bfs_finds_bug(bug_id):
+def test_bfs_finds_bug(bug_id, detected):
     bug = BUGS[bug_id]
-    result = detect(bug, time_budget=120.0)
+    result = detected(bug, time_budget=120.0)
     assert result.found, f"{bug_id} not found by BFS"
     assert result.violation.invariant == bug.invariant
     assert_trace_is_valid(bug.make_spec(), result.violation)
 
 
 @pytest.mark.parametrize("bug_id", SIMULATE)
-def test_simulation_finds_bug(bug_id):
+def test_simulation_finds_bug(bug_id, detected):
     bug = BUGS[bug_id]
-    result = detect(bug, time_budget=120.0, n_walks=30_000, max_depth=40, seed=0)
+    result = detected(bug, time_budget=120.0, n_walks=30_000, max_depth=40, seed=0)
     assert result.found, f"{bug_id} not found by simulation"
     assert result.violation.invariant == bug.invariant
     assert_trace_is_valid(bug.make_spec(), result.violation)
@@ -53,9 +55,9 @@ def test_simulation_finds_bug(bug_id):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("bug_id", SLOW_BFS)
-def test_slow_bfs_finds_bug(bug_id):
+def test_slow_bfs_finds_bug(bug_id, detected):
     bug = BUGS[bug_id]
-    result = detect(bug, time_budget=300.0, max_states=3_000_000)
+    result = detected(bug, time_budget=300.0, max_states=3_000_000)
     assert result.found, f"{bug_id} not found by BFS"
     assert result.violation.invariant == bug.invariant
 
@@ -83,9 +85,9 @@ class TestDepthOrdering:
     """BFS counterexamples have minimal depth; the paper's qualitative
     ordering (shallow bugs found with fewer states) should hold."""
 
-    def test_shallow_bug_needs_fewer_states_than_deep(self):
-        shallow = detect(BUGS["ZooKeeper#1"], time_budget=120)
-        deep = detect(BUGS["Xraft-KV#1"], time_budget=300, max_states=3_000_000)
+    def test_shallow_bug_needs_fewer_states_than_deep(self, detected):
+        shallow = detected(BUGS["ZooKeeper#1"], time_budget=120)
+        deep = detected(BUGS["Xraft-KV#1"], time_budget=300, max_states=3_000_000)
         assert shallow.found and deep.found
         assert shallow.depth < deep.depth
         assert shallow.distinct_states < deep.distinct_states

@@ -1,6 +1,7 @@
 """Tests for the socket worker transport, agents, and elastic membership."""
 
 import json
+import socket
 import threading
 import time
 
@@ -312,6 +313,46 @@ class TestElasticMembership:
         finally:
             for agent in agents:
                 agent.close()
+
+
+class TestTransportLifecycle:
+    def test_recv_on_a_closed_transport_is_a_plain_error(self, gen):
+        agents = start_agents(1)
+        try:
+            transport = SocketTransport(
+                [agents[0].address],
+                make_testkit_ref(gen.seed, gen.params, invariants=False),
+            )
+            transport.start({"workers": 1})
+            transport.close()
+            with pytest.raises(RuntimeError) as error:
+                transport.recv(timeout=0.1)
+            assert not isinstance(error.value, WorkerDied)
+        finally:
+            agents[0].close()
+
+    def test_half_started_fleet_is_stopped(self, gen):
+        # Worker 0 shakes hands, worker 1's address refuses the connection:
+        # the run fails, and agent 0 must be back in accept() — not held in
+        # a session by a transport nobody closed (which this test keeps
+        # referenced, so that no finalizer does it instead).
+        agents = start_agents(1)
+        with socket.socket() as unused:
+            unused.bind(("127.0.0.1", 0))
+            refusing = f"127.0.0.1:{unused.getsockname()[1]}"
+        try:
+            transport = SocketTransport(
+                [agents[0].address, refusing],
+                make_testkit_ref(gen.seed, gen.params, invariants=False),
+            )
+            with pytest.raises(TransportError, match="cannot reach worker 1"):
+                parallel_bfs(gen.spec(invariants=False), workers=2, transport=transport)
+            deadline = time.monotonic() + 2.0
+            while agents[0].sessions_served != 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert agents[0].sessions_served == 1
+        finally:
+            agents[0].close()
 
 
 class TestAgentLifecycle:
