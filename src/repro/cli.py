@@ -327,9 +327,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_check_liveness(args: argparse.Namespace) -> int:
     """Post-hoc lasso detection over a finished durable run's state graph."""
-    from .core.engine import CompactStore, TracelessStoreError
-    from .persist import DiskStoreReader, RunDir, load_parallel_resume, save_lasso
-    from .persist.checkpoint import load_worker_checkpoint
+    from .core.engine import TracelessStoreError
+    from .persist import RunDir, load_graph_stores, save_lasso
     from .temporal import check_graph, materialize_graph, resolve_property
 
     try:
@@ -358,38 +357,30 @@ def cmd_check_liveness(args: argparse.Namespace) -> int:
             " these are the same specification",
             file=sys.stderr,
         )
-    if config.get("mode") == "parallel":
-        # Per-shard worker checkpoints; their edges/roots union into one
-        # graph (materialize_graph accepts the store list directly).
-        try:
-            presume = load_parallel_resume(rd)
-        except RunDirError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        source = []
-        for path in presume.worker_files:
-            shard = CompactStore()
-            load_worker_checkpoint(path, shard)
-            source.append(shard)
-    else:
-        if not (rd.store_dir / "roots.log").exists():
-            print(
-                f"{args.run_dir} has no serial disk store (roots.log);"
-                " only `sandtable check --run-dir` runs leave one behind",
-                file=sys.stderr,
-            )
-            return 2
-        source = DiskStoreReader(rd.store_dir)
     registry, _ = _make_stats(args)
     try:
-        graph = materialize_graph(spec, source, symmetry=symmetry)
+        stores, recorded = load_graph_stores(rd)
+        graph = materialize_graph(spec, stores, symmetry=symmetry)
     except TracelessStoreError as exc:
         print(exc, file=sys.stderr)
+        return 2
+    except RunDirError as exc:
+        print(
+            f"{exc}\nthe run was killed before its logs were flushed, or before"
+            " its first checkpoint: finish it with `sandtable check --resume`"
+            " (or run it again) first",
+            file=sys.stderr,
+        )
         return 2
     print(
         f"materialized {len(graph)} states from {args.run_dir}"
         f" ({len(graph.roots)} roots, {graph.boundary_edges} boundary edges)"
     )
+    if recorded is not None and len(graph) < recorded:
+        print(
+            f"graph covers {len(graph)} of {recorded} recorded states"
+            " (last committed checkpoint)"
+        )
     names = list(dict.fromkeys(args.temporal)) if args.temporal else list(PROPERTY_NAMES)
     violated = False
     for name in names:

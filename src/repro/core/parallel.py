@@ -77,9 +77,14 @@ last committed generation-addressed checkpoint (or re-seeds from the
 initial states when none was written yet); ``restore`` rebuilds each
 worker's store and frontier and drops its pending list, whichever phase
 the round died in.
+The protocol names no file: ``checkpoint`` answers with the shard's
+container bytes and ``restore`` takes them, over a pipe as over a
+socket, and the master alone writes and reads the run directory — each
+generation's files first, then the manifest rename that commits them.
 Checkpoints are taken at round boundaries the uninterrupted run also
-passes through, so the recovered run is census- and trace-identical to
-an undisturbed one.
+passes through — the boundary the search stops at included, so a
+finished run directory holds its whole census — and the recovered run is
+census- and trace-identical to an undisturbed one.
 
 On platforms without ``fork`` (or with ``workers <= 1``)
 :func:`parallel_bfs` falls back to the serial
@@ -517,50 +522,34 @@ class ShardWorker:
             [(fp, encode(state)) for fp, state in store.roots()],
         )
 
-    def checkpoint(self, path: Any = None) -> tuple:
-        """Dump store and frontier to ``path`` — or, without one, reply
-        with the container bytes: socket workers share no filesystem with
-        the master, which then writes the generation-addressed file itself.
-        """
+    def checkpoint(self) -> tuple:
+        """Dump store and frontier as checkpoint container bytes.  A worker
+        never touches the run directory: the master writes the
+        generation-addressed file, whatever the transport."""
         # Local import: persist depends on core, never the reverse.
-        from ..persist.checkpoint import (
-            worker_checkpoint_bytes,
-            write_worker_checkpoint,
-        )
+        from ..persist.checkpoint import build_checkpoint_bytes
 
-        if path is None:
-            return (
-                "checkpointed",
-                self.wid,
-                worker_checkpoint_bytes(self.store, self.frontier),
-            )
-        write_worker_checkpoint(path, self.store, self.frontier)
-        return ("checkpointed", self.wid)
+        data = build_checkpoint_bytes(store=self.store, frontier=self.frontier)
+        return ("checkpointed", self.wid, data)
 
-    def restore(self, source: Any = None) -> tuple:
-        """Reset to a checkpoint (path or bytes), or to empty (``None``).
+    def restore(self, data: Optional[bytes] = None) -> tuple:
+        """Reset to a checkpoint (its container bytes), or to empty (``None``).
 
         Always rebuilds a *fresh* store and drops the pending list: for
         a newly forked/connected worker this is a no-op, and for a
         surviving worker rolled back after a peer's death it discards
         everything recorded or claimed past the committed generation —
-        whichever phase the aborted round was in.
+        whichever phase the aborted round was in.  Bytes that do not
+        parse are refused whole: the worker is then left empty.
         """
-        from ..persist.checkpoint import (
-            load_worker_checkpoint,
-            load_worker_checkpoint_bytes,
-        )
+        from ..persist.checkpoint import parse_checkpoint
 
-        self.store = FingerprintOnlyStore() if self.fast else CompactStore()
-        self._pending = {}
-        if source is None:
-            self.frontier = deque()
-        elif isinstance(source, (bytes, bytearray)):
-            self.frontier = deque(
-                load_worker_checkpoint_bytes(bytes(source), self.store)
-            )
-        else:
-            self.frontier = deque(load_worker_checkpoint(source, self.store))
+        fresh = FingerprintOnlyStore if self.fast else CompactStore
+        self.store, self.frontier, self._pending = fresh(), deque(), {}
+        if data is not None:
+            parsed = parse_checkpoint(bytes(data))
+            store, frontier = parsed.restore_into(fresh()), parsed.frontier_items()
+            self.store, self.frontier = store, deque(frontier)
         return ("restored", self.wid, len(self.frontier))
 
     def ping(self) -> tuple:
@@ -894,7 +883,12 @@ class ParallelBFS:
                 elif not rewound:
                     self._rewind(resume)
                 lost, rewound = None, True
-                reason = self._stop_reason() or self._round()
+                reason = self._stop_reason()
+                self._checkpoint(final=reason is not None)
+                # No commit after a round the time budget cut short: what
+                # it dropped of the level is recorded but on no frontier,
+                # and a resume from a commit made there would lose it.
+                reason = reason or self._round()
                 if reason is not None:
                     return self._finish(reason)
             except WorkerDied as death:
@@ -933,15 +927,14 @@ class ParallelBFS:
         if point is None:
             self.stats, self._depth, self._violations = SearchStats(), 0, []
             self.frontier_sizes = dict.fromkeys(range(self.workers), 0)
-            paths = [None] * self.workers
+            shards = [None] * self.workers
         else:
             self.stats, self._depth = point.stats, point.depth
             self._violations = list(point.violations)
             self.frontier_sizes = dict(point.frontier_sizes)
-            paths = point.worker_files
+            shards = [path.read_bytes() for path in point.worker_files]
         self._exchange(
-            {wid: ("restore", path and str(path)) for wid, path in enumerate(paths)},
-            "restored",
+            {wid: ("restore", data) for wid, data in enumerate(shards)}, "restored"
         )
         # Backdated, so the time budget stays cumulative across resume
         # and rollback.
@@ -969,23 +962,24 @@ class ParallelBFS:
             return StopReason.EXHAUSTED
         return None
 
-    def _checkpoint(self) -> None:
+    def _checkpoint(self, final: bool = False) -> None:
         """Round boundary: every recorded state is on exactly one frontier
         or already expanded and no claim is pending, so checkpoint here if
-        due — each worker dumps its store shard and its frontier, then the
-        master manifest commit publishes the fleet-wide snapshot atomically.
+        due (or ``final``: the search ends here, and a finished run
+        directory holds its whole census) — each worker dumps its store
+        shard and its frontier, the master writes the generation's files,
+        and its manifest commit publishes the fleet-wide snapshot atomically.
         """
         checkpointer, stats, metrics = self.checkpointer, self.stats, self.metrics
-        if checkpointer is None or not checkpointer.due(stats):
+        if checkpointer is None or not (final or checkpointer.due(stats)):
             return
+        from ..persist.rundir import atomic_write_bytes  # local: persist imports core
+
         stats.elapsed = time.monotonic() - self._started
-        self._exchange(
-            {
-                wid: ("checkpoint", str(checkpointer.worker_path(wid)))
-                for wid in range(self.workers)
-            },
-            "checkpointed",
-        )
+        for _, wid, data in self._exchange(
+            {wid: ("checkpoint",) for wid in range(self.workers)}, "checkpointed"
+        ):
+            atomic_write_bytes(checkpointer.worker_path(wid), data)
         checkpointer.commit(
             workers=self.workers,
             depth=self._depth,
@@ -999,7 +993,6 @@ class ParallelBFS:
     def _round(self) -> Optional[StopReason]:
         """One BFS level: expand, claim, settle, rebalance.  Returns
         ``TIME_BUDGET`` when the budget cut the level short, else ``None``."""
-        self._checkpoint()
         stats, sizes, inst = self.stats, self.frontier_sizes, self._inst
         exchange, violations = self._exchange, self._violations
 
@@ -1136,11 +1129,7 @@ class ParallelBFS:
         self._exchange(
             {wid: ("ping",) for wid in range(self.workers)}, "pong", stale_ok=True
         )
-        point = None
-        if checkpointer is not None and checkpointer.has_commit():
-            from ..persist.checkpoint import load_parallel_resume
-
-            point = load_parallel_resume(checkpointer.run_dir)
+        point = checkpointer.committed() if checkpointer is not None else None
         if metrics is not None:
             metrics.restore((point is not None and point.metrics) or self._baseline)
             self._inst = self._instruments()

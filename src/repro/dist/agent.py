@@ -12,10 +12,11 @@ over its lifetime — and a just-started agent can adopt a dead worker's
 shard mid-run (the master re-handshakes with the same ``wid`` and
 restores the shard from its last committed checkpoint).
 
-The agent holds no durable state: checkpoints leave as container bytes
-in the ``checkpointed`` reply and the master writes the
-generation-addressed files, so elastic membership needs no shared
-filesystem.
+The agent holds no durable state and opens no file: like every shard
+worker, forked ones included, it hands its checkpoint over as container
+bytes in the ``checkpointed`` reply and is restored from such bytes; the
+master writes the generation-addressed files, so elastic membership
+needs no shared filesystem.
 
 ``die_after_ops`` is fault injection for the kill-and-resume tests: the
 agent reads the op after that many post-handshake ones as ``("die",)``

@@ -3,14 +3,9 @@
 Speaks the exact master↔worker protocol of
 :mod:`repro.core.parallel` — the same ops, the same reply tuples — so
 :class:`~repro.core.parallel.ParallelBFS` cannot tell it from the fork
-transport.  Two ops are translated because the agents share no
-filesystem with the master:
-
-* ``("checkpoint", path)`` — the path stays master-side; the worker is
-  asked for its checkpoint *bytes* and the master writes the
-  generation-addressed file itself (atomic rename), which is what keeps
-  resume and shard reassignment working with remote workers;
-* ``("restore", path)`` — the master reads the file and ships the bytes.
+transport.  No op is translated on the way: the protocol names no file
+(checkpoints are container bytes in both directions and the master owns
+the run directory), so agents need no filesystem in common with it.
 
 This module supplies the connection — the handshake, frames in and out;
 the receive path over the connections is the fork transport's too
@@ -24,7 +19,6 @@ to the next unassigned spare address.  Pass more addresses than
 
 from __future__ import annotations
 
-import pathlib
 import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -114,7 +108,6 @@ class SocketTransport(Multiplexer):
         self.n = 0
         self._config: Dict[str, Any] = {}
         self._assigned: Dict[int, int] = {}  # wid -> address index (sticky)
-        self._pending_ckpt: Dict[int, str] = {}
 
     def start(self, config: Dict[str, Any]) -> None:
         self._config = dict(config)
@@ -130,17 +123,6 @@ class SocketTransport(Multiplexer):
             self._connect(wid, wid)
 
     def send(self, wid: int, msg: tuple) -> None:
-        op = msg[0]
-        if op == "checkpoint":
-            # Remember where the master wants the file; ask the agent
-            # for bytes only.
-            self._pending_ckpt[wid] = str(msg[1])
-            msg = ("checkpoint",)
-        elif op == "restore":
-            source = msg[1] if len(msg) > 1 else None
-            if source is not None and not isinstance(source, (bytes, bytearray)):
-                source = pathlib.Path(source).read_bytes()
-            msg = ("restore", source)
         super().send(wid, encode_frame(encode_message(msg)))
 
     def replace(self, wid: int) -> bool:
@@ -218,22 +200,7 @@ class SocketTransport(Multiplexer):
             )
         self._count(WIRE_BYTES_RECEIVED, len(data))
         conn.buffer.feed(data)
-        return [
-            self._translate(decode_message(payload))
-            for payload in iter(conn.buffer.pop, None)
-        ]
-
-    def _translate(self, msg: tuple) -> tuple:
-        if msg[0] == "checkpointed" and len(msg) > 2:
-            # The agent shipped checkpoint bytes; commit them to the
-            # generation-addressed path the master chose.
-            path = self._pending_ckpt.pop(msg[1], None)
-            if path is not None:
-                from ..persist.rundir import atomic_write_bytes
-
-                atomic_write_bytes(pathlib.Path(path), msg[2])
-            return ("checkpointed", msg[1])
-        return msg
+        return [decode_message(payload) for payload in iter(conn.buffer.pop, None)]
 
     def _count(self, name: str, amount: int) -> None:
         if self.metrics is not None:

@@ -35,6 +35,7 @@ from .checkpoint import (
     ResumeState,
     SerialCheckpointer,
     build_checkpoint_bytes,
+    load_graph_stores,
     load_parallel_resume,
     load_serial_resume,
     parse_checkpoint,
@@ -71,6 +72,7 @@ __all__ = [
     "ParallelResume",
     "load_serial_resume",
     "load_parallel_resume",
+    "load_graph_stores",
     "save_trace",
     "load_trace",
     "save_violation",

@@ -23,18 +23,24 @@ The container format is one file, committed by atomic rename::
     roots     n x (u64 fp, u32 length + codec bytes)
     frontier  n x (u64 fp, u32 depth, u32 length + codec bytes)
 
+The edge and root records are the store logs' own
+(:mod:`~repro.persist.rundir` declares and decodes both), and
+:func:`parse_checkpoint` refuses what :func:`build_checkpoint_bytes`
+would not have written with a :class:`~repro.persist.rundir.RunDirError`.
+
 Serial runs write ``checkpoint/serial.ckpt``.  With a
 :class:`~repro.persist.diskstore.DiskStore` the edge/root sections stay
 empty — the store is already on disk — and the header instead pins the
 store's byte offsets and segment list, making checkpoints O(frontier)
 instead of O(visited).  Parallel runs write one ``worker-N-G.ckpt`` per
-shard (each worker dumps its own store and frontier; ``G`` is the
-checkpoint generation, so a new checkpoint never overwrites the files
-the committed manifest references) plus a master ``parallel.json``
-manifest that names the exact per-shard files of its generation along
-with the round number, aggregated stats, and pending violations; the
-master manifest's rename is the commit point for the whole fleet, and
-superseded generations are deleted only after it.
+shard (each worker dumps its own store and frontier as container bytes
+and the master writes the file; ``G`` is the checkpoint generation, so a
+new checkpoint never overwrites the files the committed manifest
+references) plus a master ``parallel.json`` manifest that names the
+exact per-shard files of its generation along with the round number,
+aggregated stats, and pending violations; the master manifest's rename
+is the commit point for the whole fleet, and superseded generations are
+deleted only after it.
 """
 
 from __future__ import annotations
@@ -48,17 +54,25 @@ import struct
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.engine import (
-    CompactStore,
-    FingerprintOnlyStore,
-    SearchStats,
-    StateStore,
-)
-from ..core.state import CODEC_VERSION, Rec, decode, encode
+from ..core.engine import CompactStore, SearchStats, StateStore
+from ..core.state import CODEC_VERSION, Rec, encode
 from ..core.trace import PendingTrace, Trace, from_jsonable, to_jsonable
 from ..core.violation import Violation
-from .diskstore import DiskStore
-from .rundir import RunDir, RunDirError, atomic_write_json, read_json
+from .diskstore import DiskStore, DiskStoreReader
+from .rundir import (
+    BLOB,
+    EDGE,
+    HAS_PARENT,
+    RunDir,
+    RunDirError,
+    action_table,
+    atomic_write_bytes,
+    atomic_write_json,
+    decode_state,
+    edge_records,
+    read_json,
+    read_records,
+)
 
 __all__ = [
     "ResumeState",
@@ -72,20 +86,13 @@ __all__ = [
     "ParallelCheckpointer",
     "ParallelResume",
     "load_parallel_resume",
-    "write_worker_checkpoint",
-    "load_worker_checkpoint",
-    "worker_checkpoint_bytes",
-    "load_worker_checkpoint_bytes",
+    "load_graph_stores",
 ]
 
 _MAGIC = b"STCKPT1\n"
-_U32 = struct.Struct(">I")
-_EDGE = struct.Struct(">QQIB")  # fp, parent (0 when absent), action id, flags
-_BLOB = struct.Struct(">QI")  # fp, payload length
+_U32 = struct.Struct(">I")  # payload length alone: the header, an action name
 _FRONTIER = struct.Struct(">QII")  # fp, depth, payload length
-
-_HAS_PARENT = 0x01
-_ROOT_ACTION = "<init>"
+_SECTIONS = ("actions", "edges", "roots", "frontier")
 
 SERIAL_CHECKPOINT = "serial.ckpt"
 PARALLEL_CHECKPOINT = "parallel.json"
@@ -112,22 +119,15 @@ class ResumeState:
     metrics: Optional[Dict[str, Any]] = None
 
 
+@dataclasses.dataclass
 class CheckpointData:
-    """A parsed checkpoint file."""
+    """A parsed checkpoint container."""
 
-    def __init__(
-        self,
-        header: Dict[str, Any],
-        actions: List[str],
-        edges: List[Tuple[int, Optional[int], int]],
-        roots: List[Tuple[int, bytes]],
-        frontier: List[Tuple[int, int, bytes]],
-    ):
-        self.header = header
-        self.actions = actions
-        self.edges = edges
-        self.roots = roots
-        self.frontier = frontier
+    header: Dict[str, Any]
+    edges: List[Tuple[int, Optional[int], str]]  # fp, parent fp or None, action
+    roots: List[Tuple[int, bytes]]  # fp, codec bytes
+    frontier: List[Tuple[int, int, bytes]]  # fp, depth, codec bytes
+    source: str = "<bytes>"
 
     def stats(self) -> SearchStats:
         return SearchStats(**self.header.get("stats", {}))
@@ -136,17 +136,35 @@ class CheckpointData:
         return [_violation_from_dict(raw) for raw in self.header.get("violations", ())]
 
     def frontier_items(self) -> List[Tuple[Rec, int, int]]:
-        return [(decode(enc), fp, depth) for fp, depth, enc in self.frontier]
+        return [
+            (decode_state(enc, self.source, fp), fp, depth)
+            for fp, depth, enc in self.frontier
+        ]
 
     def restore_into(self, store: StateStore) -> StateStore:
-        """Replay the dumped roots and edges into ``store``."""
+        """Replay the dumped roots and edges into ``store``.  A state that
+        is recorded twice, or an initial state without its edge, is
+        refused: no store dumps that, and a traceless store would count
+        the state twice."""
+
+        def new(fp: int) -> int:
+            if store.seen(fp):
+                raise RunDirError(f"{self.source} records state {fp:#018x} twice")
+            return fp
+
+        roots = set()
         for fp, enc in self.roots:
-            store.record_init(fp, decode(enc))
-        root_fps = {fp for fp, _ in self.roots}
-        for fp, parent, aid in self.edges:
-            if parent is None and fp in root_fps:
-                continue  # roots were recorded above
-            store.record(fp, parent, self.actions[aid])
+            store.record_init(new(fp), decode_state(enc, self.source, fp))
+            roots.add(fp)
+        for fp, parent, action in self.edges:
+            if parent is None and fp in roots:
+                roots.remove(fp)  # the root's own edge: replayed above
+            else:
+                store.record(new(fp), parent, action)
+        if roots:
+            raise RunDirError(
+                f"{self.source} lists no edge for {len(roots)} of its initial states"
+            )
         return store
 
 
@@ -194,27 +212,27 @@ def build_checkpoint_bytes(
     (via the generic ``edges()``/``roots()`` seam — works for any
     :class:`~repro.core.engine.StateStore`), or ``store_meta`` to record
     a :class:`DiskStore`'s offsets instead of its contents.  The result
-    is exactly what :func:`write_checkpoint` commits to disk; socket
-    shard workers ship it over the wire instead, so the master can write
-    the generation-addressed files without a shared filesystem.
+    is exactly what :func:`write_checkpoint` commits to disk; shard
+    workers hand it to the master instead, which writes the
+    generation-addressed files — no worker needs its filesystem.
     """
     action_ids: Dict[str, int] = {}
     actions: List[str] = []
-    edge_records = bytearray()
+    edge_section = bytearray()
     root_records = bytearray()
     n_edges = n_roots = 0
     if store is not None:
         for fp, state in store.roots():
             enc = encode(state)
-            root_records += _BLOB.pack(fp, len(enc)) + enc
+            root_records += BLOB.pack(fp, len(enc)) + enc
             n_roots += 1
         for fp, parent, action in store.edges():
             aid = action_ids.get(action)
             if aid is None:
                 aid = action_ids[action] = len(actions)
                 actions.append(action)
-            flags = _HAS_PARENT if parent is not None else 0
-            edge_records += _EDGE.pack(fp, parent or 0, aid, flags)
+            flags = HAS_PARENT if parent is not None else 0
+            edge_section += EDGE.pack(fp, parent or 0, aid, flags)
             n_edges += 1
 
     frontier_records = bytearray()
@@ -255,91 +273,71 @@ def build_checkpoint_bytes(
         data = action.encode("utf-8")
         out += _U32.pack(len(data))
         out += data
-    out += edge_records
+    out += edge_section
     out += root_records
     out += frontier_records
     return bytes(out)
 
 
-def write_checkpoint(
-    path: Union[str, os.PathLike],
-    *,
-    stats: Optional[SearchStats] = None,
-    store: Optional[StateStore] = None,
-    store_meta: Optional[Dict[str, Any]] = None,
-    frontier: Iterable[Tuple[Rec, Any, int]] = (),
-    violations: Sequence[Violation] = (),
-    extra: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write one checkpoint file atomically (tmp + fsync + rename)."""
-    data = build_checkpoint_bytes(
-        stats=stats,
-        store=store,
-        store_meta=store_meta,
-        frontier=frontier,
-        violations=violations,
-        extra=extra,
-    )
-    path = pathlib.Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)  # the commit point
+def write_checkpoint(path: Union[str, os.PathLike], **contents: Any) -> None:
+    """Commit ``build_checkpoint_bytes(**contents)`` to ``path`` atomically
+    (tmp + fsync + rename: the rename is the commit point)."""
+    atomic_write_bytes(path, build_checkpoint_bytes(**contents))
 
 
 def parse_checkpoint(data: bytes, source: str = "<bytes>") -> CheckpointData:
-    """Parse checkpoint container bytes (inverse of :func:`build_checkpoint_bytes`)."""
+    """Parse checkpoint container bytes (inverse of :func:`build_checkpoint_bytes`).
+
+    The bytes come off a disk that may have torn them or a wire that may
+    be hostile: whatever :func:`build_checkpoint_bytes` would not have
+    written — a section that runs past the end, an edge naming an action
+    outside the table, trailing bytes — is a :class:`RunDirError`, never
+    a partial result.
+    """
     if not data.startswith(_MAGIC):
         raise RunDirError(f"{source} is not a checkpoint file")
-    offset = len(_MAGIC)
-    (header_len,) = _U32.unpack_from(data, offset)
-    offset += _U32.size
-    header = json.loads(data[offset : offset + header_len].decode("utf-8"))
-    offset += header_len
-    codec = header.get("codec_version")
+    ((header_bytes,),), offset = read_records(data, _U32, source, len(_MAGIC), 1)
+    try:
+        header = json.loads(header_bytes)
+        codec = header["codec_version"]
+        counts = [header["counts"][section] for section in _SECTIONS]
+        if not isinstance(header["store"], dict) or any(
+            type(count) is not int or count < 0 for count in counts
+        ):
+            raise TypeError("bad store or section counts")
+        parsed = CheckpointData(header, [], [], [], source)
+        parsed.stats(), parsed.violations()
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise RunDirError(f"{source}: malformed checkpoint header: {exc!r}") from exc
     if codec != CODEC_VERSION:
         raise RunDirError(
             f"checkpoint {source} was written with codec version {codec};"
             f" this build uses {CODEC_VERSION} and cannot load it"
         )
-    counts = header["counts"]
+    n_actions, n_edges, n_roots, n_frontier = counts
 
-    actions: List[str] = []
-    for _ in range(counts["actions"]):
-        (length,) = _U32.unpack_from(data, offset)
-        offset += _U32.size
-        actions.append(data[offset : offset + length].decode("utf-8"))
-        offset += length
-
-    edges: List[Tuple[int, Optional[int], int]] = []
-    for _ in range(counts["edges"]):
-        fp, parent, aid, flags = _EDGE.unpack_from(data, offset)
-        offset += _EDGE.size
-        edges.append((fp, parent if flags & _HAS_PARENT else None, aid))
-
-    roots: List[Tuple[int, bytes]] = []
-    for _ in range(counts["roots"]):
-        fp, length = _BLOB.unpack_from(data, offset)
-        offset += _BLOB.size
-        roots.append((fp, data[offset : offset + length]))
-        offset += length
-
-    frontier: List[Tuple[int, int, bytes]] = []
-    for _ in range(counts["frontier"]):
-        fp, depth, length = _FRONTIER.unpack_from(data, offset)
-        offset += _FRONTIER.size
-        frontier.append((fp, depth, data[offset : offset + length]))
-        offset += length
-
-    return CheckpointData(header, actions, edges, roots, frontier)
+    names, offset = read_records(data, _U32, source, offset, n_actions)
+    actions = action_table((name for (name,) in names), source)
+    end = offset + n_edges * EDGE.size
+    if end > len(data):
+        raise RunDirError(
+            f"{source}: the {n_edges} edge records at offset {offset} run past"
+            f" the end ({len(data)} bytes)"
+        )
+    edges = edge_records(memoryview(data)[offset:end], actions, source, offset)
+    parsed.edges = list(edges)
+    parsed.roots, offset = read_records(data, BLOB, source, end, n_roots)
+    parsed.frontier, offset = read_records(data, _FRONTIER, source, offset, n_frontier)
+    if offset != len(data):
+        raise RunDirError(
+            f"{source}: {len(data) - offset} trailing bytes after the frontier"
+            f" section, which ends at offset {offset}"
+        )
+    return parsed
 
 
 def read_checkpoint(path: Union[str, os.PathLike]) -> CheckpointData:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    return parse_checkpoint(data, source=str(path))
+    return parse_checkpoint(pathlib.Path(path).read_bytes(), source=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -347,27 +345,28 @@ def read_checkpoint(path: Union[str, os.PathLike]) -> CheckpointData:
 # ---------------------------------------------------------------------------
 
 
-class SerialCheckpointer:
-    """The engine's checkpoint seam for serial BFS runs.
+class _Checkpointer:
+    """What the two checkpointers share: where the committed file lives,
+    when a checkpoint is due, and what follows a commit.
 
-    The engine calls :meth:`maybe_checkpoint` at every state boundary
-    (just before a frontier pop); the call is a couple of comparisons
-    unless a cadence threshold — ``every_seconds`` of wall clock or
-    ``every_states`` newly-recorded distinct states — has tripped, in
-    which case the full checkpoint is written and committed by rename.
-    ``on_checkpoint`` (if set) runs after each commit; tests use it to
-    kill the run at a known-consistent point.
+    A checkpoint is due once ``every_states`` distinct states were
+    recorded, or ``every_seconds`` of wall clock passed, since the last
+    commit.  ``on_checkpoint`` (if set) runs after each commit; tests use
+    it to kill the run at a known-consistent point.
     """
+
+    #: the file whose atomic rename commits a checkpoint
+    FILE: str
 
     def __init__(
         self,
         run_dir: RunDir,
         every_seconds: Optional[float] = 60.0,
         every_states: Optional[int] = None,
-        on_checkpoint: Optional[Callable[["SerialCheckpointer"], None]] = None,
+        on_checkpoint: Optional[Callable[[Any], None]] = None,
     ):
         self.run_dir = run_dir
-        self.path = run_dir.checkpoint_dir / SERIAL_CHECKPOINT
+        self.path = run_dir.checkpoint_dir / self.FILE
         self.every_seconds = every_seconds
         self.every_states = every_states
         self.on_checkpoint = on_checkpoint
@@ -375,7 +374,7 @@ class SerialCheckpointer:
         self._last_states = 0
         self._last_time = time.monotonic()
 
-    def _due(self, stats: SearchStats) -> bool:
+    def due(self, stats: SearchStats) -> bool:
         if (
             self.every_states is not None
             and stats.distinct_states - self._last_states >= self.every_states
@@ -386,43 +385,7 @@ class SerialCheckpointer:
             and time.monotonic() - self._last_time >= self.every_seconds
         )
 
-    def maybe_checkpoint(self, engine: Any, elapsed: float) -> None:
-        if self._due(engine.stats):
-            self.checkpoint(engine, elapsed)
-
-    def checkpoint(self, engine: Any, elapsed: float) -> None:
-        stats = engine.stats
-        stats.elapsed = elapsed
-        store = engine.store
-        frontier = list(engine.strategy.frontier)
-        violations = engine.checker.violations
-        registry = getattr(engine, "metrics", None)
-        if isinstance(store, DiskStore):
-            meta, obsolete = store.checkpoint()
-            # Snapshot after the store checkpoint so the spill it may
-            # have triggered is part of the restored counters.
-            extra = {"metrics": registry.snapshot()} if registry is not None else None
-            write_checkpoint(
-                self.path,
-                stats=stats,
-                store_meta=meta,
-                frontier=frontier,
-                violations=violations,
-                extra=extra,
-            )
-            for stale in obsolete:  # safe only after the rename above
-                if stale.exists():
-                    stale.unlink()
-        else:
-            extra = {"metrics": registry.snapshot()} if registry is not None else None
-            write_checkpoint(
-                self.path,
-                stats=stats,
-                store=store,
-                frontier=frontier,
-                violations=violations,
-                extra=extra,
-            )
+    def _committed(self, stats: SearchStats) -> None:
         self._last_states = stats.distinct_states
         self._last_time = time.monotonic()
         self.checkpoints_written += 1
@@ -430,13 +393,49 @@ class SerialCheckpointer:
             self.on_checkpoint(self)
 
 
+class SerialCheckpointer(_Checkpointer):
+    """The engine's checkpoint seam for serial BFS runs over a
+    :class:`DiskStore`.
+
+    The engine calls :meth:`maybe_checkpoint` at every state boundary
+    (just before a frontier pop); the call is a couple of comparisons
+    unless the cadence has tripped, in which case the full checkpoint is
+    written and committed by rename.
+    """
+
+    FILE = SERIAL_CHECKPOINT
+
+    def maybe_checkpoint(self, engine: Any, elapsed: float) -> None:
+        if self.due(engine.stats):
+            self.checkpoint(engine, elapsed)
+
+    def checkpoint(self, engine: Any, elapsed: float) -> None:
+        stats = engine.stats
+        stats.elapsed = elapsed
+        registry = getattr(engine, "metrics", None)
+        meta, obsolete = engine.store.checkpoint()
+        # Snapshot after the store checkpoint so the spill it may
+        # have triggered is part of the restored counters.
+        extra = {"metrics": registry.snapshot()} if registry is not None else None
+        write_checkpoint(
+            self.path,
+            stats=stats,
+            store_meta=meta,
+            frontier=list(engine.strategy.frontier),
+            violations=engine.checker.violations,
+            extra=extra,
+        )
+        for stale in obsolete:  # safe only after the rename above
+            stale.unlink(missing_ok=True)
+        self._committed(stats)
+
+
 def load_serial_resume(
     run_dir: RunDir,
     memory_budget: int = 1_000_000,
-    max_segments: int = 8,
     metrics: Optional[Any] = None,
-) -> Tuple[StateStore, ResumeState]:
-    """Load a serial checkpoint: the restored store plus the resume state."""
+) -> Tuple[DiskStore, ResumeState]:
+    """Load a serial checkpoint: the reopened store plus the resume state."""
     path = run_dir.checkpoint_dir / SERIAL_CHECKPOINT
     if not path.exists():
         raise RunDirError(
@@ -445,15 +444,14 @@ def load_serial_resume(
         )
     data = read_checkpoint(path)
     store_meta = data.header["store"]
-    if store_meta.get("kind") == "disk":
-        store: StateStore = DiskStore.resume(
-            run_dir.store_dir, store_meta, memory_budget, max_segments,
-            metrics=metrics,
+    if store_meta.get("kind") != "disk":
+        raise RunDirError(
+            f"{path} is not a serial run's checkpoint: its store kind is"
+            f" {store_meta.get('kind')!r}, not 'disk'"
         )
-    elif store_meta.get("kind") == "fponly":
-        store = data.restore_into(FingerprintOnlyStore())
-    else:
-        store = data.restore_into(CompactStore())
+    store = DiskStore.resume(
+        run_dir.store_dir, store_meta, memory_budget, metrics=metrics
+    )
     resume = ResumeState(
         stats=data.stats(),
         frontier=data.frontier_items(),
@@ -515,12 +513,13 @@ class ParallelResume:
     reassignments: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
 
 
-class ParallelCheckpointer:
+class ParallelCheckpointer(_Checkpointer):
     """Round-boundary checkpointing for the sharded parallel BFS.
 
-    The master (between BFS levels) tells every worker to write its
-    per-shard checkpoint file, then commits the fleet-wide snapshot by
-    atomically writing the master manifest.  Worker files are
+    The master (between BFS levels) collects every worker's per-shard
+    checkpoint as container bytes and writes the files, then commits the
+    fleet-wide snapshot by atomically writing the master manifest — no
+    worker touches the run directory.  Worker files are
     *generation-addressed* (``worker-N-G.ckpt``): each fleet-wide
     checkpoint writes a fresh set of file names, the manifest records
     exactly the names of its own generation, and superseded generations
@@ -531,6 +530,8 @@ class ParallelCheckpointer:
     resume always sees a matched set from a single round.
     """
 
+    FILE = PARALLEL_CHECKPOINT
+
     def __init__(
         self,
         run_dir: RunDir,
@@ -538,14 +539,7 @@ class ParallelCheckpointer:
         every_states: Optional[int] = None,
         on_checkpoint: Optional[Callable[["ParallelCheckpointer"], None]] = None,
     ):
-        self.run_dir = run_dir
-        self.master_path = run_dir.checkpoint_dir / PARALLEL_CHECKPOINT
-        self.every_seconds = every_seconds
-        self.every_states = every_states
-        self.on_checkpoint = on_checkpoint
-        self.checkpoints_written = 0
-        self._last_states = 0
-        self._last_time = time.monotonic()
+        super().__init__(run_dir, every_seconds, every_states, on_checkpoint)
         # Start past every generation already on disk (committed or
         # orphaned by a crash) so this session never overwrites a file
         # the committed manifest may still reference.
@@ -561,20 +555,9 @@ class ParallelCheckpointer:
     def worker_path(self, wid: int) -> pathlib.Path:
         return self.run_dir.checkpoint_dir / f"worker-{wid}-{self._generation}.ckpt"
 
-    def has_commit(self) -> bool:
-        """Whether a committed fleet-wide checkpoint exists to roll back to."""
-        return self.master_path.exists()
-
-    def due(self, stats: SearchStats) -> bool:
-        if (
-            self.every_states is not None
-            and stats.distinct_states - self._last_states >= self.every_states
-        ):
-            return True
-        return (
-            self.every_seconds is not None
-            and time.monotonic() - self._last_time >= self.every_seconds
-        )
+    def committed(self) -> Optional[ParallelResume]:
+        """The committed fleet-wide checkpoint to roll back to, if there is one."""
+        return load_parallel_resume(self.run_dir) if self.path.exists() else None
 
     def commit(
         self,
@@ -601,7 +584,7 @@ class ParallelCheckpointer:
             manifest["metrics"] = metrics
         if reassignments:
             manifest["reassignments"] = list(reassignments)
-        atomic_write_json(self.master_path, manifest)
+        atomic_write_json(self.path, manifest)
         # Only now — after the commit point — is it safe to drop worker
         # files from superseded (or crash-orphaned) generations.
         keep = set(manifest["files"])
@@ -609,11 +592,7 @@ class ParallelCheckpointer:
             if stale.name not in keep:
                 stale.unlink()
         self._generation += 1
-        self._last_states = stats.distinct_states
-        self._last_time = time.monotonic()
-        self.checkpoints_written += 1
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(self)
+        self._committed(stats)
 
 
 def load_parallel_resume(run_dir: RunDir) -> ParallelResume:
@@ -642,35 +621,23 @@ def load_parallel_resume(run_dir: RunDir) -> ParallelResume:
     )
 
 
-def write_worker_checkpoint(
-    path: Union[str, os.PathLike],
-    store: StateStore,
-    frontier: Iterable[Tuple[Rec, Any, int]],
-) -> None:
-    """One shard worker's checkpoint: its store dump plus its frontier."""
-    write_checkpoint(path, store=store, frontier=frontier)
+def load_graph_stores(run_dir: RunDir) -> Tuple[List[StateStore], Optional[int]]:
+    """The stores holding the graph a run explored, for post-hoc analysis
+    (:func:`repro.temporal.materialize_graph` takes the list as it is).
 
-
-def worker_checkpoint_bytes(
-    store: StateStore, frontier: Iterable[Tuple[Rec, Any, int]]
-) -> bytes:
-    """A shard worker's checkpoint as container bytes (socket transport)."""
-    return build_checkpoint_bytes(store=store, frontier=frontier)
-
-
-def load_worker_checkpoint(
-    path: Union[str, os.PathLike], store: StateStore
-) -> List[Tuple[Rec, int, int]]:
-    """Restore a shard store in place; returns the shard's frontier."""
-    data = read_checkpoint(path)
-    data.restore_into(store)
-    return data.frontier_items()
-
-
-def load_worker_checkpoint_bytes(
-    data: bytes, store: StateStore
-) -> List[Tuple[Rec, int, int]]:
-    """Restore a shard store from checkpoint bytes; returns the frontier."""
-    parsed = parse_checkpoint(data)
-    parsed.restore_into(store)
-    return parsed.frontier_items()
+    A serial run: its disk store, read at its full on-disk extent.  A
+    parallel run: one store per shard file of the committed generation.
+    With them comes the distinct-state count the run's manifest recorded
+    when it ended, ``None`` if it never did — a run killed, or cut short
+    inside a round, explored past its last commit.
+    """
+    manifest = run_dir.manifest()
+    if manifest.get("config", {}).get("mode") == "parallel":
+        stores: List[StateStore] = [
+            read_checkpoint(path).restore_into(CompactStore())
+            for path in load_parallel_resume(run_dir).worker_files
+        ]
+    else:
+        stores = [DiskStoreReader(run_dir.store_dir)]
+    recorded = manifest.get("result", {}).get("stats", {}).get("distinct_states")
+    return stores, recorded

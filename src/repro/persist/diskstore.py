@@ -14,7 +14,9 @@ Layout (all inside one store directory):
     ``(fp, parent_fp, action_id, flags)`` per :meth:`DiskStore.record`.
     The source of :meth:`edges` (the parallel merge seam) and of
     :meth:`chain` (counterexample reconstruction, which loads the log
-    into an index only when a violation actually needs a trace).
+    into an index only when a violation actually needs a trace).  The
+    record layouts and their one decoder live in
+    :mod:`~repro.persist.rundir`, shared with the checkpoint container.
 ``roots.log``
     Append-only ``(fp, codec bytes)`` log of initial states.
 ``actions.txt``
@@ -51,16 +53,34 @@ import sys
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.engine import _INT_BYTES, StateStore, TracelessStoreError
-from ..core.state import Rec, decode, encode
+from ..core.state import Rec, encode
+from .rundir import (
+    BLOB,
+    EDGE,
+    HAS_PARENT,
+    ROOT_ACTION,
+    RunDirError,
+    action_table,
+    decode_state,
+    edge_records,
+    read_records,
+)
 
 __all__ = ["DiskStore", "DiskStoreReader"]
 
-_EDGE = struct.Struct(">QQIB")  # fp, parent fp (0 when absent), action id, flags
-_ROOT = struct.Struct(">QI")  # fp, codec length (codec bytes follow)
 _FP = struct.Struct(">Q")
 
-_HAS_PARENT = 0x01
-_ROOT_ACTION = "<init>"
+
+def _read_action_table(path: pathlib.Path) -> List[str]:
+    """The interned action names of an ``actions.txt``, by id.  A last
+    line without its newline is a torn write, not a name."""
+    return action_table(path.read_bytes().split(b"\n")[:-1], path)
+
+
+def _read_roots(path: pathlib.Path) -> Dict[int, Rec]:
+    """The initial states of a ``roots.log``, by fingerprint."""
+    records, _ = read_records(path.read_bytes(), BLOB, path)
+    return {fp: decode_state(enc, path, fp) for fp, enc in records}
 
 
 class _Segment:
@@ -136,7 +156,7 @@ class DiskStore(StateStore):
         self._action_names: List[str] = []
         self._count = 0
         self._seg_seq = 0
-        self._edge_index: Optional[Dict[int, Tuple[Optional[int], Optional[int]]]] = None
+        self._edge_index: Optional[Dict[int, Tuple[Optional[int], str]]] = None
 
         if _resume_meta is None:
             # a fresh store: clear leftovers from any crashed prior run
@@ -198,8 +218,7 @@ class DiskStore(StateStore):
             if not path.exists():
                 path.touch()
             os.truncate(path, meta[key])
-        with open(self._actions_path, "r", encoding="utf-8") as handle:
-            self._action_names = handle.read().splitlines()
+        self._action_names = _read_action_table(self._actions_path)
         self._action_ids = {name: i for i, name in enumerate(self._action_names)}
         referenced = set()
         for name, count in meta["segments"]:
@@ -216,14 +235,7 @@ class DiskStore(StateStore):
             if stray.name not in referenced:
                 stray.unlink()  # written after the checkpoint; dead weight
         self._count = meta["count"]
-        with open(self._roots_path, "rb") as handle:
-            data = handle.read()
-        offset = 0
-        while offset < len(data):
-            fp, length = _ROOT.unpack_from(data, offset)
-            offset += _ROOT.size
-            self._inits[fp] = decode(data[offset : offset + length])
-            offset += length
+        self._inits = _read_roots(self._roots_path)
 
     # -- the StateStore contract ---------------------------------------------
 
@@ -251,8 +263,8 @@ class DiskStore(StateStore):
         aid = self._action_ids.get(action)
         if aid is None:
             aid = self._intern(action)
-        flags = _HAS_PARENT if parent_fp is not None else 0
-        self._edges_f.write(_EDGE.pack(fp, parent_fp or 0, aid, flags))
+        flags = HAS_PARENT if parent_fp is not None else 0
+        self._edges_f.write(EDGE.pack(fp, parent_fp or 0, aid, flags))
         self._edge_index = None
         self._add(fp)
 
@@ -261,7 +273,7 @@ class DiskStore(StateStore):
             self._add(fp)
             return
         enc = encode(state)
-        self._roots_f.write(_ROOT.pack(fp, len(enc)) + enc)
+        self._roots_f.write(BLOB.pack(fp, len(enc)) + enc)
         self._inits[fp] = state
         self._edge_index = None
         self._add(fp)
@@ -284,23 +296,19 @@ class DiskStore(StateStore):
         chain: List[Tuple[Any, str]] = []
         cursor: Optional[int] = fp
         while cursor is not None:
-            parent, aid = index[cursor]
-            chain.append((cursor, _ROOT_ACTION if aid is None else self._action_names[aid]))
+            parent, action = index[cursor]
+            chain.append((cursor, action))
             cursor = parent
         chain.reverse()
         return chain
 
     def edges(self) -> Iterator[Tuple[Any, Optional[Any], str]]:
         for fp in self._inits:
-            yield fp, None, _ROOT_ACTION
+            yield fp, None, ROOT_ACTION
         self._edges_f.flush()
-        with open(self._edges_path, "rb") as handle:
-            while True:
-                record = handle.read(_EDGE.size)
-                if len(record) < _EDGE.size:
-                    break
-                fp, parent, aid, flags = _EDGE.unpack(record)
-                yield fp, parent if flags & _HAS_PARENT else None, self._action_names[aid]
+        yield from edge_records(
+            self._edges_path.read_bytes(), self._action_names, self._edges_path
+        )
 
     def roots(self) -> Iterator[Tuple[Any, Rec]]:
         yield from self._inits.items()
@@ -415,26 +423,18 @@ class DiskStore(StateStore):
 
     # -- reconstruction -------------------------------------------------------
 
-    def _ensure_edge_index(self) -> Dict[int, Tuple[Optional[int], Optional[int]]]:
-        """The fp -> (parent, action id) map, loaded from the edge log.
+    def _ensure_edge_index(self) -> Dict[int, Tuple[Optional[int], str]]:
+        """The fp -> (parent, action) map, loaded from the edge log.
 
         Built lazily because it is only needed when a violation's trace
         is reconstructed (once per run, at the end) — keeping it off the
         hot path is the whole point of a disk store.
         """
-        if self._edge_index is not None:
-            return self._edge_index
-        index: Dict[int, Tuple[Optional[int], Optional[int]]] = {
-            fp: (None, None) for fp in self._inits
-        }
-        self._edges_f.flush()
-        with open(self._edges_path, "rb") as handle:
-            data = handle.read()
-        for offset in range(0, len(data) - _EDGE.size + 1, _EDGE.size):
-            fp, parent, aid, flags = _EDGE.unpack_from(data, offset)
-            index[fp] = (parent if flags & _HAS_PARENT else None, aid)
-        self._edge_index = index
-        return index
+        if self._edge_index is None:
+            self._edge_index = {
+                fp: (parent, action) for fp, parent, action in self.edges()
+            }
+        return self._edge_index
 
 
 class DiskStoreReader(StateStore):
@@ -454,36 +454,26 @@ class DiskStoreReader(StateStore):
 
     def __init__(self, path: Union[str, os.PathLike]):
         self.path = pathlib.Path(path)
-        roots_path = self.path / "roots.log"
-        actions_path = self.path / "actions.txt"
-        self._action_names: List[str] = (
-            actions_path.read_text(encoding="utf-8").splitlines()
-            if actions_path.exists()
-            else []
-        )
-        self._inits: Dict[int, Rec] = {}
-        if roots_path.exists():
-            data = roots_path.read_bytes()
-            offset = 0
-            while offset + _ROOT.size <= len(data):
-                fp, length = _ROOT.unpack_from(data, offset)
-                offset += _ROOT.size
-                self._inits[fp] = decode(data[offset : offset + length])
-                offset += length
+        self._edges_path = self.path / "edges.log"
+        if not self._edges_path.exists():
+            raise RunDirError(
+                f"{self.path} holds no disk store (no edges.log); only serial"
+                " `sandtable check --run-dir` runs leave one behind"
+            )
+        self._action_names = _read_action_table(self.path / "actions.txt")
+        self._inits = _read_roots(self.path / "roots.log")
+        if not self._inits and self._edges_path.stat().st_size >= EDGE.size:
+            raise RunDirError(
+                f"{self.path / 'roots.log'} holds no initial state, but"
+                f" {self._edges_path} holds edges"
+            )
 
     def edges(self) -> Iterator[Tuple[Any, Optional[Any], str]]:
         for fp in self._inits:
-            yield fp, None, _ROOT_ACTION
-        edges_path = self.path / "edges.log"
-        if not edges_path.exists():
-            return
-        with open(edges_path, "rb") as handle:
-            data = handle.read()
-        # Ignore a torn trailing record (a crash mid-write); every full
-        # record before it is a committed edge.
-        for offset in range(0, len(data) - _EDGE.size + 1, _EDGE.size):
-            fp, parent, aid, flags = _EDGE.unpack_from(data, offset)
-            yield fp, parent if flags & _HAS_PARENT else None, self._action_names[aid]
+            yield fp, None, ROOT_ACTION
+        yield from edge_records(
+            self._edges_path.read_bytes(), self._action_names, self._edges_path
+        )
 
     def roots(self) -> Iterator[Tuple[Any, Rec]]:
         yield from self._inits.items()

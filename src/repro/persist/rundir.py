@@ -17,6 +17,9 @@ Every file that must be consistent after a crash is written with
 :func:`atomic_write_bytes`: the bytes go to a temporary sibling, are
 fsynced, and are published with ``os.replace`` — a reader never sees a
 torn file, and the rename is the commit point of every checkpoint.
+What is read back — store logs a kill may have torn, checkpoint bytes
+off a wire — goes through this module's record reader
+(:func:`edge_records`, :func:`read_records`).
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import struct
 import time
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..core.state import CODEC_VERSION
+from ..core.state import CODEC_VERSION, Rec, decode
 
 __all__ = [
     "RunDirError",
@@ -35,6 +39,10 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "read_json",
+    "action_table",
+    "edge_records",
+    "read_records",
+    "decode_state",
 ]
 
 #: Version of the run-directory layout itself (manifest schema, file
@@ -64,6 +72,92 @@ def atomic_write_json(path: Union[str, os.PathLike], obj: Any) -> None:
 def read_json(path: Union[str, os.PathLike]) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+# -- binary records -------------------------------------------------------------
+#
+# The store logs and the checkpoint container hold the same records.  Each
+# layout is declared here only and decoded by these functions only, and bad
+# input has one outcome: a RunDirError naming the file and the byte offset.
+
+EDGE = struct.Struct(">QQIB")  # fp, parent fp (0 when absent), action id, flags
+BLOB = struct.Struct(">QI")  # fp, payload length (the codec bytes follow)
+
+HAS_PARENT = 0x01
+ROOT_ACTION = "<init>"
+
+
+def action_table(names: Iterable[bytes], source: Any) -> List[str]:
+    """The interned action names an edge record's action id indexes."""
+    try:
+        return [name.decode("utf-8") for name in names]
+    except UnicodeDecodeError as exc:
+        raise RunDirError(f"{source}: the action table is not UTF-8: {exc}") from exc
+
+
+def edge_records(
+    data: bytes, actions: Sequence[str], source: Any, base: int = 0
+) -> Iterator[Tuple[int, Optional[int], str]]:
+    """``(fp, parent fp or None, action name)`` per edge record in ``data``.
+
+    A torn tail — fewer trailing bytes than one record, what a crash in
+    the middle of an append leaves — is not a record and is not read.
+    ``actions`` is the interned name table the records index; ``base``
+    is where ``data`` starts within ``source``, for the error message.
+    """
+    size, known = EDGE.size, len(actions)
+    whole = len(data) - len(data) % size
+    records = EDGE.iter_unpack(memoryview(data)[:whole])
+    for index, (fp, parent, aid, flags) in enumerate(records):
+        if aid >= known:
+            raise RunDirError(
+                f"{source}: the edge record at offset {base + index * size}"
+                f" names action {aid}, but the action table holds {known}"
+            )
+        yield fp, parent if flags & HAS_PARENT else None, actions[aid]
+
+
+def read_records(
+    data: bytes,
+    header: struct.Struct,
+    source: Any,
+    offset: int = 0,
+    count: Optional[int] = None,
+) -> Tuple[List[tuple], int]:
+    """Length-prefixed records from ``data[offset:]``, and the offset past them.
+
+    The last ``header`` field is the length of the payload that follows;
+    a record is the other fields and then the payload bytes.  Reads
+    ``count`` records, or (``None``) as many as fill the buffer.  A
+    header or payload that runs past the buffer is an error, not a tail
+    to skip: a root or a container section cut short cannot be read around.
+    """
+    records: List[tuple] = []
+    size, unpack, end = header.size, header.unpack_from, len(data)
+    while (offset < end) if count is None else (len(records) < count):
+        body = offset + size
+        torn = body > end
+        if not torn:
+            *fields, length = unpack(data, offset)
+            torn = body + length > end
+        if torn:
+            raise RunDirError(
+                f"{source}: the record at offset {offset} runs past the end"
+                f" ({end} bytes)"
+            )
+        records.append((*fields, data[body : body + length]))
+        offset = body + length
+    return records, offset
+
+
+def decode_state(payload: bytes, source: Any, fp: int) -> Rec:
+    """``decode`` for bytes read back from disk or off the wire."""
+    try:
+        return decode(payload)
+    except ValueError as exc:
+        raise RunDirError(
+            f"{source}: the bytes of state {fp:#018x} do not decode: {exc}"
+        ) from exc
 
 
 class RunDir:

@@ -73,7 +73,6 @@ def run_check(
     progress: Optional[Callable[[Any], None]] = None,
     progress_interval: int = 50_000,
     on_checkpoint: Optional[Callable[[Any], None]] = None,
-    spec_label: Optional[str] = None,
     metrics: Optional[Any] = None,
     compiled: bool = True,
     fast: bool = False,
@@ -106,7 +105,7 @@ def run_check(
         workers > 1 and "fork" in multiprocessing.get_all_start_methods()
     )
     config = {
-        "spec": spec_label or _spec_label(spec),
+        "spec": _spec_label(spec),
         "mode": "parallel" if parallel else "serial",
         "workers": workers if parallel else 1,
         "symmetry": bool(symmetry),
@@ -182,10 +181,9 @@ def run_check(
                 rd.update_manifest(reassignments=list(bfs.membership))
         else:
             if resume:
-                loaded, resume_state = load_serial_resume(
+                store, resume_state = load_serial_resume(
                     rd, memory_budget, metrics=metrics
                 )
-                store = loaded  # type: ignore[assignment]
             else:
                 store = DiskStore(
                     rd.store_dir, memory_budget, traceless=fast, metrics=metrics
@@ -211,7 +209,7 @@ def run_check(
             sink.abandon()
         raise
     finally:
-        if store is not None and hasattr(store, "close"):
+        if store is not None:
             store.close()
 
     if result.found_violation:

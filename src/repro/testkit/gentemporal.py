@@ -50,10 +50,9 @@ from ..persist import (
     DiskStoreReader,
     RunDir,
     atomic_write_json,
-    load_parallel_resume,
+    load_graph_stores,
     read_json,
 )
-from ..persist.checkpoint import load_worker_checkpoint
 from ..persist.runner import run_check
 from ..temporal import LassoTrace, check_graph, materialize_graph
 from ..temporal.properties import (
@@ -279,23 +278,17 @@ def _cell_graph(generated: GeneratedSpec, cell: str):
     if cell == "workers":
         with tempfile.TemporaryDirectory(prefix="sandtable-temporal-") as tmp:
             run_dir = os.path.join(tmp, "run")
-            # checkpoint_states=1 commits at every round boundary, so
-            # the final committed checkpoint holds the complete census.
+            # The post-hoc seam under test: a finished parallel run's
+            # last generation holds its complete census.
             run_check(
                 spec,
                 run_dir,
                 workers=2,
                 stop_on_violation=False,
-                checkpoint_states=1,
                 memory_budget=_MEMORY_BUDGET,
             )
-            resume = load_parallel_resume(RunDir.open(run_dir))
-            shards = []
-            for path in resume.worker_files:
-                shard = CompactStore()
-                load_worker_checkpoint(path, shard)
-                shards.append(shard)
-            return materialize_graph(spec, shards), spec
+            stores, _ = load_graph_stores(RunDir.open(run_dir))
+            return materialize_graph(spec, stores), spec
     raise ValueError(f"unknown temporal fuzz cell {cell!r}")
 
 

@@ -47,7 +47,7 @@ from repro.core.parallel import (
 )
 from repro.core.state import encode, fingerprint
 from repro.obs.metrics import BATCH_BYTES, CLAIMS, REBALANCED_STATES, MetricsRegistry
-from repro.persist import DiskStore, run_check
+from repro.persist import DiskStore, RunDir, load_graph_stores, run_check
 from repro.specs.raft import PySyncObjSpec, RaftConfig
 
 from toy_specs import CounterSpec, TokenRingSpec
@@ -682,6 +682,159 @@ class TestWorkerDeathAtEveryBoundary:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert [e["recovered"] for e in manifest["reassignments"]] == ["checkpoint"]
         assert (census(result), result.stop_reason, trace_json(result)) == undisturbed
+
+    @pytest.mark.parametrize("which", ["second", "last"])
+    def test_recovers_from_a_death_during_a_commit(self, which, undisturbed, tmp_path):
+        # The master writes a generation's files only once every shard
+        # has answered, so a worker lost on a "checkpoint" op — the one
+        # behind the final commit included — costs the rounds since the
+        # last commit and nothing else.
+        counting = InlineTransport()
+        run_check(
+            self.spec(), tmp_path / "calm", workers=2, transport=counting, checkpoint_states=1
+        )
+        nth = 3 if which == "second" else counting.sent["checkpoint"] - 1
+        transport = DieAt(ForkTransport(), "checkpoint", nth=nth)
+        with pytest.warns(RuntimeWarning, match="died"):
+            result = run_check(
+                self.spec(),
+                tmp_path / "run",
+                workers=2,
+                transport=transport,
+                checkpoint_states=1,
+            )
+        assert transport.victim is not None
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert [e["recovered"] for e in manifest["reassignments"]] == ["checkpoint"]
+        assert (census(result), result.stop_reason, trace_json(result)) == undisturbed
+        held, recorded = committed_states(tmp_path / "run")
+        assert held == recorded == result.stats.distinct_states
+
+
+# -- a finished run directory holds its census ----------------------------------
+
+
+def committed_states(run_dir):
+    """How many states the committed generation of ``run_dir`` holds."""
+    stores, recorded = load_graph_stores(RunDir.open(run_dir))
+    return sum(len(store) for store in stores), recorded
+
+
+class TestFinalCommit:
+    @staticmethod
+    def spec():
+        return CounterSpec(3, 4)  # 125 states, 13 levels
+
+    @pytest.mark.parametrize(
+        "stop",
+        [{}, {"max_states": 40}, {"max_depth": 4}, {"time_budget": 0.0}],
+        ids=["exhausted", "max_states", "max_depth", "budget-between-rounds"],
+    )
+    def test_a_run_stopped_at_a_round_boundary_commits_it(self, stop, tmp_path):
+        # default cadence: no periodic checkpoint ever comes due
+        transport = InlineTransport()
+        result = run_check(
+            self.spec(), tmp_path / "run", workers=2, transport=transport, **stop
+        )
+        assert transport.sent["checkpoint"] == 2, "one commit: the last boundary"
+        assert committed_states(tmp_path / "run") == (
+            result.stats.distinct_states,
+            result.stats.distinct_states,
+        )
+
+    def test_a_violation_run_commits_before_its_trace_is_built(self, tmp_path):
+        result = run_check(
+            CounterSpec(4, 4, bound=9), tmp_path / "run", workers=2, checkpoint_states=50
+        )
+        assert result.stop_reason is StopReason.VIOLATION
+        held, recorded = committed_states(tmp_path / "run")
+        assert held == recorded == result.stats.distinct_states
+
+    def test_no_commit_after_a_round_the_budget_cut_short(self, tmp_path):
+        # What the cut round dropped of its level is recorded but on no
+        # frontier: a commit there would lose it on resume.  The run dir
+        # keeps the generation before it and says how much that covers.
+        transport = InlineTransport(cut=(1, 3))
+        result = run_check(
+            self.spec(),
+            tmp_path / "run",
+            workers=2,
+            transport=transport,
+            time_budget=3600,
+            checkpoint_states=1,
+        )
+        assert result.stop_reason is StopReason.TIME_BUDGET
+        # one commit before each round (cadence 1), none after the last
+        assert transport.sent["checkpoint"] == 2 * transport.sent["expand", 0] == 6
+        held, recorded = committed_states(tmp_path / "run")
+        assert held < recorded == result.stats.distinct_states
+        whole = run_check(
+            self.spec(), tmp_path / "run", workers=2, resume=True, time_budget=3600
+        )
+        assert census(whole) == census(parallel_bfs(self.spec(), workers=2))
+
+    def test_resuming_a_finished_run_expands_nothing(self, tmp_path):
+        spec = CounterSpec(4, 4, bound=9)
+        first = run_check(spec, tmp_path / "run", workers=2, metrics=MetricsRegistry())
+        transport, registry = InlineTransport(), MetricsRegistry()
+        again = run_check(
+            spec,
+            tmp_path / "run",
+            workers=2,
+            resume=True,
+            transport=transport,
+            metrics=registry,
+        )
+        assert transport.sent["expand"] == 0
+        assert (census(again), again.stop_reason, trace_json(again)) == (
+            census(first),
+            first.stop_reason,
+            trace_json(first),
+        )
+        assert again.exhausted == first.exhausted
+
+    def test_a_larger_budget_extends_a_max_states_stop(self, tmp_path):
+        run_check(self.spec(), tmp_path / "run", workers=2, max_states=40)
+        extended = run_check(
+            self.spec(), tmp_path / "run", workers=2, resume=True, max_states=90
+        )
+        straight = parallel_bfs(self.spec(), workers=2, max_states=90)
+        assert (census(extended), extended.stop_reason) == (
+            census(straight),
+            straight.stop_reason,
+        )
+
+
+class TestRunDirOwnership:
+    def test_no_worker_process_holds_a_file_of_the_run_dir(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        held, looks = [], []
+
+        def look(checkpointer):
+            looks.append(checkpointer.checkpoints_written)
+            children = multiprocessing.active_children()
+            assert len(children) == 2
+            for child in children:
+                fds = f"/proc/{child.pid}/fd"
+                held.extend(
+                    target
+                    for target in (os.readlink(f"{fds}/{fd}") for fd in os.listdir(fds))
+                    if target.startswith(run_dir)
+                )
+
+        transport = Tap(ForkTransport())
+        result = run_check(
+            CounterSpec(4, 4),
+            run_dir,
+            workers=2,
+            transport=transport,
+            checkpoint_states=100,
+            on_checkpoint=look,
+        )
+        commits = len(list((tmp_path / "run" / "checkpoint").glob("worker-0-*.ckpt")))
+        assert result.exhausted and commits == 1, "superseded generations pruned"
+        assert looks == list(range(1, len(looks) + 1)) and len(looks) >= 4
+        assert held == []
 
 
 # -- real kills ---------------------------------------------------------------

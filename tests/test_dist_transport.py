@@ -15,6 +15,7 @@ from repro.dist.specref import testkit_ref as make_testkit_ref  # noqa: N813
 from repro.dist.transport import SocketTransport, TransportError, parse_address
 from repro.dist.wire import PROTOCOL_VERSION
 from repro.obs.metrics import (
+    ACTION_FIRES,
     FALLBACK_SERIAL,
     WIRE_BYTES_RECEIVED,
     WIRE_BYTES_SENT,
@@ -265,6 +266,95 @@ class TestElasticMembership:
         reassignments = manifest.get("reassignments", [])
         assert reassignments, "the membership event must be recorded"
         assert reassignments[0]["wid"] == 1
+
+    def test_fork_and_socket_runs_write_the_same_run_dir(self, gen, tmp_path):
+        # One checkpoint path: whichever transport carried the container
+        # bytes, the master wrote them, so the files are byte-identical.
+        def files(run_dir):
+            ckpt = run_dir / "checkpoint"
+            manifest = json.loads((ckpt / "parallel.json").read_text())
+            manifest["stats"]["elapsed"] = None
+            shards = {p.name: p.read_bytes() for p in sorted(ckpt.glob("worker-*.ckpt"))}
+            return manifest, shards
+
+        history = {"fork": [], "socket": []}
+        for name in history:
+            agents = start_agents(2) if name == "socket" else []
+            try:
+                transport = (
+                    SocketTransport(
+                        [a.address for a in agents],
+                        make_testkit_ref(gen.seed, gen.params, invariants=True),
+                    )
+                    if agents
+                    else ForkTransport()
+                )
+                run_dir = tmp_path / name
+                run_check(
+                    gen.spec(invariants=True),
+                    run_dir,
+                    workers=2,
+                    transport=transport,
+                    checkpoint_states=7,
+                    on_checkpoint=lambda _cp: history[name].append(files(run_dir)),
+                )
+            finally:
+                for agent in agents:
+                    agent.close()
+        assert len(history["fork"]) >= 3
+        assert history["fork"] == history["socket"]
+
+    @pytest.mark.parametrize("first, then", [("fork", "socket"), ("socket", "fork")])
+    def test_resume_switches_transport(self, gen, tmp_path, first, then):
+        # run_check's promise: the transport is not part of a run's
+        # configuration, so a run killed under one resumes under the other.
+        def transport(name, agents):
+            if name == "fork":
+                return ForkTransport()
+            agents += start_agents(2)
+            ref = make_testkit_ref(gen.seed, gen.params, invariants=True)
+            return SocketTransport([a.address for a in agents[-2:]], ref)
+
+        def outcome(result, registry):
+            fires = dict(registry.counts(ACTION_FIRES))
+            return census(result), result.stop_reason, trace_json(result), fires
+
+        class Killed(Exception):
+            pass
+
+        def kill_at_second_commit(checkpointer):
+            if checkpointer.checkpoints_written == 2:
+                raise Killed
+
+        agents = []
+        try:
+            registry = MetricsRegistry()
+            calm = bfs_explore(gen.spec(invariants=True), workers=2, metrics=registry)
+            expected = outcome(calm, registry)
+            with pytest.raises(Killed):
+                run_check(
+                    gen.spec(invariants=True),
+                    tmp_path / "run",
+                    workers=2,
+                    transport=transport(first, agents),
+                    checkpoint_states=7,
+                    on_checkpoint=kill_at_second_commit,
+                    metrics=MetricsRegistry(),
+                )
+            registry = MetricsRegistry()
+            resumed = run_check(
+                gen.spec(invariants=True),
+                tmp_path / "run",
+                workers=2,
+                resume=True,
+                transport=transport(then, agents),
+                checkpoint_states=7,
+                metrics=registry,
+            )
+        finally:
+            for agent in agents:
+                agent.close()
+        assert outcome(resumed, registry) == expected
 
     def test_killed_between_claim_and_settle_recovers_exactly(self, gen):
         # The fork suite kills a worker at every message boundary; over

@@ -9,36 +9,43 @@ and the sharded parallel driver alike.
 
 import json
 import multiprocessing
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import Rec, Trace, TraceStep, bfs_explore
 from repro.core.engine import (
     CompactStore,
     ExplorationEngine,
     FIFOFrontier,
+    FingerprintOnlyStore,
     SearchStats,
     StepChecker,
 )
-from repro.core.state import CODEC_VERSION, fingerprint
-from repro.core.trace import from_jsonable, to_jsonable
+from repro.core.parallel import ShardWorker
+from repro.core.state import CODEC_VERSION, encode, fingerprint
+from repro.core.trace import PendingTrace, from_jsonable, to_jsonable
+from repro.core.violation import Violation
 from repro.persist import (
     DiskStore,
+    DiskStoreReader,
     ParallelCheckpointer,
     RunDir,
     RunDirError,
+    build_checkpoint_bytes,
     load_parallel_resume,
     load_serial_resume,
     load_trace,
     load_violation,
+    parse_checkpoint,
     read_checkpoint,
     run_check,
     save_trace,
     save_violation,
     write_checkpoint,
 )
-from repro.persist.checkpoint import write_worker_checkpoint
-
 from toy_specs import CounterSpec, TokenRingSpec
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -243,6 +250,298 @@ class TestCheckpointFile:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(RunDirError):
             read_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# torn and hostile bytes: one reader, one kind of error
+# ---------------------------------------------------------------------------
+
+FPS = st.integers(min_value=0, max_value=2**64 - 1)
+SMALL_STATES = st.builds(
+    lambda x, tag: Rec(x=x, tag=tag), st.integers(-3, 300), st.text(max_size=3)
+)
+
+
+def mutate(draw, valid, sections):
+    """One of PR 20's four mutations of ``valid``: truncate, pad, swap two
+    bytes, duplicate a section (one of the byte ranges ``sections``).
+    Returns the mutant and whether it has to be refused — only a swap
+    can leave bytes that still mean something."""
+    kind = draw(st.sampled_from(["truncate", "pad", "swap", "duplicate"]))
+    if kind == "truncate":
+        return valid[: draw(st.integers(0, len(valid) - 1))], True
+    if kind == "pad":
+        return valid + draw(st.binary(min_size=1, max_size=30)), True
+    start, end = draw(st.sampled_from(sections))
+    if kind == "swap":  # within one section, so that most miss the header
+        index = st.integers(start, end - 1)
+        i, j = draw(index), draw(index)
+        mutant = bytearray(valid)
+        mutant[i], mutant[j] = mutant[j], mutant[i]
+        return bytes(mutant), False
+    return valid[:end] + valid[start:end] + valid[end:], True
+
+
+@st.composite
+def containers(draw):
+    """``(kind, container bytes, its section ranges)`` for a generated
+    store and frontier: an inline dump, a traceless one, or a disk
+    store's offsets."""
+    kind = draw(st.sampled_from(["inline", "fponly", "disk"]))
+    fps = draw(st.lists(FPS, unique=True, min_size=1, max_size=8))
+    n_roots = draw(st.integers(1, len(fps)))
+    store = None
+    if kind == "inline":
+        store = CompactStore()
+        for fp in fps[:n_roots]:
+            store.record_init(fp, draw(SMALL_STATES))
+        for index in range(n_roots, len(fps)):
+            parent = fps[draw(st.integers(0, index - 1))]
+            store.record(fps[index], parent, draw(st.sampled_from(["Inc", "Réc", "x"])))
+    elif kind == "fponly":
+        store = FingerprintOnlyStore(spill_threshold=3)
+        for fp in fps:
+            store.record(fp, None, "")
+    meta = None
+    if kind == "disk":
+        meta = {"kind": "disk", "edges_len": 21 * len(fps), "segments": []}
+    frontier = [
+        (draw(SMALL_STATES), fp, draw(st.integers(0, 9)))
+        for fp in draw(st.lists(FPS, max_size=4))
+    ]
+    violations = [Violation("Inv", PendingTrace(2))] if draw(st.booleans()) else []
+    valid = build_checkpoint_bytes(
+        stats=SearchStats(distinct_states=len(fps), transitions=draw(st.integers(0, 99))),
+        store=store,
+        store_meta=meta,
+        frontier=frontier,
+        violations=violations,
+    )
+    # the section ranges, from the sizes of what went in
+    parsed = parse_checkpoint(valid)
+    header_end = 8 + 4 + int.from_bytes(valid[8:12], "big")
+    names = list(dict.fromkeys(action for _, _, action in parsed.edges))
+    actions_end = header_end + sum(4 + len(name.encode()) for name in names)
+    edges_end = actions_end + 21 * len(parsed.edges)
+    roots_end = edges_end + sum(12 + len(enc) for _, enc in parsed.roots)
+    bounds = [8, header_end, actions_end, edges_end, roots_end, len(valid)]
+    sections = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    return kind, valid, sections
+
+
+def restored(data, kind):
+    """What ``data`` restores to — parsed container, store, frontier — or
+    ``None`` when it is refused.  Anything but a ``RunDirError`` fails."""
+    try:
+        parsed = parse_checkpoint(data)
+        store = parsed.restore_into(
+            FingerprintOnlyStore() if kind == "fponly" else CompactStore()
+        )
+        return parsed, store, parsed.frontier_items(), parsed.stats(), parsed.violations()
+    except RunDirError:
+        return None
+
+
+def content(parsed):
+    # the label on a parentless edge is the store's to choose, not kept
+    edges = [
+        (fp, parent, None if parent is None else action)
+        for fp, parent, action in parsed.edges
+    ]
+    return sorted(edges), sorted(parsed.roots), parsed.frontier
+
+
+WORKERS = {}
+
+
+def shard_worker(fast):
+    if fast not in WORKERS:
+        WORKERS[fast] = ShardWorker(CounterSpec(2, 2), 0, 2, fast=fast)
+    return WORKERS[fast]
+
+
+class TestHostileContainers:
+    """``parse_checkpoint`` gives back what ``build_checkpoint_bytes`` was
+    given or raises ``RunDirError``; on the restore path of every
+    transport these bytes are network input."""
+
+    @given(containers())
+    def test_round_trip(self, container):
+        kind, valid, _ = container
+        parsed, store, frontier, stats, violations = restored(valid, kind)
+        rebuilt = build_checkpoint_bytes(
+            stats=stats,
+            store=store if kind != "disk" else None,
+            store_meta=parsed.header["store"] if kind == "disk" else None,
+            frontier=frontier,
+            violations=violations,
+        )
+        if kind == "fponly":  # a set: the dump order is not kept
+            again = parse_checkpoint(rebuilt)
+            assert (again.header, content(again)) == (parsed.header, content(parsed))
+        else:
+            assert rebuilt == valid
+
+    @given(containers(), st.data())
+    def test_mutants_are_refused_or_mean_what_they_say(self, container, data):
+        kind, valid, sections = container
+        mutant, hopeless = mutate(data.draw, valid, sections)
+        outcome = restored(mutant, kind)
+        worker = shard_worker(kind == "fponly")
+        if outcome is None:
+            worker.restore(valid)
+            with pytest.raises(RunDirError):
+                worker.restore(mutant)
+            assert len(worker.store) == 0 and not worker.frontier
+            assert worker._pending == {}
+            return
+        assert not hopeless, "accepted bytes no writer writes"
+        parsed, store, frontier, stats, violations = outcome
+        # every record the container lists was restored, once, as it is
+        assert len(store) == len(parsed.edges)
+        assert sorted(fp for fp, _, _ in store.edges()) == sorted(
+            fp for fp, _, _ in parsed.edges
+        )
+        assert [(fp, encode(state)) for fp, state in store.roots()] == parsed.roots
+        assert [(fp, depth, encode(s)) for s, fp, depth in frontier] == parsed.frontier
+        # and writing it out again says the same
+        again = parse_checkpoint(
+            build_checkpoint_bytes(
+                stats=stats, store=store, frontier=frontier, violations=violations
+            )
+        )
+        if kind != "disk":
+            assert content(again) == content(parsed)
+        assert again.stats() == stats
+        assert worker.restore(mutant) == ("restored", 0, len(frontier))
+
+    @pytest.mark.parametrize("cut", range(0, 60, 7))
+    def test_every_truncation_is_a_run_dir_error(self, cut, tmp_path):
+        path = tmp_path / "test.ckpt"
+        write_checkpoint(path, stats=SearchStats(), frontier=[(Rec(x=1), 7, 1)])
+        raw = path.read_bytes()
+        path.write_bytes(raw[: cut % len(raw)])
+        with pytest.raises(RunDirError):
+            read_checkpoint(path)
+
+    def test_errors_name_the_file_and_the_offset(self, tmp_path):
+        store = CompactStore()
+        store.record_init(1, Rec(x=0))
+        store.record(2, 1, "Inc")
+        raw = build_checkpoint_bytes(store=store)
+        edge = raw.index(b"Inc") + 3 + 21  # the second edge record
+        hostile = raw[: edge + 16] + (9).to_bytes(4, "big") + raw[edge + 20 :]
+        with pytest.raises(RunDirError, match=rf"shard-7: .*offset {edge} names action 9"):
+            parse_checkpoint(hostile, source="shard-7")
+        with pytest.raises(RunDirError, match=r"trailing bytes .*offset \d+"):
+            parse_checkpoint(raw + b"\0")
+
+    def test_a_state_recorded_twice_is_refused(self):
+        store = CompactStore()
+        store.record_init(1, Rec(x=0))
+        store.record(2, 1, "Inc")
+        raw = bytearray(build_checkpoint_bytes(store=store))
+        edge = raw.index(b"Inc") + 3 + 21
+        raw[edge : edge + 8] = (1).to_bytes(8, "big")  # the root, again
+        with pytest.raises(RunDirError, match="twice"):
+            parse_checkpoint(bytes(raw)).restore_into(CompactStore())
+
+
+@st.composite
+def store_dirs(draw):
+    """The three logs of a small disk store, as ``{file name: bytes}``."""
+    fps = draw(st.lists(FPS, unique=True, min_size=2, max_size=8))
+    with tempfile.TemporaryDirectory() as tmp:
+        store = DiskStore(tmp)
+        store.record_init(fps[0], draw(SMALL_STATES))
+        for index in range(1, len(fps)):
+            parent = fps[draw(st.integers(0, index - 1))]
+            store.record(fps[index], parent, draw(st.sampled_from(["Inc", "Réc", "x"])))
+        store.close()
+        return {
+            name: (DiskStoreReader(tmp).path / name).read_bytes()
+            for name in ("edges.log", "roots.log", "actions.txt")
+        }
+
+
+class TestTornStoreLogs:
+    """A post-hoc reader over logs a kill tore reads what is whole or
+    refuses with the reason — never an ``IndexError`` mid-graph."""
+
+    @pytest.fixture
+    def store_dir(self, tmp_path):
+        run_check(CounterSpec(2, 3), tmp_path / "run")
+        return tmp_path / "run" / "store"
+
+    def test_whole_logs_read_back(self, store_dir):
+        reader = DiskStoreReader(store_dir)
+        edges = list(reader.edges())
+        assert len(edges) == 16 and len(list(reader.roots())) == 1
+        assert {action for _, parent, action in edges if parent is not None} == {
+            "Increment"
+        }
+
+    def test_empty_action_table_is_refused(self, store_dir):
+        os.truncate(store_dir / "actions.txt", 0)
+        with pytest.raises(RunDirError) as refusal:
+            list(DiskStoreReader(store_dir).edges())
+        message = str(refusal.value)
+        assert "edges.log" in message and "offset 0 names action 0" in message
+
+    def test_empty_roots_log_is_refused(self, store_dir):
+        os.truncate(store_dir / "roots.log", 0)
+        with pytest.raises(RunDirError, match=r"roots\.log holds no initial state"):
+            DiskStoreReader(store_dir)
+
+    def test_torn_root_is_refused(self, store_dir):
+        os.truncate(store_dir / "roots.log", 15)
+        with pytest.raises(RunDirError, match=r"roots\.log: .*offset 0 runs past"):
+            DiskStoreReader(store_dir)
+
+    def test_edge_log_cut_mid_record_reads_every_whole_record(self, store_dir):
+        whole = list(DiskStoreReader(store_dir).edges())
+        os.truncate(store_dir / "edges.log", 21 * 9 + 13)
+        assert list(DiskStoreReader(store_dir).edges()) == whole[:10]  # root + 9
+
+    def test_action_name_without_its_newline_is_not_a_name(self, store_dir):
+        with open(store_dir / "actions.txt", "ab") as handle:
+            handle.write("Réc".encode()[:2])  # torn inside a character
+        assert len(list(DiskStoreReader(store_dir).edges())) == 16
+
+    def test_not_a_store_directory(self, tmp_path):
+        with pytest.raises(RunDirError, match="no disk store"):
+            DiskStoreReader(tmp_path)
+
+    @given(store_dirs(), st.sampled_from(["edges.log", "roots.log", "actions.txt"]), st.data())
+    def test_mutated_logs_read_or_refuse(self, files, victim, data):
+        valid = files[victim]
+        mutant, _ = mutate(data.draw, valid, [(0, len(valid))])
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in files.items():
+                with open(os.path.join(tmp, name), "wb") as handle:
+                    handle.write(mutant if name == victim else content)
+            try:
+                reader = DiskStoreReader(tmp)
+                edges = list(reader.edges())
+            except RunDirError:
+                return
+            assert all(isinstance(action, str) for _, _, action in edges)
+            assert [fp for fp, _ in reader.roots()] == [
+                fp for fp, parent, action in edges if action == "<init>"
+            ]
+
+    def test_resume_refuses_a_torn_checkpointed_store(self, tmp_path):
+        with pytest.raises(Interrupted):
+            run_check(
+                CounterSpec(3, 3),
+                tmp_path / "run",
+                checkpoint_states=10,
+                on_checkpoint=kill_after(1),
+            )
+        roots = tmp_path / "run" / "store" / "roots.log"
+        roots.write_bytes(roots.read_bytes()[:-3] + b"\0\0\0\0\0\0")
+        with pytest.raises(RunDirError, match=r"roots\.log"):
+            run_check(CounterSpec(3, 3), tmp_path / "run", resume=True)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +765,7 @@ class TestParallelCheckpointGenerations:
     def write_worker_files(self, cp):
         paths = [cp.worker_path(wid) for wid in range(2)]
         for path in paths:
-            write_worker_checkpoint(path, CompactStore(), [])
+            write_checkpoint(path, store=CompactStore(), frontier=[])
         return paths
 
     def test_crash_between_worker_files_and_commit_is_safe(self, tmp_path):

@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -25,9 +26,11 @@ from repro.core.spec import WeakFairness
 from repro.persist import (
     DiskStore,
     DiskStoreReader,
+    RunDir,
     atomic_write_json,
     load_lasso,
     load_violation,
+    run_check,
     save_lasso,
 )
 from repro.specs.raft import PySyncObjSpec, RaftConfig, RaftOSSpec
@@ -568,6 +571,89 @@ class TestTemporalCLI:
         )
         assert code == 2
         assert "--fast" in capsys.readouterr().err
+
+
+    LIVENESS = ["--system", "pysyncobj", "--nodes", "2", "--temporal", "eventually-elects-leader"]
+
+    @pytest.mark.parametrize("cadence", [[], ["--checkpoint-states", "150"]])
+    def test_check_liveness_covers_a_finished_parallel_run(self, tmp_path, capsys, cadence):
+        # A finished run dir holds its census: the last round boundary is
+        # committed whatever the periodic cadence got to.
+        run_dir = tmp_path / "run"
+        check = ["check", "--system", "pysyncobj", "--nodes", "2", "--workers", "2"]
+        assert main(check + ["--max-states", "600", "--run-dir", str(run_dir)] + cadence) == 0
+        recorded = RunDir.open(run_dir).manifest()["result"]["stats"]["distinct_states"]
+        capsys.readouterr()
+        assert main(["check-liveness", str(run_dir)] + self.LIVENESS) == 1
+        out = capsys.readouterr().out
+        assert f"materialized {recorded} states" in out
+        assert "graph covers" not in out
+
+    def test_check_liveness_says_what_a_cut_round_left_uncommitted(self, tmp_path, capsys):
+        from test_core_parallel import InlineTransport
+
+        result = run_check(
+            _cli_spec(),
+            tmp_path / "run",
+            workers=2,
+            transport=InlineTransport(cut=(1, 5)),
+            time_budget=3600,
+            checkpoint_states=1,
+        )
+        main(["check-liveness", str(tmp_path / "run")] + self.LIVENESS)
+        out = capsys.readouterr().out
+        covered = int(out.split("materialized ")[1].split()[0])
+        assert covered < result.stats.distinct_states
+        assert (
+            f"graph covers {covered} of {result.stats.distinct_states} recorded"
+            " states (last committed checkpoint)"
+        ) in out
+
+    @pytest.mark.parametrize("log", ["actions.txt", "roots.log"])
+    def test_check_liveness_refuses_unflushed_logs(self, tmp_path, capsys, log):
+        run_dir = tmp_path / "run"
+        check = ["check", "--system", "pysyncobj", "--nodes", "2", "--max-states", "300"]
+        assert main(check + ["--run-dir", str(run_dir)]) == 0
+        os.truncate(run_dir / "store" / log, 0)
+        capsys.readouterr()
+        assert main(["check-liveness", str(run_dir)] + self.LIVENESS) == 2
+        captured = capsys.readouterr()
+        assert "killed before its logs were flushed" in captured.err
+        assert "--resume" in captured.err and "Traceback" not in captured.err
+        assert "materialized" not in captured.out
+
+    def test_check_liveness_refuses_a_sigkilled_run(self, tmp_path):
+        # The small logs sit in their write buffers until the first
+        # checkpoint; the edge log outgrows its buffer in a moment.  Kill
+        # the run once it has, and the directory is what a real crash leaves.
+        run_dir = tmp_path / "run"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        cli = [sys.executable, "-m", "repro.cli"]
+        child = subprocess.Popen(
+            cli + ["check", "--system", "raftos", "--run-dir", str(run_dir)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+        )
+        try:
+            edges = run_dir / "store" / "edges.log"
+            deadline = time.monotonic() + 60
+            while not (edges.exists() and edges.stat().st_size > 50_000):
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+        finally:
+            child.kill()
+            child.wait()
+        assert (run_dir / "store" / "actions.txt").stat().st_size == 0
+        done = subprocess.run(
+            cli + ["check-liveness", str(run_dir), "--system", "raftos"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "killed before its logs were flushed" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def _cli_spec():
