@@ -56,7 +56,7 @@ from .obs import (
     coverage_from_sink,
     resolve_sink_path,
 )
-from .obs.metrics import CODEC_CHUNKS, SYMMETRY, SYMMETRY_GROUP_SIZE
+from .obs.metrics import CODEC_CHUNKS, SYMMETRY, SYMMETRY_GROUP_SIZE, VERDICT_MEMO
 from .persist import RunDirError, load_violation, save_violation
 from .systems import SYSTEMS
 from .temporal import PROPERTY_NAMES
@@ -142,6 +142,15 @@ def _finish_stats(args: argparse.Namespace, registry, stats=None, spec=None) -> 
             f" fp_full {chunks.get('fp_full', 0)},"
             f" pair memo {hits}/{lookups} hits ({hits / max(lookups, 1):.1%}),"
             f" {chunks.get('pair_memo_clears', 0)} clears"
+        )
+    verdicts = snap["counts"].get(VERDICT_MEMO)
+    if verdicts:
+        hits = verdicts.get("hits", 0)
+        misses = verdicts.get("misses", 0)
+        print(
+            f"invariants: {misses + verdicts.get('verified', 0)} evaluated,"
+            f" {hits} memo hits ({hits / max(hits + misses, 1):.1%}),"
+            f" {verdicts.get('clears', 0)} clears"
         )
     sym = snap["counts"].get(SYMMETRY)
     if sym:

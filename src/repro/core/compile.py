@@ -22,7 +22,15 @@ removes those costs without changing a single observable result:
   parent state was itself checked (the engine only passes ``changed``
   in configurations where that holds); for transition invariants the
   declaration carries the stutter-safety contract documented on
-  :class:`repro.core.spec.TransitionInvariant`.
+  :class:`repro.core.spec.TransitionInvariant`;
+* **one evaluation per read projection** — a state invariant that
+  declares ``reads`` is a pure function of those variables, so
+  :meth:`CompiledSpec.check_state` keeps its verdict under the tuple of
+  their values (the *verdict memo* below) and calls the predicate only
+  for a projection it has not seen.  A deep-log Raft run evaluates
+  ``LogMatching`` on 57 distinct projections instead of 4,189 states.
+  Transition invariants are *not* memoised: their ``reads`` is the
+  weaker stutter-safety contract, not a projection.
 
 Fingerprinting is incremental with or without compilation: a successor
 built by ``Rec.set``/``Rec.update`` patches its parent's pair-digest
@@ -53,6 +61,33 @@ __all__ = [
     "maybe_compile",
     "por_prune_set",
 ]
+
+#: The verdict memo, one dict per state invariant that declares
+#: ``reads``: ``(value of each declared variable, in sorted name order)
+#: -> bool``.  Keyed on values, not on the pair digests ``fingerprint()``
+#: caches: random walks have no digest table, the digest key measured no
+#: faster, and it would couple this module to ``Rec._pairfps``.  One
+#: dict per invariant, so a high-cardinality projection (``netMsgs``)
+#: cannot evict a low-cardinality one's entries; each is cleared when it
+#: reaches ``_VERDICT_MEMO_CAP`` entries, which bounds the values the
+#: memo keeps alive.  Lookup is Python equality — the identity state
+#: deduplication already uses — so the type-stability rule of
+#: :func:`repro.core.state.scope_pair_memo` applies here too.  A hit
+#: trusts the declaration; every ``_VERDICT_VERIFY_EVERY``-th hit is
+#: re-evaluated, which turns an under-declared ``reads`` (silent
+#: skipped checks before the memo existed) into a
+#: :class:`~repro.core.spec.SpecError` — *probably*: a wrong
+#: declaration is caught only if a sampled hit is one whose verdict it
+#: changes.
+_VERDICT_MEMO_CAP = 1024
+_VERDICT_VERIFY_EVERY = 64
+#: Stands in the key for a declared variable the state does not have.
+_ABSENT = object()
+
+
+def _read_names(reads: FrozenSet[Any]) -> Tuple[Any, ...]:
+    """The key order of a verdict-memo projection: declared names, sorted."""
+    return tuple(sorted(reads, key=repr))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,18 +168,23 @@ class CompiledSpec(Spec):
 
         self._invariants = tuple(spec.invariants())
         self._tinvariants = tuple(spec.transition_invariants())
+        # (name, fn, reads, projection names, verdict memo); the last
+        # two are None for an invariant that declares no reads.
         self._inv_entries = tuple(
-            (inv.name, inv.fn, inv.reads) for inv in self._invariants
+            (inv.name, inv.fn, inv.reads)
+            + ((None, None) if inv.reads is None else (_read_names(inv.reads), {}))
+            for inv in self._invariants
         )
         self._tinv_entries = tuple(
             (inv.name, inv.fn, inv.reads) for inv in self._tinvariants
         )
+        self._verdict_counts = {"hits": 0, "misses": 0, "clears": 0, "verified": 0}
         #: True when at least one invariant declares a read set — the
         #: engine only bothers computing per-transition changed keys
         #: when there is something to skip.
         self.incremental = any(
-            reads is not None for _, _, reads in self._inv_entries
-        ) or any(reads is not None for _, _, reads in self._tinv_entries)
+            entry[2] is not None for entry in self._inv_entries + self._tinv_entries
+        )
 
         # Pre-bound delegates, so hot callers pay no extra indirection.
         self.init_states = spec.init_states
@@ -195,7 +235,8 @@ class CompiledSpec(Spec):
         if not self._inv_entries and not self._tinv_entries:
             return frozenset()
         checked_reads: set = set()
-        for _, _, reads in self._inv_entries + self._tinv_entries:
+        for entry in self._inv_entries + self._tinv_entries:
+            reads = entry[2]
             if reads is None:
                 return frozenset()
             checked_reads |= reads
@@ -284,19 +325,54 @@ class CompiledSpec(Spec):
         ``changed`` is the exact touched-key superset of ``state``
         relative to an already-checked parent (``None`` = check
         everything).  An invariant with declared ``reads`` disjoint from
-        ``changed`` saw the same values on the parent, where it held.
+        ``changed`` saw the same values on the parent, where it held;
+        one that is not skipped is evaluated once per distinct value of
+        its declared variables (the verdict memo, see the module
+        constants), a ``False`` verdict as much as a ``True`` one.
         """
-        if changed is None:
-            for name, fn, _ in self._inv_entries:
+        get = state.get
+        counts = self._verdict_counts
+        for name, fn, reads, names, memo in self._inv_entries:
+            if reads is None:
                 if not fn(state):
                     return name
-            return None
-        for name, fn, reads in self._inv_entries:
-            if reads is not None and reads.isdisjoint(changed):
                 continue
-            if not fn(state):
+            if changed is not None and reads.isdisjoint(changed):
+                continue
+            key = tuple([get(var, _ABSENT) for var in names])
+            holds = memo.get(key)
+            if holds is None:
+                holds = bool(fn(state))
+                if len(memo) >= _VERDICT_MEMO_CAP:
+                    memo.clear()
+                    counts["clears"] += 1
+                memo[key] = holds
+                counts["misses"] += 1
+            else:
+                counts["hits"] += 1
+                if counts["hits"] % _VERDICT_VERIFY_EVERY == 0:
+                    counts["verified"] += 1
+                    if bool(fn(state)) is not holds:
+                        raise SpecError(
+                            f"invariant {name} is not a function of its declared"
+                            f" reads {list(names)}: a state that agrees"
+                            f" with an earlier one on all of them evaluates to"
+                            f" {not holds}, the earlier one to {holds}; declare"
+                            " every state variable the predicate inspects"
+                        )
+            if not holds:
                 return name
         return None
+
+    def verdict_stats(self) -> dict:
+        """Cumulative verdict-memo counters of this compiled spec.
+
+        ``hits`` / ``misses`` count lookups by invariants that declare
+        ``reads`` and were not skipped by ``changed`` (a miss evaluates
+        the predicate), ``clears`` the times a full per-invariant memo
+        was emptied, ``verified`` the hits that were re-evaluated.
+        """
+        return dict(self._verdict_counts)
 
     def check_transition(
         self,

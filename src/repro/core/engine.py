@@ -52,6 +52,7 @@ from typing import (
 from ..obs.metrics import (
     ACTION_FIRES,
     CODEC_CHUNKS,
+    VERDICT_MEMO,
     SIZE_BOUNDS,
     STORE_BYTES,
     SYMMETRY,
@@ -1137,6 +1138,9 @@ class ExplorationEngine:
             rate_gauge = metrics.gauge("engine.states_per_sec")
             bytes_gauge = metrics.gauge(STORE_BYTES)
             codec_base = codec_stats()
+            # Compiled specs only: the interpreted checker keeps no memo.
+            verdict_stats = getattr(spec, "verdict_stats", None)
+            verdict_base = verdict_stats() if verdict_stats is not None else None
             if reducer is not None:
                 metrics.gauge(SYMMETRY_GROUP_SIZE).set(reducer.group_size)
                 reducer_base = reducer.stats()
@@ -1168,6 +1172,14 @@ class ExplorationEngine:
                     delta = count - codec_base[key]
                     if delta:
                         chunk_counts[key] = chunk_counts.get(key, 0) + delta
+                if verdict_base is not None:
+                    verdicts = {
+                        key: count - verdict_base[key]
+                        for key, count in verdict_stats().items()
+                        if count != verdict_base[key]
+                    }
+                    if verdicts:
+                        metrics.merge_counts(VERDICT_MEMO, verdicts)
                 if reducer is not None:
                     metrics.merge_counts(
                         SYMMETRY,

@@ -125,9 +125,17 @@ class Invariant:
 
     ``reads`` optionally declares the top-level state variables the
     predicate depends on.  Declaring it asserts that ``fn(state)`` is a
-    pure function of exactly those variables; the compiled checker then
-    skips the invariant on successors that provably left every declared
-    variable untouched (see :mod:`repro.core.compile`).
+    pure function of those variables' values (a variable the state does
+    not have counts as one fixed value).  The compiled checker relies on
+    it twice (see :mod:`repro.core.compile`): it skips the invariant on
+    successors that provably left every declared variable untouched, and
+    it evaluates the predicate once per distinct value of the declared
+    variables, answering later states from that verdict.  The contract
+    is checked: every 64th answer taken from a remembered verdict is
+    re-evaluated, and a predicate that then disagrees — it reads a
+    variable it did not declare — raises :class:`SpecError` naming the
+    invariant.  A sample, so an under-declared ``reads`` is caught
+    probably, not certainly; leave ``reads`` off when in doubt.
     """
 
     __slots__ = ("name", "fn", "reads")
@@ -163,6 +171,13 @@ class TransitionInvariant:
     construction (an unchanged variable cannot decrease); declaring
     ``reads`` lets the compiled checker skip the edge check for
     transitions that touch none of the declared variables.
+
+    This is weaker than :class:`Invariant`'s contract and is *not* a
+    projection: the predicate may read variables it does not declare
+    (Raft's ``LeaderCommitsCurrentTerm`` declares ``commitIndex`` and
+    reads ``log`` and ``currentTerm``), so two edges that agree on the
+    declared variables can have different verdicts.  Edge verdicts are
+    therefore never remembered, and nothing samples this contract.
     """
 
     __slots__ = ("name", "fn", "reads")

@@ -128,6 +128,15 @@ class Rec(Mapping):
     def __contains__(self, key: Any) -> bool:
         return key in self._dict
 
+    # Mapping's mixins go through __getitem__ once per key (and an
+    # exception for an absent one); these are one call into the dict.
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        return self._dict.get(key, default)
+
+    def values(self):
+        return self._dict.values()
+
     # -- identity ----------------------------------------------------------
 
     def __hash__(self) -> int:

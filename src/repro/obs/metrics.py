@@ -54,6 +54,7 @@ __all__ = [
     "TIME_BOUNDS",
     "TRACECHECK_FRONTIER_SIZE",
     "TRACECHECK_STUTTER_STEPS",
+    "VERDICT_MEMO",
     "WAIT_BOUNDS_MS",
     "WIRE_BYTES_RECEIVED",
     "WIRE_BYTES_SENT",
@@ -85,6 +86,17 @@ CODEC_CHUNKS = "codec.chunk_cache"
 #: session of a resumed run; the memo counts depend on what the memo
 #: held, the first two do not.
 SYMMETRY = "symmetry"
+
+#: The labeled-count family of a compiled spec's verdict memo
+#: (:meth:`~repro.core.compile.CompiledSpec.verdict_stats`): ``hits`` /
+#: ``misses`` (lookups by state invariants that declare ``reads`` and
+#: were not skipped by the touched-key test; a miss evaluates the
+#: predicate), ``clears`` (times a full per-invariant memo was emptied)
+#: and ``verified`` (hits re-evaluated to check the declaration).
+#: Merged when an engine run ends, like the two families above, so it
+#: counts the current session of a resumed run and depends on what the
+#: memo held.  Absent when no invariant declares ``reads``.
+VERDICT_MEMO = "checker.verdict_memo"
 
 #: Gauge: the order of the symmetry group, identity included.
 SYMMETRY_GROUP_SIZE = "symmetry.group_size"

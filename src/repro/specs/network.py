@@ -53,15 +53,32 @@ def _crossing(group: frozenset, nodes: Sequence[str]) -> frozenset:
     )
 
 
-class TcpModel:
+class _NodeSet:
+    """What both models derive from the node tuple alone, computed once.
+
+    ``partitions`` is :func:`bipartitions` of the nodes, in its order —
+    the groups a spec's partition action enumerates on every state.
+    """
+
+    def __init__(self, nodes: Sequence[str]):
+        self.nodes = tuple(nodes)
+        self.partitions = tuple(bipartitions(self.nodes))
+        self._crossings = {
+            group: _crossing(group, self.nodes) for group in self.partitions
+        }
+
+    def crossing(self, group: frozenset) -> frozenset:
+        """:func:`_crossing` of ``group``; precomputed for a bipartition."""
+        found = self._crossings.get(group)
+        return found if found is not None else _crossing(group, self.nodes)
+
+
+class TcpModel(_NodeSet):
     """TCP-semantics network state: FIFO channels + partitions."""
 
     MSGS = "netMsgs"
     DISC = "netDisconnected"
     kind = "tcp"
-
-    def __init__(self, nodes: Sequence[str]):
-        self.nodes = tuple(nodes)
 
     # -- state initialization --------------------------------------------------
 
@@ -132,7 +149,7 @@ class TcpModel:
 
     def apply_partition(self, state: Rec, group: frozenset) -> Rec:
         """Break all connections crossing the ``group`` / rest split."""
-        crossing = _crossing(group, self.nodes)
+        crossing = self.crossing(group)
         channels = state[self.MSGS]
         cleared = {
             key: ()
@@ -152,12 +169,10 @@ class TcpModel:
     # -- constraints ---------------------------------------------------------------
 
     def max_queue_length(self, state: Rec) -> int:
-        return max(
-            (len(q) for _, q in state[self.MSGS].items_sorted()), default=0
-        )
+        return max(map(len, state[self.MSGS].values()), default=0)
 
     def pending_count(self, state: Rec) -> int:
-        return sum(len(q) for _, q in state[self.MSGS].items_sorted())
+        return sum(map(len, state[self.MSGS].values()))
 
 
 def _msg_key(item: Tuple[str, str, Rec]) -> str:
@@ -165,7 +180,7 @@ def _msg_key(item: Tuple[str, str, Rec]) -> str:
     return repr((src, dst, thaw(msg)))
 
 
-class UdpModel:
+class UdpModel(_NodeSet):
     """UDP-semantics network state: a multiset of in-flight datagrams.
 
     The multiset is stored as a tuple kept sorted by a canonical key so
@@ -176,9 +191,6 @@ class UdpModel:
     MSGS = "netMsgs"
     DISC = "netDisconnected"
     kind = "udp"
-
-    def __init__(self, nodes: Sequence[str]):
-        self.nodes = tuple(nodes)
 
     def init_vars(self) -> dict:
         return {self.MSGS: (), self.DISC: frozenset()}
@@ -237,7 +249,7 @@ class UdpModel:
         return state
 
     def apply_partition(self, state: Rec, group: frozenset) -> Rec:
-        crossing = _crossing(group, self.nodes)
+        crossing = self.crossing(group)
         remaining = tuple(
             packet
             for packet in state[self.MSGS]

@@ -32,7 +32,7 @@ from ...core.spec import (
     WeakFairness,
 )
 from ...core.state import Rec
-from ..network import TcpModel, UdpModel, bipartitions
+from ..network import TcpModel, UdpModel
 from . import messages as msg
 
 __all__ = ["RaftConfig", "RaftSpec", "FOLLOWER", "CANDIDATE", "LEADER", "PRECANDIDATE"]
@@ -118,6 +118,15 @@ class RaftSpec(Spec):
             self.net = TcpModel(self.nodes)
         else:
             self.net = UdpModel(self.nodes)
+        # Bound through ``self``, so a subclass's override is what runs.
+        self._handlers = {
+            msg.REQUEST_VOTE: self._on_request_vote,
+            msg.REQUEST_VOTE_RESPONSE: self._on_request_vote_response,
+            msg.APPEND_ENTRIES: self._on_append_entries,
+            msg.APPEND_ENTRIES_RESPONSE: self._on_append_entries_response,
+            msg.INSTALL_SNAPSHOT: self._on_install_snapshot,
+            msg.INSTALL_SNAPSHOT_RESPONSE: self._on_install_snapshot_response,
+        }
         self._actions = self._build_actions()
         self._invariants = self._filter(self._build_invariants())
         self._transition_invariants = self._filter(self._build_transition_invariants())
@@ -441,7 +450,7 @@ class RaftSpec(Spec):
             return
         if self.net.is_partitioned(state):
             return
-        for group in bipartitions(self.nodes):
+        for group in self.net.partitions:
             new = self.net.apply_partition(state, group)
             new = new.set("eventCounter", counter.apply("partitions", _inc))
             yield (tuple(sorted(group)),), new, "partition"
@@ -506,15 +515,7 @@ class RaftSpec(Spec):
                 yield (src, dst, message), new, branch
 
     def _dispatch(self, state: Rec, src: str, dst: str, message: Rec):
-        handlers = {
-            msg.REQUEST_VOTE: self._on_request_vote,
-            msg.REQUEST_VOTE_RESPONSE: self._on_request_vote_response,
-            msg.APPEND_ENTRIES: self._on_append_entries,
-            msg.APPEND_ENTRIES_RESPONSE: self._on_append_entries_response,
-            msg.INSTALL_SNAPSHOT: self._on_install_snapshot,
-            msg.INSTALL_SNAPSHOT_RESPONSE: self._on_install_snapshot_response,
-        }
-        handler = handlers.get(message["type"])
+        handler = self._handlers.get(message["type"])
         if handler is None:
             raise AssertionError(f"unknown message type: {message['type']}")
         yield from handler(state, src, dst, message)
@@ -1093,9 +1094,13 @@ class RaftSpec(Spec):
 
     def _tinv_committed_stable(self, pre: Rec, t: Transition) -> bool:
         post = t.target
+        pre_log, post_log = pre["log"], post["log"]
         for n in self.nodes:
+            snap_pre, snap_post = self._snap_index(pre, n), self._snap_index(post, n)
+            if post_log[n] is pre_log[n] and snap_pre == snap_post:
+                continue  # the same entries at the same absolute indices
             commit = pre["commitIndex"][n]
-            low = max(self._snap_index(pre, n), self._snap_index(post, n)) + 1
+            low = max(snap_pre, snap_post) + 1
             for index in range(low, commit + 1):
                 before = self._entry_at(pre, n, index)
                 after = self._entry_at(post, n, index)

@@ -39,7 +39,7 @@ from ..core.spec import (
     WeakFairness,
 )
 from ..core.state import Rec
-from .network import TcpModel, bipartitions
+from .network import TcpModel
 
 __all__ = ["ZabConfig", "ZabSpec", "LOOKING", "FOLLOWING", "LEADING", "vote_beats"]
 
@@ -370,7 +370,7 @@ class ZabSpec(Spec):
             return
         if self.net.is_partitioned(state):
             return
-        for group in bipartitions(self.nodes):
+        for group in self.net.partitions:
             new = self.net.apply_partition(state, group)
             new = new.set("eventCounter", counter.apply("partitions", _inc))
             yield (tuple(sorted(group)),), new, "partition"

@@ -58,6 +58,7 @@ import warnings
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from unittest import mock
 
+from ..core import compile as compile_module
 from ..core import state as state_module
 from ..core import symmetry as symmetry_module
 from ..core.compile import por_prune_set
@@ -110,7 +111,7 @@ class MatrixConfig:
     exhaustive: bool = False  # violation-phase spec, stop_on_violation=False
     transport: str = "fork"  # "fork" | "socket" (repro.dist worker agents)
     dist_kill: bool = False  # kill one socket agent mid-run; spare adopts
-    memo_cap: Optional[int] = None  # pair-digest and orbit memo capacity for this cell
+    memo_cap: Optional[int] = None  # pair-digest, orbit and verdict memo capacity for this cell
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -219,6 +220,9 @@ def build_matrix(
         matrix = matrix + [
             MatrixConfig("violation/serial-memory", "violation"),
             MatrixConfig("violation/serial-interpreted", "violation", compiled=False),
+            # A two-entry verdict memo forgets nearly every read projection
+            # between lookups: the planted depth must not depend on it.
+            MatrixConfig("violation/serial-memo-cap-2", "violation", memo_cap=2),
             MatrixConfig("violation/serial-disk", "violation", store="disk"),
             MatrixConfig(
                 "violation/durable-resume", "violation", store="disk", durable=True
@@ -405,7 +409,9 @@ def _run_config(
     if config.memo_cap is not None:
         with mock.patch.object(
             state_module, "_PAIR_MEMO_CAP", config.memo_cap
-        ), mock.patch.object(symmetry_module, "_ORBIT_MEMO_CAP", config.memo_cap):
+        ), mock.patch.object(
+            symmetry_module, "_ORBIT_MEMO_CAP", config.memo_cap
+        ), mock.patch.object(compile_module, "_VERDICT_MEMO_CAP", config.memo_cap):
             return _run_config(generated, dataclasses.replace(config, memo_cap=None))
     spec = generated.spec(invariants=config.phase == "violation")
     stop = config.phase == "violation" and not config.exhaustive

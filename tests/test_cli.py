@@ -372,7 +372,8 @@ class TestDurableRuns:
 
 
 class TestStatsAndCoverage:
-    def test_check_stats_prints_coverage_report(self, capsys):
+    def test_check_stats_prints_coverage_report(self, capsys, monkeypatch):
+        monkeypatch.setattr("repro.core.compile._VERDICT_VERIFY_EVERY", 64)
         code = main(
             [
                 "check",
@@ -393,6 +394,17 @@ class TestStatsAndCoverage:
         assert "ElectionTimeout" in out
         # the pair-digest memo's hit ratio, beside fp_delta_hits
         assert re.search(r"codec: fp_delta_hits \d+, .*pair memo \d+/\d+ hits", out)
+        # the verdict memo: predicate evaluations beside the lookups they saved
+        line = re.search(
+            r"invariants: (\d+) evaluated, (\d+) memo hits \(([\d.]+)%\), 0 clears", out
+        )
+        evaluated, hits, percent = map(float, line.groups())
+        assert 0 < evaluated < hits and percent > 60
+
+    def test_check_stats_has_no_invariants_line_without_declared_reads(self, capsys):
+        args = ["check", "--system", "zookeeper", "--max-states", "300", "--stats"]
+        assert main(args) == 0
+        assert "invariants:" not in capsys.readouterr().out
 
     def test_check_stats_prints_the_symmetry_line(self, capsys):
         args = ["check", "--system", "raftos", "--max-states", "400", "--stats"]

@@ -5,19 +5,25 @@ produce the same transitions, the same invariant verdicts, the same
 census, and the same fingerprints as the interpreted spec it wraps.
 """
 
+import random
+
 import pytest
 
 from repro.core import Action, Invariant, Rec, Spec, SpecError, TransitionInvariant
+from repro.core import compile as compile_module
 from repro.core.compile import (
     ActionMeta,
     CompiledSpec,
     compile_spec,
     maybe_compile,
 )
-from repro.core.explorer import bfs_explore
+from repro.core.explorer import BFSExplorer, bfs_explore
+from repro.core.simulation import simulate
 from repro.core.state import set_delta_codec
-from repro.obs.metrics import ACTION_FIRES, CODEC_CHUNKS, MetricsRegistry
-from repro.specs.raft import PySyncObjSpec, RaftConfig
+from repro.dist.specref import SPEC_CLASSES
+from repro.obs.metrics import ACTION_FIRES, CODEC_CHUNKS, VERDICT_MEMO, MetricsRegistry
+from repro.specs.raft import LEADER, PySyncObjSpec, RaftConfig
+from repro.testkit.genspec import generate_spec, sample_params
 
 
 class CounterSpec(Spec):
@@ -268,6 +274,201 @@ class TestEngineEquivalence:
         assert chunks.get("fp_delta_hits", 0) > 0
         assert chunks.get("pair_memo_hits", 0) > 0
         assert chunks.get("pair_memo_misses", 0) > 0
+
+
+#: the seven Raft-family specs; ZAB declares no reads
+RAFT_FAMILY = sorted(set(SPEC_CLASSES) - {"zookeeper"})
+
+
+def leader_trap(system):
+    """``system``'s spec plus a declared invariant BFS violates at depth 4."""
+
+    class Trapped(SPEC_CLASSES[system]):
+        def _build_invariants(self):
+            return super()._build_invariants() + [
+                Invariant(
+                    "NoLeader",
+                    lambda s: LEADER not in s["role"].values(),
+                    reads=("role",),
+                )
+            ]
+
+    return Trapped(RaftConfig(nodes=("n1", "n2", "n3")))
+
+
+def found(spec, compiled, **kwargs):
+    """What a run reports: every violation's name, depth and trace; the census."""
+    explorer = BFSExplorer(spec, compiled=compiled, **kwargs)
+    result = explorer.run()
+    return (
+        [(v.invariant, v.kind, v.depth, v.trace.to_json()) for v in explorer.violations],
+        result.stats.distinct_states,
+        result.stats.transitions,
+        result.stop_reason,
+    )
+
+
+@pytest.fixture(params=[compile_module._VERDICT_MEMO_CAP, 2])
+def verdict_cap(request, monkeypatch):
+    monkeypatch.setattr(compile_module, "_VERDICT_MEMO_CAP", request.param)
+    return request.param
+
+
+class TestVerdictMemoProperty:
+    """Compiled (memoised) and interpreted checking report the same thing."""
+
+    @pytest.mark.parametrize("system", RAFT_FAMILY)
+    def test_raft_family(self, system, verdict_cap):
+        first = found(leader_trap(system), True)
+        assert first == found(leader_trap(system), False)
+        ((name, kind, depth, _),) = first[0]
+        assert (name, kind) == ("NoLeader", "state") and depth <= 6
+        # every state, every invariant: violations keep being reported
+        spec = leader_trap(system)
+        compiled = compile_spec(spec)
+        every = found(compiled, True, stop_on_violation=False, max_states=2500)
+        assert every == found(spec, False, stop_on_violation=False, max_states=2500)
+        assert len(every[0]) > 1
+        stats = compiled.verdict_stats()
+        assert stats["hits"] > 0 and stats["misses"] > 0
+        for entry in compiled._inv_entries:
+            assert entry[4] is None or len(entry[4]) <= verdict_cap
+        if verdict_cap == 2:
+            assert stats["clears"] > 0
+        else:
+            assert stats["hits"] > stats["misses"] and stats["clears"] == 0
+
+    def test_generated_specs(self, verdict_cap):
+        rng = random.Random("verdict-sweep-params")
+        planted = 0
+        for index in range(20):
+            generated = generate_spec(f"verdict-sweep:{index}", sample_params(rng))
+            if generated.planted is None:
+                continue
+            planted += 1
+            first = found(generated.spec(), True)
+            assert first == found(generated.spec(), False)
+            ((name, _, depth, _),) = first[0]
+            assert (name, depth) == (generated.planted.invariant, generated.planted.depth)
+            assert found(generated.spec(), True, stop_on_violation=False) == found(
+                generated.spec(), False, stop_on_violation=False
+            )
+        assert planted >= 10
+
+
+class UnderDeclaredSpec(CounterSpec):
+    """``SumBounded`` reads ``a`` and ``b`` and declares ``a`` alone."""
+
+    def invariants(self):
+        return (
+            Invariant("SumBounded", lambda s: s["a"] + s["b"] < 5, reads=("a",)),
+        )
+
+
+class TestVerdictMemo:
+    def test_under_declared_reads_raise_naming_the_invariant(self, monkeypatch):
+        # At the shipped sampling rate (every 64th hit) a wrong declaration
+        # is only *probably* caught; with every hit re-evaluated it must be.
+        monkeypatch.setattr(compile_module, "_VERDICT_VERIFY_EVERY", 1)
+        with pytest.raises(SpecError, match=r"SumBounded.*declared reads \['a'\]"):
+            bfs_explore(UnderDeclaredSpec(), stop_on_violation=False)
+        compiled = compile_spec(UnderDeclaredSpec())
+        assert compiled.check_state(Rec(a=2, b=0)) is None
+        with pytest.raises(SpecError, match="SumBounded"):
+            compiled.check_state(Rec(a=2, b=3))
+
+    def test_unsampled_hit_trusts_the_declaration(self, monkeypatch):
+        monkeypatch.setattr(compile_module, "_VERDICT_VERIFY_EVERY", 64)
+        compiled = compile_spec(UnderDeclaredSpec())
+        assert compiled.check_state(Rec(a=2, b=0)) is None
+        assert compiled.check_state(Rec(a=2, b=3)) is None  # the stale verdict
+        assert UnderDeclaredSpec().check_state(Rec(a=2, b=3)) == "SumBounded"
+
+    def test_cached_false_verdict_is_reported_again(self, monkeypatch):
+        monkeypatch.setattr(compile_module, "_VERDICT_VERIFY_EVERY", 64)
+        compiled = compile_spec(CounterSpec(limit=1))
+        assert compiled.check_state(Rec(a=5, b=0)) == "ABounded"
+        assert compiled.check_state(Rec(a=5, b=1)) == "ABounded"
+        assert compiled.check_state(Rec(a=5, b=1), frozenset({"a"})) == "ABounded"
+        assert compiled.verdict_stats() == {
+            "hits": 2, "misses": 1, "clears": 0, "verified": 0
+        }
+
+    def test_raising_invariant_is_not_cached(self):
+        calls = []
+
+        def flaky(state):
+            calls.append(state)
+            if len(calls) == 1:
+                raise RuntimeError("first evaluation fails")
+            return True
+
+        class Flaky(CounterSpec):
+            def invariants(self):
+                return (Invariant("Flaky", flaky, reads=("a",)),)
+
+        compiled = compile_spec(Flaky())
+        with pytest.raises(RuntimeError):
+            compiled.check_state(Rec(a=0, b=0))
+        assert compiled.check_state(Rec(a=0, b=0)) is None
+        assert len(calls) == 2 and compiled.verdict_stats()["misses"] == 1
+
+    def test_absent_variable_is_part_of_the_key(self):
+        class MaybeC(CounterSpec):
+            def invariants(self):
+                return (
+                    Invariant("AbsentOrSmall", lambda s: s.get("c", 0) < 2, reads=("c",)),
+                )
+
+        compiled = compile_spec(MaybeC())
+        assert compiled.check_state(Rec(a=0, b=0)) is None
+        assert compiled.check_state(Rec(a=0, b=0, c=5)) == "AbsentOrSmall"
+        assert compiled.check_state(Rec(a=1, b=1)) is None
+        assert compiled.verdict_stats()["hits"] == 1
+
+    def test_memo_is_per_compiled_spec_and_survives_recompilation(self):
+        strict, loose = compile_spec(CounterSpec(limit=1)), compile_spec(CounterSpec(limit=9))
+        state = Rec(a=5, b=0)
+        assert strict.check_state(state) == "ABounded"
+        assert loose.check_state(state) is None  # same variable names, own verdicts
+        assert compile_spec(strict) is strict and maybe_compile(strict) is strict
+        assert strict.check_state(state) == "ABounded"
+        assert strict.verdict_stats()["hits"] == 1
+        assert loose.verdict_stats()["hits"] == 0
+
+    def test_undeclared_invariants_and_edges_bypass_the_memo(self):
+        compiled = compile_spec(_no_reads_spec())
+        for _ in range(3):
+            assert compiled.check_state(Rec(a=0, b=9)) == "BBounded"
+        assert compiled.verdict_stats() == {
+            "hits": 0, "misses": 0, "clears": 0, "verified": 0
+        }
+
+    def test_random_walks_hit_the_memo(self):
+        registry = MetricsRegistry()
+        result = simulate(small_raft(), n_walks=20, max_depth=12, metrics=registry)
+        assert result.first_violation is None
+        counts = registry.counts(VERDICT_MEMO)
+        assert counts["hits"] > counts["misses"] > 0
+
+    def test_counters_reach_the_registry_serial_and_sharded(self):
+        serial = MetricsRegistry()
+        result = bfs_explore(small_raft(), max_states=1500, metrics=serial)
+        counts = serial.counts(VERDICT_MEMO)
+        assert set(counts) <= {"hits", "misses", "clears", "verified"}
+        assert counts["hits"] > counts["misses"] > 0
+        assert counts["verified"] == counts["hits"] // compile_module._VERDICT_VERIFY_EVERY
+        sharded = MetricsRegistry()
+        parallel = bfs_explore(small_raft(), max_depth=6, workers=2, metrics=sharded)
+        assert parallel.stats.distinct_states > 0 and result.stats.distinct_states > 0
+        merged = sharded.counts(VERDICT_MEMO)
+        assert merged["hits"] > 0 and merged["misses"] > 0
+
+    def test_no_declared_reads_no_family(self):
+        registry = MetricsRegistry()
+        bfs_explore(_no_reads_spec(), metrics=registry)
+        bfs_explore(small_raft(), compiled=False, max_states=200, metrics=registry)
+        assert VERDICT_MEMO not in registry.snapshot()["counts"]
 
 
 class TestCachedActions:

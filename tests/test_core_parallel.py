@@ -46,7 +46,13 @@ from repro.core.parallel import (
     rebalance_plan,
 )
 from repro.core.state import encode, fingerprint
-from repro.obs.metrics import BATCH_BYTES, CLAIMS, REBALANCED_STATES, MetricsRegistry
+from repro.obs.metrics import (
+    BATCH_BYTES,
+    CLAIMS,
+    REBALANCED_STATES,
+    VERDICT_MEMO,
+    MetricsRegistry,
+)
 from repro.persist import DiskStore, RunDir, load_graph_stores, run_check
 from repro.specs.raft import PySyncObjSpec, RaftConfig
 
@@ -605,9 +611,11 @@ class CountingRaft(PySyncObjSpec):
 
 
 class TestExchangeVolume:
-    def test_small_pysyncobj_routes_fingerprints_not_states(self):
+    def test_small_pysyncobj_routes_fingerprints_not_states(self, monkeypatch):
+        monkeypatch.setattr("repro.core.compile._VERDICT_VERIFY_EVERY", 64)
         serial_spec = CountingRaft()
-        serial = bfs_explore(serial_spec, max_depth=8)
+        serial_registry = MetricsRegistry()
+        serial = bfs_explore(serial_spec, max_depth=8, metrics=serial_registry)
         spec = CountingRaft()
         registry = MetricsRegistry()
         par = parallel_bfs(
@@ -621,10 +629,18 @@ class TestExchangeVolume:
         # Foreign children are checked by their generator with the
         # incremental ``changed`` set, like local ones and like the
         # serial engine: far below one full check per foreign state
-        # (which alone would be ~2 calls per state here).
+        # (which alone would be ~2 lookups per state here).  A lookup is
+        # a check the ``changed`` set did not skip; the verdict memo
+        # answers most of them, and each worker keeps its own, so the
+        # predicates run at most once per worker and read projection.
+        def lookups(metrics):
+            counts = metrics.counts(VERDICT_MEMO)
+            return counts["hits"] + counts["misses"]
+
         full = states * len(spec.invariants())
-        assert spec.calls < full // 2
-        assert spec.calls <= serial_spec.calls * 1.25
+        assert lookups(registry) < full // 2
+        assert lookups(registry) <= lookups(serial_registry) * 1.25
+        assert spec.calls <= serial_spec.calls * 2 < lookups(serial_registry)
 
 
 class TestDeterminism:

@@ -2,16 +2,21 @@
 
 import pytest
 
-from repro.core import bfs_explore
+from collections import deque
+
+from repro.core import Rec, Transition, bfs_explore
 from repro.specs.raft import (
     CANDIDATE,
     FOLLOWER,
     LEADER,
     PRECANDIDATE,
+    PySyncObjSpec,
     RaftConfig,
     RaftSpec,
+    WRaftSpec,
     XraftSpec,
 )
+from repro.specs.raft import messages as msg
 
 from helpers import drive, elect_leader_picks, replicate_once_picks
 
@@ -323,6 +328,90 @@ class TestInvariantsHoldWhenCorrect:
         assert not symmetric.found_violation
         if plain.exhausted and symmetric.exhausted:
             assert symmetric.stats.distinct_states <= plain.stats.distinct_states
+
+
+def deep_log_state(spec, log_len):
+    """``log_len`` entries committed on every node, ``nodes[0]`` leading."""
+    (init,) = spec.init_states()
+    nodes, values = spec.nodes, spec.config.values
+    leader = nodes[0]
+    log = tuple(
+        msg.entry(1 if i < log_len // 2 else 2, values[i % len(values)])
+        for i in range(log_len)
+    )
+    return init.update(
+        role=init["role"].set(leader, LEADER),
+        currentTerm=Rec({n: 2 for n in nodes}),
+        votedFor=Rec({n: leader for n in nodes}),
+        log=Rec({n: log for n in nodes}),
+        commitIndex=Rec({n: log_len for n in nodes}),
+        nextIndex=init["nextIndex"].set(
+            leader, Rec({p: log_len + 1 for p in nodes if p != leader})
+        ),
+        matchIndex=init["matchIndex"].set(
+            leader, Rec({p: log_len for p in nodes if p != leader})
+        ),
+        votesGranted=init["votesGranted"].set(leader, frozenset(nodes)),
+    )
+
+
+def committed_stable_reference(spec, pre, t):
+    """``CommittedEntriesStable`` as it was before the unchanged-log skip."""
+    post = t.target
+    for n in spec.nodes:
+        commit = pre["commitIndex"][n]
+        low = max(spec._snap_index(pre, n), spec._snap_index(post, n)) + 1
+        for index in range(low, commit + 1):
+            before = spec._entry_at(pre, n, index)
+            after = spec._entry_at(post, n, index)
+            if before is not None and after != before:
+                return False
+    return True
+
+
+def edges(spec, root, max_states):
+    """Every ``(pre, transition)`` of a BFS over ``max_states`` states."""
+    seen, queue = {root}, deque([root])
+    while queue and len(seen) < max_states:
+        pre = queue.popleft()
+        if not spec.state_constraint(pre):
+            continue
+        for t in spec.successors(pre):
+            yield pre, t
+            if t.target not in seen:
+                seen.add(t.target)
+                queue.append(t.target)
+
+
+class TestCommittedStableSkipsUnchangedLogs:
+    CFG = dict(nodes=("n1", "n2", "n3"), values=("v1", "v2"), max_crashes=0, max_drops=0)
+
+    @pytest.mark.parametrize(
+        "spec_cls, bugs", [(PySyncObjSpec, ()), (WRaftSpec, ()), (WRaftSpec, ("W1", "W2"))]
+    )
+    def test_agrees_with_the_full_walk_on_every_edge(self, spec_cls, bugs):
+        spec = spec_cls(RaftConfig(**self.CFG), bugs=bugs)
+        root = deep_log_state(spec, 8)
+        compacted = checked = 0
+        for pre, t in edges(spec, root, 2000):
+            assert spec._tinv_committed_stable(pre, t) == committed_stable_reference(
+                spec, pre, t
+            )
+            checked += 1
+            compacted += t.action == "CompactLog"
+        assert checked > 2000
+        assert (compacted > 0) == spec.has_compaction
+
+    def test_a_rewritten_committed_entry_is_still_caught(self):
+        spec = PySyncObjSpec(RaftConfig(**self.CFG))
+        pre = deep_log_state(spec, 8)
+        log = pre["log"]["n2"]
+        forged = pre.set("log", pre["log"].set("n2", (msg.entry(9, "v1"),) + log[1:]))
+        t = Transition("ReceiveMessage", ("n1", "n2"), forged)
+        assert not spec._tinv_committed_stable(pre, t)
+        assert not committed_stable_reference(spec, pre, t)
+        same = Transition("ReceiveMessage", ("n1", "n2"), pre.set("log", pre["log"]))
+        assert spec._tinv_committed_stable(pre, same)
 
 
 class TestSpecMetadata:

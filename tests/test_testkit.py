@@ -153,6 +153,7 @@ def test_matrix_covers_required_cells():
         assert "census/serial-symmetry-memo-cap-2" in names
     if generated.planted is not None:
         assert "violation/serial-memory" in names
+        assert "violation/serial-memo-cap-2" in names
         assert "violation/durable-resume" in names
 
 

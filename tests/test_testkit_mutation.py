@@ -66,3 +66,33 @@ def test_suppressed_state_invariants_are_flagged(monkeypatch):
     monkeypatch.undo()
     clean = run_differential(1, seed=MUTATION_SEED, parallel=False)
     assert clean.ok, clean.describe()
+
+
+def test_verdict_key_missing_a_declared_variable_is_flagged(monkeypatch, tmp_path):
+    # Defect: the verdict memo keys the planted invariant on ``glob``
+    # alone, dropping the declared ``locals`` — the first state checked
+    # (clean) answers for every later state with the same ``glob``, the
+    # planted one included, so violation cells run to exhaustion.  The
+    # sampled re-evaluation (every 64th hit) never fires on 24 states.
+    from repro.core import compile as compile_module
+
+    real_names = compile_module._read_names
+    monkeypatch.setattr(
+        compile_module,
+        "_read_names",
+        lambda reads: tuple(name for name in real_names(reads) if name != "locals"),
+    )
+    report = run_differential(
+        1, seed=MUTATION_SEED, out_dir=tmp_path, parallel=False
+    )
+    assert not report.ok
+    assert report.artifacts, "a disagreement must be saved as a replayable artifact"
+    flagged = {d.config.name for d in report.disagreements}
+    assert "violation/serial-memory" in flagged
+    assert "violation/serial-interpreted" not in flagged  # keeps no memo
+    assert all(d.config.phase == "violation" for d in report.disagreements)
+
+    monkeypatch.undo()
+    original, fresh = replay_artifact(report.artifacts[0])
+    assert original.spec_seed == f"{MUTATION_SEED}:0"
+    assert fresh == [], [d.describe() for d in fresh]
