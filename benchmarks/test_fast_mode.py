@@ -1,17 +1,10 @@
-"""Fast-mode memory ceiling and POR state reduction.
+"""Fast-mode memory ceiling.
 
-Two acceptance measurements for the exploration reducers:
-
-* **memory** — a million-state census through the traceless
-  :class:`~repro.core.engine.FingerprintOnlyStore` must cost at most
-  16 bytes per state of store memory (8 bytes of payload + amortized
-  set/segment overhead), measured by the store's own
-  ``estimated_bytes`` and cross-checked against process peak RSS;
-* **POR** — a PySyncObj spec padded with an independent local-clock
-  action (``TickClock``, declared reads/writes disjoint from every
-  invariant and from the state constraint) must prune exactly that
-  action and explore ``clock_mod`` times fewer states than the full
-  interleaving, with the same census as the clock-free base spec.
+A million-state census through the traceless
+:class:`~repro.core.engine.FingerprintOnlyStore` must cost at most 16
+bytes per state of store memory (8 bytes of payload + amortized
+set/segment overhead), measured by the store's own ``estimated_bytes``
+and cross-checked against process peak RSS.
 
 Results go to ``BENCH_fast.json`` at the repo root.  CI shrinks the
 memory cell with ``SANDTABLE_BENCH_FAST_STATES``.
@@ -24,11 +17,9 @@ import pathlib
 import resource
 import time
 
-from repro.core import Action, BFSExplorer, StopReason, TransitionInvariant
-from repro.core.compile import CompiledSpec, por_prune_set
+from repro.core import Action, BFSExplorer, StopReason
 from repro.core.engine import FingerprintOnlyStore
 from repro.core.state import Rec
-from repro.specs.raft import PySyncObjSpec, RaftConfig
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO_ROOT / "BENCH_fast.json"
@@ -36,7 +27,6 @@ BENCH_PATH = REPO_ROOT / "BENCH_fast.json"
 #: The acceptance measurement is one million distinct states; CI boxes
 #: shrink it (the bytes/state bound must hold at every size).
 TARGET_STATES = int(os.environ.get("SANDTABLE_BENCH_FAST_STATES", "1000000"))
-CLOCK_MOD = int(os.environ.get("SANDTABLE_BENCH_CLOCK_MOD", "2"))
 
 
 def make_grid_spec(target_states: int):
@@ -102,105 +92,12 @@ def bench_memory():
     }, bytes_per_state
 
 
-def make_noisy_spec(clock_mod: int, with_clock: bool = True):
-    """PySyncObj with every action's reads/writes declared, plus an
-    independent ``TickClock`` stepping a local clock mod ``clock_mod``.
-
-    The base Raft actions get conservative whole-state read/write sets
-    (sound: declaring too much only blocks pruning), the clock touches
-    only its own variable, and ``constraint_reads`` declares the one
-    variable the overridden Raft state constraint inspects — so the POR
-    fixpoint can prove ``TickClock`` invisible and prune it, collapsing
-    the ``clock_mod``-fold interleaving blowup.
-    """
-    config = RaftConfig(nodes=("n1", "n2"))
-    base = PySyncObjSpec(config)
-    base_init = next(iter(base.init_states()))
-    base_vars = tuple(sorted(base_init))
-    clock_mod = int(clock_mod)
-
-    def tick(state):
-        yield (), state.set("localClock", (state["localClock"] + 1) % clock_mod)
-
-    class NoisyPySyncObjSpec(PySyncObjSpec):
-        constraint_reads = ("netMsgs",)
-
-        def init_states(self):
-            for init in super().init_states():
-                yield init.update(localClock=0) if with_clock else init
-
-        def actions(self):
-            declared = [
-                Action(a.name, a.fn, kind=a.kind, reads=base_vars, writes=base_vars)
-                for a in super().actions()
-            ]
-            if with_clock:
-                declared.append(
-                    Action(
-                        "TickClock",
-                        tick,
-                        reads=("localClock",),
-                        writes=("localClock",),
-                    )
-                )
-            return declared
-
-        def transition_invariants(self):
-            # One opaque invariant blocks all pruning; redeclare any
-            # undeclared read set as "the whole base state" — sound (a
-            # superset of the true reads) and still disjoint from the clock.
-            return tuple(
-                inv
-                if inv.reads is not None
-                else TransitionInvariant(inv.name, inv.fn, reads=base_vars)
-                for inv in super().transition_invariants()
-            )
-
-    return NoisyPySyncObjSpec(config)
-
-
-def bench_por():
-    base = make_noisy_spec(CLOCK_MOD, with_clock=False)
-    noisy = make_noisy_spec(CLOCK_MOD)
-    pruned = por_prune_set(noisy)
-    assert pruned == frozenset({"TickClock"}), pruned
-    assert CompiledSpec(noisy, por=True).por_pruned == frozenset({"TickClock"})
-
-    base_result = BFSExplorer(base, stop_on_violation=False).run()
-    full_result = BFSExplorer(
-        make_noisy_spec(CLOCK_MOD), stop_on_violation=False
-    ).run()
-    reduced_result = BFSExplorer(
-        make_noisy_spec(CLOCK_MOD), por=True, stop_on_violation=False
-    ).run()
-    for result in (base_result, full_result, reduced_result):
-        assert result.stop_reason == StopReason.EXHAUSTED
-
-    # Pruning the clock freezes it at 0: the reduced census must equal
-    # the clock-free base census exactly, state for state.
-    assert reduced_result.stats.distinct_states == base_result.stats.distinct_states
-    assert reduced_result.stats.transitions == base_result.stats.transitions
-    reduction = (
-        full_result.stats.distinct_states / reduced_result.stats.distinct_states
-    )
-    return {
-        "cell": "por-pysyncobj-clock",
-        "clock_mod": CLOCK_MOD,
-        "pruned_actions": sorted(pruned),
-        "full_states": full_result.stats.distinct_states,
-        "reduced_states": reduced_result.stats.distinct_states,
-        "base_states": base_result.stats.distinct_states,
-        "state_reduction": round(reduction, 3),
-    }, reduction
-
-
-def test_fast_memory_and_por_reduction(emit):
+def test_fast_memory(emit):
     memory_cell, bytes_per_state = bench_memory()
-    por_cell, reduction = bench_por()
     report = {
         "benchmark": "fast_mode",
         "target_states": TARGET_STATES,
-        "cells": [memory_cell, por_cell],
+        "cells": [memory_cell],
         "peak_rss_kb": peak_rss_kb(),
     }
     BENCH_PATH.write_text(json.dumps(report, indent=2) + "\n")
@@ -211,12 +108,8 @@ def test_fast_memory_and_por_reduction(emit):
             f"{memory_cell['bytes_per_state']} bytes/state "
             f"({memory_cell['states_per_sec']:.0f} states/sec, "
             f"peak RSS {memory_cell['peak_rss_kb']} kB)",
-            f"por: pruned {por_cell['pruned_actions']} -> "
-            f"{por_cell['full_states']} / {por_cell['reduced_states']} states "
-            f"= {por_cell['state_reduction']}x reduction",
             f"written: {BENCH_PATH}",
         ],
     )
-    # Acceptance: <= 16 bytes/state at any size, >= 1.5x POR reduction.
+    # Acceptance: <= 16 bytes/state at any size.
     assert bytes_per_state <= 16, memory_cell
-    assert reduction >= 1.5, por_cell

@@ -180,23 +180,15 @@ def cmd_bugs(args: argparse.Namespace) -> int:
 
 
 def _validate_reducers(args: argparse.Namespace) -> Optional[str]:
-    """Reject flag combinations fast/POR cannot honor, before any work."""
-    if getattr(args, "fast", False) and getattr(args, "out", None):
-        return (
-            "--fast is traceless (8-byte fingerprints, no parent edges):"
-            " a violation's minimal counterexample is reconstructed by an"
-            " automatic bounded re-search and printed, but --out artifacts"
-            " require a full-store run — drop --out (and replay from the"
-            " printed trace) or drop --fast"
-        )
-    if getattr(args, "temporal", None):
-        if getattr(args, "fast", False):
+    """Reject flag combinations the checker cannot honor, before any work."""
+    if args.temporal:
+        if args.fast:
             return (
                 "--temporal needs the explored state graph, but --fast keeps"
                 " a fingerprint-only store with no parent edges: drop --fast"
                 " before --temporal"
             )
-        if getattr(args, "run_dir", None):
+        if args.run_dir:
             return (
                 "--temporal cannot run inline with --run-dir (the durable"
                 " store is owned by the checkpointer); run the durable check"
@@ -290,7 +282,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             metrics=registry,
             progress=reporter,
             fast=args.fast,
-            por=args.por,
             **durable,
             **(
                 {"store": temporal_store, "stop_on_violation": False}
@@ -628,7 +619,6 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         progress=progress,
         metrics=registry,
         fast=args.fast,
-        por=args.por,
     )
     print(report.describe())
     if registry is not None:
@@ -768,7 +758,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         config["workers"] = args.workers
     if args.worker:
         config["worker_addrs"] = list(args.worker)
-    for flag in ("symmetry", "fast", "por"):
+    for flag in ("symmetry", "fast"):
         if getattr(args, flag):
             config[flag] = True
     client = ServiceClient(args.server)
@@ -855,12 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="traceless fingerprint-only store (~16 bytes/state); a violation's"
         " counterexample is reconstructed by an automatic bounded re-search",
-    )
-    check.add_argument(
-        "--por",
-        action="store_true",
-        help="partial-order reduction: statically prune actions proven"
-        " independent by their declared read/write sets",
     )
     check.add_argument(
         "--workers",
@@ -1080,11 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="force the traceless fast store onto every compatible matrix cell",
     )
-    selftest.add_argument(
-        "--por",
-        action="store_true",
-        help="force partial-order reduction onto every compiled matrix cell",
-    )
     selftest.add_argument("--quiet", action="store_true", help="summary line only")
     selftest.add_argument(
         "--stats-out",
@@ -1140,7 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--time-budget", type=float, default=60.0)
     submit.add_argument("--symmetry", action="store_true")
     submit.add_argument("--fast", action="store_true")
-    submit.add_argument("--por", action="store_true")
     submit.add_argument(
         "--workers", type=_workers_value, default=None, help="parallel workers"
     )

@@ -19,7 +19,6 @@ Public surface:
   :class:`~repro.core.violation.Violation` — counterexamples.
 """
 
-from .compile import por_prune_set
 from .engine import (
     CompactStore,
     ExplorationEngine,
@@ -114,7 +113,6 @@ __all__ = [
     "fingerprint",
     "freeze",
     "parallel_bfs",
-    "por_prune_set",
     "random_walk",
     "rank_constraints",
     "research_violation",

@@ -6,10 +6,7 @@ wrappers and every invariant runs on every state/edge.
 :func:`compile_spec` builds a :class:`CompiledSpec` once per run that
 removes those costs without changing a single observable result:
 
-* **action snapshot** — the action list is materialized once, with
-  per-action metadata (name, kind, declared-or-inferred top-level
-  read/write sets) exposed as :attr:`CompiledSpec.action_meta`; this is
-  the metadata a partial-order-reduction pass needs;
+* **action snapshot** — the action list is materialized once;
 * **specialized successor loop** — one flat closure over pre-bound
   ``(name, fn, guard)`` entries replaces the per-action
   ``Action.transitions`` wrappers; declared guards short-circuit
@@ -39,28 +36,24 @@ table (:mod:`repro.core.state`).
 A :class:`CompiledSpec` exposes the same ``successors`` /
 ``state_constraint`` / ``invariants`` surface as the spec it wraps (and
 delegates unknown attributes to it), so every consumer is a one-line
-change.  Callers that pass ``compiled=False`` get the interpreted
-pipeline, byte for byte the same results: the testkit's reference cells
-and the benchmarks use it; no command-line flag or environment variable
-selects it.
+change.  Compiling prunes nothing: the compiled spec explores exactly
+the states and transitions of the source spec, so :func:`compile_spec`
+is idempotent and a compiled and an interpreted run of one spec can
+share a run directory.  Callers that pass ``compiled=False`` get the
+interpreted pipeline, byte for byte the same results: the testkit's
+reference cells and the benchmarks use it; no command-line flag or
+environment variable selects it.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from .spec import Action, Invariant, Spec, SpecError, Transition, TransitionInvariant
 from .state import Rec
 from .state import changed_keys as rec_changed_keys
 
-__all__ = [
-    "ActionMeta",
-    "CompiledSpec",
-    "compile_spec",
-    "maybe_compile",
-    "por_prune_set",
-]
+__all__ = ["CompiledSpec", "compile_spec", "maybe_compile"]
 
 #: The verdict memo, one dict per state invariant that declares
 #: ``reads``: ``(value of each declared variable, in sorted name order)
@@ -90,52 +83,6 @@ def _read_names(reads: FrozenSet[Any]) -> Tuple[Any, ...]:
     return tuple(sorted(reads, key=repr))
 
 
-@dataclasses.dataclass(frozen=True)
-class ActionMeta:
-    """Per-action metadata snapshotted by :func:`compile_spec`.
-
-    ``writes`` is the action's declared write set, or — when the spec
-    declares none — a set inferred by sampling the action's successors
-    on an initial state (``writes_inferred=True``).  Inferred sets are
-    a *sample*, not a guarantee: they inform reporting and future
-    reduction passes, and are never used for invariant skipping (which
-    relies only on per-transition exact touched keys).
-    """
-
-    name: str
-    kind: str
-    reads: Optional[FrozenSet[Any]]
-    writes: Optional[FrozenSet[Any]]
-    writes_inferred: bool = False
-
-
-def _infer_writes(spec: Spec, actions: Sequence[Action]) -> dict:
-    """Sample each undeclared action's write set on one initial state."""
-    try:
-        init = next(iter(spec.init_states()))
-    except Exception:
-        return {}
-    inferred: dict = {}
-    for action in actions:
-        if action.writes is not None:
-            continue
-        seen: set = set()
-        complete = True
-        try:
-            for item in action.fn(init):
-                target = item[1]
-                delta = rec_changed_keys(target, init)
-                if delta is None:
-                    complete = False
-                    break
-                seen |= delta
-        except Exception:
-            complete = False
-        if complete:
-            inferred[action.name] = frozenset(seen)
-    return inferred
-
-
 class CompiledSpec(Spec):
     """A spec with a compiled successor loop and incremental checking.
 
@@ -144,23 +91,11 @@ class CompiledSpec(Spec):
     verdicts, same fingerprints — only faster.
     """
 
-    def __init__(self, spec: Spec, infer_writes: bool = True, por: bool = False):
+    def __init__(self, spec: Spec):
         self._source = spec
         self.name = spec.name
         actions = tuple(spec.cached_actions())
         self._action_cache = actions
-
-        inferred = _infer_writes(spec, actions) if infer_writes else {}
-        self.action_meta: Tuple[ActionMeta, ...] = tuple(
-            ActionMeta(
-                name=a.name,
-                kind=a.kind,
-                reads=a.reads,
-                writes=a.writes if a.writes is not None else inferred.get(a.name),
-                writes_inferred=a.writes is None and a.name in inferred,
-            )
-            for a in actions
-        )
 
         # Pre-bound successor entries: the flat loop in successors()
         # reads these tuples instead of going through Action.transitions.
@@ -190,83 +125,6 @@ class CompiledSpec(Spec):
         self.init_states = spec.init_states
         self.state_constraint = spec.state_constraint
         self.symmetry_sets = spec.symmetry_sets
-
-        #: Partial-order reduction: when enabled, the statically-safe
-        #: prune set is removed from the successor table.  ``actions()``
-        #: (and therefore per-action fire counts and coverage) still
-        #: reports the full action list — pruned actions show zero fires.
-        self.por = bool(por)
-        self.por_pruned: FrozenSet[str] = frozenset()
-        if por:
-            self.por_pruned = self._compute_prune_set()
-            if self.por_pruned:
-                pruned = self.por_pruned
-                self._entries = tuple(
-                    entry for entry in self._entries if entry[0] not in pruned
-                )
-
-    def _compute_prune_set(self) -> FrozenSet[str]:
-        """The greatest set of actions whose removal preserves checking.
-
-        An action ``B`` may be pruned when every occurrence of ``B`` on
-        any path can be *stripped*, leaving a shorter valid path whose
-        end state agrees with the original outside ``writes(B)``.  That
-        holds when (a) ``B``'s write set is declared (inferred sets are
-        a sample, never trusted for pruning), (b) ``writes(B)`` is
-        disjoint from the read set of every surviving action — an
-        undeclared read set counts as reading everything — (c) disjoint
-        from the declared reads of every state and transition invariant
-        (one opaque invariant blocks all pruning), and (d) disjoint from
-        the state constraint's reads (the constraint must be
-        unoverridden, or covered by a declared ``constraint_reads``).
-
-        Consequences: a minimal violating path contains no pruned
-        actions, so violation reachability *and* exact minimal depth are
-        preserved, and the reduced run's census equals the census of the
-        spec with those actions removed — which is how the testkit
-        oracle grades it.  Rule (b) is a greatest fixpoint: removing an
-        action from the candidate set makes it a survivor other
-        candidates must be disjoint from, so candidates are re-checked
-        until stable.
-        """
-        # Nothing to preserve means nothing to gain: an invariant-free
-        # spec is a census run, and pruning would change the census for
-        # no checking benefit.
-        if not self._inv_entries and not self._tinv_entries:
-            return frozenset()
-        checked_reads: set = set()
-        for entry in self._inv_entries + self._tinv_entries:
-            reads = entry[2]
-            if reads is None:
-                return frozenset()
-            checked_reads |= reads
-        source = self._source
-        if type(source).state_constraint is not Spec.state_constraint:
-            declared = getattr(source, "constraint_reads", None)
-            if declared is None:
-                return frozenset()
-            checked_reads |= set(declared)
-        metas = self.action_meta
-        pruned = {
-            meta.name
-            for meta in metas
-            if meta.writes is not None
-            and not meta.writes_inferred
-            and meta.writes.isdisjoint(checked_reads)
-        }
-        changed = True
-        while changed and pruned:
-            changed = False
-            survivors = [meta for meta in metas if meta.name not in pruned]
-            for meta in metas:
-                if meta.name not in pruned:
-                    continue
-                for other in survivors:
-                    if other.reads is None or not meta.writes.isdisjoint(other.reads):
-                        pruned.discard(meta.name)
-                        changed = True
-                        break
-        return frozenset(pruned)
 
     # -- the compiled surface -------------------------------------------------
 
@@ -420,38 +278,13 @@ class CompiledSpec(Spec):
         return f"CompiledSpec({self._source!r})"
 
 
-def compile_spec(
-    spec: Spec, infer_writes: bool = True, por: bool = False
-) -> CompiledSpec:
-    """Compile ``spec`` into its hot-path form (idempotent per ``por``)."""
+def compile_spec(spec: Spec) -> CompiledSpec:
+    """Compile ``spec`` into its hot-path form (idempotent)."""
     if isinstance(spec, CompiledSpec):
-        if spec.por == bool(por):
-            return spec
-        spec = spec._source
-    return CompiledSpec(spec, infer_writes=infer_writes, por=por)
-
-
-def por_prune_set(spec: Spec) -> FrozenSet[Any]:
-    """The action names a POR compile of ``spec`` prunes (may be empty)."""
-    return compile_spec(spec, por=True).por_pruned
-
-
-def maybe_compile(spec: Spec, compiled: bool = True, por: bool = False) -> Spec:
-    """Compile ``spec`` unless the caller passed ``compiled=False``.
-
-    Partial-order reduction exists only in the compiled pipeline — its
-    independence oracle is the compiled ``ActionMeta`` read/write sets —
-    so requesting ``por`` with ``compiled=False`` is an error, not a
-    silent fallback.
-    """
-    if not compiled:
-        if por:
-            raise SpecError(
-                "partial-order reduction needs the compiled pipeline (the"
-                " ActionMeta read/write sets are its independence oracle);"
-                " compiled=False cannot be combined with por=True"
-            )
         return spec
-    if isinstance(spec, CompiledSpec) and spec.por == bool(por):
-        return spec
-    return compile_spec(spec, por=por)
+    return CompiledSpec(spec)
+
+
+def maybe_compile(spec: Spec, compiled: bool = True) -> Spec:
+    """Compile ``spec`` unless the caller passed ``compiled=False``."""
+    return compile_spec(spec) if compiled else spec

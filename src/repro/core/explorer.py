@@ -30,13 +30,10 @@ from .engine import (
     SearchStats,
     StateStore,
     StepChecker,
-    find_matching_step,
-    reconstruct_trace,
 )
 from .spec import Spec
-from .state import Rec, fingerprint
+from .state import fingerprint
 from .symmetry import SymmetryReducer
-from .trace import Trace, TraceStep
 from .violation import Violation
 
 __all__ = [
@@ -66,11 +63,6 @@ class BFSExplorer:
     full-store run would have produced (the violation fires while the
     last pre-violation level is still being expanded, so the depth cap
     never alters pre-violation behavior).
-
-    ``por=True`` compiles the spec with partial-order reduction
-    (:func:`repro.core.compile.compile_spec` with ``por=True``):
-    statically-safe actions are pruned from the successor table while
-    preserving violation reachability and exact minimal depth.
     """
 
     def __init__(
@@ -88,15 +80,12 @@ class BFSExplorer:
         metrics: Optional[Any] = None,
         compiled: bool = True,
         fast: bool = False,
-        por: bool = False,
         research: bool = True,
     ):
         # The compiled spec is behaviourally identical (same transitions,
         # same invariant verdicts, same fingerprints) — ``compiled=False``
-        # falls back to the interpreted pipeline.  With ``por`` the
-        # compile additionally prunes statically-safe actions (and raises
-        # if compilation is disabled).
-        spec = maybe_compile(spec, compiled, por=por)
+        # falls back to the interpreted pipeline.
+        spec = maybe_compile(spec, compiled)
         self.spec = spec
         self.max_states = max_states
         self.max_depth = max_depth
@@ -157,26 +146,6 @@ class BFSExplorer:
             )
         return result
 
-    # -- helpers ---------------------------------------------------------------
-
-    def _canonical(self, state: Rec) -> Rec:
-        if self.reducer is None:
-            return state
-        return self.reducer.canonical(state)
-
-    def _trace_to(self, fp: Any, concrete: Optional[Rec] = None) -> Trace:
-        """Reconstruct a trace from an initial state to ``fp``."""
-        canonical = self.reducer.canonical if self.reducer is not None else None
-        return reconstruct_trace(self.spec, self.store, fp, canonical, fingerprint)
-
-    def _find_step(
-        self, state: Rec, target_fp: Any, action_name: str
-    ) -> Optional[TraceStep]:
-        canonical = self.reducer.canonical if self.reducer is not None else None
-        return find_matching_step(
-            self.spec, state, target_fp, action_name, canonical, fingerprint
-        )
-
 
 def research_violation(
     spec: Spec,
@@ -197,11 +166,11 @@ def research_violation(
     full-store cost of the state space up to the violation depth
     (TLC's classic traceless tradeoff).
 
-    ``spec`` must be the same (possibly POR-compiled) spec the fast run
-    explored, and ``symmetry`` must match, or the re-search may not
-    reach the violation; a fingerprint collision in the fast run can
-    also leave the violation unreachable, and both cases raise
-    ``RuntimeError`` rather than returning a wrong trace.
+    ``spec`` must be the spec the fast run explored, and ``symmetry``
+    must match, or the re-search may not reach the violation; a
+    fingerprint collision in the fast run can also leave the violation
+    unreachable, and both cases raise ``RuntimeError`` rather than
+    returning a wrong trace.
     """
     trace = violation.trace
     if not getattr(trace, "pending", False):

@@ -97,9 +97,7 @@ silent.
 the same and owners simply keep no edge.  A violation is then reported
 with a :class:`~repro.core.trace.PendingTrace` and (with
 ``research=True``) immediately resolved by a serial bounded re-search
-(:func:`repro.core.explorer.research_violation`).  ``por=True`` makes
-every worker compile its spec with partial-order reduction; pruning is
-deterministic, so all workers agree on the reduced successor relation.
+(:func:`repro.core.explorer.research_violation`).
 """
 
 from __future__ import annotations
@@ -178,7 +176,6 @@ WORKER_OPTIONS: Dict[str, bool] = {
     "metrics_on": False,
     "compiled": True,
     "fast": False,
-    "por": False,
 }
 
 
@@ -346,10 +343,8 @@ class ShardWorker:
         options = worker_options(options)
         # Workers receive the *source* spec and compile locally:
         # compilation is cheap, per-process, and this keeps the fork
-        # payload identical whether or not the run is compiled.  POR
-        # pruning is a pure function of the spec's ActionMeta, so every
-        # worker derives the same reduced successor relation.
-        spec = maybe_compile(spec, options["compiled"], por=options["por"])
+        # payload identical whether or not the run is compiled.
+        spec = maybe_compile(spec, options["compiled"])
         self.spec = spec
         self.wid = wid
         self.workers = workers
@@ -761,15 +756,10 @@ class ParallelBFS:
         metrics: Optional[Any] = None,
         compiled: bool = True,
         fast: bool = False,
-        por: bool = False,
         research: bool = True,
         transport: Optional[Any] = None,
         max_reassignments: int = 3,
     ):
-        if por and not compiled:
-            # Fail in the master, before forking: maybe_compile raises
-            # the canonical SpecError for this misconfiguration.
-            maybe_compile(spec, compiled, por=True)
         self.spec = spec
         self.compiled = compiled
         self.workers = max(1, int(workers))
@@ -783,7 +773,6 @@ class ParallelBFS:
         self.resume = resume
         self.metrics = metrics
         self.fast = bool(fast)
-        self.por = bool(por)
         self.research = bool(research)
         self.transport = transport
         self.max_reassignments = max_reassignments
@@ -1216,7 +1205,7 @@ class ParallelBFS:
             from .explorer import research_violation  # local: explorer imports us
 
             return research_violation(
-                maybe_compile(self.spec, self.compiled, por=self.por),
+                self.spec,
                 violation,
                 symmetry=self.symmetry,
                 compiled=self.compiled,

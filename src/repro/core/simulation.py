@@ -239,9 +239,3 @@ def simulate(
             stop_reason = StopReason.TIME_BUDGET
             break
     return SimulationResult(walks, time.monotonic() - started, stop_reason)
-
-
-def _event_kind(spec: Spec, action_name: str) -> str:
-    """Event kind of one action (kept for compatibility; batch callers
-    should precompute :func:`~repro.core.engine.action_kinds` instead)."""
-    return action_kinds(spec).get(action_name, "internal")

@@ -65,17 +65,20 @@ class Action:
     of the action body fired; the random-walk explorer aggregates branch
     tags into the branch-coverage metric used by constraint ranking
     (Algorithm 1).
+
+    An action declares no read or write sets: what a transition changed
+    is recorded exactly, per successor, by ``Rec.set``/``Rec.update``
+    (:func:`repro.core.state.changed_keys`), and that is all the
+    incremental invariant checker needs.
     """
 
-    __slots__ = ("name", "fn", "kind", "reads", "writes", "guard")
+    __slots__ = ("name", "fn", "kind", "guard")
 
     def __init__(
         self,
         name: str,
         fn: Callable[[Rec], Iterable[tuple]],
         kind: str = "internal",
-        reads: Optional[Iterable[Any]] = None,
-        writes: Optional[Iterable[Any]] = None,
         guard: Optional[Callable[[Rec], bool]] = None,
     ):
         self.name = name
@@ -84,14 +87,6 @@ class Action:
         # metrics and trace conversion: one of "message", "timeout",
         # "client", "failure", "internal".
         self.kind = kind
-        # Optional top-level read/write sets over state variables:
-        # ``reads`` — variables the body inspects; ``writes`` — variables
-        # any yielded successor may rebind.  Declared sets feed the
-        # compiled pipeline's metadata (and, later, partial-order
-        # reduction); when absent, ``compile_spec`` infers writes by
-        # observing successor deltas.
-        self.reads = frozenset(reads) if reads is not None else None
-        self.writes = frozenset(writes) if writes is not None else None
         # Optional cheap enabling predicate: when ``guard(state)`` is
         # False the body provably yields nothing, so the compiled
         # successor loop skips the generator entirely.
@@ -135,7 +130,8 @@ class Invariant:
     re-evaluated, and a predicate that then disagrees — it reads a
     variable it did not declare — raises :class:`SpecError` naming the
     invariant.  A sample, so an under-declared ``reads`` is caught
-    probably, not certainly; leave ``reads`` off when in doubt.
+    probably, not certainly; leave ``reads`` off when in doubt.  Leaving
+    it off costs only speed: nothing prunes the search on declarations.
     """
 
     __slots__ = ("name", "fn", "reads")
@@ -238,14 +234,6 @@ class Spec:
     """
 
     name: str = "spec"
-
-    #: Optional declaration of the top-level state variables an
-    #: overridden :meth:`state_constraint` reads.  ``None`` means
-    #: undeclared — a spec that overrides the constraint without
-    #: declaring its reads is treated as reading everything, which
-    #: blocks partial-order reduction (see
-    #: :meth:`repro.core.compile.CompiledSpec._compute_prune_set`).
-    constraint_reads: Optional[Sequence[Any]] = None
 
     #: Lazily-built tuple of this spec's actions; ``successors`` and
     #: ``action_by_name`` read it instead of calling :meth:`actions` per

@@ -58,7 +58,6 @@ CONFIG_KEYS = frozenset(
         "time_budget",
         "stop_on_violation",
         "fast",
-        "por",
         "compiled",
         "checkpoint_every",
         "checkpoint_states",

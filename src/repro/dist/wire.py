@@ -22,9 +22,11 @@ never decodes garbage.
 The first message on every connection is the versioned handshake
 (:func:`make_handshake`): protocol version, codec version, the spec
 reference plus its :func:`~repro.dist.specref.spec_fingerprint`, the
-shard assignment, and the flags that change exploration semantics
-(symmetry, fast, POR, ...).  Agents refuse mismatches before any state
-moves (:func:`check_handshake`).
+shard assignment, and the worker options
+(:data:`~repro.core.parallel.WORKER_OPTIONS`: symmetry, fast, ...).
+Agents refuse mismatches before any state moves
+(:func:`check_handshake`); a header from another protocol version is
+refused outright rather than read for the options both sides know.
 
 Blocking helpers (:func:`read_frame`/:func:`write_frame`) serve the
 agent's strict request/reply loop; the master, which waits on all its
@@ -63,8 +65,10 @@ __all__ = [
 #: to the op set the two sides exchange (2: the claim→settle exchange;
 #: 3: the ``expanded`` reply's observability deltas are the fan-out
 #: histogram and a ``{family: counts}`` map, the symmetry reducer's
-#: counts among them).
-PROTOCOL_VERSION = 3
+#: counts among them; 4: the handshake's option set lost the
+#: partial-order-reduction switch, which an agent would otherwise drop
+#: silently).
+PROTOCOL_VERSION = 4
 
 #: Hard bound on one frame's payload: large enough for any realistic
 #: claim batch or checkpoint container, small enough that a corrupt

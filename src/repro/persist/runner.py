@@ -40,13 +40,19 @@ from .checkpoint import (
     load_serial_resume,
 )
 from .diskstore import DiskStore
-from .rundir import RunDir
+from .rundir import RunDir, RunDirError
 
 __all__ = ["run_check", "BUDGET_KEYS", "VIOLATION_ARTIFACT"]
 
 #: Configuration keys allowed to change between a run and its resume:
 #: growing a budget extends a stopped run over the same state space.
 BUDGET_KEYS = ("max_states", "max_depth", "time_budget")
+
+#: The configuration key under which older run directories record
+#: partial-order reduction, which this checker no longer has.  A run
+#: recorded with it on explored a reduced state space and is refused on
+#: resume; one recorded with it off ran this checker's only mode.
+RETIRED_KEY = "por"
 
 VIOLATION_ARTIFACT = "violation.json"
 
@@ -76,7 +82,6 @@ def run_check(
     metrics: Optional[Any] = None,
     compiled: bool = True,
     fast: bool = False,
-    por: bool = False,
     research: bool = True,
     transport: Optional[Any] = None,
     manifest_extra: Optional[dict] = None,
@@ -113,15 +118,20 @@ def run_check(
         "max_states": max_states,
         "max_depth": max_depth,
         "time_budget": time_budget,
-        # Recorded so a resume cannot silently flip them: a traceless
-        # store cannot continue a full run (or vice versa), and POR
-        # changes the explored state space.
+        # Recorded so a resume cannot silently flip it: a traceless
+        # store cannot continue a full run (or vice versa).
         "fast": bool(fast),
-        "por": bool(por),
     }
     if resume:
         rd = RunDir.open(run_dir)
-        rd.check_config(config, ignore=BUDGET_KEYS)
+        if rd.manifest().get("config", {}).get(RETIRED_KEY):
+            raise RunDirError(
+                f"cannot resume {rd.path}: the run was started with"
+                " partial-order reduction, which this checker no longer has;"
+                " its checkpoints describe a reduced state space — start the"
+                " check again in a new run directory"
+            )
+        rd.check_config(config, ignore=BUDGET_KEYS + (RETIRED_KEY,))
         rd.update_manifest(status="running", config=config, **(manifest_extra or {}))
     else:
         rd = RunDir.create(run_dir, config=config, **(manifest_extra or {}))
@@ -154,7 +164,6 @@ def run_check(
         metrics=metrics,
         compiled=compiled,
         fast=fast,
-        por=por,
         research=research,
     )
     store: Optional[DiskStore] = None

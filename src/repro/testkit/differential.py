@@ -24,17 +24,13 @@ For each generated spec the harness runs two phases:
   counterexample depth, which must equal the planted minimal depth
   exactly.
 
-Both phases also carry **fast** (traceless fingerprint-only store, with
-bounded re-search of any violation), **POR** (partial-order-reduced
-compile) and combined cells.  A fast cell's re-searched counterexample
-must be *byte-identical* (as sorted JSON) to the trace of a plain
-serial full-store run of the same spec under the same symmetry/POR
-settings.  POR census cells must still match the oracle exactly — an
-invariant-free spec has an empty prune set by construction — while
-**exhaustive** cells re-run the violation-phase spec with
-``stop_on_violation=False`` and grade the full census of the (possibly
-POR-reduced) space against the oracle with the statically pruned
-actions excluded, plus the minimal violation depth.
+Both phases also carry **fast** cells (traceless fingerprint-only
+store, with bounded re-search of any violation).  A fast cell's
+re-searched counterexample must be *byte-identical* (as sorted JSON) to
+the trace of a plain serial full-store run of the same spec under the
+same symmetry setting.  **Exhaustive** cells re-run the violation-phase
+spec with ``stop_on_violation=False`` and grade its full census against
+the oracle, plus the minimal violation depth.
 
 Any mismatch — including an exception escaping a configuration — is a
 :class:`Disagreement` carrying the spec seed, generator params, and
@@ -61,7 +57,6 @@ from unittest import mock
 from ..core import compile as compile_module
 from ..core import state as state_module
 from ..core import symmetry as symmetry_module
-from ..core.compile import por_prune_set
 from ..core.engine import CompactStore, SearchResult, StopReason
 from ..core.explorer import BFSExplorer, bfs_explore
 from ..core.state import CODEC_VERSION
@@ -107,7 +102,6 @@ class MatrixConfig:
     durable: bool = False  # kill at a checkpoint, then resume
     compiled: bool = True  # False = interpreted Spec.successors pipeline
     fast: bool = False  # traceless store + bounded re-search
-    por: bool = False  # partial-order-reduced compile
     exhaustive: bool = False  # violation-phase spec, stop_on_violation=False
     transport: str = "fork"  # "fork" | "socket" (repro.dist worker agents)
     dist_kill: bool = False  # kill one socket agent mid-run; spare adopts
@@ -125,7 +119,6 @@ def build_matrix(
     generated: GeneratedSpec,
     parallel: bool = True,
     fast: bool = False,
-    por: bool = False,
 ) -> List[MatrixConfig]:
     """The configuration matrix for one generated spec.
 
@@ -133,10 +126,9 @@ def build_matrix(
     when ``parallel`` is requested and the platform can fork, and
     violation cells only when a violation was actually planted.
 
-    ``fast``/``por`` *force* the corresponding reducer onto every cell
-    (dropping cells whose store or pipeline is incompatible: fast mode
-    needs a traceless-capable store, POR needs the compiled pipeline) —
-    the hammer behind ``sandtable selftest --fast/--por``.
+    ``fast`` *forces* the traceless store onto every cell (dropping the
+    cells whose store has no traceless variant) — the hammer behind
+    ``sandtable selftest --fast``.
     """
     census: List[MatrixConfig] = [
         MatrixConfig("census/serial-memory", "census"),
@@ -159,8 +151,6 @@ def build_matrix(
         MatrixConfig(
             "census/fast-resume", "census", store="disk", durable=True, fast=True
         ),
-        MatrixConfig("census/por-serial", "census", por=True),
-        MatrixConfig("census/fast-por-serial", "census", fast=True, por=True),
     ]
     if generated.symmetric:
         census.append(MatrixConfig("census/serial-symmetry", "census", symmetry=True))
@@ -236,21 +226,9 @@ def build_matrix(
                 durable=True,
                 fast=True,
             ),
-            MatrixConfig("violation/por-serial", "violation", por=True),
-            MatrixConfig(
-                "violation/por-resume",
-                "violation",
-                store="disk",
-                durable=True,
-                por=True,
-            ),
-            MatrixConfig("violation/fast-por-serial", "violation", fast=True, por=True),
             MatrixConfig("violation/exhaustive-serial", "violation", exhaustive=True),
             MatrixConfig(
                 "violation/fast-exhaustive", "violation", fast=True, exhaustive=True
-            ),
-            MatrixConfig(
-                "violation/por-exhaustive", "violation", por=True, exhaustive=True
             ),
             MatrixConfig(
                 "violation/fast-exhaustive-resume",
@@ -279,11 +257,6 @@ def build_matrix(
             )
             matrix.append(
                 MatrixConfig(
-                    "violation/por-workers-2", "violation", workers=2, por=True
-                )
-            )
-            matrix.append(
-                MatrixConfig(
                     "violation/dist-2", "violation", workers=2, transport="socket"
                 )
             )
@@ -296,15 +269,13 @@ def build_matrix(
                     dist_kill=True,
                 )
             )
-    if fast or por:
+    if fast:
         forced: List[MatrixConfig] = []
         seen = set()
         for cfg in matrix:
-            if fast and cfg.store == "compact":
+            if cfg.store == "compact":
                 continue  # no traceless variant of this store
-            if por and not cfg.compiled:
-                continue  # POR needs the compiled pipeline
-            cfg = dataclasses.replace(cfg, fast=cfg.fast or fast, por=cfg.por or por)
+            cfg = dataclasses.replace(cfg, fast=True)
             # Forcing collapses cells (serial-memory forced fast ==
             # fast-serial); keep one per distinct configuration.
             key = dataclasses.replace(cfg, name="")
@@ -428,7 +399,6 @@ def _run_config(
                         stop_on_violation=stop,
                         compiled=config.compiled,
                         fast=config.fast,
-                        por=config.por,
                         checkpoint_states=_CHECKPOINT_STATES,
                         memory_budget=_MEMORY_BUDGET,
                         on_checkpoint=_kill_after(2),
@@ -451,7 +421,6 @@ def _run_config(
                     stop_on_violation=stop,
                     compiled=config.compiled,
                     fast=config.fast,
-                    por=config.por,
                     checkpoint_states=_CHECKPOINT_STATES,
                     memory_budget=_MEMORY_BUDGET,
                     metrics=resumed,
@@ -470,7 +439,6 @@ def _run_config(
                 metrics=registry,
                 compiled=config.compiled,
                 fast=config.fast,
-                por=config.por,
             ),
             registry,
         )
@@ -492,7 +460,6 @@ def _run_config(
                         metrics=registry,
                         compiled=config.compiled,
                         fast=config.fast,
-                        por=config.por,
                     ).run(),
                     registry,
                 )
@@ -508,7 +475,6 @@ def _run_config(
             metrics=registry,
             compiled=config.compiled,
             fast=config.fast,
-            por=config.por,
         ).run(),
         registry,
     )
@@ -581,7 +547,6 @@ def _run_socket_config(
                             stop_on_violation=stop,
                             compiled=config.compiled,
                             fast=config.fast,
-                            por=config.por,
                             checkpoint_states=_CHECKPOINT_STATES,
                             metrics=registry,
                         ),
@@ -597,7 +562,6 @@ def _run_socket_config(
                     metrics=registry,
                     compiled=config.compiled,
                     fast=config.fast,
-                    por=config.por,
                 ),
                 registry,
             )
@@ -627,36 +591,19 @@ def _expected_census(
     ]
 
 
-def _por_oracle(generated: GeneratedSpec, cache: Dict[Any, Any]) -> OracleResult:
-    """Ground truth for a POR-reduced exhaustive run, computed lazily.
-
-    The POR census must equal the census of the spec with the
-    statically pruned actions removed — the oracle with those actions
-    excluded, computed on the *invariant-carrying* spec (the prune set
-    depends on the invariants' declared reads).
-    """
-    if "por-oracle" not in cache:
-        spec = generated.spec(invariants=True)
-        cache["por-oracle"] = oracle_explore(
-            spec, exclude_actions=por_prune_set(spec)
-        )
-    return cache["por-oracle"]
-
-
 def _reference_trace(
     generated: GeneratedSpec, config: MatrixConfig, cache: Dict[Any, Any]
 ) -> str:
     """Sorted-JSON counterexample of a plain serial full-store run.
 
-    One reference per (symmetry, por) combination: the fast cells'
-    bounded re-search must reproduce this trace byte-for-byte.
+    One reference per symmetry setting: the fast cells' bounded
+    re-search must reproduce this trace byte-for-byte.
     """
-    key = ("reference-trace", config.symmetry, config.por)
+    key = ("reference-trace", config.symmetry)
     if key not in cache:
         reference = BFSExplorer(
             generated.spec(invariants=True),
             symmetry=config.symmetry,
-            por=config.por,
             stop_on_violation=True,
         ).run()
         if reference.violation is None:
@@ -679,13 +626,12 @@ def _parallel_reference_trace(
     right reference — parallel BFS finishes its round, so it may stop on
     a different same-depth counterexample than a serial sweep).
     """
-    key = ("parallel-ref", config.workers, config.symmetry, config.por)
+    key = ("parallel-ref", config.workers, config.symmetry)
     if key not in cache:
         reference = bfs_explore(
             generated.spec(invariants=True),
             workers=config.workers,
             symmetry=config.symmetry,
-            por=config.por,
             stop_on_violation=True,
         )
         if reference.violation is None:
@@ -752,11 +698,6 @@ def _grade(
     if config.phase == "census" or config.exhaustive:
         # Census contract (also for exhaustive violation-phase cells,
         # which sweep the full space despite the planted invariant).
-        # POR prunes nothing from an invariant-free census spec, so only
-        # exhaustive POR cells grade against the excluded-action oracle.
-        expected_oracle = oracle
-        if config.exhaustive and config.por and cache is not None:
-            expected_oracle = _por_oracle(generated, cache)
         if result.stop_reason != StopReason.EXHAUSTED:
             found.append(
                 mismatch("stop_reason", str(StopReason.EXHAUSTED), str(result.stop_reason))
@@ -766,17 +707,14 @@ def _grade(
             "transitions": result.stats.transitions,
             "max_depth": result.stats.max_depth,
         }
-        for field, expected in _expected_census(expected_oracle, config):
+        for field, expected in _expected_census(oracle, config):
             if actuals[field] != expected:
                 found.append(mismatch(field, expected, actuals[field]))
         if registry is not None:
             # Coverage counters must partition the transition count by
-            # action, exactly — the same accounting as the oracle's
-            # (statically pruned actions appear at zero on both sides).
+            # action, exactly — the same accounting as the oracle's.
             expected_fires = (
-                expected_oracle.orbit_action_fires
-                if config.symmetry
-                else expected_oracle.action_fires
+                oracle.orbit_action_fires if config.symmetry else oracle.action_fires
             )
             actual_fires = dict(registry.counts(ACTION_FIRES))
             if actual_fires != expected_fires:
@@ -800,25 +738,24 @@ def check_spec(
     parallel: bool = True,
     configs: Optional[List[MatrixConfig]] = None,
     fast: bool = False,
-    por: bool = False,
 ) -> Tuple[OracleResult, List[Disagreement]]:
     """Run one generated spec through the matrix; return oracle + mismatches.
 
     A configuration that raises is reported as a ``field="error"``
     disagreement rather than aborting the sweep — a crash in one store
     is exactly the kind of bug the harness exists to surface.
-    ``fast``/``por`` force the reducers across the matrix (see
+    ``fast`` forces the traceless store across the matrix (see
     :func:`build_matrix`).
     """
     oracle = oracle_explore(
         generated.spec(invariants=False), compute_orbits=generated.symmetric
     )
-    # Lazily computed shared ground truth: the POR-excluded oracle and
-    # the per-(symmetry, por) reference counterexample traces.
+    # Lazily computed shared ground truth: the reference counterexample
+    # traces, one per symmetry setting (and worker count).
     cache: Dict[Any, Any] = {}
     disagreements: List[Disagreement] = []
     if configs is None:
-        configs = build_matrix(generated, parallel, fast=fast, por=por)
+        configs = build_matrix(generated, parallel, fast=fast)
     for config in configs:
         try:
             result, registry = _run_config(generated, config)
@@ -853,7 +790,6 @@ def run_differential(
     progress: Optional[Callable[[int, GeneratedSpec, int], None]] = None,
     metrics: Optional[MetricsRegistry] = None,
     fast: bool = False,
-    por: bool = False,
 ) -> DifferentialReport:
     """Fuzz ``n_specs`` random specs through the full matrix.
 
@@ -865,15 +801,15 @@ def run_differential(
 
     With ``metrics`` the sweep keeps running totals (``selftest.specs``,
     ``selftest.configs``, ``selftest.disagreements``) for the CLI's
-    ``--stats-out`` sink.  ``fast``/``por`` force the reducers across
-    the matrix (``sandtable selftest --fast/--por``).
+    ``--stats-out`` sink.  ``fast`` forces the traceless store across
+    the matrix (``sandtable selftest --fast``).
     """
     report = DifferentialReport()
     params_rng = random.Random(f"params:{seed}")
     for index in range(n_specs):
         params = sample_params(params_rng)
         generated = generate_spec(f"{seed}:{index}", params)
-        configs = build_matrix(generated, parallel, fast=fast, por=por)
+        configs = build_matrix(generated, parallel, fast=fast)
         oracle, disagreements = check_spec(generated, parallel, configs)
         report.specs += 1
         report.configs_run += len(configs)

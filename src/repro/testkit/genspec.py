@@ -66,14 +66,12 @@ class GenParams:
     """Tunable knobs for one generated specification.
 
     ``n_channels`` adds independent top-level ``chan{i}`` variables with
-    their own *channel* actions, each declaring exact read/write sets —
-    the fuzz surface for partial-order reduction.  An *uncoupled*
-    channel action touches only its channel (statically prunable when
-    nothing else reads it); a *coupled* one (probability ``couple_p``)
-    also reads and writes ``glob``, which makes it a survivor and — via
-    the prune fixpoint — protects every other action on the same
-    channel.  The defaults generate no channels, so existing seeds keep
-    their exact historical state spaces.
+    their own *channel* actions.  An *uncoupled* channel action touches
+    only its channel, so the planted invariant (which reads ``locals``
+    and ``glob``) is skipped on its successors; a *coupled* one
+    (probability ``couple_p``) also reads and writes ``glob``.  The
+    defaults generate no channels, so existing seeds keep their exact
+    historical state spaces.
     """
 
     n_nodes: int = 3
@@ -154,55 +152,19 @@ class RandomSpec(Spec):
         return self._action_list
 
     def _build_actions(self) -> List[Action]:
-        # Every generated action declares exact top-level read/write
-        # sets: table rules are pure functions of the variables below,
-        # so the declarations are sound by construction — which is what
-        # lets the differential harness run these specs under
-        # partial-order reduction and grade the result.
         actions: List[Action] = []
-        base = ("locals", "glob")
         for index, table in enumerate(self.local_tables):
-            actions.append(
-                Action(
-                    f"Local{index}",
-                    self._local_fn(table),
-                    kind="internal",
-                    reads=base,
-                    writes=base,
-                )
-            )
+            fn = self._local_fn(table)
+            actions.append(Action(f"Local{index}", fn, kind="internal"))
         for index, table in enumerate(self.pair_tables):
-            actions.append(
-                Action(
-                    f"Pair{index}",
-                    self._pair_fn(table),
-                    kind="message",
-                    reads=base,
-                    writes=base,
-                )
-            )
+            fn = self._pair_fn(table)
+            actions.append(Action(f"Pair{index}", fn, kind="message"))
         for index, table in enumerate(self.global_tables):
-            actions.append(
-                Action(
-                    f"Global{index}",
-                    self._global_fn(table),
-                    kind="client",
-                    reads=("glob",),
-                    writes=("glob",),
-                )
-            )
+            fn = self._global_fn(table)
+            actions.append(Action(f"Global{index}", fn, kind="client"))
         for index, (channel, coupled, table) in enumerate(self.channel_tables):
-            key = f"chan{channel}"
-            touched = (key, "glob") if coupled else (key,)
-            actions.append(
-                Action(
-                    f"Chan{index}",
-                    self._channel_fn(key, coupled, table),
-                    kind="internal",
-                    reads=touched,
-                    writes=touched,
-                )
-            )
+            fn = self._channel_fn(f"chan{channel}", coupled, table)
+            actions.append(Action(f"Chan{index}", fn, kind="internal"))
         return actions
 
     def _local_fn(self, table: dict):
@@ -286,8 +248,8 @@ class RandomSpec(Spec):
             return signature(state) != bad_sig
 
         # The signature reads exactly these variables; declaring them
-        # keeps channel actions independent of the invariant, which is
-        # what makes them POR-prunable.
+        # lets the checker skip the invariant on channel-only successors
+        # and answer it from the verdict memo.
         return (
             Invariant(
                 self.planted.invariant,

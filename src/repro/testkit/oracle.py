@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.spec import Spec, WeakFairness
 from ..core.state import Rec, substitute
@@ -100,27 +100,16 @@ class OracleResult:
         }
 
 
-def oracle_explore(
-    spec: Spec,
-    compute_orbits: bool = False,
-    exclude_actions: Iterable[str] = (),
-) -> OracleResult:
+def oracle_explore(spec: Spec, compute_orbits: bool = False) -> OracleResult:
     """Exhaustively explore ``spec`` the simple way.
 
     Unlike the engine the oracle never stops at the first violation: it
     completes the census and reports the *minimal* violation depth, so a
     single oracle run grades both the stop-on-violation and the
     exhaustive configurations.
-
-    ``exclude_actions`` names actions whose transitions are skipped
-    entirely (not counted, not followed) — the ground truth for grading
-    a partial-order-reduced run, whose census equals the census of the
-    spec with its pruned actions removed.  Excluded actions still appear
-    (at zero) in ``action_fires``.
     """
     invariants = list(spec.invariants())
     transition_invariants = list(spec.transition_invariants())
-    excluded = frozenset(exclude_actions)
 
     depths: Dict[Rec, int] = {}
     violations: List[Tuple[int, str]] = []  # (trace depth, invariant name)
@@ -151,8 +140,6 @@ def oracle_explore(
                 pruned += 1
                 continue
             for transition in spec.successors(state):
-                if transition.action in excluded:
-                    continue
                 transitions += 1
                 action_fires[transition.action] = (
                     action_fires.get(transition.action, 0) + 1
@@ -189,13 +176,11 @@ def oracle_explore(
         depths=depths,
     )
     if compute_orbits and spec.symmetry_sets():
-        _compute_orbits(spec, result, excluded)
+        _compute_orbits(spec, result)
     return result
 
 
-def _compute_orbits(
-    spec: Spec, result: OracleResult, excluded: frozenset = frozenset()
-) -> None:
+def _compute_orbits(spec: Spec, result: OracleResult) -> None:
     """Fill in the quotient ground truth for symmetry-reduced runs.
 
     Soundness requires the spec's constraint and invariants to be
@@ -219,8 +204,6 @@ def _compute_orbits(
         if not spec.state_constraint(member):
             continue
         for transition in spec.successors(member):
-            if transition.action in excluded:
-                continue
             orbit_transitions += 1
             orbit_action_fires[transition.action] = (
                 orbit_action_fires.get(transition.action, 0) + 1

@@ -81,7 +81,6 @@ class TestReducerFlags:
                 "--nodes",
                 "2",
                 "--fast",
-                "--por",
                 "--max-states",
                 "5000",
                 "--time-budget",
@@ -91,22 +90,25 @@ class TestReducerFlags:
         assert code == 0
         assert "no violation" in capsys.readouterr().out
 
-    def test_fast_rejects_out(self, tmp_path, capsys):
-        code = main(
-            [
-                "check",
-                "--system",
-                "pysyncobj",
-                "--nodes",
-                "2",
-                "--fast",
-                "--out",
-                str(tmp_path / "trace.json"),
-            ]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "re-search" in err and "--out" in err
+    def test_fast_out_equals_full_store_out(self, tmp_path, capsys):
+        """A --fast violation is re-searched into the full-store trace, so
+        its --out artifact is the full-store run's, byte for byte."""
+        seeded = [
+            "check", "--system", "raftos", "--nodes", "2", "--bug", "R1",
+            "--invariant", "MatchIndexMonotonic", "--time-budget", "60",
+        ]
+        fast, full = tmp_path / "fast.json", tmp_path / "full.json"
+        assert main(seeded + ["--fast", "--out", str(fast)]) == 1
+        assert main(seeded + ["--out", str(full)]) == 1
+        assert "MatchIndexMonotonic" in capsys.readouterr().out
+        assert fast.read_bytes() == full.read_bytes()
+
+    def test_por_is_a_usage_error(self, capsys):
+        """Partial-order reduction is deleted, flag and all."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "--system", "pysyncobj", "--nodes", "2", "--por"])
+        assert exit_info.value.code == 2
+        assert "--por" in capsys.readouterr().err
 
     def test_no_compile_is_a_usage_error(self, capsys):
         """The interpreted pipeline has no command-line switch any more."""
@@ -126,7 +128,6 @@ class TestReducerFlags:
                 "--serial-only",
                 "--quiet",
                 "--fast",
-                "--por",
             ]
         )
         assert code == 0

@@ -11,12 +11,7 @@ import pytest
 
 from repro.core import Action, Invariant, Rec, Spec, SpecError, TransitionInvariant
 from repro.core import compile as compile_module
-from repro.core.compile import (
-    ActionMeta,
-    CompiledSpec,
-    compile_spec,
-    maybe_compile,
-)
+from repro.core.compile import CompiledSpec, compile_spec, maybe_compile
 from repro.core.explorer import BFSExplorer, bfs_explore
 from repro.core.simulation import simulate
 from repro.core.state import set_delta_codec
@@ -27,7 +22,7 @@ from repro.testkit.genspec import generate_spec, sample_params
 
 
 class CounterSpec(Spec):
-    """Two counters; one action declares everything, one declares nothing."""
+    """Two counters; one action declares a guard, one does not."""
 
     name = "counter"
 
@@ -43,8 +38,6 @@ class CounterSpec(Spec):
                 "BumpA",
                 self._bump_a,
                 kind="internal",
-                reads=("a",),
-                writes=("a",),
                 guard=lambda s: s["a"] < self.limit,
             ),
             Action("BumpB", self._bump_b, kind="internal"),
@@ -118,31 +111,6 @@ class TestCompileSpec:
         compiled = compile_spec(CounterSpec())
         with pytest.raises(SpecError):
             compiled.refresh_actions()
-
-
-class TestActionMeta:
-    def test_declared_sets_pass_through(self):
-        compiled = compile_spec(CounterSpec())
-        meta = {m.name: m for m in compiled.action_meta}
-        assert meta["BumpA"] == ActionMeta(
-            name="BumpA",
-            kind="internal",
-            reads=frozenset({"a"}),
-            writes=frozenset({"a"}),
-            writes_inferred=False,
-        )
-
-    def test_undeclared_writes_inferred_from_init(self):
-        compiled = compile_spec(CounterSpec())
-        meta = {m.name: m for m in compiled.action_meta}
-        assert meta["BumpB"].writes == frozenset({"b"})
-        assert meta["BumpB"].writes_inferred
-
-    def test_inference_can_be_disabled(self):
-        compiled = compile_spec(CounterSpec(), infer_writes=False)
-        meta = {m.name: m for m in compiled.action_meta}
-        assert meta["BumpB"].writes is None
-        assert not meta["BumpB"].writes_inferred
 
 
 class TestSuccessorEquivalence:

@@ -22,6 +22,8 @@ from repro.core.engine import (
     SearchStats,
     StepChecker,
     StopReason,
+    find_matching_step,
+    reconstruct_trace,
 )
 from repro.core.explorer import BFSExplorer
 from repro.core.liveness import LivenessProperty, measure_progress
@@ -71,7 +73,7 @@ class TestTraceReconstructionUnderSymmetry:
         state = trace.initial
 
         def orbit_fp(s):
-            return fingerprint(explorer._canonical(s))
+            return fingerprint(explorer.reducer.canonical(s))
 
         for step in trace:
             successor_orbits = {orbit_fp(t.target) for t in spec.successors(state)}
@@ -85,38 +87,35 @@ class TestTraceReconstructionUnderSymmetry:
         spec = CounterSpec(n_nodes=2, maximum=2)
         explorer = BFSExplorer(spec, symmetry=True)
         explorer.run()
-        canonical = explorer._canonical
+        canonical = explorer.reducer.canonical
         for fp in list(explorer.store._parents):
-            trace = explorer._trace_to(fp)
+            trace = reconstruct_trace(spec, explorer.store, fp, canonical)
             assert fingerprint(canonical(trace.final_state)) == fp
 
     def test_find_step_prefers_recorded_action(self):
         spec = TwoRoadsSpec()
-        explorer = BFSExplorer(spec)
         init = next(iter(spec.init_states()))
         target_fp = fingerprint(Rec(x=1))
-        step = explorer._find_step(init, target_fp, "Jump")
+        step = find_matching_step(spec, init, target_fp, "Jump")
         assert step is not None and step.action == "Jump"
-        step = explorer._find_step(init, target_fp, "Inc")
+        step = find_matching_step(spec, init, target_fp, "Inc")
         assert step is not None and step.action == "Inc"
 
     def test_find_step_falls_back_on_fingerprint_match(self):
         """An action name that matches no successor still resolves, as long
         as some transition reaches the target fingerprint."""
         spec = TwoRoadsSpec()
-        explorer = BFSExplorer(spec)
         init = next(iter(spec.init_states()))
         target_fp = fingerprint(Rec(x=1))
-        step = explorer._find_step(init, target_fp, "Teleport")
+        step = find_matching_step(spec, init, target_fp, "Teleport")
         assert step is not None
         assert step.action in ("Inc", "Jump")
         assert step.state == Rec(x=1)
 
     def test_find_step_returns_none_when_unreachable(self):
         spec = TwoRoadsSpec()
-        explorer = BFSExplorer(spec)
         init = next(iter(spec.init_states()))
-        assert explorer._find_step(init, fingerprint(Rec(x=7)), "Inc") is None
+        assert find_matching_step(spec, init, fingerprint(Rec(x=7)), "Inc") is None
 
 
 class TestUnifiedStopReasons:

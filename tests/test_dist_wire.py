@@ -232,10 +232,23 @@ class TestHandshake:
         assert hello["spec_fingerprint"] == spec_fingerprint(self.ref())
 
     def test_handshake_roundtrips_on_wire(self):
-        hello = make_handshake(self.ref(), wid=0, workers=2, fast=True, por=True)
+        hello = make_handshake(self.ref(), wid=0, workers=2, fast=True)
         op, out = roundtrip(("hello", hello))
         assert check_handshake(out) is None
-        assert out["fast"] is True and out["por"] is True
+        assert out["fast"] is True and out["symmetry"] is False
+
+    def test_version_3_header_refused(self):
+        """A version-3 master may send a partial-order-reduction option
+        this worker does not have; it is refused, never read with the
+        option dropped."""
+        hello = make_handshake(self.ref(), wid=0, workers=2)
+        hello.update(proto=3, por=True)
+        assert PROTOCOL_VERSION == 4
+        assert "protocol version mismatch" in check_handshake(hello)
+
+    def test_unknown_option_refused_by_name(self):
+        with pytest.raises(TypeError, match="por"):
+            make_handshake(self.ref(), wid=0, workers=2, por=True)
 
     def test_protocol_mismatch_refused(self):
         hello = make_handshake(self.ref(), wid=0, workers=2)

@@ -1,15 +1,10 @@
-"""Fast (traceless) mode and partial-order reduction.
-
-Covers the two exploration reducers end to end:
+"""Fast (traceless) mode end to end.
 
 * :class:`~repro.core.engine.FingerprintOnlyStore` — the flat 8-byte
   fingerprint set behind ``--fast`` (spill/merge, exact dedup, the
   traceless error surface, the bytes-per-state estimate);
 * bounded re-search — a fast run's :class:`~repro.core.trace.PendingTrace`
   resolved into the byte-identical counterexample of a full-store run;
-* the POR prune-set fixpoint over declared action read/write sets, and
-  its soundness guards (inferred writes, opaque invariants, overridden
-  constraints all block pruning);
 * the store seam the refactor touched: ``CompactStore`` action-name
   interning under symmetry.
 """
@@ -24,25 +19,18 @@ import pytest
 from toy_specs import CounterSpec, TokenRingSpec
 
 from repro.core import (
-    Action,
     BFSExplorer,
     CompactStore,
     FingerprintOnlyStore,
-    Invariant,
     PendingTrace,
     Rec,
-    Spec,
-    SpecError,
     StopReason,
     TracelessStoreError,
     bfs_explore,
     fingerprint,
-    por_prune_set,
     research_violation,
 )
-from repro.core.compile import CompiledSpec, maybe_compile
 from repro.obs.metrics import STORE_BYTES, MetricsRegistry
-from repro.testkit.oracle import oracle_explore
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 
@@ -205,142 +193,6 @@ class TestFastMode:
 
 
 # ---------------------------------------------------------------------------
-# partial-order reduction
-# ---------------------------------------------------------------------------
-
-
-class TwoVarSpec(Spec):
-    """Two independent counters with declarable read/write metadata.
-
-    ``x`` steps to ``x_max`` under ``BumpX``; ``y`` likewise under
-    ``BumpY``.  The invariant (when planted) reads only ``x``, so with
-    full metadata ``BumpY`` is provably invisible and prunable.
-    """
-
-    name = "two-var"
-
-    def __init__(
-        self,
-        x_max: int = 3,
-        y_max: int = 3,
-        declare_writes: bool = True,
-        declare_inv_reads: bool = True,
-        bound: int | None = None,
-    ):
-        self.x_max, self.y_max = x_max, y_max
-        self.declare_writes = declare_writes
-        self.declare_inv_reads = declare_inv_reads
-        self.bound = bound
-
-    def init_states(self):
-        yield Rec(x=0, y=0)
-
-    def actions(self):
-        meta_x = dict(reads=("x",), writes=("x",)) if self.declare_writes else {}
-        meta_y = dict(reads=("y",), writes=("y",)) if self.declare_writes else {}
-        return [
-            Action("BumpX", self._bump_x, **meta_x),
-            Action("BumpY", self._bump_y, **meta_y),
-        ]
-
-    def _bump_x(self, state: Rec):
-        if state["x"] < self.x_max:
-            yield (), state.set("x", state["x"] + 1)
-
-    def _bump_y(self, state: Rec):
-        if state["y"] < self.y_max:
-            yield (), state.set("y", state["y"] + 1)
-
-    def invariants(self):
-        if self.bound is None:
-            return ()
-        bound = self.bound
-
-        def x_bounded(state: Rec) -> bool:
-            return state["x"] <= bound
-
-        reads = ("x",) if self.declare_inv_reads else None
-        return (Invariant("XBounded", x_bounded, reads=reads),)
-
-
-class ConstrainedTwoVarSpec(TwoVarSpec):
-    """TwoVarSpec with an *overridden* state constraint.
-
-    An override whose reads the compiler cannot see must block all POR
-    pruning — unless the spec declares ``constraint_reads``.
-    """
-
-    def __init__(self, declare_constraint_reads: bool = False, **kwargs):
-        super().__init__(**kwargs)
-        if declare_constraint_reads:
-            self.constraint_reads = ("x",)
-
-    def state_constraint(self, state: Rec) -> bool:
-        return state["x"] <= self.x_max
-
-
-class TestPOR:
-    def test_prunes_invisible_independent_action(self):
-        spec = TwoVarSpec(bound=2)
-        assert por_prune_set(spec) == frozenset({"BumpY"})
-        compiled = CompiledSpec(spec, por=True)
-        # the action list stays complete (pruned actions fire 0 times)
-        assert {a.name for a in compiled.actions()} == {"BumpX", "BumpY"}
-        oracle = oracle_explore(spec, exclude_actions=("BumpY",))
-        result = BFSExplorer(TwoVarSpec(bound=2), por=True, stop_on_violation=False).run()
-        assert result.stats.distinct_states == oracle.states == 4
-        assert result.stats.transitions == oracle.transitions
-
-    def test_preserves_minimal_violation_depth(self):
-        plain = BFSExplorer(TwoVarSpec(bound=2)).run()
-        reduced = BFSExplorer(TwoVarSpec(bound=2), por=True).run()
-        assert reduced.stop_reason == StopReason.VIOLATION
-        assert reduced.violation.depth == plain.violation.depth == 3
-
-    def test_no_invariants_prunes_nothing(self):
-        assert por_prune_set(TwoVarSpec()) == frozenset()
-
-    def test_inferred_writes_block_pruning(self):
-        assert por_prune_set(TwoVarSpec(declare_writes=False, bound=2)) == frozenset()
-
-    def test_opaque_invariant_blocks_pruning(self):
-        assert por_prune_set(TwoVarSpec(declare_inv_reads=False, bound=2)) == frozenset()
-
-    def test_overridden_constraint_blocks_pruning(self):
-        assert por_prune_set(ConstrainedTwoVarSpec(bound=2)) == frozenset()
-
-    def test_declared_constraint_reads_restore_pruning(self):
-        spec = ConstrainedTwoVarSpec(bound=2, declare_constraint_reads=True)
-        assert por_prune_set(spec) == frozenset({"BumpY"})
-
-    def test_por_requires_compiled_pipeline(self):
-        with pytest.raises(SpecError, match="compiled"):
-            maybe_compile(TwoVarSpec(bound=2), False, por=True)
-
-    def test_fast_por_combined(self):
-        reference = BFSExplorer(TwoVarSpec(bound=2), por=True).run()
-        combined = BFSExplorer(TwoVarSpec(bound=2), por=True, fast=True).run()
-        assert combined.violation.depth == reference.violation.depth
-        assert trace_json(combined) == trace_json(reference)
-
-
-# ---------------------------------------------------------------------------
-# oracle exclusions
-# ---------------------------------------------------------------------------
-
-
-class TestOracleExclusions:
-    def test_exclude_actions_matches_reduced_space(self):
-        spec = TwoVarSpec(x_max=2, y_max=2)
-        full = oracle_explore(spec)
-        reduced = oracle_explore(spec, exclude_actions=("BumpY",))
-        assert full.states == 9 and reduced.states == 3
-        assert reduced.action_fires["BumpY"] == 0
-        assert "BumpY" in reduced.action_fires  # still present, at zero
-        assert reduced.transitions == sum(reduced.action_fires.values())
-
-
-# ---------------------------------------------------------------------------
 # store seams: compact interning
 # ---------------------------------------------------------------------------
 
@@ -483,17 +335,12 @@ class TestDifferentialCells:
             "census/fast-serial",
             "census/fast-disk",
             "census/fast-resume",
-            "census/por-serial",
-            "census/fast-por-serial",
         }
         assert expected <= names
         if generated.planted is not None:
             assert {
                 "violation/fast-serial",
-                "violation/por-serial",
-                "violation/fast-por-serial",
                 "violation/exhaustive-serial",
-                "violation/por-exhaustive",
                 "violation/fast-exhaustive-resume",
             } <= names
 
@@ -501,12 +348,11 @@ class TestDifferentialCells:
         from repro.testkit import build_matrix, generate_spec
 
         generated = generate_spec("fastpor:forced", None)
-        forced = build_matrix(generated, parallel=True, fast=True, por=True)
+        forced = build_matrix(generated, parallel=True, fast=True)
         assert forced, "forced matrix must not be empty"
         for config in forced:
-            assert config.fast and config.por
+            assert config.fast
             assert config.store != "compact"
-            assert config.compiled
 
     def test_small_sweep_is_clean(self):
         from repro.testkit import run_differential

@@ -722,6 +722,44 @@ class TestSerialResume:
                 checkpoint_states=10,
             )
 
+    @staticmethod
+    def _record_por(run_dir, value):
+        """Stamp the run's config as an older checker recorded it."""
+        rd = RunDir.open(run_dir)
+        rd.update_manifest(config={**rd.manifest()["config"], "por": value})
+
+    def test_resume_accepts_a_run_recorded_without_por(self, tmp_path):
+        baseline = bfs_explore(CounterSpec(3, 3))
+        with pytest.raises(Interrupted):
+            run_check(
+                CounterSpec(3, 3),
+                tmp_path / "run",
+                checkpoint_states=10,
+                on_checkpoint=kill_after(2),
+            )
+        self._record_por(tmp_path / "run", False)
+        resumed = run_check(
+            CounterSpec(3, 3), tmp_path / "run", resume=True, checkpoint_states=10
+        )
+        assert_same_result(resumed, baseline)
+        assert "por" not in RunDir.open(tmp_path / "run").manifest()["config"]
+
+    def test_resume_refuses_a_run_recorded_with_por(self, tmp_path):
+        """A partial-order-reduced run explored a smaller space: resuming
+        it unreduced would silently mix two state spaces."""
+        with pytest.raises(Interrupted):
+            run_check(
+                CounterSpec(3, 3),
+                tmp_path / "run",
+                checkpoint_states=10,
+                on_checkpoint=kill_after(1),
+            )
+        self._record_por(tmp_path / "run", True)
+        with pytest.raises(RunDirError, match="partial-order reduction"):
+            run_check(
+                CounterSpec(3, 3), tmp_path / "run", resume=True, checkpoint_states=10
+            )
+
     def test_resume_without_checkpoint_is_a_clear_error(self, tmp_path):
         run_check(CounterSpec(2, 2), tmp_path / "run", checkpoint_every=3600)
         with pytest.raises(RunDirError, match="no checkpoint"):

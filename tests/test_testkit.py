@@ -174,14 +174,32 @@ def test_default_params_generate_no_channels():
     assert "chan0" not in init
 
 
-def test_channel_actions_declare_read_write_metadata():
-    params = GenParams(n_channels=1, channel_states=2, n_channel_actions=2)
-    spec = generate_spec("chan:9", params).spec(invariants=True)
-    for action in spec.actions():
-        assert action.writes is not None, action.name
-        assert action.reads is not None, action.name
-    for invariant in spec.invariants():
-        assert invariant.reads is not None
+def test_channel_actions_touch_only_their_variables():
+    """An uncoupled channel action rebinds only its channel, so the
+    planted invariant (declared over ``locals`` and ``glob``) is skipped
+    on its successors; a coupled one also rebinds ``glob``."""
+    from repro.core.state import changed_keys
+
+    params = GenParams(
+        n_channels=2, channel_states=2, n_channel_actions=4, couple_p=0.5
+    )
+    generated = generate_spec("chan:9", params)
+    spec = generated.spec(invariants=True)
+    (invariant,) = spec.invariants()
+    assert invariant.reads == {"locals", "glob"}
+    allowed = {
+        f"Chan{index}": {f"chan{channel}"} | ({"glob"} if coupled else set())
+        for index, (channel, coupled, _) in enumerate(generated.channel_tables)
+    }
+    fired = set()
+    for state in oracle_explore(spec).depths:
+        for transition in spec.successors(state):
+            if transition.action in allowed:
+                fired.add(transition.action)
+                touched = changed_keys(transition.target, state)
+                assert touched <= allowed[transition.action], transition.label
+    # Both kinds fired, so both footprints were checked.
+    assert {"glob" in allowed[name] for name in fired} == {True, False}
 
 
 def test_channel_spec_agrees_across_matrix():
