@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import Optional, Sequence
 
 from .bugs import BUGS, detect
@@ -179,43 +178,47 @@ def cmd_bugs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_reducers(args: argparse.Namespace) -> Optional[str]:
-    """Reject flag combinations the checker cannot honor, before any work."""
-    if args.temporal:
-        if args.fast:
-            return (
-                "--temporal needs the explored state graph, but --fast keeps"
-                " a fingerprint-only store with no parent edges: drop --fast"
-                " before --temporal"
-            )
-        if args.run_dir:
-            return (
-                "--temporal cannot run inline with --run-dir (the durable"
-                " store is owned by the checkpointer); run the durable check"
-                " first, then `sandtable check-liveness RUN_DIR` on the"
-                " finished run directory"
-            )
-    return None
+#: ``check`` flag combinations the checker cannot honor, as
+#: ``(condition(args, workers), message)`` rows with ``workers`` the
+#: resolved worker count.  The first row that applies is refused with
+#: exit 2, before any work.
+CHECK_CONFLICTS = (
+    (
+        lambda args, workers: args.temporal and args.fast,
+        "--temporal needs the explored state graph, but --fast keeps"
+        " a fingerprint-only store with no parent edges: drop --fast"
+        " before --temporal",
+    ),
+    (
+        lambda args, workers: args.temporal and args.run_dir,
+        "--temporal cannot run inline with --run-dir (the durable"
+        " store is owned by the checkpointer); run the durable check"
+        " first, then `sandtable check-liveness RUN_DIR` on the"
+        " finished run directory",
+    ),
+    (
+        lambda args, workers: args.temporal and (workers > 1 or args.worker),
+        "--temporal runs on the serial explorer's in-memory graph; for"
+        " parallel runs do a durable --run-dir check first, then"
+        " `sandtable check-liveness RUN_DIR`",
+    ),
+    (
+        lambda args, workers: args.resume and not args.run_dir,
+        "--resume requires --run-dir",
+    ),
+)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    error = _validate_reducers(args)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
     try:
         workers = _resolve_workers(args)
     except WorkersError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.temporal and (workers > 1 or args.worker):
-        print(
-            "--temporal runs on the serial explorer's in-memory graph; for"
-            " parallel runs do a durable --run-dir check first, then"
-            " `sandtable check-liveness RUN_DIR`",
-            file=sys.stderr,
-        )
-        return 2
+    for applies, message in CHECK_CONFLICTS:
+        if applies(args, workers):
+            print(message, file=sys.stderr)
+            return 2
     transport = None
     if args.worker:
         # Remote socket workers: the spec travels as a reference, the
@@ -265,9 +268,6 @@ def cmd_check(args: argparse.Namespace) -> int:
             checkpoint_every=args.checkpoint_every,
             checkpoint_states=args.checkpoint_states,
         )
-    elif args.resume:
-        print("--resume requires --run-dir", file=sys.stderr)
-        return 2
     registry, reporter = _make_stats(args)
     from .dist.transport import TransportError as _TransportError
 
@@ -726,84 +726,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .dist.service import serve
-
-    try:
-        host, port = _parse_listen(args.listen)
-    except WorkersError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    log = (lambda msg: print(msg, file=sys.stderr)) if not args.quiet else None
-    server = serve(host, port, args.data_dir, log=log)
-    print(server.url, flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from .dist.client import ServiceClient, ServiceError
-    from .dist.specref import SpecRefError, system_ref
-
-    try:
-        ref = system_ref(args.system, args.nodes, args.bug, args.invariant)
-    except SpecRefError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    config = {"max_states": args.max_states, "time_budget": args.time_budget}
-    if args.workers is not None:
-        config["workers"] = args.workers
-    if args.worker:
-        config["worker_addrs"] = list(args.worker)
-    for flag in ("symmetry", "fast"):
-        if getattr(args, flag):
-            config[flag] = True
-    client = ServiceClient(args.server)
-    try:
-        record = client.submit(ref, config)
-        job_id = record["id"]
-        print(f"submitted {job_id} to {client.base_url}")
-        if not args.watch:
-            return 0
-        offset = 0
-        while True:
-            status = client.status(job_id)
-            records, offset = client.metrics(job_id, offset)
-            for item in records:
-                stats = item.get("stats") or {}
-                if "distinct_states" in stats:
-                    print(
-                        f"  [{item.get('event')}] {stats['distinct_states']}"
-                        f" states, {stats.get('transitions', 0)} transitions,"
-                        f" depth {stats.get('max_depth', 0)}",
-                        flush=True,
-                    )
-            if not status.get("running") and status.get("status") != "starting":
-                break
-            time.sleep(args.poll)
-        final = status.get("status")
-        print(f"{job_id}: {final}")
-        if final == "violation":
-            trace = client.trace(job_id)
-            print(
-                f"  {trace.get('invariant')} violated at depth"
-                f" {trace.get('depth')}"
-            )
-            return 1
-        if final in ("complete", "stopped"):
-            # complete = space exhausted; stopped = a budget hit first.
-            return 0
-        if status.get("error"):
-            print(status["error"], file=sys.stderr)
-        return 2
-    except ServiceError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sandtable",
@@ -1088,56 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument("--quiet", action="store_true", help="no session log")
     worker.set_defaults(fn=cmd_worker)
-
-    srv = sub.add_parser(
-        "serve",
-        help="multi-tenant checking service: POST jobs, GET progress/traces",
-    )
-    srv.add_argument(
-        "--listen",
-        default="127.0.0.1:8800",
-        metavar="HOST:PORT",
-        help="bind address (port 0 = ephemeral; URL printed on stdout)",
-    )
-    srv.add_argument(
-        "--data-dir",
-        default="sandtable-jobs",
-        help="root for per-job durable run directories",
-    )
-    srv.add_argument("--quiet", action="store_true", help="no request log")
-    srv.set_defaults(fn=cmd_serve)
-
-    submit = sub.add_parser(
-        "submit", help="submit a check to a sandtable serve instance"
-    )
-    submit.add_argument("--server", required=True, help="service URL (host:port)")
-    submit.add_argument("--system", required=True, choices=sorted(SPEC_CLASSES))
-    submit.add_argument("--nodes", type=int, default=3)
-    submit.add_argument("--bug", action="append", default=[], help="seed a bug flag")
-    submit.add_argument("--invariant", help="check only this invariant")
-    submit.add_argument("--max-states", type=int, default=1_000_000)
-    submit.add_argument("--time-budget", type=float, default=60.0)
-    submit.add_argument("--symmetry", action="store_true")
-    submit.add_argument("--fast", action="store_true")
-    submit.add_argument(
-        "--workers", type=_workers_value, default=None, help="parallel workers"
-    )
-    submit.add_argument(
-        "--worker",
-        action="append",
-        default=[],
-        metavar="HOST:PORT",
-        help="run the job against these remote worker agents (repeatable)",
-    )
-    submit.add_argument(
-        "--watch",
-        action="store_true",
-        help="poll progress until the job finishes; exit 1 on violation",
-    )
-    submit.add_argument(
-        "--poll", type=float, default=0.5, metavar="SECONDS", help="watch cadence"
-    )
-    submit.set_defaults(fn=cmd_submit)
 
     return parser
 

@@ -40,7 +40,6 @@ from .engine import (
 from .explorer import BFSExplorer, BFSResult, BFSStats, bfs_explore, research_violation
 from .guided import ScenarioError, ScenarioResult, run_scenario
 from .linearizability import LinearizabilityResult, Operation, check_linearizable
-from .liveness import LivenessProperty, LivenessStats, compare_progress, measure_progress
 from .parallel import (
     ForkTransport,
     ParallelBFS,
@@ -75,14 +74,10 @@ __all__ = [
     "TracelessStoreError",
     "action_kinds",
     "LinearizabilityResult",
-    "LivenessProperty",
-    "LivenessStats",
     "Operation",
     "ScenarioError",
     "ScenarioResult",
     "check_linearizable",
-    "compare_progress",
-    "measure_progress",
     "run_scenario",
     "BFSExplorer",
     "BFSResult",

@@ -1,8 +1,7 @@
 """The shared exploration kernel behind every exploration mode.
 
-All four exploration modes — exhaustive BFS (§3.3), random-walk
-simulation (§3.2, Algorithm 1), guided scenario replay, and the
-random-walk batches behind approximate liveness (§3.1) — are one step
+All three exploration modes — exhaustive BFS (§3.3), random-walk
+simulation (§3.2, Algorithm 1) and guided scenario replay — are one step
 loop: pop a pending state, prune or stop on bounds, enumerate enabled
 transitions, check transition/state invariants, build traces and
 :class:`~repro.core.violation.Violation` objects, and account stats.
@@ -23,8 +22,8 @@ decomposition TLC uses for its BFS/simulation modes):
 
 Every run produces a :class:`SearchResult` carrying the unified
 :class:`SearchStats` counters and a :class:`StopReason`, so BFS,
-simulation, scenario, and liveness runs report comparable states/sec,
-depth, and stop-reason numbers.
+simulation and scenario runs report comparable states/sec, depth, and
+stop-reason numbers.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Distributed checking: socket worker transport + multi-tenant job service.
+"""Distributed checking: the socket worker transport.
 
 ``repro.dist`` takes the sharded parallel BFS of
-:mod:`repro.core.parallel` past one host and past one user:
+:mod:`repro.core.parallel` past one host:
 
 * :mod:`~repro.dist.specref` — portable *spec references*: small JSON
   descriptions (a named system spec, or a testkit seed) that both ends
@@ -14,11 +14,7 @@
   :class:`~repro.core.parallel.ForkTransport`-shaped transport that
   drives ``sandtable worker`` agents over TCP;
 * :mod:`~repro.dist.agent` — :class:`WorkerAgent`, the TCP shard-worker
-  server behind ``sandtable worker --listen``;
-* :mod:`~repro.dist.service` — the stdlib-HTTP multi-tenant job server
-  behind ``sandtable serve``: POST a spec+config job, it runs in a
-  durable run dir, GET endpoints stream progress and serve artifacts;
-* :mod:`~repro.dist.client` — a small urllib client for the service.
+  server behind ``sandtable worker --listen``.
 
 Layering: this package imports core/persist/obs freely; nothing in
 those layers imports it back (the master sees a socket transport only
@@ -26,8 +22,6 @@ as a duck-typed ``transport`` argument).
 """
 
 from .agent import WorkerAgent
-from .client import ServiceClient, ServiceError
-from .service import JobManager, JobServer, serve
 from .specref import (
     SPEC_CLASSES,
     SpecRefError,
@@ -56,13 +50,9 @@ from .wire import (
 __all__ = [
     "ConnectionClosed",
     "FrameBuffer",
-    "JobManager",
-    "JobServer",
     "MAX_FRAME",
     "PROTOCOL_VERSION",
     "SPEC_CLASSES",
-    "ServiceClient",
-    "ServiceError",
     "SocketTransport",
     "SpecRefError",
     "TransportError",
@@ -77,7 +67,6 @@ __all__ = [
     "parse_address",
     "read_frame",
     "resolve_spec",
-    "serve",
     "spec_fingerprint",
     "system_ref",
     "testkit_ref",

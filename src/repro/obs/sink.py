@@ -8,10 +8,11 @@ the run as self-describing JSON lines::
     {"event": "progress", "t": ..., "stats": {...}, "metrics": {...}}
     {"event": "final",    "t": ..., "stats": {...}, "metrics": {...}}
 
-The file is opened in append mode, so a resumed run continues the same
-file (its fresh ``open`` line marks the seam), and every line is flushed
-as written — after a kill the file is intact up to a possibly torn last
-line, which :func:`read_sink` skips.  Timestamps are wall-clock seconds
+Every line is appended by its own open-write-close, so a resumed run
+continues the same file (its fresh ``open`` line marks the seam), no
+descriptor stays open between lines for a forked worker to inherit, and
+after a kill the file is intact up to a possibly torn last line, which
+:func:`read_sink` skips.  Timestamps are wall-clock seconds
 (``time.time``); ``metrics`` is always the *cumulative*
 :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` at that moment, so
 the last parseable line of a sink answers "where did this run get to"
@@ -53,14 +54,13 @@ class MetricsSink:
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        self._handle = open(self.path, "a", encoding="utf-8")
         self._closed = False
         self._write({"event": "open", "meta": dict(meta or {})})
 
     def _write(self, payload: Dict[str, Any]) -> None:
         payload.setdefault("t", time.time())
-        self._handle.write(json.dumps(payload) + "\n")
-        self._handle.flush()
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload) + "\n")
 
     def write_snapshot(
         self, event: str = "progress", stats: Any = None, **extra: Any
@@ -81,20 +81,17 @@ class MetricsSink:
         self.write_snapshot("progress", stats=stats)
 
     def close(self, stats: Any = None, **extra: Any) -> None:
-        """Write the ``final`` snapshot and close the file."""
+        """Write the ``final`` snapshot and close the sink."""
         if self._closed:
             return
         self.write_snapshot("final", stats=stats, **extra)
-        self._handle.close()
         self._closed = True
 
     def abandon(self) -> None:
         """Close without a final snapshot (crash/interrupt path): the
-        last flushed line stays the record; a final snapshot here could
+        last written line stays the record; a final snapshot here could
         publish partially-updated state."""
-        if not self._closed:
-            self._handle.close()
-            self._closed = True
+        self._closed = True
 
     def __enter__(self) -> "MetricsSink":
         return self

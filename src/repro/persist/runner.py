@@ -84,7 +84,6 @@ def run_check(
     fast: bool = False,
     research: bool = True,
     transport: Optional[Any] = None,
-    manifest_extra: Optional[dict] = None,
 ) -> SearchResult:
     """Run (or resume) one durable BFS check in ``run_dir``.
 
@@ -100,9 +99,11 @@ def run_check(
     the parallel driver and selects how shard workers are reached; it is
     deliberately not part of the recorded config, since a fork run and a
     socket run over the same spec are byte-identical and a resume may
-    freely switch between them.  ``manifest_extra`` merges extra fields
-    into the run-dir manifest (the job service records its job metadata
-    this way).
+    freely switch between them.
+
+    A resume keeps every manifest key it does not own, so a run dir
+    whose manifest carries extra fields (such as the ``job`` record older
+    versions of this checker wrote) resumes like any other.
     """
     if checkpoint_every is None and checkpoint_states is None:
         checkpoint_every = 60.0
@@ -132,9 +133,9 @@ def run_check(
                 " check again in a new run directory"
             )
         rd.check_config(config, ignore=BUDGET_KEYS + (RETIRED_KEY,))
-        rd.update_manifest(status="running", config=config, **(manifest_extra or {}))
+        rd.update_manifest(status="running", config=config)
     else:
-        rd = RunDir.create(run_dir, config=config, **(manifest_extra or {}))
+        rd = RunDir.create(run_dir, config=config)
 
     sink: Optional[MetricsSink] = None
     if metrics is not None:

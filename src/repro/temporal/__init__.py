@@ -1,8 +1,8 @@
-"""Real liveness checking: lasso detection over the explored state graph.
+"""Liveness checking: lasso detection over the explored state graph.
 
-SandTable itself (§3.1) approximates liveness through safety — the
-progress-rate measurement in :mod:`repro.core.liveness` can only say
-"suspicious".  This package does the TLC thing instead: it materializes
+SandTable itself (§3.1) approximates liveness through safety.  This
+package is the checker's one liveness surface, and it answers exactly,
+the way TLC does: it materializes
 the explored state graph from any :class:`~repro.core.engine.StateStore`
 (including a reopened ``DiskStore`` run directory, so liveness can be
 checked *post hoc* on a completed safety run), restricts it to the

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import CHECK_CONFLICTS, main
 
 
 class TestBugsCommand:
@@ -116,6 +116,27 @@ class TestReducerFlags:
             main(["check", "--system", "pysyncobj", "--nodes", "2", "--no-compile"])
         assert exit_info.value.code == 2
         assert "--no-compile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, extra",
+        [
+            (0, ["--temporal", "eventually-elects-leader", "--fast"]),
+            (1, ["--temporal", "eventually-elects-leader", "--run-dir", "run"]),
+            (2, ["--temporal", "eventually-elects-leader", "--workers", "2"]),
+            (2, ["--temporal", "eventually-elects-leader", "--worker", "127.0.0.1:1"]),
+            (3, ["--resume"]),
+        ],
+        ids=["temporal-fast", "temporal-run-dir", "temporal-workers",
+             "temporal-worker", "resume-without-run-dir"],
+    )
+    def test_conflicting_check_flags_exit_2(self, row, extra, tmp_path, monkeypatch, capsys):
+        """Every row of the one conflict table is refused with its own
+        message, before any work: no run dir, no worker, no exploration."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "--system", "pysyncobj", "--nodes", "2"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == CHECK_CONFLICTS[row][1] + "\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     def test_selftest_forced_reducers(self, capsys):
         code = main(
@@ -344,10 +365,6 @@ class TestDurableRuns:
         manifest = RunDir.open(tmp_path / "run").manifest()
         assert manifest["status"] in ("complete", "stopped")
         assert manifest["result"]["stats"]["distinct_states"] > 800
-
-    def test_resume_requires_run_dir(self, capsys):
-        assert main(["check", "--system", "raftos", "--resume"]) == 2
-        assert "requires --run-dir" in capsys.readouterr().err
 
     def test_resume_of_missing_run_is_a_clean_error(self, tmp_path, capsys):
         argv = [
@@ -609,45 +626,10 @@ class TestDistCommands:
         assert code == 2
         assert "cannot reach worker" in capsys.readouterr().err
 
-    def test_submit_watch_end_to_end(self, tmp_path, capsys):
-        import threading
-
-        from repro.dist.service import serve
-
-        server = serve("127.0.0.1", 0, tmp_path / "jobs")
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            code = main(
-                [
-                    "submit",
-                    "--server",
-                    server.url,
-                    "--system",
-                    "pysyncobj",
-                    "--nodes",
-                    "2",
-                    "--max-states",
-                    "500",
-                    "--watch",
-                    "--poll",
-                    "0.1",
-                ]
-            )
-        finally:
-            server.shutdown()
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "submitted job-" in out
-
-    def test_submit_unreachable_server_is_a_clean_error(self, capsys):
-        code = main(
-            [
-                "submit",
-                "--server",
-                "127.0.0.1:1",
-                "--system",
-                "pysyncobj",
-            ]
-        )
-        assert code == 2
-        assert "cannot reach service" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    def test_job_service_commands_are_gone(self, command, capsys):
+        """The HTTP job service is deleted, subcommands and all."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

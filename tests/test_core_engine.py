@@ -2,7 +2,7 @@
 
 Covers the pieces the mode-specific suites do not reach directly: trace
 reconstruction under symmetry reduction (including the fallback-step
-path), the unified termination-reason enum across all four exploration
+path), the unified termination-reason enum across the exploration
 modes, and the StateStore / StepChecker seams.
 """
 
@@ -26,7 +26,6 @@ from repro.core.engine import (
     reconstruct_trace,
 )
 from repro.core.explorer import BFSExplorer
-from repro.core.liveness import LivenessProperty, measure_progress
 from repro.core.simulation import random_walk
 from repro.core.state import fingerprint
 
@@ -119,7 +118,7 @@ class TestTraceReconstructionUnderSymmetry:
 
 
 class TestUnifiedStopReasons:
-    """All four modes report termination through the one StopReason enum,
+    """Every mode reports termination through the one StopReason enum,
     and its members stay string-comparable (the historical API)."""
 
     def test_bfs_reasons(self):
@@ -164,12 +163,6 @@ class TestUnifiedStopReasons:
         assert result.stop_reason is StopReason.COMPLETE
         assert set(result.stop_reasons) == {"deadlock"}
         assert result.stats.walks == 20
-
-    def test_liveness_reasons(self):
-        prop = LivenessProperty("Saturated", lambda s: False)
-        stats = measure_progress(CounterSpec(2, 2), prop, n_walks=10, max_depth=50)
-        assert set(stats.stop_reasons) <= {str(r) for r in StopReason}
-        assert stats.stats is not None and stats.stats.walks == 10
 
     def test_members_compare_as_strings(self):
         assert StopReason.MAX_STATES == "max_states"

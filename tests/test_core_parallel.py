@@ -823,6 +823,15 @@ class TestFinalCommit:
 
 class TestRunDirOwnership:
     def test_no_worker_process_holds_a_file_of_the_run_dir(self, tmp_path):
+        self.assert_workers_hold_no_run_dir_file(tmp_path)
+
+    def test_no_worker_process_holds_the_metrics_sink(self, tmp_path):
+        self.assert_workers_hold_no_run_dir_file(tmp_path, metrics=MetricsRegistry())
+
+    @staticmethod
+    def assert_workers_hold_no_run_dir_file(tmp_path, **options):
+        """At every commit of a durable 2-worker run, no worker process
+        holds a descriptor of a file under the run dir."""
         run_dir = str(tmp_path / "run")
         held, looks = [], []
 
@@ -846,6 +855,7 @@ class TestRunDirOwnership:
             transport=transport,
             checkpoint_states=100,
             on_checkpoint=look,
+            **options,
         )
         commits = len(list((tmp_path / "run" / "checkpoint").glob("worker-0-*.ckpt")))
         assert result.exhausted and commits == 1, "superseded generations pruned"

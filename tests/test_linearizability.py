@@ -80,14 +80,13 @@ class TestConcurrentHistories:
 
 
 class TestKVTraceHistories:
-    def test_buggy_read_history_not_linearizable(self):
+    def test_buggy_read_history_not_linearizable(self, detected):
         from repro.bugs import BUGS
-        from repro.core import bfs_explore
 
-        bug = BUGS["Xraft-KV#1"]
-        spec = bug.make_spec()
-        result = bfs_explore(spec, max_states=800_000, time_budget=180)
-        assert result.found_violation
+        # The exploration test_bug_detection.py asks for, shared through
+        # the session memo.
+        result = detected(BUGS["Xraft-KV#1"], time_budget=300, max_states=3_000_000)
+        assert result.found
         history = history_from_trace(result.violation.trace)
         verdict = check_linearizable(history, initial="")
         assert not verdict.ok

@@ -760,6 +760,31 @@ class TestSerialResume:
                 CounterSpec(3, 3), tmp_path / "run", resume=True, checkpoint_states=10
             )
 
+    def test_resume_keeps_the_job_record_of_an_older_checker(self, tmp_path):
+        """Older checkers also ran checks as jobs of an HTTP service, which
+        wrote a ``job`` key beside the config: such a run dir is an
+        ordinary one, and resuming it keeps the record."""
+        baseline = bfs_explore(CounterSpec(3, 3))
+        with pytest.raises(Interrupted):
+            run_check(
+                CounterSpec(3, 3),
+                tmp_path / "run",
+                checkpoint_states=10,
+                on_checkpoint=kill_after(2),
+            )
+        job = {
+            "id": "job-0001-0f1e2d3c",
+            "spec_ref": {"kind": "system", "system": "pysyncobj", "nodes": 2,
+                         "bugs": [], "invariant": None},
+        }
+        RunDir.open(tmp_path / "run").update_manifest(job=job)
+        resumed = run_check(
+            CounterSpec(3, 3), tmp_path / "run", resume=True, checkpoint_states=10
+        )
+        assert_same_result(resumed, baseline)
+        manifest = RunDir.open(tmp_path / "run").manifest()
+        assert manifest["status"] == "complete" and manifest["job"] == job
+
     def test_resume_without_checkpoint_is_a_clear_error(self, tmp_path):
         run_check(CounterSpec(2, 2), tmp_path / "run", checkpoint_every=3600)
         with pytest.raises(RunDirError, match="no checkpoint"):

@@ -175,6 +175,68 @@ class TestRaftOSSpec:
         assert not RaftOSSpec(CFG)._commit_break_on_old_term()
 
 
+class TestRaftOS4Liveness:
+    """RaftOS#4 breaks the commitment scan; the paper reports the cluster
+    'fails to make progress'.  A deterministic scenario shows the loss:
+    a new leader inheriting an old-term entry can never commit anything
+    again, because the scan breaks at the inherited entry."""
+
+    CFG = RaftConfig(
+        nodes=("n1", "n2"),
+        values=("v1", "v2"),
+        max_timeouts=6,
+        max_requests=2,
+        max_crashes=0,
+        max_restarts=0,
+        max_partitions=0,
+        max_drops=1,
+        max_dups=0,
+        max_buffer=5,
+        max_term=3,
+    )
+
+    PICKS = [
+        ("ElectionTimeout", "n1"),       # n1 leads term 1
+        ("ReceiveMessage", "n1", "n2"),
+        ("ReceiveMessage", "n2", "n1"),
+        ("ClientRequest", "n1"),         # e1 at term 1
+        ("HeartbeatTimeout", "n1"),
+        lambda t: t.action == "ReceiveMessage"
+        and t.args[:2] == ("n1", "n2")
+        and t.args[2]["type"] == "AppendEntries"
+        and len(t.args[2]["entries"]) == 1,
+        ("DropMessage", "n2", "n1"),     # the ack is lost: e1 uncommitted
+        ("ElectionTimeout", "n2"),       # n2 leads term 2, inheriting e1
+        lambda t: t.action == "ReceiveMessage"
+        and t.args[:2] == ("n2", "n1")
+        and t.args[2]["type"] == "RequestVote",
+        lambda t: t.action == "ReceiveMessage"
+        and t.args[:2] == ("n1", "n2")
+        and t.args[2]["type"] == "RequestVoteResponse",
+        ("ClientRequest", "n2"),         # e2 at term 2
+        ("HeartbeatTimeout", "n2"),
+        lambda t: t.action == "ReceiveMessage"
+        and t.args[:2] == ("n2", "n1")
+        and t.args[2]["type"] == "AppendEntries"
+        and t.args[2]["entries"],
+        lambda t: t.action == "ReceiveMessage"
+        and t.args[:2] == ("n1", "n2")
+        and t.args[2]["type"] == "AppendEntriesResponse"
+        and t.args[2]["success"],
+    ]
+
+    def run(self, bugs):
+        return drive(RaftOSSpec(self.CFG, bugs=bugs, only_invariants=[]), self.PICKS)
+
+    def test_fixed_leader_commits_inherited_entry(self):
+        result = self.run(bugs=())
+        assert result.final_state["commitIndex"]["n2"] == 2
+
+    def test_buggy_leader_never_commits(self):
+        result = self.run(bugs={"R4"})
+        assert result.final_state["commitIndex"]["n2"] == 0
+
+
 class TestXraftSpecs:
     def test_x1_toggles_stale_votes(self):
         assert XraftSpec(CFG, bugs={"X1"})._accept_stale_votes()

@@ -33,7 +33,7 @@ from repro.persist import (
     run_check,
     save_lasso,
 )
-from repro.specs.raft import PySyncObjSpec, RaftConfig, RaftOSSpec
+from repro.specs.raft import PySyncObjSpec, RaftConfig, RaftOSSpec, RaftSpec
 from repro.temporal import (
     LassoTrace,
     TemporalProperty,
@@ -426,41 +426,49 @@ class TestRaftLiveness:
         assert result.holds and result.lasso is None
         assert search.stats.distinct_states < 100
 
+    #: both nodes may crash, and no restart is budgeted
+    CRASHES = RaftConfig(
+        nodes=("n1", "n2"),
+        values=("v1",),
+        max_timeouts=2,
+        max_requests=1,
+        max_partitions=0,
+        max_crashes=2,
+        max_restarts=0,
+        max_drops=0,
+        max_dups=0,
+        max_buffer=5,
+        max_term=2,
+    )
+
+    def test_crashes_without_restarts_stall_the_election(self):
+        # A fair stutter lasso proves the election really can stall forever.
+        spec = PySyncObjSpec(self.CRASHES)
+        prop = resolve_property(spec, "eventually-elects-leader")
+        result, _ = check_one(spec, prop, max_states=800)
+        assert not result.holds and result.lasso.stuttering
+        assert "VIOLATED" in result.describe()
+
+    def test_budget_starved_census_reports_no_cycle(self):
+        # With only 2 states explored, the frontier still has fair
+        # actions enabled: the search must not fabricate a lasso.
+        spec = PySyncObjSpec(self.CRASHES)
+        prop = resolve_property(spec, "eventually-elects-leader")
+        result, _ = check_one(spec, prop, max_states=2)
+        assert result.holds and result.lasso is None
+        assert "no fair cycle" in result.describe()
+
+    def test_quorum_commit_counts_majority(self):
+        spec = RaftSpec(RaftConfig(nodes=("n1", "n2", "n3"), values=("v1",)))
+        prop = resolve_property(spec, "eventually-quorum-commits")
+        init = next(spec.init_states())
+        one = init.set("commitIndex", init["commitIndex"].set("n1", 1))
+        assert not prop.predicate(one)
+        two = one.set("commitIndex", one["commitIndex"].set("n2", 1))
+        assert prop.predicate(two)
+
 
 class TestTemporalCLI:
-    def test_fast_rejects_temporal(self, capsys):
-        code = main(
-            [
-                "check",
-                "--system",
-                "pysyncobj",
-                "--nodes",
-                "2",
-                "--fast",
-                "--temporal",
-                "eventually-elects-leader",
-            ]
-        )
-        assert code == 2
-        assert "--fast" in capsys.readouterr().err
-
-    def test_run_dir_rejects_inline_temporal(self, tmp_path, capsys):
-        code = main(
-            [
-                "check",
-                "--system",
-                "pysyncobj",
-                "--nodes",
-                "2",
-                "--run-dir",
-                str(tmp_path / "run"),
-                "--temporal",
-                "eventually-elects-leader",
-            ]
-        )
-        assert code == 2
-        assert "check-liveness" in capsys.readouterr().err
-
     def test_inline_temporal_saves_lasso(self, tmp_path, capsys):
         out = tmp_path / "lasso.json"
         code = main(
