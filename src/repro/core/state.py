@@ -41,7 +41,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Mapping
 from hashlib import blake2b
-from typing import Any, Callable, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple
 
 __all__ = [
     "CODEC_VERSION",

@@ -12,7 +12,7 @@ refuses them with a clear error instead of silently mis-decoding.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Union
 
 from ..core.state import CODEC_VERSION
 from ..core.trace import Trace

@@ -70,7 +70,7 @@ from .rundir import (
     atomic_write_json,
     decode_state,
     edge_records,
-    read_json,
+    read_manifest,
     read_records,
 )
 
@@ -602,7 +602,7 @@ def load_parallel_resume(run_dir: RunDir) -> ParallelResume:
             f"nothing to resume in {run_dir.path}: no parallel checkpoint"
             " was written (the run stopped before its first checkpoint)"
         )
-    manifest = read_json(path)
+    manifest = read_manifest(path)
     codec = manifest.get("codec_version")
     if codec != CODEC_VERSION:
         raise RunDirError(

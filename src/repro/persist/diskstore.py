@@ -91,8 +91,11 @@ class _Segment:
     def __init__(self, path: pathlib.Path):
         self.path = path
         size = path.stat().st_size
-        if size % 8:
-            raise ValueError(f"segment {path} has a torn size {size}")
+        if size == 0 or size % 8:
+            raise RunDirError(
+                f"{path} holds {size} bytes; a fingerprint segment holds a"
+                " positive multiple of 8"
+            )
         self.count = size // 8
         handle = open(path, "rb")
         try:
@@ -224,8 +227,9 @@ class DiskStore(StateStore):
         for name, count in meta["segments"]:
             segment = _Segment(self.path / name)
             if segment.count != count:
-                raise ValueError(
-                    f"segment {name} holds {segment.count} fingerprints,"
+                segment.close()
+                raise RunDirError(
+                    f"{segment.path} holds {segment.count} fingerprints, the"
                     f" checkpoint recorded {count}"
                 )
             self._segments.append(segment)

@@ -39,6 +39,7 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "read_json",
+    "read_manifest",
     "action_table",
     "edge_records",
     "read_records",
@@ -72,6 +73,21 @@ def atomic_write_json(path: Union[str, os.PathLike], obj: Any) -> None:
 def read_json(path: Union[str, os.PathLike]) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def read_manifest(path: Union[str, os.PathLike]) -> Dict[str, Any]:
+    """A JSON-object manifest (``manifest.json``, ``parallel.json``).
+
+    Malformed, truncated or non-object content is a :class:`RunDirError`
+    naming the file.
+    """
+    try:
+        manifest = read_json(path)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise RunDirError(f"{path}: not a readable JSON manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise RunDirError(f"{path}: the manifest is not a JSON object")
+    return manifest
 
 
 # -- binary records -------------------------------------------------------------
@@ -250,7 +266,7 @@ class RunDir:
     # -- manifest ------------------------------------------------------------
 
     def manifest(self) -> Dict[str, Any]:
-        return read_json(self.manifest_path)
+        return read_manifest(self.manifest_path)
 
     def write_manifest(self, manifest: Dict[str, Any]) -> None:
         atomic_write_json(self.manifest_path, manifest)

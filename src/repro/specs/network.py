@@ -22,9 +22,16 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from ..core.state import Rec, thaw
+from ..core.state import Rec, raise_type_unstable, thaw
 
 __all__ = ["TcpModel", "UdpModel", "bipartitions"]
+
+#: Entries a :class:`UdpModel`'s datagram-key memo may hold; a full memo
+#: is emptied, like the pair-digest memo behind ``fingerprint()``.
+_KEY_MEMO_CAP = 1024
+#: Every this-many-th key-memo hit is re-derived with ``_msg_key``
+#: (DESIGN.md, "State identity and type stability").
+_KEY_VERIFY_EVERY = 64
 
 
 def bipartitions(nodes: Sequence[str]) -> List[frozenset]:
@@ -176,6 +183,7 @@ class TcpModel(_NodeSet):
 
 
 def _msg_key(item: Tuple[str, str, Rec]) -> str:
+    """The canonical sort key of a datagram: the one definition of the order."""
     src, dst, msg = item
     return repr((src, dst, thaw(msg)))
 
@@ -186,11 +194,43 @@ class UdpModel(_NodeSet):
     The multiset is stored as a tuple kept sorted by a canonical key so
     that two states with the same in-flight messages are identical
     regardless of send order (delivery is order-free anyway).
+
+    The key of a datagram is :func:`_msg_key`, derived once per distinct
+    datagram and then looked up: a run sorts and dedupes the same few
+    dozen datagrams hundreds of thousands of times.  The memo is the
+    model's own, so it is scoped to one spec without a scoping call, and
+    the order — with it every state, fingerprint and run dir — is the
+    one ``_msg_key`` defines.  Lookup is by Python equality, so a datagram
+    field must not hold both ``True`` and ``1``; every
+    ``_KEY_VERIFY_EVERY``-th hit is re-derived, and a mismatch is a
+    :class:`~repro.core.spec.SpecError`.
     """
 
     MSGS = "netMsgs"
     DISC = "netDisconnected"
     kind = "udp"
+
+    def __init__(self, nodes: Sequence[str]):
+        super().__init__(nodes)
+        self._keys: dict = {}
+        self._unverified = 0
+
+    def _key(self, packet: Tuple[str, str, Rec]) -> str:
+        """:func:`_msg_key` of ``packet``, from the memo when it was seen."""
+        keys = self._keys
+        key = keys.get(packet)
+        if key is None:
+            key = _msg_key(packet)
+            if len(keys) >= _KEY_MEMO_CAP:
+                keys.clear()
+            keys[packet] = key
+        else:
+            self._unverified += 1
+            if self._unverified >= _KEY_VERIFY_EVERY:
+                self._unverified = 0
+                if key != _msg_key(packet):
+                    raise_type_unstable(self.MSGS, packet)
+        return key
 
     def init_vars(self) -> dict:
         return {self.MSGS: (), self.DISC: frozenset()}
@@ -206,7 +246,7 @@ class UdpModel(_NodeSet):
             return state
         packet = (src, dst, msg)
         in_flight = tuple(
-            sorted(state[self.MSGS] + (packet,), key=_msg_key)
+            sorted(state[self.MSGS] + (packet,), key=self._key)
         )
         return state.set(self.MSGS, in_flight)
 
@@ -218,8 +258,9 @@ class UdpModel(_NodeSet):
     def deliverable(self, state: Rec) -> Iterator[Tuple[str, str, Rec]]:
         """Every distinct in-flight datagram on an unblocked path."""
         seen = set()
-        for src, dst, msg in state[self.MSGS]:
-            key = _msg_key((src, dst, msg))
+        for packet in state[self.MSGS]:
+            key = self._key(packet)
+            src, dst, msg = packet
             if key in seen or self.blocked(state, src, dst):
                 continue
             seen.add(key)
@@ -236,7 +277,7 @@ class UdpModel(_NodeSet):
 
     def duplicate(self, state: Rec, src: str, dst: str, msg: Rec) -> Rec:
         in_flight = tuple(
-            sorted(state[self.MSGS] + ((src, dst, msg),), key=_msg_key)
+            sorted(state[self.MSGS] + ((src, dst, msg),), key=self._key)
         )
         return state.set(self.MSGS, in_flight)
 

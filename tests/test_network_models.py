@@ -1,10 +1,16 @@
 """Tests for the reusable TCP/UDP specification network modules."""
 
+from hashlib import blake2b
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import Rec
-from repro.specs.network import TcpModel, UdpModel, bipartitions
+from repro.core import BFSExplorer, Rec
+from repro.core.spec import SpecError
+from repro.specs import network
+from repro.specs.network import TcpModel, UdpModel, _msg_key, bipartitions
+from repro.specs.raft import RaftConfig, RaftOSSpec, WRaftSpec
 
 NODES = ("n1", "n2", "n3")
 
@@ -197,3 +203,118 @@ class TestUdpModel:
         for tag in tags:
             state = model.send(state, "n1", "n3", msg(tag))
         assert model.pending_count(state) == len(tags)
+
+
+def reference_add(in_flight, packet):
+    """What ``send`` and ``duplicate`` computed before the key memo."""
+    return tuple(sorted(in_flight + (packet,), key=_msg_key))
+
+
+def reference_deliverable(model, state):
+    """What ``deliverable`` yielded before the key memo."""
+    seen, out = set(), []
+    for src, dst, message in state[model.MSGS]:
+        key = _msg_key((src, dst, message))
+        if key in seen or model.blocked(state, src, dst):
+            continue
+        seen.add(key)
+        out.append((src, dst, message))
+    return out
+
+
+# Tags of one and of several digits: their keys sort as strings
+# ('10' < '9'), not as numbers.
+datagrams = st.tuples(
+    st.sampled_from([(a, b) for a in NODES for b in NODES if a != b]),
+    st.builds(
+        lambda kind, tag: Rec(type=kind, tag=tag),
+        st.sampled_from(["Vote", "Append"]),
+        st.sampled_from([1, 9, 10, 11, 99, 100]),
+    ),
+).map(lambda drawn: drawn[0] + (drawn[1],))
+network_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("send"), datagrams),
+        st.tuples(st.sampled_from(["duplicate", "consume"]), st.integers(0, 63)),
+        st.tuples(st.just("partition"), st.sampled_from(bipartitions(NODES))),
+        st.just(("heal", None)),
+    ),
+    max_size=40,
+)
+
+
+class TestUdpKeyMemo:
+    """The memoised datagram key orders and dedupes exactly as ``_msg_key``."""
+
+    @pytest.mark.parametrize("cap", [network._KEY_MEMO_CAP, 2], ids=["default-cap", "cap-2"])
+    @given(ops=network_ops)
+    def test_memoised_order_is_the_msg_key_order(self, cap, ops):
+        model = UdpModel(NODES)
+        state = Rec(model.init_vars())
+        with mock.patch.object(network, "_KEY_MEMO_CAP", cap):
+            for op, arg in ops:
+                in_flight = state[model.MSGS]
+                expected = None
+                if op == "send":
+                    src, dst, message = arg
+                    state = model.send(state, src, dst, message)
+                    if not model.blocked(state, src, dst):
+                        expected = reference_add(in_flight, arg)
+                elif op in ("duplicate", "consume") and in_flight:
+                    packet = in_flight[arg % len(in_flight)]
+                    state = getattr(model, op)(state, *packet)
+                    if op == "duplicate":
+                        expected = reference_add(in_flight, packet)
+                elif op == "partition":
+                    state = model.apply_partition(state, arg)
+                elif op == "heal":
+                    state = model.heal(state)
+                if expected is not None:
+                    assert state[model.MSGS] == expected
+                    assert list(map(_msg_key, state[model.MSGS])) == list(
+                        map(_msg_key, expected)
+                    )
+                assert list(model.deliverable(state)) == reference_deliverable(
+                    model, state
+                )
+            assert len(model._keys) <= cap
+
+    def test_a_field_holding_true_then_one_is_a_spec_error(self):
+        model = UdpModel(NODES)
+        state = Rec(model.init_vars())
+        with mock.patch.object(network, "_KEY_VERIFY_EVERY", 1):
+            state = model.send(state, "n1", "n2", Rec(type="M", flag=True))
+            with pytest.raises(SpecError, match="netMsgs"):
+                model.send(state, "n1", "n2", Rec(type="M", flag=1))
+
+
+#: Table 3 experiment #1 constraints (benchmarks/test_table3_exploration.py).
+EXP1_KW = dict(
+    values=("v1",),
+    max_timeouts=2,
+    max_requests=1,
+    max_crashes=0,
+    max_restarts=0,
+    max_partitions=1,
+    max_drops=0,
+    max_dups=0,
+    max_buffer=3,
+    max_term=2,
+)
+
+
+@pytest.mark.parametrize(
+    "spec_class, digest",
+    [(RaftOSSpec, "30ea499343a95460"), (WRaftSpec, "aa10b5baa4b3e384")],
+    ids=["RaftOS", "WRaft"],
+)
+def test_udp_specs_visit_the_pinned_fingerprints(spec_class, digest):
+    """The visited set of a capped BFS over a UDP spec, pinned across
+    ``PYTHONHASHSEED`` values and versions: the datagram order is part of
+    every state, so a change to it changes these digests."""
+    explorer = BFSExplorer(spec_class(RaftConfig(**EXP1_KW)), max_states=5000)
+    stats = explorer.run().stats
+    fps = sorted(fp for fp, _, _ in explorer.store.edges())
+    visited = blake2b(b"".join(fp.to_bytes(8, "big") for fp in fps), digest_size=8)
+    assert (stats.distinct_states, stats.transitions) == (5000, 7968)
+    assert visited.hexdigest() == digest

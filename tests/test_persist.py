@@ -15,15 +15,9 @@ import tempfile
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cli import main
 from repro.core import Rec, Trace, TraceStep, bfs_explore
-from repro.core.engine import (
-    CompactStore,
-    ExplorationEngine,
-    FIFOFrontier,
-    FingerprintOnlyStore,
-    SearchStats,
-    StepChecker,
-)
+from repro.core.engine import CompactStore, FingerprintOnlyStore, SearchStats
 from repro.core.parallel import ShardWorker
 from repro.core.state import CODEC_VERSION, encode, fingerprint
 from repro.core.trace import PendingTrace, from_jsonable, to_jsonable
@@ -542,6 +536,35 @@ class TestTornStoreLogs:
         roots.write_bytes(roots.read_bytes()[:-3] + b"\0\0\0\0\0\0")
         with pytest.raises(RunDirError, match=r"roots\.log"):
             run_check(CounterSpec(3, 3), tmp_path / "run", resume=True)
+
+
+class TestTornRunDirFiles:
+    """``sandtable check --resume`` over a torn segment or manifest exits 2
+    naming the file — no ``ValueError`` or ``JSONDecodeError`` traceback."""
+
+    ARGV = ["check", "--system", "pysyncobj", "--nodes", "2", "--max-states", "400",
+            "--checkpoint-states", "200"]
+
+    @pytest.mark.parametrize(
+        "victim, keep",
+        [("store/seg-0.fp", 0), ("store/seg-0.fp", 7), ("store/seg-0.fp", 8),
+         ("manifest.json", 40)],
+        ids=["empty-segment", "torn-segment", "short-segment", "truncated-manifest"],
+    )
+    def test_resume_names_the_torn_file(self, tmp_path, capsys, victim, keep):
+        argv = self.ARGV + ["--run-dir", str(tmp_path / "run")]
+        assert main(argv) == 0
+        os.truncate(tmp_path / "run" / victim, keep)
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert os.path.basename(victim) in err and "Traceback" not in err
+
+    def test_truncated_parallel_manifest_is_refused(self, tmp_path):
+        rd = RunDir.create(tmp_path / "run")
+        (rd.checkpoint_dir / "parallel.json").write_text('{"codec_version": 2, "st')
+        with pytest.raises(RunDirError, match=r"parallel\.json"):
+            load_parallel_resume(rd)
 
 
 # ---------------------------------------------------------------------------
