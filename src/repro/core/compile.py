@@ -143,14 +143,21 @@ class CompiledSpec(Spec):
     def transition_invariants(self) -> Sequence[TransitionInvariant]:
         return self._tinvariants
 
-    def successors(self, state: Rec) -> Iterator[Transition]:
+    def successors(
+        self, state: Rec, actions: Optional[frozenset] = None
+    ) -> Iterator[Transition]:
         """All enabled transitions, via the flat pre-bound action table.
 
         Yields exactly what the interpreted ``Spec.successors`` yields,
         in the same order, with the same malformed-yield diagnostics.
+        ``actions`` (``None`` = every action) selects the table entries
+        once, before the loop, so the unrestricted call pays one test.
         """
         make = Transition
-        for name, fn, guard in self._entries:
+        entries = self._entries
+        if actions is not None:
+            entries = [entry for entry in entries if entry[0] in actions]
+        for name, fn, guard in entries:
             if guard is not None and not guard(state):
                 continue
             for item in fn(state):

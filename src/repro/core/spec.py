@@ -299,10 +299,18 @@ class Spec:
         """Invalidate the cached action list (for dynamic specs)."""
         self._action_cache = None
 
-    def successors(self, state: Rec) -> Iterator[Transition]:
-        """All transitions enabled in ``state``, across all actions."""
+    def successors(
+        self, state: Rec, actions: Optional[frozenset] = None
+    ) -> Iterator[Transition]:
+        """All transitions enabled in ``state``, in action order.
+
+        ``actions`` restricts them to the actions of those names; ``None``
+        means every action.  Trace validation passes the actions a log
+        event can name, so the others are never generated.
+        """
         for action in self.cached_actions():
-            yield from action.transitions(state)
+            if actions is None or action.name in actions:
+                yield from action.transitions(state)
 
     def action_by_name(self, name: str) -> Action:
         for action in self.cached_actions():

@@ -35,6 +35,7 @@ via :meth:`repro.systems.base.SystemNode.observed_state`.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -167,8 +168,36 @@ def render_lines(header: LogHeader, events: Sequence[LogEvent]) -> List[str]:
     return lines
 
 
+def _field(lineno: int, obj: Dict[str, Any], key: str, kind: type, default: Any) -> Any:
+    """``obj[key]`` (``default`` when absent); it must be a ``kind``.
+
+    ``json.loads`` builds exactly the built-in classes, so the test is by
+    class, and ``bool`` is not ``int``: ``"seq": true`` is a wrong log,
+    not sequence number 1.
+    """
+    value = obj.get(key, default)
+    if value.__class__ is not kind:
+        raise TraceLogError(
+            f"line {lineno}: field {key!r} must be of type {kind.__name__},"
+            f" not {type(value).__name__}"
+        )
+    return value
+
+
+def _strings(lineno: int, obj: Dict[str, Any], key: str) -> Tuple[str, ...]:
+    values = _field(lineno, obj, key, list, [])
+    if not all(isinstance(value, str) for value in values):
+        raise TraceLogError(f"line {lineno}: field {key!r} must list strings")
+    return tuple(values)
+
+
 def parse_lines(lines: Iterable[str]) -> TraceLog:
-    """Parse and validate JSONL lines into a :class:`TraceLog`."""
+    """Parse and validate JSONL lines into a :class:`TraceLog`.
+
+    Every malformed line — bad JSON, a field of the wrong type, a tagged
+    value that does not decode — raises :class:`TraceLogError` naming
+    the line.
+    """
     header: Optional[LogHeader] = None
     events: List[LogEvent] = []
     counters: Dict[str, int] = {}
@@ -178,8 +207,8 @@ def parse_lines(lines: Iterable[str]) -> TraceLog:
             continue
         try:
             obj = json.loads(line)
-        except ValueError as exc:
-            raise TraceLogError(f"line {lineno}: not JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise TraceLogError(f"line {lineno}: not JSON: {exc}") from None
         if not isinstance(obj, dict) or "k" not in obj:
             raise TraceLogError(f"line {lineno}: missing record kind 'k'")
         if obj["k"] == "header":
@@ -188,16 +217,16 @@ def parse_lines(lines: Iterable[str]) -> TraceLog:
             if events:
                 raise TraceLogError(f"line {lineno}: header after events")
             version = obj.get("v")
-            if version != FORMAT_VERSION:
+            if version.__class__ is not int or version != FORMAT_VERSION:
                 raise TraceLogError(
                     f"unsupported log format version {version!r}"
                     f" (this reader speaks version {FORMAT_VERSION})"
                 )
             header = LogHeader(
-                spec=str(obj.get("spec", "")),
-                nodes=tuple(obj.get("nodes", ())),
-                observed=tuple(obj.get("observed", ())),
-                meta=dict(obj.get("meta", {})),
+                spec=_field(lineno, obj, "spec", str, ""),
+                nodes=_strings(lineno, obj, "nodes"),
+                observed=_strings(lineno, obj, "observed"),
+                meta=_field(lineno, obj, "meta", dict, {}),
                 version=version,
             )
             continue
@@ -208,29 +237,35 @@ def parse_lines(lines: Iterable[str]) -> TraceLog:
         if header is None:
             raise TraceLogError(f"line {lineno}: event before header")
         index = obj.get("i")
-        if index != len(events):
+        if index.__class__ is not int or index != len(events):
             raise TraceLogError(
                 f"line {lineno}: event index {index!r}, expected {len(events)}"
             )
-        node = str(obj.get("node", ""))
-        seq = obj.get("seq")
-        if not isinstance(seq, int) or seq <= counters.get(node, 0):
+        node = _field(lineno, obj, "node", str, "")
+        seq = _field(lineno, obj, "seq", int, None)
+        if seq <= counters.get(node, 0):
             raise TraceLogError(
                 f"line {lineno}: sequence {seq!r} for node {node!r} is not"
                 f" monotonically increasing (last {counters.get(node, 0)})"
             )
         counters[node] = seq
         name = obj.get("name")
+        if name is not None and not isinstance(name, str):
+            raise TraceLogError(f"line {lineno}: field 'name' must be a str or null")
+        args = _field(lineno, obj, "args", list, [])
+        obs = _field(lineno, obj, "obs", dict, {})
+        try:
+            args = tuple(from_jsonable(a) for a in args)
+            obs = {var: from_jsonable(value) for var, value in obs.items()}
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise TraceLogError(f"line {lineno}: undecodable value: {exc}") from None
         events.append(
             LogEvent(
                 node=node,
-                kind=str(obj.get("kind", "internal")),
-                name=None if name is None else str(name),
-                args=tuple(from_jsonable(a) for a in obj.get("args", ())),
-                obs={
-                    str(var): from_jsonable(value)
-                    for var, value in obj.get("obs", {}).items()
-                },
+                kind=_field(lineno, obj, "kind", str, "internal"),
+                name=name,
+                args=args,
+                obs=obs,
                 seq=seq,
             )
         )
@@ -246,8 +281,17 @@ def write_log(path: Any, header: LogHeader, events: Sequence[LogEvent]) -> None:
 
 
 def read_log(path: Any) -> TraceLog:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_lines(fh)
+    """Read and parse a log file; bytes that are not UTF-8 raise
+    :class:`TraceLogError` naming the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise TraceLogError(f"line {lineno}: not UTF-8 ({exc.reason})") from None
+    # Universal newlines, as reading the file in text mode splits it.
+    return parse_lines(io.StringIO(text, newline=None))
 
 
 # ---------------------------------------------------------------------------

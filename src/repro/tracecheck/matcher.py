@@ -17,6 +17,12 @@ step loop:
   transitions — and, up to a bounded **stuttering** depth, against
   transitions reachable through unobserved internal actions (the spec
   may take steps the log never records);
+* only the actions that can explain the event are generated, as in
+  arXiv 2404.16075, where each log line constrains the step to the
+  action it names: the event's action when it names one, every action
+  of its kind when it gives only a kind, all actions when it gives
+  neither.  Inside the stutter closure (depth ``< stutter_depth``) the
+  stutter actions are generated too, since the closure walks them;
 * accepted successors are deduplicated by canonical fingerprint within
   the level (two candidate histories converging on one state are one
   candidate — the :class:`~repro.core.engine.FingerprintOnlyStore`
@@ -24,7 +30,10 @@ step loop:
   breadth;
 * a candidate surviving past the last event proves conformance; if the
   frontier drains first, the deepest level reached is the divergence
-  index and the rejected transitions there become near-miss evidence.
+  index.  Nothing matched there, so :meth:`TraceMatchFrontier.report`
+  replays that level's candidates once over *all* actions and keeps the
+  rejected transitions as near-miss evidence, in the order the search
+  meets them.  Matching itself records no near miss.
 
 With metrics enabled the matcher fills the
 ``tracecheck.frontier_size`` histogram (candidates entering each level)
@@ -62,6 +71,9 @@ DEFAULT_MAX_FRONTIER = 1024
 
 #: Action kinds treated as unobserved (stutter) steps by default.
 DEFAULT_STUTTER_KINDS = frozenset({"internal"})
+
+#: An action filter for ``Spec.successors``; ``None`` is every action.
+_Actions = Optional[frozenset]
 
 
 class _LevelDeque(deque):
@@ -114,10 +126,14 @@ class TraceMatchFrontier(FrontierStrategy):
         self.stutter_steps_total = 0
         self._level = -1
         self._level_popped = 0
+        # The current level's candidates, in pop order, until one of them
+        # matches the event: only a level where nothing matched can be the
+        # divergence, and its candidates are the report's evidence.
         self._level_states: List[Rec] = []
-        self._misses_obs: List[NearMiss] = []
-        self._misses_other: List[NearMiss] = []
         self._accepted: set = set()
+        # (event name, event kind) -> (actions that can explain the
+        # event, the same plus the stutter actions).
+        self._action_sets: Dict[tuple, Tuple[_Actions, _Actions]] = {}
 
     # -- engine wiring ------------------------------------------------------
 
@@ -143,19 +159,22 @@ class TraceMatchFrontier(FrontierStrategy):
     def choose(
         self, state: Rec, successors: Iterator[Transition]
     ) -> Iterable[Transition]:
+        # ``successors`` is the engine's generator over every action.  It
+        # is dropped unstarted, so no action body runs for it: `_match`
+        # asks the spec for the actions that can explain the event only.
         level = self.frontier.last_depth
         if level != self._level:
             self._advance(level)
         self._level_popped += 1
-        if len(self._level_states) < self.keep_states:
-            self._level_states.append(state)
         if level >= len(self.events):
             # This candidate explained every event: the log conforms.
             self.completed += 1
             return ()
+        if not self._accepted:
+            self._level_states.append(state)
         event = self.events[level]
         accepted: List[Transition] = []
-        for transition, steps in self._match(state, successors, event):
+        for transition, steps in self._match(state, event, self._actions_for(event)):
             fp = self._fp(transition.target)
             if fp in self._accepted:
                 continue
@@ -168,6 +187,8 @@ class TraceMatchFrontier(FrontierStrategy):
                 self.stutter_steps_total += steps
                 if self._stutter_counter is not None:
                     self._stutter_counter.inc(steps)
+        if accepted:
+            self._level_states = []
         return accepted
 
     def empty_reason(self) -> StopReason:
@@ -184,83 +205,110 @@ class TraceMatchFrontier(FrontierStrategy):
         self._level = level
         self._level_popped = 0
         self._level_states = []
-        self._misses_obs = []
-        self._misses_other = []
         self._accepted = set()
 
+    def _actions_for(self, event: LogEvent) -> Tuple[_Actions, _Actions]:
+        """The actions that can explain ``event``, without and with the
+        stutter actions (``None`` = every action), memoised per
+        ``(name, kind)``."""
+        key = (event.name, event.kind)
+        sets = self._action_sets.get(key)
+        if sets is None:
+            if event.name is not None:
+                explain: _Actions = frozenset((event.name,))
+            elif event.kind:
+                explain = frozenset(
+                    name for name, kind in self._kinds.items() if kind == event.kind
+                )
+            else:
+                explain = None
+            sets = (explain, None if explain is None else explain | self._stutter_actions)
+            self._action_sets[key] = sets
+        return sets
+
     def _match(
-        self, state: Rec, successors: Iterator[Transition], event: LogEvent
+        self,
+        state: Rec,
+        event: LogEvent,
+        actions: Tuple[_Actions, _Actions],
+        misses: Optional[List[NearMiss]] = None,
     ) -> List[Tuple[Transition, int]]:
         """Transitions explaining ``event`` from ``state``, with their
-        stutter distance (internal steps inserted before the match)."""
+        stutter distance (internal steps inserted before the match).
+
+        ``actions`` is the filter pair of :meth:`_actions_for`; transitions
+        of the other actions can neither match nor extend the stutter
+        closure.  Rejected transitions are appended to ``misses`` when
+        one is given.
+        """
+        explain, closure = actions
         matched: List[Tuple[Transition, int]] = []
-        queue: deque = deque(((state, successors, 0),))
+        queue: deque = deque(((state, 0),))
         seen = {self._fp(state)}
         spec_successors = self._spec.successors
+        stutter_depth = self.stutter_depth
+        stutter_actions = self._stutter_actions
         while queue:
-            origin, transitions, depth = queue.popleft()
-            for transition in transitions:
-                miss = self._classify(transition, event)
-                if miss is None:
+            origin, depth = queue.popleft()
+            stutters = depth < stutter_depth
+            # Positional, like the engine's own call: a wrapped spec
+            # forwards ``*args``.
+            for transition in spec_successors(origin, closure if stutters else explain):
+                why = self._classify(transition, event)
+                if why is None:
                     matched.append((transition, depth))
-                else:
-                    self._record_miss(miss)
-                if (
-                    depth < self.stutter_depth
-                    and transition.action in self._stutter_actions
-                ):
+                elif misses is not None:
+                    misses.append(NearMiss(transition.action, tuple(transition.args), *why))
+                if stutters and transition.action in stutter_actions:
                     fp = self._fp(transition.target)
                     if fp not in seen:
                         seen.add(fp)
-                        queue.append(
-                            (
-                                transition.target,
-                                spec_successors(transition.target),
-                                depth + 1,
-                            )
-                        )
+                        queue.append((transition.target, depth + 1))
         return matched
 
-    def _classify(self, transition: Transition, event: LogEvent) -> Optional[NearMiss]:
-        """``None`` when the transition explains the event, else why not."""
+    def _classify(self, transition: Transition, event: LogEvent) -> Optional[tuple]:
+        """``None`` when the transition explains the event, else why not:
+        the :class:`NearMiss` fields after the action and arguments (a
+        constant tuple except for observed values, so a miss allocates
+        no :class:`NearMiss` until the divergence replay)."""
         if event.name is not None:
             if transition.action != event.name:
-                return NearMiss(transition.action, tuple(transition.args), "action")
+                return ("action",)
         elif event.kind and self._kinds.get(transition.action) != event.kind:
-            return NearMiss(transition.action, tuple(transition.args), "action")
+            return ("action",)
         if event.args:
             prefix = tuple(transition.args[: len(event.args)])
             if prefix != tuple(event.args):
-                return NearMiss(transition.action, tuple(transition.args), "args")
+                return ("args",)
         target = transition.target
         for var, want in event.obs.items():
             try:
                 actual = project(target, var, event.node)
             except KeyError:
-                return NearMiss(
-                    transition.action, tuple(transition.args), "missing-var", var
-                )
+                return ("missing-var", var)
             if actual != want:
-                return NearMiss(
-                    transition.action,
-                    tuple(transition.args),
-                    "obs",
-                    var,
-                    expected=want,
-                    actual=actual,
-                )
+                return ("obs", var, want, actual)
         return None
 
-    def _record_miss(self, miss: NearMiss) -> None:
-        # Observed-variable disagreements are the interesting evidence;
-        # keep them in preference to name/arity mismatches.
-        bucket = (
-            self._misses_obs
-            if miss.reason in ("obs", "missing-var")
-            else self._misses_other
-        )
-        if len(bucket) < self.keep_misses:
-            bucket.append(miss)
+    def _near_misses(self, event: LogEvent) -> List[NearMiss]:
+        """The rejected transitions of the divergence level, replayed.
+
+        Nothing matched at the last level reached, so its candidates are
+        matched once more over every action.  Observed-variable
+        disagreements are the interesting evidence; they are kept in
+        preference to action and argument mismatches, each in the order
+        the search met them.
+        """
+        obs: List[NearMiss] = []
+        other: List[NearMiss] = []
+        for state in self._level_states:
+            misses: List[NearMiss] = []
+            self._match(state, event, (None, None), misses)
+            for miss in misses:
+                bucket = obs if miss.reason in ("obs", "missing-var") else other
+                if len(bucket) < self.keep_misses:
+                    bucket.append(miss)
+        return (obs + other)[: self.keep_misses]
 
     # -- outcome ------------------------------------------------------------
 
@@ -271,19 +319,21 @@ class TraceMatchFrontier(FrontierStrategy):
         total = len(self.events)
         matched = total if conforms else max(self._level, 0)
         divergence = None if conforms else matched
-        misses = (self._misses_obs + self._misses_other)[: self.keep_misses]
+        diverged_at_event = divergence is not None and divergence < total
         return ValidationReport(
             conforms=conforms,
             events_total=total,
             events_matched=matched,
             divergence_index=divergence,
             divergence_event=(
-                self.events[divergence].label
-                if divergence is not None and divergence < total
-                else None
+                self.events[divergence].label if diverged_at_event else None
             ),
-            last_frontier=[] if conforms else list(self._level_states),
-            near_misses=[] if conforms else misses,
+            last_frontier=(
+                [] if conforms else self._level_states[: self.keep_states]
+            ),
+            near_misses=(
+                self._near_misses(self.events[divergence]) if diverged_at_event else []
+            ),
             frontier_limited=self.frontier_limited,
             stutter_depth=self.stutter_depth,
             max_frontier=self.max_frontier,

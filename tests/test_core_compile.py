@@ -117,17 +117,22 @@ class TestSuccessorEquivalence:
     def test_same_transitions_same_order(self):
         spec = small_raft()
         compiled = compile_spec(spec)
+        # ``None`` is every action; a filter must keep the unfiltered order.
+        filters = (None, frozenset({"ReceiveMessage", "ClientRequest", "NoSuchAction"}))
         frontier = list(spec.init_states())
         for _ in range(3):
             nxt = []
             for state in frontier[:20]:
-                interpreted = list(spec.successors(state))
-                fast = list(compiled.successors(state))
-                assert [(t.action, t.args, t.branch) for t in interpreted] == [
-                    (t.action, t.args, t.branch) for t in fast
-                ]
-                assert [t.target for t in interpreted] == [t.target for t in fast]
-                nxt.extend(t.target for t in interpreted)
+                every = list(spec.successors(state))
+                for actions in filters:
+                    interpreted = list(spec.successors(state, actions))
+                    fast = list(compiled.successors(state, actions))
+                    kept = [t for t in every if actions is None or t.action in actions]
+                    assert [(t.action, t.args, t.branch) for t in interpreted] == [
+                        (t.action, t.args, t.branch) for t in fast
+                    ] == [(t.action, t.args, t.branch) for t in kept]
+                    assert [t.target for t in interpreted] == [t.target for t in fast]
+                nxt.extend(t.target for t in every)
             frontier = nxt
 
     def test_guard_short_circuits(self):
