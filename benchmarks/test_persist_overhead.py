@@ -3,7 +3,7 @@
 TLC's disk fingerprint set is what lets model checking outgrow RAM; the
 cost is extra I/O on the hot path.  This benchmark measures that cost
 for the ``repro.persist`` layer on a real spec: the same BFS run with
-(a) the in-memory dict store, (b) the disk store with a roomy memory
+(a) the in-memory store, (b) the disk store with a roomy memory
 budget (edge log only), (c) the disk store with a tiny budget (constant
 segment spills and probes), and (d) a full durable run — disk store
 plus periodic checkpoints.  All four must report identical exploration
@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.core import bfs_explore
-from repro.core.engine import ExplorationEngine, FIFOFrontier, InMemoryStateStore, StepChecker
+from repro.core.engine import CompactStore, ExplorationEngine, FIFOFrontier, StepChecker
 from repro.persist import DiskStore, run_check
 from repro.specs.raft import RaftConfig, RaftOSSpec
 
@@ -46,7 +46,7 @@ def run_engine(store):
 def test_disk_store_overhead(tmp_path, emit):
     rows = []
 
-    baseline, base_s = run_engine(InMemoryStateStore())
+    baseline, base_s = run_engine(CompactStore())
 
     roomy = DiskStore(tmp_path / "roomy", memory_budget=1_000_000)
     roomy_result, roomy_s = run_engine(roomy)

@@ -984,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest.add_argument(
         "--fast",
         action="store_true",
-        help="force the traceless fast store onto every compatible matrix cell",
+        help="force the traceless fast store onto every matrix cell",
     )
     selftest.add_argument("--quiet", action="store_true", help="summary line only")
     selftest.add_argument(

@@ -25,8 +25,6 @@ from .engine import (
     FIFOFrontier,
     FingerprintOnlyStore,
     FrontierStrategy,
-    InMemoryStateStore,
-    NullStateStore,
     RandomWalkFrontier,
     ScenarioFrontier,
     SearchResult,
@@ -62,8 +60,6 @@ __all__ = [
     "FIFOFrontier",
     "FingerprintOnlyStore",
     "FrontierStrategy",
-    "InMemoryStateStore",
-    "NullStateStore",
     "RandomWalkFrontier",
     "ScenarioFrontier",
     "SearchResult",

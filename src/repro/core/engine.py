@@ -16,7 +16,11 @@ decomposition TLC uses for its BFS/simulation modes):
 * :class:`StateStore` — the visited-fingerprint set and parent map used
   for stateful deduplication and counterexample reconstruction.  The
   interface is deliberately narrow (``seen``/``record``/``chain``) so
-  sharded, parallel, or disk-backed stores can slot in behind it.
+  disk-backed stores slot in behind it.  Two in-memory shapes are
+  enough (TLC's fingerprint set and Specl's full-or-``--fast`` storage
+  make the same cut): :class:`CompactStore` keeps parent edges,
+  :class:`FingerprintOnlyStore` keeps fingerprints only.  Stateless
+  strategies (walks, scenarios, the trace matcher) run with no store.
 * :class:`StepChecker` — invariant evaluation and violation
   construction, including lazy trace building via the strategy.
 
@@ -74,11 +78,9 @@ __all__ = [
     "SearchStats",
     "SearchResult",
     "StateStore",
-    "InMemoryStateStore",
     "CompactStore",
     "FingerprintOnlyStore",
     "TracelessStoreError",
-    "NullStateStore",
     "StepChecker",
     "FrontierStrategy",
     "FIFOFrontier",
@@ -182,12 +184,11 @@ class SearchResult:
 # state stores
 # ---------------------------------------------------------------------------
 
-# Coarse per-object heap costs (64-bit CPython) behind the
-# ``store.bytes_per_state`` gauge: a 64-bit int object and a
-# ``(parent, action)`` 2-tuple.  Container hash tables are measured with
-# ``sys.getsizeof``; only the per-entry payloads are estimated.
+# Coarse per-object heap cost (64-bit CPython) behind the
+# ``store.bytes_per_state`` gauge: a 64-bit int object.  Container hash
+# tables are measured with ``sys.getsizeof``; only the per-entry
+# payloads are estimated.
 _INT_BYTES = 32
-_TUPLE2_BYTES = 72
 
 
 class TracelessStoreError(RuntimeError):
@@ -266,65 +267,16 @@ class StateStore:
         raise NotImplementedError
 
 
-class InMemoryStateStore(StateStore):
-    """The default dict-backed store: a couple of machine words per state."""
-
-    __slots__ = ("_parents", "_inits")
-
-    def __init__(self) -> None:
-        # fingerprint -> (parent fingerprint or None, action name)
-        self._parents: Dict[Any, Tuple[Optional[Any], str]] = {}
-        self._inits: Dict[Any, Rec] = {}
-
-    def seen(self, fp: Any) -> bool:
-        return fp in self._parents
-
-    def record(self, fp: Any, parent_fp: Any, action: str) -> None:
-        self._parents[fp] = (parent_fp, action)
-
-    def record_init(self, fp: Any, state: Rec) -> None:
-        self._parents[fp] = (None, "<init>")
-        self._inits[fp] = state
-
-    def init_state(self, fp: Any) -> Rec:
-        return self._inits[fp]
-
-    def chain(self, fp: Any) -> List[Tuple[Any, str]]:
-        chain: List[Tuple[Any, str]] = []
-        cursor: Optional[Any] = fp
-        while cursor is not None:
-            parent, action = self._parents[cursor]
-            chain.append((cursor, action))
-            cursor = parent
-        chain.reverse()
-        return chain
-
-    def edges(self) -> Iterator[Tuple[Any, Optional[Any], str]]:
-        for fp, (parent, action) in self._parents.items():
-            yield fp, parent, action
-
-    def roots(self) -> Iterator[Tuple[Any, Rec]]:
-        yield from self._inits.items()
-
-    def estimated_bytes(self) -> Optional[int]:
-        return (
-            sys.getsizeof(self._parents)
-            + sys.getsizeof(self._inits)
-            + len(self._parents) * (_INT_BYTES + _TUPLE2_BYTES)
-        )
-
-    def __len__(self) -> int:
-        return len(self._parents)
-
-
 class CompactStore(StateStore):
-    """Fingerprints and parent edges only — no state retention past roots.
+    """The in-memory traced store: fingerprints and parent edges, no
+    state retention past roots.
 
-    Where :class:`InMemoryStateStore` keeps one ``(parent, action)``
-    tuple object per state, this store keeps two int-to-int dict entries
-    with action names interned to small ids: no per-state tuple
-    allocation, and the per-state cost is independent of action-name
-    length.  The worker-local store of :mod:`repro.core.parallel`.
+    Two int-to-int dict entries per state, with action names interned to
+    small ids: no per-state ``(parent, action)`` tuple, and the
+    per-state cost is independent of action-name length.  The default
+    store of :class:`ExplorationEngine` and the serial explorer, the
+    worker-local store of :mod:`repro.core.parallel`, and the chain walk
+    behind every traced store (a disk store loads its edge log into one).
     """
 
     __slots__ = ("_parents", "_action_of", "_action_ids", "_action_names", "_inits")
@@ -389,6 +341,10 @@ class CompactStore(StateStore):
 
     def __len__(self) -> int:
         return len(self._parents)
+
+
+# ``benchmarks/suite`` imports the store under its former name.
+InMemoryStateStore = CompactStore
 
 
 class FingerprintOnlyStore(StateStore):
@@ -505,39 +461,6 @@ class FingerprintOnlyStore(StateStore):
 
     def __len__(self) -> int:
         return len(self._recent) + sum(len(seg) for seg in self._segments)
-
-
-class NullStateStore(StateStore):
-    """No-op store for stateless modes (random walks, scenarios)."""
-
-    __slots__ = ()
-
-    def seen(self, fp: Any) -> bool:
-        return False
-
-    def record(self, fp: Any, parent_fp: Any, action: str) -> None:
-        pass
-
-    def record_init(self, fp: Any, state: Rec) -> None:
-        pass
-
-    def init_state(self, fp: Any) -> Rec:
-        raise KeyError(fp)
-
-    def chain(self, fp: Any) -> List[Tuple[Any, str]]:
-        return []
-
-    def edges(self) -> Iterator[Tuple[Any, Optional[Any], str]]:
-        return iter(())
-
-    def roots(self) -> Iterator[Tuple[Any, Rec]]:
-        return iter(())
-
-    def estimated_bytes(self) -> Optional[int]:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +643,8 @@ class FrontierStrategy:
     flags tell the engine how to treat bounds and bookkeeping:
 
     * ``dedupe`` — route children through the :class:`StateStore`
-      (stateful exploration) instead of revisiting freely;
+      (stateful exploration) instead of revisiting freely — without it
+      the engine needs no store at all;
     * ``stop_on_bound`` — a depth bound or failing state constraint
       terminates the run (walk semantics) rather than pruning the state
       (BFS semantics);
@@ -736,11 +660,11 @@ class FrontierStrategy:
     tracks_steps = False
     check_constraint = True
     #: ``defer(child, child_fp, depth, parent_fp, transition, changed)``,
-    #: asked about every child the store has just recorded.  A true
-    #: answer takes the child over: the engine neither counts, checks
-    #: nor pushes it (a shard worker parks the children another worker
-    #: owns this way until the owner has answered).  ``None`` costs the
-    #: loop one pointer test per recorded child.
+    #: asked about every child, before the store.  A true answer takes
+    #: the child over: the engine neither probes nor records, counts,
+    #: checks or pushes it (a shard worker parks the children another
+    #: worker owns this way until the owner has answered).  ``None``
+    #: costs the loop one pointer test per child.
     defer: Optional[Callable[..., bool]] = None
 
     frontier: Any
@@ -819,7 +743,7 @@ class FIFOFrontier(FrontierStrategy):
         reducer = engine.reducer
         self._canonical = reducer.canonical if reducer is not None else None
         self._fp = engine.fingerprint
-        self._traceless = bool(getattr(engine.store, "traceless", False))
+        self._traceless = engine.store.traceless
         if self._traceless and not isinstance(self.frontier, _DepthTrackingDeque):
             self.frontier = _DepthTrackingDeque(self.frontier)
 
@@ -1008,7 +932,9 @@ class ExplorationEngine:
 
     One engine instance runs one exploration; the strategy decides the
     frontier discipline, the store decides statefulness, and the checker
-    decides what is a violation.  ``progress`` (if given) receives the
+    decides what is a violation.  A strategy that does not ``dedupe``
+    runs with no store; one that does gets a :class:`CompactStore` unless
+    it is given another.  ``progress`` (if given) receives the
     live :class:`SearchStats` every ``progress_interval`` new states —
     the unified progress-event stream shared by every mode.
 
@@ -1041,8 +967,8 @@ class ExplorationEngine:
     ):
         self.spec = spec
         self.strategy = strategy
-        if store is None:
-            store = InMemoryStateStore() if strategy.dedupe else NullStateStore()
+        if store is None and strategy.dedupe:
+            store = CompactStore()
         self.store = store
         self.checker = checker if checker is not None else StepChecker(spec)
         self.max_states = max_states
@@ -1098,8 +1024,8 @@ class ExplorationEngine:
         progress_interval = self.progress_interval
         successors = spec.successors
         state_constraint = spec.state_constraint
-        store_seen = store.seen
-        store_record = store.record
+        if dedupe:
+            store_seen, store_record = store.seen, store.record
         check_edge = checker.check_edge
         check_state = checker.check_state
         frontier = strategy.frontier
@@ -1152,7 +1078,7 @@ class ExplorationEngine:
             rate_gauge.set(
                 stats.distinct_states / stats.elapsed if stats.elapsed > 0 else 0.0
             )
-            known = len(store)
+            known = len(store) if store is not None else 0
             if known:
                 estimate = store.estimated_bytes()
                 if estimate is not None:
@@ -1256,9 +1182,6 @@ class ExplorationEngine:
                 if dedupe:
                     child = canon_fn(target) if canon_fn is not None else target
                     child_fp = fp_fn(child)
-                    if store_seen(child_fp):
-                        continue
-                    store_record(child_fp, fp, transition.action)
                     if defer is not None and defer(
                         child,
                         child_fp,
@@ -1268,6 +1191,9 @@ class ExplorationEngine:
                         changed if skip_state_invs else None,
                     ):
                         continue
+                    if store_seen(child_fp):
+                        continue
+                    store_record(child_fp, fp, transition.action)
                 else:
                     child = detach(target)
                     child_fp = None

@@ -7,13 +7,15 @@ constraint, and optionally canonicalizes states under the spec's symmetry
 sets.  Because the search is breadth-first, the first counterexample found
 for any invariant has minimal depth (§5.1.1).
 
-Since the exploration-kernel refactor this module is a thin configuration
-layer over :mod:`repro.core.engine`: a :class:`~repro.core.engine.FIFOFrontier`
-strategy plus an :class:`~repro.core.engine.InMemoryStateStore` running in
-the shared :class:`~repro.core.engine.ExplorationEngine`.  Counterexample
-traces are reconstructed from parent fingerprints by re-executing from the
-initial state and matching successor fingerprints, which keeps per-state
-memory to a couple of machine words.
+This module is a thin configuration layer over :mod:`repro.core.engine`:
+a :class:`~repro.core.engine.FIFOFrontier` strategy plus a
+:class:`~repro.core.engine.CompactStore` (or, with ``fast=True``, a
+:class:`~repro.core.engine.FingerprintOnlyStore`) running in the shared
+:class:`~repro.core.engine.ExplorationEngine`.  Counterexample traces are
+reconstructed from parent fingerprints by re-executing from the initial
+state and matching successor fingerprints, which keeps per-state memory
+to a couple of machine words.  A fast run's violation is resolved into a
+trace by :func:`research_violation`.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from typing import Any, Callable, List, Optional
 
 from .compile import maybe_compile
 from .engine import (
+    CompactStore,
     ExplorationEngine,
     FIFOFrontier,
     FingerprintOnlyStore,
-    InMemoryStateStore,
     SearchResult,
     SearchStats,
     StateStore,
@@ -55,14 +57,14 @@ class BFSExplorer:
 
     ``fast=True`` switches to the traceless
     :class:`~repro.core.engine.FingerprintOnlyStore` (8 bytes/state
-    payload, no parent edges).  A violation found by a fast run carries
-    a :class:`~repro.core.trace.PendingTrace`; with ``research=True``
-    (the default) the explorer immediately runs a *bounded re-search* —
-    a full-store serial BFS capped at the violation depth — which
-    reproduces the byte-identical minimal counterexample an ordinary
-    full-store run would have produced (the violation fires while the
-    last pre-violation level is still being expanded, so the depth cap
-    never alters pre-violation behavior).
+    payload, no parent edges).  The engine reports a fast run's
+    violation with a :class:`~repro.core.trace.PendingTrace`, which the
+    explorer always resolves by *bounded re-search*
+    (:func:`research_violation`): a full-store serial BFS capped at the
+    violation depth reproduces the byte-identical minimal counterexample
+    an ordinary full-store run would have produced (the violation fires
+    while the last pre-violation level is still being expanded, so the
+    depth cap never alters pre-violation behavior).
     """
 
     def __init__(
@@ -80,7 +82,6 @@ class BFSExplorer:
         metrics: Optional[Any] = None,
         compiled: bool = True,
         fast: bool = False,
-        research: bool = True,
     ):
         # The compiled spec is behaviourally identical (same transitions,
         # same invariant verdicts, same fingerprints) — ``compiled=False``
@@ -94,9 +95,8 @@ class BFSExplorer:
         self.progress = progress
         self.progress_interval = progress_interval
         self.fast = fast
-        self.research = research
         self._symmetry = symmetry
-        if fast and store is not None and not getattr(store, "traceless", False):
+        if fast and store is not None and not store.traceless:
             raise ValueError(
                 "fast mode needs a traceless store (FingerprintOnlyStore or a"
                 f" traceless DiskStore), got {type(store).__name__}"
@@ -105,7 +105,7 @@ class BFSExplorer:
             SymmetryReducer(spec.symmetry_sets(), key=fingerprint) if symmetry else None
         )
         if store is None:
-            store = FingerprintOnlyStore() if fast else InMemoryStateStore()
+            store = FingerprintOnlyStore() if fast else CompactStore()
         self.store = store
         self.checker = StepChecker(spec)
         self.strategy = FIFOFrontier()
@@ -136,11 +136,7 @@ class BFSExplorer:
     def run(self, resume: Optional[Any] = None) -> BFSResult:
         result = self.engine.run(resume=resume)
         violation = result.violation
-        if (
-            self.research
-            and violation is not None
-            and getattr(violation.trace, "pending", False)
-        ):
+        if violation is not None and violation.trace.pending:
             result.violation = research_violation(
                 self.spec, violation, symmetry=self._symmetry
             )
@@ -181,7 +177,6 @@ def research_violation(
         max_depth=trace.depth,
         stop_on_violation=True,
         compiled=compiled,
-        research=False,
     )
     result = explorer.run()
     found = result.violation

@@ -28,7 +28,6 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 from .compile import maybe_compile
 from .engine import (
     ExplorationEngine,
-    NullStateStore,
     ScenarioError,
     ScenarioFrontier,
     SearchStats,
@@ -81,7 +80,6 @@ def run_scenario(
     engine = ExplorationEngine(
         spec,
         strategy,
-        store=NullStateStore(),
         checker=StepChecker(spec, check_invariants=check_invariants),
         stop_on_violation=stop_on_violation,
     )

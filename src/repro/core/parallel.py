@@ -20,12 +20,13 @@ depth in up to four phases:
 1. **expand** — every worker runs the serial explorer's loop, the
    shared :class:`~repro.core.engine.ExplorationEngine`, over its
    frontier slice: one ``run()`` whose frontier ends at the level
-   boundary and whose store is the worker's view of the partitioned
-   set.  A child whose fingerprint the worker owns is deduplicated
-   against its local store, checked and queued on the spot; a foreign
-   child leaves the loop through the strategy's ``defer`` hook for a
-   per-owner *pending* list, and a claim ``(child fp, parent fp,
-   action)`` is shipped to the master.
+   boundary and whose store is the worker's own shard.  The strategy's
+   ``defer`` hook sees every child before the store does: a foreign
+   child leaves the loop there for a per-owner *pending* list the first
+   time this round generates it (repeats are dropped), and a claim
+   ``(child fp, parent fp, action)`` is shipped to the master; a child
+   the worker owns goes on to be deduplicated against its store,
+   checked and queued on the spot.
 2. **claim** — the master routes the claims and each owner dedupes them
    against its store in ``(claimer wid, sequence)`` order, records the
    edge of every new fingerprint, and answers with the accepted indices.
@@ -94,10 +95,9 @@ silent.
 
 ``fast=True`` switches every worker to the traceless
 :class:`~repro.core.engine.FingerprintOnlyStore`; the claim shape stays
-the same and owners simply keep no edge.  A violation is then reported
-with a :class:`~repro.core.trace.PendingTrace` and (with
-``research=True``) immediately resolved by a serial bounded re-search
-(:func:`repro.core.explorer.research_violation`).
+the same and owners simply keep no edge.  A violation is then found
+with a :class:`~repro.core.trace.PendingTrace` and resolved by a serial
+bounded re-search (:func:`repro.core.explorer.research_violation`).
 """
 
 from __future__ import annotations
@@ -165,6 +165,10 @@ _ViolationDesc = Tuple[str, str, int, int, str, tuple, str, Optional[bytes]]
 #: sets the round time: the slack bounds what a round can lose to
 #: imbalance, and below it moving states costs more than it saves.
 REBALANCE_SLACK = 0.10
+
+#: How many worker deaths the master absorbs (replacing the worker and
+#: rolling back to the last checkpoint) before it gives the run up.
+MAX_REASSIGNMENTS = 3
 
 
 #: The options a master hands every shard worker, name -> default, spelled
@@ -264,36 +268,6 @@ class _Level:
         return len(self._current)
 
 
-class _ClaimStore(StateStore):
-    """The partitioned fingerprint set as one worker sees it for a round.
-
-    A fingerprint owned here is answered by the worker's own store.  A
-    foreign one is for its owner to judge: it counts as new until this
-    worker has claimed it this round (the owner would refuse a second
-    claim anyway), and recording it only remembers that.
-    """
-
-    def __init__(self, local: StateStore, wid: int, workers: int):
-        self._local = local
-        self._wid = wid
-        self._workers = workers
-        self._claimed: set = set()
-
-    def seen(self, fp: int) -> bool:
-        if fp % self._workers == self._wid:
-            return self._local.seen(fp)
-        return fp in self._claimed
-
-    def record(self, fp: int, parent_fp: int, action: str) -> None:
-        if fp % self._workers == self._wid:
-            self._local.record(fp, parent_fp, action)
-        else:
-            self._claimed.add(fp)
-
-    def __len__(self) -> int:
-        return len(self._local)
-
-
 class _ShardStrategy(FrontierStrategy):
     """How a :class:`ShardWorker` runs the shared engine: one level per
     ``run()``, no seeding, foreign children parked until ``settle``."""
@@ -306,12 +280,24 @@ class _ShardStrategy(FrontierStrategy):
     def initial_states(self, spec: Spec) -> tuple:
         return ()  # seeds arrive through ``absorb``
 
-    def defer(self, child: Rec, child_fp: int, *rest: Any) -> bool:
+    def defer(
+        self,
+        child: Rec,
+        child_fp: int,
+        depth: int,
+        parent_fp: int,
+        transition: Any,
+        changed: Optional[frozenset],
+    ) -> bool:
         worker = self._worker
         owner = child_fp % worker.workers
         if owner == worker.wid:
             return False
-        worker._pending[owner].append((child, child_fp, *rest))
+        # The owner judges a claim; a second one from this round it
+        # would refuse anyway, so only the first is parked.
+        parked = worker._pending[owner]
+        if child_fp not in parked:
+            parked[child_fp] = (child, child_fp, depth, parent_fp, transition, changed)
         return True
 
     def trace_to(self, fp: int, step: Optional[TraceStep] = None) -> _Found:
@@ -350,21 +336,26 @@ class ShardWorker:
         self.workers = workers
         self.fast = options["fast"]
         self.metrics_on = options["metrics_on"]
-        self.store = FingerprintOnlyStore() if self.fast else CompactStore()
         #: the states to expand next round: ``(state, fp, depth)``
         self.frontier: deque = deque()
-        #: owner -> foreign children parked this round until ``settle``:
+        #: owner -> fp -> foreign child parked this round until ``settle``:
         #: (state, fp, depth, parent fp, transition, changed keys or None)
-        self._pending: Dict[int, list] = {}
+        self._pending: Dict[int, dict] = {}
         self._strategy = _ShardStrategy(self)
         self._engine = ExplorationEngine(
             spec,
             self._strategy,
+            store=FingerprintOnlyStore() if self.fast else CompactStore(),
             stop_on_violation=options["stop_on_violation"],
             reducer=_make_reducer(spec, options["symmetry"]),
         )
         # absorb checks before the first run has wired the tracer
         self._engine.checker.tracer = self._strategy.trace_to
+
+    @property
+    def store(self) -> StateStore:
+        """The fingerprints (and edges) owned here: the engine's own store."""
+        return self._engine.store
 
     def handle(self, msg: tuple) -> tuple:
         """Process one master op; returns the reply message."""
@@ -399,12 +390,12 @@ class ShardWorker:
     def absorb(self, seeds: list) -> tuple:
         """Seed the search: record and check the initial states owned here."""
         self._strategy.depth = 0
-        added = 0
+        store, added = self.store, 0
         for enc, fp in seeds:
-            if self.store.seen(fp):
+            if store.seen(fp):
                 continue
             state = decode(enc)
-            self.store.record_init(fp, state)
+            store.record_init(fp, state)
             added += 1
             self._engine.checker.check_state(state, fp, None)
             self.frontier.append((state, fp, 0))
@@ -414,17 +405,16 @@ class ShardWorker:
         """Expand this worker's level: one run of the shared engine.
 
         Local children are deduplicated, checked and queued by the
-        engine; foreign ones come back as claims.  A run cut short
-        (``budget``, the seconds the search has left, or a violation)
-        drops what is left of the level — the search is over — but
-        keeps the children it did generate.
+        engine; foreign ones are parked by the strategy and come back as
+        claims.  A run cut short (``budget``, the seconds the search has
+        left, or a violation) drops what is left of the level — the
+        search is over — but keeps the children it did generate.
         """
         engine, strategy = self._engine, self._strategy
         current, self.frontier = self.frontier, deque()
-        pending = self._pending = defaultdict(list)
+        pending = self._pending = defaultdict(dict)
         strategy.frontier = _Level(current, self.frontier)
         strategy.depth = current[0][2] if current else 0
-        engine.store = _ClaimStore(self.store, self.wid, self.workers)
         # Per-round observability deltas, shipped to the master with the
         # "expanded" reply and merged there.
         registry = engine.metrics = MetricsRegistry() if self.metrics_on else None
@@ -432,7 +422,10 @@ class ShardWorker:
         result = engine.run()
         stats = result.stats
         claims = {
-            owner: [(fp, parent_fp, tr.action) for _, fp, _, parent_fp, tr, _ in parked]
+            owner: [
+                (fp, parent_fp, tr.action)
+                for _, fp, _, parent_fp, tr, _ in parked.values()
+            ]
             for owner, parked in pending.items()
         }
         # the fan-out histogram and every count family the run filled
@@ -484,7 +477,7 @@ class ShardWorker:
         frontier = self.frontier
         pending, self._pending = self._pending, {}
         for owner in sorted(accepted):
-            children = pending[owner]
+            children = list(pending[owner].values())
             for index in accepted[owner]:
                 child, fp, depth, parent_fp, transition, changed = children[index]
                 check_state(child, parent_fp, transition, changed)
@@ -539,12 +532,13 @@ class ShardWorker:
         """
         from ..persist.checkpoint import parse_checkpoint
 
+        engine = self._engine
         fresh = FingerprintOnlyStore if self.fast else CompactStore
-        self.store, self.frontier, self._pending = fresh(), deque(), {}
+        engine.store, self.frontier, self._pending = fresh(), deque(), {}
         if data is not None:
             parsed = parse_checkpoint(bytes(data))
             store, frontier = parsed.restore_into(fresh()), parsed.frontier_items()
-            self.store, self.frontier = store, deque(frontier)
+            engine.store, self.frontier = store, deque(frontier)
         return ("restored", self.wid, len(self.frontier))
 
     def ping(self) -> tuple:
@@ -736,8 +730,8 @@ class ParallelBFS:
     bound).
 
     ``transport`` selects how the shard workers are reached (default:
-    :class:`ForkTransport`); ``max_reassignments`` bounds how many worker
-    deaths the master will absorb before giving up.
+    :class:`ForkTransport`); the master absorbs up to
+    :data:`MAX_REASSIGNMENTS` worker deaths before giving up.
     """
 
     def __init__(
@@ -756,9 +750,7 @@ class ParallelBFS:
         metrics: Optional[Any] = None,
         compiled: bool = True,
         fast: bool = False,
-        research: bool = True,
         transport: Optional[Any] = None,
-        max_reassignments: int = 3,
     ):
         self.spec = spec
         self.compiled = compiled
@@ -773,9 +765,7 @@ class ParallelBFS:
         self.resume = resume
         self.metrics = metrics
         self.fast = bool(fast)
-        self.research = bool(research)
         self.transport = transport
-        self.max_reassignments = max_reassignments
         self.stats = SearchStats()
         #: membership events (deaths + reassignments), carried into every
         #: checkpoint manifest and exposed to callers (the durable runner
@@ -1093,10 +1083,10 @@ class ParallelBFS:
         self._deaths += 1
         if metrics is not None:
             metrics.inc("parallel.worker_deaths")
-        if self._deaths > self.max_reassignments:
+        if self._deaths > MAX_REASSIGNMENTS:
             raise RuntimeError(
                 f"parallel BFS giving up after"
-                f" {self.max_reassignments} worker reassignments"
+                f" {MAX_REASSIGNMENTS} worker reassignments"
                 f" (last: {death})"
             ) from death
         if not self._transport.replace(death.wid):
@@ -1196,17 +1186,13 @@ class ParallelBFS:
             violations, key=lambda v: (v[2], v[1], v[0], v[3])
         )
         if self.fast:
-            # Traceless workers kept no edges to merge: report the
-            # violation with a depth-only pending trace, then (unless the
-            # caller opted out) resolve it by serial bounded re-search.
-            violation = Violation(invariant, PendingTrace(depth), kind=kind)
-            if not self.research:
-                return violation
+            # Traceless workers kept no edges to merge: resolve the
+            # depth-only pending trace by serial bounded re-search.
             from .explorer import research_violation  # local: explorer imports us
 
             return research_violation(
                 self.spec,
-                violation,
+                Violation(invariant, PendingTrace(depth), kind=kind),
                 symmetry=self.symmetry,
                 compiled=self.compiled,
             )
@@ -1260,7 +1246,6 @@ def parallel_bfs(
         if metrics is not None:
             metrics.inc(FALLBACK_SERIAL)
         kwargs.pop("transport", None)
-        kwargs.pop("max_reassignments", None)
         from .explorer import BFSExplorer
 
         return BFSExplorer(spec, **kwargs).run()

@@ -28,7 +28,6 @@ from ..obs.metrics import TIME_BOUNDS
 from .compile import maybe_compile
 from .engine import (
     ExplorationEngine,
-    NullStateStore,
     RandomWalkFrontier,
     SearchStats,
     StepChecker,
@@ -174,7 +173,6 @@ def random_walk(
     engine = ExplorationEngine(
         spec,
         strategy,
-        store=NullStateStore(),
         checker=StepChecker(spec, check_invariants=check_invariants),
         max_depth=max_depth,
         stop_on_violation=True,

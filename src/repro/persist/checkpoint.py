@@ -143,9 +143,11 @@ class CheckpointData:
 
     def restore_into(self, store: StateStore) -> StateStore:
         """Replay the dumped roots and edges into ``store``.  A state that
-        is recorded twice, or an initial state without its edge, is
-        refused: no store dumps that, and a traceless store would count
-        the state twice."""
+        is recorded twice, an initial state without its edge, or (into a
+        traced store) a parentless edge that is no initial state's is
+        refused: no store dumps that, a traceless store would count the
+        state twice, and a traced one would end a chain at a state it
+        holds no initial state for."""
 
         def new(fp: int) -> int:
             if store.seen(fp):
@@ -159,6 +161,11 @@ class CheckpointData:
         for fp, parent, action in self.edges:
             if parent is None and fp in roots:
                 roots.remove(fp)  # the root's own edge: replayed above
+            elif parent is None and not store.traceless:
+                raise RunDirError(
+                    f"{self.source} records state {fp:#018x} with no parent"
+                    " and no initial state"
+                )
             else:
                 store.record(new(fp), parent, action)
         if roots:
@@ -245,7 +252,7 @@ def build_checkpoint_bytes(
     if store_meta is None:
         # Traceless stores dump pseudo-edges (fingerprints only); tag the
         # header so resume rebuilds a FingerprintOnlyStore, not a full one.
-        if store is not None and getattr(store, "traceless", False):
+        if store is not None and store.traceless:
             store_meta = {"kind": "fponly"}
         else:
             store_meta = {"kind": "inline"}

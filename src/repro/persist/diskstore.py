@@ -14,9 +14,10 @@ Layout (all inside one store directory):
     ``(fp, parent_fp, action_id, flags)`` per :meth:`DiskStore.record`.
     The source of :meth:`edges` (the parallel merge seam) and of
     :meth:`chain` (counterexample reconstruction, which loads the log
-    into an index only when a violation actually needs a trace).  The
-    record layouts and their one decoder live in
-    :mod:`~repro.persist.rundir`, shared with the checkpoint container.
+    into a :class:`~repro.core.engine.CompactStore` only when a
+    violation actually needs a trace).  The record layouts and their one
+    decoder live in :mod:`~repro.persist.rundir`, shared with the
+    checkpoint container.
 ``roots.log``
     Append-only ``(fp, codec bytes)`` log of initial states.
 ``actions.txt``
@@ -52,7 +53,7 @@ import struct
 import sys
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from ..core.engine import _INT_BYTES, StateStore, TracelessStoreError
+from ..core.engine import _INT_BYTES, CompactStore, StateStore, TracelessStoreError
 from ..core.state import Rec, encode
 from .rundir import (
     BLOB,
@@ -159,7 +160,8 @@ class DiskStore(StateStore):
         self._action_names: List[str] = []
         self._count = 0
         self._seg_seq = 0
-        self._edge_index: Optional[Dict[int, Tuple[Optional[int], str]]] = None
+        #: the edge log loaded for chain walks; dropped by every record
+        self._traced: Optional[CompactStore] = None
 
         if _resume_meta is None:
             # a fresh store: clear leftovers from any crashed prior run
@@ -269,7 +271,7 @@ class DiskStore(StateStore):
             aid = self._intern(action)
         flags = HAS_PARENT if parent_fp is not None else 0
         self._edges_f.write(EDGE.pack(fp, parent_fp or 0, aid, flags))
-        self._edge_index = None
+        self._traced = None
         self._add(fp)
 
     def record_init(self, fp: Any, state: Rec) -> None:
@@ -279,7 +281,7 @@ class DiskStore(StateStore):
         enc = encode(state)
         self._roots_f.write(BLOB.pack(fp, len(enc)) + enc)
         self._inits[fp] = state
-        self._edge_index = None
+        self._traced = None
         self._add(fp)
 
     def init_state(self, fp: Any) -> Rec:
@@ -296,15 +298,14 @@ class DiskStore(StateStore):
                 "a traceless DiskStore keeps no parent edges, so no trace"
                 " can be reconstructed; use bounded re-search"
             )
-        index = self._ensure_edge_index()
-        chain: List[Tuple[Any, str]] = []
-        cursor: Optional[int] = fp
-        while cursor is not None:
-            parent, action = index[cursor]
-            chain.append((cursor, action))
-            cursor = parent
-        chain.reverse()
-        return chain
+        # Loaded only when a violation needs its trace (once per run, at
+        # the end): keeping the edges off the hot path is the whole point
+        # of a disk store.
+        if self._traced is None:
+            self._traced = CompactStore()
+            for edge in self.edges():
+                self._traced.record(*edge)
+        return self._traced.chain(fp)
 
     def edges(self) -> Iterator[Tuple[Any, Optional[Any], str]]:
         for fp in self._inits:
@@ -424,21 +425,6 @@ class DiskStore(StateStore):
         for segment in self._segments:
             segment.close()
         self._obsolete = []
-
-    # -- reconstruction -------------------------------------------------------
-
-    def _ensure_edge_index(self) -> Dict[int, Tuple[Optional[int], str]]:
-        """The fp -> (parent, action) map, loaded from the edge log.
-
-        Built lazily because it is only needed when a violation's trace
-        is reconstructed (once per run, at the end) — keeping it off the
-        hot path is the whole point of a disk store.
-        """
-        if self._edge_index is None:
-            self._edge_index = {
-                fp: (parent, action) for fp, parent, action in self.edges()
-            }
-        return self._edge_index
 
 
 class DiskStoreReader(StateStore):

@@ -82,7 +82,6 @@ def run_check(
     metrics: Optional[Any] = None,
     compiled: bool = True,
     fast: bool = False,
-    research: bool = True,
     transport: Optional[Any] = None,
 ) -> SearchResult:
     """Run (or resume) one durable BFS check in ``run_dir``.
@@ -165,7 +164,6 @@ def run_check(
         metrics=metrics,
         compiled=compiled,
         fast=fast,
-        research=research,
     )
     store: Optional[DiskStore] = None
     try:

@@ -4,7 +4,7 @@ For each generated spec the harness runs two phases:
 
 * **census** — the spec *without* its planted invariant, explored
   exhaustively by every configuration in the matrix: serial BFS over
-  each state store (in-memory, compact, disk), a serial cell
+  each state store (in-memory, disk), a serial cell
   whose pair-digest memo holds two entries (so it is emptied
   constantly), symmetry reduction on, sharded parallel BFS with 2 and 3 workers (with and
   without symmetry), a durable run that is killed at a checkpoint
@@ -57,7 +57,7 @@ from unittest import mock
 from ..core import compile as compile_module
 from ..core import state as state_module
 from ..core import symmetry as symmetry_module
-from ..core.engine import CompactStore, SearchResult, StopReason
+from ..core.engine import SearchResult, StopReason
 from ..core.explorer import BFSExplorer, bfs_explore
 from ..core.state import CODEC_VERSION
 from ..obs.metrics import ACTION_FIRES, MetricsRegistry
@@ -97,7 +97,7 @@ class MatrixConfig:
     name: str
     phase: str  # "census" | "violation"
     workers: int = 1
-    store: str = "memory"  # "memory" | "compact" | "disk"
+    store: str = "memory"  # "memory" | "disk" (an old "compact" runs as "memory")
     symmetry: bool = False
     durable: bool = False  # kill at a checkpoint, then resume
     compiled: bool = True  # False = interpreted Spec.successors pipeline
@@ -126,9 +126,8 @@ def build_matrix(
     when ``parallel`` is requested and the platform can fork, and
     violation cells only when a violation was actually planted.
 
-    ``fast`` *forces* the traceless store onto every cell (dropping the
-    cells whose store has no traceless variant) — the hammer behind
-    ``sandtable selftest --fast``.
+    ``fast`` *forces* the traceless store onto every cell — the hammer
+    behind ``sandtable selftest --fast``.
     """
     census: List[MatrixConfig] = [
         MatrixConfig("census/serial-memory", "census"),
@@ -136,7 +135,6 @@ def build_matrix(
         # A two-entry pair-digest memo empties itself every third distinct
         # pair: the census must not depend on what the memo holds.
         MatrixConfig("census/serial-memo-cap-2", "census", memo_cap=2),
-        MatrixConfig("census/serial-compact", "census", store="compact"),
         MatrixConfig("census/serial-disk", "census", store="disk"),
         MatrixConfig("census/durable-resume", "census", store="disk", durable=True),
         MatrixConfig(
@@ -273,8 +271,6 @@ def build_matrix(
         forced: List[MatrixConfig] = []
         seen = set()
         for cfg in matrix:
-            if cfg.store == "compact":
-                continue  # no traceless variant of this store
             cfg = dataclasses.replace(cfg, fast=True)
             # Forcing collapses cells (serial-memory forced fast ==
             # fast-serial); keep one per distinct configuration.
@@ -465,13 +461,11 @@ def _run_config(
                 )
             finally:
                 store.close()
-    store = CompactStore() if config.store == "compact" else None
     return (
         BFSExplorer(
             spec,
             symmetry=config.symmetry,
             stop_on_violation=stop,
-            store=store,
             metrics=registry,
             compiled=config.compiled,
             fast=config.fast,

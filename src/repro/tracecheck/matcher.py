@@ -49,7 +49,6 @@ from ..core.compile import maybe_compile
 from ..core.engine import (
     ExplorationEngine,
     FrontierStrategy,
-    NullStateStore,
     StepChecker,
     StopReason,
     action_kinds,
@@ -374,7 +373,6 @@ def validate_log(
     engine = ExplorationEngine(
         run_spec,
         strategy,
-        store=NullStateStore(),
         checker=StepChecker(run_spec, check_invariants=False),
         metrics=metrics,
     )

@@ -549,11 +549,11 @@ class _TrueThenOneSpec(Spec):
 _FLAG_HISTORY_PROGRAM = """
 import sys
 from repro.core import bfs_explore
-from repro.core.engine import InMemoryStateStore
+from repro.core.engine import CompactStore
 from toy_specs import FlagSpec
 
 for typing in sys.argv[1:]:
-    store = InMemoryStateStore()
+    store = CompactStore()
     result = bfs_explore(FlagSpec(typing), store=store)
 print(result.stats.distinct_states, *sorted(fp for fp, _, _ in store.edges()))
 """
@@ -587,12 +587,12 @@ class TestPairMemoScope:
 
     def test_serial_exploration_rescopes(self):
         from repro.core import bfs_explore
-        from repro.core.engine import InMemoryStateStore
+        from repro.core.engine import CompactStore
         from toy_specs import FlagSpec
 
         for typing in ("bool", "int", "float", "int"):
             spec = FlagSpec(typing)
-            store = InMemoryStateStore()
+            store = CompactStore()
             bfs_explore(spec, store=store)
             assert {fp for fp, _, _ in store.edges()} == {
                 _reference_fingerprint(state) for state in spec.reachable()
@@ -600,7 +600,7 @@ class TestPairMemoScope:
 
     def test_every_successor_walker_rescopes(self):
         from repro.core import bfs_explore
-        from repro.core.engine import InMemoryStateStore, find_matching_step
+        from repro.core.engine import CompactStore, find_matching_step
         from repro.core.parallel import ShardWorker
         from repro.temporal.graph import materialize_graph
         from toy_specs import FlagSpec
@@ -608,7 +608,7 @@ class TestPairMemoScope:
         ints = FlagSpec("int")
         (init,) = ints.init_states()
         first = _reference_fingerprint(init.update(flag=1, n=1))
-        store = InMemoryStateStore()
+        store = CompactStore()
         bfs_explore(ints, store=store)
 
         def pollute():

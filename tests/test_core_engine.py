@@ -8,6 +8,7 @@ modes, and the StateStore / StepChecker seams.
 
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -15,10 +16,10 @@ import pytest
 from repro.core import Action, Rec, Spec, bfs_explore, run_scenario, simulate
 from repro.core import engine as engine_module
 from repro.core.engine import (
+    CompactStore,
     ExplorationEngine,
     FIFOFrontier,
-    InMemoryStateStore,
-    NullStateStore,
+    RandomWalkFrontier,
     SearchStats,
     StepChecker,
     StopReason,
@@ -28,6 +29,7 @@ from repro.core.engine import (
 from repro.core.explorer import BFSExplorer
 from repro.core.simulation import random_walk
 from repro.core.state import fingerprint
+from repro.obs.metrics import MetricsRegistry
 
 from toy_specs import CounterSpec, TokenRingSpec
 
@@ -215,16 +217,15 @@ class TestTimeBudget:
 
 
 class TestDeferSeam:
-    def test_deferred_children_are_recorded_but_not_counted_checked_or_pushed(self):
-        deferred = {}
+    def test_deferred_children_bypass_the_store(self):
+        asked = Counter()
         checked = []
 
         class DeferOdd(FIFOFrontier):
             def defer(self, child, child_fp, depth, parent_fp, transition, changed):
                 if child_fp % 2 == 0:
                     return False
-                assert child_fp not in deferred, "a recorded child is never asked twice"
-                deferred[child_fp] = (parent_fp, transition.action)
+                asked[child_fp] += 1
                 return True
 
         class Recording(StepChecker):
@@ -233,24 +234,23 @@ class TestDeferSeam:
                 return super().check_state(state, pre_fp, transition, changed)
 
         spec = CounterSpec(3, 3)
-        store = InMemoryStateStore()
+        store = CompactStore()
         engine = ExplorationEngine(spec, DeferOdd(), store=store, checker=Recording(spec))
         result = engine.run()
 
-        edges = {fp: (parent, action) for fp, parent, action in store.edges()}
-        assert deferred and len(deferred) < len(edges)
-        # recorded, edge and all ...
-        assert all(edges[fp] == edge for fp, edge in deferred.items())
-        # ... but not counted, not checked, and never expanded
-        assert result.stats.distinct_states == len(edges) - len(deferred)
-        assert not set(checked) & set(deferred)
-        assert not {parent for parent, _ in edges.values()} & set(deferred)
-        assert sorted(checked) == sorted(set(edges) - set(deferred))
+        edges = {fp: parent for fp, parent, _ in store.edges()}
+        # asked before the store: every time the child is generated ...
+        assert asked and max(asked.values()) > 1
+        # ... and then never recorded, counted, checked or expanded
+        assert not set(edges) & set(asked)
+        assert result.stats.distinct_states == len(edges)
+        assert sorted(checked) == sorted(edges)
+        assert not set(edges.values()) & set(asked)
 
 
 class TestStateStore:
     def test_in_memory_store_round_trip(self):
-        store = InMemoryStateStore()
+        store = CompactStore()
         init = Rec(x=0)
         store.record_init("fp0", init)
         store.record("fp1", "fp0", "Inc")
@@ -265,15 +265,15 @@ class TestStateStore:
             ("fp2", "Inc"),
         ]
 
-    def test_null_store_never_sees(self):
-        store = NullStateStore()
-        store.record_init("fp0", Rec(x=0))
-        store.record("fp1", "fp0", "Inc")
-        assert not store.seen("fp1")
-        assert len(store) == 0
-        assert store.chain("fp1") == []
-        with pytest.raises(KeyError):
-            store.init_state("fp0")
+    def test_stateless_strategies_run_without_a_store(self):
+        spec = CounterSpec(2, 3)
+        walk = RandomWalkFrontier(random.Random(0))
+        engine = ExplorationEngine(spec, walk, max_depth=4, metrics=MetricsRegistry())
+        assert engine.store is None
+        result = engine.run()
+        assert result.stop_reason is StopReason.MAX_DEPTH
+        assert result.stats.distinct_states == 5
+        assert ExplorationEngine(spec, FIFOFrontier()).store is not None
 
 
 class TestStepChecker:

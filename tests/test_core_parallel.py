@@ -25,7 +25,6 @@ import pytest
 from repro.core import (
     Action,
     CompactStore,
-    InMemoryStateStore,
     Invariant,
     Rec,
     Spec,
@@ -204,7 +203,6 @@ class TestViolations:
 #: a deliberately tiny memory budget so every run exercises segment
 #: spills and merge compaction, not just the in-memory fast path.
 STORE_FACTORIES = [
-    pytest.param(lambda tmp: InMemoryStateStore(), id="dict"),
     pytest.param(lambda tmp: CompactStore(), id="compact"),
     pytest.param(
         lambda tmp: DiskStore(tmp / "store", memory_budget=8, max_segments=3),
@@ -214,7 +212,7 @@ STORE_FACTORIES = [
 
 
 class TestStoreEquivalence:
-    """Dict/Compact/Disk stores yield identical BFS results."""
+    """The in-memory and disk stores yield identical BFS results."""
 
     @pytest.mark.parametrize("spec_fn", [lambda: CounterSpec(2, 3), lambda: TokenRingSpec(3)])
     @pytest.mark.parametrize("store_factory", STORE_FACTORIES)

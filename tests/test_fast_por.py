@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import random
@@ -21,6 +22,8 @@ from toy_specs import CounterSpec, TokenRingSpec
 from repro.core import (
     BFSExplorer,
     CompactStore,
+    ExplorationEngine,
+    FIFOFrontier,
     FingerprintOnlyStore,
     PendingTrace,
     Rec,
@@ -145,15 +148,18 @@ class TestFastMode:
         assert not fast.violation.trace.pending
         assert trace_json(fast) == trace_json(full)
 
-    def test_research_false_leaves_pending(self):
-        result = BFSExplorer(
-            TokenRingSpec(buggy=True), fast=True, research=False
+    def test_engine_leaves_pending_for_research(self):
+        spec = TokenRingSpec(buggy=True)
+        result = ExplorationEngine(
+            spec, FIFOFrontier(), store=FingerprintOnlyStore()
         ).run()
         assert result.violation.trace.pending
         assert result.violation.depth == 2
-        resolved = research_violation(TokenRingSpec(buggy=True), result.violation)
+        resolved = research_violation(spec, result.violation)
         assert not resolved.trace.pending
         assert resolved.depth == 2
+        full = BFSExplorer(spec).run()
+        assert json.dumps(resolved.trace.to_dict(), sort_keys=True) == trace_json(full)
 
     def test_research_detects_unreachable_depth(self):
         from repro.core.violation import Violation
@@ -352,7 +358,9 @@ class TestDifferentialCells:
         assert forced, "forced matrix must not be empty"
         for config in forced:
             assert config.fast
-            assert config.store != "compact"
+        # forcing collapses cells that became one configuration
+        distinct = {dataclasses.replace(config, name="") for config in forced}
+        assert len(distinct) == len(forced)
 
     def test_small_sweep_is_clean(self):
         from repro.testkit import run_differential

@@ -40,6 +40,7 @@ from repro.persist import (
     save_violation,
     write_checkpoint,
 )
+from repro.persist.rundir import HAS_PARENT
 from toy_specs import CounterSpec, TokenRingSpec
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -439,6 +440,21 @@ class TestHostileContainers:
         raw[edge : edge + 8] = (1).to_bytes(8, "big")  # the root, again
         with pytest.raises(RunDirError, match="twice"):
             parse_checkpoint(bytes(raw)).restore_into(CompactStore())
+
+    def test_an_orphan_edge_is_refused(self):
+        store = CompactStore()
+        store.record_init(1, Rec(x=0))
+        store.record(2, 1, "Inc")
+        store.record(3, 2, "Inc")
+        raw = bytearray(build_checkpoint_bytes(store=store))
+        edge = raw.index(b"Inc") + 3 + 21  # the second edge record: 2 <- 1
+        assert raw[edge + 20] == HAS_PARENT
+        raw[edge + 20] = 0
+        with pytest.raises(RunDirError, match="0x0000000000000002"):
+            parse_checkpoint(bytes(raw)).restore_into(CompactStore())
+        worker = shard_worker(False)
+        with pytest.raises(RunDirError, match="0x0000000000000002"):
+            worker.restore(bytes(raw))
 
 
 @st.composite

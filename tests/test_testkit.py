@@ -144,7 +144,6 @@ def test_matrix_covers_required_cells():
     assert {
         "census/serial-memory",
         "census/serial-memo-cap-2",
-        "census/serial-compact",
         "census/serial-disk",
         "census/durable-resume",
     } <= names
@@ -216,6 +215,14 @@ def test_check_spec_agrees_on_a_few_seeds():
         generated = generate_spec(f"agree:{index}")
         _, disagreements = check_spec(generated, parallel=False)
         assert disagreements == [], [d.describe() for d in disagreements]
+
+
+def test_a_retired_compact_cell_runs_on_the_default_store():
+    # Artifacts written before the store merge name store="compact".
+    generated = generate_spec("agree:0")
+    retired = MatrixConfig("census/serial-compact", "census", store="compact")
+    _, disagreements = check_spec(generated, parallel=False, configs=[retired])
+    assert disagreements == [], [d.describe() for d in disagreements]
 
 
 @pytest.mark.slow
