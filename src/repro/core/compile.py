@@ -50,37 +50,48 @@ from __future__ import annotations
 from typing import Any, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from .spec import Action, Invariant, Spec, SpecError, Transition, TransitionInvariant
-from .state import Rec
+from .state import CheckedMemo, Rec
 from .state import changed_keys as rec_changed_keys
 
 __all__ = ["CompiledSpec", "compile_spec", "maybe_compile"]
 
-#: The verdict memo, one dict per state invariant that declares
-#: ``reads``: ``(value of each declared variable, in sorted name order)
-#: -> bool``.  Keyed on values, not on the pair digests ``fingerprint()``
-#: caches: random walks have no digest table, the digest key measured no
-#: faster, and it would couple this module to ``Rec._pairfps``.  One
-#: dict per invariant, so a high-cardinality projection (``netMsgs``)
-#: cannot evict a low-cardinality one's entries; each is cleared when it
-#: reaches ``_VERDICT_MEMO_CAP`` entries, which bounds the values the
-#: memo keeps alive.  Lookup is Python equality — the identity state
-#: deduplication already uses — so the type-stability rule of
-#: :func:`repro.core.state.scope_pair_memo` applies here too.  A hit
-#: trusts the declaration; every ``_VERDICT_VERIFY_EVERY``-th hit is
-#: re-evaluated, which turns an under-declared ``reads`` (silent
-#: skipped checks before the memo existed) into a
-#: :class:`~repro.core.spec.SpecError` — *probably*: a wrong
-#: declaration is caught only if a sampled hit is one whose verdict it
-#: changes.
-_VERDICT_MEMO_CAP = 1024
-_VERDICT_VERIFY_EVERY = 64
-#: Stands in the key for a declared variable the state does not have.
+#: Stands in the verdict-memo key for a declared variable the state
+#: does not have.
 _ABSENT = object()
 
 
 def _read_names(reads: FrozenSet[Any]) -> Tuple[Any, ...]:
     """The key order of a verdict-memo projection: declared names, sorted."""
     return tuple(sorted(reads, key=repr))
+
+
+def _verdict_memo(inv: Invariant) -> Tuple[Tuple[Any, ...], CheckedMemo]:
+    """The projection names and verdict memo of an invariant that declares ``reads``.
+
+    ``(value of each declared variable, in sorted name order) -> bool``,
+    keyed on values, not on the pair digests ``fingerprint()`` caches:
+    random walks have no digest table, the digest key measured no
+    faster, and it would couple this module to ``Rec._pairfps``.  One
+    memo per invariant, so a high-cardinality projection (``netMsgs``)
+    cannot evict a low-cardinality one's entries.  A hit trusts the
+    declaration; a sampled hit that re-evaluates differently turns an
+    under-declared ``reads`` (silent skipped checks before the memo
+    existed) into a :class:`~repro.core.spec.SpecError` — *probably*: a
+    wrong declaration is caught only if a sampled hit is one whose
+    verdict it changes.
+    """
+    name, fn, names = inv.name, inv.fn, _read_names(inv.reads)
+
+    def under_declared(_key: tuple, holds: bool) -> None:
+        raise SpecError(
+            f"invariant {name} is not a function of its declared"
+            f" reads {list(names)}: a state that agrees"
+            f" with an earlier one on all of them evaluates to"
+            f" {not holds}, the earlier one to {holds}; declare"
+            " every state variable the predicate inspects"
+        )
+
+    return names, CheckedMemo(lambda state: bool(fn(state)), mismatch=under_declared)
 
 
 class CompiledSpec(Spec):
@@ -107,13 +118,12 @@ class CompiledSpec(Spec):
         # two are None for an invariant that declares no reads.
         self._inv_entries = tuple(
             (inv.name, inv.fn, inv.reads)
-            + ((None, None) if inv.reads is None else (_read_names(inv.reads), {}))
+            + ((None, None) if inv.reads is None else _verdict_memo(inv))
             for inv in self._invariants
         )
         self._tinv_entries = tuple(
             (inv.name, inv.fn, inv.reads) for inv in self._tinvariants
         )
-        self._verdict_counts = {"hits": 0, "misses": 0, "clears": 0, "verified": 0}
         #: True when at least one invariant declares a read set — the
         #: engine only bothers computing per-transition changed keys
         #: when there is something to skip.
@@ -192,11 +202,10 @@ class CompiledSpec(Spec):
         everything).  An invariant with declared ``reads`` disjoint from
         ``changed`` saw the same values on the parent, where it held;
         one that is not skipped is evaluated once per distinct value of
-        its declared variables (the verdict memo, see the module
-        constants), a ``False`` verdict as much as a ``True`` one.
+        its declared variables (the verdict memo, :func:`_verdict_memo`),
+        a ``False`` verdict as much as a ``True`` one.
         """
         get = state.get
-        counts = self._verdict_counts
         for name, fn, reads, names, memo in self._inv_entries:
             if reads is None:
                 if not fn(state):
@@ -204,28 +213,7 @@ class CompiledSpec(Spec):
                 continue
             if changed is not None and reads.isdisjoint(changed):
                 continue
-            key = tuple([get(var, _ABSENT) for var in names])
-            holds = memo.get(key)
-            if holds is None:
-                holds = bool(fn(state))
-                if len(memo) >= _VERDICT_MEMO_CAP:
-                    memo.clear()
-                    counts["clears"] += 1
-                memo[key] = holds
-                counts["misses"] += 1
-            else:
-                counts["hits"] += 1
-                if counts["hits"] % _VERDICT_VERIFY_EVERY == 0:
-                    counts["verified"] += 1
-                    if bool(fn(state)) is not holds:
-                        raise SpecError(
-                            f"invariant {name} is not a function of its declared"
-                            f" reads {list(names)}: a state that agrees"
-                            f" with an earlier one on all of them evaluates to"
-                            f" {not holds}, the earlier one to {holds}; declare"
-                            " every state variable the predicate inspects"
-                        )
-            if not holds:
+            if not memo.lookup(tuple([get(var, _ABSENT) for var in names]), state):
                 return name
         return None
 
@@ -237,7 +225,11 @@ class CompiledSpec(Spec):
         the predicate), ``clears`` the times a full per-invariant memo
         was emptied, ``verified`` the hits that were re-evaluated.
         """
-        return dict(self._verdict_counts)
+        memos = [entry[4] for entry in self._inv_entries if entry[4] is not None]
+        return {
+            field: sum(getattr(memo, field) for memo in memos)
+            for field in ("hits", "misses", "clears", "verified")
+        }
 
     def check_transition(
         self,

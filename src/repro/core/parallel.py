@@ -156,8 +156,16 @@ __all__ = [
 
 #: violation descriptor: (kind, invariant, depth, fp, action, args, branch,
 #: encoded target or None) — everything the master needs to rebuild the
-#: Violation once the workers' parent edges are merged.
+#: Violation once the workers' parent edges are merged.  A worker ships
+#: the action args as codec bytes, like the target, since they may hold
+#: records the wire format cannot carry; :func:`_received` decodes them.
 _ViolationDesc = Tuple[str, str, int, int, str, tuple, str, Optional[bytes]]
+
+
+def _received(descs: List[tuple]) -> List[_ViolationDesc]:
+    """A worker's violation descriptors as the master keeps them."""
+    return [(*desc[:5], decode(desc[5]), *desc[6:]) for desc in descs]
+
 
 #: The master levels the frontiers when the largest exceeds the mean by
 #: more than this fraction (plus one state, so tiny frontiers never
@@ -374,14 +382,14 @@ class ShardWorker:
             at, step = violation.trace, violation.trace.step
             if violation.kind == "transition":
                 # named by where the step starts, plus the whole step
-                args, target = tuple(step.args), encode(step.state)
+                args, target = encode(tuple(step.args)), encode(step.state)
                 rest = (at.fp, step.action, args, step.branch, target)
             elif step is None:
-                rest = (at.fp, "", (), "", None)
+                rest = (at.fp, "", encode(()), "", None)
             else:
                 # a violating state is named by its own fingerprint
                 child = canon(step.state) if canon is not None else step.state
-                rest = (engine.fingerprint(child), step.action, (), "", None)
+                rest = (engine.fingerprint(child), step.action, encode(()), "", None)
             descs.append((violation.kind, violation.invariant, at.depth) + rest)
         return descs
 
@@ -541,8 +549,8 @@ class ShardWorker:
             engine.store, self.frontier = store, deque(frontier)
         return ("restored", self.wid, len(self.frontier))
 
-    def ping(self) -> tuple:
-        return ("pong", self.wid)
+    def ping(self, nonce: int) -> tuple:
+        return ("pong", self.wid, nonce)
 
 
 def serve_worker(
@@ -896,7 +904,7 @@ class ParallelBFS:
             {wid: ("absorb", items) for wid, items in seeds.items()}, "absorbed"
         ):
             self._count_states(wid, added)
-            self._violations.extend(viols)
+            self._violations.extend(_received(viols))
             self.frontier_sizes[wid] = size
 
     def _rewind(self, point: Optional[Any]) -> None:
@@ -1002,7 +1010,7 @@ class ParallelBFS:
             stats.transitions += transitions
             stats.pruned += pruned
             self._count_states(wid, added)
-            violations.extend(viols)
+            violations.extend(_received(viols))
             sizes[wid] = size
             truncated = truncated or was_truncated
             for owner, batch in claims.items():
@@ -1036,7 +1044,7 @@ class ParallelBFS:
             {wid: ("settle", grants) for wid, grants in granted.items()},
             "settled",
         ):
-            violations.extend(viols)
+            violations.extend(_received(viols))
             sizes[wid] = size
         self._rebalance()
 
@@ -1104,9 +1112,12 @@ class ParallelBFS:
             stacklevel=3,
         )
         # Per-worker channels keep their order: once every worker answers
-        # a ping, no stale pre-death reply can still be in flight.
+        # this recovery's ping, no stale reply can still be in flight —
+        # a pong to an earlier recovery's ping included.
         self._exchange(
-            {wid: ("ping",) for wid in range(self.workers)}, "pong", stale_ok=True
+            {wid: ("ping", self._deaths) for wid in range(self.workers)},
+            "pong",
+            barrier=self._deaths,
         )
         point = checkpointer.committed() if checkpointer is not None else None
         if metrics is not None:
@@ -1145,7 +1156,7 @@ class ParallelBFS:
     # -- plumbing -------------------------------------------------------------
 
     def _exchange(
-        self, messages: Dict[int, tuple], kind: str, stale_ok: bool = False
+        self, messages: Dict[int, tuple], kind: str, barrier: Optional[int] = None
     ) -> List[tuple]:
         """Send ``messages`` (``wid -> op``) and collect one ``kind`` reply each.
 
@@ -1153,9 +1164,10 @@ class ParallelBFS:
         master merges them in a deterministic order regardless of which
         worker (or transport) answered first — this is what makes the
         merged parent edges, and therefore reconstructed counterexample
-        traces, byte-identical across runs and transports.  ``stale_ok``
-        is the recovery's ping/pong barrier: a reply of any other kind is
-        what an aborted round left in flight, and is discarded.
+        traces, byte-identical across runs and transports.  ``barrier``
+        is the nonce of a recovery's ping/pong drain: any reply but a pong
+        echoing it is what an aborted round or an earlier drain left in
+        flight, and is discarded.
         """
         transport = self._transport
         for wid in sorted(messages):
@@ -1166,10 +1178,10 @@ class ParallelBFS:
             msg = transport.recv(timeout=1.0)
             if msg is None:
                 continue
-            if msg[0] == kind:
+            if msg[0] == kind and (barrier is None or msg[2] == barrier):
                 awaited.discard(msg[1])
                 replies.append(msg)
-            elif not stale_ok:  # pragma: no cover - protocol error
+            elif barrier is None:  # pragma: no cover - protocol error
                 raise RuntimeError(f"unexpected {msg[0]!r} (awaiting {kind!r})")
         replies.sort(key=lambda m: m[1])
         return replies

@@ -518,10 +518,9 @@ def _layout_for(keys: Tuple[Any, ...]) -> Tuple[Tuple[Tuple[bytes, Any], ...], d
 # [2] full_encodes  — records encoded (includes nested recs)
 # [3] fp_delta_hits — digest tables assembled by patching a parent's
 # [4] fp_full       — digest tables built by digesting every pair
-# [5] pair_memo_hits   — touched pairs whose digest came from the memo
-# [6] pair_memo_misses — touched pairs encoded and hashed
-# [7] pair_memo_clears — times the full memo was emptied
-_CODEC_COUNTS = [0, 0, 0, 0, 0, 0, 0, 0]
+#
+# The pair-digest memo counts its own lookups (``_PAIR_MEMO``).
+_CODEC_COUNTS = [0, 0, 0, 0, 0]
 
 #: Digest-table patching on/off, read by :func:`_pair_digests` only.
 #: Off is the reference the tests and benchmarks compare against: every
@@ -546,9 +545,9 @@ def codec_stats() -> dict:
         "full_encodes": _CODEC_COUNTS[2],
         "fp_delta_hits": _CODEC_COUNTS[3],
         "fp_full": _CODEC_COUNTS[4],
-        "pair_memo_hits": _CODEC_COUNTS[5],
-        "pair_memo_misses": _CODEC_COUNTS[6],
-        "pair_memo_clears": _CODEC_COUNTS[7],
+        "pair_memo_hits": _PAIR_MEMO.hits,
+        "pair_memo_misses": _PAIR_MEMO.misses,
+        "pair_memo_clears": _PAIR_MEMO.clears,
     }
 
 
@@ -556,6 +555,8 @@ def reset_codec_stats() -> dict:
     """Zero the codec counters; returns the counts they had."""
     stats = codec_stats()
     _CODEC_COUNTS[:] = [0] * len(_CODEC_COUNTS)
+    memo = _PAIR_MEMO
+    memo.hits = memo.misses = memo.clears = memo.verified = 0
     return stats
 
 
@@ -690,47 +691,6 @@ def decode(data: bytes) -> Any:
 # ---------------------------------------------------------------------------
 
 
-#: The pair-digest memo: ``(variable, value) -> 8-byte pair digest``.
-#: A run re-digests the same few thousand top-level pairs hundreds of
-#: thousands of times, so the delta path of :func:`_pair_digests` looks
-#: a touched pair up here and encodes + hashes it only on a miss.  The
-#: digest stored is the one the miss computed, so fingerprints do not
-#: depend on the memo's contents.  Lookup is by Python equality — the
-#: same identity ``Rec.__eq__``, frozenset members and record keys
-#: already use — so a variable must not hold both ``True`` and ``1``
-#: (or ``1`` and ``1.0``, ``0.0`` and ``-0.0``) at one position: a spec
-#: typing error, which a re-encode of every ``_PAIR_VERIFY_EVERY``-th
-#: hit turns into a :class:`~repro.core.spec.SpecError`.  Cleared when
-#: it reaches ``_PAIR_MEMO_CAP`` entries; the cap bounds the values the
-#: memo keeps alive.  The rule is per spec, so the memo is too: it holds
-#: the pairs of one spec at a time (:func:`scope_pair_memo`).
-_PAIR_MEMO: dict = {}
-_PAIR_MEMO_CAP = 1024
-_PAIR_VERIFY_EVERY = 64
-#: The spec whose pairs the memo holds.
-_PAIR_MEMO_OWNER: Any = None
-#: Hits since the last verified one; not a stat, so ``reset_codec_stats``
-#: leaves it alone.
-_PAIR_UNVERIFIED = [0]
-
-
-def scope_pair_memo(spec: Any) -> None:
-    """Empty the pair-digest memo unless it already holds ``spec``'s pairs.
-
-    Everything that generates and fingerprints successors of a spec
-    (the engine, shard workers, graph materialization, trace replay)
-    calls this first, so a variable that is a ``bool`` in one spec and
-    an ``int`` in the next one explored by the same process never meets
-    the other's digests.  A compiled spec is scoped by the spec it
-    wraps: recompiling keeps the memo.
-    """
-    global _PAIR_MEMO_OWNER
-    owner = getattr(spec, "_source", spec)
-    if owner is not _PAIR_MEMO_OWNER:
-        _PAIR_MEMO.clear()
-        _PAIR_MEMO_OWNER = owner
-
-
 def pair_digest(key_enc: bytes, value: Any) -> bytes:
     """One digest-table entry: the pair's canonical bytes, hashed to 8."""
     buf = bytearray(key_enc)
@@ -765,6 +725,91 @@ def raise_type_unstable(key: Any, value: Any) -> None:
         " (True/1/1.0 or 0.0/-0.0 at one position); state identity is"
         " Python equality, so give each position one type"
     )
+
+
+class CheckedMemo:
+    """A bounded memo looked up by ``==`` and checked by sampling.
+
+    The one home of the rules every per-value memo follows (DESIGN.md,
+    "State identity and type stability").  A miss stores ``derive(*args)``
+    unless it is ``None``; a full memo (``CAP`` entries) is emptied
+    first.  Lookup by ``==`` serves a key holding ``1`` what was derived
+    for an equal key holding ``True``, a spec typing error: every
+    ``VERIFY_EVERY``-th hit compares ``reference(*args)`` (``derive``
+    unless given) with the stored value and hands a difference to
+    ``mismatch(key, stored)``, which raises a
+    :class:`~repro.core.spec.SpecError` (by default the type-stability
+    one, for a ``(variable, value)`` key).  The sampling keeps its own
+    count, so zeroing ``hits`` / ``misses`` / ``clears`` / ``verified``
+    does not delay the next check.
+    """
+
+    CAP = 1024
+    VERIFY_EVERY = 64
+
+    def __init__(
+        self,
+        derive: Callable[..., Any],
+        reference: Optional[Callable[..., Any]] = None,
+        mismatch: Optional[Callable[[Any, Any], None]] = None,
+    ):
+        self.table: dict = {}
+        self.derive = derive
+        self.reference = reference or derive
+        self.mismatch = mismatch or (lambda pair, _: raise_type_unstable(*pair))
+        self.hits = self.misses = self.clears = self.verified = 0
+        self._since_check = 0
+
+    def lookup(self, key: Any, *args: Any) -> Any:
+        table = self.table
+        value = table.get(key)
+        if value is None:
+            value = self.derive(*args)
+            if value is not None:
+                if len(table) >= self.CAP:
+                    table.clear()
+                    self.clears += 1
+                table[key] = value
+                self.misses += 1
+            return value
+        self.hits += 1
+        self._since_check += 1
+        if self._since_check >= self.VERIFY_EVERY:
+            self._since_check = 0
+            self.verified += 1
+            if self.reference(*args) != value:
+                self.mismatch(key, value)
+        return value
+
+
+#: The pair-digest memo: ``(variable, value) -> 8-byte pair digest``.
+#: A run re-digests the same few thousand top-level pairs hundreds of
+#: thousands of times, so the delta path of :func:`_pair_digests` looks
+#: a touched pair up here and encodes + hashes it only on a miss.  The
+#: digest stored is the one the miss computed, so fingerprints do not
+#: depend on the memo's contents.  The type-stability rule is per spec,
+#: so the memo is too: it holds the pairs of one spec at a time
+#: (:func:`scope_pair_memo`).
+_PAIR_MEMO = CheckedMemo(pair_digest)
+#: The spec whose pairs the memo holds.
+_PAIR_MEMO_OWNER: Any = None
+
+
+def scope_pair_memo(spec: Any) -> None:
+    """Empty the pair-digest memo unless it already holds ``spec``'s pairs.
+
+    Everything that generates and fingerprints successors of a spec
+    (the engine, shard workers, graph materialization, trace replay)
+    calls this first, so a variable that is a ``bool`` in one spec and
+    an ``int`` in the next one explored by the same process never meets
+    the other's digests.  A compiled spec is scoped by the spec it
+    wraps: recompiling keeps the memo.
+    """
+    global _PAIR_MEMO_OWNER
+    owner = getattr(spec, "_source", spec)
+    if owner is not _PAIR_MEMO_OWNER:
+        _PAIR_MEMO.table.clear()
+        _PAIR_MEMO_OWNER = owner
 
 
 def _pair_digests(rec: Rec) -> bytes:
@@ -809,35 +854,19 @@ def _pair_digests(rec: Rec) -> bytes:
         if cursor is not None and len(touched) < n:
             pairs, key_index = layout
             table = bytearray(cursor._pairfps)
-            memo = _PAIR_MEMO
-            unverified = _PAIR_UNVERIFIED
-            counts = _CODEC_COUNTS
+            lookup = _PAIR_MEMO.lookup
             for key in touched:
                 value = contents[key]
                 i = key_index[key]
-                digest = memo.get((key, value))
-                if digest is None:
-                    digest = pair_digest(pairs[i][0], value)
-                    if len(memo) >= _PAIR_MEMO_CAP:
-                        memo.clear()
-                        counts[7] += 1
-                    memo[(key, value)] = digest
-                    counts[6] += 1
-                else:
-                    counts[5] += 1
-                    # A hit never encodes the value, so nothing else
-                    # would collapse its functional-update chain.
-                    if value.__class__ is Rec and value._touched is not None:
-                        _detach_touched(value)
-                    unverified[0] += 1
-                    if unverified[0] >= _PAIR_VERIFY_EVERY:
-                        unverified[0] = 0
-                        if digest != pair_digest(pairs[i][0], value):
-                            raise_type_unstable(key, value)
+                digest = lookup((key, value), pairs[i][0], value)
+                # A miss encoded the value, which collapsed its
+                # functional-update chain; a hit did not, so it detaches.
+                if value.__class__ is Rec and value._touched is not None:
+                    _detach_touched(value)
                 j = i * 8
                 table[j : j + 8] = digest
             pf = bytes(table)
-            counts[3] += 1
+            _CODEC_COUNTS[3] += 1
     if pf is None:
         # Full path: digest every pair, in layout order.
         pf = b"".join(

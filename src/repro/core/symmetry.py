@@ -27,25 +27,18 @@ import itertools
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .state import (
+    CheckedMemo,
     Rec,
     encode,
     fingerprint,
     pair_digest,
     pair_layout,
-    raise_type_unstable,
     rec_from_table,
     substitute,
     table_fingerprint,
 )
 
 __all__ = ["permutations_of_sets", "canonicalize", "SymmetryReducer"]
-
-#: Entries each of a reducer's two memos may hold; a full memo is emptied,
-#: like the pair-digest memo behind ``fingerprint()``.
-_ORBIT_MEMO_CAP = 1024
-#: Every this-many-th orbit-memo hit is re-derived with plain
-#: ``substitute`` (DESIGN.md, "State identity and type stability").
-_ORBIT_VERIFY_EVERY = 64
 
 #: Memoised form of "no map moves anything inside this record".
 _FIXED: Tuple[Any, ...] = ()
@@ -104,14 +97,18 @@ def canonicalize(
 class SymmetryReducer:
     """Canonical representatives for one spec's symmetry sets.
 
-    Holds the permutation maps and two bounded memos, so one reducer
+    Holds the permutation maps and two
+    :class:`~repro.core.state.CheckedMemo` instances, so one reducer
     serves one spec in one process.  ``(variable, value) -> (digests,
     images)`` is the orbit memo: the pair's digest-table entry and its
-    image under each non-identity map.  ``(variable, record) -> images``
-    shares the images of records nested inside a variable's values.
-    Both are looked up by Python equality and both are keyed by the
-    top-level variable, never across variables: ``alive == {n: True}``
-    equals ``currentTerm == {n: 1}`` and encodes differently.
+    image under each non-identity map; a sampled hit is re-derived with
+    plain ``substitute`` and compared on the digests, which tell
+    ``True`` from ``1``.  ``(variable, record) -> (images, their
+    encodings)`` shares the images of records nested inside a
+    variable's values; a sampled hit is compared on the encodings.  Both
+    are keyed by the top-level variable, never across variables:
+    ``alive == {n: True}`` equals ``currentTerm == {n: 1}`` and encodes
+    differently.
     """
 
     def __init__(
@@ -128,16 +125,9 @@ class SymmetryReducer:
             for members in self.sets
             for atom in members
         }
-        self._orbits: Dict[Tuple[Any, Any], Tuple[tuple, tuple]] = {}
-        self._nested: Dict[Tuple[Any, Rec], tuple] = {}
-        self._unverified = 0
-        self._stats = {
-            "canonical_calls": 0,
-            "identity_wins": 0,
-            "orbit_memo_hits": 0,
-            "orbit_memo_misses": 0,
-            "orbit_memo_clears": 0,
-        }
+        self._orbits = CheckedMemo(self._orbit_of, reference=self._substituted_orbit)
+        self._nested = CheckedMemo(self._nested_orbit)
+        self._stats = {"canonical_calls": 0, "identity_wins": 0}
 
     @property
     def group_size(self) -> int:
@@ -145,7 +135,13 @@ class SymmetryReducer:
 
     def stats(self) -> Dict[str, int]:
         """Cumulative counters: calls, calls the input won, memo traffic."""
-        return dict(self._stats)
+        orbits = self._orbits
+        return dict(
+            self._stats,
+            orbit_memo_hits=orbits.hits,
+            orbit_memo_misses=orbits.misses,
+            orbit_memo_clears=orbits.clears,
+        )
 
     def canonical(self, state: Rec) -> Rec:
         """The orbit member with the smallest key; ``state`` itself if it wins."""
@@ -163,22 +159,13 @@ class SymmetryReducer:
         if self.key is not fingerprint or state.__class__ is not Rec:
             return canonicalize(state, self.sets, self.key, maps)
         best_fp = fingerprint(state)
-        orbits = self._orbits
-        stats = self._stats
+        lookup = self._orbits.lookup
         entries = {}  # variable -> (digests, images), in digest-table order
         for key_enc, variable in pair_layout(state):
             value = state[variable]
-            entry = orbits.get((variable, value))
-            if entry is None:
-                entry = self._orbit_of(variable, key_enc, value)
-                if entry is None:  # a map renames the variable itself
-                    return canonicalize(state, self.sets, self.key, maps)
-            else:
-                stats["orbit_memo_hits"] += 1
-                self._unverified += 1
-                if self._unverified >= _ORBIT_VERIFY_EVERY:
-                    self._unverified = 0
-                    self._verify(variable, value, entry[1])
+            entry = lookup((variable, value), variable, key_enc, value)
+            if entry is None:  # a map renames the variable itself
+                return canonicalize(state, self.sets, self.key, maps)
             entries[variable] = entry
         # fingerprint(map . state) is the digest of that map's column
         best = None
@@ -193,18 +180,16 @@ class SymmetryReducer:
         return rec_from_table(contents, best_table, best_fp)
 
     def _orbit_of(self, variable: Any, key_enc: bytes, value: Any) -> Optional[tuple]:
-        """Compute and memoise one pair's orbit; ``None`` if its key moves."""
+        """One pair's digests and images under each map; ``None`` if its key moves."""
         if self._images(variable, variable) is not None:
             return None
         images = self._derive(variable, value) or (value,) * len(self._maps)
-        digests = tuple(pair_digest(key_enc, image) for image in images)
-        if len(self._orbits) >= _ORBIT_MEMO_CAP:
-            self._orbits.clear()
-            self._nested.clear()
-            self._stats["orbit_memo_clears"] += 1
-        entry = self._orbits[(variable, value)] = (digests, images)
-        self._stats["orbit_memo_misses"] += 1
-        return entry
+        return tuple(pair_digest(key_enc, image) for image in images), images
+
+    def _substituted_orbit(self, variable: Any, key_enc: bytes, value: Any) -> tuple:
+        """:meth:`_orbit_of` by plain ``substitute``: the sampled reference."""
+        images = tuple(substitute(value, mapping) for mapping in self._maps)
+        return tuple(pair_digest(key_enc, image) for image in images), images
 
     def _images(self, variable: Any, value: Any) -> Optional[tuple]:
         """``value``'s image under each map, or ``None`` if none moves it.
@@ -213,14 +198,16 @@ class SymmetryReducer:
         """
         if not isinstance(value, Rec):
             return self._derive(variable, value)
-        nested = self._nested
-        images = nested.get((variable, value))
-        if images is None:
-            images = self._derive(variable, value) or _FIXED
-            if len(nested) >= _ORBIT_MEMO_CAP:
-                nested.clear()
-            nested[(variable, value)] = images
-        return images or None
+        entry = self._nested.lookup((variable, value), variable, value)
+        return entry[0] if entry else None
+
+    def _nested_orbit(self, variable: Any, record: Rec) -> tuple:
+        """A nested record's images and their encodings; ``_FIXED`` if no
+        map moves it.  The encodings are what a sampled hit compares
+        (images of ``True`` and of ``1`` are ``==``); encoding the orbit
+        pair above encodes the images anyway, so each caches its bytes."""
+        images = self._derive(variable, record)
+        return (images, tuple(map(encode, images))) if images else _FIXED
 
     def _derive(self, variable: Any, value: Any) -> Optional[tuple]:
         """One level of :meth:`_images`: ``substitute``, all maps at once.
@@ -250,12 +237,6 @@ class SymmetryReducer:
             shared = all(new is old for new, old in zip(picked, items))
             images.append(value if shared else rebuild(picked))
         return tuple(images)
-
-    def _verify(self, variable: Any, value: Any, images: tuple) -> None:
-        """The sampled type-stability check of an orbit-memo hit."""
-        for mapping, image in zip(self._maps, images):
-            if encode(substitute(value, mapping)) != encode(image):
-                raise_type_unstable(variable, value)
 
     def orbit(self, state: Rec) -> List[Rec]:
         """All distinct states in the symmetry orbit of ``state``."""

@@ -67,8 +67,9 @@ __all__ = [
 #: histogram and a ``{family: counts}`` map, the symmetry reducer's
 #: counts among them; 4: the handshake's option set lost the
 #: partial-order-reduction switch, which an agent would otherwise drop
-#: silently).
-PROTOCOL_VERSION = 4
+#: silently; 5: violation descriptors carry their action args as codec
+#: bytes, and ``ping`` carries a nonce that its ``pong`` echoes).
+PROTOCOL_VERSION = 5
 
 #: Hard bound on one frame's payload: large enough for any realistic
 #: claim batch or checkpoint container, small enough that a corrupt

@@ -22,16 +22,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from ..core.state import Rec, raise_type_unstable, thaw
+from ..core.state import CheckedMemo, Rec, raise_type_unstable, thaw
 
 __all__ = ["TcpModel", "UdpModel", "bipartitions"]
-
-#: Entries a :class:`UdpModel`'s datagram-key memo may hold; a full memo
-#: is emptied, like the pair-digest memo behind ``fingerprint()``.
-_KEY_MEMO_CAP = 1024
-#: Every this-many-th key-memo hit is re-derived with ``_msg_key``
-#: (DESIGN.md, "State identity and type stability").
-_KEY_VERIFY_EVERY = 64
 
 
 def bipartitions(nodes: Sequence[str]) -> List[frozenset]:
@@ -196,14 +189,11 @@ class UdpModel(_NodeSet):
     regardless of send order (delivery is order-free anyway).
 
     The key of a datagram is :func:`_msg_key`, derived once per distinct
-    datagram and then looked up: a run sorts and dedupes the same few
-    dozen datagrams hundreds of thousands of times.  The memo is the
-    model's own, so it is scoped to one spec without a scoping call, and
-    the order — with it every state, fingerprint and run dir — is the
-    one ``_msg_key`` defines.  Lookup is by Python equality, so a datagram
-    field must not hold both ``True`` and ``1``; every
-    ``_KEY_VERIFY_EVERY``-th hit is re-derived, and a mismatch is a
-    :class:`~repro.core.spec.SpecError`.
+    datagram and then looked up in a :class:`~repro.core.state.CheckedMemo`:
+    a run sorts and dedupes the same few dozen datagrams hundreds of
+    thousands of times.  The memo is the model's own, so it is scoped to
+    one spec without a scoping call, and the order — with it every
+    state, fingerprint and run dir — is the one ``_msg_key`` defines.
     """
 
     MSGS = "netMsgs"
@@ -212,25 +202,13 @@ class UdpModel(_NodeSet):
 
     def __init__(self, nodes: Sequence[str]):
         super().__init__(nodes)
-        self._keys: dict = {}
-        self._unverified = 0
+        self._keys = CheckedMemo(
+            _msg_key, mismatch=lambda packet, _: raise_type_unstable(self.MSGS, packet)
+        )
 
     def _key(self, packet: Tuple[str, str, Rec]) -> str:
         """:func:`_msg_key` of ``packet``, from the memo when it was seen."""
-        keys = self._keys
-        key = keys.get(packet)
-        if key is None:
-            key = _msg_key(packet)
-            if len(keys) >= _KEY_MEMO_CAP:
-                keys.clear()
-            keys[packet] = key
-        else:
-            self._unverified += 1
-            if self._unverified >= _KEY_VERIFY_EVERY:
-                self._unverified = 0
-                if key != _msg_key(packet):
-                    raise_type_unstable(self.MSGS, packet)
-        return key
+        return self._keys.lookup(packet, packet)
 
     def init_vars(self) -> dict:
         return {self.MSGS: (), self.DISC: frozenset()}

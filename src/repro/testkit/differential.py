@@ -54,12 +54,9 @@ import warnings
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from unittest import mock
 
-from ..core import compile as compile_module
-from ..core import state as state_module
-from ..core import symmetry as symmetry_module
 from ..core.engine import SearchResult, StopReason
 from ..core.explorer import BFSExplorer, bfs_explore
-from ..core.state import CODEC_VERSION
+from ..core.state import CODEC_VERSION, CheckedMemo
 from ..obs.metrics import ACTION_FIRES, MetricsRegistry
 from ..persist.diskstore import DiskStore
 from ..persist.rundir import atomic_write_json, read_json
@@ -105,7 +102,7 @@ class MatrixConfig:
     exhaustive: bool = False  # violation-phase spec, stop_on_violation=False
     transport: str = "fork"  # "fork" | "socket" (repro.dist worker agents)
     dist_kill: bool = False  # kill one socket agent mid-run; spare adopts
-    memo_cap: Optional[int] = None  # pair-digest, orbit and verdict memo capacity for this cell
+    memo_cap: Optional[int] = None  # every CheckedMemo's capacity for this cell
 
     def to_dict(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -374,11 +371,7 @@ def _run_config(
     exactly, in every engine configuration.
     """
     if config.memo_cap is not None:
-        with mock.patch.object(
-            state_module, "_PAIR_MEMO_CAP", config.memo_cap
-        ), mock.patch.object(
-            symmetry_module, "_ORBIT_MEMO_CAP", config.memo_cap
-        ), mock.patch.object(compile_module, "_VERDICT_MEMO_CAP", config.memo_cap):
+        with mock.patch.object(CheckedMemo, "CAP", config.memo_cap):
             return _run_config(generated, dataclasses.replace(config, memo_cap=None))
     spec = generated.spec(invariants=config.phase == "violation")
     stop = config.phase == "violation" and not config.exhaustive

@@ -391,7 +391,7 @@ class TestDurableRuns:
 
 class TestStatsAndCoverage:
     def test_check_stats_prints_coverage_report(self, capsys, monkeypatch):
-        monkeypatch.setattr("repro.core.compile._VERDICT_VERIFY_EVERY", 64)
+        monkeypatch.setattr("repro.core.state.CheckedMemo.VERIFY_EVERY", 64)
         code = main(
             [
                 "check",

@@ -21,12 +21,14 @@ from hypothesis import example, given, strategies as st
 import repro.core.state as state_module
 from repro.core.spec import Action, Spec, SpecError
 from repro.core.state import (
+    CheckedMemo,
     Rec,
     changed_keys,
     codec_stats,
     decode,
     encode,
     fingerprint,
+    pair_digest,
     reset_codec_stats,
     scope_pair_memo,
     set_delta_codec,
@@ -519,9 +521,8 @@ def _longest_chain(value):
 
 def _empty_memo(monkeypatch):
     """An empty, unowned memo for one test; the real one comes back after."""
-    monkeypatch.setattr(state_module, "_PAIR_MEMO", {})
+    monkeypatch.setattr(state_module, "_PAIR_MEMO", CheckedMemo(pair_digest))
     monkeypatch.setattr(state_module, "_PAIR_MEMO_OWNER", None)
-    monkeypatch.setattr(state_module, "_PAIR_UNVERIFIED", [0])
 
 
 class _TrueThenOneSpec(Spec):
@@ -622,7 +623,8 @@ class TestPairMemoScope:
         assert sorted(graph.states) == sorted(fp for fp, _, _ in store.edges())
         pollute()
         ShardWorker(ints, 0, 1).expand(None)  # every round is an engine run
-        assert state_module._PAIR_MEMO_OWNER is ints and not state_module._PAIR_MEMO
+        assert state_module._PAIR_MEMO_OWNER is ints
+        assert not state_module._PAIR_MEMO.table
 
     def test_recompiling_keeps_the_memo(self):
         from repro.core.compile import compile_spec
@@ -630,18 +632,18 @@ class TestPairMemoScope:
 
         spec = FlagSpec("int")
         scope_pair_memo(compile_spec(spec))
-        state_module._PAIR_MEMO[("n", 1)] = b"12345678"
+        state_module._PAIR_MEMO.table[("n", 1)] = b"12345678"
         scope_pair_memo(compile_spec(spec))
         scope_pair_memo(spec)
-        assert state_module._PAIR_MEMO
+        assert state_module._PAIR_MEMO.table
         scope_pair_memo(FlagSpec("int"))
-        assert not state_module._PAIR_MEMO
+        assert not state_module._PAIR_MEMO.table
 
     def test_sampling_survives_reset_codec_stats(self, monkeypatch):
         """The 1-in-N check counts its own hits, not the stats counter:
         zeroing the stats between hits must not keep it from firing."""
         _empty_memo(monkeypatch)
-        monkeypatch.setattr(state_module, "_PAIR_VERIFY_EVERY", 4)
+        monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", 4)
         base = Rec(flag=False, n=0, fixed="x")
         fingerprint(base)
         fingerprint(base.set("flag", True))  # the miss that fills the memo
@@ -666,9 +668,9 @@ class TestPairDigestMemo:
 
     # cap 2: the memo is emptied on every third distinct pair, so every
     # clear boundary is crossed
-    @pytest.mark.parametrize("cap", [state_module._PAIR_MEMO_CAP, 2])
+    @pytest.mark.parametrize("cap", [CheckedMemo.CAP, 2])
     def test_fingerprints_equal_from_scratch_digest(self, monkeypatch, cap):
-        monkeypatch.setattr(state_module, "_PAIR_MEMO_CAP", cap)
+        monkeypatch.setattr(CheckedMemo, "CAP", cap)
         reset_codec_stats()
         checked = 0
         for name, spec in _memo_sweep_specs():
@@ -706,7 +708,7 @@ class TestPairDigestMemo:
     def test_type_unstable_variable_raises(self, monkeypatch):
         from repro.core import bfs_explore
 
-        monkeypatch.setattr(state_module, "_PAIR_VERIFY_EVERY", 1)
+        monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", 1)
         with pytest.raises(SpecError, match="'flag' is not type-stable"):
             bfs_explore(_TrueThenOneSpec())
 
@@ -714,7 +716,7 @@ class TestPairDigestMemo:
         from repro.core import bfs_explore
         from toy_specs import CounterSpec
 
-        monkeypatch.setattr(state_module, "_PAIR_VERIFY_EVERY", 1)
+        monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", 1)
         result = bfs_explore(CounterSpec(n_nodes=3, maximum=3))
         assert result.stats.distinct_states == 4**3
 
@@ -800,7 +802,7 @@ class TestChangedKeysAndStats:
 
     def test_pair_memo_counters_move(self, monkeypatch):
         _empty_memo(monkeypatch)
-        monkeypatch.setattr(state_module, "_PAIR_MEMO_CAP", 2)
+        monkeypatch.setattr(CheckedMemo, "CAP", 2)
         previous = set_delta_codec(True)
         try:
             reset_codec_stats()
@@ -816,7 +818,7 @@ class TestChangedKeysAndStats:
         assert stats["pair_memo_misses"] == 3
         assert stats["pair_memo_hits"] == 1
         assert stats["pair_memo_clears"] == 1
-        assert len(state_module._PAIR_MEMO) == 1
+        assert len(state_module._PAIR_MEMO.table) == 1
 
     def test_no_delta_bypasses_pair_memo(self, monkeypatch):
         _empty_memo(monkeypatch)
@@ -831,7 +833,7 @@ class TestChangedKeysAndStats:
             set_delta_codec(previous)
         assert stats["fp_full"] == 2
         assert stats["pair_memo_hits"] == stats["pair_memo_misses"] == 0
-        assert not state_module._PAIR_MEMO
+        assert not state_module._PAIR_MEMO.table
 
     def test_delta_fp_equals_full_fp(self):
         previous = set_delta_codec(True)

@@ -10,11 +10,10 @@ import random
 import pytest
 
 from repro.core import Action, Invariant, Rec, Spec, SpecError, TransitionInvariant
-from repro.core import compile as compile_module
 from repro.core.compile import CompiledSpec, compile_spec, maybe_compile
 from repro.core.explorer import BFSExplorer, bfs_explore
 from repro.core.simulation import simulate
-from repro.core.state import set_delta_codec
+from repro.core.state import CheckedMemo, set_delta_codec
 from repro.dist.specref import SPEC_CLASSES
 from repro.obs.metrics import ACTION_FIRES, CODEC_CHUNKS, VERDICT_MEMO, MetricsRegistry
 from repro.specs.raft import LEADER, PySyncObjSpec, RaftConfig
@@ -281,9 +280,9 @@ def found(spec, compiled, **kwargs):
     )
 
 
-@pytest.fixture(params=[compile_module._VERDICT_MEMO_CAP, 2])
+@pytest.fixture(params=[CheckedMemo.CAP, 2])
 def verdict_cap(request, monkeypatch):
-    monkeypatch.setattr(compile_module, "_VERDICT_MEMO_CAP", request.param)
+    monkeypatch.setattr(CheckedMemo, "CAP", request.param)
     return request.param
 
 
@@ -305,7 +304,7 @@ class TestVerdictMemoProperty:
         stats = compiled.verdict_stats()
         assert stats["hits"] > 0 and stats["misses"] > 0
         for entry in compiled._inv_entries:
-            assert entry[4] is None or len(entry[4]) <= verdict_cap
+            assert entry[4] is None or len(entry[4].table) <= verdict_cap
         if verdict_cap == 2:
             assert stats["clears"] > 0
         else:
@@ -342,7 +341,7 @@ class TestVerdictMemo:
     def test_under_declared_reads_raise_naming_the_invariant(self, monkeypatch):
         # At the shipped sampling rate (every 64th hit) a wrong declaration
         # is only *probably* caught; with every hit re-evaluated it must be.
-        monkeypatch.setattr(compile_module, "_VERDICT_VERIFY_EVERY", 1)
+        monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", 1)
         with pytest.raises(SpecError, match=r"SumBounded.*declared reads \['a'\]"):
             bfs_explore(UnderDeclaredSpec(), stop_on_violation=False)
         compiled = compile_spec(UnderDeclaredSpec())
@@ -351,14 +350,14 @@ class TestVerdictMemo:
             compiled.check_state(Rec(a=2, b=3))
 
     def test_unsampled_hit_trusts_the_declaration(self, monkeypatch):
-        monkeypatch.setattr(compile_module, "_VERDICT_VERIFY_EVERY", 64)
+        monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", 64)
         compiled = compile_spec(UnderDeclaredSpec())
         assert compiled.check_state(Rec(a=2, b=0)) is None
         assert compiled.check_state(Rec(a=2, b=3)) is None  # the stale verdict
         assert UnderDeclaredSpec().check_state(Rec(a=2, b=3)) == "SumBounded"
 
     def test_cached_false_verdict_is_reported_again(self, monkeypatch):
-        monkeypatch.setattr(compile_module, "_VERDICT_VERIFY_EVERY", 64)
+        monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", 64)
         compiled = compile_spec(CounterSpec(limit=1))
         assert compiled.check_state(Rec(a=5, b=0)) == "ABounded"
         assert compiled.check_state(Rec(a=5, b=1)) == "ABounded"
@@ -426,11 +425,17 @@ class TestVerdictMemo:
 
     def test_counters_reach_the_registry_serial_and_sharded(self):
         serial = MetricsRegistry()
-        result = bfs_explore(small_raft(), max_states=1500, metrics=serial)
+        spec = compile_spec(small_raft())
+        result = bfs_explore(spec, max_states=1500, metrics=serial)
         counts = serial.counts(VERDICT_MEMO)
         assert set(counts) <= {"hits", "misses", "clears", "verified"}
         assert counts["hits"] > counts["misses"] > 0
-        assert counts["verified"] == counts["hits"] // compile_module._VERDICT_VERIFY_EVERY
+        assert counts == {k: v for k, v in spec.verdict_stats().items() if v}
+        # each invariant's memo re-evaluates every VERIFY_EVERY-th of its own hits
+        memos = [entry[4] for entry in spec._inv_entries if entry[4] is not None]
+        assert counts["verified"] == sum(
+            memo.hits // CheckedMemo.VERIFY_EVERY for memo in memos
+        )
         sharded = MetricsRegistry()
         parallel = bfs_explore(small_raft(), max_depth=6, workers=2, metrics=sharded)
         assert parallel.stats.distinct_states > 0 and result.stats.distinct_states > 0

@@ -332,6 +332,26 @@ class InlineTransport:
         pass
 
 
+class LatePongs(InlineTransport):
+    """Worker 1 dies on the first recovery's ping, after worker 0 has
+    answered it; worker 0's replies are delivered only when no other
+    worker's is waiting, so its pong to that ping reaches the next drain
+    (each worker's replies still arrive in order)."""
+
+    def send(self, wid, msg):
+        if msg[0] == "ping" and wid == 1 and self.sent["ping"] == 1:
+            self.sent["ping"] += 1
+            raise WorkerDied(wid, "injected during the drain")
+        super().send(wid, msg)
+
+    def recv(self, timeout=1.0):
+        for i, reply in enumerate(self.replies):
+            if reply[1] != 0:
+                del self.replies[i]
+                return reply
+        return self.replies.popleft()
+
+
 class Tap:
     """Wrap a real transport; keep the ``edges`` replies the master merges."""
 
@@ -453,6 +473,17 @@ class TestClaimSettle:
             par = parallel_bfs(CounterSpec(3, 4), workers=2, transport=transport)
         assert_equivalent(serial, par)
         assert sum(len(w.store) for w in transport.workers) == serial.stats.distinct_states
+
+    def test_pong_to_an_earlier_drain_is_discarded(self):
+        # A second death during the drain leaves the survivor's pong in
+        # flight; taken for its answer to the next drain, it would leave
+        # the fresh pong to arrive in the middle of the rollback.
+        serial = bfs_explore(CounterSpec(3, 4))
+        transport = LatePongs(die=("claim", 3))
+        with pytest.warns(RuntimeWarning, match="died"):
+            par = parallel_bfs(CounterSpec(3, 4), workers=2, transport=transport)
+        assert_equivalent(serial, par)
+        assert transport.sent["ping"] == 4 and not transport.replies
 
     def test_truncated_expand_still_settles_its_round(self):
         # Worker 1 runs out of time at once in round 3; worker 0's claims
@@ -610,7 +641,7 @@ class CountingRaft(PySyncObjSpec):
 
 class TestExchangeVolume:
     def test_small_pysyncobj_routes_fingerprints_not_states(self, monkeypatch):
-        monkeypatch.setattr("repro.core.compile._VERDICT_VERIFY_EVERY", 64)
+        monkeypatch.setattr("repro.core.state.CheckedMemo.VERIFY_EVERY", 64)
         serial_spec = CountingRaft()
         serial_registry = MetricsRegistry()
         serial = bfs_explore(serial_spec, max_depth=8, metrics=serial_registry)

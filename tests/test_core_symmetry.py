@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import Rec, SymmetryReducer, bfs_explore, canonicalize, encode
-from repro.core import symmetry as symmetry_module
 from repro.core.compile import compile_spec
 from repro.core.spec import Action, Spec, SpecError
-from repro.core.state import codec_stats, fingerprint, scope_pair_memo
+from repro.core.state import CheckedMemo, codec_stats, fingerprint, scope_pair_memo
 from repro.core.symmetry import permutations_of_sets
 from repro.dist.specref import SPEC_CLASSES, make_spec
 from repro.obs.metrics import SYMMETRY, SYMMETRY_GROUP_SIZE, MetricsRegistry
@@ -145,19 +144,19 @@ def _assert_brute_force_representatives(spec, max_states):
     """``encode``, not ``==``: equality cannot tell ``True`` from ``1``."""
     sets = spec.symmetry_sets()
     reducer = SymmetryReducer(sets)
-    cap = symmetry_module._ORBIT_MEMO_CAP
+    cap = CheckedMemo.CAP
     for target, canon in _quotient_bfs(spec, reducer, max_states):
         reference = canonicalize(target, sets)
         assert encode(canon) == encode(reference)
         assert fingerprint(canon) == fingerprint(reference)
         assert (canon is target) == (reference is target)
-        assert len(reducer._orbits) <= cap and len(reducer._nested) <= cap
+        assert len(reducer._orbits.table) <= cap and len(reducer._nested.table) <= cap
     return reducer
 
 
-@pytest.fixture(params=[symmetry_module._ORBIT_MEMO_CAP, 2])
+@pytest.fixture(params=[CheckedMemo.CAP, 2])
 def memo_cap(request, monkeypatch):
-    monkeypatch.setattr(symmetry_module, "_ORBIT_MEMO_CAP", request.param)
+    monkeypatch.setattr(CheckedMemo, "CAP", request.param)
     return request.param
 
 
@@ -225,7 +224,7 @@ class BoolBesideIntSpec(Spec):
 class TestOrbitMemoRegressions:
     def test_equal_values_of_two_variables_keep_their_types(self, monkeypatch):
         # A memo keyed by value alone serves alive's images for term.
-        monkeypatch.setattr(symmetry_module, "_ORBIT_VERIFY_EVERY", 1)
+        monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", 1)
         spec = BoolBesideIntSpec()
         _assert_brute_force_representatives(spec, max_states=100)
         quotient = bfs_explore(spec, symmetry=True)
@@ -252,7 +251,7 @@ class TestOrbitMemoRegressions:
         for member in reducer.orbit(state):
             canon = reducer.canonical(member)
             assert encode(canon) == encode(canonicalize(member, [NODES]))
-        assert not reducer._orbits or all(var == "votes" for var, _ in reducer._orbits)
+        assert all(var == "votes" for var, _ in reducer._orbits.table)
 
     def test_custom_key_and_non_record_states_take_the_reference_path(self):
         by_bytes = SymmetryReducer([NODES], key=encode)
@@ -260,13 +259,13 @@ class TestOrbitMemoRegressions:
         assert encode(by_bytes.canonical(state)) == encode(
             canonicalize(state, [NODES], key=encode)
         )
-        assert not by_bytes._orbits
+        assert not by_bytes._orbits.table
         reducer = SymmetryReducer([NODES])
         assert reducer.canonical(("n3", "n1")) == canonicalize(("n3", "n1"), [NODES])
-        assert not reducer._orbits
+        assert not reducer._orbits.table
 
     def test_type_unstable_variable_raises_naming_it(self, monkeypatch):
-        monkeypatch.setattr(symmetry_module, "_ORBIT_VERIFY_EVERY", 1)
+        monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", 1)
         reducer = SymmetryReducer([NODES])
         reducer.canonical(Rec(flag=Rec({"n1": True, "n2": False, "n3": False})))
         with pytest.raises(SpecError, match="'flag' is not type-stable"):

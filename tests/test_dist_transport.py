@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.explorer import BFSExplorer, bfs_explore
 from repro.core.parallel import ForkTransport, WorkerDied, parallel_bfs
+from repro.core.state import Rec
 from repro.dist.agent import WorkerAgent
 from repro.dist.specref import resolve_spec, system_ref
 from repro.dist.specref import testkit_ref as make_testkit_ref  # noqa: N813
@@ -158,6 +159,48 @@ class TestSocketEquivalence:
         snap = registry.snapshot()["counters"]
         assert snap[WIRE_BYTES_SENT] > 0
         assert snap[WIRE_BYTES_RECEIVED] > 0
+
+
+class TestMessageCarryingViolation:
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="fork transport unavailable",
+    )
+    def test_raftos_edge_violation_matches_fork_and_serial(self):
+        # MatchIndexMonotonic breaks on delivering a stale
+        # AppendEntriesResponse: the violating step's args hold the
+        # message record, which a worker must ship to the master.
+        ref = system_ref("raftos", 2, ["R1"], "MatchIndexMonotonic")
+        serial = bfs_explore(resolve_spec(ref))
+        fork = bfs_explore(resolve_spec(ref), workers=2)
+        agents = start_agents(2)
+        try:
+            transport = SocketTransport([a.address for a in agents], ref)
+            dist = parallel_bfs(resolve_spec(ref), workers=2, transport=transport)
+        finally:
+            for agent in agents:
+                agent.close()
+        assert trace_json(dist) == trace_json(fork)
+        assert census(dist) == census(fork)
+        # The parallel runs finish the level and pick by fingerprint, the
+        # serial run stops at the first violation: one violation, at one
+        # depth, not always through the same states.
+        found = [
+            (r.violation.invariant, r.violation.kind, r.violation.depth)
+            for r in (serial, fork, dist)
+        ]
+        assert found == [("MatchIndexMonotonic", "transition", 9)] * 3
+        spec = resolve_spec(ref)
+        (invariant,) = spec.transition_invariants()
+        state = dist.violation.trace.initial
+        for step in dist.violation.trace:
+            transition = next(
+                t for t in spec.successors(state)
+                if (t.action, t.args, t.target) == (step.action, step.args, step.state)
+            )
+            pre, state = state, step.state
+        assert any(isinstance(arg, Rec) for arg in step.args)
+        assert not invariant.fn(pre, transition)
 
 
 class TestHandshakeRefusal:

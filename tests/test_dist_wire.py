@@ -6,7 +6,9 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.state import CODEC_VERSION
+from repro.core.parallel import ShardWorker, _received
+from repro.core.spec import Action, Spec, TransitionInvariant
+from repro.core.state import CODEC_VERSION, Rec, encode, fingerprint
 from repro.dist.specref import spec_fingerprint, system_ref
 from repro.dist.specref import testkit_ref as make_testkit_ref  # noqa: N813 - pytest collects test* names
 from repro.dist.wire import (
@@ -28,6 +30,28 @@ from repro.testkit.genspec import GenParams, generate_spec
 
 def roundtrip(msg):
     return decode_message(encode_message(msg))
+
+
+class RecordArgSpec(Spec):
+    """Delivering a message record breaks an edge invariant at once, so
+    the violating step's args hold a record."""
+
+    name = "record-args"
+
+    def init_states(self):
+        yield Rec(term=0)
+
+    def actions(self):
+        return [Action("Receive", self._receive)]
+
+    def _receive(self, state):
+        msg = Rec(type="Append", term=state["term"] + 1)
+        yield ("n1", msg), state.set("term", msg["term"])
+
+    def transition_invariants(self):
+        return (
+            TransitionInvariant("TermStaysZero", lambda pre, t: t.target["term"] == 0),
+        )
 
 
 class TestMessageRoundtrip:
@@ -108,6 +132,22 @@ class TestMessageRoundtripOverSpecs:
         op, items = roundtrip(("absorb", [[enc, fp, None, "seed", 0]]))
         assert items[0][0] == enc
         assert fingerprint(items[0][0]) == fp
+
+    def test_violation_with_record_args_roundtrips(self):
+        # The args of a transition invariant's violating step travel as
+        # codec bytes, like its target: the wire format has no record.
+        worker = ShardWorker(RecordArgSpec(), 0, 1)
+        (init,) = RecordArgSpec().init_states()
+        worker.absorb([(encode(init), fingerprint(init))])
+        reply = worker.expand(None)
+        assert reply[0] == "expanded"
+        out = roundtrip(reply)
+        (desc,) = _received(out[6])
+        assert [desc] == _received(reply[6])
+        assert desc[:6] == (
+            "transition", "TermStaysZero", 1, fingerprint(init), "Receive",
+            ("n1", Rec(type="Append", term=1)),
+        )
 
 
 class TestFraming:
@@ -243,7 +283,14 @@ class TestHandshake:
         option dropped."""
         hello = make_handshake(self.ref(), wid=0, workers=2)
         hello.update(proto=3, por=True)
-        assert PROTOCOL_VERSION == 4
+        assert PROTOCOL_VERSION == 5
+        assert "protocol version mismatch" in check_handshake(hello)
+
+    def test_version_4_header_refused(self):
+        """A version-4 master reads violation args as values and sends
+        pings without a nonce."""
+        hello = make_handshake(self.ref(), wid=0, workers=2)
+        hello["proto"] = 4
         assert "protocol version mismatch" in check_handshake(hello)
 
     def test_unknown_option_refused_by_name(self):

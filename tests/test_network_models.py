@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import BFSExplorer, Rec
+from repro.core.state import CheckedMemo
 from repro.core.spec import SpecError
-from repro.specs import network
 from repro.specs.network import TcpModel, UdpModel, _msg_key, bipartitions
 from repro.specs.raft import RaftConfig, RaftOSSpec, WRaftSpec
 
@@ -246,12 +246,12 @@ network_ops = st.lists(
 class TestUdpKeyMemo:
     """The memoised datagram key orders and dedupes exactly as ``_msg_key``."""
 
-    @pytest.mark.parametrize("cap", [network._KEY_MEMO_CAP, 2], ids=["default-cap", "cap-2"])
+    @pytest.mark.parametrize("cap", [CheckedMemo.CAP, 2], ids=["default-cap", "cap-2"])
     @given(ops=network_ops)
     def test_memoised_order_is_the_msg_key_order(self, cap, ops):
         model = UdpModel(NODES)
         state = Rec(model.init_vars())
-        with mock.patch.object(network, "_KEY_MEMO_CAP", cap):
+        with mock.patch.object(CheckedMemo, "CAP", cap):
             for op, arg in ops:
                 in_flight = state[model.MSGS]
                 expected = None
@@ -277,12 +277,12 @@ class TestUdpKeyMemo:
                 assert list(model.deliverable(state)) == reference_deliverable(
                     model, state
                 )
-            assert len(model._keys) <= cap
+            assert len(model._keys.table) <= cap
 
     def test_a_field_holding_true_then_one_is_a_spec_error(self):
         model = UdpModel(NODES)
         state = Rec(model.init_vars())
-        with mock.patch.object(network, "_KEY_VERIFY_EVERY", 1):
+        with mock.patch.object(CheckedMemo, "VERIFY_EVERY", 1):
             state = model.send(state, "n1", "n2", Rec(type="M", flag=True))
             with pytest.raises(SpecError, match="netMsgs"):
                 model.send(state, "n1", "n2", Rec(type="M", flag=1))
