@@ -73,7 +73,6 @@ def detect(
     seed: int = 0,
     metrics: Optional[Any] = None,
     progress: Optional[Any] = None,
-    compiled: bool = True,
 ) -> DetectionResult:
     """Run the registry-recorded detection for one verification bug."""
     if bug.stage != "verification":
@@ -87,7 +86,6 @@ def detect(
             time_budget=time_budget,
             metrics=metrics,
             progress=progress,
-            compiled=compiled,
         )
         return DetectionResult(
             bug=bug,
@@ -107,7 +105,6 @@ def detect(
         stop_on_violation=True,
         time_budget=time_budget,
         metrics=metrics,
-        compiled=compiled,
     )
     violation = sim.first_violation
     return DetectionResult(

@@ -38,7 +38,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .bugs import BUGS, detect
 from .conformance import BugReplayer, ConformanceChecker, mapping_for
@@ -61,19 +61,26 @@ from .systems import SYSTEMS
 from .temporal import PROPERTY_NAMES
 
 
-def _workers_value(text: str) -> int:
-    """argparse type for ``--workers``: a positive integer, or exit 2."""
-    try:
-        value = int(str(text).strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer worker count, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"worker count must be >= 1, got {value} (1 means serial)"
-        )
-    return value
+def _positive(kind: Callable[[str], Any], what: str, note: str = "") -> Callable[[str], Any]:
+    """An argparse type: an ``int`` or ``float`` above zero, or exit 2."""
+    bound = ">= 1, a positive integer" if kind is int else "> 0, a positive number"
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(str(text).strip())
+        except ValueError:
+            value = None
+        if value is None or not value > 0:  # NaN included
+            raise argparse.ArgumentTypeError(f"{what} must be {bound}; got {text!r}{note}")
+        return value
+
+    return parse
+
+
+_workers_value = _positive(int, "worker count", " (1 means serial)")
+_nodes_value = _positive(int, "node count")
+_states_value = _positive(int, "state count")
+_seconds_value = _positive(float, "seconds")
 
 
 def _resolve_workers(args: argparse.Namespace) -> int:
@@ -646,7 +653,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         # deterministic implementation-level confirmation.
         try:
             violation = load_violation(args.trace)
-        except RunDirError as exc:
+        except (OSError, RunDirError) as exc:
             print(exc, file=sys.stderr)
             return 2
         if args.bug_id:
@@ -740,10 +747,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--system", required=True, choices=sorted(SPEC_CLASSES))
-        p.add_argument("--nodes", type=int, default=3)
+        p.add_argument("--nodes", type=_nodes_value, default=3)
         p.add_argument("--bug", action="append", default=[], help="seed a bug flag")
         p.add_argument("--invariant", help="check only this invariant")
-        p.add_argument("--time-budget", type=float, default=60.0)
+        p.add_argument("--time-budget", type=_seconds_value, default=60.0)
         p.add_argument("--seed", type=int, default=0)
 
     def stats_args(p):
@@ -760,7 +767,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="BFS model checking")
     common(check)
-    check.add_argument("--max-states", type=int, default=1_000_000)
+    check.add_argument("--max-states", type=_states_value, default=1_000_000)
     check.add_argument("--symmetry", action="store_true")
     check.add_argument(
         "--fast",
@@ -794,14 +801,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--checkpoint-every",
-        type=float,
+        type=_seconds_value,
         default=None,
         metavar="SECONDS",
         help="checkpoint cadence in seconds (default 60 with --run-dir)",
     )
     check.add_argument(
         "--checkpoint-states",
-        type=int,
+        type=_states_value,
         default=None,
         metavar="N",
         help="also checkpoint every N newly recorded states",
@@ -831,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run_dir", help="a finished `sandtable check --run-dir` directory"
     )
     liveness.add_argument("--system", required=True, choices=sorted(SPEC_CLASSES))
-    liveness.add_argument("--nodes", type=int, default=3)
+    liveness.add_argument("--nodes", type=_nodes_value, default=3)
     liveness.add_argument("--bug", action="append", default=[], help="seed a bug flag")
     liveness.add_argument(
         "--temporal",
@@ -881,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     vt.add_argument(
         "--nodes",
-        type=int,
+        type=_nodes_value,
         default=None,
         help="cluster size (default: the log header's node count)",
     )
@@ -911,7 +918,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", help="run one registry bug detection")
     det.add_argument("bug_id", choices=sorted(BUGS))
-    det.add_argument("--time-budget", type=float, default=120.0)
+    det.add_argument("--time-budget", type=_seconds_value, default=120.0)
     det.add_argument("--seed", type=int, default=0)
     det.add_argument(
         "--out", help="save the violation trace as a replayable JSON artifact"
@@ -945,9 +952,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(SPEC_CLASSES),
         help="spec for --trace replay when no bug_id is given",
     )
-    rep.add_argument("--nodes", type=int, default=3)
+    rep.add_argument("--nodes", type=_nodes_value, default=3)
     rep.add_argument("--bug", action="append", default=[], help="seed a bug flag")
-    rep.add_argument("--time-budget", type=float, default=120.0)
+    rep.add_argument("--time-budget", type=_seconds_value, default=120.0)
     rep.add_argument("--seed", type=int, default=0)
     rep.set_defaults(fn=cmd_replay)
 

@@ -39,10 +39,10 @@ delegates unknown attributes to it), so every consumer is a one-line
 change.  Compiling prunes nothing: the compiled spec explores exactly
 the states and transitions of the source spec, so :func:`compile_spec`
 is idempotent and a compiled and an interpreted run of one spec can
-share a run directory.  Callers that pass ``compiled=False`` get the
-interpreted pipeline, byte for byte the same results: the testkit's
-reference cells and the benchmarks use it; no command-line flag or
-environment variable selects it.
+share a run directory.  Every entry point compiles; the interpreted
+pipeline is :class:`~repro.core.engine.ExplorationEngine` over the raw
+:class:`~repro.core.spec.Spec`, which the engine never compiles — the
+testkit oracle and the equivalence tests use it as the reference.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .spec import Action, Invariant, Spec, SpecError, Transition, TransitionInva
 from .state import CheckedMemo, Rec
 from .state import changed_keys as rec_changed_keys
 
-__all__ = ["CompiledSpec", "compile_spec", "maybe_compile"]
+__all__ = ["CompiledSpec", "compile_spec"]
 
 #: Stands in the verdict-memo key for a declared variable the state
 #: does not have.
@@ -277,13 +277,9 @@ class CompiledSpec(Spec):
         return f"CompiledSpec({self._source!r})"
 
 
-def compile_spec(spec: Spec) -> CompiledSpec:
-    """Compile ``spec`` into its hot-path form (idempotent)."""
-    if isinstance(spec, CompiledSpec):
-        return spec
-    return CompiledSpec(spec)
-
-
-def maybe_compile(spec: Spec, compiled: bool = True) -> Spec:
-    """Compile ``spec`` unless the caller passed ``compiled=False``."""
-    return compile_spec(spec) if compiled else spec
+def compile_spec(spec: Any) -> Any:
+    """Compile a :class:`Spec` once; return anything else (a
+    :class:`CompiledSpec`, a proxy over compiled code) unchanged."""
+    if isinstance(spec, Spec) and not isinstance(spec, CompiledSpec):
+        return CompiledSpec(spec)
+    return spec

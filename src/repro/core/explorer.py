@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-from .compile import maybe_compile
+from .compile import compile_spec
 from .engine import (
     CompactStore,
     ExplorationEngine,
@@ -80,13 +80,11 @@ class BFSExplorer:
         store: Optional[StateStore] = None,
         checkpointer: Optional[Any] = None,
         metrics: Optional[Any] = None,
-        compiled: bool = True,
         fast: bool = False,
     ):
         # The compiled spec is behaviourally identical (same transitions,
-        # same invariant verdicts, same fingerprints) — ``compiled=False``
-        # falls back to the interpreted pipeline.
-        spec = maybe_compile(spec, compiled)
+        # same invariant verdicts, same fingerprints), only faster.
+        spec = compile_spec(spec)
         self.spec = spec
         self.max_states = max_states
         self.max_depth = max_depth
@@ -147,7 +145,6 @@ def research_violation(
     spec: Spec,
     violation: Violation,
     symmetry: bool = False,
-    compiled: bool = True,
 ) -> Violation:
     """Bounded re-search: resolve a traceless violation into a real trace.
 
@@ -176,7 +173,6 @@ def research_violation(
         symmetry=symmetry,
         max_depth=trace.depth,
         stop_on_violation=True,
-        compiled=compiled,
     )
     result = explorer.run()
     found = result.violation

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .compile import maybe_compile
+from .compile import compile_spec
 from .engine import (
     ExplorationEngine,
     ScenarioError,
@@ -67,7 +67,6 @@ def run_scenario(
     check_invariants: bool = True,
     allow_ambiguous: bool = False,
     stop_on_violation: bool = True,
-    compiled: bool = True,
 ) -> ScenarioResult:
     """Drive ``spec`` through ``picks``, one transition per pick.
 
@@ -75,7 +74,7 @@ def run_scenario(
     more than one transition while ``allow_ambiguous`` is false (in which
     case the first match would be taken).
     """
-    spec = maybe_compile(spec, compiled)
+    spec = compile_spec(spec)
     strategy = ScenarioFrontier(picks, allow_ambiguous=allow_ambiguous)
     engine = ExplorationEngine(
         spec,

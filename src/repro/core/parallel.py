@@ -124,7 +124,7 @@ from ..obs.metrics import (
     WAIT_BOUNDS_MS,
     MetricsRegistry,
 )
-from .compile import maybe_compile
+from .compile import compile_spec
 from .engine import (
     CompactStore,
     ExplorationEngine,
@@ -186,7 +186,6 @@ WORKER_OPTIONS: Dict[str, bool] = {
     "symmetry": False,
     "stop_on_violation": True,
     "metrics_on": False,
-    "compiled": True,
     "fast": False,
 }
 
@@ -336,9 +335,8 @@ class ShardWorker:
     def __init__(self, spec: Spec, wid: int, workers: int, **options: bool):
         options = worker_options(options)
         # Workers receive the *source* spec and compile locally:
-        # compilation is cheap, per-process, and this keeps the fork
-        # payload identical whether or not the run is compiled.
-        spec = maybe_compile(spec, options["compiled"])
+        # compilation is cheap and per-process.
+        spec = compile_spec(spec)
         self.spec = spec
         self.wid = wid
         self.workers = workers
@@ -756,12 +754,10 @@ class ParallelBFS:
         checkpointer: Optional[Any] = None,
         resume: Optional[Any] = None,
         metrics: Optional[Any] = None,
-        compiled: bool = True,
         fast: bool = False,
         transport: Optional[Any] = None,
     ):
         self.spec = spec
-        self.compiled = compiled
         self.workers = max(1, int(workers))
         self.symmetry = symmetry
         self.max_states = max_states
@@ -1206,7 +1202,6 @@ class ParallelBFS:
                 self.spec,
                 Violation(invariant, PendingTrace(depth), kind=kind),
                 symmetry=self.symmetry,
-                compiled=self.compiled,
             )
         merged = CompactStore()
         for _, _, edges, roots in self._exchange(

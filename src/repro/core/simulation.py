@@ -25,7 +25,7 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.metrics import TIME_BOUNDS
-from .compile import maybe_compile
+from .compile import compile_spec
 from .engine import (
     ExplorationEngine,
     RandomWalkFrontier,
@@ -153,7 +153,6 @@ def random_walk(
     init_states: Optional[Sequence[Rec]] = None,
     event_kinds: Optional[Dict[str, str]] = None,
     metrics: Optional[Any] = None,
-    compiled: bool = True,
 ) -> WalkResult:
     """One random walk from a random initial state.
 
@@ -168,7 +167,7 @@ def random_walk(
     fire counts accumulate across walks and each walk's wall-clock time
     lands in the ``simulate.walk_seconds`` histogram.
     """
-    spec = maybe_compile(spec, compiled)  # no-op for already-compiled specs
+    spec = compile_spec(spec)  # no-op for already-compiled specs
     strategy = RandomWalkFrontier(rng, init_states=init_states, event_kinds=event_kinds)
     engine = ExplorationEngine(
         spec,
@@ -206,7 +205,6 @@ def simulate(
     time_budget: Optional[float] = None,
     stop_on_violation: bool = False,
     metrics: Optional[Any] = None,
-    compiled: bool = True,
 ) -> SimulationResult:
     """Run a batch of random walks and aggregate their metrics."""
     rng = random.Random(seed)
@@ -214,7 +212,7 @@ def simulate(
     # Per-batch hoists: the compiled spec, the init-state list and the
     # action-name -> kind map are walk-invariant, so compute them once,
     # not once per walk.
-    spec = maybe_compile(spec, compiled)
+    spec = compile_spec(spec)
     inits = list(spec.init_states())
     kinds = action_kinds(spec)
     walks: List[WalkResult] = []

@@ -112,7 +112,7 @@ class Trace:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "Trace":
+    def from_dict(cls, data: Any) -> "Trace":
         """Rebuild a trace from :meth:`to_dict` output, losslessly.
 
         States are decoded from their canonical codec bytes when present;
@@ -120,25 +120,26 @@ class Trace:
         serialization) fall back to re-freezing the thawed rendering,
         which is best-effort (frozensets come back as tuples and
         non-string record keys as their string renderings).
+        Anything :meth:`to_dict` would not have written raises
+        :class:`ValueError`.
         """
-        if "initial_codec" in data:
-            initial = decode(bytes.fromhex(data["initial_codec"]))
-        else:
-            initial = freeze(data["initial"])
-        steps = []
-        for raw in data.get("steps", ()):
-            if "state_codec" in raw:
-                state = decode(bytes.fromhex(raw["state_codec"]))
-            else:
-                state = freeze(raw["state"])
-            steps.append(
-                TraceStep(
-                    raw["action"],
-                    tuple(from_jsonable(a) for a in raw.get("args", ())),
-                    state,
-                    raw.get("branch", ""),
-                )
-            )
+        steps: List[TraceStep] = []
+        try:
+            initial = _state(data, "initial")
+            raw_steps = data.get("steps", [])
+            if not isinstance(raw_steps, list):
+                raise ValueError("'steps' is not a list")
+            for raw in raw_steps:
+                action, args = raw["action"], raw.get("args", [])
+                branch = raw.get("branch", "")
+                if not (isinstance(action, str) and isinstance(branch, str)):
+                    raise ValueError("'action' or 'branch' is not a string")
+                if not isinstance(args, list):
+                    raise ValueError("'args' is not a list")
+                args = tuple(from_jsonable(a) for a in args)
+                steps.append(TraceStep(action, args, _state(raw, "state"), branch))
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(f"malformed trace at step {len(steps)}: {exc!r}") from None
         return cls(initial, steps)
 
     def to_json(self, indent: Optional[int] = None) -> str:
@@ -156,6 +157,16 @@ class Trace:
 
     def __repr__(self) -> str:
         return f"Trace(depth={self.depth})"
+
+
+def _state(raw: dict, key: str) -> Rec:
+    """The record under ``key``: decoded from ``<key>_codec`` if present,
+    else re-frozen from the thawed rendering."""
+    codec = raw.get(f"{key}_codec")
+    state = freeze(raw[key]) if codec is None else decode(bytes.fromhex(codec))
+    if not isinstance(state, Rec):
+        raise ValueError(f"'{key}' is a {type(state).__name__}, not a record")
+    return state
 
 
 class PendingTrace(Trace):
@@ -251,6 +262,8 @@ def from_jsonable(value: Any) -> Any:
         if "$codec" in value:
             return decode(bytes.fromhex(value["$codec"]))
         if "$str" in value:
+            if not isinstance(value["$str"], str):
+                raise ValueError("a $str value is not a string")
             return value["$str"]
         return Rec({k: from_jsonable(v) for k, v in value.items()})
     if isinstance(value, list):

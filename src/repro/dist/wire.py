@@ -68,8 +68,10 @@ __all__ = [
 #: counts among them; 4: the handshake's option set lost the
 #: partial-order-reduction switch, which an agent would otherwise drop
 #: silently; 5: violation descriptors carry their action args as codec
-#: bytes, and ``ping`` carries a nonce that its ``pong`` echoes).
-PROTOCOL_VERSION = 5
+#: bytes, and ``ping`` carries a nonce that its ``pong`` echoes; 6: the
+#: option set lost the compiled/interpreted switch — workers always
+#: compile).
+PROTOCOL_VERSION = 6
 
 #: Hard bound on one frame's payload: large enough for any realistic
 #: claim batch or checkpoint container, small enough that a corrupt

@@ -6,18 +6,21 @@ replay --trace``) with no re-exploration.  Trace and violation files are
 JSON built on the lossless :meth:`repro.core.trace.Trace.to_dict` encoding
 — every state carries its canonical codec bytes — and are stamped with
 :data:`~repro.core.state.CODEC_VERSION` so a build with a different codec
-refuses them with a clear error instead of silently mis-decoding.
+refuses them with a clear error instead of silently mis-decoding.  A
+file whose content no ``save_*`` here would have written — malformed
+JSON, a field of the wrong type, a missing key, undecodable codec bytes —
+is refused with a :class:`~repro.persist.rundir.RunDirError` naming it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, Union
 
 from ..core.state import CODEC_VERSION
 from ..core.trace import Trace
 from ..core.violation import Violation
-from .rundir import RunDirError, atomic_write_bytes, atomic_write_json, read_json
+from .rundir import RunDirError, atomic_write_bytes, atomic_write_json, read_manifest
 
 __all__ = [
     "save_trace",
@@ -30,14 +33,31 @@ __all__ = [
 ]
 
 
-def _check_codec(obj: Dict[str, Any], path: Any) -> None:
-    codec = obj.get("codec_version")
+def _load(path: Any, build: Callable[[Dict[str, Any]], Any]) -> Any:
+    """``build`` over the JSON object in ``path``, its codec version checked;
+    a ``ValueError`` from ``build`` becomes a ``RunDirError`` naming the file."""
+    data = read_manifest(path)
+    codec = data.get("codec_version")
     if codec is not None and codec != CODEC_VERSION:
         raise RunDirError(
             f"artifact {path} was written with state-codec version {codec};"
             f" this build uses codec version {CODEC_VERSION} and cannot"
             " decode its states"
         )
+    try:
+        return build(data)
+    except ValueError as exc:
+        raise RunDirError(f"artifact {path}: {exc}") from None
+
+
+def _violation(data: Dict[str, Any]) -> Violation:
+    if "invariant" not in data:
+        return Violation("(saved trace)", Trace.from_dict(data.get("trace", data)))
+    invariant, kind = data["invariant"], data.get("kind", "state")
+    detail = data.get("detail", "")
+    if not all(isinstance(field, str) for field in (invariant, kind, detail)):
+        raise ValueError("'invariant', 'kind' or 'detail' is not a string")
+    return Violation(invariant, Trace.from_dict(data.get("trace")), kind=kind, detail=detail)
 
 
 def save_trace(path: Union[str, os.PathLike], trace: Trace, **extra: Any) -> None:
@@ -53,9 +73,7 @@ def load_trace(path: Union[str, os.PathLike]) -> Trace:
     Also accepts a bare ``Trace.to_dict`` JSON object, so traces dumped
     by hand (``json.dump(trace.to_dict(), ...)``) replay too.
     """
-    data = read_json(path)
-    _check_codec(data, path)
-    return Trace.from_dict(data["trace"] if "trace" in data else data)
+    return _load(path, lambda data: Trace.from_dict(data.get("trace", data)))
 
 
 def save_violation(
@@ -76,17 +94,7 @@ def save_violation(
 
 def load_violation(path: Union[str, os.PathLike]) -> Violation:
     """Load a violation artifact; bare trace files become an unnamed one."""
-    data = read_json(path)
-    _check_codec(data, path)
-    if "invariant" not in data:
-        trace = Trace.from_dict(data["trace"] if "trace" in data else data)
-        return Violation("(saved trace)", trace)
-    return Violation(
-        data["invariant"],
-        Trace.from_dict(data["trace"]),
-        kind=data.get("kind", "state"),
-        detail=data.get("detail", ""),
-    )
+    return _load(path, _violation)
 
 
 def save_lasso(
@@ -124,14 +132,17 @@ def load_lasso(path: Union[str, os.PathLike]):
     """Load a lasso artifact: ``(property_name, LassoTrace)``."""
     from ..temporal import LassoTrace  # temporal sits above persist
 
-    data = read_json(path)
-    _check_codec(data, path)
-    if "lasso_version" not in data:
-        raise RunDirError(
-            f"artifact {path} is not a lasso artifact (no lasso_version);"
-            " safety violations load with load_violation"
-        )
-    return data.get("invariant", ""), LassoTrace.from_dict(data)
+    def lasso(data: Dict[str, Any]) -> Any:
+        if "lasso_version" not in data:
+            raise ValueError(
+                "not a lasso artifact (no lasso_version);"
+                " safety violations load with load_violation"
+            )
+        if not isinstance(data.get("invariant", ""), str):
+            raise ValueError("'invariant' is not a string")
+        return data.get("invariant", ""), LassoTrace.from_dict(data)
+
+    return _load(path, lasso)
 
 
 def write_text_artifact(

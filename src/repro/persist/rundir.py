@@ -76,7 +76,8 @@ def read_json(path: Union[str, os.PathLike]) -> Any:
 
 
 def read_manifest(path: Union[str, os.PathLike]) -> Dict[str, Any]:
-    """A JSON-object manifest (``manifest.json``, ``parallel.json``).
+    """A file holding one JSON object: a manifest (``manifest.json``,
+    ``parallel.json``) or a saved artifact.
 
     Malformed, truncated or non-object content is a :class:`RunDirError`
     naming the file.
@@ -84,9 +85,9 @@ def read_manifest(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     try:
         manifest = read_json(path)
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise RunDirError(f"{path}: not a readable JSON manifest: {exc}") from exc
+        raise RunDirError(f"{path}: not readable JSON: {exc}") from exc
     if not isinstance(manifest, dict):
-        raise RunDirError(f"{path}: the manifest is not a JSON object")
+        raise RunDirError(f"{path}: not a JSON object")
     return manifest
 
 

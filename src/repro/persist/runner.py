@@ -80,6 +80,8 @@ def run_check(
     progress_interval: int = 50_000,
     on_checkpoint: Optional[Callable[[Any], None]] = None,
     metrics: Optional[Any] = None,
+    # Ignored: every run compiles its spec.  benchmarks/suite/workloads.py
+    # still passes it; ROADMAP item 1 removes it.
     compiled: bool = True,
     fast: bool = False,
     transport: Optional[Any] = None,
@@ -150,9 +152,6 @@ def run_check(
         )
         progress = compose_progress(sink.on_progress, progress)
 
-    # ``compiled`` is deliberately not part of the recorded config: a
-    # compiled run is bit-identical to an interpreted one (same
-    # fingerprints, same checkpoints), so a resume may freely flip it.
     explore = dict(
         symmetry=symmetry,
         max_states=max_states,
@@ -162,7 +161,6 @@ def run_check(
         progress=progress,
         progress_interval=progress_interval,
         metrics=metrics,
-        compiled=compiled,
         fast=fast,
     )
     store: Optional[DiskStore] = None

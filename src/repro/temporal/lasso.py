@@ -103,14 +103,18 @@ class LassoTrace:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "LassoTrace":
+        """Rebuild a lasso from :meth:`to_dict` output; anything that
+        method would not have written raises :class:`ValueError`."""
         version = raw.get("lasso_version")
         if version != LASSO_VERSION:
             raise ValueError(f"unsupported lasso_version {version!r}")
-        return cls(
-            trace=Trace.from_dict(raw["trace"]),
-            cycle_start=int(raw["cycle_start"]),
-            stuttering=bool(raw["stuttering"]),
-        )
+        trace = Trace.from_dict(raw.get("trace"))
+        cycle_start, stuttering = raw.get("cycle_start"), raw.get("stuttering")
+        if type(cycle_start) is not int or not 0 <= cycle_start <= trace.depth:
+            raise ValueError(f"cycle_start {cycle_start!r} is not a state of the trace")
+        if type(stuttering) is not bool:
+            raise ValueError(f"stuttering {stuttering!r} is not a boolean")
+        return cls(trace=trace, cycle_start=cycle_start, stuttering=stuttering)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True, default=str)
@@ -585,7 +589,6 @@ def explore_and_check(
     max_states: Optional[int] = None,
     max_depth: Optional[int] = None,
     time_budget: Optional[float] = None,
-    compiled: bool = True,
     metrics: Optional[Any] = None,
     store: Optional[StateStore] = None,
 ) -> Tuple[List[TemporalResult], SearchResult]:
@@ -604,7 +607,6 @@ def explore_and_check(
         time_budget=time_budget,
         stop_on_violation=False,
         store=store,
-        compiled=compiled,
         metrics=metrics,
     )
     search = explorer.run()

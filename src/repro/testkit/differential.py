@@ -6,12 +6,11 @@ For each generated spec the harness runs two phases:
   exhaustively by every configuration in the matrix: serial BFS over
   each state store (in-memory, disk), a serial cell
   whose pair-digest memo holds two entries (so it is emptied
-  constantly), symmetry reduction on, sharded parallel BFS with 2 and 3 workers (with and
-  without symmetry), a durable run that is killed at a checkpoint
-  and resumed, and *interpreted* counterparts of the serial, symmetry,
-  worker, and kill-and-resume cells (``compiled=False``, i.e. the
-  uncompiled ``Spec.successors`` pipeline — so the compiled hot path is
-  differentially graded against the interpreted one on every sweep).
+  constantly), symmetry reduction on, sharded parallel BFS with 2 and
+  3 workers (with and without symmetry), and a durable run that is
+  killed at a checkpoint and resumed.  Every cell runs the compiled
+  pipeline, while the oracle explores the raw ``Spec``, so each sweep
+  also grades the compiled hot path against the reference semantics.
   Every configuration must agree with the oracle on the
   distinct-state count, the enumerated-transition count, the diameter,
   and the ``exhausted`` stop reason (symmetry-reduced runs are graded
@@ -82,6 +81,12 @@ ARTIFACT_KIND = "testkit-disagreement"
 _CHECKPOINT_STATES = 7
 _MEMORY_BUDGET = 16
 
+#: The field under which older disagreement artifacts record the
+#: pipeline a cell ran.  ``True`` is every remaining cell's pipeline and
+#: is dropped on load; ``False`` names a retired interpreted cell and is
+#: refused.
+RETIRED_KEY = "compiled"
+
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
@@ -97,7 +102,6 @@ class MatrixConfig:
     store: str = "memory"  # "memory" | "disk" (an old "compact" runs as "memory")
     symmetry: bool = False
     durable: bool = False  # kill at a checkpoint, then resume
-    compiled: bool = True  # False = interpreted Spec.successors pipeline
     fast: bool = False  # traceless store + bounded re-search
     exhaustive: bool = False  # violation-phase spec, stop_on_violation=False
     transport: str = "fork"  # "fork" | "socket" (repro.dist worker agents)
@@ -109,6 +113,13 @@ class MatrixConfig:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "MatrixConfig":
+        raw = dict(raw)
+        if not raw.pop(RETIRED_KEY, True):
+            raise ValueError(
+                f"matrix cell {raw.get('name')!r} ran the interpreted pipeline,"
+                " which the matrix no longer has; the engine over the raw spec"
+                " is graded by the oracle and the compile equivalence tests"
+            )
         return cls(**raw)
 
 
@@ -128,19 +139,11 @@ def build_matrix(
     """
     census: List[MatrixConfig] = [
         MatrixConfig("census/serial-memory", "census"),
-        MatrixConfig("census/serial-interpreted", "census", compiled=False),
         # A two-entry pair-digest memo empties itself every third distinct
         # pair: the census must not depend on what the memo holds.
         MatrixConfig("census/serial-memo-cap-2", "census", memo_cap=2),
         MatrixConfig("census/serial-disk", "census", store="disk"),
         MatrixConfig("census/durable-resume", "census", store="disk", durable=True),
-        MatrixConfig(
-            "census/interpreted-resume",
-            "census",
-            store="disk",
-            durable=True,
-            compiled=False,
-        ),
         MatrixConfig("census/fast-serial", "census", fast=True),
         MatrixConfig("census/fast-disk", "census", store="disk", fast=True),
         MatrixConfig(
@@ -149,11 +152,6 @@ def build_matrix(
     ]
     if generated.symmetric:
         census.append(MatrixConfig("census/serial-symmetry", "census", symmetry=True))
-        census.append(
-            MatrixConfig(
-                "census/interpreted-symmetry", "census", symmetry=True, compiled=False
-            )
-        )
         census.append(
             MatrixConfig("census/fast-symmetry", "census", symmetry=True, fast=True)
         )
@@ -167,11 +165,6 @@ def build_matrix(
     if parallel and _fork_available():
         census.append(MatrixConfig("census/workers-2", "census", workers=2))
         census.append(MatrixConfig("census/workers-3", "census", workers=3))
-        census.append(
-            MatrixConfig(
-                "census/interpreted-workers-2", "census", workers=2, compiled=False
-            )
-        )
         census.append(
             MatrixConfig("census/fast-workers-2", "census", workers=2, fast=True)
         )
@@ -204,7 +197,6 @@ def build_matrix(
     if generated.planted is not None:
         matrix = matrix + [
             MatrixConfig("violation/serial-memory", "violation"),
-            MatrixConfig("violation/serial-interpreted", "violation", compiled=False),
             # A two-entry verdict memo forgets nearly every read projection
             # between lookups: the planted depth must not depend on it.
             MatrixConfig("violation/serial-memo-cap-2", "violation", memo_cap=2),
@@ -386,7 +378,6 @@ def _run_config(
                         run_dir,
                         symmetry=config.symmetry,
                         stop_on_violation=stop,
-                        compiled=config.compiled,
                         fast=config.fast,
                         checkpoint_states=_CHECKPOINT_STATES,
                         memory_budget=_MEMORY_BUDGET,
@@ -408,7 +399,6 @@ def _run_config(
                     resume=True,
                     symmetry=config.symmetry,
                     stop_on_violation=stop,
-                    compiled=config.compiled,
                     fast=config.fast,
                     checkpoint_states=_CHECKPOINT_STATES,
                     memory_budget=_MEMORY_BUDGET,
@@ -426,7 +416,6 @@ def _run_config(
                 symmetry=config.symmetry,
                 stop_on_violation=stop,
                 metrics=registry,
-                compiled=config.compiled,
                 fast=config.fast,
             ),
             registry,
@@ -447,7 +436,6 @@ def _run_config(
                         stop_on_violation=stop,
                         store=store,
                         metrics=registry,
-                        compiled=config.compiled,
                         fast=config.fast,
                     ).run(),
                     registry,
@@ -460,7 +448,6 @@ def _run_config(
             symmetry=config.symmetry,
             stop_on_violation=stop,
             metrics=registry,
-            compiled=config.compiled,
             fast=config.fast,
         ).run(),
         registry,
@@ -532,7 +519,6 @@ def _run_socket_config(
                             transport=transport,
                             symmetry=config.symmetry,
                             stop_on_violation=stop,
-                            compiled=config.compiled,
                             fast=config.fast,
                             checkpoint_states=_CHECKPOINT_STATES,
                             metrics=registry,
@@ -547,7 +533,6 @@ def _run_socket_config(
                     symmetry=config.symmetry,
                     stop_on_violation=stop,
                     metrics=registry,
-                    compiled=config.compiled,
                     fast=config.fast,
                 ),
                 registry,

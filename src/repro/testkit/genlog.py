@@ -404,7 +404,6 @@ def run_log_fuzz(
     seed: str = "0",
     length: int = 10,
     max_frontier: int = 4096,
-    compiled: bool = True,
     progress: Optional[Callable[[str], None]] = None,
 ) -> LogFuzzReport:
     """Grade the validator over ``n_specs`` generated specs.
@@ -438,9 +437,7 @@ def run_log_fuzz(
             log = _round_trip("testkit-random", projection, events)
 
             # -- clean: must conform (validator and oracle agree) -------
-            report = validate_log(
-                spec, log, max_frontier=max_frontier, compiled=compiled
-            )
+            report = validate_log(spec, log, max_frontier=max_frontier)
             cells["clean"] = cells.get("clean", 0) + 1
             if not report.conforms:
                 fail(
@@ -478,9 +475,7 @@ def run_log_fuzz(
                 mutant_log = _round_trip(
                     "testkit-random", projection, planted.events
                 )
-                report = validate_log(
-                    spec, mutant_log, max_frontier=max_frontier, compiled=compiled
-                )
+                report = validate_log(spec, mutant_log, max_frontier=max_frontier)
                 cells[kind] = cells.get(kind, 0) + 1
                 if report.conforms:
                     fail(
@@ -524,7 +519,6 @@ def run_log_fuzz(
                 stutter_log,
                 stutter_depth=1,
                 max_frontier=max_frontier,
-                compiled=compiled,
             )
             cells["stutter"] = cells.get("stutter", 0) + 1
             if report.conforms != truth:

@@ -45,7 +45,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..core.compile import maybe_compile
+from ..core.compile import compile_spec
 from ..core.engine import (
     ExplorationEngine,
     FrontierStrategy,
@@ -347,15 +347,16 @@ def validate_log(
     stutter_depth: int = 0,
     max_frontier: int = DEFAULT_MAX_FRONTIER,
     stutter_kinds: Iterable[str] = DEFAULT_STUTTER_KINDS,
+    # Ignored: the search always runs over the compiled spec.
+    # benchmarks/suite/workloads.py still passes it; ROADMAP item 1
+    # removes it.
     compiled: bool = True,
     metrics: Any = None,
 ) -> ValidationReport:
     """Validate an event log against a spec; returns the verdict report.
 
     ``log`` is a parsed :class:`~repro.tracecheck.logfmt.TraceLog` or a
-    bare event sequence.  The search runs over the compiled spec unless
-    ``compiled`` is false (the reference path of the tests and
-    benchmarks); verdicts are identical either way.
+    bare event sequence.  The search runs over the compiled spec.
     """
     if isinstance(log, TraceLog):
         events = log.events
@@ -363,7 +364,7 @@ def validate_log(
     else:
         events = list(log)
         spec_name = getattr(spec, "name", "") or ""
-    run_spec = maybe_compile(spec, compiled)
+    run_spec = compile_spec(spec)
     strategy = TraceMatchFrontier(
         events,
         stutter_depth=stutter_depth,

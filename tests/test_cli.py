@@ -389,6 +389,28 @@ class TestDurableRuns:
         assert "CONFIRMED" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"codec_version": 2, "invariant": "X",'
+            ' "trace": {"initial_codec": {"a": 1}, "steps": 3}}',
+            '{"invariant": "X", "trace": {"initial": {"a": 1},'
+            ' "steps": [{"action": {"a": 1}, "state": {}}]}}',
+            '{"invariant": "X"',
+            None,  # no file at all
+        ],
+        ids=["codec-not-hex", "action-not-a-string", "torn-json", "missing"],
+    )
+    def test_replay_malformed_trace_is_a_usage_error(self, content, tmp_path, capsys):
+        """Exit 1 means "not confirmed": a bad artifact must not read as one."""
+        path = tmp_path / "bad.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["replay", "RaftOS#1", "--trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "Traceback" not in err
+
+
 class TestStatsAndCoverage:
     def test_check_stats_prints_coverage_report(self, capsys, monkeypatch):
         monkeypatch.setattr("repro.core.state.CheckedMemo.VERIFY_EVERY", 64)
@@ -577,6 +599,38 @@ class TestWorkersValidation:
         )
         assert code == 2
         assert "--worker addresses" in capsys.readouterr().err
+
+
+class TestPositiveNumericFlags:
+    """Counts and durations at or below zero are usage errors (exit 2),
+    not a crash or a run that explores one or two states."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--system", "pysyncobj", "--nodes", "0"],
+            ["simulate", "--system", "pysyncobj", "--nodes", "-1"],
+            ["conformance", "--system", "pysyncobj", "--nodes", "0"],
+            ["check-liveness", "run", "--system", "pysyncobj", "--nodes", "0"],
+            ["validate-trace", "log.jsonl", "--nodes", "0"],
+            ["replay", "--trace", "t.json", "--system", "pysyncobj", "--nodes", "0"],
+            ["check", "--system", "pysyncobj", "--max-states", "0"],
+            ["check", "--system", "pysyncobj", "--max-states", "-3"],
+            ["check", "--system", "pysyncobj", "--checkpoint-states", "0"],
+            ["check", "--system", "pysyncobj", "--checkpoint-every", "-5"],
+            ["check", "--system", "pysyncobj", "--time-budget", "-1"],
+            ["simulate", "--system", "pysyncobj", "--time-budget", "0"],
+            ["detect", "RaftOS#1", "--time-budget", "nan"],
+            ["replay", "RaftOS#1", "--time-budget", "0"],
+            ["check", "--system", "pysyncobj", "--max-states", "many"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_non_positive_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
 
 
 class TestDistCommands:

@@ -3,6 +3,8 @@
 Every test here is an equivalence claim: a :class:`CompiledSpec` must
 produce the same transitions, the same invariant verdicts, the same
 census, and the same fingerprints as the interpreted spec it wraps.
+The interpreted reference is :class:`ExplorationEngine` over the raw
+:class:`Spec` (:func:`reference_run`): the engine never compiles.
 """
 
 import random
@@ -10,7 +12,8 @@ import random
 import pytest
 
 from repro.core import Action, Invariant, Rec, Spec, SpecError, TransitionInvariant
-from repro.core.compile import CompiledSpec, compile_spec, maybe_compile
+from repro.core.compile import CompiledSpec, compile_spec
+from repro.core.engine import ExplorationEngine, FIFOFrontier
 from repro.core.explorer import BFSExplorer, bfs_explore
 from repro.core.simulation import simulate
 from repro.core.state import CheckedMemo, set_delta_codec
@@ -86,16 +89,36 @@ def small_raft():
     )
 
 
+def reference_run(spec, **kwargs):
+    """The interpreted pipeline: BFS by the engine over the raw ``spec``."""
+    engine = ExplorationEngine(spec, FIFOFrontier(), **kwargs)
+    result = engine.run()
+    assert not isinstance(engine.spec, CompiledSpec)
+    return result, engine.checker
+
+
 class TestCompileSpec:
     def test_idempotent(self):
-        compiled = compile_spec(CounterSpec())
-        assert compile_spec(compiled) is compiled
-        assert maybe_compile(compiled) is compiled
-
-    def test_maybe_compile_respects_flag(self):
+        """A ``Spec`` is compiled once: compiling the result changes nothing."""
         spec = CounterSpec()
-        assert maybe_compile(spec, compiled=False) is spec
-        assert isinstance(maybe_compile(spec), CompiledSpec)
+        compiled = compile_spec(spec)
+        assert isinstance(compiled, CompiledSpec) and compiled._source is spec
+        assert compile_spec(compiled) is compiled
+
+    def test_non_spec_passes_through_unwrapped(self):
+        class Proxy:
+            """Delegates to compiled code, like a timing wrapper would."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        proxy = Proxy(compile_spec(CounterSpec()))
+        assert compile_spec(proxy) is proxy
+        result = bfs_explore(proxy)
+        assert result.stats.distinct_states == 16
 
     def test_delegates_spec_attributes(self):
         spec = small_raft()
@@ -204,33 +227,34 @@ def _no_reads_spec():
 
 class TestEngineEquivalence:
     def test_census_and_action_fires_match(self):
-        results = {}
-        for compiled in (False, True):
-            registry = MetricsRegistry()
-            result = bfs_explore(
-                small_raft(), compiled=compiled, max_states=3000, metrics=registry
-            )
-            results[compiled] = (
+        def census(result, registry):
+            return (
                 result.stats.distinct_states,
                 result.stats.transitions,
                 result.stats.max_depth,
                 dict(registry.counts(ACTION_FIRES)),
             )
-        assert results[False] == results[True]
+
+        reference = MetricsRegistry()
+        result, _ = reference_run(small_raft(), max_states=3000, metrics=reference)
+        expected = census(result, reference)
+        registry = MetricsRegistry()
+        result = bfs_explore(small_raft(), max_states=3000, metrics=registry)
+        assert census(result, registry) == expected
 
     def test_interpreted_without_delta_matches(self):
         previous = set_delta_codec(False)
         try:
-            baseline = bfs_explore(small_raft(), compiled=False, max_states=2000)
+            baseline, _ = reference_run(small_raft(), max_states=2000)
         finally:
             set_delta_codec(previous)
-        fast = bfs_explore(small_raft(), compiled=True, max_states=2000)
+        fast = bfs_explore(small_raft(), max_states=2000)
         assert baseline.stats.distinct_states == fast.stats.distinct_states
         assert baseline.stats.transitions == fast.stats.transitions
 
     def test_codec_chunk_counters_reported(self):
         registry = MetricsRegistry()
-        bfs_explore(small_raft(), compiled=True, max_states=500, metrics=registry)
+        bfs_explore(small_raft(), max_states=500, metrics=registry)
         chunks = registry.counts(CODEC_CHUNKS)
         assert chunks, "compiled run should report codec chunk-cache traffic"
         assert set(chunks) <= {
@@ -268,12 +292,19 @@ def leader_trap(system):
     return Trapped(RaftConfig(nodes=("n1", "n2", "n3")))
 
 
-def found(spec, compiled, **kwargs):
-    """What a run reports: every violation's name, depth and trace; the census."""
-    explorer = BFSExplorer(spec, compiled=compiled, **kwargs)
-    result = explorer.run()
+def found(spec, reference=False, **kwargs):
+    """What a run reports: every violation's name, depth and trace; the census.
+
+    ``reference`` runs the engine over the raw spec instead of the
+    (compiling) explorer.
+    """
+    if reference:
+        result, checker = reference_run(spec, **kwargs)
+    else:
+        explorer = BFSExplorer(spec, **kwargs)
+        result, checker = explorer.run(), explorer.checker
     return (
-        [(v.invariant, v.kind, v.depth, v.trace.to_json()) for v in explorer.violations],
+        [(v.invariant, v.kind, v.depth, v.trace.to_json()) for v in checker.violations],
         result.stats.distinct_states,
         result.stats.transitions,
         result.stop_reason,
@@ -291,15 +322,17 @@ class TestVerdictMemoProperty:
 
     @pytest.mark.parametrize("system", RAFT_FAMILY)
     def test_raft_family(self, system, verdict_cap):
-        first = found(leader_trap(system), True)
-        assert first == found(leader_trap(system), False)
+        first = found(leader_trap(system))
+        assert first == found(leader_trap(system), reference=True)
         ((name, kind, depth, _),) = first[0]
         assert (name, kind) == ("NoLeader", "state") and depth <= 6
         # every state, every invariant: violations keep being reported
         spec = leader_trap(system)
         compiled = compile_spec(spec)
-        every = found(compiled, True, stop_on_violation=False, max_states=2500)
-        assert every == found(spec, False, stop_on_violation=False, max_states=2500)
+        every = found(compiled, stop_on_violation=False, max_states=2500)
+        assert every == found(
+            spec, reference=True, stop_on_violation=False, max_states=2500
+        )
         assert len(every[0]) > 1
         stats = compiled.verdict_stats()
         assert stats["hits"] > 0 and stats["misses"] > 0
@@ -318,12 +351,12 @@ class TestVerdictMemoProperty:
             if generated.planted is None:
                 continue
             planted += 1
-            first = found(generated.spec(), True)
-            assert first == found(generated.spec(), False)
+            first = found(generated.spec())
+            assert first == found(generated.spec(), reference=True)
             ((name, _, depth, _),) = first[0]
             assert (name, depth) == (generated.planted.invariant, generated.planted.depth)
-            assert found(generated.spec(), True, stop_on_violation=False) == found(
-                generated.spec(), False, stop_on_violation=False
+            assert found(generated.spec(), stop_on_violation=False) == found(
+                generated.spec(), reference=True, stop_on_violation=False
             )
         assert planted >= 10
 
@@ -403,7 +436,7 @@ class TestVerdictMemo:
         state = Rec(a=5, b=0)
         assert strict.check_state(state) == "ABounded"
         assert loose.check_state(state) is None  # same variable names, own verdicts
-        assert compile_spec(strict) is strict and maybe_compile(strict) is strict
+        assert compile_spec(strict) is strict
         assert strict.check_state(state) == "ABounded"
         assert strict.verdict_stats()["hits"] == 1
         assert loose.verdict_stats()["hits"] == 0
@@ -445,7 +478,7 @@ class TestVerdictMemo:
     def test_no_declared_reads_no_family(self):
         registry = MetricsRegistry()
         bfs_explore(_no_reads_spec(), metrics=registry)
-        bfs_explore(small_raft(), compiled=False, max_states=200, metrics=registry)
+        reference_run(small_raft(), max_states=200, metrics=registry)
         assert VERDICT_MEMO not in registry.snapshot()["counts"]
 
 

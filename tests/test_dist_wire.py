@@ -283,7 +283,7 @@ class TestHandshake:
         option dropped."""
         hello = make_handshake(self.ref(), wid=0, workers=2)
         hello.update(proto=3, por=True)
-        assert PROTOCOL_VERSION == 5
+        assert PROTOCOL_VERSION == 6
         assert "protocol version mismatch" in check_handshake(hello)
 
     def test_version_4_header_refused(self):
@@ -292,6 +292,15 @@ class TestHandshake:
         hello = make_handshake(self.ref(), wid=0, workers=2)
         hello["proto"] = 4
         assert "protocol version mismatch" in check_handshake(hello)
+
+    def test_version_5_header_refused(self):
+        """A version-5 master sends the retired compiled/interpreted
+        option; it is refused, never read with the option dropped."""
+        hello = make_handshake(self.ref(), wid=0, workers=2)
+        hello.update(proto=5, compiled=False)
+        assert "protocol version mismatch" in check_handshake(hello)
+        with pytest.raises(TypeError, match="compiled"):
+            make_handshake(self.ref(), wid=0, workers=2, compiled=True)
 
     def test_unknown_option_refused_by_name(self):
         with pytest.raises(TypeError, match="por"):

@@ -31,16 +31,19 @@ from repro.persist import (
     build_checkpoint_bytes,
     load_parallel_resume,
     load_serial_resume,
+    load_lasso,
     load_trace,
     load_violation,
     parse_checkpoint,
     read_checkpoint,
     run_check,
+    save_lasso,
     save_trace,
     save_violation,
     write_checkpoint,
 )
 from repro.persist.rundir import HAS_PARENT
+from repro.temporal import LassoTrace
 from toy_specs import CounterSpec, TokenRingSpec
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -1070,3 +1073,139 @@ class TestArtifacts:
         trace = bfs_explore(TokenRingSpec(3, buggy=True)).violation.trace
         (tmp_path / "bare.json").write_text(json.dumps(trace.to_dict()))
         assert load_trace(tmp_path / "bare.json") == trace
+
+    @pytest.mark.parametrize(
+        "artifact",
+        [
+            # the codec hex is an object and the steps a number
+            {"codec_version": CODEC_VERSION, "invariant": "X",
+             "trace": {"initial_codec": {"a": 1}, "steps": 3}},
+            # a well-formed state, but a step's action is an object
+            {"codec_version": CODEC_VERSION, "invariant": "X",
+             "trace": {"initial": {"a": 1}, "steps": [{"action": {"a": 1}, "state": {}}]}},
+            {"codec_version": CODEC_VERSION, "invariant": "X",
+             "trace": {"initial_codec": "zz"}},
+            # codec bytes of a value that is not a record
+            {"invariant": "X", "trace": {"initial_codec": encode(7).hex()}},
+            {"invariant": "X"},
+            ["not", "an", "object"],
+        ],
+    )
+    def test_malformed_violation_is_a_run_dir_error(self, artifact, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(artifact))
+        with pytest.raises(RunDirError, match="v.json"):
+            load_violation(path)
+
+
+def _json_paths(value, path=()):
+    """Every ``(path, value)`` inside a JSON document, the root included."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _set_path(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+_DELETE = object()
+
+#: JSON values a mutant may put anywhere: every JSON type, and hex that
+#: decodes to bytes of no value, of a non-record value, or of a record.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 2**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+    | st.sampled_from(["zz", "00", encode(7).hex(), encode(Rec(x=1)).hex()]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["$tuple", "$set", "$rec", "$bytes", "$codec", "$str", "a"]),
+        inner,
+        max_size=2,
+    ),
+    max_leaves=6,
+)
+
+def _unread(path):
+    """Fields the loaders do not read: the thawed state renderings beside
+    the codec bytes, the depth and the trace version."""
+    if path in (("depth",), ("trace", "version"), ("trace", "initial")):
+        return True
+    return len(path) == 4 and path[:2] == ("trace", "steps") and path[3] == "state"
+
+
+class TestHostileArtifacts:
+    """``load_violation`` and ``load_lasso`` give back what ``save_*``
+    wrote or raise ``RunDirError`` naming the file: ``replay --trace``
+    reads these files from the user."""
+
+    @staticmethod
+    def mutant(draw, doc, raw):
+        """Truncate the bytes, delete a key, or put any JSON value at any
+        path; returns the mutant and the path (``None`` for a truncation)."""
+        kind = draw(st.sampled_from(["replace", "delete", "truncate"]))
+        if kind == "truncate":
+            return raw[: draw(st.integers(0, len(raw) - 1))], None
+        paths = [path for path, _ in _json_paths(doc)]
+        if kind == "delete":
+            paths = [path for path in paths if path and isinstance(path[-1], str)]
+        path = draw(st.sampled_from(paths))
+        value = _DELETE if kind == "delete" else draw(_JSON_VALUES)
+        return json.dumps(_set_path(doc, path, value)).encode(), path
+
+    def check(self, data, tmp_path, save, load, original):
+        path = tmp_path / "artifact.json"
+        save(path, original)
+        expected = load(path)
+        raw = path.read_bytes()
+        mutant, touched = self.mutant(data.draw, json.loads(raw), raw)
+        path.write_bytes(mutant)
+        try:
+            loaded = load(path)
+        except RunDirError as exc:
+            assert "artifact.json" in str(exc)
+            return
+        if touched is None or _unread(touched):
+            assert loaded == expected
+        # what loads is a value the writer writes and reads back as is
+        again = tmp_path / "again.json"
+        save(again, loaded)
+        assert load(again) == loaded
+
+    @given(data=st.data())
+    def test_violation_mutants(self, data, tmp_path_factory):
+        trace = TestTraceRoundTrip().make_gnarly_trace()
+        self.check(
+            data,
+            tmp_path_factory.mktemp("violation"),
+            save_violation,
+            load_violation,
+            Violation("Inv", trace, kind="state", detail="d"),
+        )
+
+    @given(data=st.data())
+    def test_lasso_mutants(self, data, tmp_path_factory):
+        lasso = LassoTrace(TestTraceRoundTrip().make_gnarly_trace(), cycle_start=1)
+        self.check(
+            data,
+            tmp_path_factory.mktemp("lasso"),
+            lambda path, value: save_lasso(path, value[1], value[0]),
+            load_lasso,
+            ("ev", lasso),
+        )

@@ -292,6 +292,14 @@ def test_artifact_round_trip(tmp_path):
     assert fresh == []
 
 
+def test_matrix_config_drops_or_refuses_the_retired_pipeline_key():
+    raw = MatrixConfig("census/serial-memory", "census").to_dict()
+    assert MatrixConfig.from_dict({**raw, "compiled": True}) == MatrixConfig.from_dict(raw)
+    retired = {**raw, "name": "census/serial-interpreted", "compiled": False}
+    with pytest.raises(ValueError, match="census/serial-interpreted"):
+        MatrixConfig.from_dict(retired)
+
+
 def test_replay_artifact_rejects_foreign_json(tmp_path):
     from repro.persist.rundir import atomic_write_json
 

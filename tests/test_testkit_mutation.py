@@ -14,8 +14,10 @@ serial cells alone exercise every mutated code path.
 
 from __future__ import annotations
 
+from repro.core.engine import ExplorationEngine, FIFOFrontier
 from repro.core.state import fingerprint as real_fingerprint
-from repro.testkit import replay_artifact, run_differential
+from repro.persist.rundir import read_json
+from repro.testkit import GenParams, generate_spec, replay_artifact, run_differential
 
 #: First spec of this sweep seed: 24 reachable states (> the 16-value
 #: truncated fingerprint space below) and a planted depth-3 violation.
@@ -89,8 +91,13 @@ def test_verdict_key_missing_a_declared_variable_is_flagged(monkeypatch, tmp_pat
     assert report.artifacts, "a disagreement must be saved as a replayable artifact"
     flagged = {d.config.name for d in report.disagreements}
     assert "violation/serial-memory" in flagged
-    assert "violation/serial-interpreted" not in flagged  # keeps no memo
     assert all(d.config.phase == "violation" for d in report.disagreements)
+    # The engine over the raw spec keeps no memo: under the same defect
+    # it still stops at the planted violation.
+    raw = read_json(report.artifacts[0])
+    generated = generate_spec(raw["spec_seed"], GenParams.from_dict(raw["params"]))
+    reference = ExplorationEngine(generated.spec(), FIFOFrontier()).run()
+    assert reference.violation.depth == generated.planted.depth
 
     monkeypatch.undo()
     original, fresh = replay_artifact(report.artifacts[0])

@@ -165,6 +165,22 @@ def _pin_logs():
                     yield spec, log
 
 
+class _Uncompiled:
+    """A raw spec behind a front that is not a ``Spec``.
+
+    ``compile_spec`` hands anything that is not a ``Spec`` back as is,
+    so :func:`validate_log` runs its engine over the raw spec's
+    ``successors``: the interpreted reference the compiled matcher is
+    held to.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+
 def _pin_digest():
     """SHA-256 over the reports of the pin corpus, ``stats.elapsed`` aside,
     across stutter depths 0-2, ``max_frontier`` 1,024 and 2, compiled and
@@ -173,13 +189,12 @@ def _pin_digest():
     for spec, log in _pin_logs():
         for stutter in (0, 1, 2):
             for max_frontier in (1024, 2):
-                for compiled in (True, False):
+                for run_spec in (spec, _Uncompiled(spec)):
                     payload = validate_log(
-                        spec,
+                        run_spec,
                         log,
                         stutter_depth=stutter,
                         max_frontier=max_frontier,
-                        compiled=compiled,
                     ).to_dict()
                     del payload["stats"]["elapsed"]
                     digest.update(json.dumps(payload, sort_keys=True).encode())
@@ -355,8 +370,8 @@ class TestMatcher:
             spec, params, events, "corrupt", random.Random(f"nc-m-{seed}")
         )
         candidates = events if planted is None else planted.events
-        fast = validate_log(spec, candidates, compiled=True)
-        slow = validate_log(spec, candidates, compiled=False)
+        fast = validate_log(spec, candidates)
+        slow = validate_log(_Uncompiled(spec), candidates)
         assert fast.conforms == slow.conforms
         assert fast.divergence_index == slow.divergence_index
 
@@ -483,13 +498,14 @@ class TestCandidateActions:
     @pytest.mark.parametrize("compiled", [True, False])
     def test_unnamed_action_runs_only_to_explain_a_divergence(self, compiled):
         spec = _ProbeSpec()
+        run_spec = spec if compiled else _Uncompiled(spec)
         events = [LogEvent(node="", kind="client") for _ in range(3)]
-        assert validate_log(spec, events, compiled=compiled).conforms
+        assert validate_log(run_spec, events).conforms
         assert spec.probes == 0
         # Event 2 observes a value no candidate has: the level-2
         # candidates n = 2, 3, 4 are each replayed once over all actions.
         events[2] = LogEvent(node="", kind="client", obs={"n": 99})
-        report = validate_log(spec, events, compiled=compiled)
+        report = validate_log(run_spec, events)
         assert report.divergence_index == 2
         assert spec.probes == 3
         assert [(m.action, m.reason) for m in report.near_misses] == (
