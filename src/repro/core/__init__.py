@@ -43,7 +43,6 @@ from .parallel import (
     ParallelBFS,
     ShardWorker,
     WorkerDied,
-    parallel_bfs,
 )
 from .ranking import ConstraintScore, RankedConstraints, rank_constraints
 from .simulation import SimulationResult, WalkResult, random_walk, simulate
@@ -103,7 +102,6 @@ __all__ = [
     "encode",
     "fingerprint",
     "freeze",
-    "parallel_bfs",
     "random_walk",
     "rank_constraints",
     "research_violation",

@@ -555,21 +555,20 @@ def find_matching_step(
 ) -> Optional[TraceStep]:
     """Find the successor of ``state`` whose canonical fingerprint matches.
 
-    Prefers a transition of the recorded ``action_name``; falls back to
-    any fingerprint-matching transition (under symmetry reduction two
-    actions can reach the same orbit).
+    Generates only the recorded ``action_name``'s transitions first; only
+    when none of them matches does it fall back to every action (under
+    symmetry reduction two actions can reach the same orbit) and take the
+    first match in successor order.
     """
-    fallback: Optional[TraceStep] = None
     scope_pair_memo(spec)
-    for transition in spec.successors(state):
-        canon = canonical(transition.target) if canonical else transition.target
-        if fp_fn(canon) != target_fp:
-            continue
-        step = _step_of(transition)
-        if transition.action == action_name:
-            return step
-        fallback = fallback or step
-    return fallback
+    for actions in (frozenset((action_name,)), None):
+        # ``actions`` positionally, as the trace matcher passes it: a
+        # wrapped spec forwards ``*args``.
+        for transition in spec.successors(state, actions):
+            canon = canonical(transition.target) if canonical else transition.target
+            if fp_fn(canon) == target_fp:
+                return _step_of(transition)
+    return None
 
 
 def reconstruct_trace(

@@ -20,8 +20,11 @@ trace by :func:`research_violation`.
 
 from __future__ import annotations
 
+import multiprocessing
+import warnings
 from typing import Any, Callable, List, Optional
 
+from ..obs.metrics import FALLBACK_SERIAL
 from .compile import compile_spec
 from .engine import (
     CompactStore,
@@ -204,14 +207,15 @@ def bfs_explore(
 ) -> BFSResult:
     """Run one BFS exploration of ``spec``; see :class:`BFSExplorer`.
 
-    With ``workers > 1`` the search runs as a sharded parallel BFS
-    (:func:`repro.core.parallel.parallel_bfs`): the fingerprint space is
-    partitioned ``fp % workers`` across forked engine workers, which is
-    sound because :func:`~repro.core.state.fingerprint` is canonical and
-    process-stable.  Results are merged into the same :class:`BFSResult`.
-    A ``transport`` (e.g. :class:`repro.dist.transport.SocketTransport`)
-    forces the parallel driver and selects how the shard workers are
-    reached — remote socket workers instead of local forks.
+    This is the one switch between the serial explorer and the sharded
+    parallel BFS (:class:`repro.core.parallel.ParallelBFS`); see
+    :func:`runs_parallel` for the rule.  In parallel the fingerprint
+    space is partitioned ``fp % workers`` across forked engine workers,
+    which is sound because :func:`~repro.core.state.fingerprint` is
+    canonical and process-stable; results are merged into the same
+    :class:`BFSResult`.  A ``transport`` (e.g.
+    :class:`repro.dist.transport.SocketTransport`) selects how the shard
+    workers are reached — remote socket workers instead of local forks.
 
     With ``run_dir`` the run is durable (:func:`repro.persist.run_check`):
     a disk-backed state store, periodic crash-safe checkpoints every
@@ -231,8 +235,36 @@ def bfs_explore(
             transport=transport,
             **kwargs,
         )
-    if workers > 1 or transport is not None:
-        from .parallel import parallel_bfs  # local import: parallel imports us
+    if runs_parallel(workers, transport, kwargs.get("metrics")):
+        from .parallel import ParallelBFS  # local import: parallel imports us
 
-        return parallel_bfs(spec, workers=workers, transport=transport, **kwargs)
+        return ParallelBFS(spec, workers=workers, transport=transport, **kwargs).run()
     return BFSExplorer(spec, **kwargs).run()
+
+
+def runs_parallel(
+    workers: int, transport: Optional[Any] = None, metrics: Optional[Any] = None
+) -> bool:
+    """Whether a search over ``workers`` shards runs the parallel driver.
+
+    A ``transport`` always does, even for one shard; otherwise
+    ``workers > 1`` does where the platform can fork.  Where it cannot,
+    the search runs serially, and says so: a ``RuntimeWarning``, and one
+    ``parallel.fallback_serial`` on ``metrics``.  Both :func:`bfs_explore`
+    and the durable :func:`repro.persist.run_check` decide here.
+    """
+    if transport is not None:
+        return True
+    if workers <= 1:
+        return False
+    if "fork" in multiprocessing.get_all_start_methods():
+        return True
+    warnings.warn(
+        f"parallel BFS falling back to the serial explorer: workers={workers},"
+        " but the platform has no 'fork' start method",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    if metrics is not None:
+        metrics.inc(FALLBACK_SERIAL)
+    return False

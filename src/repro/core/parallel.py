@@ -1,103 +1,18 @@
-"""Sharded parallel BFS: N engine workers over a partitioned fingerprint set.
+"""Sharded parallel BFS: a master and N engine workers over a fingerprint
+set partitioned by ``fp % N``.
 
-The scalability story of TLC-style stateful exploration is a visited-
-fingerprint set shared by the workers, not states moving between them.
-This module provides that layer for the pure-Python kernel: breadth-first
-search driven by a master and ``N`` shard workers, with the *fingerprint
-space* partitioned by ``fp % N``.  It exists because
-:func:`repro.core.state.fingerprint` is canonical — a blake2b digest of
-the canonical state codec — so every process assigns every fingerprint
-to the same owner without any coordination.
-
-A worker plays two roles.  As an **owner** it holds the visited set (and
-the parent edges) of the fingerprints with ``fp % N == wid``.  As a
-**generator** it holds a slice of the frontier as live states — whichever
-states it generated itself, whoever owns their fingerprints.  States
-stay with the worker that generated them; only fingerprints cross the
-barrier.  The search is level-synchronous; each round covers one BFS
-depth in up to four phases:
-
-1. **expand** — every worker runs the serial explorer's loop, the
-   shared :class:`~repro.core.engine.ExplorationEngine`, over its
-   frontier slice: one ``run()`` whose frontier ends at the level
-   boundary and whose store is the worker's own shard.  The strategy's
-   ``defer`` hook sees every child before the store does: a foreign
-   child leaves the loop there for a per-owner *pending* list the first
-   time this round generates it (repeats are dropped), and a claim
-   ``(child fp, parent fp, action)`` is shipped to the master; a child
-   the worker owns goes on to be deduplicated against its store,
-   checked and queued on the spot.
-2. **claim** — the master routes the claims and each owner dedupes them
-   against its store in ``(claimer wid, sequence)`` order, records the
-   edge of every new fingerprint, and answers with the accepted indices.
-3. **settle** — each claimer checks the state invariants of its accepted
-   children through the same :class:`~repro.core.engine.StepChecker` —
-   with the incremental ``changed`` set it still holds, so a foreign
-   child costs the same per-state check as a local one and as the
-   serial engine — and pushes them onto its own next frontier.  The
-   rest of the pending list is dropped.
-4. **rebalance** — a single root would otherwise pin the whole search to
-   one worker, so when the largest frontier exceeds the mean by more
-   than :data:`REBALANCE_SLACK` (plus one state) the master levels the
-   frontiers: donors ``donate`` their surplus as codec bytes and the
-   smallest frontiers ``adopt`` it.  Besides the seeds these are the
-   only state bytes that travel (``parallel.batch_bytes``).
-
-Every merge order is fixed by worker id, never by arrival, so frontiers,
-edges and counterexamples are byte-identical across runs and transports.
-
-The master aggregates per-round deltas into the unified
-:class:`~repro.core.engine.SearchStats`, decides the
-:class:`~repro.core.engine.StopReason` (violation, ``max_states``,
-``max_depth``, time budget, exhaustion), and — because rounds are
-level-synchronous — the first violating round still yields a
-minimal-depth counterexample.  Counterexample traces are rebuilt by
-merging every owner's parent edges (``StateStore.edges()``) into one
-store and re-executing from the initial state, exactly like the serial
-explorer.  A round cut short by the time budget still runs its claim
-and settle phases, so no edge is ever recorded for a state nobody holds.
-
-**Transports.**  The master never talks to a process or a socket
-directly: all exchange goes through a :class:`WorkerTransport` —
-``send(wid, msg)`` / ``recv(timeout)`` / ``replace(wid)`` / ``close()``.
-The default :class:`ForkTransport` forks local workers, each on a
-private duplex pipe (specs need not be picklable; all cross-process
-state travels as canonical codec bytes).  The socket transport in
-:mod:`repro.dist.transport` speaks the same protocol to ``sandtable
-worker`` agents over TCP, so exploration spans hosts.  Both are one
-channel per worker under the same :class:`Multiplexer`, and at the other
-end of each the same :func:`serve_worker` loop drives a
-:class:`ShardWorker`, which holds the per-shard protocol logic.
-
-**Elastic membership.**  A transport reports a lost worker — end of
-file or an error on its channel, a SIGKILLed fork worker like a dropped
-socket — by raising :class:`WorkerDied`.  The master then replaces the
-worker (respawn, or connect to a spare agent), drains stale in-flight
-replies with a ping/pong barrier, and rolls the whole fleet back to the
-last committed generation-addressed checkpoint (or re-seeds from the
-initial states when none was written yet); ``restore`` rebuilds each
-worker's store and frontier and drops its pending list, whichever phase
-the round died in.
-The protocol names no file: ``checkpoint`` answers with the shard's
-container bytes and ``restore`` takes them, over a pipe as over a
-socket, and the master alone writes and reads the run directory — each
-generation's files first, then the manifest rename that commits them.
-Checkpoints are taken at round boundaries the uninterrupted run also
-passes through — the boundary the search stops at included, so a
-finished run directory holds its whole census — and the recovered run is
-census- and trace-identical to an undisturbed one.
-
-On platforms without ``fork`` (or with ``workers <= 1``)
-:func:`parallel_bfs` falls back to the serial
-:class:`~repro.core.explorer.BFSExplorer` — with a ``RuntimeWarning``
-and a ``parallel.fallback_serial`` counter, so the degradation is never
-silent.
-
-``fast=True`` switches every worker to the traceless
-:class:`~repro.core.engine.FingerprintOnlyStore`; the claim shape stays
-the same and owners simply keep no edge.  A violation is then found
-with a :class:`~repro.core.trace.PendingTrace` and resolved by a serial
-bounded re-search (:func:`repro.core.explorer.research_violation`).
+A :class:`ShardWorker` owns one fingerprint shard and expands the frontier
+states it generated itself with the serial explorer's
+:class:`~repro.core.engine.ExplorationEngine`; rounds are level-synchronous
+(expand, claim, settle, rebalance), and only fingerprints, plus the states
+a rebalance moves, cross the barrier.  :class:`ParallelBFS` is the master:
+it merges the per-round deltas in worker order, takes round-boundary
+checkpoints and rolls the fleet back when a worker dies.  The ops travel
+through a transport: :class:`ForkTransport` here, the socket transport in
+:mod:`repro.dist.transport`.  Callers reach this module through
+:func:`repro.core.explorer.bfs_explore`.  DESIGN.md ("State identity &
+parallel exploration", "Distributed checking") has the protocol, the
+recovery story and why results are byte-identical across transports.
 """
 
 from __future__ import annotations
@@ -109,14 +24,12 @@ import time
 import traceback
 import warnings
 from collections import defaultdict, deque
-from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..obs.metrics import (
     ACTION_FIRES,
     BATCH_BYTES,
     CLAIMS,
-    FALLBACK_SERIAL,
     REBALANCED_STATES,
     ROUND_WAIT_MS,
     SIZE_BOUNDS,
@@ -137,13 +50,12 @@ from .engine import (
     reconstruct_trace,
 )
 from .spec import Spec
-from .state import Rec, decode, encode, fingerprint
+from .state import Rec, decode, encode, fingerprint, scope_pair_memo
 from .symmetry import SymmetryReducer
 from .trace import PendingTrace, TraceStep
 from .violation import Violation
 
 __all__ = [
-    "parallel_bfs",
     "ParallelBFS",
     "ShardWorker",
     "serve_worker",
@@ -277,7 +189,8 @@ class _Level:
 
 class _ShardStrategy(FrontierStrategy):
     """How a :class:`ShardWorker` runs the shared engine: one level per
-    ``run()``, no seeding, foreign children parked until ``settle``."""
+    ``run()``, no seeding (``restore(None)`` seeds), foreign children
+    parked until ``settle``."""
 
     def __init__(self, worker: "ShardWorker"):
         self._worker = worker
@@ -285,7 +198,7 @@ class _ShardStrategy(FrontierStrategy):
         self.depth = 0
 
     def initial_states(self, spec: Spec) -> tuple:
-        return ()  # seeds arrive through ``absorb``
+        return ()
 
     def defer(
         self,
@@ -329,15 +242,14 @@ class ShardWorker:
     #: the ops a master may send: each names its handler method, and the
     #: rest of the message is that method's arguments
     OPS = frozenset(
-        "absorb expand claim settle donate adopt edges checkpoint restore ping".split()
+        "expand claim settle donate adopt edges checkpoint restore ping".split()
     )
 
     def __init__(self, spec: Spec, wid: int, workers: int, **options: bool):
         options = worker_options(options)
         # Workers receive the *source* spec and compile locally:
         # compilation is cheap and per-process.
-        spec = compile_spec(spec)
-        self.spec = spec
+        self.spec = spec = compile_spec(spec)
         self.wid = wid
         self.workers = workers
         self.fast = options["fast"]
@@ -355,7 +267,7 @@ class ShardWorker:
             stop_on_violation=options["stop_on_violation"],
             reducer=_make_reducer(spec, options["symmetry"]),
         )
-        # absorb checks before the first run has wired the tracer
+        # seeding checks before the first run has wired the tracer
         self._engine.checker.tracer = self._strategy.trace_to
 
     @property
@@ -393,20 +305,6 @@ class ShardWorker:
 
     # -- ops -----------------------------------------------------------------
 
-    def absorb(self, seeds: list) -> tuple:
-        """Seed the search: record and check the initial states owned here."""
-        self._strategy.depth = 0
-        store, added = self.store, 0
-        for enc, fp in seeds:
-            if store.seen(fp):
-                continue
-            state = decode(enc)
-            store.record_init(fp, state)
-            added += 1
-            self._engine.checker.check_state(state, fp, None)
-            self.frontier.append((state, fp, 0))
-        return ("absorbed", self.wid, added, self._found(), len(self.frontier))
-
     def expand(self, budget: Optional[float]) -> tuple:
         """Expand this worker's level: one run of the shared engine.
 
@@ -443,18 +341,9 @@ class ShardWorker:
                 for family, table in registry.snapshot()["counts"].items()
             },
         )
-        return (
-            "expanded",
-            self.wid,
-            stats.transitions,
-            stats.pruned,
-            stats.distinct_states,
-            claims,
-            self._found(),
-            len(self.frontier),
-            result.stop_reason is StopReason.TIME_BUDGET,
-            obs,
-        )
+        found, cut = self._found(), result.stop_reason is StopReason.TIME_BUDGET
+        return ("expanded", self.wid, stats.transitions, stats.pruned,
+                stats.distinct_states, claims, found, len(self.frontier), cut, obs)
 
     def claim(self, batches: list) -> tuple:
         """Dedupe foreign claims on fingerprints owned here.
@@ -464,8 +353,7 @@ class ShardWorker:
         its edge is recorded.  Replies with the accepted indices per
         claimer.
         """
-        seen = self.store.seen
-        record = self.store.record
+        seen, record = self.store.seen, self.store.record
         accepted: Dict[int, List[int]] = {}
         added = 0
         for claimer, claims in batches:
@@ -508,13 +396,8 @@ class ShardWorker:
         return ("adopted", self.wid, len(self.frontier))
 
     def edges(self) -> tuple:
-        store = self.store
-        return (
-            "edges",
-            self.wid,
-            list(store.edges()),
-            [(fp, encode(state)) for fp, state in store.roots()],
-        )
+        roots = [(fp, encode(state)) for fp, state in self.store.roots()]
+        return ("edges", self.wid, list(self.store.edges()), roots)
 
     def checkpoint(self) -> tuple:
         """Dump store and frontier as checkpoint container bytes.  A worker
@@ -527,14 +410,17 @@ class ShardWorker:
         return ("checkpointed", self.wid, data)
 
     def restore(self, data: Optional[bytes] = None) -> tuple:
-        """Reset to a checkpoint (its container bytes), or to empty (``None``).
+        """Reset to a checkpoint (its container bytes), or (``None``) to
+        the initial states this shard owns, seeded here.
 
-        Always rebuilds a *fresh* store and drops the pending list: for
-        a newly forked/connected worker this is a no-op, and for a
-        surviving worker rolled back after a peer's death it discards
+        Always rebuilds a *fresh* store and drops the pending list, so a
+        surviving worker rolled back after a peer's death discards
         everything recorded or claimed past the committed generation —
         whichever phase the aborted round was in.  Bytes that do not
-        parse are refused whole: the worker is then left empty.
+        parse are refused whole: the worker is then left empty.  Seeding
+        canonicalises, dedupes, records, checks and queues the owned
+        initial states in ``spec.init_states()`` order; the reply counts
+        them and carries their violations.
         """
         from ..persist.checkpoint import parse_checkpoint
 
@@ -545,7 +431,19 @@ class ShardWorker:
             parsed = parse_checkpoint(bytes(data))
             store, frontier = parsed.restore_into(fresh()), parsed.frontier_items()
             engine.store, self.frontier = store, deque(frontier)
-        return ("restored", self.wid, len(self.frontier))
+            return ("restored", self.wid, 0, self._found(), len(self.frontier))
+        self._strategy.depth = 0
+        scope_pair_memo(self.spec)
+        canon = engine.reducer.canonical if engine.reducer is not None else None
+        for init in self.spec.init_states():
+            state = canon(init) if canon is not None else init
+            fp = fingerprint(state)
+            if fp % self.workers == self.wid and not engine.store.seen(fp):
+                engine.store.record_init(fp, state)
+                engine.checker.check_state(state, fp, None)
+                self.frontier.append((state, fp, 0))
+        seeded = len(self.frontier)
+        return ("restored", self.wid, seeded, self._found(), seeded)
 
     def ping(self, nonce: int) -> tuple:
         return ("pong", self.wid, nonce)
@@ -770,13 +668,10 @@ class ParallelBFS:
         self.metrics = metrics
         self.fast = bool(fast)
         self.transport = transport
-        self.stats = SearchStats()
         #: membership events (deaths + reassignments), carried into every
         #: checkpoint manifest and exposed to callers (the durable runner
         #: records them in the run manifest)
         self.membership: List[Dict[str, Any]] = []
-        #: wid -> frontier length as of that worker's last reply
-        self.frontier_sizes: Dict[int, int] = {}
         self._deaths = 0
 
     @property
@@ -789,52 +684,23 @@ class ParallelBFS:
     def run(self) -> SearchResult:
         transport = self.transport if self.transport is not None else ForkTransport()
         self._transport = transport
+        config = {"workers": self.workers, "spec": self.spec, "metrics": self.metrics}
+        config["options"] = {opt: bool(getattr(self, opt)) for opt in WORKER_OPTIONS}
         # start() is inside: a fleet that came up only in part (the second
         # agent refused, say) is stopped and closed like a whole one.
         try:
-            transport.start(
-                {
-                    "workers": self.workers,
-                    "spec": self.spec,
-                    "options": {opt: bool(getattr(self, opt)) for opt in WORKER_OPTIONS},
-                    "metrics": self.metrics,
-                }
-            )
+            transport.start(config)
             return self._drive()
         finally:
             transport.close()
-
-    def _instruments(self) -> SimpleNamespace:
-        """The master's hot-path instruments, bound once per registry state.
-
-        Taken again after every ``metrics.restore`` — restore replaces
-        the labeled-count dicts wholesale, so stale references would
-        otherwise keep feeding dead objects.
-        """
-        metrics = self.metrics
-        fires = metrics.counts(ACTION_FIRES)
-        for action in self.spec.actions():
-            fires.setdefault(action.name, 0)
-        return SimpleNamespace(
-            fanout=metrics.histogram("engine.fanout", SIZE_BOUNDS),
-            batch_sizes=metrics.histogram("parallel.batch_sizes", SIZE_BOUNDS),
-            wait=metrics.histogram(ROUND_WAIT_MS, WAIT_BOUNDS_MS),
-            rounds=metrics.counter("parallel.rounds"),
-            claims=metrics.counter(CLAIMS),
-            rebalanced=metrics.counter(REBALANCED_STATES),
-            batch_bytes=metrics.counter(BATCH_BYTES),
-            shard_states=metrics.counts("parallel.shard_states"),
-            queue_depth=metrics.gauge("engine.queue_depth"),
-            rate=metrics.gauge("engine.states_per_sec"),
-        )
 
     def _drive(self) -> SearchResult:
         """Rewind to where the run starts, then rounds until a reason to
         stop.  A worker lost on the way — in the rewind, a round, the
         result's edge merge, a recovery — is recovered from before the next."""
-        resume, metrics = self.resume, self.metrics
+        resume = self.resume
         self._reducer = _make_reducer(self.spec, self.symmetry)
-        self._inst: Optional[SimpleNamespace] = None
+        #: the registry before any exploration counted (see _rewind)
         self._baseline: Optional[Dict[str, Any]] = None
         if resume is not None:
             # Shard ownership is fp % n: a checkpoint only makes sense to
@@ -845,18 +711,6 @@ class ParallelBFS:
                     f" resume with --workers {resume.workers} (got {self.workers})"
                 )
             self.membership.extend(getattr(resume, "reassignments", ()) or ())
-        if metrics is not None:
-            snapshot = getattr(resume, "metrics", None)
-            if snapshot:
-                # Discard anything a killed run counted past its last
-                # committed checkpoint; the rounds re-run from here.
-                metrics.restore(snapshot)
-            self._inst = self._instruments()
-            if self._reducer is not None:
-                metrics.gauge(SYMMETRY_GROUP_SIZE).set(self._reducer.group_size)
-            # For a rollback with no committed checkpoint yet: the
-            # registry exactly as it was before any exploration counted.
-            self._baseline = metrics.snapshot()
         lost: Optional[WorkerDied] = None
         rewound = False
         while True:
@@ -879,54 +733,59 @@ class ParallelBFS:
 
     def _count_states(self, owner: int, added: int) -> None:
         self.stats.distinct_states += added
-        if self._inst is not None and added:
-            shard_states = self._inst.shard_states
-            shard_states[str(owner)] = shard_states.get(str(owner), 0) + added
-
-    def _seed(self) -> None:
-        """Route the initial states to the owners of their fingerprints,
-        which dedupe, record and check them."""
-        reducer = self._reducer
-        seeds: Dict[int, list] = defaultdict(list)
-        for init in self.spec.init_states():
-            canon = reducer.canonical(init) if reducer is not None else init
-            fp = fingerprint(canon)
-            seeds[fp % self.workers].append((encode(canon), fp))
-        if self._inst is not None:
-            self._inst.batch_bytes.inc(
-                sum(len(enc) for items in seeds.values() for enc, _ in items)
-            )
-        for _, wid, added, viols, size in self._exchange(
-            {wid: ("absorb", items) for wid, items in seeds.items()}, "absorbed"
-        ):
-            self._count_states(wid, added)
-            self._violations.extend(_received(viols))
-            self.frontier_sizes[wid] = size
+        if self.metrics is not None and added:
+            self.metrics.merge_counts("parallel.shard_states", {str(owner): added})
 
     def _rewind(self, point: Optional[Any]) -> None:
-        """Put master and fleet at the committed checkpoint ``point``, or
-        (``None``) at the initial states.  Every start, resume and
-        rollback goes through here."""
+        """Put master, registry and fleet at the committed checkpoint
+        ``point``, or (``None``) at the initial states, which every worker
+        seeds for its own shard.  Every start, resume and rollback goes
+        through here."""
+        metrics = self.metrics
+        if metrics is not None:
+            # Discard anything counted past ``point``; the rounds re-run.
+            snapshot = (point is not None and point.metrics) or self._baseline
+            if snapshot:
+                metrics.restore(snapshot)
+            fires = metrics.counts(ACTION_FIRES)
+            for action in self.spec.actions():
+                fires.setdefault(action.name, 0)
+            if self._baseline is None:
+                # The rollback point while nothing is committed.  Every
+                # family a round writes is in it, at zero, so that
+                # restoring it resets them all.
+                if self._reducer is not None:
+                    metrics.gauge(SYMMETRY_GROUP_SIZE).set(self._reducer.group_size)
+                for name in ("parallel.rounds", CLAIMS, REBALANCED_STATES, BATCH_BYTES):
+                    metrics.counter(name)
+                for name in ("engine.queue_depth", "engine.states_per_sec"):
+                    metrics.gauge(name)
+                metrics.histogram("engine.fanout", SIZE_BOUNDS)
+                metrics.histogram("parallel.batch_sizes", SIZE_BOUNDS)
+                metrics.histogram(ROUND_WAIT_MS, WAIT_BOUNDS_MS)
+                metrics.counts("parallel.shard_states")
+                self._baseline = metrics.snapshot()
         if point is None:
             self.stats, self._depth, self._violations = SearchStats(), 0, []
-            self.frontier_sizes = dict.fromkeys(range(self.workers), 0)
             shards = [None] * self.workers
         else:
             self.stats, self._depth = point.stats, point.depth
             self._violations = list(point.violations)
-            self.frontier_sizes = dict(point.frontier_sizes)
             shards = [path.read_bytes() for path in point.worker_files]
-        self._exchange(
-            {wid: ("restore", data) for wid, data in enumerate(shards)}, "restored"
-        )
         # Backdated, so the time budget stays cumulative across resume
-        # and rollback.
+        # and rollback; the seeding below counts against it.
         self._started = time.monotonic() - self.stats.elapsed
         self._deadline = (
             self._started + self.time_budget if self.time_budget is not None else None
         )
-        if point is None:
-            self._seed()
+        #: wid -> frontier length as of that worker's last reply
+        self.frontier_sizes: Dict[int, int] = {}
+        for _, wid, added, viols, size in self._exchange(
+            {wid: ("restore", data) for wid, data in enumerate(shards)}, "restored"
+        ):
+            self._count_states(wid, added)
+            self._violations.extend(_received(viols))
+            self.frontier_sizes[wid] = size
 
     def _stop_reason(self) -> Optional[StopReason]:
         """Why the search ends at this round boundary, if it does."""
@@ -976,7 +835,7 @@ class ParallelBFS:
     def _round(self) -> Optional[StopReason]:
         """One BFS level: expand, claim, settle, rebalance.  Returns
         ``TIME_BUDGET`` when the budget cut the level short, else ``None``."""
-        stats, sizes, inst = self.stats, self.frontier_sizes, self._inst
+        stats, sizes, metrics = self.stats, self.frontier_sizes, self.metrics
         exchange, violations = self._exchange, self._violations
 
         # expand: every worker pops its frontier slice, keeps its
@@ -986,36 +845,27 @@ class ParallelBFS:
         replies = exchange(
             {wid: ("expand", budget) for wid in range(self.workers)}, "expanded"
         )
-        if inst is not None:
-            inst.wait.observe((time.monotonic() - wait_start) * 1000.0)
+        if metrics is not None:
+            wait_ms = (time.monotonic() - wait_start) * 1000.0
+            metrics.histogram(ROUND_WAIT_MS, WAIT_BOUNDS_MS).observe(wait_ms)
         truncated = False
         #: owner -> [(claimer, claims)], claimers in wid order
         claims_for: Dict[int, list] = defaultdict(list)
-        for (
-            _,
-            wid,
-            transitions,
-            pruned,
-            added,
-            claims,
-            viols,
-            size,
-            was_truncated,
-            obs,
-        ) in replies:
+        for reply in replies:
+            _, wid, transitions, pruned, added, claims, viols, size, cut, obs = reply
             stats.transitions += transitions
             stats.pruned += pruned
             self._count_states(wid, added)
             violations.extend(_received(viols))
             sizes[wid] = size
-            truncated = truncated or was_truncated
+            truncated = truncated or cut
             for owner, batch in claims.items():
                 claims_for[owner].append((wid, batch))
-            if inst is not None and obs is not None:
+            if metrics is not None and obs is not None:
                 fanout_state, families = obs
-                inst.fanout.merge(fanout_state)
+                metrics.histogram("engine.fanout", SIZE_BOUNDS).merge(fanout_state)
                 for family, delta in families.items():
-                    self.metrics.merge_counts(family, delta)
+                    metrics.merge_counts(family, delta)
         stats.max_depth = max(stats.max_depth, self._depth)
 
         # claim: owners dedupe, record the new edges and grant
@@ -1028,10 +878,10 @@ class ParallelBFS:
             self._count_states(owner, added)
             for claimer, indices in accepted.items():
                 granted[claimer][owner] = indices
-            if inst is not None:
+            if metrics is not None:
                 shipped = sum(len(batch) for _, batch in claims_for[owner])
-                inst.batch_sizes.observe(shipped)
-                inst.claims.inc(shipped)
+                metrics.histogram("parallel.batch_sizes", SIZE_BOUNDS).observe(shipped)
+                metrics.inc(CLAIMS, shipped)
 
         # settle: claimers check and enqueue what they were granted
         # — also after a truncated expand, so no recorded edge is
@@ -1045,11 +895,11 @@ class ParallelBFS:
         self._rebalance()
 
         self._depth += 1
-        if inst is not None:
-            inst.rounds.inc()
+        if metrics is not None:
+            metrics.inc("parallel.rounds")
         if self.progress is not None:
             stats.elapsed = time.monotonic() - self._started
-            if inst is not None:
+            if metrics is not None:
                 self._refresh_gauges()
             self.progress(stats)
         return StopReason.TIME_BUDGET if truncated else None
@@ -1059,7 +909,7 @@ class ParallelBFS:
         apart (a single root starts entirely on one worker): level them
         when the largest — which sets the next round's time — is too far
         above the mean."""
-        sizes, inst = self.frontier_sizes, self._inst
+        sizes, metrics = self.frontier_sizes, self.metrics
         plan = rebalance_plan(sizes)
         if not plan:
             return
@@ -1074,10 +924,10 @@ class ParallelBFS:
             {wid: ("adopt", items) for wid, items in parcels_for.items()}, "adopted"
         ):
             sizes[wid] = size
-        if inst is not None:
+        if metrics is not None:
             moved = [len(item[0]) for items in parcels_for.values() for item in items]
-            inst.rebalanced.inc(len(moved))
-            inst.batch_bytes.inc(sum(moved))
+            metrics.inc(REBALANCED_STATES, len(moved))
+            metrics.inc(BATCH_BYTES, sum(moved))
 
     def _recover(self, death: WorkerDied) -> None:
         """Elastic membership: replace the lost worker, drain what the
@@ -1116,9 +966,6 @@ class ParallelBFS:
             barrier=self._deaths,
         )
         point = checkpointer.committed() if checkpointer is not None else None
-        if metrics is not None:
-            metrics.restore((point is not None and point.metrics) or self._baseline)
-            self._inst = self._instruments()
         self._rewind(point)
         self.membership.append(
             {
@@ -1132,16 +979,16 @@ class ParallelBFS:
             metrics.inc("parallel.reassignments")
 
     def _refresh_gauges(self) -> None:
-        stats, inst = self.stats, self._inst
-        inst.queue_depth.set(sum(self.frontier_sizes.values()))
-        inst.rate.set(
+        stats, metrics = self.stats, self.metrics
+        metrics.gauge("engine.queue_depth").set(sum(self.frontier_sizes.values()))
+        metrics.gauge("engine.states_per_sec").set(
             stats.distinct_states / stats.elapsed if stats.elapsed > 0 else 0.0
         )
 
     def _finish(self, reason: StopReason) -> SearchResult:
         stats = self.stats
         stats.elapsed = time.monotonic() - self._started
-        if self._inst is not None:
+        if self.metrics is not None:
             self._refresh_gauges()
         violation = self._build_violation()
         exhausted = reason is StopReason.EXHAUSTED and (
@@ -1220,40 +1067,3 @@ class ParallelBFS:
             )
         return Violation(invariant, trace, kind=kind)
 
-
-def parallel_bfs(
-    spec: Spec,
-    workers: int = 2,
-    **kwargs: Any,
-) -> SearchResult:
-    """Run a sharded parallel BFS of ``spec`` across ``workers`` processes.
-
-    Accepts the :class:`ParallelBFS` options (``symmetry``, ``max_states``,
-    ``max_depth``, ``time_budget``, ``stop_on_violation``, ``progress``,
-    ``transport``, ...).  Without an explicit ``transport``, falls back
-    to the serial explorer when ``workers <= 1`` or the platform has no
-    ``fork`` start method — loudly: a ``RuntimeWarning`` is emitted and
-    the ``parallel.fallback_serial`` counter incremented, because a
-    degraded-to-serial "parallel" run is a capacity surprise worth
-    noticing.
-    """
-    if kwargs.get("transport") is None and (
-        workers <= 1 or "fork" not in multiprocessing.get_all_start_methods()
-    ):
-        if workers <= 1:
-            reason = f"workers={workers} leaves nothing to parallelize"
-        else:
-            reason = "the platform has no 'fork' start method"
-        warnings.warn(
-            f"parallel BFS falling back to the serial explorer: {reason}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        metrics = kwargs.get("metrics")
-        if metrics is not None:
-            metrics.inc(FALLBACK_SERIAL)
-        kwargs.pop("transport", None)
-        from .explorer import BFSExplorer
-
-        return BFSExplorer(spec, **kwargs).run()
-    return ParallelBFS(spec, workers=workers, **kwargs).run()

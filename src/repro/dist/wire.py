@@ -70,8 +70,10 @@ __all__ = [
 #: silently; 5: violation descriptors carry their action args as codec
 #: bytes, and ``ping`` carries a nonce that its ``pong`` echoes; 6: the
 #: option set lost the compiled/interpreted switch — workers always
-#: compile).
-PROTOCOL_VERSION = 6
+#: compile; 7: no ``absorb`` op — ``restore`` with no bytes seeds the
+#: shard's own initial states, and every ``restored`` reply carries the
+#: added count and the violations).
+PROTOCOL_VERSION = 7
 
 #: Hard bound on one frame's payload: large enough for any realistic
 #: claim batch or checkpoint container, small enough that a corrupt

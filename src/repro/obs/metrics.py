@@ -108,9 +108,9 @@ SYMMETRY_GROUP_SIZE = "symmetry.group_size"
 STORE_BYTES = "store.bytes_per_state"
 
 #: Counter: canonical codec state bytes routed by the master — the
-#: seeds plus the frontier states moved by rebalancing; counted at the
-#: master so it is identical whichever transport (fork pipes or TCP
-#: sockets) moved it.
+#: frontier states moved by rebalancing (workers seed themselves, so no
+#: seed bytes travel); counted at the master so it is identical
+#: whichever transport (fork pipes or TCP sockets) moved it.
 BATCH_BYTES = "parallel.batch_bytes"
 
 #: Counter: fingerprint claims routed from generators to owners — the
@@ -118,7 +118,7 @@ BATCH_BYTES = "parallel.batch_bytes"
 CLAIMS = "parallel.claims"
 
 #: Counter: frontier states the master moved between workers to level
-#: the per-round load (their bytes are part of ``parallel.batch_bytes``).
+#: the per-round load (their bytes are ``parallel.batch_bytes``).
 REBALANCED_STATES = "parallel.rebalanced_states"
 
 #: Histogram: per-round master wait for the slowest worker, in
@@ -127,8 +127,9 @@ REBALANCED_STATES = "parallel.rebalanced_states"
 #: deterministic across resume.
 ROUND_WAIT_MS = "parallel.round_wait_ms"
 
-#: Counter: times ``parallel_bfs`` silently would have degraded to the
-#: serial explorer (no fork support, or ``workers <= 1``); paired with a
+#: Counter: times a ``workers > 1`` search ran serially because the
+#: platform has no ``fork`` (``core.explorer.runs_parallel``, for
+#: ``bfs_explore`` and the durable ``run_check`` alike); paired with a
 #: RuntimeWarning so the degradation is visible, not silent.
 FALLBACK_SERIAL = "parallel.fallback_serial"
 

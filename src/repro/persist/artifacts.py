@@ -18,7 +18,7 @@ import os
 from typing import Any, Callable, Dict, Union
 
 from ..core.state import CODEC_VERSION
-from ..core.trace import Trace
+from ..core.trace import PendingTrace, Trace
 from ..core.violation import Violation
 from .rundir import RunDirError, atomic_write_bytes, atomic_write_json, read_manifest
 
@@ -51,13 +51,22 @@ def _load(path: Any, build: Callable[[Dict[str, Any]], Any]) -> Any:
 
 
 def _violation(data: Dict[str, Any]) -> Violation:
-    if "invariant" not in data:
-        return Violation("(saved trace)", Trace.from_dict(data.get("trace", data)))
+    """A violation as :func:`save_violation` or a checkpoint header wrote
+    it.  A traceless (fast-mode) run's trace is ``{"pending_depth": n}``,
+    known by depth only.  A field of the wrong type raises."""
     invariant, kind = data["invariant"], data.get("kind", "state")
     detail = data.get("detail", "")
     if not all(isinstance(field, str) for field in (invariant, kind, detail)):
         raise ValueError("'invariant', 'kind' or 'detail' is not a string")
-    return Violation(invariant, Trace.from_dict(data.get("trace")), kind=kind, detail=detail)
+    raw_trace = data.get("trace")
+    if isinstance(raw_trace, dict) and "pending_depth" in raw_trace:
+        depth = raw_trace["pending_depth"]
+        if type(depth) is not int or depth < 0:
+            raise ValueError("'pending_depth' is not a count")
+        trace: Trace = PendingTrace(depth)
+    else:
+        trace = Trace.from_dict(raw_trace)
+    return Violation(invariant, trace, kind=kind, detail=detail)
 
 
 def save_trace(path: Union[str, os.PathLike], trace: Trace, **extra: Any) -> None:
@@ -94,7 +103,16 @@ def save_violation(
 
 def load_violation(path: Union[str, os.PathLike]) -> Violation:
     """Load a violation artifact; bare trace files become an unnamed one."""
-    return _load(path, _violation)
+
+    def violation(data: Dict[str, Any]) -> Violation:
+        if "invariant" not in data:
+            return Violation("(saved trace)", Trace.from_dict(data.get("trace", data)))
+        found = _violation(data)
+        if found.trace.pending:
+            raise ValueError("a depth-only pending trace is not replayable")
+        return found
+
+    return _load(path, violation)
 
 
 def save_lasso(

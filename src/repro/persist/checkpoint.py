@@ -56,8 +56,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..core.engine import CompactStore, SearchStats, StateStore
 from ..core.state import CODEC_VERSION, Rec, encode
-from ..core.trace import PendingTrace, Trace, from_jsonable, to_jsonable
+from ..core.trace import from_jsonable, to_jsonable
 from ..core.violation import Violation
+from .artifacts import _violation
 from .diskstore import DiskStore, DiskStoreReader
 from .rundir import (
     BLOB,
@@ -130,10 +131,10 @@ class CheckpointData:
     source: str = "<bytes>"
 
     def stats(self) -> SearchStats:
-        return SearchStats(**self.header.get("stats", {}))
+        return _stats(self.header.get("stats", {}))
 
     def violations(self) -> List[Violation]:
-        return [_violation_from_dict(raw) for raw in self.header.get("violations", ())]
+        return [_violation(raw) for raw in self.header.get("violations", ())]
 
     def frontier_items(self) -> List[Tuple[Rec, int, int]]:
         return [
@@ -190,18 +191,20 @@ def _violation_to_dict(violation: Violation) -> Dict[str, Any]:
     }
 
 
-def _violation_from_dict(raw: Dict[str, Any]) -> Violation:
-    raw_trace = raw["trace"]
-    if "pending_depth" in raw_trace:
-        trace: Trace = PendingTrace(raw_trace["pending_depth"])
-    else:
-        trace = Trace.from_dict(raw_trace)
-    return Violation(
-        raw["invariant"],
-        trace,
-        kind=raw.get("kind", "state"),
-        detail=raw.get("detail", ""),
-    )
+def _is_count(value: Any) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _stats(raw: Any) -> SearchStats:
+    """The :class:`SearchStats` a header or manifest recorded.  A field no
+    writer writes or a value of the wrong type raises."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"'stats' is not an object: {raw!r}")
+    stats = SearchStats(**raw)
+    counts = [value for name, value in raw.items() if name != "elapsed"]
+    if not all(map(_is_count, counts)) or type(stats.elapsed) not in (int, float):
+        raise ValueError(f"'stats' holds a value of the wrong type: {raw!r}")
+    return stats
 
 
 def build_checkpoint_bytes(
@@ -487,15 +490,25 @@ def _desc_to_json(desc: tuple) -> list:
     ]
 
 
-def _desc_from_json(raw: list) -> tuple:
+def _desc_from_json(raw: Any) -> tuple:
     kind, invariant, depth, fp, action, args, branch, enc = raw
+    args = from_jsonable(args)
+    if not (
+        all(isinstance(field, str) for field in (kind, invariant, action, branch))
+        and _is_count(depth)
+        and _is_count(fp)
+        and fp < 2**64
+        and isinstance(args, tuple)
+        and (enc is None or isinstance(enc, str))
+    ):
+        raise ValueError(f"malformed violation descriptor {raw!r}")
     return (
         kind,
         invariant,
         depth,
         fp,
         action,
-        from_jsonable(args),
+        args,
         branch,
         bytes.fromhex(enc) if enc is not None else None,
     )
@@ -616,15 +629,50 @@ def load_parallel_resume(run_dir: RunDir) -> ParallelResume:
             f"checkpoint {path} was written with codec version {codec};"
             f" this build uses {CODEC_VERSION} and cannot load it"
         )
+    try:
+        return _parallel_resume(run_dir, manifest)
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise RunDirError(f"{path}: malformed parallel checkpoint: {exc!r}") from None
+
+
+def _parallel_resume(run_dir: RunDir, manifest: Dict[str, Any]) -> ParallelResume:
+    """The fields of a ``parallel.json`` that :meth:`ParallelCheckpointer.commit`
+    would have written; anything else raises."""
+    workers, depth = manifest["workers"], manifest["depth"]
+    if not (_is_count(workers) and workers > 0 and _is_count(depth)):
+        raise ValueError(f"'workers' {workers!r} or 'depth' {depth!r} is not a count")
+    sizes = manifest["frontier_sizes"]
+    if sorted(sizes) != sorted(map(str, range(workers))) or not all(
+        map(_is_count, sizes.values())
+    ):
+        raise ValueError(f"'frontier_sizes' is not one count per worker: {sizes!r}")
+    files = manifest["files"]
+    first = _WORKER_FILE.match(files[0]) if isinstance(files, list) and files else None
+    # one generation's files, one per worker in worker order: a name
+    # never leaves the checkpoint directory
+    if first is None or files != [
+        f"worker-{wid}-{first.group(1)}.ckpt" for wid in range(workers)
+    ]:
+        raise ValueError(f"'files' is not worker-<wid>-<gen>.ckpt per wid: {files!r}")
+    violations = manifest["violations"]
+    metrics = manifest.get("metrics")
+    reassignments = manifest.get("reassignments", [])
+    if not (
+        isinstance(violations, list)
+        and (metrics is None or isinstance(metrics, dict))
+        and isinstance(reassignments, list)
+        and all(isinstance(event, dict) for event in reassignments)
+    ):
+        raise ValueError("'violations', 'metrics' or 'reassignments' is mistyped")
     return ParallelResume(
-        stats=SearchStats(**manifest["stats"]),
-        depth=manifest["depth"],
-        frontier_sizes={int(wid): size for wid, size in manifest["frontier_sizes"].items()},
-        violations=[_desc_from_json(raw) for raw in manifest["violations"]],
-        worker_files=[run_dir.checkpoint_dir / name for name in manifest["files"]],
-        workers=manifest["workers"],
-        metrics=manifest.get("metrics"),
-        reassignments=list(manifest.get("reassignments", ())),
+        stats=_stats(manifest["stats"]),
+        depth=depth,
+        frontier_sizes={int(wid): size for wid, size in sizes.items()},
+        violations=[_desc_from_json(raw) for raw in violations],
+        worker_files=[run_dir.checkpoint_dir / name for name in files],
+        workers=workers,
+        metrics=metrics,
+        reassignments=reassignments,
     )
 
 

@@ -21,13 +21,12 @@ cycle of a durable run:
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
 import time
 from typing import Any, Callable, Optional, Union
 
 from ..core.engine import SearchResult
-from ..core.explorer import BFSExplorer
+from ..core.explorer import BFSExplorer, runs_parallel
 from ..core.spec import Spec
 from ..obs.report import METRICS_FILENAME
 from ..obs.reporter import compose_progress
@@ -100,7 +99,9 @@ def run_check(
     the parallel driver and selects how shard workers are reached; it is
     deliberately not part of the recorded config, since a fork run and a
     socket run over the same spec are byte-identical and a resume may
-    freely switch between them.
+    freely switch between them.  Serial or parallel is decided by
+    :func:`~repro.core.explorer.runs_parallel`, as for a non-durable run:
+    ``workers > 1`` without ``fork`` runs serially with a warning.
 
     A resume keeps every manifest key it does not own, so a run dir
     whose manifest carries extra fields (such as the ``job`` record older
@@ -108,9 +109,7 @@ def run_check(
     """
     if checkpoint_every is None and checkpoint_states is None:
         checkpoint_every = 60.0
-    parallel = transport is not None or (
-        workers > 1 and "fork" in multiprocessing.get_all_start_methods()
-    )
+    parallel = runs_parallel(workers, transport, metrics)
     config = {
         "spec": _spec_label(spec),
         "mode": "parallel" if parallel else "serial",

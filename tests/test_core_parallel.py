@@ -31,7 +31,6 @@ from repro.core import (
     StopReason,
     TransitionInvariant,
     bfs_explore,
-    parallel_bfs,
 )
 from repro.core import engine as engine_module
 from repro.core import parallel as parallel_module
@@ -44,10 +43,11 @@ from repro.core.parallel import (
     WorkerDied,
     rebalance_plan,
 )
-from repro.core.state import encode, fingerprint
+from repro.core.state import fingerprint
 from repro.obs.metrics import (
     BATCH_BYTES,
     CLAIMS,
+    FALLBACK_SERIAL,
     REBALANCED_STATES,
     VERDICT_MEMO,
     MetricsRegistry,
@@ -99,39 +99,27 @@ class TestEquivalence:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_counter_space(self, workers):
         serial = bfs_explore(CounterSpec(2, 3))
-        par = parallel_bfs(CounterSpec(2, 3), workers=workers)
+        par = bfs_explore(CounterSpec(2, 3), workers=workers)
         assert_equivalent(serial, par)
         assert serial.exhausted
 
     def test_token_ring_clean(self):
         serial = bfs_explore(TokenRingSpec(3))
-        par = parallel_bfs(TokenRingSpec(3), workers=2)
+        par = bfs_explore(TokenRingSpec(3), workers=2)
         assert_equivalent(serial, par)
         assert par.violation is None
 
     def test_max_depth_bound(self):
         serial = bfs_explore(CounterSpec(2, 5), max_depth=3)
-        par = parallel_bfs(CounterSpec(2, 5), max_depth=3, workers=2)
+        par = bfs_explore(CounterSpec(2, 5), max_depth=3, workers=2)
         assert_equivalent(serial, par)
 
     def test_symmetry_reduction(self):
         serial = bfs_explore(CounterSpec(3, 3), symmetry=True)
-        par = parallel_bfs(CounterSpec(3, 3), symmetry=True, workers=2)
+        par = bfs_explore(CounterSpec(3, 3), symmetry=True, workers=2)
         assert_equivalent(serial, par)
         # C(maximum + n, n) multisets under full node symmetry
         assert par.stats.distinct_states == 20
-
-    def test_workers_1_falls_back_to_serial(self):
-        # The fallback must be loud: a RuntimeWarning plus a counter, so
-        # a "parallel" run that silently went serial is visible.
-        from repro.obs.metrics import FALLBACK_SERIAL, MetricsRegistry
-
-        registry = MetricsRegistry()
-        with pytest.warns(RuntimeWarning, match="serial"):
-            result = parallel_bfs(CounterSpec(2, 3), workers=1, metrics=registry)
-        assert result.stats.distinct_states == 16
-        assert result.exhausted
-        assert registry.snapshot()["counters"][FALLBACK_SERIAL] == 1
 
     def test_bfs_explore_workers_kwarg(self):
         result = bfs_explore(CounterSpec(2, 3), workers=2)
@@ -139,9 +127,53 @@ class TestEquivalence:
         assert result.exhausted
 
 
+class TestSerialFallback:
+    """``workers > 1`` on a platform without ``fork`` runs serially and
+    says so — one RuntimeWarning and one ``parallel.fallback_serial`` —
+    through ``bfs_explore`` and the durable ``run_check`` alike."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+    @staticmethod
+    def assert_one_loud_fallback(run):
+        registry = MetricsRegistry()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(registry)
+        loud = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(loud) == 1 and "serial" in str(loud[0].message)
+        assert registry.counter(FALLBACK_SERIAL).value == 1
+        assert census(result) == census(bfs_explore(CounterSpec(2, 3)))
+        assert result.exhausted
+
+    def test_bfs_explore_without_fork_warns_and_counts(self, no_fork):
+        self.assert_one_loud_fallback(
+            lambda registry: bfs_explore(CounterSpec(2, 3), workers=2, metrics=registry)
+        )
+
+    def test_run_check_without_fork_warns_and_counts(self, no_fork, tmp_path):
+        self.assert_one_loud_fallback(
+            lambda registry: run_check(
+                CounterSpec(2, 3), tmp_path / "run", workers=2, metrics=registry
+            )
+        )
+        config = RunDir.open(tmp_path / "run").manifest()["config"]
+        assert (config["mode"], config["workers"]) == ("serial", 1)
+
+    def test_workers_1_is_serial_and_counts_nothing(self):
+        registry = MetricsRegistry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = bfs_explore(CounterSpec(2, 3), workers=1, metrics=registry)
+        assert registry.snapshot()["counters"].get(FALLBACK_SERIAL, 0) == 0
+        assert result.stats.distinct_states == 16 and result.exhausted
+
+
 class TestStops:
     def test_max_states(self):
-        par = parallel_bfs(CounterSpec(3, 5), max_states=50, workers=2)
+        par = bfs_explore(CounterSpec(3, 5), max_states=50, workers=2)
         assert par.stop_reason is StopReason.MAX_STATES
         # parallel checks the bound between levels, so it may overshoot
         # by at most one BFS level — never stop short of the bound
@@ -149,7 +181,7 @@ class TestStops:
         assert not par.exhausted
 
     def test_time_budget(self):
-        par = parallel_bfs(CounterSpec(3, 6), time_budget=0.0, workers=2)
+        par = bfs_explore(CounterSpec(3, 6), time_budget=0.0, workers=2)
         assert par.stop_reason is StopReason.TIME_BUDGET
         assert not par.exhausted
 
@@ -157,7 +189,7 @@ class TestStops:
 class TestViolations:
     def test_state_violation_minimal_depth(self):
         serial = bfs_explore(TokenRingSpec(3, buggy=True))
-        par = parallel_bfs(TokenRingSpec(3, buggy=True), workers=2)
+        par = bfs_explore(TokenRingSpec(3, buggy=True), workers=2)
         assert par.stop_reason is StopReason.VIOLATION
         assert par.violation is not None
         assert par.violation.invariant == serial.violation.invariant == "MutualExclusion"
@@ -166,7 +198,7 @@ class TestViolations:
 
     def test_violation_trace_replays(self):
         spec = TokenRingSpec(3, buggy=True)
-        par = parallel_bfs(TokenRingSpec(3, buggy=True), workers=2)
+        par = bfs_explore(TokenRingSpec(3, buggy=True), workers=2)
         trace = par.violation.trace
         state = trace.initial
         assert state in list(spec.init_states())
@@ -182,7 +214,7 @@ class TestViolations:
 
     def test_transition_violation(self):
         serial = bfs_explore(BadEdgeSpec())
-        par = parallel_bfs(BadEdgeSpec(), workers=2)
+        par = bfs_explore(BadEdgeSpec(), workers=2)
         assert par.violation is not None
         assert par.violation.kind == "transition"
         assert par.violation.invariant == "SmallSteps"
@@ -190,7 +222,7 @@ class TestViolations:
         assert par.violation.trace.final_state == Rec(x=2)
 
     def test_keep_searching_past_violations(self):
-        par = parallel_bfs(
+        par = bfs_explore(
             TokenRingSpec(3, buggy=True), workers=2, stop_on_violation=False
         )
         serial = bfs_explore(TokenRingSpec(3, buggy=True), stop_on_violation=False)
@@ -285,7 +317,7 @@ class InlineTransport:
     """
 
     #: where in each reply the violation descriptors sit
-    VIOLATIONS_AT = {"absorbed": 3, "expanded": 6, "settled": 2}
+    VIOLATIONS_AT = {"restored": 3, "expanded": 6, "settled": 2}
 
     def __init__(self, die=None, cut=None, cut_budget=0.0):
         self.die = die
@@ -455,12 +487,15 @@ class TestClaimSettle:
         workers = [ShardWorker(CounterSpec(3, 3), wid, 2) for wid in range(2)]
         root = next(iter(CounterSpec(3, 3).init_states()))
         owner = workers[fingerprint(root) % 2]
-        owner.absorb([(encode(root), fingerprint(root))])
+        other = workers[1 - owner.wid]
+        assert other.restore(None) == ("restored", other.wid, 0, [], 0)
+        assert owner.restore(None) == ("restored", owner.wid, 1, [], 1)
         reply = owner.expand(None)
         assert reply[5], "the root must have foreign children for this test"
         assert owner._pending
-        assert owner.restore(None) == ("restored", owner.wid, 0)
-        assert owner._pending == {} and len(owner.store) == 0
+        assert owner.restore(None) == ("restored", owner.wid, 1, [], 1)
+        assert owner._pending == {} and len(owner.store) == 1
+        assert [fp for _, fp, _ in owner.frontier] == [fingerprint(root)]
 
     @pytest.mark.parametrize("op", ["claim", "settle", "donate", "adopt"])
     def test_round_aborted_mid_exchange_recovers_exactly(self, op):
@@ -470,7 +505,7 @@ class TestClaimSettle:
         serial = bfs_explore(CounterSpec(3, 4))
         transport = InlineTransport(die=(op, 3))
         with pytest.warns(RuntimeWarning, match="died"):
-            par = parallel_bfs(CounterSpec(3, 4), workers=2, transport=transport)
+            par = bfs_explore(CounterSpec(3, 4), workers=2, transport=transport)
         assert_equivalent(serial, par)
         assert sum(len(w.store) for w in transport.workers) == serial.stats.distinct_states
 
@@ -481,7 +516,7 @@ class TestClaimSettle:
         serial = bfs_explore(CounterSpec(3, 4))
         transport = LatePongs(die=("claim", 3))
         with pytest.warns(RuntimeWarning, match="died"):
-            par = parallel_bfs(CounterSpec(3, 4), workers=2, transport=transport)
+            par = bfs_explore(CounterSpec(3, 4), workers=2, transport=transport)
         assert_equivalent(serial, par)
         assert transport.sent["ping"] == 4 and not transport.replies
 
@@ -491,7 +526,7 @@ class TestClaimSettle:
         # still be settled: every state recorded in the cut round is on
         # exactly one frontier.
         transport = InlineTransport(cut=(1, 3))
-        par = parallel_bfs(
+        par = bfs_explore(
             CounterSpec(3, 4), workers=2, transport=transport, time_budget=3600
         )
         assert par.stop_reason is StopReason.TIME_BUDGET
@@ -512,7 +547,7 @@ class TestClaimSettle:
         monkeypatch.setattr(engine_module, "time", clock)
         monkeypatch.setattr(parallel_module, "time", clock)
         transport = InlineTransport(cut=(0, 4), cut_budget=5)
-        par = parallel_bfs(
+        par = bfs_explore(
             CounterSpec(3, 4), workers=2, transport=transport, time_budget=10**6
         )
         assert par.stop_reason is StopReason.TIME_BUDGET
@@ -568,7 +603,7 @@ class TestViolationFoundInSettle:
         assert serial.violation.depth == bad
         for workers, phase in ((2, "settled"), (3, "expanded")):
             transport = InlineTransport()
-            par = parallel_bfs(ChainSpec(bad), workers=workers, transport=transport)
+            par = bfs_explore(ChainSpec(bad), workers=workers, transport=transport)
             assert transport.found_in == [phase]
             assert par.stop_reason is StopReason.VIOLATION
             assert par.violation.invariant == "NeverBad"
@@ -647,7 +682,7 @@ class TestExchangeVolume:
         serial = bfs_explore(serial_spec, max_depth=8, metrics=serial_registry)
         spec = CountingRaft()
         registry = MetricsRegistry()
-        par = parallel_bfs(
+        par = bfs_explore(
             spec, workers=2, max_depth=8, transport=InlineTransport(), metrics=registry
         )
         assert_equivalent(serial, par)
@@ -678,7 +713,7 @@ class TestDeterminism:
         runs = set()
         for _ in range(5):
             tap = Tap(ForkTransport())
-            result = parallel_bfs(
+            result = bfs_explore(
                 CounterSpec(4, 4, bound=9), workers=workers, transport=tap
             )
             runs.add((tap.merged_edges(), trace_json(result), census(result)))
@@ -698,7 +733,7 @@ class TestWorkerDeathAtEveryBoundary:
 
     @pytest.fixture(scope="class")
     def undisturbed(self):
-        result = parallel_bfs(self.spec(), workers=2)
+        result = bfs_explore(self.spec(), workers=2)
         assert result.stop_reason is StopReason.VIOLATION
         return census(result), result.stop_reason, trace_json(result)
 
@@ -816,7 +851,7 @@ class TestFinalCommit:
         whole = run_check(
             self.spec(), tmp_path / "run", workers=2, resume=True, time_budget=3600
         )
-        assert census(whole) == census(parallel_bfs(self.spec(), workers=2))
+        assert census(whole) == census(bfs_explore(self.spec(), workers=2))
 
     def test_resuming_a_finished_run_expands_nothing(self, tmp_path):
         spec = CounterSpec(4, 4, bound=9)
@@ -843,7 +878,7 @@ class TestFinalCommit:
         extended = run_check(
             self.spec(), tmp_path / "run", workers=2, resume=True, max_states=90
         )
-        straight = parallel_bfs(self.spec(), workers=2, max_states=90)
+        straight = bfs_explore(self.spec(), workers=2, max_states=90)
         assert (census(extended), extended.stop_reason) == (
             census(straight),
             straight.stop_reason,
@@ -994,7 +1029,7 @@ def sigkill_loops(seeds, tmp_path):
 
     counting = SigkillAt(None)
     started = time.monotonic()
-    calm = parallel_bfs(spec(), workers=2, transport=counting)
+    calm = bfs_explore(spec(), workers=2, transport=counting)
     per_level = (time.monotonic() - started) / counting.levels
     expected = census(calm), calm.stop_reason, trace_json(calm)
     recoveries = []

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.core.explorer import BFSExplorer, bfs_explore
-from repro.core.parallel import ForkTransport, WorkerDied, parallel_bfs
+from repro.core.parallel import ForkTransport, WorkerDied
 from repro.core.state import Rec
 from repro.dist.agent import WorkerAgent
 from repro.dist.specref import resolve_spec, system_ref
@@ -17,7 +17,6 @@ from repro.dist.transport import SocketTransport, TransportError, parse_address
 from repro.dist.wire import PROTOCOL_VERSION
 from repro.obs.metrics import (
     ACTION_FIRES,
-    FALLBACK_SERIAL,
     WIRE_BYTES_RECEIVED,
     WIRE_BYTES_SENT,
     MetricsRegistry,
@@ -80,7 +79,7 @@ class TestSocketEquivalence:
                 [a.address for a in agents],
                 make_testkit_ref(gen.seed, gen.params, invariants=False),
             )
-            dist = parallel_bfs(spec, workers=2, transport=transport)
+            dist = bfs_explore(spec, workers=2, transport=transport)
         finally:
             for agent in agents:
                 agent.close()
@@ -100,7 +99,7 @@ class TestSocketEquivalence:
                 [a.address for a in agents],
                 make_testkit_ref(gen.seed, gen.params, invariants=True),
             )
-            dist = parallel_bfs(gen.spec(invariants=True), workers=2, transport=transport)
+            dist = bfs_explore(gen.spec(invariants=True), workers=2, transport=transport)
         finally:
             for agent in agents:
                 agent.close()
@@ -118,7 +117,7 @@ class TestSocketEquivalence:
         # the same edges in the same order whichever transport carried
         # the claims.
         fork_tap = Tap(ForkTransport())
-        fork = parallel_bfs(gen.spec(invariants=True), workers=2, transport=fork_tap)
+        fork = bfs_explore(gen.spec(invariants=True), workers=2, transport=fork_tap)
         agents = start_agents(2)
         try:
             socket_tap = Tap(
@@ -127,7 +126,7 @@ class TestSocketEquivalence:
                     make_testkit_ref(gen.seed, gen.params, invariants=True),
                 )
             )
-            dist = parallel_bfs(
+            dist = bfs_explore(
                 gen.spec(invariants=True), workers=2, transport=socket_tap
             )
         finally:
@@ -147,7 +146,7 @@ class TestSocketEquivalence:
                 make_testkit_ref(gen.seed, gen.params, invariants=False),
                 metrics=registry,
             )
-            parallel_bfs(
+            bfs_explore(
                 gen.spec(invariants=False),
                 workers=2,
                 transport=transport,
@@ -176,7 +175,7 @@ class TestMessageCarryingViolation:
         agents = start_agents(2)
         try:
             transport = SocketTransport([a.address for a in agents], ref)
-            dist = parallel_bfs(resolve_spec(ref), workers=2, transport=transport)
+            dist = bfs_explore(resolve_spec(ref), workers=2, transport=transport)
         finally:
             for agent in agents:
                 agent.close()
@@ -278,7 +277,7 @@ class TestElasticMembership:
                 make_testkit_ref(gen.seed, gen.params, invariants=False),
             )
             with pytest.warns(RuntimeWarning, match="died"):
-                dist = parallel_bfs(spec, workers=2, transport=transport)
+                dist = bfs_explore(spec, workers=2, transport=transport)
         finally:
             for agent in agents:
                 agent.close()
@@ -407,7 +406,7 @@ class TestElasticMembership:
         ref = make_testkit_ref(gen.seed, gen.params, invariants=True)
         agents = start_agents(2)
         try:
-            calm = parallel_bfs(
+            calm = bfs_explore(
                 gen.spec(invariants=True),
                 workers=2,
                 transport=SocketTransport([a.address for a in agents], ref),
@@ -421,7 +420,7 @@ class TestElasticMembership:
                 SocketTransport([a.address for a in agents], ref), "settle", nth=3
             )
             with pytest.warns(RuntimeWarning, match="died"):
-                hurt = parallel_bfs(
+                hurt = bfs_explore(
                     gen.spec(invariants=True), workers=2, transport=transport
                 )
         finally:
@@ -440,7 +439,7 @@ class TestElasticMembership:
                 make_testkit_ref(gen.seed, gen.params, invariants=False),
             )
             with pytest.raises(RuntimeError, match="no replacement worker"):
-                parallel_bfs(
+                bfs_explore(
                     gen.spec(invariants=False), workers=2, transport=transport
                 )
         finally:
@@ -479,7 +478,7 @@ class TestTransportLifecycle:
                 make_testkit_ref(gen.seed, gen.params, invariants=False),
             )
             with pytest.raises(TransportError, match="cannot reach worker 1"):
-                parallel_bfs(gen.spec(invariants=False), workers=2, transport=transport)
+                bfs_explore(gen.spec(invariants=False), workers=2, transport=transport)
             deadline = time.monotonic() + 2.0
             while agents[0].sessions_served != 1 and time.monotonic() < deadline:
                 time.sleep(0.02)
@@ -497,7 +496,7 @@ class TestAgentLifecycle:
             for _ in range(2):
                 transport = SocketTransport([a.address for a in agents], spec_params)
                 results.append(
-                    parallel_bfs(gen.spec(invariants=False), workers=2, transport=transport)
+                    bfs_explore(gen.spec(invariants=False), workers=2, transport=transport)
                 )
         finally:
             for agent in agents:
@@ -532,15 +531,6 @@ class TestAgentLifecycle:
 
 
 class TestSerialFallback:
-    def test_workers_1_warns_and_counts(self, gen):
-        registry = MetricsRegistry()
-        with pytest.warns(RuntimeWarning, match="serial"):
-            result = parallel_bfs(
-                gen.spec(invariants=False), workers=1, metrics=registry
-            )
-        assert result.stats.distinct_states > 0
-        assert registry.snapshot()["counters"][FALLBACK_SERIAL] == 1
-
     def test_transport_suppresses_fallback(self, gen):
         # An explicit transport means the caller wants distribution even
         # for one shard; no silent serial fallback.
@@ -550,7 +540,7 @@ class TestSerialFallback:
                 [agents[0].address],
                 make_testkit_ref(gen.seed, gen.params, invariants=False),
             )
-            result = parallel_bfs(
+            result = bfs_explore(
                 gen.spec(invariants=False), workers=1, transport=transport
             )
         finally:

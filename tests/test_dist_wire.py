@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.parallel import ShardWorker, _received
 from repro.core.spec import Action, Spec, TransitionInvariant
-from repro.core.state import CODEC_VERSION, Rec, encode, fingerprint
+from repro.core.state import CODEC_VERSION, Rec, fingerprint
 from repro.dist.specref import spec_fingerprint, system_ref
 from repro.dist.specref import testkit_ref as make_testkit_ref  # noqa: N813 - pytest collects test* names
 from repro.dist.wire import (
@@ -63,12 +63,12 @@ class TestMessageRoundtrip:
 
     def test_blobs_survive_exactly(self):
         enc = bytes(range(256)) * 3
-        msg = ("absorb", [[enc, 1234, None, "act", 2]])
+        msg = ("adopt", [[enc, 1234, 2]])
         op, items = roundtrip(msg)
-        assert op == "absorb"
+        assert op == "adopt"
         assert items[0][0] == enc
         assert items[0][1] == 1234
-        assert items[0][3] == "act"
+        assert items[0][2] == 2
 
     def test_int_keyed_dicts_survive(self):
         # Per-owner batch dicts are keyed by worker id — JSON objects
@@ -129,7 +129,7 @@ class TestMessageRoundtripOverSpecs:
         state = next(iter(spec.init_states()))
         enc = encode(state)
         fp = fingerprint(enc)
-        op, items = roundtrip(("absorb", [[enc, fp, None, "seed", 0]]))
+        op, items = roundtrip(("adopt", [[enc, fp, 0]]))
         assert items[0][0] == enc
         assert fingerprint(items[0][0]) == fp
 
@@ -138,7 +138,7 @@ class TestMessageRoundtripOverSpecs:
         # codec bytes, like its target: the wire format has no record.
         worker = ShardWorker(RecordArgSpec(), 0, 1)
         (init,) = RecordArgSpec().init_states()
-        worker.absorb([(encode(init), fingerprint(init))])
+        assert worker.restore(None) == ("restored", 0, 1, [], 1)
         reply = worker.expand(None)
         assert reply[0] == "expanded"
         out = roundtrip(reply)
@@ -189,7 +189,7 @@ class TestFraming:
             encode_frame(FakeLen())
 
     def test_buffer_reassembles_byte_at_a_time(self):
-        payload = encode_message(("absorb", [[b"state-bytes", 7, None, "a", 1]]))
+        payload = encode_message(("adopt", [[b"state-bytes", 7, 1]]))
         frame = encode_frame(payload)
         buffer = FrameBuffer()
         popped = []
@@ -283,7 +283,7 @@ class TestHandshake:
         option dropped."""
         hello = make_handshake(self.ref(), wid=0, workers=2)
         hello.update(proto=3, por=True)
-        assert PROTOCOL_VERSION == 6
+        assert PROTOCOL_VERSION == 7
         assert "protocol version mismatch" in check_handshake(hello)
 
     def test_version_4_header_refused(self):
@@ -291,6 +291,13 @@ class TestHandshake:
         pings without a nonce."""
         hello = make_handshake(self.ref(), wid=0, workers=2)
         hello["proto"] = 4
+        assert "protocol version mismatch" in check_handshake(hello)
+
+    def test_version_6_header_refused(self):
+        """A version-6 master seeds through an ``absorb`` op that this
+        worker does not have, and reads a shorter ``restored`` reply."""
+        hello = make_handshake(self.ref(), wid=0, workers=2)
+        hello["proto"] = 6
         assert "protocol version mismatch" in check_handshake(hello)
 
     def test_version_5_header_refused(self):

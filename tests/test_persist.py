@@ -411,7 +411,7 @@ class TestHostileContainers:
         if kind != "disk":
             assert content(again) == content(parsed)
         assert again.stats() == stats
-        assert worker.restore(mutant) == ("restored", 0, len(frontier))
+        assert worker.restore(mutant) == ("restored", 0, 0, [], len(frontier))
 
     @pytest.mark.parametrize("cut", range(0, 60, 7))
     def test_every_truncation_is_a_run_dir_error(self, cut, tmp_path):
@@ -584,6 +584,125 @@ class TestTornRunDirFiles:
         (rd.checkpoint_dir / "parallel.json").write_text('{"codec_version": 2, "st')
         with pytest.raises(RunDirError, match=r"parallel\.json"):
             load_parallel_resume(rd)
+
+
+def _drop(key):
+    return lambda manifest: manifest.pop(key)
+
+
+def _put(value, *path):
+    def mutate(manifest):
+        holder = manifest
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value(holder[path[-1]]) if callable(value) else value
+
+    return mutate
+
+
+class TestMalformedParallelManifest:
+    """A ``parallel.json`` that ``ParallelCheckpointer.commit`` would not
+    have written is a ``RunDirError`` naming it — never a ``KeyError``
+    traceback, never a worker file read from outside the checkpoint
+    directory — and ``check --resume`` and ``check-liveness`` exit 2."""
+
+    @staticmethod
+    def committed(tmp_path):
+        rd = RunDir.create(tmp_path / "run")
+        ParallelCheckpointer(rd).commit(
+            workers=2,
+            depth=1,
+            stats=SearchStats(distinct_states=1),
+            frontier_sizes={0: 1, 1: 0},
+            violations=[("transition", "Inv", 1, 5, "Act", ("a",), "", b"\x01")],
+        )
+        return rd
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(_drop("stats"), id="no-stats"),
+            pytest.param(_put(1, "stats", "bogus"), id="unknown-stat"),
+            pytest.param(_put("3", "stats", "transitions"), id="stat-not-int"),
+            pytest.param(_put([1, 0], "frontier_sizes"), id="sizes-list"),
+            pytest.param(_put({"a": 1, "1": 0}, "frontier_sizes"), id="sizes-key"),
+            pytest.param(_put({"0": 1}, "frontier_sizes"), id="sizes-short"),
+            pytest.param(_put(lambda d: d[:5], "violations", 0), id="short-descriptor"),
+            pytest.param(_put("zz", "violations", 0, 7), id="bad-hex"),
+            pytest.param(_put(7, "violations", 0, 1), id="invariant-not-str"),
+            pytest.param(_put({"v": 1}, "violations"), id="violations-not-list"),
+            pytest.param(_put(lambda f: f[0], "files"), id="files-not-list"),
+            pytest.param(
+                _put(lambda f: ["../../etc/passwd", f[1]], "files"), id="files-escape"
+            ),
+            pytest.param(_put(lambda f: f[::-1], "files"), id="files-out-of-order"),
+            pytest.param(_put(lambda f: f[:1], "files"), id="files-short"),
+            pytest.param(_put("2", "workers"), id="workers-str"),
+            pytest.param(_put("1", "depth"), id="depth-str"),
+            pytest.param(_put([1], "metrics"), id="metrics-list"),
+        ],
+    )
+    def test_refused_naming_the_file(self, tmp_path, mutate):
+        rd = self.committed(tmp_path)
+        path = rd.checkpoint_dir / "parallel.json"
+        assert load_parallel_resume(rd).workers == 2
+        manifest = json.loads(path.read_text())
+        mutate(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(RunDirError, match=r"parallel\.json"):
+            load_parallel_resume(rd)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="parallel BFS requires fork")
+    def test_cli_exits_2(self, tmp_path, capsys):
+        run = str(tmp_path / "run")
+        argv = ["--system", "pysyncobj", "--nodes", "2"]
+        check = ["check", *argv, "--workers", "2", "--max-states", "400",
+                 "--checkpoint-states", "200", "--run-dir", run]
+        assert main(check) == 0
+        path = tmp_path / "run" / "checkpoint" / "parallel.json"
+        manifest = json.loads(path.read_text())
+        del manifest["stats"]
+        path.write_text(json.dumps(manifest))
+        liveness = ["check-liveness", run, *argv, "--temporal", "eventually-elects-leader"]
+        for command in (check + ["--resume"], liveness):
+            capsys.readouterr()
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert "parallel.json" in err and "Traceback" not in err
+
+
+class TestCheckpointHeaderViolations:
+    """A checkpoint header's violations go through the artifact loader's
+    checks: a field of the wrong type is refused, not carried along."""
+
+    @staticmethod
+    def container(**changes):
+        violation = Violation("Inv", PendingTrace(2), kind="state")
+        data = build_checkpoint_bytes(store=CompactStore(), violations=[violation])
+        size = int.from_bytes(data[8:12], "big")
+        header = json.loads(data[12 : 12 + size])
+        header["violations"][0].update(changes)
+        body = json.dumps(header).encode()
+        return data[:8] + len(body).to_bytes(4, "big") + body + data[12 + size :]
+
+    def test_pending_violation_round_trips(self):
+        (found,) = parse_checkpoint(self.container()).violations()
+        assert (found.invariant, found.kind, found.depth) == ("Inv", "state", 2)
+        assert found.trace.pending
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            pytest.param({"invariant": 5}, id="invariant-int"),
+            pytest.param({"kind": [1]}, id="kind-list"),
+            pytest.param({"detail": 7}, id="detail-int"),
+            pytest.param({"trace": {"pending_depth": "2"}}, id="pending-depth-str"),
+            pytest.param({"trace": {"pending_depth": -1}}, id="pending-depth-negative"),
+        ],
+    )
+    def test_wrong_types_refused(self, changes):
+        with pytest.raises(RunDirError, match="malformed checkpoint header"):
+            parse_checkpoint(self.container(**changes))
 
 
 # ---------------------------------------------------------------------------
