@@ -22,7 +22,8 @@ Subcommands mirror Figure 1:
   configuration matrix; ``--tracecheck`` instead grades the trace
   validator against logs with planted divergences, and ``--temporal``
   grades the lasso finder against a naive fair-cycle oracle on random
-  specs;
+  specs; every sweep prints one report, and ``--replay`` re-runs the
+  failing cell of any sweep's artifact;
 * ``coverage`` — the per-action coverage report of a finished run
   (from a durable run directory's ``metrics.jsonl`` or a ``--stats-out``
   file).
@@ -213,7 +214,25 @@ CHECK_CONFLICTS = (
         lambda args, workers: args.resume and not args.run_dir,
         "--resume requires --run-dir",
     ),
+    (
+        lambda args, workers: (
+            args.checkpoint_every is not None or args.checkpoint_states is not None
+        )
+        and not args.run_dir,
+        "--checkpoint-every and --checkpoint-states require --run-dir"
+        " (checkpoints are written into the run directory)",
+    ),
 )
+
+
+def _refused(conflicts, *facts) -> bool:
+    """Print the message of the first row of ``conflicts`` whose condition
+    holds for ``facts``; return whether one did."""
+    for applies, message in conflicts:
+        if applies(*facts):
+            print(message, file=sys.stderr)
+            return True
+    return False
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -222,10 +241,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     except WorkersError as exc:
         print(exc, file=sys.stderr)
         return 2
-    for applies, message in CHECK_CONFLICTS:
-        if applies(args, workers):
-            print(message, file=sys.stderr)
-            return 2
+    if _refused(CHECK_CONFLICTS, args, workers):
+        return 2
     transport = None
     if args.worker:
         # Remote socket workers: the spec travels as a reference, the
@@ -570,63 +587,102 @@ def cmd_validate_trace(args: argparse.Namespace) -> int:
     return 0 if report.conforms else 1
 
 
+#: The flags that shape a sweep; ``--replay`` re-runs one recorded cell
+#: and takes none of them.
+_SWEEP_FLAGS = (
+    "tracecheck", "temporal", "specs", "seed", "out", "serial_only", "fast", "stats_out"
+)
+
+#: ``selftest`` flag combinations the chosen sweep would silently ignore,
+#: as ``(condition(args), message)`` rows, refused with exit 2 before any
+#: sweep runs (the first row that applies wins).
+SELFTEST_CONFLICTS = (
+    (
+        lambda args: args.tracecheck and args.temporal,
+        "--tracecheck and --temporal are two sweeps: run them one at a time",
+    ),
+    (
+        lambda args: args.replay
+        and any(getattr(args, flag) not in (None, False) for flag in _SWEEP_FLAGS),
+        "--replay re-runs the one cell its artifact records, so it takes no"
+        " mode or sweep flag (--tracecheck, --temporal, --specs, --seed,"
+        " --out, --serial-only, --fast, --stats-out)",
+    ),
+    (
+        lambda args: args.fast and (args.tracecheck or args.temporal),
+        "--fast forces the traceless store onto the engine matrix's cells;"
+        " the log and lasso sweeps have none",
+    ),
+    (
+        lambda args: args.serial_only and args.tracecheck,
+        "--serial-only drops parallel cells, and the log sweep has none",
+    ),
+    (
+        lambda args: args.stats_out and (args.tracecheck or args.temporal),
+        "--stats-out writes the engine matrix's metrics; the log and lasso"
+        " sweeps keep none",
+    ),
+)
+
+
 def cmd_selftest(args: argparse.Namespace) -> int:
     from .testkit import replay_artifact, run_differential
+    from .testkit import run_log_fuzz, run_temporal_fuzz
 
-    if args.tracecheck:
-        from .testkit import run_log_fuzz
-
-        reporter = ProgressReporter(enabled=not args.quiet)
-        report = run_log_fuzz(
-            n_specs=args.specs,
-            seed=str(args.seed),
-            progress=lambda line: reporter.event("logfuzz", spec=line),
-        )
-        print(report.describe())
-        return 0 if report.ok else 1
-    if args.temporal:
-        from .testkit import run_temporal_fuzz
-
-        reporter = ProgressReporter(enabled=not args.quiet)
-        report = run_temporal_fuzz(
-            n_specs=args.specs,
-            seed=str(args.seed),
-            out_dir=args.out,
-            serial_only=args.serial_only,
-            progress=lambda line: reporter.event("temporal", spec=line),
-        )
-        print(report.describe())
-        return 0 if report.ok else 1
+    if _refused(SELFTEST_CONFLICTS, args):
+        return 2
     if args.replay:
-        original, fresh = replay_artifact(args.replay)
-        print(f"replaying artifact: {original.describe()}")
+        try:
+            original, fresh = replay_artifact(args.replay)
+        except RunDirError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        print(f"replaying {original.kind} artifact: {original.describe()}")
+        for item in fresh:
+            print(f"  still fails: {item.describe()}")
         if fresh:
-            for item in fresh:
-                print(f"  still disagrees: {item.describe()}")
             return 1
         print("  no longer reproduces")
         return 0
 
+    specs = 20 if args.specs is None else args.specs
+    seed = "0" if args.seed is None else args.seed
     registry = MetricsRegistry() if args.stats_out else None
     reporter = ProgressReporter(enabled=not args.quiet)
-
-    def progress(index: int, generated, n_bad: int) -> None:
-        reporter.event(
-            "spec",
-            seed=generated.seed,
-            nodes=generated.params.n_nodes,
-            verdict="ok" if n_bad == 0 else f"{n_bad}-DISAGREEMENTS",
+    if args.tracecheck:
+        report = run_log_fuzz(
+            n_specs=specs,
+            seed=seed,
+            out_dir=args.out,
+            progress=lambda line: reporter.event("logfuzz", spec=line),
         )
+    elif args.temporal:
+        report = run_temporal_fuzz(
+            n_specs=specs,
+            seed=seed,
+            out_dir=args.out,
+            serial_only=args.serial_only,
+            progress=lambda line: reporter.event("temporal", spec=line),
+        )
+    else:
 
-    report = run_differential(
-        args.specs,
-        seed=args.seed,
-        out_dir=args.out,
-        parallel=not args.serial_only,
-        progress=progress,
-        metrics=registry,
-        fast=args.fast,
-    )
+        def progress(index: int, generated, n_bad: int) -> None:
+            reporter.event(
+                "spec",
+                seed=generated.seed,
+                nodes=generated.params.n_nodes,
+                verdict="ok" if n_bad == 0 else f"{n_bad}-DISAGREEMENTS",
+            )
+
+        report = run_differential(
+            specs,
+            seed=seed,
+            out_dir=args.out,
+            parallel=not args.serial_only,
+            progress=progress,
+            metrics=registry,
+            fast=args.fast,
+        )
     print(report.describe())
     if registry is not None:
         MetricsSink(args.stats_out, registry, meta={"command": "selftest"}).close()
@@ -749,9 +805,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--system", required=True, choices=sorted(SPEC_CLASSES))
         p.add_argument("--nodes", type=_nodes_value, default=3)
         p.add_argument("--bug", action="append", default=[], help="seed a bug flag")
+
+    def search_args(p):
         p.add_argument("--invariant", help="check only this invariant")
         p.add_argument("--time-budget", type=_seconds_value, default=60.0)
-        p.add_argument("--seed", type=int, default=0)
 
     def stats_args(p):
         p.add_argument(
@@ -767,6 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="BFS model checking")
     common(check)
+    search_args(check)
     check.add_argument("--max-states", type=_states_value, default=1_000_000)
     check.add_argument("--symmetry", action="store_true")
     check.add_argument(
@@ -854,6 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="random-walk exploration")
     common(sim)
+    search_args(sim)
+    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--walks", type=int, default=10_000)
     sim.add_argument("--depth", type=int, default=40)
     stats_args(sim)
@@ -861,6 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     conf = sub.add_parser("conformance", help="spec vs. implementation")
     common(conf)
+    conf.add_argument("--seed", type=int, default=0)
     conf.add_argument(
         "--impl-bug",
         action="append",
@@ -962,10 +1023,10 @@ def build_parser() -> argparse.ArgumentParser:
         "selftest",
         help="differentially fuzz the checker itself against a naive oracle",
     )
-    selftest.add_argument("--specs", type=int, default=20, help="random specs to fuzz")
-    selftest.add_argument("--seed", default="0", help="sweep seed (any string)")
+    selftest.add_argument("--specs", type=int, help="random specs to fuzz (default 20)")
+    selftest.add_argument("--seed", help="sweep seed, any string (default 0)")
     selftest.add_argument(
-        "--out", help="write disagreement artifacts (replayable JSON) here"
+        "--out", help="write each failure as a replayable JSON artifact here"
     )
     selftest.add_argument(
         "--serial-only",
@@ -973,7 +1034,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the parallel-worker configurations",
     )
     selftest.add_argument(
-        "--replay", metavar="ARTIFACT", help="re-run one saved disagreement artifact"
+        "--replay",
+        metavar="ARTIFACT",
+        help="re-run the one cell a saved artifact of any sweep records",
     )
     selftest.add_argument(
         "--tracecheck",

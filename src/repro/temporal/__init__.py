@@ -31,7 +31,6 @@ from .lasso import (
     LassoTrace,
     TemporalResult,
     check_graph,
-    check_temporal,
     explore_and_check,
 )
 from .properties import (
@@ -57,6 +56,5 @@ __all__ = [
     "LassoTrace",
     "TemporalResult",
     "check_graph",
-    "check_temporal",
     "explore_and_check",
 ]

@@ -34,7 +34,7 @@ import dataclasses
 import json
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.engine import (
     CompactStore,
@@ -44,7 +44,7 @@ from repro.core.engine import (
 )
 from repro.core.explorer import BFSExplorer
 from repro.core.spec import Spec, WeakFairness
-from repro.core.state import Rec, fingerprint
+from repro.core.state import Rec
 from repro.core.trace import Trace
 from repro.core.violation import Violation
 
@@ -55,7 +55,6 @@ __all__ = [
     "LassoTrace",
     "TemporalResult",
     "check_graph",
-    "check_temporal",
     "explore_and_check",
 ]
 
@@ -561,25 +560,6 @@ def _assemble(
         trace = trace.extend(step)
         state = step.state
     return LassoTrace(trace=trace, cycle_start=len(prefix), stuttering=stuttering)
-
-
-def check_temporal(
-    spec: Spec,
-    store: Union[StateStore, Sequence[StateStore]],
-    prop: TemporalProperty,
-    symmetry: bool = False,
-    fp_fn=fingerprint,
-    metrics: Optional[Any] = None,
-    graph: Optional[TemporalGraph] = None,
-) -> TemporalResult:
-    """Materialize the explored graph from ``store`` and check ``prop``.
-
-    Pass a prebuilt ``graph`` to amortize materialization over several
-    properties.
-    """
-    if graph is None:
-        graph = materialize_graph(spec, store, symmetry=symmetry, fp_fn=fp_fn)
-    return check_graph(graph, prop, metrics=metrics)
 
 
 def explore_and_check(

@@ -3,27 +3,36 @@
 ``repro.testkit`` generates seeded random specifications with known
 ground truth (:mod:`~repro.testkit.genspec`), computes that ground truth
 with a deliberately naive reference explorer
-(:mod:`~repro.testkit.oracle`), and differentially checks every engine
-configuration — serial/parallel, all state stores, symmetry on/off,
-kill-at-checkpoint→resume — against it
-(:mod:`~repro.testkit.differential`).  Exposed on the command line as
-``sandtable selftest``.
+(:mod:`~repro.testkit.oracle`), and grades the checker against it in
+three sweeps, exposed on the command line as ``sandtable selftest``:
+every engine configuration — serial/parallel, all state stores,
+symmetry on/off, kill-at-checkpoint→resume
+(:mod:`~repro.testkit.differential`, the default); the trace validator
+against logs with planted divergences (:mod:`~repro.testkit.genlog`,
+``--tracecheck``); and the lasso finder against planted temporal
+properties (:mod:`~repro.testkit.gentemporal`, ``--temporal``).
+
+All three keep their outcome the same way (:mod:`~repro.testkit.report`):
+one :class:`SelftestReport` (graded and skipped counts per cell, the
+findings, the artifacts), one :class:`Finding` base under each sweep's
+typed failure, one artifact format tagged with the sweep's ``kind`` and
+the codec version, and one :func:`replay_artifact` that re-runs the
+failing cell of any kind — ``sandtable selftest --replay FILE``.  The
+CLI refuses flag combinations a sweep would ignore (``--tracecheck``
+with ``--temporal``, ``--replay`` with any sweep flag, ``--fast``,
+``--serial-only`` or ``--stats-out`` where no cell reads them).
 """
 
 from .differential import (
-    ARTIFACT_KIND,
-    DifferentialReport,
     Disagreement,
     MatrixConfig,
     build_matrix,
     check_spec,
-    replay_artifact,
     run_differential,
 )
 from .genlog import (
     MUTATION_KINDS,
     LogFuzzFailure,
-    LogFuzzReport,
     PlantedLog,
     naive_validate,
     plant_divergence,
@@ -31,13 +40,10 @@ from .genlog import (
     walk_log,
 )
 from .gentemporal import (
-    TEMPORAL_ARTIFACT_KIND,
     PlantedProperty,
     TemporalFuzzFailure,
-    TemporalFuzzReport,
     plant_temporal_properties,
     property_from_descriptor,
-    replay_temporal_artifact,
     run_temporal_fuzz,
 )
 from .genspec import (
@@ -59,15 +65,17 @@ from .oracle import (
     oracle_temporal_graph,
     oracle_validate_lasso,
 )
+from .report import Finding, SelftestReport, replay_artifact, write_artifact
 
 __all__ = [
-    "ARTIFACT_KIND",
-    "DifferentialReport",
+    "Finding",
+    "SelftestReport",
+    "replay_artifact",
+    "write_artifact",
     "Disagreement",
     "MatrixConfig",
     "build_matrix",
     "check_spec",
-    "replay_artifact",
     "run_differential",
     "PLANTED_INVARIANT",
     "GeneratedSpec",
@@ -84,17 +92,13 @@ __all__ = [
     "oracle_explore",
     "oracle_temporal_graph",
     "oracle_validate_lasso",
-    "TEMPORAL_ARTIFACT_KIND",
     "PlantedProperty",
     "TemporalFuzzFailure",
-    "TemporalFuzzReport",
     "plant_temporal_properties",
     "property_from_descriptor",
-    "replay_temporal_artifact",
     "run_temporal_fuzz",
     "MUTATION_KINDS",
     "LogFuzzFailure",
-    "LogFuzzReport",
     "PlantedLog",
     "naive_validate",
     "plant_divergence",

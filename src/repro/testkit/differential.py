@@ -32,12 +32,10 @@ spec with ``stop_on_violation=False`` and grade its full census against
 the oracle, plus the minimal violation depth.
 
 Any mismatch — including an exception escaping a configuration — is a
-:class:`Disagreement` carrying the spec seed, generator params, and
-config: everything needed to regenerate the identical spec and re-run
-the one failing cell.  With an output directory each disagreement is
-also written as a JSON artifact (via the same crash-safe writer as
-:mod:`repro.persist`), and :func:`replay_artifact` turns such a file
-back into a live re-run.
+:class:`Disagreement` (a :class:`~repro.testkit.report.Finding`)
+carrying the spec seed, generator params, and config: everything needed
+to regenerate the identical spec and re-run the one failing cell
+through :func:`~repro.testkit.report.replay_artifact`.
 """
 
 from __future__ import annotations
@@ -55,26 +53,21 @@ from unittest import mock
 
 from ..core.engine import SearchResult, StopReason
 from ..core.explorer import BFSExplorer, bfs_explore
-from ..core.state import CODEC_VERSION, CheckedMemo
+from ..core.state import CheckedMemo
 from ..obs.metrics import ACTION_FIRES, MetricsRegistry
 from ..persist.diskstore import DiskStore
-from ..persist.rundir import atomic_write_json, read_json
 from ..persist.runner import run_check
-from .genspec import GeneratedSpec, GenParams, generate_spec, sample_params
+from .genspec import GeneratedSpec, generate_spec, sample_params
 from .oracle import OracleResult, oracle_explore
+from .report import Finding, SelftestReport
 
 __all__ = [
     "MatrixConfig",
     "Disagreement",
-    "DifferentialReport",
     "build_matrix",
     "check_spec",
     "run_differential",
-    "replay_artifact",
-    "ARTIFACT_KIND",
 ]
-
-ARTIFACT_KIND = "testkit-disagreement"
 
 #: Durable configs use tiny budgets so even ~100-state specs exercise
 #: checkpointing, memory-set spills, and the kill→resume path.
@@ -273,62 +266,30 @@ def build_matrix(
 
 
 @dataclasses.dataclass
-class Disagreement:
-    """One engine-vs-oracle mismatch, replayable from its fields alone."""
+class Disagreement(Finding):
+    """One engine-vs-oracle mismatch; its cell is the matrix config's name."""
 
-    spec_seed: str
-    params: GenParams
+    kind = "testkit-disagreement"
+
+    cell: str = dataclasses.field(init=False)
     config: MatrixConfig
     field: str
     expected: Any
     actual: Any
 
-    def describe(self) -> str:
-        return (
-            f"spec {self.spec_seed} [{self.config.name}]: {self.field}"
-            f" expected {self.expected!r}, got {self.actual!r}"
-        )
+    def __post_init__(self) -> None:
+        self.cell = self.config.name
 
-    def to_dict(self, oracle: Optional[OracleResult] = None) -> Dict[str, Any]:
-        payload = {
-            "kind": ARTIFACT_KIND,
-            "codec_version": CODEC_VERSION,
-            "spec_seed": self.spec_seed,
-            "params": self.params.to_dict(),
-            "config": self.config.to_dict(),
-            "field": self.field,
-            "expected": self.expected,
-            "actual": self.actual,
-        }
-        if oracle is not None:
-            payload["oracle"] = oracle.to_dict()
-        return payload
+    def detail(self) -> str:
+        return f"{self.field} expected {self.expected!r}, got {self.actual!r}"
 
+    @classmethod
+    def _decode(cls, fields: Dict[str, Any]) -> Dict[str, Any]:
+        return {**fields, "config": MatrixConfig.from_dict(fields["config"])}
 
-@dataclasses.dataclass
-class DifferentialReport:
-    """Outcome of one fuzzing sweep."""
-
-    specs: int = 0
-    configs_run: int = 0
-    disagreements: List[Disagreement] = dataclasses.field(default_factory=list)
-    artifacts: List[str] = dataclasses.field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.disagreements
-
-    def describe(self) -> str:
-        verdict = "OK" if self.ok else f"{len(self.disagreements)} DISAGREEMENTS"
-        lines = [
-            f"selftest: {self.specs} specs x matrix"
-            f" = {self.configs_run} configurations, {verdict}"
-        ]
-        for item in self.disagreements:
-            lines.append(f"  {item.describe()}")
-        for path in self.artifacts:
-            lines.append(f"  artifact: {path}")
-        return "\n".join(lines)
+    def replay(self, raw: Dict[str, Any]) -> List[Finding]:
+        generated = generate_spec(self.spec_seed, self.params)
+        return check_spec(generated, parallel=True, configs=[self.config])[1]
 
 
 # ---------------------------------------------------------------------------
@@ -762,13 +723,14 @@ def run_differential(
     progress: Optional[Callable[[int, GeneratedSpec, int], None]] = None,
     metrics: Optional[MetricsRegistry] = None,
     fast: bool = False,
-) -> DifferentialReport:
+) -> SelftestReport:
     """Fuzz ``n_specs`` random specs through the full matrix.
 
     Spec ``i`` of sweep ``seed`` is always generated from the derived
     seed ``"{seed}:{i}"`` with params drawn from a dedicated parameter
-    RNG — so any disagreement is reproducible from its artifact alone,
-    and ``run_differential(n, s)`` covers a superset of the specs of
+    RNG — so any disagreement is reproducible from its artifact alone
+    (written to ``out_dir`` when given, with the oracle's census), and
+    ``run_differential(n, s)`` covers a superset of the specs of
     ``run_differential(m, s)`` for ``n >= m``.
 
     With ``metrics`` the sweep keeps running totals (``selftest.specs``,
@@ -776,62 +738,21 @@ def run_differential(
     ``--stats-out`` sink.  ``fast`` forces the traceless store across
     the matrix (``sandtable selftest --fast``).
     """
-    report = DifferentialReport()
+    report = SelftestReport("engine matrix", str(seed), n_specs)
     params_rng = random.Random(f"params:{seed}")
     for index in range(n_specs):
         params = sample_params(params_rng)
         generated = generate_spec(f"{seed}:{index}", params)
         configs = build_matrix(generated, parallel, fast=fast)
         oracle, disagreements = check_spec(generated, parallel, configs)
-        report.specs += 1
-        report.configs_run += len(configs)
+        for config in configs:
+            report.grade(config.name)
         if metrics is not None:
             metrics.inc("selftest.specs")
             metrics.inc("selftest.configs", len(configs))
             metrics.inc("selftest.disagreements", len(disagreements))
-        if disagreements:
-            report.disagreements.extend(disagreements)
-            if out_dir is not None:
-                for item in disagreements:
-                    report.artifacts.append(_save_artifact(out_dir, item, oracle))
+        for item in disagreements:
+            report.add(item, out_dir, oracle=oracle.to_dict())
         if progress is not None:
             progress(index, generated, len(disagreements))
     return report
-
-
-def _save_artifact(
-    out_dir: os.PathLike, item: Disagreement, oracle: OracleResult
-) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    stem = item.config.name.replace("/", "-")
-    path = os.path.join(
-        os.fspath(out_dir),
-        f"disagreement-{item.spec_seed.replace(':', '_')}-{stem}-{item.field}.json",
-    )
-    atomic_write_json(path, item.to_dict(oracle))
-    return path
-
-
-def replay_artifact(path: os.PathLike) -> Tuple[Disagreement, List[Disagreement]]:
-    """Regenerate the spec of a disagreement artifact and re-run its cell.
-
-    Returns the original disagreement and the fresh mismatches from the
-    re-run (empty when the disagreement no longer reproduces, e.g. after
-    the engine bug it exposed was fixed).
-    """
-    raw = read_json(path)
-    if raw.get("kind") != ARTIFACT_KIND:
-        raise ValueError(f"{os.fspath(path)} is not a {ARTIFACT_KIND} artifact")
-    params = GenParams.from_dict(raw["params"])
-    config = MatrixConfig.from_dict(raw["config"])
-    original = Disagreement(
-        spec_seed=raw["spec_seed"],
-        params=params,
-        config=config,
-        field=raw["field"],
-        expected=raw["expected"],
-        actual=raw["actual"],
-    )
-    generated = generate_spec(raw["spec_seed"], params)
-    _, fresh = check_spec(generated, parallel=True, configs=[config])
-    return original, fresh

@@ -31,12 +31,14 @@ grading.
   frontier, and a **stutter** cell (drop one internal event, validate
   with stuttering allowed) must agree with the oracle's stuttering
   verdict.  Everything is derived from the sweep seed — rerunning with
-  the same seed replays the identical matrix.
+  the same seed replays the identical matrix, and a failure's artifact
+  replays its one spec and projection.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,11 +52,11 @@ from ..tracecheck.logfmt import (
 )
 from ..tracecheck.matcher import validate_log
 from .genspec import GeneratedSpec, GenParams, generate_spec, sample_params
+from .report import Finding, SelftestReport
 
 __all__ = [
     "MUTATION_KINDS",
     "LogFuzzFailure",
-    "LogFuzzReport",
     "PlantedLog",
     "naive_validate",
     "plant_divergence",
@@ -334,55 +336,39 @@ def plant_divergence(
 
 
 @dataclasses.dataclass
-class LogFuzzFailure:
+class LogFuzzFailure(Finding):
     """One graded cell whose verdict disagreed with the ground truth."""
 
-    spec_seed: str
+    kind = "testkit-log-disagreement"
+    CELLS = ("clean", *MUTATION_KINDS, "stutter")
+
     projection: Tuple[str, ...]
-    cell: str
     message: str
 
-    def describe(self) -> str:
-        return (
-            f"{self.spec_seed} proj={'/'.join(self.projection) or '-'}"
-            f" [{self.cell}]: {self.message}"
+    def detail(self) -> str:
+        return f"proj={'/'.join(self.projection) or '-'}: {self.message}"
+
+    @classmethod
+    def _decode(cls, fields: Dict[str, Any]) -> Dict[str, Any]:
+        projection = tuple(fields["projection"])
+        if not all(isinstance(var, str) for var in projection):
+            raise TypeError("'projection' is not a list of variable names")
+        return {**fields, "projection": projection}
+
+    def replay(self, raw: Dict[str, Any]) -> List[Finding]:
+        report = SelftestReport("log fuzz", self.spec_seed, 1)
+        _grade_projection(
+            generate_spec(self.spec_seed, self.params),
+            self.projection,
+            raw.get("length", _LENGTH),
+            raw.get("max_frontier", _MAX_FRONTIER),
+            report,
         )
+        return [item for item in report.findings if item.cell == self.cell]
 
 
-@dataclasses.dataclass
-class LogFuzzReport:
-    """The sweep outcome: graded cell counts, skips, and failures."""
-
-    specs: int
-    seed: str
-    cells: Dict[str, int]
-    skipped: Dict[str, int]
-    failures: List[LogFuzzFailure]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def graded(self) -> int:
-        return sum(self.cells.values())
-
-    def describe(self) -> str:
-        lines = [
-            f"log fuzz: {self.specs} specs (seed {self.seed!r}),"
-            f" {self.graded} cells graded,"
-            f" {sum(self.skipped.values())} skipped,"
-            f" {len(self.failures)} failures"
-        ]
-        for cell in sorted(self.cells):
-            skip = self.skipped.get(cell, 0)
-            lines.append(
-                f"  {cell:<10} {self.cells[cell]:>4} graded"
-                + (f" ({skip} skipped)" if skip else "")
-            )
-        for failure in self.failures[:20]:
-            lines.append(f"  FAIL {failure.describe()}")
-        return "\n".join(lines)
+_LENGTH = 10
+_MAX_FRONTIER = 4096
 
 
 def _projections(params: GenParams) -> List[Tuple[str, ...]]:
@@ -399,151 +385,130 @@ def _round_trip(
     return parse_lines(render_lines(header, events))
 
 
+def _grade_projection(
+    generated: GeneratedSpec,
+    projection: Tuple[str, ...],
+    length: int,
+    max_frontier: int,
+    report: SelftestReport,
+    out_dir: Optional[os.PathLike] = None,
+) -> None:
+    """Grade every cell of one spec under one observed-variable projection.
+
+    The walk RNG derives from the spec seed (``{sweep seed}-log-{index}``)
+    and the projection, so a replay walks the identical log.
+    """
+    spec, params = generated.spec(invariants=False), generated.params
+    sweep_seed, _, index = generated.seed.rpartition("-log-")
+    rng = random.Random(f"{sweep_seed}:walk:{index}:{'/'.join(projection)}")
+
+    def fail(cell: str, message: str) -> None:
+        failure = LogFuzzFailure(generated.seed, params, cell, projection, message)
+        report.add(failure, out_dir, length=length, max_frontier=max_frontier)
+
+    events = walk_log(generated, rng, length=length, observed=projection)
+    if not events:
+        report.skip("clean")
+        return
+    log = _round_trip("testkit-random", projection, events)
+
+    # -- clean: must conform (validator and oracle agree) -------------------
+    result = validate_log(spec, log, max_frontier=max_frontier)
+    report.grade("clean")
+    if not result.conforms:
+        fail("clean", f"clean log rejected at #{result.divergence_index}")
+    conforms, oracle_index = naive_validate(spec, log.events)
+    if not conforms:
+        fail("clean", f"oracle rejected a clean walk at #{oracle_index} (testkit bug)")
+
+    # -- planted mutants: must diverge at the oracle index ------------------
+    for kind in MUTATION_KINDS:
+        planted = plant_divergence(spec, params, events, kind, rng)
+        if planted is None:
+            report.skip(kind)
+            continue
+        if planted.oracle_index < planted.planted_index:
+            fail(
+                kind,
+                f"oracle index {planted.oracle_index} precedes the"
+                f" planted index {planted.planted_index} (testkit bug)",
+            )
+            continue
+        mutant_log = _round_trip("testkit-random", projection, planted.events)
+        result = validate_log(spec, mutant_log, max_frontier=max_frontier)
+        report.grade(kind)
+        if result.conforms:
+            fail(
+                kind,
+                f"planted divergence at #{planted.planted_index}"
+                f" (oracle #{planted.oracle_index}) was accepted",
+            )
+        elif result.frontier_limited:
+            fail(kind, f"frontier cap {max_frontier} saturated; verdict unreliable")
+        elif result.divergence_index != planted.oracle_index:
+            fail(
+                kind,
+                f"diverged at #{result.divergence_index}, oracle says"
+                f" #{planted.oracle_index}",
+            )
+
+    # -- stuttering: drop one internal event, allow one stutter -------------
+    internal = [
+        position for position, event in enumerate(events) if event.kind == "internal"
+    ]
+    if not internal:
+        report.skip("stutter")
+        return
+    position = internal[rng.randrange(len(internal))]
+    stuttered = [*events[:position], *events[position + 1 :]]
+    truth, truth_index = naive_validate(spec, stuttered, stutter_depth=1)
+    stutter_log = _round_trip("testkit-random", projection, stuttered)
+    result = validate_log(
+        spec, stutter_log, stutter_depth=1, max_frontier=max_frontier
+    )
+    report.grade("stutter")
+    if result.conforms != truth:
+        fail(
+            "stutter",
+            f"stutter verdict {result.verdict}, oracle says"
+            f" {'conforms' if truth else f'diverged at #{truth_index}'}",
+        )
+    elif not truth and not result.frontier_limited and (
+        result.divergence_index != truth_index
+    ):
+        fail(
+            "stutter",
+            f"stutter divergence at #{result.divergence_index},"
+            f" oracle says #{truth_index}",
+        )
+
+
 def run_log_fuzz(
     n_specs: int = 25,
     seed: str = "0",
-    length: int = 10,
-    max_frontier: int = 4096,
+    length: int = _LENGTH,
+    max_frontier: int = _MAX_FRONTIER,
     progress: Optional[Callable[[str], None]] = None,
-) -> LogFuzzReport:
+    out_dir: Optional[os.PathLike] = None,
+) -> SelftestReport:
     """Grade the validator over ``n_specs`` generated specs.
 
     Per spec and observed-variable projection: one clean log (must
     conform), one planted mutant per kind in :data:`MUTATION_KINDS`
     (must diverge at exactly the oracle index, with the frontier below
     its cap), and one stuttering cell.  Zero tolerance: any disagreement
-    is a failure.
+    is a failure, written as a replayable artifact when ``out_dir`` is
+    given.
     """
-    cells: Dict[str, int] = {}
-    skipped: Dict[str, int] = {}
-    failures: List[LogFuzzFailure] = []
-
-    def fail(spec_seed: str, projection: Tuple[str, ...], cell: str, message: str) -> None:
-        failures.append(LogFuzzFailure(spec_seed, projection, cell, message))
-
+    report = SelftestReport("log fuzz", seed, n_specs)
     for index in range(n_specs):
         spec_seed = f"{seed}-log-{index}"
         params = sample_params(random.Random(f"{seed}-params-{index}"))
         generated = generate_spec(spec_seed, params)
-        spec = generated.spec(invariants=False)
         if progress is not None:
             progress(f"[{index + 1}/{n_specs}] {spec_seed}")
         for projection in _projections(params):
-            rng = random.Random(f"{seed}:walk:{index}:{'/'.join(projection)}")
-            events = walk_log(generated, rng, length=length, observed=projection)
-            if not events:
-                skipped["clean"] = skipped.get("clean", 0) + 1
-                continue
-            log = _round_trip("testkit-random", projection, events)
-
-            # -- clean: must conform (validator and oracle agree) -------
-            report = validate_log(spec, log, max_frontier=max_frontier)
-            cells["clean"] = cells.get("clean", 0) + 1
-            if not report.conforms:
-                fail(
-                    spec_seed,
-                    projection,
-                    "clean",
-                    f"clean log rejected at #{report.divergence_index}",
-                )
-            conforms, oracle_index = naive_validate(spec, log.events)
-            if not conforms:
-                fail(
-                    spec_seed,
-                    projection,
-                    "clean",
-                    f"oracle rejected a clean walk at #{oracle_index} (testkit bug)",
-                )
-
-            # -- planted mutants: must diverge at the oracle index ------
-            for kind in MUTATION_KINDS:
-                planted = plant_divergence(
-                    spec, params, events, kind, rng
-                )
-                if planted is None:
-                    skipped[kind] = skipped.get(kind, 0) + 1
-                    continue
-                if planted.oracle_index < planted.planted_index:
-                    fail(
-                        spec_seed,
-                        projection,
-                        kind,
-                        f"oracle index {planted.oracle_index} precedes the"
-                        f" planted index {planted.planted_index} (testkit bug)",
-                    )
-                    continue
-                mutant_log = _round_trip(
-                    "testkit-random", projection, planted.events
-                )
-                report = validate_log(spec, mutant_log, max_frontier=max_frontier)
-                cells[kind] = cells.get(kind, 0) + 1
-                if report.conforms:
-                    fail(
-                        spec_seed,
-                        projection,
-                        kind,
-                        f"planted divergence at #{planted.planted_index}"
-                        f" (oracle #{planted.oracle_index}) was accepted",
-                    )
-                elif report.frontier_limited:
-                    fail(
-                        spec_seed,
-                        projection,
-                        kind,
-                        f"frontier cap {max_frontier} saturated; verdict unreliable",
-                    )
-                elif report.divergence_index != planted.oracle_index:
-                    fail(
-                        spec_seed,
-                        projection,
-                        kind,
-                        f"diverged at #{report.divergence_index}, oracle says"
-                        f" #{planted.oracle_index}",
-                    )
-
-            # -- stuttering: drop one internal event, allow one stutter -
-            internal = [
-                position
-                for position, event in enumerate(events)
-                if event.kind == "internal"
-            ]
-            if not internal:
-                skipped["stutter"] = skipped.get("stutter", 0) + 1
-                continue
-            position = internal[rng.randrange(len(internal))]
-            stuttered = [*events[:position], *events[position + 1 :]]
-            truth, truth_index = naive_validate(spec, stuttered, stutter_depth=1)
-            stutter_log = _round_trip("testkit-random", projection, stuttered)
-            report = validate_log(
-                spec,
-                stutter_log,
-                stutter_depth=1,
-                max_frontier=max_frontier,
+            _grade_projection(
+                generated, projection, length, max_frontier, report, out_dir
             )
-            cells["stutter"] = cells.get("stutter", 0) + 1
-            if report.conforms != truth:
-                fail(
-                    spec_seed,
-                    projection,
-                    "stutter",
-                    f"stutter verdict {report.verdict}, oracle says"
-                    f" {'conforms' if truth else f'diverged at #{truth_index}'}",
-                )
-            elif not truth and not report.frontier_limited and (
-                report.divergence_index != truth_index
-            ):
-                fail(
-                    spec_seed,
-                    projection,
-                    "stutter",
-                    f"stutter divergence at #{report.divergence_index},"
-                    f" oracle says #{truth_index}",
-                )
-
-    return LogFuzzReport(
-        specs=n_specs,
-        seed=seed,
-        cells=cells,
-        skipped=skipped,
-        failures=failures,
-    )
+    return report

@@ -27,10 +27,11 @@ grading across the engine matrix.
   (:func:`~repro.testkit.oracle.oracle_validate_lasso`), byte-stable
   JSON round-trips, and byte-identical lassos across stores.  A
   fingerprint-only store must refuse with
-  :class:`~repro.core.engine.TracelessStoreError`.  Any disagreement
-  lands as a replayable JSON artifact
-  (:func:`replay_temporal_artifact`).  Everything derives from the sweep
-  seed — the same seed replays the identical matrix.
+  :class:`~repro.core.engine.TracelessStoreError`.  Any disagreement is
+  a :class:`TemporalFuzzFailure` whose artifact
+  :func:`~repro.testkit.report.replay_artifact` re-runs.  Everything
+  derives from the sweep seed — the same seed replays the identical
+  matrix.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ from ..persist import (
     DiskStore,
     DiskStoreReader,
     RunDir,
-    atomic_write_json,
     load_graph_stores,
-    read_json,
 )
 from ..persist.runner import run_check
 from ..temporal import LassoTrace, check_graph, materialize_graph
@@ -61,7 +60,7 @@ from ..temporal.properties import (
     eventually,
     leads_to,
 )
-from .genspec import GeneratedSpec, GenParams, generate_spec, sample_params, signature
+from .genspec import GeneratedSpec, generate_spec, sample_params, signature
 from .oracle import (
     OracleTemporalGraph,
     OracleTemporalVerdict,
@@ -69,19 +68,15 @@ from .oracle import (
     oracle_temporal_graph,
     oracle_validate_lasso,
 )
+from .report import Finding, SelftestReport
 
 __all__ = [
-    "TEMPORAL_ARTIFACT_KIND",
     "PlantedProperty",
     "TemporalFuzzFailure",
-    "TemporalFuzzReport",
     "plant_temporal_properties",
     "property_from_descriptor",
-    "replay_temporal_artifact",
     "run_temporal_fuzz",
 ]
-
-TEMPORAL_ARTIFACT_KIND = "testkit-temporal-disagreement"
 
 #: Specs whose census exceeds this are skipped: the quadratic
 #: mutual-reachability oracle is the point (simple enough to audit), and
@@ -298,70 +293,36 @@ def _cell_graph(generated: GeneratedSpec, cell: str):
 
 
 @dataclasses.dataclass
-class TemporalFuzzFailure:
+class TemporalFuzzFailure(Finding):
     """One graded cell whose result disagreed with the temporal oracle."""
 
-    spec_seed: str
-    params: GenParams
+    kind = "testkit-temporal-disagreement"
+    CELLS = ("traceless", *CELLS)
+
     prop: Optional[Dict[str, Any]]  # descriptor; None for per-spec cells
-    cell: str
     message: str
 
-    def describe(self) -> str:
-        name = self.prop["name"] if self.prop else "-"
-        return f"{self.spec_seed} {name} [{self.cell}]: {self.message}"
+    def detail(self) -> str:
+        return f"{self.prop['name'] if self.prop else '-'}: {self.message}"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": TEMPORAL_ARTIFACT_KIND,
-            "spec_seed": self.spec_seed,
-            "params": self.params.to_dict(),
-            "property": self.prop,
-            "cell": self.cell,
-            "message": self.message,
-        }
+    @classmethod
+    def _decode(cls, fields: Dict[str, Any]) -> Dict[str, Any]:
+        if fields["prop"] is not None:
+            property_from_descriptor(fields["prop"])  # a malformed one raises here
+        return fields
 
-
-@dataclasses.dataclass
-class TemporalFuzzReport:
-    """The sweep outcome: graded cells, ground-truth mix, and failures."""
-
-    specs: int
-    seed: str
-    cells: Dict[str, int]
-    skipped: Dict[str, int]
-    violated: int
-    holds: int
-    failures: List[TemporalFuzzFailure]
-    artifacts: List[str] = dataclasses.field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def graded(self) -> int:
-        return sum(self.cells.values())
-
-    def describe(self) -> str:
-        lines = [
-            f"temporal fuzz: {self.specs} specs (seed {self.seed!r}),"
-            f" {self.graded} cells graded"
-            f" ({self.violated} violated / {self.holds} holding truths),"
-            f" {sum(self.skipped.values())} skipped,"
-            f" {len(self.failures)} failures"
-        ]
-        for cell in sorted(self.cells):
-            skip = self.skipped.get(cell, 0)
-            lines.append(
-                f"  {cell:<10} {self.cells[cell]:>4} graded"
-                + (f" ({skip} skipped)" if skip else "")
-            )
-        for failure in self.failures[:20]:
-            lines.append(f"  FAIL {failure.describe()}")
-        for path in self.artifacts:
-            lines.append(f"  artifact: {path}")
-        return "\n".join(lines)
+    def replay(self, raw: Dict[str, Any]) -> List[Finding]:
+        generated = generate_spec(self.spec_seed, self.params)
+        planted = []
+        if self.prop is not None:
+            planted = [PlantedProperty(self.prop, property_from_descriptor(self.prop))]
+        # The serial cell runs first, as in the sweep: its lassos are the
+        # bytes every later cell must reproduce.
+        cells = dict.fromkeys(("serial", self.cell) if self.prop else (self.cell,))
+        oracle_graph = oracle_temporal_graph(generated.spec(invariants=False))
+        report = SelftestReport("temporal fuzz", self.spec_seed, 1)
+        _grade_spec(generated, oracle_graph, planted, list(cells), report)
+        return [item for item in report.findings if item.cell == self.cell]
 
 
 def _grade_property(
@@ -395,13 +356,79 @@ def _grade_property(
     return None, text
 
 
+def _grade_spec(
+    generated: GeneratedSpec,
+    oracle_graph: OracleTemporalGraph,
+    planted: Sequence[PlantedProperty],
+    cells: Sequence[str],
+    report: SelftestReport,
+    out_dir: Optional[os.PathLike] = None,
+) -> None:
+    """Grade every planted property of one spec through each of ``cells``."""
+    spec = generated.spec(invariants=False)
+    truths = {
+        item.name: oracle_check_temporal(spec, item.prop, oracle_graph)
+        for item in planted
+    }
+    for truth in truths.values():
+        if truth.violated:
+            report.violated += 1
+        else:
+            report.holds += 1
+    reference_json: Dict[str, str] = {}  # property -> first cell's lasso bytes
+
+    def fail(cell: str, prop: Optional[Dict[str, Any]], message: str) -> None:
+        seed, params = generated.seed, generated.params
+        report.add(TemporalFuzzFailure(seed, params, cell, prop, message), out_dir)
+
+    for cell in cells:
+        if cell == "traceless":
+            # The fingerprint-only store must refuse to materialize a graph.
+            report.grade(cell)
+            try:
+                materialize_graph(spec, FingerprintOnlyStore())
+                fail(cell, None, "materialize_graph accepted a fingerprint-only store")
+            except TracelessStoreError:
+                pass
+            continue
+        graph, cell_spec = _cell_graph(generated, cell)
+        if graph.unreached:
+            fail(cell, None, f"{graph.unreached} stored states unreachable in replay")
+            continue
+        if graph.boundary_edges:
+            edges = graph.boundary_edges
+            fail(cell, None, f"{edges} boundary edges on an exhaustive run")
+            continue
+        if cell != "symmetry" and len(graph) != len(oracle_graph.states):
+            states = len(oracle_graph.states)
+            fail(cell, None, f"census {len(graph)} states, oracle has {states}")
+            continue
+        for item in planted:
+            report.grade(cell)
+            message, lasso_json = _grade_property(
+                cell_spec, cell, graph, item.prop, truths[item.name]
+            )
+            if message is not None:
+                fail(cell, item.descriptor, message)
+                continue
+            # Symmetry picks orbit representatives, so its concrete lasso
+            # may legitimately differ; every other cell must emit
+            # byte-identical JSON.
+            if lasso_json is None or cell == "symmetry":
+                continue
+            if item.name not in reference_json:
+                reference_json[item.name] = lasso_json
+            elif reference_json[item.name] != lasso_json:
+                fail(cell, item.descriptor, "lasso JSON differs from the serial cell's")
+
+
 def run_temporal_fuzz(
     n_specs: int = 25,
     seed: str = "0",
     out_dir: Optional[os.PathLike] = None,
     serial_only: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-) -> TemporalFuzzReport:
+) -> SelftestReport:
     """Grade the lasso engine over ``n_specs`` generated specs.
 
     Per spec: four planted properties (◇ target, ◇ init-escape, □◇, ⤳)
@@ -412,27 +439,10 @@ def run_temporal_fuzz(
     validity, or byte-stability disagreement is a failure, written as a
     replayable artifact when ``out_dir`` is given.
     """
-    cells: Dict[str, int] = {}
-    skipped: Dict[str, int] = {}
-    failures: List[TemporalFuzzFailure] = []
-    artifacts: List[str] = []
-    violated = holds = 0
+    report = SelftestReport("temporal fuzz", seed, n_specs)
     workers_possible = (
         not serial_only and "fork" in multiprocessing.get_all_start_methods()
     )
-
-    def fail(
-        spec_seed: str,
-        params: GenParams,
-        prop: Optional[Dict[str, Any]],
-        cell: str,
-        message: str,
-    ) -> None:
-        failure = TemporalFuzzFailure(spec_seed, params, prop, cell, message)
-        failures.append(failure)
-        if out_dir is not None:
-            artifacts.append(_save_artifact(out_dir, failure))
-
     for index in range(n_specs):
         spec_seed = f"{seed}-temporal-{index}"
         params = sample_params(random.Random(f"{seed}-tparams-{index}"))
@@ -443,175 +453,14 @@ def run_temporal_fuzz(
 
         oracle_graph = oracle_temporal_graph(spec)
         if len(oracle_graph.states) > _STATE_CAP:
-            skipped["oversize"] = skipped.get("oversize", 0) + 1
+            report.skip("oversize")
             continue
         rng = random.Random(f"{seed}:temporal:{index}")
         planted = plant_temporal_properties(generated, oracle_graph, rng)
-        truths = {
-            item.name: oracle_check_temporal(spec, item.prop, oracle_graph)
-            for item in planted
-        }
-        for truth in truths.values():
-            if truth.violated:
-                violated += 1
-            else:
-                holds += 1
-
-        # -- traceless: the fingerprint-only store must refuse ----------
-        cells["traceless"] = cells.get("traceless", 0) + 1
-        try:
-            materialize_graph(spec, FingerprintOnlyStore())
-            fail(
-                spec_seed,
-                params,
-                None,
-                "traceless",
-                "materialize_graph accepted a fingerprint-only store",
-            )
-        except TracelessStoreError:
-            pass
-
-        active = ["serial", "disk"]
+        cells = ["traceless", "serial", "disk"]
         if generated.symmetric:
-            active.append("symmetry")
+            cells.append("symmetry")
         if workers_possible:
-            active.append("workers")
-        reference_json: Dict[str, str] = {}  # property -> serial lasso bytes
-        for cell in active:
-            graph, cell_spec = _cell_graph(generated, cell)
-            if graph.unreached:
-                fail(
-                    spec_seed,
-                    params,
-                    None,
-                    cell,
-                    f"{graph.unreached} stored states unreachable in replay",
-                )
-                continue
-            if graph.boundary_edges:
-                fail(
-                    spec_seed,
-                    params,
-                    None,
-                    cell,
-                    f"{graph.boundary_edges} boundary edges on an exhaustive run",
-                )
-                continue
-            if cell != "symmetry" and len(graph) != len(oracle_graph.states):
-                fail(
-                    spec_seed,
-                    params,
-                    None,
-                    cell,
-                    f"census {len(graph)} states, oracle has"
-                    f" {len(oracle_graph.states)}",
-                )
-                continue
-            for item in planted:
-                cells[cell] = cells.get(cell, 0) + 1
-                message, lasso_json = _grade_property(
-                    cell_spec, cell, graph, item.prop, truths[item.name]
-                )
-                if message is not None:
-                    fail(spec_seed, params, item.descriptor, cell, message)
-                    continue
-                if lasso_json is None:
-                    continue
-                # Symmetry picks orbit representatives, so its concrete
-                # lasso may legitimately differ; every other cell must
-                # emit byte-identical JSON.
-                if cell == "symmetry":
-                    continue
-                if item.name not in reference_json:
-                    reference_json[item.name] = lasso_json
-                elif reference_json[item.name] != lasso_json:
-                    fail(
-                        spec_seed,
-                        params,
-                        item.descriptor,
-                        cell,
-                        "lasso JSON differs from the serial cell's",
-                    )
-
-    return TemporalFuzzReport(
-        specs=n_specs,
-        seed=seed,
-        cells=cells,
-        skipped=skipped,
-        violated=violated,
-        holds=holds,
-        failures=failures,
-        artifacts=artifacts,
-    )
-
-
-# ---------------------------------------------------------------------------
-# artifacts
-# ---------------------------------------------------------------------------
-
-
-def _save_artifact(out_dir: os.PathLike, failure: TemporalFuzzFailure) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    name = failure.prop["name"] if failure.prop else "spec"
-    path = os.path.join(
-        os.fspath(out_dir),
-        f"temporal-{failure.spec_seed.replace(':', '_')}-{failure.cell}-{name}.json",
-    )
-    atomic_write_json(path, failure.to_dict())
-    return path
-
-
-def replay_temporal_artifact(path: os.PathLike) -> Dict[str, Any]:
-    """Regenerate a temporal disagreement's spec and re-run its cell.
-
-    Returns the fresh comparison: the oracle verdict, the engine
-    verdict, and (when a lasso was found) its prefix length and
-    validation defect — everything needed to see whether the
-    disagreement still reproduces.
-    """
-    raw = read_json(path)
-    if raw.get("kind") != TEMPORAL_ARTIFACT_KIND:
-        raise ValueError(
-            f"{os.fspath(path)} is not a {TEMPORAL_ARTIFACT_KIND} artifact"
-        )
-    params = GenParams.from_dict(raw["params"])
-    generated = generate_spec(raw["spec_seed"], params)
-    spec = generated.spec(invariants=False)
-    cell = raw["cell"]
-    if cell == "traceless":
-        try:
-            materialize_graph(spec, FingerprintOnlyStore())
-            refused = False
-        except TracelessStoreError:
-            refused = True
-        return {"cell": cell, "traceless_refused": refused}
-    descriptor = raw.get("property")
-    graph, cell_spec = _cell_graph(
-        generated, cell if cell in CELLS else "serial"
-    )
-    out: Dict[str, Any] = {
-        "cell": cell,
-        "graph_states": len(graph),
-        "unreached": graph.unreached,
-        "boundary_edges": graph.boundary_edges,
-    }
-    if descriptor is not None:
-        prop = property_from_descriptor(descriptor)
-        truth = oracle_check_temporal(spec, prop)
-        result = check_graph(graph, prop)
-        out.update(
-            oracle_violated=truth.violated,
-            oracle_min_prefix=truth.min_prefix,
-            engine_violated=not result.holds,
-            prefix_length=(
-                result.lasso.prefix_length if result.lasso is not None else None
-            ),
-            lasso_defect=(
-                oracle_validate_lasso(
-                    cell_spec, prop, result.lasso, symmetric=cell == "symmetry"
-                )
-                if result.lasso is not None
-                else None
-            ),
-        )
-    return out
+            cells.append("workers")
+        _grade_spec(generated, oracle_graph, planted, cells, report, out_dir)
+    return report

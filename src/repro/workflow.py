@@ -215,24 +215,28 @@ def run_workflow(
     checks: List[CheckOutcome] = []
     for score in ranked.top(top_constraints):
         spec = spec_factory(score.constraint)
-        explore_extra: dict = {}
-        temporal_store = None
+        temporal_results: List[Any] = []
         if temporal:
-            from .core.engine import CompactStore  # local: keep import light
+            from .temporal import explore_and_check, resolve_property
 
-            # Keep exploring past safety violations: the lasso search
-            # needs the full budgeted census, and the first violation is
-            # still collected and confirmed below.
-            temporal_store = CompactStore()
-            explore_extra = {"store": temporal_store, "stop_on_violation": False}
-        exploration = bfs_explore(
-            spec,
-            max_states=max_states,
-            time_budget=time_budget,
-            workers=workers,
-            metrics=metrics,
-            **explore_extra,
-        )
+            # The lasso search needs the full budgeted census, so this
+            # exploration keeps going past safety violations; the first
+            # one is still collected and confirmed below.
+            temporal_results, exploration = explore_and_check(
+                spec,
+                [resolve_property(spec, name) for name in temporal],
+                max_states=max_states,
+                time_budget=time_budget,
+                metrics=metrics,
+            )
+        else:
+            exploration = bfs_explore(
+                spec,
+                max_states=max_states,
+                time_budget=time_budget,
+                workers=workers,
+                metrics=metrics,
+            )
         confirmation = None
         if exploration.found_violation:
             bug_checker = ConformanceChecker(
@@ -241,15 +245,6 @@ def run_workflow(
             confirmation = BugReplayer(bug_checker, metrics=metrics).confirm(
                 exploration.violation
             )
-        temporal_results: List[Any] = []
-        if temporal:
-            from .temporal import check_graph, materialize_graph, resolve_property
-
-            graph = materialize_graph(spec, temporal_store)
-            temporal_results = [
-                check_graph(graph, resolve_property(spec, name), metrics=metrics)
-                for name in temporal
-            ]
         checks.append(
             CheckOutcome(score.constraint, exploration, confirmation, temporal_results)
         )

@@ -4,7 +4,9 @@ import re
 
 import pytest
 
-from repro.cli import CHECK_CONFLICTS, main
+from repro.cli import CHECK_CONFLICTS, SELFTEST_CONFLICTS, main
+from repro.persist.rundir import read_json
+from repro.testkit import replay_artifact
 
 
 class TestBugsCommand:
@@ -125,9 +127,12 @@ class TestReducerFlags:
             (2, ["--temporal", "eventually-elects-leader", "--workers", "2"]),
             (2, ["--temporal", "eventually-elects-leader", "--worker", "127.0.0.1:1"]),
             (3, ["--resume"]),
+            (4, ["--checkpoint-every", "5"]),
+            (4, ["--checkpoint-states", "100"]),
         ],
         ids=["temporal-fast", "temporal-run-dir", "temporal-workers",
-             "temporal-worker", "resume-without-run-dir"],
+             "temporal-worker", "resume-without-run-dir",
+             "checkpoint-every-without-run-dir", "checkpoint-states-without-run-dir"],
     )
     def test_conflicting_check_flags_exit_2(self, row, extra, tmp_path, monkeypatch, capsys):
         """Every row of the one conflict table is refused with its own
@@ -328,7 +333,7 @@ class TestSelftestCommand:
         )
         assert code == 1
         out = capsys.readouterr().out
-        assert "DISAGREEMENTS" in out and "artifact:" in out
+        assert "FAILED" in out and "artifact:" in out
         artifacts = sorted(out_dir.glob("disagreement-*.json"))
         assert artifacts
 
@@ -336,6 +341,123 @@ class TestSelftestCommand:
         monkeypatch.undo()
         assert main(["selftest", "--replay", str(artifacts[0])]) == 0
         assert "no longer reproduces" in capsys.readouterr().out
+
+    def test_tracecheck_out_writes_artifacts_that_replay(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A planted validator defect: every log is rejected at event 0.
+        --out works under --tracecheck, and each artifact replays the
+        failure until the defect is gone."""
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(
+            "repro.testkit.genlog.validate_log",
+            lambda spec, log, **kwargs: SimpleNamespace(
+                conforms=False,
+                divergence_index=0,
+                frontier_limited=False,
+                verdict="diverged",
+            ),
+        )
+        out_dir = tmp_path / "artifacts"
+        argv = ["selftest", "--tracecheck", "--specs", "1", "--seed", "cli-log"]
+        assert main(argv + ["--quiet", "--out", str(out_dir)]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED" in out and "artifact:" in out
+        artifacts = sorted(out_dir.glob("log-disagreement-*.json"))
+        assert artifacts and all(
+            read_json(path)["kind"] == "testkit-log-disagreement" for path in artifacts
+        )
+        clean = next(path for path in artifacts if read_json(path)["cell"] == "clean")
+        original, fresh = replay_artifact(clean)
+        assert original.cell == "clean" and original.params is not None
+        assert original.describe() in [item.describe() for item in fresh]
+
+        monkeypatch.undo()
+        assert main(["selftest", "--replay", str(clean)]) == 0
+        out = capsys.readouterr().out
+        assert "testkit-log-disagreement" in out and "no longer reproduces" in out
+
+    def test_temporal_artifact_replays_through_the_cli(self, tmp_path, capsys):
+        import random
+
+        from repro.testkit import TemporalFuzzFailure, sample_params, write_artifact
+
+        failure = TemporalFuzzFailure(
+            spec_seed="cli-temporal",
+            params=sample_params(random.Random("cli-temporal-params")),
+            cell="disk",
+            prop=None,
+            message="synthetic census disagreement",
+        )
+        path = write_artifact(tmp_path, failure)
+        assert main(["selftest", "--replay", path]) == 0
+        out = capsys.readouterr().out
+        assert "testkit-temporal-disagreement" in out and "no longer reproduces" in out
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file"),
+            ("{not json", "not readable JSON"),
+            ("[1, 2]", "not a JSON object"),
+            ('{"kind": "testkit-something-else"}', "not a selftest artifact"),
+            ('{"kind": "testkit-disagreement"}', "KeyError"),
+        ],
+        ids=["missing", "malformed", "not-an-object", "foreign-kind", "missing-field"],
+    )
+    def test_replay_of_a_bad_artifact_exits_2(self, content, reason, tmp_path, capsys):
+        path = tmp_path / "artifact.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["selftest", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(path) in captured.err and reason in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "row, extra",
+        [
+            (0, ["--tracecheck", "--temporal"]),
+            (1, ["--replay", "a.json", "--specs", "2"]),
+            (1, ["--replay", "a.json", "--seed", "0"]),
+            (1, ["--replay", "a.json", "--out", "artifacts"]),
+            (1, ["--replay", "a.json", "--temporal"]),
+            (1, ["--replay", "a.json", "--serial-only"]),
+            (2, ["--tracecheck", "--fast"]),
+            (2, ["--temporal", "--fast"]),
+            (3, ["--tracecheck", "--serial-only"]),
+            (4, ["--tracecheck", "--stats-out", "m.jsonl"]),
+            (4, ["--temporal", "--stats-out", "m.jsonl"]),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    )
+    def test_ignored_selftest_flags_exit_2(
+        self, row, extra, tmp_path, monkeypatch, capsys
+    ):
+        """Every row of the selftest conflict table is refused with its own
+        message before any sweep runs: nothing is printed or written."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["selftest"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == SELFTEST_CONFLICTS[row][1] + "\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--system", "pysyncobj", "--seed", "1"],
+            ["conformance", "--system", "pysyncobj", "--invariant", "Nope"],
+            ["conformance", "--system", "pysyncobj", "--time-budget", "5"],
+        ],
+        ids=["check --seed", "conformance --invariant", "conformance --time-budget"],
+    )
+    def test_flags_no_command_reads_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 class TestDurableRuns:

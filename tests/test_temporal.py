@@ -27,6 +27,7 @@ from repro.persist import (
     DiskStore,
     DiskStoreReader,
     RunDir,
+    RunDirError,
     atomic_write_json,
     load_lasso,
     load_violation,
@@ -48,7 +49,7 @@ from repro.testkit import (
     TemporalFuzzFailure,
     oracle_check_temporal,
     oracle_validate_lasso,
-    replay_temporal_artifact,
+    replay_artifact,
     run_temporal_fuzz,
     sample_params,
 )
@@ -682,6 +683,7 @@ class TestTemporalFuzz:
         failure = TemporalFuzzFailure(
             spec_seed="pytest-replay",
             params=params,
+            cell="serial",
             prop={
                 "kind": "eventually",
                 "name": "never",
@@ -689,21 +691,21 @@ class TestTemporalFuzz:
                 "negate": False,
                 "fairness": [],
             },
-            cell="serial",
             message="synthetic disagreement for the replay test",
         )
         path = tmp_path / "artifact.json"
         atomic_write_json(path, failure.to_dict())
-        replayed = replay_temporal_artifact(path)
-        assert replayed["cell"] == "serial"
-        assert replayed["oracle_violated"] == replayed["engine_violated"] is True
-        assert replayed["lasso_defect"] is None
+        original, fresh = replay_artifact(path)
+        assert original == failure and original.kind == TemporalFuzzFailure.kind
+        # Oracle and engine agree that the unreachable target is never
+        # reached: the synthetic disagreement does not reproduce.
+        assert fresh == []
 
     def test_replay_rejects_other_artifacts(self, tmp_path):
         path = tmp_path / "other.json"
         atomic_write_json(path, {"kind": "something-else"})
-        with pytest.raises(ValueError, match="artifact"):
-            replay_temporal_artifact(path)
+        with pytest.raises(RunDirError, match="not a selftest artifact"):
+            replay_artifact(path)
 
     def test_selftest_cli(self, capsys):
         code = main(

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import bfs_explore
 from repro.testkit import (
-    ARTIFACT_KIND,
+    Disagreement,
     GenParams,
     MatrixConfig,
     build_matrix,
@@ -19,8 +19,9 @@ from repro.testkit import (
     run_differential,
     sample_params,
     signature,
+    write_artifact,
 )
-from repro.persist.rundir import read_json
+from repro.persist.rundir import RunDirError, read_json
 from toy_specs import CounterSpec, TokenRingSpec
 
 # ---------------------------------------------------------------------------
@@ -248,9 +249,9 @@ def test_run_differential_report_and_determinism(tmp_path):
     report = run_differential(2, seed="sweep", parallel=False)
     assert report.ok
     assert report.specs == 2
-    assert report.configs_run > 0
+    assert report.graded > 0
     again = run_differential(2, seed="sweep", parallel=False)
-    assert again.configs_run == report.configs_run
+    assert again.cells == report.cells
 
 
 def test_artifact_round_trip(tmp_path):
@@ -260,8 +261,7 @@ def test_artifact_round_trip(tmp_path):
     assert generated.planted is not None
     import dataclasses
 
-    from repro.testkit.differential import _save_artifact
-    from repro.testkit import Disagreement, OracleResult
+    from repro.testkit import OracleResult
 
     item = Disagreement(
         spec_seed=generated.seed,
@@ -279,9 +279,11 @@ def test_artifact_round_trip(tmp_path):
         min_violation_depth=None,
         violation_invariants=(),
     )
-    path = _save_artifact(tmp_path, item, oracle)
+    path = write_artifact(tmp_path, item, oracle=oracle.to_dict())
     raw = read_json(path)
-    assert raw["kind"] == ARTIFACT_KIND
+    assert raw["kind"] == Disagreement.kind == item.kind
+    assert raw["cell"] == "violation/serial-memory"
+    assert raw["oracle"]["states"] == 1
     assert raw["spec_seed"] == generated.seed
     assert GenParams.from_dict(raw["params"]) == generated.params
     original, fresh = replay_artifact(path)
@@ -305,7 +307,7 @@ def test_replay_artifact_rejects_foreign_json(tmp_path):
 
     path = tmp_path / "other.json"
     atomic_write_json(path, {"kind": "something-else"})
-    with pytest.raises(ValueError):
+    with pytest.raises(RunDirError, match="not a selftest artifact"):
         replay_artifact(path)
 
 

@@ -42,7 +42,7 @@ def test_truncated_fingerprint_is_flagged(monkeypatch, tmp_path):
     )
     assert not report.ok
     assert report.artifacts, "a disagreement must be saved as a replayable artifact"
-    assert any(d.field in ("states", "error") for d in report.disagreements)
+    assert any(d.field in ("states", "error") for d in report.findings)
 
     # Remove the defect: the saved artifact regenerates the identical
     # spec + config, and the healthy engine no longer disagrees.
@@ -62,7 +62,7 @@ def test_suppressed_state_invariants_are_flagged(monkeypatch):
     )
     report = run_differential(1, seed=MUTATION_SEED, parallel=False)
     assert not report.ok
-    flagged = [d for d in report.disagreements if d.field == "stop_reason"]
+    flagged = [d for d in report.findings if d.field == "stop_reason"]
     assert flagged and all(d.config.phase == "violation" for d in flagged)
 
     monkeypatch.undo()
@@ -89,9 +89,9 @@ def test_verdict_key_missing_a_declared_variable_is_flagged(monkeypatch, tmp_pat
     )
     assert not report.ok
     assert report.artifacts, "a disagreement must be saved as a replayable artifact"
-    flagged = {d.config.name for d in report.disagreements}
+    flagged = {d.config.name for d in report.findings}
     assert "violation/serial-memory" in flagged
-    assert all(d.config.phase == "violation" for d in report.disagreements)
+    assert all(d.config.phase == "violation" for d in report.findings)
     # The engine over the raw spec keeps no memo: under the same defect
     # it still stops at the planted violation.
     raw = read_json(report.artifacts[0])

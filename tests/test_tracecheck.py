@@ -528,6 +528,6 @@ class TestLogFuzz:
         second = run_log_fuzz(n_specs=2, seed="det", length=6)
         assert first.cells == second.cells
         assert first.skipped == second.skipped
-        assert [f.describe() for f in first.failures] == [
-            f.describe() for f in second.failures
+        assert [f.describe() for f in first.findings] == [
+            f.describe() for f in second.findings
         ]
