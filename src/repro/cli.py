@@ -57,7 +57,7 @@ from .obs import (
     resolve_sink_path,
 )
 from .obs.metrics import CODEC_CHUNKS, SYMMETRY, SYMMETRY_GROUP_SIZE, VERDICT_MEMO
-from .persist import RunDirError, load_violation, save_violation
+from .persist import RunDirError, load_violation, save_lasso, save_violation
 from .systems import SYSTEMS
 from .temporal import PROPERTY_NAMES
 
@@ -243,12 +243,14 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 2
     if _refused(CHECK_CONFLICTS, args, workers):
         return 2
+    from .dist.transport import TransportError
+
     transport = None
     if args.worker:
         # Remote socket workers: the spec travels as a reference, the
         # shard count defaults to one shard per address.
         from .dist.specref import system_ref
-        from .dist.transport import SocketTransport, TransportError
+        from .dist.transport import SocketTransport
 
         if args.workers is None:
             workers = len(args.worker)
@@ -268,10 +270,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(exc, file=sys.stderr)
             return 2
     spec = make_spec(args.system, args.nodes, args.bug, args.invariant)
-    temporal_store = None
     temporal_props = []
     if args.temporal:
-        from .core.engine import CompactStore
         from .temporal import resolve_property
 
         try:
@@ -281,61 +281,45 @@ def cmd_check(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return 2
-        # The graph needs the full budgeted census: keep exploring past
-        # safety violations (they are still collected and reported).
-        temporal_store = CompactStore()
-    durable = {}
-    if args.run_dir:
-        durable = dict(
-            run_dir=args.run_dir,
-            resume=args.resume,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_states=args.checkpoint_states,
-        )
     registry, reporter = _make_stats(args)
-    from .dist.transport import TransportError as _TransportError
-
+    search = dict(
+        max_states=args.max_states,
+        time_budget=args.time_budget,
+        symmetry=args.symmetry,
+        metrics=registry,
+        progress=reporter,
+    )
+    temporal_results = []
     try:
-        result = bfs_explore(
-            spec,
-            max_states=args.max_states,
-            time_budget=args.time_budget,
-            symmetry=args.symmetry,
-            workers=workers,
-            transport=transport,
-            metrics=registry,
-            progress=reporter,
-            fast=args.fast,
-            **durable,
-            **(
-                {"store": temporal_store, "stop_on_violation": False}
-                if temporal_store is not None
-                else {}
-            ),
-        )
-    except (RunDirError, _TransportError) as exc:
+        if temporal_props:
+            from .temporal import explore_and_check
+
+            temporal_results, result = explore_and_check(spec, temporal_props, **search)
+        else:
+            result = bfs_explore(
+                spec,
+                workers=workers,
+                transport=transport,
+                fast=args.fast,
+                run_dir=args.run_dir or None,
+                resume=args.resume,
+                checkpoint_every=args.checkpoint_every,
+                checkpoint_states=args.checkpoint_states,
+                **search,
+            )
+    except (RunDirError, TransportError) as exc:
         # TransportError surfaces when transport.start() cannot reach a
         # worker agent — a usage error, not a crash.
         print(exc, file=sys.stderr)
         return 2
     print(f"explored {result.describe()}")
-    temporal_violated = False
-    if temporal_store is not None:
-        from .persist import save_lasso
-        from .temporal import check_graph, materialize_graph
-
-        graph = materialize_graph(spec, temporal_store, symmetry=args.symmetry)
-        out_taken = result.found_violation  # the safety trace wins --out
-        for prop in temporal_props:
-            tres = check_graph(graph, prop, metrics=registry)
-            print(tres.describe())
-            if tres.lasso is None:
-                continue
-            temporal_violated = True
-            if args.out and not out_taken:
-                save_lasso(args.out, tres.lasso, prop.name)
-                print(f"saved lasso trace to {args.out}")
-                out_taken = True
+    out_taken = result.found_violation  # the safety trace wins --out
+    for tres in temporal_results:
+        print(tres.describe())
+        if tres.lasso is not None and args.out and not out_taken:
+            save_lasso(args.out, tres.lasso, tres.property.name)
+            print(f"saved lasso trace to {args.out}")
+            out_taken = True
     _finish_stats(args, registry, stats=result.stats, spec=spec)
     if result.found_violation:
         print(result.violation.describe())
@@ -343,7 +327,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             save_violation(args.out, result.violation)
             print(f"saved violation trace to {args.out}")
         return 1
-    if temporal_violated:
+    if not all(tres.holds for tres in temporal_results):
         return 1
     print("no violation found")
     return 0
@@ -352,7 +336,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_check_liveness(args: argparse.Namespace) -> int:
     """Post-hoc lasso detection over a finished durable run's state graph."""
     from .core.engine import TracelessStoreError
-    from .persist import RunDir, load_graph_stores, save_lasso
+    from .persist import RunDir, load_graph_stores
     from .temporal import check_graph, materialize_graph, resolve_property
 
     try:
@@ -914,8 +898,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sim)
     search_args(sim)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--walks", type=int, default=10_000)
-    sim.add_argument("--depth", type=int, default=40)
+    sim.add_argument("--walks", type=_positive(int, "walk count"), default=10_000)
+    sim.add_argument("--depth", type=_positive(int, "depth"), default=40)
     stats_args(sim)
     sim.set_defaults(fn=cmd_simulate)
 
@@ -928,8 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="seed this bug only in the implementation",
     )
-    conf.add_argument("--quiet-period", type=float, default=10.0)
-    conf.add_argument("--max-traces", type=int, default=None)
+    conf.add_argument("--quiet-period", type=_seconds_value, default=10.0)
+    conf.add_argument("--max-traces", type=_positive(int, "trace count"), default=None)
     conf.add_argument(
         "--emit-log",
         metavar="FILE",
@@ -1023,7 +1007,11 @@ def build_parser() -> argparse.ArgumentParser:
         "selftest",
         help="differentially fuzz the checker itself against a naive oracle",
     )
-    selftest.add_argument("--specs", type=int, help="random specs to fuzz (default 20)")
+    selftest.add_argument(
+        "--specs",
+        type=_positive(int, "spec count"),
+        help="random specs to fuzz (default 20)",
+    )
     selftest.add_argument("--seed", help="sweep seed, any string (default 0)")
     selftest.add_argument(
         "--out", help="write each failure as a replayable JSON artifact here"

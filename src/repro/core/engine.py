@@ -91,6 +91,7 @@ __all__ = [
     "action_kinds",
     "find_matching_step",
     "reconstruct_trace",
+    "replay_path",
 ]
 
 
@@ -578,29 +579,41 @@ def reconstruct_trace(
     canonical: Optional[Callable[[Rec], Rec]] = None,
     fp_fn: Callable[[Rec], Any] = fingerprint,
 ) -> Trace:
-    """Reconstruct a trace from an initial state to ``fp``.
+    """Reconstruct a trace from an initial state to ``fp``: the store's
+    parent chain of fingerprints, re-executed by :func:`replay_path`.
+    Keeps per-state memory in the store to a couple of machine words."""
+    (init_fp, _), *chain = store.chain(fp)
+    path = [(action_name, target_fp) for target_fp, action_name in chain]
+    return replay_path(spec, store.init_state(init_fp), path, canonical, fp_fn)
 
-    Walks the store's parent chain to collect the fingerprints on the
-    path, then re-executes from the initial state, at each step firing
-    the successor whose canonical fingerprint matches the next
-    fingerprint on the chain.  With symmetry reduction the re-executed
-    states may be permuted variants of the stored canonical ones;
-    matching on canonical fingerprints keeps the replay on the right
-    orbit.  Keeps per-state memory in the store to a couple of machine
-    words.
+
+def replay_path(
+    spec: Spec,
+    state: Rec,
+    path: Sequence[Tuple[str, Any]],
+    canonical: Optional[Callable[[Rec], Rec]] = None,
+    fp_fn: Callable[[Rec], Any] = fingerprint,
+) -> Trace:
+    """Re-execute a fingerprint path from ``state`` into a concrete trace.
+
+    ``path`` is ``(action name, fingerprint)`` per step; each step fires
+    the successor whose canonical fingerprint matches
+    (:func:`find_matching_step`), and a step none matches raises
+    ``RuntimeError``.  With symmetry reduction the re-executed states may
+    be permuted variants of the stored canonical ones; matching on
+    canonical fingerprints keeps the replay on the right orbit.  BFS
+    counterexamples (:func:`reconstruct_trace`) and liveness lassos both
+    come from here.
     """
-    chain = store.chain(fp)
-    init_fp, _ = chain[0]
-    state = store.init_state(init_fp)
     trace = Trace(state)
-    for target_fp, action_name in chain[1:]:
+    for action_name, target_fp in path:
         step = find_matching_step(spec, state, target_fp, action_name, canonical, fp_fn)
         if step is None:
             raise RuntimeError(
-                f"trace reconstruction failed: no successor of depth-{trace.depth}"
+                f"trace re-execution failed: no successor of depth-{trace.depth}"
                 f" state matches fingerprint for action {action_name}"
             )
-        trace = trace.extend(step)
+        trace.steps.append(step)
         state = step.state
     return trace
 

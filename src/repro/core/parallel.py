@@ -18,6 +18,7 @@ recovery story and why results are byte-identical across transports.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import multiprocessing
 import os
 import time
@@ -65,19 +66,6 @@ __all__ = [
     "WORKER_OPTIONS",
     "worker_options",
 ]
-
-#: violation descriptor: (kind, invariant, depth, fp, action, args, branch,
-#: encoded target or None) — everything the master needs to rebuild the
-#: Violation once the workers' parent edges are merged.  A worker ships
-#: the action args as codec bytes, like the target, since they may hold
-#: records the wire format cannot carry; :func:`_received` decodes them.
-_ViolationDesc = Tuple[str, str, int, int, str, tuple, str, Optional[bytes]]
-
-
-def _received(descs: List[tuple]) -> List[_ViolationDesc]:
-    """A worker's violation descriptors as the master keeps them."""
-    return [(*desc[:5], decode(desc[5]), *desc[6:]) for desc in descs]
-
 
 #: The master levels the frontiers when the largest exceeds the mean by
 #: more than this fraction (plus one state, so tiny frontiers never
@@ -161,19 +149,6 @@ def rebalance_plan(sizes: Dict[int, int]) -> Dict[int, List[Tuple[int, int]]]:
     return plan
 
 
-class _Found(PendingTrace):
-    """A worker's stand-in for a counterexample trace: where the shared
-    :class:`~repro.core.engine.StepChecker` found a violation — the
-    fingerprint the step starts from, the step (``None`` at a seed) and
-    the depth.  The trace is the master's to rebuild, from merged edges.
-    """
-
-    def __init__(self, fp: int, step: Optional[TraceStep], depth: int):
-        super().__init__(depth)
-        self.fp = fp
-        self.step = step
-
-
 class _Level:
     """The frontier a worker shows the engine: pops drain the level being
     expanded, pushes fill the next one."""
@@ -220,8 +195,11 @@ class _ShardStrategy(FrontierStrategy):
             parked[child_fp] = (child, child_fp, depth, parent_fp, transition, changed)
         return True
 
-    def trace_to(self, fp: int, step: Optional[TraceStep] = None) -> _Found:
-        return _Found(fp, step, self.depth + (step is not None))
+    def trace_to(self, fp: int, step: Optional[TraceStep] = None) -> PendingTrace:
+        """Where the shared checker found a violation: the fingerprint the
+        step starts from and the step (``None`` at a seed).  The trace is
+        the master's to rebuild, from merged edges."""
+        return PendingTrace(self.depth + (step is not None), fp, step)
 
 
 class ShardWorker:
@@ -282,26 +260,20 @@ class ShardWorker:
             raise RuntimeError(f"unknown parallel-BFS op {op!r}")
         return getattr(self, op)(*msg[1:])
 
-    def _found(self) -> List[_ViolationDesc]:
-        """Every violation since the last reply, as wire descriptors."""
+    def _found(self) -> List[dict]:
+        """Every violation since the last reply, as :meth:`Violation.to_dict`
+        records: a transition's anchored where its step starts, with the
+        step; a violating state at its own canonical fingerprint."""
         engine = self._engine
         found, engine.checker.violations = engine.checker.violations, []
-        canon = engine.reducer.canonical if engine.reducer is not None else None
-        descs: List[_ViolationDesc] = []
         for violation in found:
-            at, step = violation.trace, violation.trace.step
-            if violation.kind == "transition":
-                # named by where the step starts, plus the whole step
-                args, target = encode(tuple(step.args)), encode(step.state)
-                rest = (at.fp, step.action, args, step.branch, target)
-            elif step is None:
-                rest = (at.fp, "", encode(()), "", None)
-            else:
-                # a violating state is named by its own fingerprint
-                child = canon(step.state) if canon is not None else step.state
-                rest = (engine.fingerprint(child), step.action, encode(()), "", None)
-            descs.append((violation.kind, violation.invariant, at.depth) + rest)
-        return descs
+            trace = violation.trace
+            if violation.kind != "transition" and trace.step is not None:
+                child = trace.step.state
+                if engine.reducer is not None:
+                    child = engine.reducer.canonical(child)
+                violation.trace = PendingTrace(trace.depth, engine.fingerprint(child))
+        return [violation.to_dict() for violation in found]
 
     # -- ops -----------------------------------------------------------------
 
@@ -784,7 +756,7 @@ class ParallelBFS:
             {wid: ("restore", data) for wid, data in enumerate(shards)}, "restored"
         ):
             self._count_states(wid, added)
-            self._violations.extend(_received(viols))
+            self._violations.extend(map(Violation.from_dict, viols))
             self.frontier_sizes[wid] = size
 
     def _stop_reason(self) -> Optional[StopReason]:
@@ -856,7 +828,7 @@ class ParallelBFS:
             stats.transitions += transitions
             stats.pruned += pruned
             self._count_states(wid, added)
-            violations.extend(_received(viols))
+            violations.extend(map(Violation.from_dict, viols))
             sizes[wid] = size
             truncated = truncated or cut
             for owner, batch in claims.items():
@@ -890,7 +862,7 @@ class ParallelBFS:
             {wid: ("settle", grants) for wid, grants in granted.items()},
             "settled",
         ):
-            violations.extend(_received(viols))
+            violations.extend(map(Violation.from_dict, viols))
             sizes[wid] = size
         self._rebalance()
 
@@ -1037,19 +1009,15 @@ class ParallelBFS:
         # Level synchrony guarantees all candidates from the stopping round
         # share the minimal depth; the rest of the key makes the pick
         # deterministic across runs.
-        kind, invariant, depth, fp, action, args, branch, target_enc = min(
-            violations, key=lambda v: (v[2], v[1], v[0], v[3])
+        found = min(
+            violations, key=lambda v: (v.depth, v.invariant, v.kind, v.trace.anchor)
         )
         if self.fast:
             # Traceless workers kept no edges to merge: resolve the
-            # depth-only pending trace by serial bounded re-search.
+            # pending trace by serial bounded re-search.
             from .explorer import research_violation  # local: explorer imports us
 
-            return research_violation(
-                self.spec,
-                Violation(invariant, PendingTrace(depth), kind=kind),
-                symmetry=self.symmetry,
-            )
+            return research_violation(self.spec, found, symmetry=self.symmetry)
         merged = CompactStore()
         for _, _, edges, roots in self._exchange(
             {wid: ("edges",) for wid in range(self.workers)}, "edges"
@@ -1060,10 +1028,9 @@ class ParallelBFS:
             for root_fp, enc in roots:
                 merged.record_init(root_fp, decode(enc))
         canonical = reducer.canonical if reducer is not None else None
-        trace = reconstruct_trace(self.spec, merged, fp, canonical, fingerprint)
-        if kind == "transition":
-            trace = trace.extend(
-                TraceStep(action, tuple(args), decode(target_enc), branch)
-            )
-        return Violation(invariant, trace, kind=kind)
+        at = found.trace
+        trace = reconstruct_trace(self.spec, merged, at.anchor, canonical, fingerprint)
+        if at.step is not None:
+            trace = trace.extend(at.step)
+        return dataclasses.replace(found, trace=trace)
 

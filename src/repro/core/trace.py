@@ -32,6 +32,32 @@ class TraceStep:
         rendered = ", ".join(str(a) for a in self.args)
         return f"{self.action}({rendered})"
 
+    def to_dict(self) -> dict:
+        """One step of :meth:`Trace.to_dict`; see the serialization notes there."""
+        return {
+            "action": self.action,
+            "args": [to_jsonable(a) for a in self.args],
+            "branch": self.branch,
+            "state": thaw(self.state),
+            "state_codec": encode(self.state).hex(),
+        }
+
+    @classmethod
+    def from_dict(cls, raw: Any) -> "TraceStep":
+        """Invert :meth:`to_dict`; anything it would not have written
+        raises :class:`ValueError`."""
+        try:
+            action, args = raw["action"], raw.get("args", [])
+            branch = raw.get("branch", "")
+            if not (isinstance(action, str) and isinstance(branch, str)):
+                raise ValueError("'action' or 'branch' is not a string")
+            if not isinstance(args, list):
+                raise ValueError("'args' is not a list")
+            args = tuple(from_jsonable(a) for a in args)
+            return cls(action, args, _state(raw, "state"), branch)
+        except (AttributeError, KeyError, TypeError, RecursionError) as exc:
+            raise ValueError(f"malformed step: {exc!r}") from None
+
 
 class Trace:
     """An initial state followed by zero or more steps."""
@@ -99,16 +125,7 @@ class Trace:
             "version": 1,
             "initial": thaw(self.initial),
             "initial_codec": encode(self.initial).hex(),
-            "steps": [
-                {
-                    "action": step.action,
-                    "args": [to_jsonable(a) for a in step.args],
-                    "branch": step.branch,
-                    "state": thaw(step.state),
-                    "state_codec": encode(step.state).hex(),
-                }
-                for step in self.steps
-            ],
+            "steps": [step.to_dict() for step in self.steps],
         }
 
     @classmethod
@@ -130,14 +147,7 @@ class Trace:
             if not isinstance(raw_steps, list):
                 raise ValueError("'steps' is not a list")
             for raw in raw_steps:
-                action, args = raw["action"], raw.get("args", [])
-                branch = raw.get("branch", "")
-                if not (isinstance(action, str) and isinstance(branch, str)):
-                    raise ValueError("'action' or 'branch' is not a string")
-                if not isinstance(args, list):
-                    raise ValueError("'args' is not a list")
-                args = tuple(from_jsonable(a) for a in args)
-                steps.append(TraceStep(action, args, _state(raw, "state"), branch))
+                steps.append(TraceStep.from_dict(raw))
         except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"malformed trace at step {len(steps)}: {exc!r}") from None
         return cls(initial, steps)
@@ -170,22 +180,30 @@ def _state(raw: dict, key: str) -> Rec:
 
 
 class PendingTrace(Trace):
-    """A trace known only by depth, from a traceless (fingerprint-only) run.
+    """A trace known only by depth (and, from a shard worker, by where it ends).
 
     Fingerprint-only stores keep no parent edges, so when a violation
     fingerprint is hit the engine knows the minimal depth but not the
     event sequence.  A :class:`PendingTrace` carries that depth until
     bounded re-search (a full-store re-exploration capped at this depth)
-    replaces it with the exact counterexample.  ``pending`` marks it so
-    downstream code never mistakes it for an empty real trace, and
-    serialization is refused outright.
+    replaces it with the exact counterexample.  A shard worker's
+    violation is *anchored*: ``anchor`` is the fingerprint the master
+    rebuilds the trace to from the merged parent edges, and ``step`` (a
+    transition invariant's violating step, else ``None``) extends it.
+    ``pending`` marks it so downstream code never mistakes it for an
+    empty real trace; only :meth:`repro.core.violation.Violation.to_dict`
+    serializes it.
     """
 
     pending = True
 
-    def __init__(self, depth: int):
+    def __init__(
+        self, depth: int, anchor: Optional[int] = None, step: Optional[TraceStep] = None
+    ):
         super().__init__(Rec())
         self._depth = int(depth)
+        self.anchor = anchor
+        self.step = step
 
     @property
     def depth(self) -> int:

@@ -2,9 +2,11 @@
 
 Artifacts are what a run leaves behind for *later* sessions: a violation
 trace saved today replays against the implementation tomorrow (``sandtable
-replay --trace``) with no re-exploration.  Trace and violation files are
-JSON built on the lossless :meth:`repro.core.trace.Trace.to_dict` encoding
-— every state carries its canonical codec bytes — and are stamped with
+replay --trace``) with no re-exploration.  Violation and lasso files
+hold the one violation record,
+:meth:`repro.core.violation.Violation.to_dict`; all are JSON built on the
+lossless :meth:`repro.core.trace.Trace.to_dict` encoding — every state
+carries its canonical codec bytes — and are stamped with
 :data:`~repro.core.state.CODEC_VERSION` so a build with a different codec
 refuses them with a clear error instead of silently mis-decoding.  A
 file whose content no ``save_*`` here would have written — malformed
@@ -18,7 +20,7 @@ import os
 from typing import Any, Callable, Dict, Union
 
 from ..core.state import CODEC_VERSION
-from ..core.trace import PendingTrace, Trace
+from ..core.trace import Trace
 from ..core.violation import Violation
 from .rundir import RunDirError, atomic_write_bytes, atomic_write_json, read_manifest
 
@@ -50,25 +52,6 @@ def _load(path: Any, build: Callable[[Dict[str, Any]], Any]) -> Any:
         raise RunDirError(f"artifact {path}: {exc}") from None
 
 
-def _violation(data: Dict[str, Any]) -> Violation:
-    """A violation as :func:`save_violation` or a checkpoint header wrote
-    it.  A traceless (fast-mode) run's trace is ``{"pending_depth": n}``,
-    known by depth only.  A field of the wrong type raises."""
-    invariant, kind = data["invariant"], data.get("kind", "state")
-    detail = data.get("detail", "")
-    if not all(isinstance(field, str) for field in (invariant, kind, detail)):
-        raise ValueError("'invariant', 'kind' or 'detail' is not a string")
-    raw_trace = data.get("trace")
-    if isinstance(raw_trace, dict) and "pending_depth" in raw_trace:
-        depth = raw_trace["pending_depth"]
-        if type(depth) is not int or depth < 0:
-            raise ValueError("'pending_depth' is not a count")
-        trace: Trace = PendingTrace(depth)
-    else:
-        trace = Trace.from_dict(raw_trace)
-    return Violation(invariant, trace, kind=kind, detail=detail)
-
-
 def save_trace(path: Union[str, os.PathLike], trace: Trace, **extra: Any) -> None:
     """Write a trace as a replayable JSON artifact (atomic)."""
     payload = {"codec_version": CODEC_VERSION, "trace": trace.to_dict()}
@@ -89,16 +72,13 @@ def save_violation(
     path: Union[str, os.PathLike], violation: Violation, **extra: Any
 ) -> None:
     """Write a violation (invariant + trace) as a replayable artifact."""
-    payload = {
-        "codec_version": CODEC_VERSION,
-        "invariant": violation.invariant,
-        "kind": violation.kind,
-        "detail": violation.detail,
-        "depth": violation.depth,
-        "trace": violation.trace.to_dict(),
-    }
-    payload.update(extra)
-    atomic_write_json(path, payload)
+    if violation.trace.pending:
+        raise RuntimeError(
+            "a pending trace is not replayable; resolve it by bounded re-search first"
+        )
+    atomic_write_json(
+        path, {"codec_version": CODEC_VERSION, **violation.to_dict(), **extra}
+    )
 
 
 def load_violation(path: Union[str, os.PathLike]) -> Violation:
@@ -107,7 +87,7 @@ def load_violation(path: Union[str, os.PathLike]) -> Violation:
     def violation(data: Dict[str, Any]) -> Violation:
         if "invariant" not in data:
             return Violation("(saved trace)", Trace.from_dict(data.get("trace", data)))
-        found = _violation(data)
+        found = Violation.from_dict(data)
         if found.trace.pending:
             raise ValueError("a depth-only pending trace is not replayable")
         return found
@@ -123,27 +103,19 @@ def save_lasso(
 ) -> None:
     """Write a liveness lasso as a replayable artifact (atomic).
 
-    The payload is a superset of the violation schema — ``invariant`` /
-    ``kind`` / ``trace`` at the top level — so the same file replays
-    through ``sandtable replay --trace`` (the prefix+cycle steps are
-    genuine spec transitions) *and* round-trips back into a
+    The payload is the lasso's liveness violation record
+    (:meth:`repro.temporal.LassoTrace.violation`) — so the same file
+    replays through ``sandtable replay --trace`` (the prefix+cycle steps
+    are genuine spec transitions) — *and* round-trips back into a
     :class:`repro.temporal.LassoTrace` via :func:`load_lasso` (the
     ``lasso_version`` / ``cycle_start`` / ``stuttering`` fields ride
     alongside).
     """
-    payload = {
-        "codec_version": CODEC_VERSION,
-        "invariant": property_name,
-        "kind": "liveness",
-        "detail": lasso.describe(),
-        "depth": lasso.trace.depth,
-        "trace": lasso.trace.to_dict(),
-        "lasso_version": lasso.to_dict()["lasso_version"],
-        "cycle_start": lasso.cycle_start,
-        "stuttering": lasso.stuttering,
-    }
-    payload.update(extra)
-    atomic_write_json(path, payload)
+    record = lasso.violation(property_name).to_dict()
+    # the lasso's own "trace" is the record's, so it keeps its place
+    atomic_write_json(
+        path, {"codec_version": CODEC_VERSION, **record, **lasso.to_dict(), **extra}
+    )
 
 
 def load_lasso(path: Union[str, os.PathLike]):
@@ -156,9 +128,7 @@ def load_lasso(path: Union[str, os.PathLike]):
                 "not a lasso artifact (no lasso_version);"
                 " safety violations load with load_violation"
             )
-        if not isinstance(data.get("invariant", ""), str):
-            raise ValueError("'invariant' is not a string")
-        return data.get("invariant", ""), LassoTrace.from_dict(data)
+        return Violation.from_dict(data).invariant, LassoTrace.from_dict(data)
 
     return _load(path, lasso)
 

@@ -40,7 +40,10 @@ references) plus a master ``parallel.json`` manifest that names the
 exact per-shard files of its generation along with the round number,
 aggregated stats, and pending violations; the master manifest's rename
 is the commit point for the whole fleet, and superseded generations are
-deleted only after it.
+deleted only after it.  The serial header and ``parallel.json`` record a
+violation in one form, :meth:`~repro.core.violation.Violation.to_dict`:
+a serial run's with its trace (depth only after a ``--fast`` run), the
+master's anchored where a shard worker found it.
 """
 
 from __future__ import annotations
@@ -56,9 +59,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from ..core.engine import CompactStore, SearchStats, StateStore
 from ..core.state import CODEC_VERSION, Rec, encode
-from ..core.trace import from_jsonable, to_jsonable
 from ..core.violation import Violation
-from .artifacts import _violation
 from .diskstore import DiskStore, DiskStoreReader
 from .rundir import (
     BLOB,
@@ -134,7 +135,7 @@ class CheckpointData:
         return _stats(self.header.get("stats", {}))
 
     def violations(self) -> List[Violation]:
-        return [_violation(raw) for raw in self.header.get("violations", ())]
+        return [Violation.from_dict(raw) for raw in self.header.get("violations", ())]
 
     def frontier_items(self) -> List[Tuple[Rec, int, int]]:
         return [
@@ -174,21 +175,6 @@ class CheckpointData:
                 f"{self.source} lists no edge for {len(roots)} of its initial states"
             )
         return store
-
-
-def _violation_to_dict(violation: Violation) -> Dict[str, Any]:
-    trace = violation.trace
-    return {
-        "invariant": violation.invariant,
-        "kind": violation.kind,
-        "detail": violation.detail,
-        # A traceless (fast-mode) run only knows the violation depth;
-        # the pending marker survives checkpoint/resume so bounded
-        # re-search can still resolve it after a restart.
-        "trace": (
-            {"pending_depth": trace.depth} if trace.pending else trace.to_dict()
-        ),
-    }
 
 
 def _is_count(value: Any) -> bool:
@@ -263,7 +249,7 @@ def build_checkpoint_bytes(
         "codec_version": CODEC_VERSION,
         "stats": dataclasses.asdict(stats) if stats is not None else {},
         "store": store_meta,
-        "violations": [_violation_to_dict(v) for v in violations],
+        "violations": [v.to_dict() for v in violations],
         "counts": {
             "actions": len(actions),
             "edges": n_edges,
@@ -476,44 +462,6 @@ def load_serial_resume(
 # ---------------------------------------------------------------------------
 
 
-def _desc_to_json(desc: tuple) -> list:
-    kind, invariant, depth, fp, action, args, branch, enc = desc
-    return [
-        kind,
-        invariant,
-        depth,
-        fp,
-        action,
-        to_jsonable(tuple(args)),
-        branch,
-        enc.hex() if enc is not None else None,
-    ]
-
-
-def _desc_from_json(raw: Any) -> tuple:
-    kind, invariant, depth, fp, action, args, branch, enc = raw
-    args = from_jsonable(args)
-    if not (
-        all(isinstance(field, str) for field in (kind, invariant, action, branch))
-        and _is_count(depth)
-        and _is_count(fp)
-        and fp < 2**64
-        and isinstance(args, tuple)
-        and (enc is None or isinstance(enc, str))
-    ):
-        raise ValueError(f"malformed violation descriptor {raw!r}")
-    return (
-        kind,
-        invariant,
-        depth,
-        fp,
-        action,
-        args,
-        branch,
-        bytes.fromhex(enc) if enc is not None else None,
-    )
-
-
 @dataclasses.dataclass
 class ParallelResume:
     """What the parallel master needs to continue a checkpointed run."""
@@ -521,7 +469,7 @@ class ParallelResume:
     stats: SearchStats
     depth: int
     frontier_sizes: Dict[int, int]
-    violations: List[tuple]
+    violations: List[Violation]
     worker_files: List[pathlib.Path]
     workers: int
     #: metrics-registry snapshot from the manifest (None when the
@@ -586,7 +534,7 @@ class ParallelCheckpointer(_Checkpointer):
         depth: int,
         stats: SearchStats,
         frontier_sizes: Dict[int, int],
-        violations: Sequence[tuple],
+        violations: Sequence[Violation],
         metrics: Optional[Dict[str, Any]] = None,
         reassignments: Sequence[Dict[str, Any]] = (),
     ) -> None:
@@ -597,7 +545,7 @@ class ParallelCheckpointer(_Checkpointer):
             "depth": depth,
             "stats": dataclasses.asdict(stats),
             "frontier_sizes": {str(wid): size for wid, size in frontier_sizes.items()},
-            "violations": [_desc_to_json(desc) for desc in violations],
+            "violations": [v.to_dict() for v in violations],
             "files": [self.worker_path(wid).name for wid in range(workers)],
         }
         if metrics is not None:
@@ -664,11 +612,14 @@ def _parallel_resume(run_dir: RunDir, manifest: Dict[str, Any]) -> ParallelResum
         and all(isinstance(event, dict) for event in reassignments)
     ):
         raise ValueError("'violations', 'metrics' or 'reassignments' is mistyped")
+    found = [Violation.from_dict(raw) for raw in violations]
+    if not all(v.trace.pending and v.trace.anchor is not None for v in found):
+        raise ValueError("a violation is not anchored where a shard worker found it")
     return ParallelResume(
         stats=_stats(manifest["stats"]),
         depth=depth,
         frontier_sizes={int(wid): size for wid, size in sizes.items()},
-        violations=[_desc_from_json(raw) for raw in violations],
+        violations=found,
         worker_files=[run_dir.checkpoint_dir / name for name in files],
         workers=workers,
         metrics=metrics,

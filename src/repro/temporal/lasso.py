@@ -40,7 +40,7 @@ from repro.core.engine import (
     CompactStore,
     SearchResult,
     StateStore,
-    find_matching_step,
+    replay_path,
 )
 from repro.core.explorer import BFSExplorer
 from repro.core.spec import Spec, WeakFairness
@@ -122,6 +122,12 @@ class LassoTrace:
     def from_json(cls, text: str) -> "LassoTrace":
         return cls.from_dict(json.loads(text))
 
+    def violation(self, property_name: str) -> Violation:
+        """This lasso as the liveness violation of ``property_name``."""
+        return Violation(
+            property_name, self.trace, kind="liveness", detail=self.describe()
+        )
+
     def describe(self) -> str:
         if self.stuttering:
             cycle = "stuttering at the final state"
@@ -150,14 +156,7 @@ class TemporalResult:
         return self.lasso is None
 
     def violation(self) -> Optional[Violation]:
-        if self.lasso is None:
-            return None
-        return Violation(
-            self.property.name,
-            self.lasso.trace,
-            kind="liveness",
-            detail=self.lasso.describe(),
-        )
+        return None if self.lasso is None else self.lasso.violation(self.property.name)
 
     def describe(self) -> str:
         verdict = (
@@ -546,19 +545,10 @@ def _assemble(
     stuttering: bool,
 ) -> LassoTrace:
     """Re-execute the fingerprint path into a replayable concrete trace."""
-    spec = graph.spec
     canonical = graph.reducer.canonical if graph.reducer else None
-    state = graph.states[root_fp]
-    trace = Trace(state)
-    for action, fp in prefix + cycle:
-        step = find_matching_step(spec, state, fp, action, canonical, graph.fp_fn)
-        if step is None:
-            raise RuntimeError(
-                f"lasso re-execution failed at depth {trace.depth}: no successor"
-                f" matches fingerprint for action {action}"
-            )
-        trace = trace.extend(step)
-        state = step.state
+    trace = replay_path(
+        graph.spec, graph.states[root_fp], prefix + cycle, canonical, graph.fp_fn
+    )
     return LassoTrace(trace=trace, cycle_start=len(prefix), stuttering=stuttering)
 
 
@@ -566,28 +556,26 @@ def explore_and_check(
     spec: Spec,
     properties: Sequence[TemporalProperty],
     symmetry: bool = False,
-    max_states: Optional[int] = None,
-    max_depth: Optional[int] = None,
-    time_budget: Optional[float] = None,
     metrics: Optional[Any] = None,
     store: Optional[StateStore] = None,
+    **explorer_options: Any,
 ) -> Tuple[List[TemporalResult], SearchResult]:
     """Run a fresh BFS census and check each property over its graph.
 
     The exploration does not stop on safety violations — the graph must
     cover everything reachable within the budgets for the cycle search
-    to mean anything.
+    to mean anything.  ``explorer_options`` — the budgets
+    (``max_states``, ``max_depth``, ``time_budget``), ``progress`` — go
+    to the :class:`~repro.core.explorer.BFSExplorer` as they are.
     """
     store = store if store is not None else CompactStore()
     explorer = BFSExplorer(
         spec,
         symmetry=symmetry,
-        max_states=max_states,
-        max_depth=max_depth,
-        time_budget=time_budget,
         stop_on_violation=False,
         store=store,
         metrics=metrics,
+        **explorer_options,
     )
     search = explorer.run()
     graph = materialize_graph(spec, store, symmetry=symmetry)

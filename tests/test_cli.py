@@ -745,6 +745,12 @@ class TestPositiveNumericFlags:
             ["detect", "RaftOS#1", "--time-budget", "nan"],
             ["replay", "RaftOS#1", "--time-budget", "0"],
             ["check", "--system", "pysyncobj", "--max-states", "many"],
+            ["selftest", "--specs", "0"],
+            ["selftest", "--specs", "-2"],
+            ["simulate", "--system", "pysyncobj", "--walks", "0"],
+            ["simulate", "--system", "pysyncobj", "--depth", "0"],
+            ["conformance", "--system", "pysyncobj", "--max-traces", "0"],
+            ["conformance", "--system", "pysyncobj", "--quiet-period", "0"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )

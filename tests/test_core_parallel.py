@@ -30,6 +30,7 @@ from repro.core import (
     Spec,
     StopReason,
     TransitionInvariant,
+    Violation,
     bfs_explore,
 )
 from repro.core import engine as engine_module
@@ -316,7 +317,7 @@ class InlineTransport:
     seconds — by default none at all — with its nth ``expand``.
     """
 
-    #: where in each reply the violation descriptors sit
+    #: where in each reply its violations (``Violation.to_dict`` records) sit
     VIOLATIONS_AT = {"restored": 3, "expanded": 6, "settled": 2}
 
     def __init__(self, die=None, cut=None, cut_budget=0.0):
@@ -324,8 +325,8 @@ class InlineTransport:
         self.cut = cut
         self.cut_budget = cut_budget
         self.cut_reply = None
-        #: the kind of every reply that carried a violation
-        self.found_in = []
+        #: (reply kind, Violation) per violation a reply carried
+        self.found = []
         self.sent = Counter()
         self.replies = deque()
 
@@ -349,8 +350,9 @@ class InlineTransport:
         reply = self.workers[wid].handle(msg)
         if cutting:
             self.cut_reply = reply
-        if reply[0] in self.VIOLATIONS_AT and reply[self.VIOLATIONS_AT[reply[0]]]:
-            self.found_in.append(reply[0])
+        if reply[0] in self.VIOLATIONS_AT:
+            for raw in reply[self.VIOLATIONS_AT[reply[0]]]:
+                self.found.append((reply[0], Violation.from_dict(raw)))
         self.replies.append(reply)
 
     def recv(self, timeout=1.0):
@@ -604,7 +606,11 @@ class TestViolationFoundInSettle:
         for workers, phase in ((2, "settled"), (3, "expanded")):
             transport = InlineTransport()
             par = bfs_explore(ChainSpec(bad), workers=workers, transport=transport)
-            assert transport.found_in == [phase]
+            ((found_in, found),) = transport.found
+            assert found_in == phase
+            # a violating state is anchored at its own fingerprint
+            assert found.trace.anchor == fingerprint(Rec(x=bad))
+            assert found.trace.step is None and found.depth == bad
             assert par.stop_reason is StopReason.VIOLATION
             assert par.violation.invariant == "NeverBad"
             assert par.violation.kind == "state"

@@ -6,9 +6,11 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.parallel import ShardWorker, _received
+from repro.core.parallel import ShardWorker
 from repro.core.spec import Action, Spec, TransitionInvariant
 from repro.core.state import CODEC_VERSION, Rec, fingerprint
+from repro.core.trace import PendingTrace, TraceStep
+from repro.core.violation import Violation
 from repro.dist.specref import spec_fingerprint, system_ref
 from repro.dist.specref import testkit_ref as make_testkit_ref  # noqa: N813 - pytest collects test* names
 from repro.dist.wire import (
@@ -96,11 +98,14 @@ class TestMessageRoundtrip:
     def test_empty_blob(self):
         assert roundtrip(("x", b""))[1] == b""
 
-    def test_violation_desc_shape(self):
-        desc = ("invariant", "inv_0", 3, 987654321, "act", ["n1"], 0, b"enc")
-        op, wid, out = roundtrip(("expanded", 1, [list(desc)]))
-        got = out[0]
-        assert got[0] == "invariant" and got[7] == b"enc"
+    def test_violation_record_shape(self):
+        step = TraceStep("act", ("n1", frozenset({1, 2})), Rec(x=1))
+        record = Violation("inv_0", PendingTrace(3, 2**64 - 1, step), "transition")
+        op, wid, out = roundtrip(("expanded", 1, [record.to_dict()]))
+        assert out == [record.to_dict()]
+        got = Violation.from_dict(out[0])
+        assert (got.invariant, got.kind, got.depth) == ("inv_0", "transition", 3)
+        assert (got.trace.anchor, got.trace.step) == (2**64 - 1, step)
 
     def test_unencodable_rejected(self):
         with pytest.raises(WireError):
@@ -134,19 +139,22 @@ class TestMessageRoundtripOverSpecs:
         assert fingerprint(items[0][0]) == fp
 
     def test_violation_with_record_args_roundtrips(self):
-        # The args of a transition invariant's violating step travel as
-        # codec bytes, like its target: the wire format has no record.
+        # A worker's violations are Violation.to_dict records, which the
+        # fork pipe and the socket wire move alike: a record-valued arg
+        # of the violating step survives both.
         worker = ShardWorker(RecordArgSpec(), 0, 1)
         (init,) = RecordArgSpec().init_states()
         assert worker.restore(None) == ("restored", 0, 1, [], 1)
         reply = worker.expand(None)
         assert reply[0] == "expanded"
         out = roundtrip(reply)
-        (desc,) = _received(out[6])
-        assert [desc] == _received(reply[6])
-        assert desc[:6] == (
-            "transition", "TermStaysZero", 1, fingerprint(init), "Receive",
-            ("n1", Rec(type="Append", term=1)),
+        assert out[6] == reply[6]
+        (found,) = map(Violation.from_dict, out[6])
+        assert (found.kind, found.invariant, found.depth, found.trace.anchor) == (
+            "transition", "TermStaysZero", 1, fingerprint(init)
+        )
+        assert found.trace.step == TraceStep(
+            "Receive", ("n1", Rec(type="Append", term=1)), Rec(term=1)
         )
 
 
@@ -283,7 +291,7 @@ class TestHandshake:
         option dropped."""
         hello = make_handshake(self.ref(), wid=0, workers=2)
         hello.update(proto=3, por=True)
-        assert PROTOCOL_VERSION == 7
+        assert PROTOCOL_VERSION == 8
         assert "protocol version mismatch" in check_handshake(hello)
 
     def test_version_4_header_refused(self):
@@ -298,6 +306,13 @@ class TestHandshake:
         worker does not have, and reads a shorter ``restored`` reply."""
         hello = make_handshake(self.ref(), wid=0, workers=2)
         hello["proto"] = 6
+        assert "protocol version mismatch" in check_handshake(hello)
+
+    def test_version_7_header_refused(self):
+        """A version-7 master reads violations as 8-tuple descriptors,
+        not as ``Violation.to_dict`` records."""
+        hello = make_handshake(self.ref(), wid=0, workers=2)
+        hello["proto"] = 7
         assert "protocol version mismatch" in check_handshake(hello)
 
     def test_version_5_header_refused(self):

@@ -614,7 +614,13 @@ class TestMalformedParallelManifest:
             depth=1,
             stats=SearchStats(distinct_states=1),
             frontier_sizes={0: 1, 1: 0},
-            violations=[("transition", "Inv", 1, 5, "Act", ("a",), "", b"\x01")],
+            violations=[
+                Violation(
+                    "Inv",
+                    PendingTrace(1, 5, TraceStep("Act", ("a",), Rec(x=1))),
+                    kind="transition",
+                )
+            ],
         )
         return rd
 
@@ -627,9 +633,20 @@ class TestMalformedParallelManifest:
             pytest.param(_put([1, 0], "frontier_sizes"), id="sizes-list"),
             pytest.param(_put({"a": 1, "1": 0}, "frontier_sizes"), id="sizes-key"),
             pytest.param(_put({"0": 1}, "frontier_sizes"), id="sizes-short"),
-            pytest.param(_put(lambda d: d[:5], "violations", 0), id="short-descriptor"),
-            pytest.param(_put("zz", "violations", 0, 7), id="bad-hex"),
-            pytest.param(_put(7, "violations", 0, 1), id="invariant-not-str"),
+            pytest.param(
+                _put(lambda v: list(v.values()), "violations", 0), id="record-not-object"
+            ),
+            pytest.param(
+                _put("zz", "violations", 0, "trace", "step", "state_codec"), id="bad-hex"
+            ),
+            pytest.param(_put(7, "violations", 0, "invariant"), id="invariant-not-str"),
+            pytest.param(
+                _put(lambda t: {"pending_depth": 1}, "violations", 0, "trace"),
+                id="violation-not-anchored",
+            ),
+            pytest.param(
+                _put(2**64, "violations", 0, "trace", "anchor"), id="anchor-not-fp"
+            ),
             pytest.param(_put({"v": 1}, "violations"), id="violations-not-list"),
             pytest.param(_put(lambda f: f[0], "files"), id="files-not-list"),
             pytest.param(
@@ -669,6 +686,28 @@ class TestMalformedParallelManifest:
             assert main(command) == 2
             err = capsys.readouterr().err
             assert "parallel.json" in err and "Traceback" not in err
+
+    @pytest.mark.skipif(not HAS_FORK, reason="parallel BFS requires fork")
+    def test_descriptor_violations_refused(self, tmp_path, capsys):
+        """A manifest whose violations are the 8-tuple descriptors shard
+        workers sent before the one record form is refused, not misread."""
+        run = str(tmp_path / "run")
+        check = ["check", "--system", "pysyncobj", "--nodes", "2", "--workers", "2",
+                 "--max-states", "400", "--checkpoint-states", "200", "--run-dir", run]
+        assert main(check) == 0
+        path = tmp_path / "run" / "checkpoint" / "parallel.json"
+        manifest = json.loads(path.read_text())
+        manifest["violations"] = [
+            ["state", "Inv", 2, 12345, "", {"$tuple": []}, "", None],
+            ["transition", "Inv", 2, 67890, "Act", {"$tuple": ["a"]}, "", "00"],
+        ]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(RunDirError, match=r"parallel\.json"):
+            load_parallel_resume(RunDir.open(run))
+        capsys.readouterr()
+        assert main(check + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert "parallel.json" in err and "Traceback" not in err
 
 
 class TestCheckpointHeaderViolations:

@@ -493,6 +493,27 @@ class TestTemporalCLI:
         assert name == "eventually-elects-leader"
         assert lasso.stuttering
 
+    def test_inline_temporal_stats_reach_the_explorer(self, monkeypatch, capsys):
+        # check --temporal explores through explore_and_check, which hands
+        # the --stats progress reporter to its BFSExplorer.
+        import repro.temporal.lasso as lasso_module
+        from repro.obs import ProgressReporter
+
+        given = []
+
+        class Recording(lasso_module.BFSExplorer):
+            def __init__(self, *args, **kwargs):
+                given.append(kwargs.get("progress"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(lasso_module, "BFSExplorer", Recording)
+        argv = ["check", "--system", "pysyncobj", "--nodes", "2", "--max-states",
+                "600", "--temporal", "eventually-elects-leader", "--stats"]
+        assert main(argv) == 1
+        assert len(given) == 1 and isinstance(given[0], ProgressReporter)
+        out = capsys.readouterr().out
+        assert "VIOLATED" in out and "action coverage" in out
+
     def test_check_liveness_on_finished_run(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert (
