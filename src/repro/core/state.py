@@ -698,24 +698,6 @@ def pair_digest(key_enc: bytes, value: Any) -> bytes:
     return blake2b(buf, digest_size=8).digest()
 
 
-def _detach_touched(rec: Rec) -> None:
-    """Drop the delta links of ``rec`` and of the records it rebound.
-
-    Encoding a nested record collapses its functional-update chain; a
-    memo hit skips the encode, so it detaches along the touched path
-    instead — otherwise each nested record would retain its whole
-    ancestry.
-    """
-    contents = rec._dict
-    touched = rec._touched
-    rec._base = None
-    rec._touched = None
-    for key in touched:
-        value = contents[key]
-        if value.__class__ is Rec and value._touched is not None:
-            _detach_touched(value)
-
-
 def raise_type_unstable(key: Any, value: Any) -> None:
     from .spec import SpecError  # spec.py imports this module
 
@@ -782,15 +764,19 @@ class CheckedMemo:
         return value
 
 
-#: The pair-digest memo: ``(variable, value) -> 8-byte pair digest``.
-#: A run re-digests the same few thousand top-level pairs hundreds of
-#: thousands of times, so the delta path of :func:`_pair_digests` looks
-#: a touched pair up here and encodes + hashes it only on a miss.  The
-#: digest stored is the one the miss computed, so fingerprints do not
-#: depend on the memo's contents.  The type-stability rule is per spec,
-#: so the memo is too: it holds the pairs of one spec at a time
+#: The pair-digest memo: ``(variable, value) -> (8-byte pair digest,
+#: canonical value)``.  A run re-digests the same few thousand top-level
+#: pairs hundreds of thousands of times, so the delta path of
+#: :func:`_pair_digests` looks a touched pair up here and encodes +
+#: hashes it only on a miss.  The digest stored is the one the miss
+#: computed, so fingerprints do not depend on the memo's contents.  The
+#: value stored is the one the miss was given, and a hit rebinds the
+#: record's pair to it (hash-consing): equal sub-values of the frontier,
+#: the stores and the graphs become one object, and the next lookup of
+#: that object compares by identity.  The type-stability rule is per
+#: spec, so the memo is too: it holds the pairs of one spec at a time
 #: (:func:`scope_pair_memo`).
-_PAIR_MEMO = CheckedMemo(pair_digest)
+_PAIR_MEMO = CheckedMemo(lambda key_enc, value: (pair_digest(key_enc, value), value))
 #: The spec whose pairs the memo holds.
 _PAIR_MEMO_OWNER: Any = None
 
@@ -822,7 +808,9 @@ def _pair_digests(rec: Rec) -> bytes:
     and replaces only the touched pairs' entries — from ``_PAIR_MEMO``
     when that (variable, value) pair was digested before, else by
     encoding and hashing it — never assembling (or hashing) the full
-    state encoding.
+    state encoding.  Each touched pair is rebound to the memo's
+    canonical value, an equal object (identical bytes under the
+    type-stability rule) that other records already share.
 
     The table is identical whichever way it is produced — patched from
     a parent or built pair by pair — because both hash the same
@@ -858,11 +846,10 @@ def _pair_digests(rec: Rec) -> bytes:
             for key in touched:
                 value = contents[key]
                 i = key_index[key]
-                digest = lookup((key, value), pairs[i][0], value)
-                # A miss encoded the value, which collapsed its
-                # functional-update chain; a hit did not, so it detaches.
-                if value.__class__ is Rec and value._touched is not None:
-                    _detach_touched(value)
+                # Hash-consing: the memo's value replaces the fresh one.
+                # It was encoded on its miss, so it holds no
+                # functional-update chain either.
+                digest, contents[key] = lookup((key, value), pairs[i][0], value)
                 j = i * 8
                 table[j : j + 8] = digest
             pf = bytes(table)

@@ -14,6 +14,8 @@ lives in ``test_bug_detection.py`` and the benchmarks.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.bugs import BUGS, detect
@@ -78,3 +80,23 @@ def test_matrix_rows_exist_in_registry():
         bug = BUGS[bug_id]
         assert bug.stage == "verification"
         assert bug.invariant
+
+
+def test_parallel_counterexample_depth_and_invariant_match_serial():
+    """Which depth-minimal trace a parallel run reports depends on the
+    worker count (each worker stops on its own first violation, and the
+    master picks among those), so only the depth and the invariant are
+    the serial run's.  For one worker count the result is byte-identical
+    from run to run."""
+    bug = BUGS["Xraft#1"]
+    found = {}
+    for workers in (1, 2, 3):
+        runs = [
+            bfs_explore(bug.make_spec(), workers=workers, time_budget=120.0).violation
+            for _ in range(2)
+        ]
+        first, second = (json.dumps(v.to_dict(), sort_keys=True) for v in runs)
+        assert first == second, f"workers={workers}: counterexample differs"
+        found[workers] = (runs[0].invariant, runs[0].kind, runs[0].depth)
+    assert found[1][:2] == (bug.invariant, "state")
+    assert found[2] == found[3] == found[1]

@@ -28,7 +28,6 @@ from repro.core.state import (
     decode,
     encode,
     fingerprint,
-    pair_digest,
     reset_codec_stats,
     scope_pair_memo,
     set_delta_codec,
@@ -521,7 +520,8 @@ def _longest_chain(value):
 
 def _empty_memo(monkeypatch):
     """An empty, unowned memo for one test; the real one comes back after."""
-    monkeypatch.setattr(state_module, "_PAIR_MEMO", CheckedMemo(pair_digest))
+    memo = CheckedMemo(state_module._PAIR_MEMO.derive)
+    monkeypatch.setattr(state_module, "_PAIR_MEMO", memo)
     monkeypatch.setattr(state_module, "_PAIR_MEMO_OWNER", None)
 
 
@@ -704,6 +704,58 @@ class TestPairDigestMemo:
             fingerprint(state)
             assert _longest_chain(state) <= 1
         assert codec_stats()["pair_memo_hits"] > 0
+
+    def test_equal_touched_values_become_one_object(self):
+        """Hash-consing: a hit rebinds the pair to the memo's value, so
+        two successors that built equal values hold one object, and
+        neither its fingerprint nor its bytes move."""
+        base = Rec(log=(), n=0, fixed="x")
+        fingerprint(base)
+        children = [base.set("log", (Rec(term=1, val="v"),)) for _ in range(2)]
+        assert children[0]["log"] is not children[1]["log"]
+        expected = [
+            (_reference_fingerprint(child), encode(substitute(child, {})))
+            for child in children
+        ]
+        reset_codec_stats()
+        for child in children:
+            fingerprint(child)
+        stats = codec_stats()
+        assert (stats["pair_memo_misses"], stats["pair_memo_hits"]) == (1, 1)
+        assert children[0]["log"] is children[1]["log"]
+        assert [(fingerprint(c), encode(c)) for c in children] == expected
+
+    def test_spec_successors_share_their_equal_values(self):
+        from repro.specs.raft import PySyncObjSpec, RaftConfig
+
+        states = [
+            state
+            for state, _, new in _bfs_fingerprinted(
+                PySyncObjSpec(RaftConfig(nodes=("n1", "n2", "n3"))), max_states=300
+            )
+            if new
+        ]
+        distinct, objects = set(), set()
+        for state in states:
+            for key, value in state.items():
+                distinct.add((key, value))
+                objects.add(id(value))
+        # every state here but the root was patched from its parent
+        assert len(objects) <= len(distinct) + len(states[0])
+        for state in states[:50]:
+            assert fingerprint(state) == _reference_fingerprint(state)
+
+    def test_planted_true_one_mix_raises_at_the_shipped_cadence(self, monkeypatch):
+        monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", 64)  # the shipped rate
+        base = Rec(flag=False, n=0, fixed="x")
+        fingerprint(base)
+        fingerprint(base.set("flag", True))  # the miss: True is the canonical value
+        for _ in range(CheckedMemo.VERIFY_EVERY - 1):
+            child = base.set("flag", 1)
+            fingerprint(child)
+            assert child["flag"] is True  # rebound, unseen until a hit is sampled
+        with pytest.raises(SpecError, match="'flag' is not type-stable"):
+            fingerprint(base.set("flag", 1))
 
     def test_type_unstable_variable_raises(self, monkeypatch):
         from repro.core import bfs_explore

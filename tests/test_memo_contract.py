@@ -1,11 +1,12 @@
 """The contract every per-value memo keeps, through its owner's API.
 
-The pair-digest, orbit, nested-orbit, verdict and datagram-key memos are
-instances of one class, ``core.state.CheckedMemo``.  Each case below
-drives one of them the way its owner does and holds it to the class's
-rules: at most ``CAP`` entries, emptied when full (an exact ``clears``
-count), and with every hit sampled, its own ``SpecError`` on a planted
-``True``/``1`` mix (an under-declared ``reads`` for the verdict memo).
+The pair-digest, orbit, nested-orbit, verdict and datagram-key memos and
+the Raft message pool are instances of one class,
+``core.state.CheckedMemo``.  Each case below drives one of them the way
+its owner does and holds it to the class's rules: at most ``CAP``
+entries, emptied when full (an exact ``clears`` count), and with every
+hit sampled, its own ``SpecError`` on a planted ``True``/``1`` mix (an
+under-declared ``reads`` for the verdict memo).
 """
 
 import pytest
@@ -14,8 +15,9 @@ import repro.core.state as state_module
 from repro.core import Invariant, Rec, SymmetryReducer
 from repro.core.compile import compile_spec
 from repro.core.spec import SpecError
-from repro.core.state import CheckedMemo, fingerprint, pair_digest
+from repro.core.state import CheckedMemo, fingerprint
 from repro.specs.network import UdpModel
+from repro.specs.raft import messages
 
 from toy_specs import CounterSpec
 
@@ -28,7 +30,7 @@ class PairDigest:
     error = "'flag' is not type-stable"
 
     def __init__(self, monkeypatch):
-        self.memo = CheckedMemo(pair_digest)
+        self.memo = CheckedMemo(state_module._PAIR_MEMO.derive)
         monkeypatch.setattr(state_module, "_PAIR_MEMO", self.memo)
         self.base = Rec(flag=False, n=0, fixed="x")
         fingerprint(self.base)
@@ -119,7 +121,25 @@ class DatagramKey:
         self.model.send(self.empty, "n1", "n2", Rec(type="M", flag=1))
 
 
-CASES = [PairDigest, Orbit, NestedOrbit, Verdict, DatagramKey]
+class MessagePool:
+    """Each Raft message constructor call is one pool lookup."""
+
+    error = r"RequestVoteResponse arguments \(1, 1, False\).*one type"
+
+    def __init__(self, monkeypatch):
+        shipped = messages._MESSAGES
+        self.memo = CheckedMemo(shipped.derive, mismatch=shipped.mismatch)
+        monkeypatch.setattr(messages, "_MESSAGES", self.memo)
+
+    def feed(self, i):
+        messages.entry(i, "v")
+
+    def plant(self):
+        messages.request_vote_response(1, True)
+        messages.request_vote_response(1, 1)
+
+
+CASES = [PairDigest, Orbit, NestedOrbit, Verdict, DatagramKey, MessagePool]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__)

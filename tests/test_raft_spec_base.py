@@ -435,3 +435,24 @@ class TestSpecMetadata:
         cfg = RaftConfig().scaled(2)
         assert cfg.max_timeouts == RaftConfig().max_timeouts * 2
         assert cfg.max_buffer == RaftConfig().max_buffer * 2
+
+
+class TestMessagePool:
+    def test_equal_arguments_give_one_record(self):
+        entries = [msg.entry(1, "v1")]
+        first = msg.append_entries(2, 0, 0, entries, 0)
+        assert msg.append_entries(2, 0, 0, tuple(entries), 0, retry=False) is first
+        assert msg.request_vote(1, 0, 0) is msg.request_vote(1, 0, 0, prevote=False)
+        assert msg.request_vote(1, 0, 0, prevote=True) is not msg.request_vote(1, 0, 0)
+
+    def test_records_are_what_the_fields_say(self):
+        assert list(msg.append_entries_response(3, True, 4).items()) == [
+            ("type", msg.APPEND_ENTRIES_RESPONSE),
+            ("term", 3),
+            ("success", True),
+            ("inext", 4),
+        ]
+        assert list(msg.entry(2, "v2").items()) == [("term", 2), ("val", "v2")]
+        assert list(msg.install_snapshot(5, 6, 4, 6)) == [
+            "type", "term", "lastIndex", "lastTerm", "icommit",
+        ]
