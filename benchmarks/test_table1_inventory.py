@@ -9,6 +9,7 @@ numbers are printed alongside for comparison.
 import inspect
 import pathlib
 
+import repro.specs.network
 import repro.specs.raft.base
 import repro.specs.zab
 from repro.specs.raft import (
@@ -69,12 +70,12 @@ def spec_loc(name) -> int:
     import sys
 
     spec_cls = SPECS[name]
-    own = count_loc(sys.modules[spec_cls.__module__])
+    # All eight systems share the cluster environment and the Raft
+    # variants the Raft base module; attribute each a proportional slice.
+    own = count_loc(sys.modules[spec_cls.__module__]) + count_loc(repro.specs.network) // 8
     if name == "zookeeper":
         return own
-    # Raft variants share the base module; attribute a proportional slice.
-    base = count_loc(repro.specs.raft.base)
-    return own + base // 7
+    return own + count_loc(repro.specs.raft.base) // 7
 
 
 def impl_loc(name) -> int:

@@ -798,7 +798,6 @@ class ParallelBFS:
             workers=self.workers,
             depth=self._depth,
             stats=stats,
-            frontier_sizes=dict(self.frontier_sizes),
             violations=self._violations,
             metrics=metrics.snapshot() if metrics is not None else None,
             reassignments=self.membership,

@@ -468,7 +468,6 @@ class ParallelResume:
 
     stats: SearchStats
     depth: int
-    frontier_sizes: Dict[int, int]
     violations: List[Violation]
     worker_files: List[pathlib.Path]
     workers: int
@@ -533,7 +532,6 @@ class ParallelCheckpointer(_Checkpointer):
         workers: int,
         depth: int,
         stats: SearchStats,
-        frontier_sizes: Dict[int, int],
         violations: Sequence[Violation],
         metrics: Optional[Dict[str, Any]] = None,
         reassignments: Sequence[Dict[str, Any]] = (),
@@ -544,7 +542,6 @@ class ParallelCheckpointer(_Checkpointer):
             "workers": workers,
             "depth": depth,
             "stats": dataclasses.asdict(stats),
-            "frontier_sizes": {str(wid): size for wid, size in frontier_sizes.items()},
             "violations": [v.to_dict() for v in violations],
             "files": [self.worker_path(wid).name for wid in range(workers)],
         }
@@ -585,15 +582,11 @@ def load_parallel_resume(run_dir: RunDir) -> ParallelResume:
 
 def _parallel_resume(run_dir: RunDir, manifest: Dict[str, Any]) -> ParallelResume:
     """The fields of a ``parallel.json`` that :meth:`ParallelCheckpointer.commit`
-    would have written; anything else raises."""
+    would have written; anything else raises.  A key it does not write,
+    such as older manifests' ``frontier_sizes``, is not read."""
     workers, depth = manifest["workers"], manifest["depth"]
     if not (_is_count(workers) and workers > 0 and _is_count(depth)):
         raise ValueError(f"'workers' {workers!r} or 'depth' {depth!r} is not a count")
-    sizes = manifest["frontier_sizes"]
-    if sorted(sizes) != sorted(map(str, range(workers))) or not all(
-        map(_is_count, sizes.values())
-    ):
-        raise ValueError(f"'frontier_sizes' is not one count per worker: {sizes!r}")
     files = manifest["files"]
     first = _WORKER_FILE.match(files[0]) if isinstance(files, list) and files else None
     # one generation's files, one per worker in worker order: a name
@@ -618,7 +611,6 @@ def _parallel_resume(run_dir: RunDir, manifest: Dict[str, Any]) -> ParallelResum
     return ParallelResume(
         stats=_stats(manifest["stats"]),
         depth=depth,
-        frontier_sizes={int(wid): size for wid, size in sizes.items()},
         violations=found,
         worker_files=[run_dir.checkpoint_dir / name for name in files],
         workers=workers,

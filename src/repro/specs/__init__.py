@@ -1,11 +1,12 @@
 """Formal specifications of the eight target systems (§3.1, §4.2).
 
-``repro.specs.network`` provides the reusable TCP/UDP network modules;
+``repro.specs.network`` provides the reusable TCP/UDP network modules and
+``ClusterSpec``, the cluster environment every system spec subclasses;
 ``repro.specs.raft`` the seven Raft-family system specs; and
 ``repro.specs.zab`` the ZooKeeper/ZAB system spec.
 """
 
-from .network import TcpModel, UdpModel, bipartitions
+from .network import ClusterSpec, TcpModel, UdpModel, bipartitions
 from .raft import (
     DaosRaftSpec,
     PySyncObjSpec,
@@ -19,6 +20,7 @@ from .raft import (
 )
 
 __all__ = [
+    "ClusterSpec",
     "DaosRaftSpec",
     "PySyncObjSpec",
     "RaftConfig",

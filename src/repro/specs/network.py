@@ -1,9 +1,11 @@
-"""Reusable network modules for specifications (§3.1, §4.2).
+"""Reusable network modules and the cluster environment (§3.1, §4.2).
 
 The paper ships formally specified network modules for both TCP and UDP
 semantics, reused across all eight system specs.  These are their Python
 counterparts: pure-functional helpers that read and update the network
-variables inside a spec state.
+variables inside a spec state.  :class:`ClusterSpec` builds on them the
+environment every system spec shares — nodes, budgets, network, message
+delivery and failures — so that a protocol spec holds only protocol.
 
 TCP semantics
     Per-channel FIFO queues keyed by ``(src, dst)``.  No loss, duplication
@@ -20,11 +22,12 @@ UDP semantics
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..core.spec import Action, Invariant, Spec, TransitionInvariant, WeakFairness
 from ..core.state import CheckedMemo, Rec, raise_type_unstable, thaw
 
-__all__ = ["TcpModel", "UdpModel", "bipartitions"]
+__all__ = ["ClusterSpec", "TcpModel", "UdpModel", "bipartitions"]
 
 
 def bipartitions(nodes: Sequence[str]) -> List[frozenset]:
@@ -53,12 +56,16 @@ def _crossing(group: frozenset, nodes: Sequence[str]) -> frozenset:
     )
 
 
-class _NodeSet:
-    """What both models derive from the node tuple alone, computed once.
+class _NetworkModel:
+    """What both models share: the node tuple and what derives from it
+    alone, the two network variables, connectivity and healing.
 
     ``partitions`` is :func:`bipartitions` of the nodes, in its order —
     the groups a spec's partition action enumerates on every state.
     """
+
+    MSGS = "netMsgs"
+    DISC = "netDisconnected"
 
     def __init__(self, nodes: Sequence[str]):
         self.nodes = tuple(nodes)
@@ -72,12 +79,24 @@ class _NodeSet:
         found = self._crossings.get(group)
         return found if found is not None else _crossing(group, self.nodes)
 
+    def blocked(self, state: Rec, src: str, dst: str) -> bool:
+        return frozenset({src, dst}) in state[self.DISC]
 
-class TcpModel(_NodeSet):
+    def clear_node(self, state: Rec, node: str) -> Rec:
+        """What a crash of ``node`` does to the messages in flight: by
+        default nothing (UDP datagrams stay in flight across a crash)."""
+        return state
+
+    def heal(self, state: Rec) -> Rec:
+        return state.set(self.DISC, frozenset())
+
+    def is_partitioned(self, state: Rec) -> bool:
+        return bool(state[self.DISC])
+
+
+class TcpModel(_NetworkModel):
     """TCP-semantics network state: FIFO channels + partitions."""
 
-    MSGS = "netMsgs"
-    DISC = "netDisconnected"
     kind = "tcp"
 
     # -- state initialization --------------------------------------------------
@@ -93,11 +112,6 @@ class TcpModel(_NodeSet):
         )
         return {self.MSGS: channels, self.DISC: frozenset()}
 
-    # -- connectivity -----------------------------------------------------------
-
-    def blocked(self, state: Rec, src: str, dst: str) -> bool:
-        return frozenset({src, dst}) in state[self.DISC]
-
     # -- sending / delivery -------------------------------------------------------
 
     def send(self, state: Rec, src: str, dst: str, msg: Rec) -> Rec:
@@ -107,11 +121,6 @@ class TcpModel(_NodeSet):
         return state.set(
             self.MSGS, state[self.MSGS].apply((src, dst), lambda q: q + (msg,))
         )
-
-    def send_many(self, state: Rec, sends: Iterable[Tuple[str, str, Rec]]) -> Rec:
-        for src, dst, msg in sends:
-            state = self.send(state, src, dst, msg)
-        return state
 
     def deliverable(self, state: Rec) -> Iterator[Tuple[str, str, Rec]]:
         """Head-of-queue messages on unblocked channels."""
@@ -125,15 +134,12 @@ class TcpModel(_NodeSet):
                 if queue:
                     yield key[0], key[1], queue[0]
 
-    def consume(self, state: Rec, src: str, dst: str) -> Tuple[Rec, Rec]:
-        """Pop the head of the (src, dst) channel; returns (msg, state')."""
+    def consume(self, state: Rec, src: str, dst: str, msg: Rec) -> Rec:
+        """Pop ``msg``, the head of the (src, dst) channel."""
         queue = state[self.MSGS][(src, dst)]
         if not queue:
             raise ValueError(f"channel {src}->{dst} is empty")
-        new_state = state.set(
-            self.MSGS, state[self.MSGS].set((src, dst), queue[1:])
-        )
-        return queue[0], new_state
+        return state.set(self.MSGS, state[self.MSGS].set((src, dst), queue[1:]))
 
     # -- failures ----------------------------------------------------------------
 
@@ -160,12 +166,6 @@ class TcpModel(_NodeSet):
             channels = channels.update(cleared)
         return state.update({self.MSGS: channels, self.DISC: crossing})
 
-    def heal(self, state: Rec) -> Rec:
-        return state.set(self.DISC, frozenset())
-
-    def is_partitioned(self, state: Rec) -> bool:
-        return bool(state[self.DISC])
-
     # -- constraints ---------------------------------------------------------------
 
     def max_queue_length(self, state: Rec) -> int:
@@ -181,7 +181,7 @@ def _msg_key(item: Tuple[str, str, Rec]) -> str:
     return repr((src, dst, thaw(msg)))
 
 
-class UdpModel(_NodeSet):
+class UdpModel(_NetworkModel):
     """UDP-semantics network state: a multiset of in-flight datagrams.
 
     The multiset is stored as a tuple kept sorted by a canonical key so
@@ -196,8 +196,6 @@ class UdpModel(_NodeSet):
     state, fingerprint and run dir — is the one ``_msg_key`` defines.
     """
 
-    MSGS = "netMsgs"
-    DISC = "netDisconnected"
     kind = "udp"
 
     def __init__(self, nodes: Sequence[str]):
@@ -213,25 +211,13 @@ class UdpModel(_NodeSet):
     def init_vars(self) -> dict:
         return {self.MSGS: (), self.DISC: frozenset()}
 
-    def blocked(self, state: Rec, src: str, dst: str) -> bool:
-        return frozenset({src, dst}) in state[self.DISC]
-
     # -- sending / delivery ---------------------------------------------------------
 
     def send(self, state: Rec, src: str, dst: str, msg: Rec) -> Rec:
         """Put a datagram in flight; lost immediately if partitioned."""
         if self.blocked(state, src, dst):
             return state
-        packet = (src, dst, msg)
-        in_flight = tuple(
-            sorted(state[self.MSGS] + (packet,), key=self._key)
-        )
-        return state.set(self.MSGS, in_flight)
-
-    def send_many(self, state: Rec, sends: Iterable[Tuple[str, str, Rec]]) -> Rec:
-        for src, dst, msg in sends:
-            state = self.send(state, src, dst, msg)
-        return state
+        return self.duplicate(state, src, dst, msg)
 
     def deliverable(self, state: Rec) -> Iterator[Tuple[str, str, Rec]]:
         """Every distinct in-flight datagram on an unblocked path."""
@@ -246,26 +232,23 @@ class UdpModel(_NodeSet):
 
     def consume(self, state: Rec, src: str, dst: str, msg: Rec) -> Rec:
         """Remove one occurrence of the datagram from flight."""
-        return self._remove_one(state, (src, dst, msg))
+        in_flight = list(state[self.MSGS])
+        try:
+            in_flight.remove((src, dst, msg))
+        except ValueError:
+            raise ValueError(f"datagram not in flight: {(src, dst, msg)}") from None
+        return state.set(self.MSGS, tuple(in_flight))
 
     # -- failures -----------------------------------------------------------------
 
-    def drop(self, state: Rec, src: str, dst: str, msg: Rec) -> Rec:
-        return self._remove_one(state, (src, dst, msg))
+    drop = consume
 
     def duplicate(self, state: Rec, src: str, dst: str, msg: Rec) -> Rec:
+        """Put one more copy of the datagram in flight."""
         in_flight = tuple(
             sorted(state[self.MSGS] + ((src, dst, msg),), key=self._key)
         )
         return state.set(self.MSGS, in_flight)
-
-    def clear_node(self, state: Rec, node: str) -> Rec:
-        """UDP keeps in-flight datagrams across a crash; nothing to clear.
-
-        Kept for interface parity with :class:`TcpModel` so spec code can
-        treat the two models uniformly on node crash.
-        """
-        return state
 
     def apply_partition(self, state: Rec, group: frozenset) -> Rec:
         crossing = self.crossing(group)
@@ -276,12 +259,6 @@ class UdpModel(_NodeSet):
         )
         return state.update({self.MSGS: remaining, self.DISC: crossing})
 
-    def heal(self, state: Rec) -> Rec:
-        return state.set(self.DISC, frozenset())
-
-    def is_partitioned(self, state: Rec) -> bool:
-        return bool(state[self.DISC])
-
     # -- constraints -----------------------------------------------------------------
 
     def max_queue_length(self, state: Rec) -> int:
@@ -290,10 +267,216 @@ class UdpModel(_NodeSet):
     def pending_count(self, state: Rec) -> int:
         return len(state[self.MSGS])
 
-    def _remove_one(self, state: Rec, packet: Tuple[str, str, Rec]) -> Rec:
-        in_flight = list(state[self.MSGS])
-        try:
-            in_flight.remove(packet)
-        except ValueError:
-            raise ValueError(f"datagram not in flight: {packet}") from None
-        return state.set(self.MSGS, tuple(in_flight))
+
+def _inc(value: int) -> int:
+    return value + 1
+
+
+class ClusterSpec(Spec):
+    """A cluster of nodes over one of the network models: the environment
+    every system spec shares, specified once (§3.1, §4.2).
+
+    It owns the configuration (``config``, whose ``max_*`` fields are the
+    budgets), the seeded ``bugs`` and the ``only_invariants`` filter; the
+    network model, ``quorum`` and sending; message delivery and dispatch;
+    node crash and restart, network partitions and — over UDP — datagram
+    loss and duplication; the buffer constraint and the weak-fairness sets.
+    Its state variables are ``alive``, ``eventCounter`` and the network's.
+
+    A protocol subclass sets ``config_type`` and, where the defaults do not
+    fit, ``COUNTERS`` (the keys of ``eventCounter``, one budget each) and
+    ``network_kind``; it supplies:
+
+    ``_protocol_variables()``
+        the initial values of its own variables, as a dict;
+    ``_message_handlers()``
+        message type -> ``handler(state, src, dst, message)``, a generator
+        of ``(state', branch)`` pairs;
+    ``_timeout_actions()``
+        its timeout actions, listed after ``ReceiveMessage``;
+    ``_restart(state, node)``
+        the update keywords that reset ``node``'s volatile variables;
+
+    plus ``_act_client_request`` and ``_build_invariants`` /
+    ``_build_transition_invariants``.  A protocol spec holds only protocol.
+    """
+
+    network_kind = "tcp"  # or "udp"
+    config_type: type
+    COUNTERS: Tuple[str, ...] = ("timeouts", "requests", "crashes", "restarts", "partitions")
+    #: bug codes this spec understands (subclasses extend)
+    supported_bugs: FrozenSet[str] = frozenset()
+
+    def __init__(
+        self,
+        config: Optional[Any] = None,
+        bugs: Iterable[str] = (),
+        only_invariants: Optional[Iterable[str]] = None,
+    ):
+        self.config = config or self.config_type()
+        self.nodes = self.config.nodes
+        self.bugs = frozenset(bugs)
+        unknown = self.bugs - self.supported_bugs
+        if unknown:
+            raise ValueError(f"{self.name} does not support bug flags {sorted(unknown)}")
+        self.only_invariants = (
+            frozenset(only_invariants) if only_invariants is not None else None
+        )
+        model = TcpModel if self.network_kind == "tcp" else UdpModel
+        self.net = model(self.nodes)
+        # Bound through ``self``, so a subclass's override is what runs.
+        self._handlers = self._message_handlers()
+        self._actions = self._build_actions()
+        self._invariants = self._filter(self._build_invariants())
+        self._transition_invariants = self._filter(self._build_transition_invariants())
+
+    def _filter(self, invariants: Sequence) -> Tuple:
+        if self.only_invariants is None:
+            return tuple(invariants)
+        return tuple(i for i in invariants if i.name in self.only_invariants)
+
+    def init_states(self) -> Iterator[Rec]:
+        variables = self._protocol_variables()
+        variables["alive"] = Rec({n: True for n in self.nodes})
+        variables["eventCounter"] = Rec({name: 0 for name in self.COUNTERS})
+        variables.update(self.net.init_vars())
+        yield Rec(variables)
+
+    def actions(self) -> Sequence[Action]:
+        return self._actions
+
+    def _build_actions(self) -> List[Action]:
+        actions = [
+            Action("ReceiveMessage", self._act_receive, kind="message"),
+            *self._timeout_actions(),
+            Action("ClientRequest", self._act_client_request, kind="client"),
+            Action("NodeCrash", self._act_crash, kind="failure"),
+            Action("NodeRestart", self._act_restart, kind="failure"),
+            Action("PartitionStart", self._act_partition_start, kind="failure"),
+            Action("PartitionHeal", self._act_partition_heal, kind="failure"),
+        ]
+        if self.network_kind == "udp":
+            actions.append(Action("DropMessage", self._act_drop, kind="failure"))
+            actions.append(Action("DuplicateMessage", self._act_duplicate, kind="failure"))
+        return actions
+
+    def invariants(self) -> Sequence[Invariant]:
+        return self._invariants
+
+    def transition_invariants(self) -> Sequence[TransitionInvariant]:
+        return self._transition_invariants
+
+    def state_constraint(self, state: Rec) -> bool:
+        return self.net.max_queue_length(state) <= self.config.max_buffer
+
+    def weak_fairness(self) -> Sequence[WeakFairness]:
+        """Fairness over the progress machinery, not over failures.
+
+        Message delivery, timeouts, and client requests must not be
+        starved by the scheduler; crashes, partitions, and UDP
+        drops/duplicates need never happen.  Budget exhaustion makes
+        the guarded actions *disabled* (the budgets live inside the
+        action guards), so a genuinely spent model reads as a real
+        deadlock while a merely unexpanded exploration frontier — where
+        these actions are still enabled — can never seed a lasso.
+        """
+        timeouts = [a.name for a in self._actions if a.kind == "timeout"]
+        return (
+            WeakFairness.of("wf-deliver", "ReceiveMessage"),
+            WeakFairness.of("wf-timeout", *timeouts),
+            WeakFairness.of("wf-client", "ClientRequest"),
+        )
+
+    def quorum(self) -> int:
+        return len(self.nodes) // 2 + 1
+
+    # -- sending ------------------------------------------------------------
+
+    def _send(self, state: Rec, src: str, dst: str, message: Rec) -> Rec:
+        # A TCP connection to a crashed node is broken: the send is lost.
+        # UDP datagrams stay in flight and may be delivered after restart.
+        if self.network_kind == "tcp" and not state["alive"][dst]:
+            return state
+        return self.net.send(state, src, dst, message)
+
+    def _broadcast(self, state: Rec, src: str, message: Rec) -> Rec:
+        for dst in self.nodes:
+            if dst != src:
+                state = self._send(state, src, dst, message)
+        return state
+
+    # -- message delivery ---------------------------------------------------
+
+    def _act_receive(self, state: Rec):
+        for src, dst, message in self.net.deliverable(state):
+            if not state["alive"][dst]:
+                continue
+            handler = self._handlers.get(message["type"])
+            if handler is None:
+                raise AssertionError(f"unknown message type: {message['type']}")
+            consumed = self.net.consume(state, src, dst, message)
+            for new, branch in handler(consumed, src, dst, message):
+                yield (src, dst, message), new, branch
+
+    # -- failures -----------------------------------------------------------
+
+    def _act_crash(self, state: Rec):
+        counter = state["eventCounter"]
+        if counter["crashes"] >= self.config.max_crashes:
+            return
+        for node in self.nodes:
+            if not state["alive"][node]:
+                continue
+            new = state.update(
+                alive=state["alive"].set(node, False),
+                eventCounter=counter.apply("crashes", _inc),
+            )
+            yield (node,), self.net.clear_node(new, node), "crash"
+
+    def _act_restart(self, state: Rec):
+        counter = state["eventCounter"]
+        if counter["restarts"] >= self.config.max_restarts:
+            return
+        for node in self.nodes:
+            if state["alive"][node]:
+                continue
+            new = state.update(
+                alive=state["alive"].set(node, True),
+                eventCounter=counter.apply("restarts", _inc),
+                **self._restart(state, node),
+            )
+            yield (node,), new, "restart"
+
+    def _act_partition_start(self, state: Rec):
+        counter = state["eventCounter"]
+        if counter["partitions"] >= self.config.max_partitions:
+            return
+        if self.net.is_partitioned(state):
+            return
+        for group in self.net.partitions:
+            new = self.net.apply_partition(state, group)
+            new = new.set("eventCounter", counter.apply("partitions", _inc))
+            yield (tuple(sorted(group)),), new, "partition"
+
+    def _act_partition_heal(self, state: Rec):
+        if not self.net.is_partitioned(state):
+            return
+        yield (), self.net.heal(state), "heal"
+
+    def _act_drop(self, state: Rec):
+        counter = state["eventCounter"]
+        if counter["drops"] >= self.config.max_drops:
+            return
+        for src, dst, message in self.net.deliverable(state):
+            new = self.net.drop(state, src, dst, message)
+            new = new.set("eventCounter", counter.apply("drops", _inc))
+            yield (src, dst, message), new, "drop"
+
+    def _act_duplicate(self, state: Rec):
+        counter = state["eventCounter"]
+        if counter["dups"] >= self.config.max_dups:
+            return
+        for src, dst, message in self.net.deliverable(state):
+            new = self.net.duplicate(state, src, dst, message)
+            new = new.set("eventCounter", counter.apply("dups", _inc))
+            yield (src, dst, message), new, "duplicate"

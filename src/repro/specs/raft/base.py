@@ -4,7 +4,9 @@ All seven Raft-family target systems (PySyncObj, WRaft, RedisRaft,
 DaosRaft, RaftOS, Xraft, Xraft-KV) are modeled as subclasses of
 :class:`RaftSpec`.  The base class implements the *correct* protocol —
 leader election, log replication, commitment — plus the optional PreVote
-and log-compaction modules, over either the TCP or the UDP network module.
+and log-compaction modules; the environment it runs in (nodes, budgets,
+the TCP or UDP network, delivery and failures) is
+:class:`~repro.specs.network.ClusterSpec`'s.
 
 Following the paper's methodology, a specification describes the *actual*
 (potentially buggy) implementation: each documented bug is seeded behind a
@@ -21,18 +23,11 @@ engine commands (§4.1).
 from __future__ import annotations
 
 import dataclasses
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ...core.spec import (
-    Action,
-    Invariant,
-    Spec,
-    Transition,
-    TransitionInvariant,
-    WeakFairness,
-)
+from ...core.spec import Action, Invariant, Transition, TransitionInvariant
 from ...core.state import Rec
-from ..network import TcpModel, UdpModel
+from ..network import ClusterSpec, _inc
 from . import messages as msg
 
 __all__ = ["RaftConfig", "RaftSpec", "FOLLOWER", "CANDIDATE", "LEADER", "PRECANDIDATE"]
@@ -85,62 +80,20 @@ class RaftConfig:
         )
 
 
-def _inc(value: int) -> int:
-    return value + 1
-
-
-class RaftSpec(Spec):
+class RaftSpec(ClusterSpec):
     """Correct Raft as a state machine, with per-system hook points."""
 
     name = "raft"
-    network_kind = "tcp"  # or "udp"
+    config_type = RaftConfig
+    COUNTERS = ClusterSpec.COUNTERS + ("drops", "dups", "compactions")
     has_prevote = False
     has_compaction = False
-    #: bug codes this spec understands (subclasses extend)
-    supported_bugs: FrozenSet[str] = frozenset()
-
-    def __init__(
-        self,
-        config: Optional[RaftConfig] = None,
-        bugs: Iterable[str] = (),
-        only_invariants: Optional[Iterable[str]] = None,
-    ):
-        self.config = config or RaftConfig()
-        self.nodes = self.config.nodes
-        self.bugs = frozenset(bugs)
-        unknown = self.bugs - self.supported_bugs
-        if unknown:
-            raise ValueError(f"{self.name} does not support bug flags {sorted(unknown)}")
-        self.only_invariants = (
-            frozenset(only_invariants) if only_invariants is not None else None
-        )
-        if self.network_kind == "tcp":
-            self.net = TcpModel(self.nodes)
-        else:
-            self.net = UdpModel(self.nodes)
-        # Bound through ``self``, so a subclass's override is what runs.
-        self._handlers = {
-            msg.REQUEST_VOTE: self._on_request_vote,
-            msg.REQUEST_VOTE_RESPONSE: self._on_request_vote_response,
-            msg.APPEND_ENTRIES: self._on_append_entries,
-            msg.APPEND_ENTRIES_RESPONSE: self._on_append_entries_response,
-            msg.INSTALL_SNAPSHOT: self._on_install_snapshot,
-            msg.INSTALL_SNAPSHOT_RESPONSE: self._on_install_snapshot_response,
-        }
-        self._actions = self._build_actions()
-        self._invariants = self._filter(self._build_invariants())
-        self._transition_invariants = self._filter(self._build_transition_invariants())
-
-    def _filter(self, invariants: Sequence) -> Tuple:
-        if self.only_invariants is None:
-            return tuple(invariants)
-        return tuple(i for i in invariants if i.name in self.only_invariants)
 
     # ------------------------------------------------------------------
     # state machine definition
     # ------------------------------------------------------------------
 
-    def init_states(self) -> Iterator[Rec]:
+    def _protocol_variables(self) -> dict:
         per_node_int = Rec({n: 0 for n in self.nodes})
         peers_map = Rec(
             {n: Rec({p: 0 for p in self.nodes if p != n}) for n in self.nodes}
@@ -157,89 +110,42 @@ class RaftSpec(Spec):
             "nextIndex": next_map,
             "matchIndex": peers_map,
             "votesGranted": Rec({n: frozenset() for n in self.nodes}),
-            "alive": Rec({n: True for n in self.nodes}),
-            "eventCounter": Rec(
-                timeouts=0,
-                requests=0,
-                crashes=0,
-                restarts=0,
-                partitions=0,
-                drops=0,
-                dups=0,
-                compactions=0,
-            ),
         }
         if self.has_prevote:
             variables["preVotes"] = Rec({n: frozenset() for n in self.nodes})
         if self.has_compaction:
             variables["snapshotIndex"] = per_node_int
             variables["snapshotTerm"] = per_node_int
-        variables.update(self.net.init_vars())
-        variables.update(self.extra_variables())
-        yield Rec(variables)
+        return variables
 
-    def extra_variables(self) -> dict:
-        """Variant-specific state variables (e.g. the KV layer)."""
-        return {}
+    def _message_handlers(self) -> dict:
+        return {
+            msg.REQUEST_VOTE: self._on_request_vote,
+            msg.REQUEST_VOTE_RESPONSE: self._on_request_vote_response,
+            msg.APPEND_ENTRIES: self._on_append_entries,
+            msg.APPEND_ENTRIES_RESPONSE: self._on_append_entries_response,
+            msg.INSTALL_SNAPSHOT: self._on_install_snapshot,
+            msg.INSTALL_SNAPSHOT_RESPONSE: self._on_install_snapshot_response,
+        }
 
-    def actions(self) -> Sequence[Action]:
-        return self._actions
-
-    def _build_actions(self) -> List[Action]:
-        actions = [
-            Action("ReceiveMessage", self._act_receive, kind="message"),
+    def _timeout_actions(self) -> List[Action]:
+        return [
             Action("ElectionTimeout", self._act_election_timeout, kind="timeout"),
             Action("HeartbeatTimeout", self._act_heartbeat_timeout, kind="timeout"),
-            Action("ClientRequest", self._act_client_request, kind="client"),
-            Action("NodeCrash", self._act_crash, kind="failure"),
-            Action("NodeRestart", self._act_restart, kind="failure"),
-            Action("PartitionStart", self._act_partition_start, kind="failure"),
-            Action("PartitionHeal", self._act_partition_heal, kind="failure"),
         ]
-        if self.network_kind == "udp":
-            actions.append(Action("DropMessage", self._act_drop, kind="failure"))
-            actions.append(Action("DuplicateMessage", self._act_duplicate, kind="failure"))
+
+    def _build_actions(self) -> List[Action]:
+        actions = super()._build_actions()
         if self.has_compaction:
             actions.append(Action("CompactLog", self._act_compact, kind="internal"))
         return actions
 
-    def invariants(self) -> Sequence[Invariant]:
-        return self._invariants
-
-    def transition_invariants(self) -> Sequence[TransitionInvariant]:
-        return self._transition_invariants
-
-    def state_constraint(self, state: Rec) -> bool:
-        if self.net.max_queue_length(state) > self.config.max_buffer:
-            return False
-        return True
-
     def symmetry_sets(self) -> Sequence[Tuple[str, ...]]:
         return (self.nodes,)
-
-    def weak_fairness(self) -> Sequence[WeakFairness]:
-        """Fairness over the progress machinery, not over failures.
-
-        Message delivery, timeouts, and client requests must not be
-        starved by the scheduler; crashes, partitions, and UDP
-        drops/duplicates need never happen.  Budget exhaustion makes
-        the guarded actions *disabled* (the budgets live inside the
-        action guards), so a genuinely spent model reads as a real
-        deadlock while a merely unexpanded exploration frontier — where
-        these actions are still enabled — can never seed a lasso.
-        """
-        return (
-            WeakFairness.of("wf-deliver", "ReceiveMessage"),
-            WeakFairness.of("wf-timeout", "ElectionTimeout", "HeartbeatTimeout"),
-            WeakFairness.of("wf-client", "ClientRequest"),
-        )
 
     # ------------------------------------------------------------------
     # log accessors (absolute, 1-based indices; compaction-aware)
     # ------------------------------------------------------------------
-
-    def quorum(self) -> int:
-        return len(self.nodes) // 2 + 1
 
     def _snap_index(self, state: Rec, node: str) -> int:
         return state["snapshotIndex"][node] if self.has_compaction else 0
@@ -276,23 +182,6 @@ class RaftSpec(Spec):
         snap = self._snap_index(state, node)
         pos = max(0, start - snap - 1)
         return state["log"][node][pos:]
-
-    # ------------------------------------------------------------------
-    # sending
-    # ------------------------------------------------------------------
-
-    def _send(self, state: Rec, src: str, dst: str, message: Rec) -> Rec:
-        # A TCP connection to a crashed node is broken: the send is lost.
-        # UDP datagrams stay in flight and may be delivered after restart.
-        if self.network_kind == "tcp" and not state["alive"][dst]:
-            return state
-        return self.net.send(state, src, dst, message)
-
-    def _broadcast(self, state: Rec, src: str, message: Rec) -> Rec:
-        for dst in self.nodes:
-            if dst != src:
-                state = self._send(state, src, dst, message)
-        return state
 
     # ------------------------------------------------------------------
     # actions: timeouts
@@ -398,85 +287,27 @@ class RaftSpec(Spec):
         return state
 
     # ------------------------------------------------------------------
-    # actions: failures
+    # actions: restart and compaction
     # ------------------------------------------------------------------
 
-    def _act_crash(self, state: Rec):
-        counter = state["eventCounter"]
-        if counter["crashes"] >= self.config.max_crashes:
-            return
-        for node in self.nodes:
-            if not state["alive"][node]:
-                continue
-            new = state.update(
-                alive=state["alive"].set(node, False),
-                eventCounter=counter.apply("crashes", _inc),
-            )
-            new = self.net.clear_node(new, node)
-            yield (node,), new, "crash"
-
-    def _act_restart(self, state: Rec):
-        counter = state["eventCounter"]
-        if counter["restarts"] >= self.config.max_restarts:
-            return
-        for node in self.nodes:
-            if state["alive"][node]:
-                continue
-            # Volatile state is lost: role, votes, leader bookkeeping and
-            # the commit index reset; currentTerm, votedFor and the log
-            # are persistent (as is the snapshot).
-            new = state.update(
-                alive=state["alive"].set(node, True),
-                role=state["role"].set(node, FOLLOWER),
-                votesGranted=state["votesGranted"].set(node, frozenset()),
-                commitIndex=state["commitIndex"].set(
-                    node, self._snap_index(state, node)
-                ),
-                nextIndex=state["nextIndex"].set(
-                    node, Rec({p: 1 for p in self.nodes if p != node})
-                ),
-                matchIndex=state["matchIndex"].set(
-                    node, Rec({p: 0 for p in self.nodes if p != node})
-                ),
-                eventCounter=counter.apply("restarts", _inc),
-            )
-            if self.has_prevote:
-                new = new.set("preVotes", new["preVotes"].set(node, frozenset()))
-            yield (node,), new, "restart"
-
-    def _act_partition_start(self, state: Rec):
-        counter = state["eventCounter"]
-        if counter["partitions"] >= self.config.max_partitions:
-            return
-        if self.net.is_partitioned(state):
-            return
-        for group in self.net.partitions:
-            new = self.net.apply_partition(state, group)
-            new = new.set("eventCounter", counter.apply("partitions", _inc))
-            yield (tuple(sorted(group)),), new, "partition"
-
-    def _act_partition_heal(self, state: Rec):
-        if not self.net.is_partitioned(state):
-            return
-        yield (), self.net.heal(state), "heal"
-
-    def _act_drop(self, state: Rec):
-        counter = state["eventCounter"]
-        if counter["drops"] >= self.config.max_drops:
-            return
-        for src, dst, message in self.net.deliverable(state):
-            new = self.net.drop(state, src, dst, message)
-            new = new.set("eventCounter", counter.apply("drops", _inc))
-            yield (src, dst, message), new, "drop"
-
-    def _act_duplicate(self, state: Rec):
-        counter = state["eventCounter"]
-        if counter["dups"] >= self.config.max_dups:
-            return
-        for src, dst, message in self.net.deliverable(state):
-            new = self.net.duplicate(state, src, dst, message)
-            new = new.set("eventCounter", counter.apply("dups", _inc))
-            yield (src, dst, message), new, "duplicate"
+    def _restart(self, state: Rec, node: str) -> dict:
+        # Volatile state is lost: role, votes, leader bookkeeping and the
+        # commit index reset; currentTerm, votedFor and the log are
+        # persistent (as is the snapshot).
+        volatile = dict(
+            role=state["role"].set(node, FOLLOWER),
+            votesGranted=state["votesGranted"].set(node, frozenset()),
+            commitIndex=state["commitIndex"].set(node, self._snap_index(state, node)),
+            nextIndex=state["nextIndex"].set(
+                node, Rec({p: 1 for p in self.nodes if p != node})
+            ),
+            matchIndex=state["matchIndex"].set(
+                node, Rec({p: 0 for p in self.nodes if p != node})
+            ),
+        )
+        if self.has_prevote:
+            volatile["preVotes"] = state["preVotes"].set(node, frozenset())
+        return volatile
 
     def _act_compact(self, state: Rec):
         counter = state["eventCounter"]
@@ -500,25 +331,8 @@ class RaftSpec(Spec):
             yield (node,), new, "compact"
 
     # ------------------------------------------------------------------
-    # actions: message delivery
+    # message handlers
     # ------------------------------------------------------------------
-
-    def _act_receive(self, state: Rec):
-        for src, dst, message in self.net.deliverable(state):
-            if not state["alive"][dst]:
-                continue
-            if self.network_kind == "tcp":
-                _, consumed = self.net.consume(state, src, dst)
-            else:
-                consumed = self.net.consume(state, src, dst, message)
-            for new, branch in self._dispatch(consumed, src, dst, message):
-                yield (src, dst, message), new, branch
-
-    def _dispatch(self, state: Rec, src: str, dst: str, message: Rec):
-        handler = self._handlers.get(message["type"])
-        if handler is None:
-            raise AssertionError(f"unknown message type: {message['type']}")
-        yield from handler(state, src, dst, message)
 
     # -- term bookkeeping ---------------------------------------------------
 

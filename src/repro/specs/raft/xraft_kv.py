@@ -37,10 +37,6 @@ __all__ = ["XraftKVSpec", "history_from_trace"]
 UNWRITTEN = ""
 
 
-def _inc(value: int) -> int:
-    return value + 1
-
-
 class XraftKVSpec(RaftSpec):
     name = "xraft-kv"
     network_kind = "tcp"
@@ -51,8 +47,9 @@ class XraftKVSpec(RaftSpec):
         self.max_reads = max_reads
         super().__init__(*args, **kwargs)
 
-    def extra_variables(self) -> dict:
+    def _protocol_variables(self) -> dict:
         return {
+            **super()._protocol_variables(),
             "appliedValue": Rec({n: UNWRITTEN for n in self.nodes}),
             "ackedWrites": (),
             "readCount": 0,
@@ -110,15 +107,13 @@ class XraftKVSpec(RaftSpec):
             ackedWrites=acked,
         )
 
-    def _act_restart(self, state: Rec):
+    def _restart(self, state: Rec, node: str) -> dict:
         # The state machine is volatile: it is rebuilt by re-applying the
         # log as the commit index re-advances after restart.
-        for args, new, branch in super()._act_restart(state):
-            node = args[0]
-            new = new.set(
-                "appliedValue", new["appliedValue"].set(node, UNWRITTEN)
-            )
-            yield args, new, branch
+        return {
+            **super()._restart(state, node),
+            "appliedValue": state["appliedValue"].set(node, UNWRITTEN),
+        }
 
     # -- linearizability -----------------------------------------------------------
 

@@ -28,18 +28,11 @@ Seeded behaviors (flags):
 from __future__ import annotations
 
 import dataclasses
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..core.spec import (
-    Action,
-    Invariant,
-    Spec,
-    Transition,
-    TransitionInvariant,
-    WeakFairness,
-)
+from ..core.spec import Action, Invariant, Transition, TransitionInvariant
 from ..core.state import Rec
-from .network import TcpModel
+from .network import ClusterSpec, _inc
 
 __all__ = ["ZabConfig", "ZabSpec", "LOOKING", "FOLLOWING", "LEADING", "vote_beats"]
 
@@ -81,10 +74,6 @@ class ZabConfig:
     max_epoch: int = 3
 
 
-def _inc(value: int) -> int:
-    return value + 1
-
-
 def make_vote(leader: str, zxid: Tuple[int, int], epoch: int, round_: int) -> Rec:
     """A vote as carried by NOTIFICATION messages and held by nodes."""
     return Rec(leader=leader, zxid=zxid, epoch=epoch, round=round_)
@@ -106,59 +95,25 @@ def vote_beats(new: Rec, cur: Rec, buggy: bool = False) -> bool:
     )
 
 
-class ZabSpec(Spec):
+class ZabSpec(ClusterSpec):
     """ZooKeeper's ZAB protocol as a state machine."""
 
     name = "zookeeper"
-    supported_bugs: FrozenSet[str] = frozenset({"ZK1", "FIG4"})
-
-    def __init__(
-        self,
-        config: Optional[ZabConfig] = None,
-        bugs: Iterable[str] = (),
-        only_invariants: Optional[Iterable[str]] = None,
-    ):
-        self.config = config or ZabConfig()
-        self.nodes = self.config.nodes
-        self.bugs = frozenset(bugs)
-        unknown = self.bugs - self.supported_bugs
-        if unknown:
-            raise ValueError(f"zookeeper spec does not support {sorted(unknown)}")
-        self.only_invariants = (
-            frozenset(only_invariants) if only_invariants is not None else None
-        )
-        self.net = TcpModel(self.nodes)
-        self._actions = self._build_actions()
-        self._invariants = self._filter(self._build_invariants())
-        self._transition_invariants = self._filter(self._build_transition_invariants())
-
-    def _filter(self, invariants: Sequence) -> Tuple:
-        if self.only_invariants is None:
-            return tuple(invariants)
-        return tuple(i for i in invariants if i.name in self.only_invariants)
-
-    def quorum(self) -> int:
-        return len(self.nodes) // 2 + 1
+    config_type = ZabConfig
+    supported_bugs = frozenset({"ZK1", "FIG4"})
 
     # ------------------------------------------------------------------
     # state
     # ------------------------------------------------------------------
 
-    def init_states(self) -> Iterator[Rec]:
+    def _protocol_variables(self) -> dict:
         zero = Rec({n: 0 for n in self.nodes})
-        empty_votes = Rec({n: Rec() for n in self.nodes})
-        initial_vote = Rec(
-            {
-                n: make_vote(n, (0, 0), 0, 0)
-                for n in self.nodes
-            }
-        )
-        variables = {
+        return {
             "zbRole": Rec({n: LOOKING for n in self.nodes}),
             "phase": Rec({n: ELECTION for n in self.nodes}),
             "logicalClock": zero,
-            "currentVote": initial_vote,
-            "recvVotes": empty_votes,
+            "currentVote": Rec({n: make_vote(n, (0, 0), 0, 0) for n in self.nodes}),
+            "recvVotes": Rec({n: Rec() for n in self.nodes}),
             "acceptedEpoch": zero,
             "currentEpoch": zero,
             "history": Rec({n: () for n in self.nodes}),
@@ -169,55 +124,29 @@ class ZabSpec(Spec):
             "syncAcks": Rec({n: frozenset() for n in self.nodes}),
             "txnAcks": Rec({n: Rec() for n in self.nodes}),
             "txnCounter": zero,
-            "alive": Rec({n: True for n in self.nodes}),
-            "eventCounter": Rec(
-                timeouts=0, requests=0, crashes=0, restarts=0, partitions=0
-            ),
         }
-        variables.update(self.net.init_vars())
-        yield Rec(variables)
 
-    def actions(self) -> Sequence[Action]:
-        return self._actions
+    def _message_handlers(self) -> dict:
+        return {
+            NOTIFICATION: self._on_notification,
+            FOLLOWERINFO: self._on_follower_info,
+            LEADERINFO: self._on_leader_info,
+            ACKEPOCH: self._on_ack_epoch,
+            NEWLEADER: self._on_new_leader,
+            ACKLD: self._on_ack_leader,
+            UPTODATE: self._on_up_to_date,
+            PROPOSE: self._on_propose,
+            ACK: self._on_ack,
+            COMMIT: self._on_commit,
+        }
 
-    def invariants(self) -> Sequence[Invariant]:
-        return self._invariants
-
-    def transition_invariants(self) -> Sequence[TransitionInvariant]:
-        return self._transition_invariants
-
-    def _build_actions(self) -> List[Action]:
-        return [
-            Action("ReceiveMessage", self._act_receive, kind="message"),
-            Action("ElectionTimeout", self._act_election_timeout, kind="timeout"),
-            Action("ClientRequest", self._act_client_request, kind="client"),
-            Action("NodeCrash", self._act_crash, kind="failure"),
-            Action("NodeRestart", self._act_restart, kind="failure"),
-            Action("PartitionStart", self._act_partition_start, kind="failure"),
-            Action("PartitionHeal", self._act_partition_heal, kind="failure"),
-        ]
-
-    def state_constraint(self, state: Rec) -> bool:
-        return self.net.max_queue_length(state) <= self.config.max_buffer
+    def _timeout_actions(self) -> List[Action]:
+        return [Action("ElectionTimeout", self._act_election_timeout, kind="timeout")]
 
     def symmetry_sets(self) -> Sequence[Tuple[str, ...]]:
         # Node ids participate in the vote total order, so node symmetry
         # would not preserve the election outcome; values are symmetric.
         return ()
-
-    def weak_fairness(self) -> Sequence[WeakFairness]:
-        """Progress machinery is fair; failures need never happen.
-
-        Mirrors the Raft family (see ``RaftSpec.weak_fairness``): the
-        budgets live in the action guards, so exhaustion reads as
-        "disabled" and an unexpanded exploration frontier can never
-        seed a lasso.
-        """
-        return (
-            WeakFairness.of("wf-deliver", "ReceiveMessage"),
-            WeakFairness.of("wf-timeout", "ElectionTimeout"),
-            WeakFairness.of("wf-client", "ClientRequest"),
-        )
 
     # ------------------------------------------------------------------
     # helpers
@@ -229,17 +158,6 @@ class ZabSpec(Spec):
 
     def _beats(self, new: Rec, cur: Rec) -> bool:
         return vote_beats(new, cur, buggy="ZK1" in self.bugs)
-
-    def _send(self, state: Rec, src: str, dst: str, message: Rec) -> Rec:
-        if not state["alive"][dst]:
-            return state
-        return self.net.send(state, src, dst, message)
-
-    def _broadcast(self, state: Rec, src: str, message: Rec) -> Rec:
-        for dst in self.nodes:
-            if dst != src:
-                state = self._send(state, src, dst, message)
-        return state
 
     def _notification(self, state: Rec, node: str) -> Rec:
         vote = state["currentVote"][node]
@@ -319,92 +237,27 @@ class ZabSpec(Spec):
             new = self._broadcast(new, node, Rec(type=PROPOSE, txn=txn))
             yield (node, value), new, "request"
 
-    def _act_crash(self, state: Rec):
-        counter = state["eventCounter"]
-        if counter["crashes"] >= self.config.max_crashes:
-            return
-        for node in self.nodes:
-            if not state["alive"][node]:
-                continue
-            new = state.update(
-                alive=state["alive"].set(node, False),
-                eventCounter=counter.apply("crashes", _inc),
-            )
-            new = self.net.clear_node(new, node)
-            yield (node,), new, "crash"
-
-    def _act_restart(self, state: Rec):
-        counter = state["eventCounter"]
-        if counter["restarts"] >= self.config.max_restarts:
-            return
-        for node in self.nodes:
-            if state["alive"][node]:
-                continue
-            # The history, epochs and committed point are durable; the
-            # election state (logical clock, votes) is volatile.
-            vote = make_vote(
-                node,
-                self._last_zxid(state, node),
-                state["currentEpoch"][node],
-                0,
-            )
-            new = state.update(
-                alive=state["alive"].set(node, True),
-                zbRole=state["zbRole"].set(node, LOOKING),
-                phase=state["phase"].set(node, ELECTION),
-                logicalClock=state["logicalClock"].set(node, 0),
-                currentVote=state["currentVote"].set(node, vote),
-                recvVotes=state["recvVotes"].set(node, Rec()),
-                leaderOf=state["leaderOf"].set(node, NOBODY),
-                followerInfos=state["followerInfos"].set(node, frozenset()),
-                epochAcks=state["epochAcks"].set(node, frozenset()),
-                syncAcks=state["syncAcks"].set(node, frozenset()),
-                txnAcks=state["txnAcks"].set(node, Rec()),
-                eventCounter=counter.apply("restarts", _inc),
-            )
-            yield (node,), new, "restart"
-
-    def _act_partition_start(self, state: Rec):
-        counter = state["eventCounter"]
-        if counter["partitions"] >= self.config.max_partitions:
-            return
-        if self.net.is_partitioned(state):
-            return
-        for group in self.net.partitions:
-            new = self.net.apply_partition(state, group)
-            new = new.set("eventCounter", counter.apply("partitions", _inc))
-            yield (tuple(sorted(group)),), new, "partition"
-
-    def _act_partition_heal(self, state: Rec):
-        if not self.net.is_partitioned(state):
-            return
-        yield (), self.net.heal(state), "heal"
-
-    def _act_receive(self, state: Rec):
-        for src, dst, message in self.net.deliverable(state):
-            if not state["alive"][dst]:
-                continue
-            _, consumed = self.net.consume(state, src, dst)
-            for new, branch in self._dispatch(consumed, src, dst, message):
-                yield (src, dst, message), new, branch
-
-    def _dispatch(self, state: Rec, src: str, dst: str, message: Rec):
-        handlers = {
-            NOTIFICATION: self._on_notification,
-            FOLLOWERINFO: self._on_follower_info,
-            LEADERINFO: self._on_leader_info,
-            ACKEPOCH: self._on_ack_epoch,
-            NEWLEADER: self._on_new_leader,
-            ACKLD: self._on_ack_leader,
-            UPTODATE: self._on_up_to_date,
-            PROPOSE: self._on_propose,
-            ACK: self._on_ack,
-            COMMIT: self._on_commit,
-        }
-        handler = handlers.get(message["type"])
-        if handler is None:
-            raise AssertionError(f"unknown ZAB message: {message['type']}")
-        yield from handler(state, src, dst, message)
+    def _restart(self, state: Rec, node: str) -> dict:
+        # The history, epochs and committed point are durable; the
+        # election state (logical clock, votes) is volatile.
+        vote = make_vote(
+            node,
+            self._last_zxid(state, node),
+            state["currentEpoch"][node],
+            0,
+        )
+        return dict(
+            zbRole=state["zbRole"].set(node, LOOKING),
+            phase=state["phase"].set(node, ELECTION),
+            logicalClock=state["logicalClock"].set(node, 0),
+            currentVote=state["currentVote"].set(node, vote),
+            recvVotes=state["recvVotes"].set(node, Rec()),
+            leaderOf=state["leaderOf"].set(node, NOBODY),
+            followerInfos=state["followerInfos"].set(node, frozenset()),
+            epochAcks=state["epochAcks"].set(node, frozenset()),
+            syncAcks=state["syncAcks"].set(node, frozenset()),
+            txnAcks=state["txnAcks"].set(node, Rec()),
+        )
 
     # ------------------------------------------------------------------
     # fast leader election (Figure 3's handler)

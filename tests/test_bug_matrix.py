@@ -9,7 +9,9 @@ fixed spec is a spec bug, not a found implementation bug.
 
 The subset is the shallow-counterexample rows (plus two simulation rows)
 so the whole matrix stays inside the tier-1 time budget; the full sweep
-lives in ``test_bug_detection.py`` and the benchmarks.
+lives in ``test_bug_detection.py`` and the benchmarks.  Detections come
+from the session ``detected`` fixture, so a row and its
+``test_bug_detection.py`` counterpart share one exploration.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 
 import pytest
 
-from repro.bugs import BUGS, detect
+from repro.bugs import BUGS
 from repro.core import bfs_explore, simulate
 
 #: (bug_id, detection-method budget knobs) — every row must both detect
@@ -33,11 +35,11 @@ def clean_spec(bug):
 
 
 @pytest.mark.parametrize("bug_id", BFS_MATRIX)
-def test_bfs_matrix_row(bug_id):
+def test_bfs_matrix_row(bug_id, detected):
     bug = BUGS[bug_id]
     assert bug.method == "bfs"
 
-    result = detect(bug, time_budget=120.0)
+    result = detected(bug, time_budget=120.0)
     assert result.found, f"{bug_id}: seeded bug not detected"
     assert result.violation.invariant == bug.invariant
     assert result.depth >= 1
@@ -55,11 +57,11 @@ def test_bfs_matrix_row(bug_id):
 
 
 @pytest.mark.parametrize("bug_id", SIM_MATRIX)
-def test_simulation_matrix_row(bug_id):
+def test_simulation_matrix_row(bug_id, detected):
     bug = BUGS[bug_id]
     assert bug.method == "simulate"
 
-    result = detect(bug, time_budget=120.0, n_walks=30_000, max_depth=40, seed=0)
+    result = detected(bug, time_budget=120.0, n_walks=30_000, max_depth=40, seed=0)
     assert result.found, f"{bug_id}: seeded bug not detected"
     assert result.violation.invariant == bug.invariant
 

@@ -10,7 +10,9 @@ from repro.core import BFSExplorer, Rec
 from repro.core.state import CheckedMemo
 from repro.core.spec import SpecError
 from repro.specs.network import TcpModel, UdpModel, _msg_key, bipartitions
-from repro.specs.raft import RaftConfig, RaftOSSpec, WRaftSpec
+from repro.dist.specref import SPEC_CLASSES
+from repro.specs.raft import RaftConfig
+from repro.specs.zab import ZabConfig, ZabSpec
 
 NODES = ("n1", "n2", "n3")
 
@@ -68,14 +70,13 @@ class TestTcpModel:
         model, state = tcp_state
         state = model.send(state, "n1", "n2", msg(1))
         state = model.send(state, "n1", "n2", msg(2))
-        popped, state = model.consume(state, "n1", "n2")
-        assert popped["tag"] == 1
-        assert len(state[model.MSGS][("n1", "n2")]) == 1
+        state = model.consume(state, "n1", "n2", msg(1))
+        assert [m["tag"] for m in state[model.MSGS][("n1", "n2")]] == [2]
 
     def test_consume_empty_raises(self, tcp_state):
         model, state = tcp_state
         with pytest.raises(ValueError):
-            model.consume(state, "n1", "n2")
+            model.consume(state, "n1", "n2", msg(1))
 
     def test_partition_clears_crossing_queues(self, tcp_state):
         model, state = tcp_state
@@ -126,7 +127,8 @@ class TestTcpModel:
             state = model.send(state, "n1", "n2", msg(tag))
         received = []
         while state[model.MSGS][("n1", "n2")]:
-            popped, state = model.consume(state, "n1", "n2")
+            (_, _, popped), = model.deliverable(state)
+            state = model.consume(state, "n1", "n2", popped)
             received.append(popped["tag"])
         assert received == tags
 
@@ -288,33 +290,34 @@ class TestUdpKeyMemo:
                 model.send(state, "n1", "n2", Rec(type="M", flag=1))
 
 
-#: Table 3 experiment #1 constraints (benchmarks/test_table3_exploration.py).
-EXP1_KW = dict(
-    values=("v1",),
-    max_timeouts=2,
-    max_requests=1,
-    max_crashes=0,
-    max_restarts=0,
-    max_partitions=1,
-    max_drops=0,
-    max_dups=0,
-    max_buffer=3,
-    max_term=2,
-)
-
-
 @pytest.mark.parametrize(
-    "spec_class, digest",
-    [(RaftOSSpec, "30ea499343a95460"), (WRaftSpec, "aa10b5baa4b3e384")],
-    ids=["RaftOS", "WRaft"],
+    "system, census, digest",
+    [
+        ("pysyncobj", (3000, 6121), "eceb563d06fdf1e9"),
+        ("wraft", (3000, 5486), "210a253a6bda3a28"),
+        ("redisraft", (3000, 6178), "c186221401457579"),
+        ("daosraft", (3000, 6178), "c186221401457579"),
+        ("raftos", (3000, 5486), "8562f4203510782a"),
+        ("xraft", (3000, 7432), "8f68845424c09ef9"),
+        ("xraft-kv", (3000, 6088), "456c5b627b91e7ba"),
+        ("zookeeper", (3000, 5701), "1fa2a9bb9495a276"),
+    ],
+    ids=[
+        "PySyncObj", "WRaft", "RedisRaft", "DaosRaft", "RaftOS", "Xraft", "Xraft-KV",
+        "ZooKeeper",
+    ],
 )
-def test_udp_specs_visit_the_pinned_fingerprints(spec_class, digest):
-    """The visited set of a capped BFS over a UDP spec, pinned across
-    ``PYTHONHASHSEED`` values and versions: the datagram order is part of
-    every state, so a change to it changes these digests."""
-    explorer = BFSExplorer(spec_class(RaftConfig(**EXP1_KW)), max_states=5000)
+def test_specs_visit_the_pinned_fingerprints(system, census, digest):
+    """The visited set of a capped BFS over each system spec at its default
+    budgets — crashes, restarts, partitions and (over UDP) drops and
+    duplicates all on — pinned across ``PYTHONHASHSEED`` values and
+    versions: the cluster environment and, over UDP, the datagram order
+    are part of every state, so a change to either changes these digests."""
+    spec_class = SPEC_CLASSES[system]
+    config = ZabConfig() if spec_class is ZabSpec else RaftConfig()
+    explorer = BFSExplorer(spec_class(config), max_states=3000)
     stats = explorer.run().stats
     fps = sorted(fp for fp, _, _ in explorer.store.edges())
     visited = blake2b(b"".join(fp.to_bytes(8, "big") for fp in fps), digest_size=8)
-    assert (stats.distinct_states, stats.transitions) == (5000, 7968)
+    assert (stats.distinct_states, stats.transitions) == census
     assert visited.hexdigest() == digest

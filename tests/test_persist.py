@@ -613,7 +613,6 @@ class TestMalformedParallelManifest:
             workers=2,
             depth=1,
             stats=SearchStats(distinct_states=1),
-            frontier_sizes={0: 1, 1: 0},
             violations=[
                 Violation(
                     "Inv",
@@ -630,9 +629,6 @@ class TestMalformedParallelManifest:
             pytest.param(_drop("stats"), id="no-stats"),
             pytest.param(_put(1, "stats", "bogus"), id="unknown-stat"),
             pytest.param(_put("3", "stats", "transitions"), id="stat-not-int"),
-            pytest.param(_put([1, 0], "frontier_sizes"), id="sizes-list"),
-            pytest.param(_put({"a": 1, "1": 0}, "frontier_sizes"), id="sizes-key"),
-            pytest.param(_put({"0": 1}, "frontier_sizes"), id="sizes-short"),
             pytest.param(
                 _put(lambda v: list(v.values()), "violations", 0), id="record-not-object"
             ),
@@ -668,6 +664,19 @@ class TestMalformedParallelManifest:
         path.write_text(json.dumps(manifest))
         with pytest.raises(RunDirError, match=r"parallel\.json"):
             load_parallel_resume(rd)
+
+    def test_a_frontier_sizes_key_is_ignored(self, tmp_path):
+        """Manifests written before the master took the frontier lengths
+        from the workers' ``restored`` replies alone carry a
+        ``frontier_sizes`` object; they resume as if it were absent."""
+        rd = self.committed(tmp_path)
+        path = rd.checkpoint_dir / "parallel.json"
+        manifest = json.loads(path.read_text())
+        assert "frontier_sizes" not in manifest
+        expected = load_parallel_resume(rd)
+        manifest["frontier_sizes"] = {"0": 1, "1": 0}
+        path.write_text(json.dumps(manifest))
+        assert load_parallel_resume(rd) == expected
 
     @pytest.mark.skipif(not HAS_FORK, reason="parallel BFS requires fork")
     def test_cli_exits_2(self, tmp_path, capsys):
@@ -1021,7 +1030,6 @@ class TestParallelCheckpointGenerations:
             workers=2,
             depth=depth,
             stats=SearchStats(distinct_states=depth),
-            frontier_sizes={0: 1, 1: 0},
             violations=[],
         )
 
