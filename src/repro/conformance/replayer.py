@@ -17,7 +17,8 @@ import dataclasses
 import time
 from typing import Any, Optional
 
-from ..core.explorer import BFSResult, bfs_explore
+from ..core.engine import SearchResult
+from ..core.explorer import bfs_explore
 from ..obs.metrics import TIME_BOUNDS
 from ..core.violation import Violation
 from .checker import ConformanceChecker, ConformanceReport, ReplayReport
@@ -51,7 +52,7 @@ class FixValidation:
     """Fix validation: conformance plus re-model-checking."""
 
     conformance: ConformanceReport
-    model_checking: BFSResult
+    model_checking: SearchResult
 
     @property
     def passed(self) -> bool:

@@ -35,7 +35,7 @@ from .engine import (
     TracelessStoreError,
     action_kinds,
 )
-from .explorer import BFSExplorer, BFSResult, BFSStats, bfs_explore, research_violation
+from .explorer import BFSExplorer, bfs_explore, research_violation, resolve_violation
 from .guided import ScenarioError, ScenarioResult, run_scenario
 from .linearizability import LinearizabilityResult, Operation, check_linearizable
 from .parallel import (
@@ -75,8 +75,6 @@ __all__ = [
     "check_linearizable",
     "run_scenario",
     "BFSExplorer",
-    "BFSResult",
-    "BFSStats",
     "ConstraintScore",
     "ForkTransport",
     "Invariant",
@@ -105,6 +103,7 @@ __all__ = [
     "random_walk",
     "rank_constraints",
     "research_violation",
+    "resolve_violation",
     "simulate",
     "thaw",
 ]

@@ -90,6 +90,7 @@ __all__ = [
     "ExplorationEngine",
     "action_kinds",
     "find_matching_step",
+    "continuity_break",
     "reconstruct_trace",
     "replay_path",
 ]
@@ -478,10 +479,11 @@ def _step_of(transition: Transition) -> TraceStep:
 class StepChecker:
     """Evaluates invariants and builds :class:`Violation` objects.
 
-    Traces are built lazily — only when a violation is found — through
-    ``tracer(pre_fp, step)``, which the engine wires to the active
-    strategy (BFS reconstructs from the parent chain; walks and
-    scenarios extend their running trace).
+    Violations are built lazily through ``tracer(invariant, kind, fp,
+    step)``, which the engine wires to the active strategy's
+    :meth:`FrontierStrategy.violation`: ``fp`` fingerprints the state
+    the invariant was evaluated on (a transition invariant's pre-state),
+    ``step`` is the transition taken (``None`` at a seed).
     """
 
     __slots__ = ("spec", "check_invariants", "violations", "tracer")
@@ -490,8 +492,8 @@ class StepChecker:
         self.spec = spec
         self.check_invariants = check_invariants
         self.violations: List[Violation] = []
-        self.tracer: Callable[[Any, Optional[TraceStep]], Trace] = (
-            lambda fp, step: Trace(Rec())
+        self.tracer: Callable[[str, str, Any, Optional[TraceStep]], Violation] = (
+            lambda invariant, kind, fp, step: Violation(invariant, Trace(Rec()), kind)
         )
 
     @property
@@ -501,11 +503,12 @@ class StepChecker:
     def check_state(
         self,
         state: Rec,
-        pre_fp: Any,
+        fp: Any,
         transition: Optional[Transition],
         changed: Optional[frozenset] = None,
     ) -> Optional[Violation]:
-        """Check state invariants on ``state``, reached via ``transition``.
+        """Check state invariants on ``state`` (fingerprinted ``fp``),
+        reached via ``transition``.
 
         ``changed`` — the touched top-level keys relative to an
         already-checked parent — lets a compiled spec skip invariants
@@ -517,7 +520,7 @@ class StepChecker:
         if bad is None:
             return None
         step = _step_of(transition) if transition is not None else None
-        violation = Violation(bad, self.tracer(pre_fp, step), kind="state")
+        violation = self.tracer(bad, "state", fp, step)
         self.violations.append(violation)
         return violation
 
@@ -534,9 +537,7 @@ class StepChecker:
         bad = self.spec.check_transition(pre, transition, changed)
         if bad is None:
             return None
-        violation = Violation(
-            bad, self.tracer(pre_fp, _step_of(transition)), kind="transition"
-        )
+        violation = self.tracer(bad, "transition", pre_fp, _step_of(transition))
         self.violations.append(violation)
         return violation
 
@@ -569,6 +570,21 @@ def find_matching_step(
             canon = canonical(transition.target) if canonical else transition.target
             if fp_fn(canon) == target_fp:
                 return _step_of(transition)
+    return None
+
+
+def continuity_break(spec: Spec, trace: Trace) -> Optional[int]:
+    """The index of the first step of ``trace`` that is no transition of
+    the state before it (the same action, arguments, branch and target),
+    else ``None``: the implementation replayer can follow only a trace
+    with none."""
+    scope_pair_memo(spec)
+    state = trace.initial
+    for index, step in enumerate(trace.steps):
+        actions = frozenset((step.action,))
+        if step not in [_step_of(t) for t in spec.successors(state, actions)]:
+            return index
+        state = step.state
     return None
 
 
@@ -705,40 +721,27 @@ class FrontierStrategy:
     ) -> None:
         pass
 
-    def trace_to(self, fp: Any, step: Optional[TraceStep] = None) -> Trace:
-        """Build the trace to the state fingerprinted ``fp`` (+ ``step``)."""
-        raise NotImplementedError
+    def violation(
+        self, invariant: str, kind: str, fp: Any, step: Optional[TraceStep]
+    ) -> Violation:
+        """The violation of ``invariant`` the checker found (arguments as
+        :class:`StepChecker`'s tracer); by default on the running trace
+        of a ``tracks_steps`` strategy, plus the step."""
+        trace = self.trace.extend(step) if step is not None else self.trace
+        return Violation(invariant, trace, kind)
 
     def empty_reason(self) -> StopReason:
         """The stop reason when the frontier drains without a violation."""
         return StopReason.EXHAUSTED
 
 
-class _DepthTrackingDeque(deque):
-    """A deque that remembers the depth of the last node it popped.
-
-    Traceless runs cannot reconstruct a violation's event sequence, but
-    the violation *depth* is known exactly at discovery time: it is the
-    depth of the node under expansion (plus one for a step).  Tracking
-    it here keeps the engine's hot loop untouched.
-    """
-
-    last_depth = 0
-
-    def popleft(self) -> tuple:
-        node = deque.popleft(self)
-        self.last_depth = node[2]
-        return node
-
-
 class FIFOFrontier(FrontierStrategy):
     """Breadth-first: expand every successor, dedupe through the store.
 
     Because the search is breadth-first, the first counterexample found
-    for any invariant has minimal depth (§5.1.1).  Over a traceless
-    store the strategy returns :class:`~repro.core.trace.PendingTrace`
-    placeholders (exact depth, no steps) for bounded re-search to
-    resolve.
+    for any invariant has minimal depth (§5.1.1).  A violation is first
+    *anchored* (:meth:`violation`), then resolved into a trace by
+    :func:`repro.core.explorer.resolve_violation` (:meth:`resolve`).
     """
 
     name = "bfs"
@@ -746,27 +749,29 @@ class FIFOFrontier(FrontierStrategy):
 
     def __init__(self) -> None:
         self.frontier: deque = deque()
-        self._traceless = False
 
-    def bind(self, engine: "ExplorationEngine") -> None:
-        super().bind(engine)
-        self._spec = engine.spec
-        self._store = engine.store
-        reducer = engine.reducer
-        self._canonical = reducer.canonical if reducer is not None else None
-        self._fp = engine.fingerprint
-        self._traceless = engine.store.traceless
-        if self._traceless and not isinstance(self.frontier, _DepthTrackingDeque):
-            self.frontier = _DepthTrackingDeque(self.frontier)
+    def violation(
+        self, invariant: str, kind: str, fp: Any, step: Optional[TraceStep]
+    ) -> Violation:
+        """The anchoring rule: a state violation is anchored at its own
+        canonical fingerprint, with no step; a transition violation at
+        its pre-state, with the step.  The depth is the engine's."""
+        depth = self.engine.depth + (step is not None)
+        if kind != "transition":
+            step = None
+        return self.resolve(Violation(invariant, PendingTrace(depth, fp, step), kind))
 
-    def trace_to(self, fp: Any, step: Optional[TraceStep] = None) -> Trace:
-        if self._traceless:
-            depth = self.frontier.last_depth + (1 if step is not None else 0)
-            return PendingTrace(depth)
-        trace = reconstruct_trace(
-            self._spec, self._store, fp, self._canonical, self._fp
+    def resolve(self, violation: Violation) -> Violation:
+        """Resolve at discovery over a traced store; over a traceless
+        one the anchored violation waits for bounded re-search."""
+        engine = self.engine
+        if engine.store.traceless:
+            return violation
+        from .explorer import resolve_violation  # local: explorer imports us
+
+        return resolve_violation(
+            engine.spec, violation, engine.store, engine.reducer, engine.fingerprint
         )
-        return trace.extend(step) if step is not None else trace
 
 
 class RandomWalkFrontier(FrontierStrategy):
@@ -832,9 +837,6 @@ class RandomWalkFrontier(FrontierStrategy):
         self, transition: Transition, child: Rec, child_fp: Any, depth: int
     ) -> None:
         self.trace = self.trace.extend(_step_of(transition))
-
-    def trace_to(self, fp: Any, step: Optional[TraceStep] = None) -> Trace:
-        return self.trace.extend(step) if step is not None else self.trace
 
     def empty_reason(self) -> StopReason:
         return StopReason.DEADLOCK
@@ -922,9 +924,6 @@ class ScenarioFrontier(FrontierStrategy):
     ) -> None:
         self.trace = self.trace.extend(_step_of(transition))
 
-    def trace_to(self, fp: Any, step: Optional[TraceStep] = None) -> Trace:
-        return self.trace.extend(step) if step is not None else self.trace
-
     def empty_reason(self) -> StopReason:
         return StopReason.COMPLETE
 
@@ -994,6 +993,8 @@ class ExplorationEngine:
         self.checkpointer = checkpointer
         self.metrics = metrics
         self.stats = SearchStats()
+        #: depth of the state being expanded (0 while seeding)
+        self.depth = 0
 
     def run(self, resume: Optional[Any] = None) -> SearchResult:
         """Run the exploration; ``resume`` continues a checkpointed run.
@@ -1010,7 +1011,7 @@ class ExplorationEngine:
         strategy = self.strategy
         strategy.bind(self)
         checker = self.checker
-        checker.tracer = strategy.trace_to
+        checker.tracer = strategy.violation
         store = self.store
         spec = self.spec
         scope_pair_memo(spec)
@@ -1137,6 +1138,7 @@ class ExplorationEngine:
                 push(node)
         else:
             # -- seed the frontier with initial states -----------------------
+            self.depth = 0
             for init in strategy.initial_states(spec):
                 canon = canon_fn(init) if canon_fn is not None else init
                 fp = fp_fn(canon) if dedupe else None
@@ -1163,6 +1165,7 @@ class ExplorationEngine:
             if time_budget is not None and monotonic() - started > time_budget:
                 return finish(StopReason.TIME_BUDGET)
             state, fp, depth = frontier.popleft()
+            self.depth = depth
             if depth > stats.max_depth:
                 stats.max_depth = depth
             if max_depth is not None and depth >= max_depth:
@@ -1211,7 +1214,7 @@ class ExplorationEngine:
                     child_fp = None
                 stats.distinct_states += 1
                 violation = check_state(
-                    child, fp, transition, changed if skip_state_invs else None
+                    child, child_fp, transition, changed if skip_state_invs else None
                 )
                 if violation is not None and stop_on_violation:
                     return finish(StopReason.VIOLATION, violation)

@@ -14,12 +14,13 @@ a :class:`~repro.core.engine.FIFOFrontier` strategy plus a
 :class:`~repro.core.engine.ExplorationEngine`.  Counterexample traces are
 reconstructed from parent fingerprints by re-executing from the initial
 state and matching successor fingerprints, which keeps per-state memory
-to a couple of machine words.  A fast run's violation is resolved into a
-trace by :func:`research_violation`.
+to a couple of machine words.  Every BFS violation — serial, fast or
+sharded — becomes a trace by one rule, :func:`resolve_violation`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import warnings
 from typing import Any, Callable, List, Optional
@@ -35,24 +36,21 @@ from .engine import (
     SearchStats,
     StateStore,
     StepChecker,
+    continuity_break,
+    reconstruct_trace,
 )
 from .spec import Spec
-from .state import fingerprint
+from .state import Rec, fingerprint
 from .symmetry import SymmetryReducer
+from .trace import Trace, TraceStep
 from .violation import Violation
 
 __all__ = [
-    "BFSStats",
-    "BFSResult",
     "BFSExplorer",
     "bfs_explore",
+    "resolve_violation",
     "research_violation",
 ]
-
-#: BFS stats/results are the engine's unified types (kept under their
-#: historical names for source compatibility).
-BFSStats = SearchStats
-BFSResult = SearchResult
 
 
 class BFSExplorer:
@@ -60,14 +58,8 @@ class BFSExplorer:
 
     ``fast=True`` switches to the traceless
     :class:`~repro.core.engine.FingerprintOnlyStore` (8 bytes/state
-    payload, no parent edges).  The engine reports a fast run's
-    violation with a :class:`~repro.core.trace.PendingTrace`, which the
-    explorer always resolves by *bounded re-search*
-    (:func:`research_violation`): a full-store serial BFS capped at the
-    violation depth reproduces the byte-identical minimal counterexample
-    an ordinary full-store run would have produced (the violation fires
-    while the last pre-violation level is still being expanded, so the
-    depth cap never alters pre-violation behavior).
+    payload, no parent edges); :meth:`run` then resolves the violation
+    by bounded re-search (:func:`research_violation`).
     """
 
     def __init__(
@@ -78,7 +70,7 @@ class BFSExplorer:
         max_depth: Optional[int] = None,
         time_budget: Optional[float] = None,
         stop_on_violation: bool = True,
-        progress: Optional[Callable[[BFSStats], None]] = None,
+        progress: Optional[Callable[[SearchStats], None]] = None,
         progress_interval: int = 50_000,
         store: Optional[StateStore] = None,
         checkpointer: Optional[Any] = None,
@@ -96,7 +88,6 @@ class BFSExplorer:
         self.progress = progress
         self.progress_interval = progress_interval
         self.fast = fast
-        self._symmetry = symmetry
         if fast and store is not None and not store.traceless:
             raise ValueError(
                 "fast mode needs a traceless store (FingerprintOnlyStore or a"
@@ -134,14 +125,75 @@ class BFSExplorer:
 
     # -- the search ----------------------------------------------------------
 
-    def run(self, resume: Optional[Any] = None) -> BFSResult:
+    def run(self, resume: Optional[Any] = None) -> SearchResult:
         result = self.engine.run(resume=resume)
-        violation = result.violation
-        if violation is not None and violation.trace.pending:
-            result.violation = research_violation(
-                self.spec, violation, symmetry=self._symmetry
+        if result.violation is not None:
+            fp_fn = self.engine.fingerprint
+            result.violation = resolve_violation(
+                self.spec, result.violation, self.store, self.reducer, fp_fn
             )
         return result
+
+
+def resolve_violation(
+    spec: Spec,
+    violation: Violation,
+    store: Optional[StateStore] = None,
+    reducer: Optional[SymmetryReducer] = None,
+    fp_fn: Callable[[Rec], Any] = fingerprint,
+) -> Violation:
+    """The one rule by which a BFS violation becomes a concrete trace.
+
+    The violation is anchored (:meth:`FIFOFrontier.violation
+    <repro.core.engine.FIFOFrontier.violation>`).  A concrete trace
+    passes through; over a traced ``store`` the parent chain to the
+    anchor is replayed, and a transition violation's step that is no
+    transition of the replayed pre-state — under symmetry a permutation
+    of the one it was taken from — is re-derived there: the first
+    transition of its action whose canonical target matches and whose
+    edge violates the same invariant.  A traceless store, or none, goes
+    to bounded re-search (:func:`research_violation`).  ``reducer`` and
+    ``fp_fn`` are the run's.
+    """
+    trace = violation.trace
+    if not trace.pending:
+        return violation
+    if store is None or store.traceless or trace.anchor is None:
+        return research_violation(spec, violation, symmetry=reducer is not None)
+    canonical = reducer.canonical if reducer is not None else None
+    resolved = reconstruct_trace(spec, store, trace.anchor, canonical, fp_fn)
+    step = trace.step
+    if step is not None:
+        pre = resolved.final_state
+        if continuity_break(spec, Trace(pre, [step])) is not None:
+            step = _rederive(spec, pre, violation, canonical, fp_fn)
+        resolved.steps.append(step)
+    return dataclasses.replace(violation, trace=resolved)
+
+
+def _rederive(
+    spec: Spec,
+    pre: Rec,
+    violation: Violation,
+    canonical: Optional[Callable[[Rec], Rec]],
+    fp_fn: Callable[[Rec], Any],
+) -> TraceStep:
+    """The violating step re-derived from ``pre`` (see
+    :func:`resolve_violation`)."""
+    step = violation.trace.step
+
+    def orbit(state: Rec) -> Any:
+        return fp_fn(canonical(state) if canonical else state)
+
+    target = orbit(step.state)
+    for t in spec.successors(pre, frozenset((step.action,))):
+        if spec.check_transition(pre, t) == violation.invariant:
+            if orbit(t.target) == target:
+                return TraceStep(t.action, t.args, t.target, t.branch)
+    raise RuntimeError(
+        f"no {step.action} transition of the replayed depth-{violation.depth - 1}"
+        f" state reaches the orbit of the {violation.invariant} step"
+    )
 
 
 def research_violation(
@@ -151,32 +203,17 @@ def research_violation(
 ) -> Violation:
     """Bounded re-search: resolve a traceless violation into a real trace.
 
-    Re-explores ``spec`` with a full (edge-keeping) store, serially,
-    capped at the violation's known minimal depth, and returns the
-    violation of that run.  Correctness: in breadth-first order the
-    violation fires during expansion of a pre-violation level, before
-    any state at the cap depth is popped, so the depth cap cannot alter
-    any step preceding the violation — the re-search replays the exact
-    step sequence of an uninterrupted full-store run and produces the
-    byte-identical minimal counterexample.  Memory is bounded by the
-    full-store cost of the state space up to the violation depth
-    (TLC's classic traceless tradeoff).
-
-    ``spec`` must be the spec the fast run explored, and ``symmetry``
-    must match, or the re-search may not reach the violation; a
-    fingerprint collision in the fast run can also leave the violation
-    unreachable, and both cases raise ``RuntimeError`` rather than
-    returning a wrong trace.
+    Re-explores ``spec`` serially over an edge-keeping store, capped at
+    the violation's depth.  In breadth-first order the violation fires
+    while the last level before it is expanded, so the cap alters no
+    earlier step: the result is the byte-identical minimal counterexample
+    of a full-store run, at the full-store memory cost of the levels up
+    to it (TLC's traceless tradeoff).  A spec or ``symmetry`` other than
+    the fast run's, or a fingerprint collision there, raises
+    ``RuntimeError`` rather than return a wrong trace.
     """
     trace = violation.trace
-    if not getattr(trace, "pending", False):
-        return violation
-    explorer = BFSExplorer(
-        spec,
-        symmetry=symmetry,
-        max_depth=trace.depth,
-        stop_on_violation=True,
-    )
+    explorer = BFSExplorer(spec, symmetry=symmetry, max_depth=trace.depth)
     result = explorer.run()
     found = result.violation
     if found is None:
@@ -204,7 +241,7 @@ def bfs_explore(
     resume: bool = False,
     transport: Optional[Any] = None,
     **kwargs: Any,
-) -> BFSResult:
+) -> SearchResult:
     """Run one BFS exploration of ``spec``; see :class:`BFSExplorer`.
 
     This is the one switch between the serial explorer and the sharded
@@ -213,7 +250,7 @@ def bfs_explore(
     space is partitioned ``fp % workers`` across forked engine workers,
     which is sound because :func:`~repro.core.state.fingerprint` is
     canonical and process-stable; results are merged into the same
-    :class:`BFSResult`.  A ``transport`` (e.g.
+    :class:`~repro.core.engine.SearchResult`.  A ``transport`` (e.g.
     :class:`repro.dist.transport.SocketTransport`) selects how the shard
     workers are reached — remote socket workers instead of local forks.
 

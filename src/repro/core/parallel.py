@@ -18,7 +18,6 @@ recovery story and why results are byte-identical across transports.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import multiprocessing
 import os
 import time
@@ -42,18 +41,16 @@ from .compile import compile_spec
 from .engine import (
     CompactStore,
     ExplorationEngine,
+    FIFOFrontier,
     FingerprintOnlyStore,
-    FrontierStrategy,
     SearchResult,
     SearchStats,
     StateStore,
     StopReason,
-    reconstruct_trace,
 )
 from .spec import Spec
 from .state import Rec, decode, encode, fingerprint, scope_pair_memo
 from .symmetry import SymmetryReducer
-from .trace import PendingTrace, TraceStep
 from .violation import Violation
 
 __all__ = [
@@ -162,15 +159,15 @@ class _Level:
         return len(self._current)
 
 
-class _ShardStrategy(FrontierStrategy):
+class _ShardStrategy(FIFOFrontier):
     """How a :class:`ShardWorker` runs the shared engine: one level per
     ``run()``, no seeding (``restore(None)`` seeds), foreign children
-    parked until ``settle``."""
+    parked until ``settle``, violations anchored by the BFS rule and
+    left for the master to resolve."""
 
     def __init__(self, worker: "ShardWorker"):
+        super().__init__()
         self._worker = worker
-        #: BFS depth of the level in hand: a round's states all share it
-        self.depth = 0
 
     def initial_states(self, spec: Spec) -> tuple:
         return ()
@@ -195,11 +192,10 @@ class _ShardStrategy(FrontierStrategy):
             parked[child_fp] = (child, child_fp, depth, parent_fp, transition, changed)
         return True
 
-    def trace_to(self, fp: int, step: Optional[TraceStep] = None) -> PendingTrace:
-        """Where the shared checker found a violation: the fingerprint the
-        step starts from and the step (``None`` at a seed).  The trace is
-        the master's to rebuild, from merged edges."""
-        return PendingTrace(self.depth + (step is not None), fp, step)
+    def resolve(self, violation: Violation) -> Violation:
+        """The chain to the anchor crosses shards: the master resolves it
+        over the merged shard stores."""
+        return violation
 
 
 class ShardWorker:
@@ -220,7 +216,7 @@ class ShardWorker:
     #: the ops a master may send: each names its handler method, and the
     #: rest of the message is that method's arguments
     OPS = frozenset(
-        "expand claim settle donate adopt edges checkpoint restore ping".split()
+        "expand claim settle donate adopt checkpoint restore ping".split()
     )
 
     def __init__(self, spec: Spec, wid: int, workers: int, **options: bool):
@@ -245,8 +241,9 @@ class ShardWorker:
             stop_on_violation=options["stop_on_violation"],
             reducer=_make_reducer(spec, options["symmetry"]),
         )
-        # seeding checks before the first run has wired the tracer
-        self._engine.checker.tracer = self._strategy.trace_to
+        # seeding checks before the first run has bound the strategy
+        self._strategy.bind(self._engine)
+        self._engine.checker.tracer = self._strategy.violation
 
     @property
     def store(self) -> StateStore:
@@ -260,19 +257,11 @@ class ShardWorker:
             raise RuntimeError(f"unknown parallel-BFS op {op!r}")
         return getattr(self, op)(*msg[1:])
 
-    def _found(self) -> List[dict]:
-        """Every violation since the last reply, as :meth:`Violation.to_dict`
-        records: a transition's anchored where its step starts, with the
-        step; a violating state at its own canonical fingerprint."""
-        engine = self._engine
-        found, engine.checker.violations = engine.checker.violations, []
-        for violation in found:
-            trace = violation.trace
-            if violation.kind != "transition" and trace.step is not None:
-                child = trace.step.state
-                if engine.reducer is not None:
-                    child = engine.reducer.canonical(child)
-                violation.trace = PendingTrace(trace.depth, engine.fingerprint(child))
+    def _violations(self) -> List[dict]:
+        """Every (anchored) violation since the last reply, as
+        :meth:`Violation.to_dict` records."""
+        checker = self._engine.checker
+        found, checker.violations = checker.violations, []
         return [violation.to_dict() for violation in found]
 
     # -- ops -----------------------------------------------------------------
@@ -290,7 +279,6 @@ class ShardWorker:
         current, self.frontier = self.frontier, deque()
         pending = self._pending = defaultdict(dict)
         strategy.frontier = _Level(current, self.frontier)
-        strategy.depth = current[0][2] if current else 0
         # Per-round observability deltas, shipped to the master with the
         # "expanded" reply and merged there.
         registry = engine.metrics = MetricsRegistry() if self.metrics_on else None
@@ -313,7 +301,7 @@ class ShardWorker:
                 for family, table in registry.snapshot()["counts"].items()
             },
         )
-        found, cut = self._found(), result.stop_reason is StopReason.TIME_BUDGET
+        found, cut = self._violations(), result.stop_reason is StopReason.TIME_BUDGET
         return ("expanded", self.wid, stats.transitions, stats.pruned,
                 stats.distinct_states, claims, found, len(self.frontier), cut, obs)
 
@@ -345,10 +333,10 @@ class ShardWorker:
         for owner in sorted(accepted):
             children = list(pending[owner].values())
             for index in accepted[owner]:
-                child, fp, depth, parent_fp, transition, changed = children[index]
-                check_state(child, parent_fp, transition, changed)
+                child, fp, depth, _, transition, changed = children[index]
+                check_state(child, fp, transition, changed)
                 frontier.append((child, fp, depth))
-        return ("settled", self.wid, self._found(), len(frontier))
+        return ("settled", self.wid, self._violations(), len(frontier))
 
     def donate(self, plan: list) -> tuple:
         """Give away frontier states as ``recipient -> [(bytes, fp, depth)]``."""
@@ -366,10 +354,6 @@ class ShardWorker:
         """Take over donated states: already recorded and checked elsewhere."""
         self.frontier.extend((decode(enc), fp, depth) for enc, fp, depth in items)
         return ("adopted", self.wid, len(self.frontier))
-
-    def edges(self) -> tuple:
-        roots = [(fp, encode(state)) for fp, state in self.store.roots()]
-        return ("edges", self.wid, list(self.store.edges()), roots)
 
     def checkpoint(self) -> tuple:
         """Dump store and frontier as checkpoint container bytes.  A worker
@@ -403,8 +387,8 @@ class ShardWorker:
             parsed = parse_checkpoint(bytes(data))
             store, frontier = parsed.restore_into(fresh()), parsed.frontier_items()
             engine.store, self.frontier = store, deque(frontier)
-            return ("restored", self.wid, 0, self._found(), len(self.frontier))
-        self._strategy.depth = 0
+            return ("restored", self.wid, 0, self._violations(), len(self.frontier))
+        engine.depth = 0
         scope_pair_memo(self.spec)
         canon = engine.reducer.canonical if engine.reducer is not None else None
         for init in self.spec.init_states():
@@ -415,7 +399,7 @@ class ShardWorker:
                 engine.checker.check_state(state, fp, None)
                 self.frontier.append((state, fp, 0))
         seeded = len(self.frontier)
-        return ("restored", self.wid, seeded, self._found(), seeded)
+        return ("restored", self.wid, seeded, self._violations(), seeded)
 
     def ping(self, nonce: int) -> tuple:
         return ("pong", self.wid, nonce)
@@ -669,7 +653,7 @@ class ParallelBFS:
     def _drive(self) -> SearchResult:
         """Rewind to where the run starts, then rounds until a reason to
         stop.  A worker lost on the way — in the rewind, a round, the
-        result's edge merge, a recovery — is recovered from before the next."""
+        result's store merge, a recovery — is recovered from before the next."""
         resume = self.resume
         self._reducer = _make_reducer(self.spec, self.symmetry)
         #: the registry before any exploration counted (see _rewind)
@@ -1001,8 +985,12 @@ class ParallelBFS:
         return replies
 
     def _build_violation(self) -> Optional[Violation]:
-        """Reconstruct the minimal-depth violation from merged worker edges."""
-        violations, reducer = self._violations, self._reducer
+        """Resolve the minimal-depth violation over the merged shard stores."""
+        # Local imports: explorer and persist both import this package.
+        from ..persist.checkpoint import parse_checkpoint
+        from .explorer import resolve_violation
+
+        violations = self._violations
         if not violations:
             return None
         # Level synchrony guarantees all candidates from the stopping round
@@ -1011,25 +999,12 @@ class ParallelBFS:
         found = min(
             violations, key=lambda v: (v.depth, v.invariant, v.kind, v.trace.anchor)
         )
-        if self.fast:
-            # Traceless workers kept no edges to merge: resolve the
-            # pending trace by serial bounded re-search.
-            from .explorer import research_violation  # local: explorer imports us
-
-            return research_violation(self.spec, found, symmetry=self.symmetry)
-        merged = CompactStore()
-        for _, _, edges, roots in self._exchange(
-            {wid: ("edges",) for wid in range(self.workers)}, "edges"
-        ):
-            for edge_fp, parent_fp, edge_action in edges:
-                if parent_fp is not None:
-                    merged.record(edge_fp, parent_fp, edge_action)
-            for root_fp, enc in roots:
-                merged.record_init(root_fp, decode(enc))
-        canonical = reducer.canonical if reducer is not None else None
-        at = found.trace
-        trace = reconstruct_trace(self.spec, merged, at.anchor, canonical, fingerprint)
-        if at.step is not None:
-            trace = trace.extend(at.step)
-        return dataclasses.replace(found, trace=trace)
+        merged: Optional[StateStore] = None
+        if not self.fast:  # traceless shards keep no edges: re-search instead
+            merged = CompactStore()
+            for _, _, data in self._exchange(
+                {wid: ("checkpoint",) for wid in range(self.workers)}, "checkpointed"
+            ):
+                parse_checkpoint(data).restore_into(merged)
+        return resolve_violation(self.spec, found, merged, self._reducer, fingerprint)
 

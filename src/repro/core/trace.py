@@ -180,19 +180,14 @@ def _state(raw: dict, key: str) -> Rec:
 
 
 class PendingTrace(Trace):
-    """A trace known only by depth (and, from a shard worker, by where it ends).
-
-    Fingerprint-only stores keep no parent edges, so when a violation
-    fingerprint is hit the engine knows the minimal depth but not the
-    event sequence.  A :class:`PendingTrace` carries that depth until
-    bounded re-search (a full-store re-exploration capped at this depth)
-    replaces it with the exact counterexample.  A shard worker's
-    violation is *anchored*: ``anchor`` is the fingerprint the master
-    rebuilds the trace to from the merged parent edges, and ``step`` (a
-    transition invariant's violating step, else ``None``) extends it.
-    ``pending`` marks it so downstream code never mistakes it for an
-    empty real trace; only :meth:`repro.core.violation.Violation.to_dict`
-    serializes it.
+    """A BFS violation's trace before it is resolved: its exact depth and
+    its *anchor* — the fingerprint of the violating state, or of a
+    transition violation's pre-state with the violating ``step``.
+    :func:`repro.core.explorer.resolve_violation` replaces it with the
+    concrete trace; ``pending`` marks it so downstream code never
+    mistakes it for an empty real trace, and only
+    :meth:`repro.core.violation.Violation.to_dict` serializes it (a
+    run dir written before violations were anchored has no anchor).
     """
 
     pending = True

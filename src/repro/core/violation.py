@@ -42,8 +42,7 @@ class Violation:
         """The one serialised form of a violation: a shard worker's reply,
         ``parallel.json``, a checkpoint header and an artifact carry it.
         A real trace is its ``Trace.to_dict()``; a pending one is
-        ``{"pending_depth": n}``, plus the ``anchor`` and ``step`` a shard
-        worker found it at."""
+        ``{"pending_depth": n}``, plus its ``anchor`` and ``step``."""
         trace = self.trace
         if not trace.pending:
             encoded = trace.to_dict()

@@ -73,8 +73,9 @@ __all__ = [
 #: compile; 7: no ``absorb`` op — ``restore`` with no bytes seeds the
 #: shard's own initial states, and every ``restored`` reply carries the
 #: added count and the violations; 8: violations travel as
-#: :meth:`~repro.core.violation.Violation.to_dict` records, not 8-tuples).
-PROTOCOL_VERSION = 8
+#: :meth:`~repro.core.violation.Violation.to_dict` records, not 8-tuples;
+#: 9: no ``edges`` op — the master merges the ``checkpoint`` replies).
+PROTOCOL_VERSION = 9
 
 #: Hard bound on one frame's payload: large enough for any realistic
 #: claim batch or checkpoint container, small enough that a corrupt

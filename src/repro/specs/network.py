@@ -171,9 +171,6 @@ class TcpModel(_NetworkModel):
     def max_queue_length(self, state: Rec) -> int:
         return max(map(len, state[self.MSGS].values()), default=0)
 
-    def pending_count(self, state: Rec) -> int:
-        return sum(map(len, state[self.MSGS].values()))
-
 
 def _msg_key(item: Tuple[str, str, Rec]) -> str:
     """The canonical sort key of a datagram: the one definition of the order."""
@@ -262,9 +259,6 @@ class UdpModel(_NetworkModel):
     # -- constraints -----------------------------------------------------------------
 
     def max_queue_length(self, state: Rec) -> int:
-        return len(state[self.MSGS])
-
-    def pending_count(self, state: Rec) -> int:
         return len(state[self.MSGS])
 
 

@@ -51,7 +51,7 @@ import warnings
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from unittest import mock
 
-from ..core.engine import SearchResult, StopReason
+from ..core.engine import SearchResult, StopReason, continuity_break
 from ..core.explorer import BFSExplorer, bfs_explore
 from ..core.state import CheckedMemo
 from ..obs.metrics import ACTION_FIRES, MetricsRegistry
@@ -607,11 +607,18 @@ def _grade(
             found.append(mismatch("invariant", planted.invariant, violation.invariant))
         if violation.depth != planted.depth:
             found.append(mismatch("violation_depth", planted.depth, violation.depth))
+        if not violation.trace.pending:
+            # Every step a transition of the state before it, as the
+            # implementation replayer needs: the index of the first that
+            # is not, else None.
+            broken = continuity_break(generated.spec(), violation.trace)
+            if broken is not None:
+                found.append(mismatch("continuity", None, broken))
         if config.fast:
             # Fast cells must have *resolved* their traceless violation
             # through bounded re-search into the byte-identical trace a
             # plain serial full-store run produces.
-            if getattr(violation.trace, "pending", False):
+            if violation.trace.pending:
                 found.append(mismatch("trace", "researched Trace", "PendingTrace"))
             elif cache is not None:
                 expected = _reference_trace(generated, config, cache)

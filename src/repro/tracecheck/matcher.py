@@ -75,23 +75,6 @@ DEFAULT_STUTTER_KINDS = frozenset({"internal"})
 _Actions = Optional[frozenset]
 
 
-class _LevelDeque(deque):
-    """A FIFO frontier that remembers the depth of the last popped node.
-
-    ``choose(state, successors)`` does not receive the node's depth; the
-    engine reads it from ``node[2]`` when popping, so recording it here
-    (the same trick as the engine's traceless ``_DepthTrackingDeque``)
-    gives the strategy the log position without touching the hot loop.
-    """
-
-    last_depth = 0
-
-    def popleft(self) -> tuple:
-        node = deque.popleft(self)
-        self.last_depth = node[2]
-        return node
-
-
 class TraceMatchFrontier(FrontierStrategy):
     """Frontier-of-candidates matching of an event log against a spec."""
 
@@ -118,7 +101,7 @@ class TraceMatchFrontier(FrontierStrategy):
         self.stutter_kinds = frozenset(stutter_kinds)
         self.keep_states = keep_states
         self.keep_misses = keep_misses
-        self.frontier = _LevelDeque()
+        self.frontier: deque = deque()
         # -- outcome bookkeeping (read by `report` after the run) -------
         self.completed = 0
         self.frontier_limited = False
@@ -161,7 +144,7 @@ class TraceMatchFrontier(FrontierStrategy):
         # ``successors`` is the engine's generator over every action.  It
         # is dropped unstarted, so no action body runs for it: `_match`
         # asks the spec for the actions that can explain the event only.
-        level = self.frontier.last_depth
+        level = self.engine.depth  # the popped node's: its log position
         if level != self._level:
             self._advance(level)
         self._level_popped += 1

@@ -290,6 +290,21 @@ class TestDetectAndReplay:
         with pytest.raises(SystemExit):
             main(["detect", "NoSuch#1"])
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_symmetric_counterexample_replays(self, workers, tmp_path, capsys):
+        # Under symmetry the replayed states are permutations of the
+        # canonical ones the search stored; the saved trace must still be
+        # one the implementation can follow, step by step.
+        out = str(tmp_path / "v.json")
+        bug = ["--system", "xraft", "--bug", "X1"]
+        argv = ["check", *bug, "--symmetry", "--workers", workers, "--out", out]
+        argv += ["--time-budget", "900"]  # ~45 s on an idle 2-vCPU box
+        assert main(argv) == 1
+        assert "violation of ElectionSafety" in capsys.readouterr().out
+        assert main(["replay", "--trace", out, *bug]) == 0
+        assert "CONFIRMED: ElectionSafety at depth 11" in capsys.readouterr().out
+
 
 class TestSelftestCommand:
     def test_clean_sweep_exits_zero(self, capsys):

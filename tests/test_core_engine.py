@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core import Action, Rec, Spec, bfs_explore, run_scenario, simulate
+from repro.core import Action, Rec, Spec, Violation, bfs_explore, run_scenario, simulate
 from repro.core import engine as engine_module
 from repro.core.engine import (
     CompactStore,
@@ -229,9 +229,9 @@ class TestDeferSeam:
                 return True
 
         class Recording(StepChecker):
-            def check_state(self, state, pre_fp, transition, changed=None):
+            def check_state(self, state, fp, transition, changed=None):
                 checked.append(fingerprint(state))
-                return super().check_state(state, pre_fp, transition, changed)
+                return super().check_state(state, fp, transition, changed)
 
         spec = CounterSpec(3, 3)
         store = CompactStore()
@@ -281,7 +281,9 @@ class TestStepChecker:
         spec = CounterSpec(n_nodes=1, maximum=2, bound=-1)
         checker = StepChecker(spec)
         sentinel = object()
-        checker.tracer = lambda fp, step: sentinel
+        checker.tracer = lambda invariant, kind, fp, step: Violation(
+            invariant, sentinel, kind
+        )
         bad_state = next(iter(spec.init_states()))
         violation = checker.check_state(bad_state, "fp0", None)
         assert violation is not None

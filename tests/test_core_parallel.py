@@ -53,7 +53,13 @@ from repro.obs.metrics import (
     VERDICT_MEMO,
     MetricsRegistry,
 )
-from repro.persist import DiskStore, RunDir, load_graph_stores, run_check
+from repro.persist import (
+    DiskStore,
+    RunDir,
+    load_graph_stores,
+    parse_checkpoint,
+    run_check,
+)
 from repro.specs.raft import PySyncObjSpec, RaftConfig
 
 from toy_specs import CounterSpec, TokenRingSpec
@@ -387,26 +393,27 @@ class LatePongs(InlineTransport):
 
 
 class Tap:
-    """Wrap a real transport; keep the ``edges`` replies the master merges."""
+    """Wrap a real transport; keep the ``checkpointed`` replies: without a
+    checkpointer, the shard stores the master merges for the result."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.edges = []
+        self.shards = []
 
     def recv(self, timeout=1.0):
         msg = self.inner.recv(timeout)
-        if msg is not None and msg[0] == "edges":
-            self.edges.append(msg)
+        if msg is not None and msg[0] == "checkpointed":
+            self.shards.append(msg)
         return msg
 
     def merged_edges(self):
         """The per-shard edge lists in worker order, as one JSON string."""
-        return json.dumps(
-            [
-                (wid, edges, [(fp, bytes(enc).hex()) for fp, enc in roots])
-                for _, wid, edges, roots in sorted(self.edges, key=lambda m: m[1])
-            ]
-        )
+        shards = []
+        for _, wid, data in sorted(self.shards, key=lambda m: m[1]):
+            parsed = parse_checkpoint(data)
+            roots = [(fp, bytes(enc).hex()) for fp, enc in parsed.roots]
+            shards.append((wid, list(parsed.edges), roots))
+        return json.dumps(shards)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -728,9 +735,10 @@ class TestDeterminism:
 
 class TestWorkerDeathAtEveryBoundary:
     """ROADMAP 5c: a worker killed at each message boundary of a round,
-    and at the one after the last: the edge merge behind the result."""
+    and at the one after the last: the ``checkpoint`` exchange whose
+    shard stores the master merges to resolve the result's trace."""
 
-    OPS = ["expand", "claim", "settle", "donate", "adopt", "edges"]
+    OPS = ["expand", "claim", "settle", "donate", "adopt", "checkpoint"]
 
     @staticmethod
     def spec():
@@ -743,9 +751,19 @@ class TestWorkerDeathAtEveryBoundary:
         assert result.stop_reason is StopReason.VIOLATION
         return census(result), result.stop_reason, trace_json(result)
 
+    @pytest.fixture(scope="class")
+    def durable_checkpoints(self, tmp_path_factory):
+        """How many ``checkpoint`` ops a calm durable run sends: its
+        commits, then the two of the merge behind its result."""
+        counting = InlineTransport()
+        run_dir = tmp_path_factory.mktemp("calm") / "run"
+        run_check(self.spec(), run_dir, workers=2, transport=counting, checkpoint_states=1)
+        return counting.sent["checkpoint"]
+
     @pytest.mark.parametrize("op", OPS)
     def test_recovers_from_the_seeds(self, op, undisturbed):
-        transport = DieAt(ForkTransport(), op, nth=1 if op == "edges" else 3)
+        # Without a checkpointer the only ``checkpoint`` op is the merge.
+        transport = DieAt(ForkTransport(), op, nth=1 if op == "checkpoint" else 3)
         bfs = ParallelBFS(self.spec(), workers=2, transport=transport)
         with pytest.warns(RuntimeWarning, match="died"):
             result = bfs.run()
@@ -754,8 +772,12 @@ class TestWorkerDeathAtEveryBoundary:
         assert (census(result), result.stop_reason, trace_json(result)) == undisturbed
 
     @pytest.mark.parametrize("op", OPS)
-    def test_recovers_from_a_committed_checkpoint(self, op, undisturbed, tmp_path):
-        transport = DieAt(ForkTransport(), op, nth=1 if op == "edges" else 3)
+    def test_recovers_from_a_committed_checkpoint(
+        self, op, undisturbed, durable_checkpoints, tmp_path
+    ):
+        # a "checkpoint" cell dies in the merge, not in a periodic commit
+        nth = durable_checkpoints - 1 if op == "checkpoint" else 3
+        transport = DieAt(ForkTransport(), op, nth=nth)
         with pytest.warns(RuntimeWarning, match="died"):
             result = run_check(
                 self.spec(),
@@ -770,16 +792,14 @@ class TestWorkerDeathAtEveryBoundary:
         assert (census(result), result.stop_reason, trace_json(result)) == undisturbed
 
     @pytest.mark.parametrize("which", ["second", "last"])
-    def test_recovers_from_a_death_during_a_commit(self, which, undisturbed, tmp_path):
+    def test_recovers_from_a_death_during_a_commit(
+        self, which, undisturbed, durable_checkpoints, tmp_path
+    ):
         # The master writes a generation's files only once every shard
         # has answered, so a worker lost on a "checkpoint" op — the one
         # behind the final commit included — costs the rounds since the
-        # last commit and nothing else.
-        counting = InlineTransport()
-        run_check(
-            self.spec(), tmp_path / "calm", workers=2, transport=counting, checkpoint_states=1
-        )
-        nth = 3 if which == "second" else counting.sent["checkpoint"] - 1
+        # last commit and nothing else.  (The merge's two come after it.)
+        nth = 3 if which == "second" else durable_checkpoints - 3
         transport = DieAt(ForkTransport(), "checkpoint", nth=nth)
         with pytest.warns(RuntimeWarning, match="died"):
             result = run_check(
@@ -964,17 +984,21 @@ class SigkillAt(ForkTransport):
     — ``delay`` seconds into the run's ``level``-th expand round (level 0:
     as soon as the fleet is up), or never (``level=None``).
 
-    Disarmed once the master asks for the edges: a worker that dies
-    after its last reply was read is a death nobody can see, and the
-    test wants one membership event per kill, exactly.
+    Disarmed once the master asks for the shard stores it merges for the
+    result — in a ``durable`` run, the second ``checkpoint`` in a row,
+    after the final commit's: a worker that dies after its last reply
+    was read is a death nobody can see, and the test wants one
+    membership event per kill, exactly.
     """
 
-    def __init__(self, level, delay=0.0, victim=0):
+    def __init__(self, level, delay=0.0, victim=0, durable=False):
         super().__init__()
         self.level = level
         self.victim = victim
+        self.durable = durable
         self.kills = 0
         self.levels = 0
+        self._last_op = None
         self._gate = threading.Lock()
         self._armed = True
         self._timer = threading.Timer(delay, self._kill)
@@ -996,12 +1020,16 @@ class SigkillAt(ForkTransport):
             self._timer.start()
 
     def send(self, wid, msg):
-        if msg[0] == "expand" and wid == 0:
-            self.levels += 1
-            if self.levels == self.level:
-                self._timer.start()
-        elif msg[0] == "edges":
-            self._disarm()
+        if wid == 0:
+            if msg[0] == "expand":
+                self.levels += 1
+                if self.levels == self.level:
+                    self._timer.start()
+            elif msg[0] == "checkpoint" and (
+                not self.durable or self._last_op == "checkpoint"
+            ):
+                self._disarm()
+            self._last_op = msg[0]
         super().send(wid, msg)
 
     def close(self):
@@ -1042,7 +1070,10 @@ def sigkill_loops(seeds, tmp_path):
     for seed in seeds:
         rng = random.Random(seed)
         transport = SigkillAt(
-            rng.randrange(counting.levels), rng.uniform(0.0, per_level), rng.randrange(2)
+            rng.randrange(counting.levels),
+            rng.uniform(0.0, per_level),
+            rng.randrange(2),
+            durable=bool(seed % 2),
         )
         fds = open_fds()
 

@@ -291,7 +291,7 @@ class TestHandshake:
         option dropped."""
         hello = make_handshake(self.ref(), wid=0, workers=2)
         hello.update(proto=3, por=True)
-        assert PROTOCOL_VERSION == 8
+        assert PROTOCOL_VERSION == 9
         assert "protocol version mismatch" in check_handshake(hello)
 
     def test_version_4_header_refused(self):

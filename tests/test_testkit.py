@@ -356,6 +356,33 @@ def test_engine_fire_counters_match_oracle_under_symmetry():
     assert dict(registry.counts(ACTION_FIRES)) == oracle.orbit_action_fires
 
 
+def test_grade_flags_a_discontinuous_counterexample():
+    import dataclasses
+
+    from repro.core import Trace
+    from repro.testkit.differential import _grade
+
+    generated = generate_spec("plant:0")
+    config = next(
+        c
+        for c in build_matrix(generated, parallel=False)
+        if c.name == "violation/serial-memory"
+    )
+    oracle = oracle_explore(generated.spec(invariants=False))
+    result = bfs_explore(generated.spec())
+    assert _grade(generated, config, oracle, result) == []
+
+    # A last step that no transition of the state before it takes — the
+    # shape of a step glued onto a permutation of its pre-state.
+    trace = result.violation.trace
+    stray = dataclasses.replace(trace[-1], args=("nowhere",))
+    result.violation.trace = Trace(trace.initial, [*trace.steps[:-1], stray])
+    bad = _grade(generated, config, oracle, result)
+    assert [(d.field, d.expected, d.actual) for d in bad] == [
+        ("continuity", None, trace.depth - 1)
+    ]
+
+
 def test_grade_flags_corrupted_fire_counters():
     from repro.obs import ACTION_FIRES, MetricsRegistry
     from repro.testkit.differential import _grade
