@@ -161,14 +161,18 @@ def _finish_stats(args: argparse.Namespace, registry, stats=None, spec=None) -> 
         )
     sym = snap["counts"].get(SYMMETRY)
     if sym:
-        hits = sym.get("orbit_memo_hits", 0)
-        lookups = hits + sym.get("orbit_memo_misses", 0)
+        memos = []
+        for memo in ("orbit", "nested"):
+            hits = sym.get(f"{memo}_memo_hits", 0)
+            lookups = hits + sym.get(f"{memo}_memo_misses", 0)
+            memos.append(
+                f"{memo} memo {hits}/{lookups} hits ({hits / max(lookups, 1):.1%}),"
+                f" {sym.get(f'{memo}_memo_clears', 0)} clears"
+            )
         print(
             f"symmetry: |G| {snap['gauges'].get(SYMMETRY_GROUP_SIZE, 1):.0f},"
             f" {sym.get('canonical_calls', 0)} calls,"
-            f" {sym.get('identity_wins', 0)} identity,"
-            f" memo {hits}/{lookups} hits ({hits / max(lookups, 1):.1%}),"
-            f" {sym.get('orbit_memo_clears', 0)} clears"
+            f" {sym.get('identity_wins', 0)} identity, " + "; ".join(memos)
         )
     if getattr(args, "stats_out", None):
         sink = MetricsSink(args.stats_out, registry, meta={"command": args.command})

@@ -41,7 +41,7 @@ from __future__ import annotations
 import struct
 from collections.abc import Mapping
 from hashlib import blake2b
-from typing import Any, Callable, FrozenSet, Iterator, Optional, Tuple
+from typing import Any, Callable, FrozenSet, Iterator, Optional, Sequence, Tuple
 
 __all__ = [
     "CODEC_VERSION",
@@ -289,7 +289,8 @@ _MISSING = object()
 #: The exact frozen classes, tested before the ``isinstance`` fallback:
 #: ``Rec`` is a ``Mapping`` subclass, so ``isinstance`` against it goes
 #: through ``ABCMeta.__instancecheck__``.
-_FROZEN_CLASSES = frozenset(_FROZEN_SCALARS) | {tuple, frozenset, Rec}
+_SCALAR_CLASSES = frozenset(_FROZEN_SCALARS)
+_FROZEN_CLASSES = _SCALAR_CLASSES | {tuple, frozenset, Rec}
 
 
 def _check_key(key: Any) -> None:
@@ -446,10 +447,7 @@ def _encode_into(out: bytearray, value: Any) -> None:
         for item in value:
             _encode_into(out, item)
     elif cls is frozenset:
-        out.append(_T_SET)
-        _write_uvarint(out, len(value))
-        for part in sorted(encode(item) for item in value):
-            out += part
+        out += _join(_T_SET, sorted([encode(item) for item in value]))
     elif value is None:
         out.append(_T_NONE)
     elif cls is float:
@@ -467,6 +465,44 @@ def _encode_into(out: bytearray, value: Any) -> None:
         _encode_into(out, _as_base(value))
     else:
         raise TypeError(f"cannot encode value of type {type(value).__name__}")
+
+
+def _join(tag: int, parts: Sequence[bytes]) -> bytes:
+    """A container's bytes from its parts' bytes, in codec order: the
+    tag, the count, then the parts (a tuple's items in order, a
+    frozenset's items sorted, a record's pairs sorted)."""
+    count = len(parts)
+    if count < 0x80:  # the uvarint is one byte
+        return bytes((tag, count)) + b"".join(parts)
+    head = bytearray((tag,))
+    _write_uvarint(head, count)
+    return bytes(head) + b"".join(parts)
+
+
+def compose(container: Any, parts: Sequence[bytes]) -> bytes:
+    """``encode(container)`` from its parts' encodings, without an atom.
+
+    ``parts`` are the encodings of a tuple's or a frozenset's items, or
+    of a record's pairs (key bytes + value bytes), in any order for the
+    two that sort them.  The code is prefix-free and record keys are
+    unique, so sorting whole pairs sorts by key encoding.  A record
+    keeps the result as its cached encoding, as :func:`encode` would.
+    """
+    cls = container.__class__
+    if cls is tuple:
+        return _join(_T_TUPLE, parts)
+    if cls is frozenset:
+        return _join(_T_SET, sorted(parts))
+    if isinstance(container, Rec):
+        enc = _join(_T_REC, sorted(parts))
+        if container._enc is None:
+            container._enc = enc
+        return enc
+    if isinstance(container, frozenset):
+        return _join(_T_SET, sorted(parts))
+    if isinstance(container, tuple):
+        return _join(_T_TUPLE, parts)
+    raise TypeError(f"cannot compose a {cls.__name__}")
 
 
 def _as_base(value: Any) -> Any:
@@ -698,6 +734,11 @@ def pair_digest(key_enc: bytes, value: Any) -> bytes:
     return blake2b(buf, digest_size=8).digest()
 
 
+def composed_pair_digest(key_enc: bytes, value_enc: bytes) -> bytes:
+    """:func:`pair_digest` of a value whose encoding is already known."""
+    return blake2b(key_enc + value_enc, digest_size=8).digest()
+
+
 def raise_type_unstable(key: Any, value: Any) -> None:
     from .spec import SpecError  # spec.py imports this module
 
@@ -895,7 +936,8 @@ def fingerprint(state: Any) -> int:
 
 # -- the two-level fingerprint, for repro.core.symmetry ----------------------
 #
-# Package-internal (not in ``__all__``).  With :func:`pair_digest` and
+# Package-internal (not in ``__all__``).  With :func:`compose`,
+# :func:`pair_digest`, :func:`composed_pair_digest` and
 # :func:`raise_type_unstable` above, these let the symmetry reducer
 # fingerprint a permuted state from per-pair digests, and build only the
 # one it keeps, without knowing how a record caches its layout or table.
@@ -985,11 +1027,13 @@ def substitute(value: Any, mapping: Mapping) -> Any:
     values) throughout a state.  Atoms not present in ``mapping`` are left
     unchanged; container structure is preserved.
     """
+    if value.__class__ in _SCALAR_CLASSES:  # the usual leaf, before the ABC test
+        return mapping.get(value, value)
     if isinstance(value, Rec):
         return Rec(
             {
                 substitute(k, mapping): substitute(v, mapping)
-                for k, v in value.items()
+                for k, v in value._dict.items()
             }
         )
     if isinstance(value, tuple):

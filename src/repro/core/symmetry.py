@@ -18,17 +18,24 @@ fingerprint is a digest over one 8-byte digest per ``(variable, value)``
 pair, and a pair's digest under a permutation depends on nothing but the
 pair, so the reducer memoises, per pair, its digest and image under every
 permutation, fingerprints each permuted state from memoised digests
-alone, and assembles only the winner.
+alone, and assembles only the winner.  The codec is compositional (a
+container's bytes are its tag, its count and its parts' bytes), so a
+pair the memo has not seen gets its images' bytes by joining the
+memoised bytes of the containers inside it, never by encoding an image.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import add, is_
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .state import (
+    _SCALAR_CLASSES,
     CheckedMemo,
     Rec,
+    compose,
+    composed_pair_digest,
     encode,
     fingerprint,
     pair_digest,
@@ -40,8 +47,11 @@ from .state import (
 
 __all__ = ["permutations_of_sets", "canonicalize", "SymmetryReducer"]
 
-#: Memoised form of "no map moves anything inside this record".
-_FIXED: Tuple[Any, ...] = ()
+#: The container classes :meth:`SymmetryReducer._derive` walks.  With
+#: ``_SCALAR_CLASSES`` they rule a value in or out without an
+#: ``isinstance`` (``Rec`` is a ``Mapping`` subclass, so ``isinstance``
+#: against it goes through ``ABCMeta.__instancecheck__``).
+_CONTAINERS = frozenset({Rec, tuple, frozenset})
 
 
 def permutations_of_sets(sets: Sequence[Tuple[Any, ...]]) -> Iterator[Dict[Any, Any]]:
@@ -65,8 +75,15 @@ def _nonidentity_maps(sets: Sequence[Tuple[Any, ...]]) -> List[Dict[Any, Any]]:
     ]
 
 
-def _rec_of_flat(flat: list) -> Rec:
+def _rec_of_flat(flat: Sequence[Any]) -> Rec:
     return Rec(zip(flat[::2], flat[1::2]))
+
+
+def _pair_columns(columns: list) -> list:
+    """Key bytes + value bytes per pair and map, from one column of
+    encodings per key and per value (``[key, value, key, value, ...]``)."""
+    pairs = zip(columns[::2], columns[1::2])
+    return [tuple(map(add, keys, values)) for keys, values in pairs]
 
 
 def canonicalize(
@@ -102,13 +119,17 @@ class SymmetryReducer:
     serves one spec in one process.  ``(variable, value) -> (digests,
     images)`` is the orbit memo: the pair's digest-table entry and its
     image under each non-identity map; a sampled hit is re-derived with
-    plain ``substitute`` and compared on the digests, which tell
-    ``True`` from ``1``.  ``(variable, record) -> (images, their
-    encodings)`` shares the images of records nested inside a
-    variable's values; a sampled hit is compared on the encodings.  Both
-    are keyed by the top-level variable, never across variables:
-    ``alive == {n: True}`` equals ``currentTerm == {n: 1}`` and encodes
-    differently.
+    plain ``substitute`` and ``pair_digest`` and compared on the
+    digests, which tell ``True`` from ``1`` and so vouch for the
+    composed bytes too.  ``(variable, container) -> (images, their
+    encodings)`` is the nested memo: the same for every record, tuple
+    and frozenset below a variable's value, or ``(None, encoding)``
+    when no map moves it; a sampled hit is compared on the encodings.
+    An orbit-memo miss composes each image's bytes from its parts'
+    memoised bytes (:func:`~repro.core.state.compose`) and encodes no
+    atom.  Both memos are keyed by the top-level variable, never across
+    variables: ``alive == {n: True}`` equals ``currentTerm == {n: 1}``
+    and encodes differently.
     """
 
     def __init__(
@@ -119,14 +140,15 @@ class SymmetryReducer:
         self.sets = [tuple(members) for members in sets]
         self.key = key
         self._maps = _nonidentity_maps(self.sets)
-        #: symmetry-set member -> what each map sends it to
+        #: symmetry-set member -> (what each map sends it to, their encodings)
         self._atom_images = {
-            atom: tuple(mapping[atom] for mapping in self._maps)
+            atom: (images, tuple(map(encode, images)))
             for members in self.sets
             for atom in members
+            for images in [tuple(mapping[atom] for mapping in self._maps)]
         }
         self._orbits = CheckedMemo(self._orbit_of, reference=self._substituted_orbit)
-        self._nested = CheckedMemo(self._nested_orbit)
+        self._nested = CheckedMemo(self._derive)
         self._stats = {"canonical_calls": 0, "identity_wins": 0}
 
     @property
@@ -135,12 +157,15 @@ class SymmetryReducer:
 
     def stats(self) -> Dict[str, int]:
         """Cumulative counters: calls, calls the input won, memo traffic."""
-        orbits = self._orbits
+        orbits, nested = self._orbits, self._nested
         return dict(
             self._stats,
             orbit_memo_hits=orbits.hits,
             orbit_memo_misses=orbits.misses,
             orbit_memo_clears=orbits.clears,
+            nested_memo_hits=nested.hits,
+            nested_memo_misses=nested.misses,
+            nested_memo_clears=nested.clears,
         )
 
     def canonical(self, state: Rec) -> Rec:
@@ -181,62 +206,75 @@ class SymmetryReducer:
 
     def _orbit_of(self, variable: Any, key_enc: bytes, value: Any) -> Optional[tuple]:
         """One pair's digests and images under each map; ``None`` if its key moves."""
-        if self._images(variable, variable) is not None:
+        if self._parts(variable, variable)[0] is not None:
             return None
-        images = self._derive(variable, value) or (value,) * len(self._maps)
-        return tuple(pair_digest(key_enc, image) for image in images), images
+        images, encoded = self._derive(variable, value)
+        if images is None:
+            count = len(self._maps)
+            return (composed_pair_digest(key_enc, encoded),) * count, (value,) * count
+        return tuple(composed_pair_digest(key_enc, enc) for enc in encoded), images
 
     def _substituted_orbit(self, variable: Any, key_enc: bytes, value: Any) -> tuple:
         """:meth:`_orbit_of` by plain ``substitute``: the sampled reference."""
         images = tuple(substitute(value, mapping) for mapping in self._maps)
         return tuple(pair_digest(key_enc, image) for image in images), images
 
-    def _images(self, variable: Any, value: Any) -> Optional[tuple]:
-        """``value``'s image under each map, or ``None`` if none moves it.
+    def _parts(self, variable: Any, value: Any) -> tuple:
+        """``value``'s images under each map and their encodings, or
+        ``(None, its encoding)`` if no map moves it.
 
-        Records below the top level go through the nested memo.
+        Containers below the top level go through the nested memo.
         """
-        if not isinstance(value, Rec):
-            return self._derive(variable, value)
-        entry = self._nested.lookup((variable, value), variable, value)
-        return entry[0] if entry else None
+        cls = value.__class__
+        if cls in _CONTAINERS or (
+            cls not in _SCALAR_CLASSES and isinstance(value, (Rec, tuple, frozenset))
+        ):
+            return self._nested.lookup((variable, value), variable, value)
+        return self._atom_images.get(value) or (None, encode(value))
 
-    def _nested_orbit(self, variable: Any, record: Rec) -> tuple:
-        """A nested record's images and their encodings; ``_FIXED`` if no
-        map moves it.  The encodings are what a sampled hit compares
-        (images of ``True`` and of ``1`` are ``==``); encoding the orbit
-        pair above encodes the images anyway, so each caches its bytes."""
-        images = self._derive(variable, record)
-        return (images, tuple(map(encode, images))) if images else _FIXED
-
-    def _derive(self, variable: Any, value: Any) -> Optional[tuple]:
-        """One level of :meth:`_images`: ``substitute``, all maps at once.
+    def _derive(self, variable: Any, value: Any) -> tuple:
+        """One level of :meth:`_parts`: ``substitute``, all maps at once.
 
         An image is built in the order ``substitute`` builds it, and *is*
         the original wherever the map changes nothing beneath it, so
-        whatever the original has cached (encoding, hash) is reused.
+        whatever the original has cached (encoding, hash) is reused.  Its
+        bytes are its parts' bytes joined by the codec's container rule.
         """
         if isinstance(value, Rec):
             # key, value, key, value, ...: keys are substituted too
             items: Sequence[Any] = [part for pair in value.items() for part in pair]
-            rebuild: Callable[[list], Any] = _rec_of_flat
+            rebuild: Callable[[Sequence[Any]], Any] = _rec_of_flat
+            joined: Callable[[list], list] = _pair_columns
         elif isinstance(value, tuple):
-            items, rebuild = value, tuple
+            items, rebuild, joined = value, tuple, list
         elif isinstance(value, frozenset):
-            items, rebuild = tuple(value), frozenset
+            items, rebuild, joined = tuple(value), frozenset, list
         else:
-            return self._atom_images.get(value)
-        moved = [self._images(variable, item) for item in items]
-        if not any(moved):
-            return None
-        images = []
-        for j in range(len(self._maps)):
-            picked = [
-                item if part is None else part[j] for item, part in zip(items, moved)
-            ]
-            shared = all(new is old for new, old in zip(picked, items))
-            images.append(value if shared else rebuild(picked))
-        return tuple(images)
+            return self._parts(variable, value)
+        if not items:
+            return None, compose(value, ())
+        parts = [self._parts(variable, item) for item in items]
+        fixed = all(moved is None for moved, _ in parts)
+        if fixed:
+            images: tuple = (value,)
+            columns = [(enc,) for _, enc in parts]
+        else:
+            count = len(self._maps)
+            images = tuple(
+                value if all(map(is_, picked, items)) else rebuild(picked)
+                for picked in zip(
+                    *[
+                        (item,) * count if moved is None else moved
+                        for item, (moved, _) in zip(items, parts)
+                    ]
+                )
+            )
+            columns = [(enc,) * count if moved is None else enc for moved, enc in parts]
+        # a column per item holds its bytes under each map; a record's
+        # key and value columns are joined per pair, and each row of the
+        # transpose is one image's parts
+        encoded = tuple(map(compose, images, zip(*joined(columns))))
+        return (None, encoded[0]) if fixed else (images, encoded)
 
     def orbit(self, state: Rec) -> List[Rec]:
         """All distinct states in the symmetry orbit of ``state``."""

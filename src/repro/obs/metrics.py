@@ -81,10 +81,14 @@ CODEC_CHUNKS = "codec.chunk_cache"
 #: ``canonical_calls``, ``identity_wins`` (calls whose input was already
 #: the representative) and the orbit memo's ``orbit_memo_hits`` /
 #: ``orbit_memo_misses`` (top-level pairs whose permuted digests were
-#: looked up / derived) and ``orbit_memo_clears``.  Like the codec
-#: family it is merged when an engine run ends, so it counts the current
-#: session of a resumed run; the memo counts depend on what the memo
-#: held, the first two do not.
+#: looked up / derived) and ``orbit_memo_clears``, and the nested
+#: memo's ``nested_memo_hits`` / ``nested_memo_misses`` (records, tuples
+#: and frozensets below a variable whose images and encodings an orbit
+#: miss looked up / derived) and ``nested_memo_clears``.  Like the codec
+#: family it is merged when an engine run ends (a shard worker's with
+#: its round's reply), so it counts the current session of a resumed
+#: run; the memo counts depend on what the memos held, the first two do
+#: not.
 SYMMETRY = "symmetry"
 
 #: The labeled-count family of a compiled spec's verdict memo

@@ -25,8 +25,9 @@ Layout (all inside one store directory):
     store the line number.
 ``seg-N.fp``
     Immutable sorted arrays of 8-byte big-endian fingerprints — the
-    spilled visited set.  Membership is one memory-set probe plus a
-    binary search per segment (with a min/max pre-filter), and when the
+    spilled visited set.  Membership is one memory-set probe plus, per
+    segment (with a min/max pre-filter), a bisect of an in-memory fence
+    array and a search of the one block it names; when the
     segment count passes ``max_segments`` a flush merge-compacts them
     into a single sorted segment (streaming, constant memory).
 
@@ -51,6 +52,8 @@ import os
 import pathlib
 import struct
 import sys
+from array import array
+from bisect import bisect_right
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.engine import _INT_BYTES, CompactStore, StateStore, TracelessStoreError
@@ -71,6 +74,12 @@ __all__ = ["DiskStore", "DiskStoreReader"]
 
 _FP = struct.Struct(">Q")
 
+#: Fingerprints per fence of a segment's in-memory index, and one
+#: fence plus the fingerprints up to the next as a struct (the block a
+#: probe searches is ``_FENCE.size`` bytes).
+_FENCE_STRIDE = 64
+_FENCE = struct.Struct(f">Q{(_FENCE_STRIDE - 1) * 8}x")
+
 
 def _read_action_table(path: pathlib.Path) -> List[str]:
     """The interned action names of an ``actions.txt``, by id.  A last
@@ -85,9 +94,14 @@ def _read_roots(path: pathlib.Path) -> Dict[int, Rec]:
 
 
 class _Segment:
-    """One immutable sorted array of 8-byte fingerprints, mmapped."""
+    """One immutable sorted array of 8-byte fingerprints, mmapped.
 
-    __slots__ = ("path", "count", "_mm", "lo", "hi")
+    Every :data:`_FENCE_STRIDE`-th fingerprint is also kept in memory
+    (``fences``, an ``array('Q')``), so a probe is a C bisect of the
+    fences and a C search of the one mmapped block they point at.
+    """
+
+    __slots__ = ("path", "count", "_mm", "lo", "hi", "fences")
 
     def __init__(self, path: pathlib.Path):
         self.path = path
@@ -103,24 +117,26 @@ class _Segment:
             self._mm = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         finally:
             handle.close()
-        self.lo = _FP.unpack_from(self._mm, 0)[0]
+        blocks = self.count // _FENCE_STRIDE
+        with memoryview(self._mm) as view:
+            self.fences = array(
+                "Q", [fp for (fp,) in _FENCE.iter_unpack(view[: blocks * _FENCE.size])]
+            )
+        if self.count % _FENCE_STRIDE:
+            self.fences.append(_FP.unpack_from(self._mm, blocks * _FENCE.size)[0])
+        self.lo = self.fences[0]
         self.hi = _FP.unpack_from(self._mm, (self.count - 1) * 8)[0]
 
     def contains(self, fp: int) -> bool:
         if fp < self.lo or fp > self.hi:
             return False
-        lo, hi = 0, self.count - 1
-        mm = self._mm
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            probe = _FP.unpack_from(mm, mid * 8)[0]
-            if probe == fp:
-                return True
-            if probe < fp:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        return False
+        start = (bisect_right(self.fences, fp) - 1) * _FENCE.size
+        end = start + _FENCE.size
+        key = _FP.pack(fp)
+        at = self._mm.find(key, start, end)
+        while at != -1 and at % 8:  # straddles two fingerprints
+            at = self._mm.find(key, at + 1, end)
+        return at != -1
 
     def iter_fps(self) -> Iterator[int]:
         mm = self._mm
@@ -322,11 +338,13 @@ class DiskStore(StateStore):
         return self._count
 
     def estimated_bytes(self) -> Optional[int]:
-        # Only the resident part counts: the memory index plus the root
-        # states; spilled segments are mmapped files, paged by the OS.
+        # Only the resident part counts: the memory index, the segments'
+        # fences and the root states; the spilled segments themselves
+        # are mmapped files, paged by the OS.
         return (
             sys.getsizeof(self._mem)
             + len(self._mem) * _INT_BYTES
+            + sum(sys.getsizeof(segment.fences) for segment in self._segments)
             + sys.getsizeof(self._inits)
         )
 

@@ -590,11 +590,13 @@ class TestStatsAndCoverage:
         assert main(args + ["--symmetry"]) == 0
         line = re.search(
             r"symmetry: \|G\| 6, (\d+) calls, (\d+) identity,"
-            r" memo (\d+)/(\d+) hits \([\d.]+%\), \d+ clears",
+            r" orbit memo (\d+)/(\d+) hits \([\d.]+%\), \d+ clears;"
+            r" nested memo (\d+)/(\d+) hits \([\d.]+%\), \d+ clears",
             capsys.readouterr().out,
         )
-        calls, identity, hits, lookups = map(int, line.groups())
+        calls, identity, hits, lookups, nested, nested_lookups = map(int, line.groups())
         assert 0 < identity < calls and hits > 0.8 * lookups
+        assert 0 < nested < nested_lookups
 
     def test_check_stats_out_round_trips_through_coverage(self, tmp_path, capsys):
         sink = tmp_path / "metrics.jsonl"

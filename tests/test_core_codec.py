@@ -25,6 +25,7 @@ from repro.core.state import (
     Rec,
     changed_keys,
     codec_stats,
+    compose,
     decode,
     encode,
     fingerprint,
@@ -120,6 +121,18 @@ class TestRoundTrip:
     def test_encoding_is_canonical(self, value):
         # equal values re-built a second way encode identically
         assert encode(value) == encode(decode(encode(value)))
+
+    @given(frozen_values())
+    @example(tuple(range(200)))  # a two-byte count
+    def test_container_bytes_compose_from_their_parts(self, value):
+        """``compose`` joins part encodings by the rule ``encode`` streams:
+        what the symmetry reducer builds an image's bytes with."""
+        if isinstance(value, Rec):
+            fresh = Rec(value)  # nothing cached yet; keeps the composed bytes
+            pairs = [encode(key) + encode(item) for key, item in value.items()]
+            assert compose(fresh, pairs[::-1]) == encode(value) == fresh._enc
+        elif isinstance(value, (tuple, frozenset)):
+            assert compose(value, [encode(item) for item in value]) == encode(value)
 
     def test_key_order_irrelevant(self):
         assert encode(Rec(a=1, b=2)) == encode(Rec(b=2, a=1))

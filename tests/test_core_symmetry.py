@@ -4,17 +4,21 @@ import dataclasses
 import itertools
 import random
 from collections import deque
+from hashlib import blake2b
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import Rec, SymmetryReducer, bfs_explore, canonicalize, encode
 from repro.core.compile import compile_spec
+from repro.core.explorer import BFSExplorer
 from repro.core.spec import Action, Spec, SpecError
 from repro.core.state import CheckedMemo, codec_stats, fingerprint, scope_pair_memo
 from repro.core.symmetry import permutations_of_sets
 from repro.dist.specref import SPEC_CLASSES, make_spec
 from repro.obs.metrics import SYMMETRY, SYMMETRY_GROUP_SIZE, MetricsRegistry
+from repro.persist import RunDir, load_graph_stores
+from repro.specs.raft import RaftConfig
 from repro.testkit.genspec import generate_spec, sample_params
 
 #: the seven Raft-family specs; ZAB declares no symmetry set
@@ -181,6 +185,27 @@ class TestOrbitMemoProperty:
             assert stats["orbit_memo_hits"] > stats["orbit_memo_misses"] > 0
 
 
+@pytest.mark.parametrize("verify_every", [CheckedMemo.VERIFY_EVERY, 1])
+@pytest.mark.parametrize("system", ["raftos", "pysyncobj"])
+def test_composed_images_match_the_reference(system, verify_every, memo_cap, monkeypatch):
+    """The shapes an orbit miss composes bytes for, graded against the
+    brute force: over UDP a bag holding one datagram twice and the
+    frozenset of frozensets ``netDisconnected``; over TCP the channel
+    record keyed by ``(src, dst)`` tuples, its queues tuples of
+    messages.  With ``VERIFY_EVERY = 1`` every memo hit is re-derived."""
+    monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", verify_every)
+    spec = compile_spec(SPEC_CLASSES[system](RaftConfig(max_dups=1, max_partitions=1)))
+    reducer = _assert_brute_force_representatives(spec, max_states=150)
+    fresh = SymmetryReducer(spec.symmetry_sets())
+    states = [canon for _, canon in _quotient_bfs(spec, fresh, max_states=150)]
+    assert any(s["netDisconnected"] for s in states)
+    if system == "raftos":
+        assert any(len(set(s["netMsgs"])) < len(s["netMsgs"]) for s in states)
+    else:
+        assert any(any(s["netMsgs"].values()) for s in states)
+    assert reducer.stats()["nested_memo_misses"] > 0
+
+
 class BoolBesideIntSpec(Spec):
     """``alive == {n: True}`` beside ``term == {n: 1}``: the two variables
     hold values that are ``==`` and encode differently, and so do the
@@ -300,6 +325,7 @@ class TestSymmetryMetrics:
         assert 0 < counts["identity_wins"] < counts["canonical_calls"]
         lookups = counts["orbit_memo_hits"] + counts["orbit_memo_misses"]
         assert lookups == counts["canonical_calls"] * len(next(iter(spec.init_states())))
+        assert 0 < counts["nested_memo_misses"] < counts["nested_memo_hits"]
         assert serial.snapshot()["gauges"][SYMMETRY_GROUP_SIZE] == 6
 
         sharded = MetricsRegistry()
@@ -311,6 +337,7 @@ class TestSymmetryMetrics:
         # reducer canonicalises the seeds and is not merged
         merged = sharded.counts(SYMMETRY)
         assert merged["canonical_calls"] == parallel.stats.transitions
+        assert 0 < merged["nested_memo_misses"] < merged["nested_memo_hits"]
         seeds = SymmetryReducer(spec.symmetry_sets())
         for init in spec.init_states():
             seeds.canonical(init)
@@ -324,3 +351,83 @@ class TestSymmetryMetrics:
         registry = MetricsRegistry()
         bfs_explore(BoolBesideIntSpec(), metrics=registry)
         assert SYMMETRY not in registry.snapshot()["counts"]
+
+
+# ---------------------------------------------------------------------------
+# the quotient itself, pinned
+# ---------------------------------------------------------------------------
+
+#: Table 3 experiment #1 constraints (benchmarks/test_table3_exploration.py)
+EXP1_KW = dict(
+    values=("v1",),
+    max_timeouts=2,
+    max_requests=1,
+    max_crashes=0,
+    max_restarts=0,
+    max_partitions=1,
+    max_drops=0,
+    max_dups=0,
+    max_buffer=3,
+    max_term=2,
+)
+
+
+def _edge_digest(stores):
+    """One digest over every visited ``(fp, parent, action)`` edge, sorted."""
+    edges = sorted(
+        (fp, parent or 0, action)
+        for store in stores
+        for fp, parent, action in store.edges()
+    )
+    digest = blake2b(digest_size=8)
+    for fp, parent, action in edges:
+        digest.update(fp.to_bytes(8, "big") + parent.to_bytes(8, "big"))
+        digest.update(action.encode() + b"\n")
+    return digest.hexdigest()
+
+
+# The representative of every orbit, and with it the quotient, is the
+# orbit member with the smallest fingerprint.  ROADMAP item 9 (closing
+# the UDP bag under the symmetry) moves these pins on purpose; nothing
+# else should.
+@pytest.mark.parametrize(
+    "system, cap, census, digest",
+    [
+        ("raftos", 3000, (3000, 5484), "64d5dd6866ea0495"),
+        ("raftos", None, (8557, 25147), "af61fcc0193f12b6"),
+        ("wraft", 6000, (6000, 13639), "3b6995678392a504"),
+        ("daosraft", 6000, (6000, 11392), "d8ea6b2b2d4b844d"),
+        ("pysyncobj", 6000, (6000, 17618), "a10caaa8e0b90db5"),
+    ],
+    ids=[
+        "RaftOS-3000", "RaftOS-exhausted", "WRaft-6000", "DaosRaft-6000", "PySyncObj-6000"
+    ],
+)
+def test_serial_quotient_is_pinned(system, cap, census, digest):
+    explorer = BFSExplorer(
+        SPEC_CLASSES[system](RaftConfig(**EXP1_KW)), symmetry=True, max_states=cap
+    )
+    stats = explorer.run().stats
+    assert (stats.distinct_states, stats.transitions) == census
+    assert _edge_digest([explorer.store]) == digest
+
+
+@pytest.mark.parametrize(
+    "cap, census, digest",
+    [
+        (3000, (3799, 7417), "df96bc35cc051dcd"),  # stops at a level boundary
+        (None, (8557, 25147), "a6ae966d071e94a8"),
+    ],
+    ids=["RaftOS-3000", "RaftOS-exhausted"],
+)
+def test_sharded_quotient_is_pinned(cap, census, digest, tmp_path):
+    result = bfs_explore(
+        SPEC_CLASSES["raftos"](RaftConfig(**EXP1_KW)),
+        symmetry=True,
+        max_states=cap,
+        workers=2,
+        run_dir=tmp_path,
+    )
+    stores, _ = load_graph_stores(RunDir(tmp_path))
+    assert (result.stats.distinct_states, result.stats.transitions) == census
+    assert _edge_digest(stores) == digest

@@ -3,7 +3,8 @@
 The pair-digest, orbit, nested-orbit, verdict and datagram-key memos and
 the Raft message pool are instances of one class,
 ``core.state.CheckedMemo``.  Each case below drives one of them the way
-its owner does and holds it to the class's rules: at most ``CAP``
+its owner does (the nested-orbit memo twice: through a record and
+through a datagram tuple) and holds it to the class's rules: at most ``CAP``
 entries, emptied when full (an exact ``clears`` count), and with every
 hit sampled, its own ``SpecError`` on a planted ``True``/``1`` mix (an
 under-declared ``reads`` for the verdict memo).
@@ -79,6 +80,27 @@ class NestedOrbit:
         self.reducer.canonical(Rec(x=(Rec(by="n1", ok=1), "other")))
 
 
+class NestedTuple:
+    """A datagram tuple inside a bag: one nested lookup per orbit miss.
+    The nested memo holds every container below a variable, not only
+    records, so a tuple answers for its equal twin."""
+
+    error = "'netMsgs' is not type-stable"
+
+    def __init__(self, monkeypatch):
+        self.reducer = SymmetryReducer([NODES])
+        self.memo = self.reducer._nested
+
+    def feed(self, i):
+        self.reducer.canonical(Rec(netMsgs=(("n1", "n2", i),)))
+
+    def plant(self):
+        self.reducer.canonical(Rec(netMsgs=(("n1", "n2", True),)))
+        # a new bag, so the orbit memo misses and the datagram's twin is
+        # the nested memo's hit
+        self.reducer.canonical(Rec(netMsgs=(("n1", "n2", 1), ("n2", "n1", 0))))
+
+
 class UnderDeclared(CounterSpec):
     """``SumBounded`` reads ``a`` and ``b`` and declares ``a`` alone."""
 
@@ -139,7 +161,7 @@ class MessagePool:
         messages.request_vote_response(1, 1)
 
 
-CASES = [PairDigest, Orbit, NestedOrbit, Verdict, DatagramKey, MessagePool]
+CASES = [PairDigest, Orbit, NestedOrbit, NestedTuple, Verdict, DatagramKey, MessagePool]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.__name__)
@@ -171,3 +193,15 @@ def test_unsampled_hit_is_trusted(case, monkeypatch):
     owner = case(monkeypatch)
     owner.plant()
     assert (owner.memo.hits, owner.memo.verified) == (1, 0)
+
+
+def test_nested_tuple_mix_raises_at_the_shipped_cadence(monkeypatch):
+    """The 64th nested hit is re-derived: a bag that keeps meeting the
+    ``1`` twin of a datagram first seen holding ``True`` fails by then."""
+    monkeypatch.setattr(CheckedMemo, "VERIFY_EVERY", 64)  # the shipped rate
+    reducer = SymmetryReducer([NODES])
+    reducer.canonical(Rec(netMsgs=(("n1", "n2", True),)))
+    with pytest.raises(SpecError, match="'netMsgs' is not type-stable"):
+        for i in range(64):
+            reducer.canonical(Rec(netMsgs=(("n1", "n2", 1), ("n2", "n1", i))))
+    assert reducer._nested.hits == 64

@@ -10,6 +10,7 @@ and the sharded parallel driver alike.
 import json
 import multiprocessing
 import os
+import pathlib
 import tempfile
 
 import pytest
@@ -42,6 +43,7 @@ from repro.persist import (
     save_violation,
     write_checkpoint,
 )
+from repro.persist.diskstore import _FENCE_STRIDE, _Segment
 from repro.persist.rundir import HAS_PARENT
 from repro.temporal import LassoTrace
 from toy_specs import CounterSpec, TokenRingSpec
@@ -165,6 +167,31 @@ class TestDiskStore:
         assert edges[fingerprint(root)][0] is None
         assert list(store.roots()) == [(fingerprint(root), root)]
         store.close()
+
+    @given(
+        st.sets(st.integers(0, 2**64 - 1), min_size=1, max_size=300),
+        st.lists(st.integers(0, 2**64 - 1), max_size=20),
+        st.integers(1, 7),
+    )
+    def test_segment_probe_is_set_membership(self, fps, strangers, shift):
+        """Fences plus a one-block search answer exactly what the set
+        does, for a byte pattern that straddles two neighbours too."""
+        ordered = sorted(fps)
+        data = b"".join(fp.to_bytes(8, "big") for fp in ordered)
+        straddling = [
+            int.from_bytes(data[i + shift : i + shift + 8], "big")
+            for i in range(0, len(data) - 8, 8)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "seg-0.fp"
+            path.write_bytes(data)
+            segment = _Segment(path)
+            try:
+                assert list(segment.fences) == ordered[::_FENCE_STRIDE]
+                for probe in ordered + strangers + straddling:
+                    assert segment.contains(probe) == (probe in fps)
+            finally:
+                segment.close()
 
     def test_rejects_non_integer_fingerprints(self, tmp_path):
         store = DiskStore(tmp_path)
