@@ -6,10 +6,11 @@ Subcommands mirror Figure 1:
 * ``check`` — specification-level model checking (BFS) for one system;
   ``--temporal NAME`` additionally runs TLC-style liveness checking over
   the explored graph: lasso (prefix + fair cycle) detection against the
-  named property (:mod:`repro.temporal`);
-* ``check-liveness`` — post-hoc liveness checking of a finished durable
-  run: reopen the run directory's persisted state graph and search it
-  for fair lassos, no re-exploration;
+  named property (:mod:`repro.temporal`), in any search mode — the
+  census goes into ``--run-dir`` (or a temporary run directory) and the
+  lasso search reads the graph it recorded;
+* ``check-liveness`` — the same lasso search, post hoc, over a finished
+  durable run's recorded graph: no re-exploration;
 * ``simulate`` — random-walk exploration;
 * ``conformance`` — iterative conformance checking of spec vs. impl;
 * ``detect`` — run the registry-recorded detection for one bug;
@@ -202,19 +203,6 @@ CHECK_CONFLICTS = (
         " before --temporal",
     ),
     (
-        lambda args, workers: args.temporal and args.run_dir,
-        "--temporal cannot run inline with --run-dir (the durable"
-        " store is owned by the checkpointer); run the durable check"
-        " first, then `sandtable check-liveness RUN_DIR` on the"
-        " finished run directory",
-    ),
-    (
-        lambda args, workers: args.temporal and (workers > 1 or args.worker),
-        "--temporal runs on the serial explorer's in-memory graph; for"
-        " parallel runs do a durable --run-dir check first, then"
-        " `sandtable check-liveness RUN_DIR`",
-    ),
-    (
         lambda args, workers: args.resume and not args.run_dir,
         "--resume requires --run-dir",
     ),
@@ -292,6 +280,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         symmetry=args.symmetry,
         metrics=registry,
         progress=reporter,
+        workers=workers,
+        transport=transport,
+        fast=args.fast,
+        run_dir=args.run_dir or None,
+        resume=args.resume,
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_states=args.checkpoint_states,
     )
     temporal_results = []
     try:
@@ -300,23 +295,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 
             temporal_results, result = explore_and_check(spec, temporal_props, **search)
         else:
-            result = bfs_explore(
-                spec,
-                workers=workers,
-                transport=transport,
-                fast=args.fast,
-                run_dir=args.run_dir or None,
-                resume=args.resume,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_states=args.checkpoint_states,
-                **search,
-            )
+            result = bfs_explore(spec, **search)
     except (RunDirError, TransportError) as exc:
         # TransportError surfaces when transport.start() cannot reach a
         # worker agent — a usage error, not a crash.
         print(exc, file=sys.stderr)
         return 2
     print(f"explored {result.describe()}")
+    if temporal_results:
+        _print_coverage(temporal_results[0].graph_size, result.stats.distinct_states)
     out_taken = result.found_violation  # the safety trace wins --out
     for tres in temporal_results:
         print(tres.describe())
@@ -337,31 +324,30 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_coverage(covered: int, recorded: Optional[int]) -> None:
+    """Say so when the checked graph holds fewer states than the run
+    explored (a parallel round cut short after its last commit)."""
+    if recorded is not None and covered < recorded:
+        print(
+            f"graph covers {covered} of {recorded} recorded states"
+            " (last committed checkpoint)"
+        )
+
+
 def cmd_check_liveness(args: argparse.Namespace) -> int:
     """Post-hoc lasso detection over a finished durable run's state graph."""
     from .core.engine import TracelessStoreError
-    from .persist import RunDir, load_graph_stores
-    from .temporal import check_graph, materialize_graph, resolve_property
+    from .persist import RunDir
+    from .temporal import check_run_dir, resolve_property
 
     try:
         rd = RunDir.open(args.run_dir)
     except RunDirError as exc:
         print(exc, file=sys.stderr)
         return 2
-    config = rd.manifest().get("config", {})
-    if config.get("fast"):
-        print(
-            f"run {args.run_dir} used --fast (fingerprint-only store): no"
-            " parent edges were persisted, so the explored graph cannot be"
-            " materialized — rerun the check without --fast, then"
-            " check-liveness",
-            file=sys.stderr,
-        )
-        return 2
-    symmetry = bool(config.get("symmetry", False))
     spec = make_spec(args.system, args.nodes, args.bug, None)
     label = f"{type(spec).__module__}.{type(spec).__qualname__}"
-    recorded = config.get("spec")
+    recorded = rd.manifest().get("config", {}).get("spec")
     if recorded and recorded != label:
         print(
             f"warning: the run directory records spec {recorded}; rebuilding"
@@ -369,10 +355,15 @@ def cmd_check_liveness(args: argparse.Namespace) -> int:
             " these are the same specification",
             file=sys.stderr,
         )
+    names = list(dict.fromkeys(args.temporal)) if args.temporal else list(PROPERTY_NAMES)
+    try:
+        props = [resolve_property(spec, name) for name in names]
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     registry, _ = _make_stats(args)
     try:
-        stores, recorded = load_graph_stores(rd)
-        graph = materialize_graph(spec, stores, symmetry=symmetry)
+        graph, recorded, results = check_run_dir(spec, rd, props, metrics=registry)
     except TracelessStoreError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -388,28 +379,16 @@ def cmd_check_liveness(args: argparse.Namespace) -> int:
         f"materialized {len(graph)} states from {args.run_dir}"
         f" ({len(graph.roots)} roots, {graph.boundary_edges} boundary edges)"
     )
-    if recorded is not None and len(graph) < recorded:
-        print(
-            f"graph covers {len(graph)} of {recorded} recorded states"
-            " (last committed checkpoint)"
-        )
-    names = list(dict.fromkeys(args.temporal)) if args.temporal else list(PROPERTY_NAMES)
-    violated = False
-    for name in names:
-        try:
-            prop = resolve_property(spec, name)
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        tres = check_graph(graph, prop, metrics=registry)
+    _print_coverage(len(graph), recorded)
+    for tres in results:
         print(tres.describe())
         if tres.lasso is not None:
-            violated = True
+            name = tres.property.name
             path = rd.artifact_path(f"lasso-{name}.json")
             save_lasso(path, tres.lasso, name, spec=label)
             print(f"saved lasso trace to {path}")
     _finish_stats(args, registry, spec=spec)
-    return 1 if violated else 0
+    return 0 if all(tres.holds for tres in results) else 1
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

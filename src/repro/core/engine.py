@@ -639,30 +639,6 @@ def replay_path(
 # ---------------------------------------------------------------------------
 
 
-class _SingleSlot:
-    """A one-element frontier for single-path modes (walks, scenarios)."""
-
-    __slots__ = ("_node",)
-
-    def __init__(self) -> None:
-        self._node: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self._node is not None
-
-    def __len__(self) -> int:
-        return 1 if self._node is not None else 0
-
-    def append(self, node: tuple) -> None:
-        self._node = node
-
-    def popleft(self) -> tuple:
-        node, self._node = self._node, None
-        if node is None:
-            raise IndexError("pop from empty frontier")
-        return node
-
-
 class FrontierStrategy:
     """Which states are pending, and which successors get taken.
 
@@ -795,7 +771,7 @@ class RandomWalkFrontier(FrontierStrategy):
         self.rng = rng
         self._init_states = init_states
         self.event_kinds = event_kinds
-        self.frontier = _SingleSlot()
+        self.frontier = deque(maxlen=1)  # one path: a push replaces the node
         self.trace: Optional[Trace] = None
         self.branches: set = set()
         self.event_counts: Any = None  # Counter, created lazily to keep imports light
@@ -879,7 +855,7 @@ class ScenarioFrontier(FrontierStrategy):
     def __init__(self, picks: Sequence[Any], allow_ambiguous: bool = False) -> None:
         self.picks = list(picks)
         self.allow_ambiguous = allow_ambiguous
-        self.frontier = _SingleSlot()
+        self.frontier = deque(maxlen=1)  # one path: a push replaces the node
         self.trace: Optional[Trace] = None
         self._index = 0
 

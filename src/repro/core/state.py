@@ -269,11 +269,6 @@ def _rec_from_dict(contents: dict) -> Rec:
     return Rec._make(contents)
 
 
-def _key_sort(item: Tuple[Any, Any]) -> Tuple[str, str]:
-    key = item[0]
-    return (type(key).__name__, repr(key))
-
-
 def _key_order(key: Any) -> Tuple[str, str]:
     return (type(key).__name__, repr(key))
 

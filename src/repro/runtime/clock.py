@@ -41,10 +41,6 @@ class VirtualClock:
         self._now_ns[node] += delta_ns
         return self._now_ns[node]
 
-    def advance_all_ns(self, delta_ns: int) -> None:
-        for node in self._now_ns:
-            self.advance_ns(node, delta_ns)
-
     def reset(self, node: str) -> None:
         """A restarted process reads time from zero reads but the
         machine clock keeps its value; only read statistics reset."""

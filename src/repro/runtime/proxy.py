@@ -101,9 +101,6 @@ class NetworkProxy:
     def pending(self, src: str, dst: str) -> int:
         return len(self._queues[(src, dst)])
 
-    def pending_total(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
     def deliver(self, src: str, dst: str, frame: Optional[Frame] = None) -> Frame:
         """Remove and return a frame for delivery.
 

@@ -2,11 +2,10 @@
 
 SandTable itself (§3.1) approximates liveness through safety.  This
 package is the checker's one liveness surface, and it answers exactly,
-the way TLC does: it materializes
-the explored state graph from any :class:`~repro.core.engine.StateStore`
-(including a reopened ``DiskStore`` run directory, so liveness can be
-checked *post hoc* on a completed safety run), restricts it to the
-states that violate an "eventually" obligation, and searches for a
+the way TLC does: it materializes the explored state graph a run
+directory recorded (serial or sharded, whatever the search mode),
+restricts it to the states that violate an "eventually" obligation,
+and searches for a
 **lasso** — a reachable prefix followed by a cycle that is fair with
 respect to the spec's weak-fairness declarations.  A lasso is a definite
 counterexample; absence of one is bounded by the explored graph (see
@@ -21,7 +20,10 @@ The pieces:
 * :mod:`~repro.temporal.graph` — the graph materializer over the
   ``edges()``/``roots()`` store seams.
 * :mod:`~repro.temporal.lasso` — iterative-Tarjan SCC fair-cycle search
-  emitting a minimal-prefix :class:`~repro.temporal.lasso.LassoTrace`.
+  emitting a minimal-prefix :class:`~repro.temporal.lasso.LassoTrace`,
+  and the one liveness path: ``check_run_dir`` checks properties over a
+  run directory's graph (``check-liveness``), and ``explore_and_check``
+  explores into a run directory first (``check --temporal``).
 """
 
 from repro.core.spec import WeakFairness
@@ -31,6 +33,7 @@ from .lasso import (
     LassoTrace,
     TemporalResult,
     check_graph,
+    check_run_dir,
     explore_and_check,
 )
 from .properties import (
@@ -56,5 +59,6 @@ __all__ = [
     "LassoTrace",
     "TemporalResult",
     "check_graph",
+    "check_run_dir",
     "explore_and_check",
 ]

@@ -32,19 +32,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import tempfile
 import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.engine import (
-    CompactStore,
-    SearchResult,
-    StateStore,
-    replay_path,
-)
-from repro.core.explorer import BFSExplorer
+from repro.core.engine import SearchResult, TracelessStoreError, replay_path
+from repro.core.explorer import bfs_explore
 from repro.core.spec import Spec, WeakFairness
-from repro.core.state import Rec
 from repro.core.trace import Trace
 from repro.core.violation import Violation
 
@@ -55,6 +51,7 @@ __all__ = [
     "LassoTrace",
     "TemporalResult",
     "check_graph",
+    "check_run_dir",
     "explore_and_check",
 ]
 
@@ -87,10 +84,6 @@ class LassoTrace:
     @property
     def cycle_length(self) -> int:
         return 1 if self.stuttering else self.trace.depth - self.cycle_start
-
-    def cycle_states(self) -> List[Rec]:
-        states = list(self.trace.states())
-        return states[self.cycle_start:]
 
     def to_dict(self) -> dict:
         return {
@@ -555,29 +548,63 @@ def _assemble(
 def explore_and_check(
     spec: Spec,
     properties: Sequence[TemporalProperty],
-    symmetry: bool = False,
-    metrics: Optional[Any] = None,
-    store: Optional[StateStore] = None,
-    **explorer_options: Any,
+    run_dir: Optional[Any] = None,
+    **search_options: Any,
 ) -> Tuple[List[TemporalResult], SearchResult]:
-    """Run a fresh BFS census and check each property over its graph.
+    """Explore ``spec`` as ``check`` does, then check each property over
+    the graph the run recorded.
 
-    The exploration does not stop on safety violations — the graph must
-    cover everything reachable within the budgets for the cycle search
-    to mean anything.  ``explorer_options`` — the budgets
-    (``max_states``, ``max_depth``, ``time_budget``), ``progress`` — go
-    to the :class:`~repro.core.explorer.BFSExplorer` as they are.
+    The exploration is :func:`~repro.core.explorer.bfs_explore` into
+    ``run_dir`` (a temporary one when ``None``), so every search mode —
+    serial, ``workers``, a ``transport``, ``symmetry``, ``resume`` — takes
+    ``search_options`` as ``check`` passes them.  It does not stop on
+    safety violations: the graph must cover everything reachable within
+    the budgets for the cycle search to mean anything.  The properties
+    are then checked by :func:`check_run_dir`, as ``check-liveness`` checks
+    them.
     """
-    store = store if store is not None else CompactStore()
-    explorer = BFSExplorer(
-        spec,
-        symmetry=symmetry,
-        stop_on_violation=False,
-        store=store,
-        metrics=metrics,
-        **explorer_options,
+    if run_dir is None:
+        with tempfile.TemporaryDirectory(prefix="sandtable-liveness-") as tmp:
+            return explore_and_check(
+                spec, properties, os.path.join(tmp, "run"), **search_options
+            )
+    from repro.persist import RunDir  # local: importing temporal loads no persist
+
+    search = bfs_explore(
+        spec, run_dir=run_dir, stop_on_violation=False, **search_options
     )
-    search = explorer.run()
-    graph = materialize_graph(spec, store, symmetry=symmetry)
-    results = [check_graph(graph, prop, metrics=metrics) for prop in properties]
+    _graph, _recorded, results = check_run_dir(
+        spec, RunDir.open(run_dir), properties, metrics=search_options.get("metrics")
+    )
     return results, search
+
+
+def check_run_dir(
+    spec: Spec,
+    run_dir: Any,
+    properties: Sequence[TemporalProperty],
+    metrics: Optional[Any] = None,
+) -> Tuple[TemporalGraph, Optional[int], List[TemporalResult]]:
+    """Check each property over the graph a run directory recorded.
+
+    ``run_dir`` is an open :class:`~repro.persist.RunDir` of a serial or
+    sharded run; its manifest says whether the run reduced by symmetry,
+    and a ``--fast`` run, which kept no parent edges, is refused with
+    :class:`~repro.core.engine.TracelessStoreError`.  Returns the
+    materialized graph, the distinct-state count the run recorded
+    (``None`` if it never finished; see
+    :func:`~repro.persist.load_graph_stores`) and one result per property.
+    """
+    from repro.persist import load_graph_stores  # local, as above
+
+    config = run_dir.manifest().get("config", {})
+    if config.get("fast"):
+        raise TracelessStoreError(
+            f"run {run_dir.path} used --fast (fingerprint-only store): no"
+            " parent edges were persisted, so the explored graph cannot be"
+            " materialized — rerun the check without --fast, then"
+            " check-liveness"
+        )
+    stores, recorded = load_graph_stores(run_dir)
+    graph = materialize_graph(spec, stores, symmetry=bool(config.get("symmetry")))
+    return graph, recorded, [check_graph(graph, prop, metrics) for prop in properties]

@@ -21,9 +21,10 @@ grading across the engine matrix.
 * :func:`run_temporal_fuzz` grades every cell — serial in-memory,
   DiskStore written then reopened read-only
   (:class:`~repro.persist.DiskStoreReader`), symmetry reduction when the
-  spec is symmetric, and a durable parallel run reloaded from its worker
-  checkpoints — demanding the oracle verdict, the oracle prefix length,
-  a lasso that independently revalidates
+  spec is symmetric, and a durable parallel run read back through
+  :func:`~repro.temporal.check_run_dir`, the one liveness path —
+  demanding the oracle verdict, the oracle prefix length, a lasso that
+  independently revalidates
   (:func:`~repro.testkit.oracle.oracle_validate_lasso`), byte-stable
   JSON round-trips, and byte-identical lassos across stores.  A
   fingerprint-only store must refuse with
@@ -46,14 +47,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.engine import CompactStore, FingerprintOnlyStore, TracelessStoreError
 from ..core.explorer import BFSExplorer
 from ..core.spec import Spec, WeakFairness
-from ..persist import (
-    DiskStore,
-    DiskStoreReader,
-    RunDir,
-    load_graph_stores,
-)
+from ..persist import DiskStore, DiskStoreReader, RunDir
 from ..persist.runner import run_check
-from ..temporal import LassoTrace, check_graph, materialize_graph
+from ..temporal import LassoTrace, check_graph, check_run_dir, materialize_graph
 from ..temporal.properties import (
     TemporalProperty,
     always_eventually,
@@ -273,8 +269,9 @@ def _cell_graph(generated: GeneratedSpec, cell: str):
     if cell == "workers":
         with tempfile.TemporaryDirectory(prefix="sandtable-temporal-") as tmp:
             run_dir = os.path.join(tmp, "run")
-            # The post-hoc seam under test: a finished parallel run's
-            # last generation holds its complete census.
+            # The liveness path `check --temporal` and `check-liveness`
+            # ship: a finished parallel run's last generation holds its
+            # complete census, read back through check_run_dir.
             run_check(
                 spec,
                 run_dir,
@@ -282,8 +279,8 @@ def _cell_graph(generated: GeneratedSpec, cell: str):
                 stop_on_violation=False,
                 memory_budget=_MEMORY_BUDGET,
             )
-            stores, _ = load_graph_stores(RunDir.open(run_dir))
-            return materialize_graph(spec, stores), spec
+            graph, _, _ = check_run_dir(spec, RunDir.open(run_dir), ())
+            return graph, spec
     raise ValueError(f"unknown temporal fuzz cell {cell!r}")
 
 

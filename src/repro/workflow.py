@@ -54,10 +54,6 @@ class CheckOutcome:
     def found_bug(self) -> bool:
         return self.confirmation is not None and self.confirmation.confirmed
 
-    @property
-    def found_lasso(self) -> bool:
-        return any(t.lasso is not None for t in self.temporal)
-
 
 @dataclasses.dataclass
 class WorkflowResult:
@@ -150,10 +146,10 @@ def run_workflow(
     ``spec_factory(constraint)`` builds the spec for a candidate budget
     constraint; the first constraint is used for the conformance phase.
     ``temporal`` names properties from :mod:`repro.temporal` to check
-    over each explored graph after the safety pass (serial runs only —
-    the lasso search needs the in-memory state store); any lasso found
-    is reported per check and saved as a replayable artifact in durable
-    runs.
+    over each explored graph after the safety pass, serial or with
+    ``workers``, through :func:`repro.temporal.explore_and_check`; any
+    lasso found is reported per check and saved as a replayable artifact
+    in durable runs.
     With ``run_dir`` the workflow is durable: the conformance report,
     every violation trace (as a replayable artifact), the confirmed-bug
     Markdown reports, the summary, and a metrics sink
@@ -207,11 +203,9 @@ def run_workflow(
     )[0]
 
     # -- phases 3 and 4: model checking + confirmation ----------------------
-    if temporal and workers > 1:
-        raise ValueError(
-            "temporal checking in the workflow needs the serial explorer's"
-            " in-memory state graph; run with workers=1"
-        )
+    search = dict(
+        max_states=max_states, time_budget=time_budget, workers=workers, metrics=metrics
+    )
     checks: List[CheckOutcome] = []
     for score in ranked.top(top_constraints):
         spec = spec_factory(score.constraint)
@@ -223,20 +217,10 @@ def run_workflow(
             # exploration keeps going past safety violations; the first
             # one is still collected and confirmed below.
             temporal_results, exploration = explore_and_check(
-                spec,
-                [resolve_property(spec, name) for name in temporal],
-                max_states=max_states,
-                time_budget=time_budget,
-                metrics=metrics,
+                spec, [resolve_property(spec, name) for name in temporal], **search
             )
         else:
-            exploration = bfs_explore(
-                spec,
-                max_states=max_states,
-                time_budget=time_budget,
-                workers=workers,
-                metrics=metrics,
-            )
+            exploration = bfs_explore(spec, **search)
         confirmation = None
         if exploration.found_violation:
             bug_checker = ConformanceChecker(

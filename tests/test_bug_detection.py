@@ -4,14 +4,14 @@ Each test runs the registry-recorded detection (BFS for shallow bugs,
 random-walk simulation for the deep ones) and checks that the right
 invariant is violated, that no violation exists when the bug flag is
 off, and that the counterexample trace is a genuine path of the spec.
-Detections go through the session's ``detected`` memo (``conftest.py``),
-so an exploration two tests ask for is run once.
+Detections go through the session's ``detected`` memo and bug-free
+controls through ``clean_run`` (``conftest.py``), so an exploration two
+tests ask for is run once.
 """
 
 import pytest
 
 from repro.bugs import BUGS, detect
-from repro.core import bfs_explore, simulate
 
 FAST_BFS = ["DaosRaft#1", "Xraft#1", "RaftOS#1", "RaftOS#2", "ZooKeeper#1"]
 SLOW_BFS = ["WRaft#1", "WRaft#2", "Xraft-KV#1"]
@@ -65,20 +65,20 @@ def test_slow_bfs_finds_bug(bug_id, detected):
 @pytest.mark.parametrize(
     "bug_id", ["DaosRaft#1", "Xraft#1", "RaftOS#1", "RaftOS#2"]
 )
-def test_no_violation_without_the_bug(bug_id):
-    """The fixed spec passes the same bounded exploration."""
+def test_no_violation_without_the_bug(bug_id, detected, clean_run):
+    """The fixed spec passes the same bounded exploration: 60,000 states,
+    or the bug matrix control's twice-the-detection budget when that is
+    larger, so the two tests share one run."""
     bug = BUGS[bug_id]
-    spec = bug.spec_factory(bug.config, bugs=(), only_invariants=[bug.invariant])
-    result = bfs_explore(spec, max_states=60_000, time_budget=90)
-    assert not result.found_violation
+    states = 2 * detected(bug, time_budget=120.0).distinct_states
+    violation, _ = clean_run(bug, max_states=max(60_000, states))
+    assert violation is None
 
 
 @pytest.mark.parametrize("bug_id", ["PySyncObj#4", "WRaft#4", "WRaft#5"])
-def test_no_violation_without_the_bug_simulated(bug_id):
-    bug = BUGS[bug_id]
-    spec = bug.spec_factory(bug.config, bugs=(), only_invariants=[bug.invariant])
-    result = simulate(spec, n_walks=2_000, max_depth=40, seed=0, stop_on_violation=True)
-    assert result.first_violation is None
+def test_no_violation_without_the_bug_simulated(bug_id, clean_run):
+    violation, _ = clean_run(BUGS[bug_id])
+    assert violation is None
 
 
 class TestDepthOrdering:
@@ -92,10 +92,10 @@ class TestDepthOrdering:
         assert shallow.depth < deep.depth
         assert shallow.distinct_states < deep.distinct_states
 
-    def test_bfs_depth_is_minimal(self):
-        # Re-running the same exhaustible detection twice returns the
-        # same minimal depth.
-        first = detect(BUGS["RaftOS#2"], time_budget=120)
+    def test_bfs_depth_is_minimal(self, detected):
+        # Re-running the same exhaustible detection returns the same
+        # minimal depth as the session's run of it.
+        first = detected(BUGS["RaftOS#2"], time_budget=120)
         second = detect(BUGS["RaftOS#2"], time_budget=120)
         assert first.depth == second.depth
 

@@ -10,8 +10,9 @@ fixed spec is a spec bug, not a found implementation bug.
 The subset is the shallow-counterexample rows (plus two simulation rows)
 so the whole matrix stays inside the tier-1 time budget; the full sweep
 lives in ``test_bug_detection.py`` and the benchmarks.  Detections come
-from the session ``detected`` fixture, so a row and its
-``test_bug_detection.py`` counterpart share one exploration.
+from the session ``detected`` fixture and controls from ``clean_run``,
+so a row and its ``test_bug_detection.py`` counterparts share one
+exploration each.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import pytest
 
 from repro.bugs import BUGS
-from repro.core import bfs_explore, simulate
+from repro.core import bfs_explore
 
 #: (bug_id, detection-method budget knobs) — every row must both detect
 #: and pass its clean control within these budgets.
@@ -29,13 +30,8 @@ BFS_MATRIX = ["DaosRaft#1", "Xraft#1", "RaftOS#1", "RaftOS#2", "ZooKeeper#1"]
 SIM_MATRIX = ["PySyncObj#4", "WRaft#4"]
 
 
-def clean_spec(bug):
-    """The same system/scenario with no bug flags seeded."""
-    return bug.spec_factory(bug.config, bugs=(), only_invariants=[bug.invariant])
-
-
 @pytest.mark.parametrize("bug_id", BFS_MATRIX)
-def test_bfs_matrix_row(bug_id, detected):
+def test_bfs_matrix_row(bug_id, detected, clean_run):
     bug = BUGS[bug_id]
     assert bug.method == "bfs"
 
@@ -44,20 +40,16 @@ def test_bfs_matrix_row(bug_id, detected):
     assert result.violation.invariant == bug.invariant
     assert result.depth >= 1
 
-    control = bfs_explore(
-        clean_spec(bug),
-        max_states=max(10_000, 2 * result.distinct_states),
-        time_budget=90.0,
-    )
-    assert not control.found_violation, (
+    violation, states = clean_run(bug, max_states=max(10_000, 2 * result.distinct_states))
+    assert violation is None, (
         f"{bug_id}: bug-free configuration violates {bug.invariant}"
     )
     # The control covered at least the state budget the detection needed.
-    assert control.stats.distinct_states >= result.distinct_states
+    assert states >= result.distinct_states
 
 
 @pytest.mark.parametrize("bug_id", SIM_MATRIX)
-def test_simulation_matrix_row(bug_id, detected):
+def test_simulation_matrix_row(bug_id, detected, clean_run):
     bug = BUGS[bug_id]
     assert bug.method == "simulate"
 
@@ -65,14 +57,8 @@ def test_simulation_matrix_row(bug_id, detected):
     assert result.found, f"{bug_id}: seeded bug not detected"
     assert result.violation.invariant == bug.invariant
 
-    control = simulate(
-        clean_spec(bug),
-        n_walks=2_000,
-        max_depth=40,
-        seed=0,
-        stop_on_violation=True,
-    )
-    assert control.first_violation is None, (
+    violation, _ = clean_run(bug)  # 2,000 seeded walks of depth 40
+    assert violation is None, (
         f"{bug_id}: bug-free configuration violates {bug.invariant}"
     )
 
@@ -84,7 +70,7 @@ def test_matrix_rows_exist_in_registry():
         assert bug.invariant
 
 
-def test_parallel_counterexample_depth_and_invariant_match_serial():
+def test_parallel_counterexample_depth_and_invariant_match_serial(detected):
     """Which depth-minimal trace a parallel run reports depends on the
     worker count (each worker stops on its own first violation, and the
     master picks among those), so only the depth and the invariant are
@@ -93,9 +79,11 @@ def test_parallel_counterexample_depth_and_invariant_match_serial():
     bug = BUGS["Xraft#1"]
     found = {}
     for workers in (1, 2, 3):
+        # The session's serial detection is one of the two serial runs.
         runs = [
-            bfs_explore(bug.make_spec(), workers=workers, time_budget=120.0).violation
-            for _ in range(2)
+            detected(bug, time_budget=120.0).violation if workers == 1 and i == 0
+            else bfs_explore(bug.make_spec(), workers=workers, time_budget=120.0).violation
+            for i in range(2)
         ]
         first, second = (json.dumps(v.to_dict(), sort_keys=True) for v in runs)
         assert first == second, f"workers={workers}: counterexample differs"

@@ -9,6 +9,38 @@ from repro.persist.rundir import read_json
 from repro.testkit import replay_artifact
 
 
+#: ``check --temporal`` on a census small enough to run to exhaustion.
+LIVENESS = ("eventually-elects-leader", "always-commit-caught-up")
+LIVENESS_CHECK = ["check", "--system", "pysyncobj", "--nodes", "2"] + [
+    arg for name in LIVENESS for arg in ("--temporal", name)
+]
+
+
+def _verdict_lines(out):
+    return [line for line in out.splitlines() if line.startswith(("<>", "[]<>"))]
+
+
+@pytest.fixture(scope="module")
+def serial_liveness(tmp_path_factory):
+    """The reference for :data:`LIVENESS_CHECK`: the verdict lines and
+    the ``--out`` lasso of a serial census kept in memory."""
+    from repro.core import BFSExplorer
+    from repro.core.engine import CompactStore
+    from repro.dist.specref import make_spec
+    from repro.persist import save_lasso
+    from repro.temporal import check_graph, materialize_graph, resolve_property
+
+    spec = make_spec("pysyncobj", 2, (), None)
+    store = CompactStore()
+    BFSExplorer(spec, store=store, stop_on_violation=False).run()
+    graph = materialize_graph(spec, store)
+    results = [check_graph(graph, resolve_property(spec, name)) for name in LIVENESS]
+    assert all(not tres.holds for tres in results)
+    out = tmp_path_factory.mktemp("serial-liveness") / "lasso.json"
+    save_lasso(out, results[0].lasso, LIVENESS[0])
+    return [tres.describe() for tres in results], out.read_bytes()
+
+
 class TestBugsCommand:
     def test_lists_all_bugs(self, capsys):
         assert main(["bugs"]) == 0
@@ -123,15 +155,11 @@ class TestReducerFlags:
         "row, extra",
         [
             (0, ["--temporal", "eventually-elects-leader", "--fast"]),
-            (1, ["--temporal", "eventually-elects-leader", "--run-dir", "run"]),
-            (2, ["--temporal", "eventually-elects-leader", "--workers", "2"]),
-            (2, ["--temporal", "eventually-elects-leader", "--worker", "127.0.0.1:1"]),
-            (3, ["--resume"]),
-            (4, ["--checkpoint-every", "5"]),
-            (4, ["--checkpoint-states", "100"]),
+            (1, ["--resume"]),
+            (2, ["--checkpoint-every", "5"]),
+            (2, ["--checkpoint-states", "100"]),
         ],
-        ids=["temporal-fast", "temporal-run-dir", "temporal-workers",
-             "temporal-worker", "resume-without-run-dir",
+        ids=["temporal-fast", "resume-without-run-dir",
              "checkpoint-every-without-run-dir", "checkpoint-states-without-run-dir"],
     )
     def test_conflicting_check_flags_exit_2(self, row, extra, tmp_path, monkeypatch, capsys):
@@ -142,6 +170,54 @@ class TestReducerFlags:
         captured = capsys.readouterr()
         assert captured.err == CHECK_CONFLICTS[row][1] + "\n"
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_check_conflicts_are_the_three_rows(self):
+        assert len(CHECK_CONFLICTS) == 3
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            [[]],
+            [["--run-dir", "run"]],
+            [
+                ["--run-dir", "run", "--max-states", "3000", "--checkpoint-states", "1000"],
+                ["--run-dir", "run", "--resume"],
+            ],
+            [["--workers", "2"]],
+            [["--workers", "3"]],
+            [["two-agents"]],
+        ],
+        ids=["temporal-serial", "temporal-run-dir", "temporal-resume", "temporal-workers",
+             "temporal-workers-3", "temporal-worker"],
+    )
+    def test_temporal_check_takes_every_mode(
+        self, mode, serial_liveness, tmp_path, monkeypatch, capsys
+    ):
+        """``check --temporal`` runs in every search mode ``check`` has:
+        explored to exhaustion, each prints the verdict lines of a serial
+        census kept in memory and writes its lasso byte for byte."""
+        import threading
+
+        from repro.dist.agent import WorkerAgent
+
+        monkeypatch.chdir(tmp_path)
+        agents = []
+        try:
+            for extra in mode:
+                if extra == ["two-agents"]:
+                    agents = [WorkerAgent() for _ in range(2)]
+                    for agent in agents:
+                        threading.Thread(target=agent.serve_forever, daemon=True).start()
+                    extra = [arg for agent in agents for arg in ("--worker", agent.address)]
+                code = main(LIVENESS_CHECK + extra + ["--out", "lasso.json"])
+                out = capsys.readouterr().out
+        finally:
+            for agent in agents:
+                agent.close()
+        assert code == 1
+        verdicts, lasso = serial_liveness
+        assert _verdict_lines(out) == verdicts
+        assert (tmp_path / "lasso.json").read_bytes() == lasso
 
     def test_selftest_forced_reducers(self, capsys):
         code = main(

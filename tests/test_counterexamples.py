@@ -126,3 +126,21 @@ def test_an_unanchored_pending_trace_is_researched():
     reducer = SymmetryReducer(spec.symmetry_sets())
     resolved = resolve_violation(spec, pending, reducer=reducer)
     assert resolved.trace.to_dict() == reference.trace.to_dict()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="ROADMAP item 9: the UDP datagram bag is not closed under node"
+    " permutations, so a replayed permutation of a stored state can have no"
+    " successor in the stored state's orbit ('trace re-execution failed')",
+)
+@pytest.mark.parametrize("bug_id", ["DaosRaft#1", "RaftOS#2"])
+def test_symmetric_udp_counterexample_replays(bug_id):
+    """A registry bug found under ``--symmetry`` resolves to a trace whose
+    every step follows from the state before it."""
+    from repro.bugs import BUGS
+
+    result = bfs_explore(BUGS[bug_id].make_spec(), symmetry=True)
+    assert result.found_violation
+    assert continuity_break(BUGS[bug_id].make_spec(), result.violation.trace) is None

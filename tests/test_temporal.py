@@ -494,25 +494,28 @@ class TestTemporalCLI:
         assert lasso.stuttering
 
     def test_inline_temporal_stats_reach_the_explorer(self, monkeypatch, capsys):
-        # check --temporal explores through explore_and_check, which hands
-        # the --stats progress reporter to its BFSExplorer.
-        import repro.temporal.lasso as lasso_module
-        from repro.obs import ProgressReporter
+        # check --temporal explores through explore_and_check into a run
+        # directory, and run_check hands the --stats progress reporter to
+        # the BFSExplorer (composed with the run's metrics sink).
+        import repro.persist.runner as runner_module
 
         given = []
 
-        class Recording(lasso_module.BFSExplorer):
+        class Recording(runner_module.BFSExplorer):
             def __init__(self, *args, **kwargs):
                 given.append(kwargs.get("progress"))
+                kwargs["progress_interval"] = 100
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(lasso_module, "BFSExplorer", Recording)
+        monkeypatch.setattr(runner_module, "BFSExplorer", Recording)
         argv = ["check", "--system", "pysyncobj", "--nodes", "2", "--max-states",
                 "600", "--temporal", "eventually-elects-leader", "--stats"]
         assert main(argv) == 1
-        assert len(given) == 1 and isinstance(given[0], ProgressReporter)
-        out = capsys.readouterr().out
-        assert "VIOLATED" in out and "action coverage" in out
+        assert len(given) == 1 and given[0] is not None
+        captured = capsys.readouterr()
+        assert "VIOLATED" in captured.out and "action coverage" in captured.out
+        # The reporter's own lines, one per 100 new states until the budget.
+        assert "sandtable: 500 states" in captured.err
 
     def test_check_liveness_on_finished_run(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -144,3 +144,52 @@ class TestDivergentImplementation:
         rd = RunDir.open(tmp_path / "wf")
         assert rd.manifest()["status"] == "conformance-failed"
         assert rd.artifact_path("conformance-failure.md").exists()
+
+
+class TestTemporalWorkflow:
+    def test_sharded_workflow_checks_liveness(self, tmp_path):
+        """``temporal`` takes ``workers``: a sharded census yields the
+        lasso the serial one does, saved as the check's artifact."""
+        from repro.obs import MetricsRegistry
+        from repro.persist import load_lasso
+        from repro.specs.raft import PySyncObjSpec
+        from repro.temporal import explore_and_check, resolve_property
+
+        def pysyncobj_factory(constraint):
+            # Both nodes may crash and none restarts: the election can
+            # stall forever, a fair stutter lasso (274 states in all).
+            return PySyncObjSpec(
+                RaftConfig(
+                    nodes=NODES, values=("v1",), max_requests=1, max_partitions=0,
+                    max_restarts=0, max_drops=0, max_dups=0, max_buffer=5,
+                    max_term=2, **constraint,
+                )
+            )
+
+        constraint = {"max_timeouts": 2, "max_crashes": 2}
+        metrics = MetricsRegistry()
+        result = run_workflow(
+            "pysyncobj",
+            pysyncobj_factory,
+            [constraint],
+            conformance_quiet=1.0,
+            conformance_traces=10,
+            top_constraints=1,
+            workers=2,
+            run_dir=tmp_path / "wf",
+            metrics=metrics,
+            temporal=("eventually-elects-leader",),
+        )
+        assert result.passed_conformance and len(result.checks) == 1
+        assert metrics.snapshot()["counters"].get("parallel.rounds", 0) > 0
+        (tres,) = result.checks[0].temporal
+        assert tres.lasso is not None and tres.lasso.stuttering
+        spec = pysyncobj_factory(constraint)
+        (serial,), _ = explore_and_check(
+            spec, [resolve_property(spec, "eventually-elects-leader")]
+        )
+        assert tres.lasso.to_json() == serial.lasso.to_json()
+        artifact = RunDir.open(tmp_path / "wf").artifact_path(
+            "check-0-lasso-eventually-elects-leader.json"
+        )
+        assert load_lasso(artifact)[1].to_json() == serial.lasso.to_json()
